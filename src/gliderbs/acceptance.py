@@ -415,9 +415,7 @@ CRITERIA = [
 
 
 def run_all(selected=None):
-    out = []
-    for fn in CRITERIA:
-        result = fn()
-        if selected is None or result["id"] in selected:
-            out.append(result)
-    return out
+    """Run the criteria whose ids are in `selected` (all when None);
+    CRITERIA[i - 1] is criterion i."""
+    return [fn() for i, fn in enumerate(CRITERIA, 1)
+            if selected is None or i in selected]

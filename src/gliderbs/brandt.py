@@ -14,13 +14,10 @@ units, and the whole collection satisfies the five groupoid axioms, which
 
 from __future__ import annotations
 
-from .errors import (MaximalityError, RankError, SpecValidationError,
-                     UnsupportedError)
+from .errors import MaximalityError, RankError, SpecValidationError
 from .filtration import FieldFiltration
-from .glider import (FiltrationTail, Glider, MultiplyBy, is_glider,
-                     level_eq)
-from .lattice import (FracIdeal, add, colon_left, colon_right, intersect,
-                      mult, span)
+from .glider import fit_tail, is_glider, level_eq
+from .lattice import add, colon_left, colon_right, intersect, mult, span
 from .orders import OrderData
 
 __all__ = [
@@ -112,25 +109,13 @@ def right_glider_order(m):
     return m._cache[key]
 
 
-def _repackage(filtration, alg, levels, hint_tails=()):
+def _repackage(filtration, alg, levels, own=None):
     """Build a glider from explicitly computed levels, fitting an exact
     tail rule; `levels` must extend far enough to verify the rule."""
-    ph = filtration.phi
-    keep = len(levels) - 2 * ph.minus_period - 2
+    keep = len(levels) - 2 * filtration.phi.minus_period - 2
     if keep < 1:
         raise SpecValidationError("not enough levels to fit a tail")
-    prefix = levels[:keep]
-    candidates = list(hint_tails) + [FiltrationTail()]
-    if ph.minus_period == 1:
-        candidates.append(MultiplyBy(FracIdeal(filtration.base_ring,
-                                               ph.minus_inc)))
-    for tail in candidates:
-        cand = Glider(filtration, "algebra", prefix, tail, alg=alg)
-        if all(level_eq(cand.level(i), levels[i])
-               for i in range(len(levels))):
-            return cand
-    raise UnsupportedError(
-        "computed chain is not presentable by the supported tail rules")
+    return fit_tail(filtration, "algebra", levels, keep, alg=alg, own=own)
 
 
 def product(m, n):
@@ -233,7 +218,7 @@ def two_sided_translate(m, g, h):
                 for row in m.level(i).rows]
         levels.append(span(m.level(i).base, alg.dim, rows))
     return NormalGliderIdeal(_repackage(m.filtration, alg, levels,
-                                        hint_tails=(m.glider.tail,)))
+                                        own=m.glider.tail))
 
 
 # ---------------------------------------------------------------------------

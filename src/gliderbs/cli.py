@@ -335,7 +335,6 @@ _VALUE_FLAGS = ("--window", "--k", "--shift", "--e")
 def _merge_negative_values(argv):
     """Join flag/value pairs so negative values survive argparse."""
     out = []
-    it = iter(range(len(argv)))
     i = 0
     while i < len(argv):
         tok = argv[i]

@@ -222,11 +222,6 @@ class FieldFiltration:
                 "use the rank-2 module")
         return FracIdeal(self.base_ring, tuple(-c for c in self.phi(n)))
 
-    def level_value(self, n):
-        """F_n for the composite filtration: value pair (a, b) of the
-        principal ideal x^-a y^-b R'."""
-        return self.phi(n)
-
     @property
     def horizon(self):
         return self.phi.horizon
@@ -576,7 +571,7 @@ def associated_strong(filt, glider):
         else:
             lvl = glider.level(-n)
             table[n] = tuple(-c for c in lvl.exps)
-    minus = _tail_of_glider(glider, filt)
+    minus = _tail_of_glider(glider)
     comp = StepFunction((lo, hi), table,
                         (ph.plus_period, ph.plus_inc), minus)
     out = FieldFiltration(filt.field, filt.valuations, comp)
@@ -592,16 +587,13 @@ def associated_strong(filt, glider):
     return out
 
 
-def _tail_of_glider(glider, filt):
-    from .glider import FiltrationTail, MultiplyBy
-
-    tail = glider.tail
-    if isinstance(tail, FiltrationTail):
-        return (filt.phi.minus_period, filt.phi.minus_inc)
-    if isinstance(tail, MultiplyBy):
-        return (1, tail.ideal.exps)
-    raise SpecValidationError(
-        "glider tail does not define an unbounded filtration")
+def _tail_of_glider(glider):
+    period = glider.period
+    growth = glider.growth_ideal(period)
+    if growth is None:
+        raise SpecValidationError(
+            "glider tail does not define an unbounded filtration")
+    return (period, growth.exps)
 
 
 def induced_on_K(fa):

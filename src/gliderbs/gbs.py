@@ -17,8 +17,8 @@ from . import linalg
 from .errors import SpecValidationError, UnsupportedError
 from .filtration import (AlgebraFiltration, is_strong,
                          strong_completion)
-from .glider import (FiltrationTail, Glider, MultiplyBy, classify_subglider,
-                     is_glider, level_eq, realize_field_chain)
+from .glider import (FiltrationTail, Glider, ZeroAfter, classify_subglider,
+                     fit_tail, is_glider, realize_field_chain)
 from .lattice import (FracIdeal, ZERO_MODULE, intermediate_module,
                       is_simple_quotient, mult, span)
 
@@ -176,21 +176,11 @@ def represent_over(m, filt):
     """The same levelwise chain as a glider over another filtration with an
     identical positive part; exactness verified."""
     h = m.horizon + 2
-    prefix = [m.level(i) for i in range(h + 1)]
-    candidates = [FiltrationTail()]
-    ph = filt.phi
-    if ph.minus_period == 1:
-        candidates.append(MultiplyBy(FracIdeal(filt.base_ring,
-                                               ph.minus_inc)))
-    if isinstance(m.tail, MultiplyBy):
-        candidates.append(m.tail)
-    for tail in candidates:
-        cand = Glider(filt, m.ambient, prefix, tail, alg=m.alg)
-        if all(level_eq(cand.level(i), m.level(i))
-               for i in range(h + 2 * ph.minus_period + 3)):
-            return cand
-    raise UnsupportedError(
-        "chain is not presentable over the target filtration")
+    levels = [m.level(i) for i in range(h + 2 * filt.phi.minus_period + 3)]
+    # the chain's own tail is tried only when it multiplies by an ideal,
+    # which means the same rule over any filtration
+    own = m.tail if m.tail.kind == "multiply" else None
+    return fit_tail(filt, m.ambient, levels, h + 1, alg=m.alg, own=own)
 
 
 def _multiplier_witness(m, rule):
@@ -206,8 +196,6 @@ def _multiplier_witness(m, rule):
     cands.append(tuple(1 for _ in range(r)))
     for j in range(r):
         cands.append(tuple(2 if t == j else 0 for t in range(r)))
-    from .glider import shift as index_shift  # noqa: F401
-
     for exps in cands:
         ideal = FracIdeal(ring, exps)
         prefix = [lvl.mul(ideal) if lvl is not ZERO_MODULE else ZERO_MODULE
@@ -397,8 +385,6 @@ def classify_csa_glider(m):
         if m.level(i + 1) is ZERO_MODULE:
             # finite essential length: scaling the last nonzero level
             # strictly between it and zero witnesses reducibility
-            from .glider import ZeroAfter
-
             pi = filt.base_ring.uniformizers[0]
             witness = Glider(filt, "algebra", [m.level(i).scale(pi)],
                              ZeroAfter(), alg=alg)
@@ -521,19 +507,9 @@ def realize_csa_element(filt, point, m):
     base = filt.base
     ph = base.phi
     depth = max(m - ph.lo + 2 * ph.minus_period, 2 * ph.minus_period, 2)
-    prefix = [bv.scale_ideal(base.level(m - i)) for i in range(depth + 1)]
-    for tail in (FiltrationTail(),
-                 MultiplyBy(FracIdeal(base.base_ring, ph.minus_inc))
-                 if ph.minus_period == 1 else None):
-        if tail is None:
-            continue
-        cand = Glider(filt, "algebra", prefix, tail, alg=filt.alg)
-        check = depth + 2 * ph.minus_period + 2
-        if all(cand.level(i) == bv.scale_ideal(base.level(m - i))
-               for i in range(check + 1)):
-            return cand
-    raise UnsupportedError(  # pragma: no cover - mirrors the field case
-        "column chain not realizable by the supported tail rules")
+    check = depth + 2 * ph.minus_period + 2
+    levels = [bv.scale_ideal(base.level(m - i)) for i in range(check + 1)]
+    return fit_tail(filt, "algebra", levels, depth + 1, alg=filt.alg)
 
 
 def enumerate_gbs_csa(filt, window, points):

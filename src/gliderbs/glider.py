@@ -17,6 +17,8 @@ sandwich certificate.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import (BaseMismatchError, SpecValidationError,
                      UnsupportedError)
 from .fields import INF
@@ -24,12 +26,12 @@ from .filtration import AlgebraFiltration, FieldFiltration
 from .lattice import FracIdeal, Lattice, ZERO_MODULE, add, mult
 
 __all__ = [
-    "FiltrationTail", "MultiplyBy", "Constant", "ZeroAfter",
+    "Tail", "FiltrationTail", "MultiplyBy", "Constant", "ZeroAfter",
     "Glider", "TrivialityVerdict",
     "is_glider", "body", "essential_length", "shift", "scalar_shift",
     "classify_subglider",
     "level_contains", "level_eq", "level_scale_ideal",
-    "realize_field_chain", "negative_part",
+    "fit_tail", "realize_field_chain", "negative_part",
 ]
 
 
@@ -37,58 +39,54 @@ __all__ = [
 # tail rules
 # ---------------------------------------------------------------------------
 
-class FiltrationTail:
-    """M_{N+k} = F_{-k}K * M_N (scalar action of the base field filtration)."""
-
-    def __repr__(self):
-        return "FiltrationTail"
-
-    def __eq__(self, other):
-        return isinstance(other, FiltrationTail)
-
-    def __hash__(self):
-        return hash("FiltrationTail")
+TAIL_KINDS = ("filtration", "multiply", "constant", "zeroafter")
 
 
-class MultiplyBy:
-    """M_{N+k} = I^k * M_N for a fixed integral fractional ideal I."""
+@dataclass(frozen=True)
+class Tail:
+    """How a chain continues past its prefix end N.  `kind` is the gbs/1
+    JSON name:
 
-    def __init__(self, ideal):
-        if any(e < 0 for e in ideal.exps):
-            raise SpecValidationError(
-                "MultiplyBy tail must not ascend: ideal must be integral")
-        self.ideal = ideal
+    filtration  M_{N+k} = F_{-k}K * M_N (scalar action of the base field
+                filtration);
+    multiply    M_{N+k} = I^k * M_N for the integral ideal I = `ideal`
+                (for rank-2 grids, `ideal` is the value increment pair);
+    constant    M_{N+k} = M_N;
+    zeroafter   M_{N+k} = 0.
+    """
 
-    def __repr__(self):
-        return f"MultiplyBy{self.ideal.exps}"
+    kind: str
+    ideal: object = None
 
-    def __eq__(self, other):
-        return isinstance(other, MultiplyBy) and other.ideal == self.ideal
+    def __post_init__(self):
+        if self.kind not in TAIL_KINDS or \
+                (self.kind == "multiply") != (self.ideal is not None):
+            raise SpecValidationError(f"malformed tail {self!r}")
 
-    def __hash__(self):
-        return hash(("MultiplyBy", self.ideal))
-
-
-class Constant:
-    def __repr__(self):
-        return "Constant"
-
-    def __eq__(self, other):
-        return isinstance(other, Constant)
-
-    def __hash__(self):
-        return hash("Constant")
+    @property
+    def stabilizes(self):
+        """The chain is constant (possibly zero) from the prefix end on."""
+        return self.kind in ("constant", "zeroafter") or (
+            self.kind == "multiply" and self.ideal.is_unit_ideal())
 
 
-class ZeroAfter:
-    def __repr__(self):
-        return "ZeroAfter"
+def FiltrationTail():
+    return Tail("filtration")
 
-    def __eq__(self, other):
-        return isinstance(other, ZeroAfter)
 
-    def __hash__(self):
-        return hash("ZeroAfter")
+def MultiplyBy(ideal):
+    if any(e < 0 for e in ideal.exps):
+        raise SpecValidationError(
+            "MultiplyBy tail must not ascend: ideal must be integral")
+    return Tail("multiply", ideal)
+
+
+def Constant():
+    return Tail("constant")
+
+
+def ZeroAfter():
+    return Tail("zeroafter")
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +175,15 @@ class Glider:
         self.filtration = filtration
         self.ambient = ambient
         self.prefix = tuple(prefix)
+        if tail.kind == "multiply" and not isinstance(tail.ideal, FracIdeal):
+            raise SpecValidationError(f"not a glider tail: {tail!r}")
         self.tail = tail
         for i in range(len(self.prefix) - 1):
             if not level_contains(self.prefix[i], self.prefix[i + 1]):
                 raise SpecValidationError(
                     f"prefix does not descend at level {i}")
-        if isinstance(tail, FiltrationTail):
+        # the other tails descend by construction
+        if tail.kind == "filtration":
             base = self._base_field_filtration()
             if level_contains(self.prefix[-1],
                               level_scale_ideal(self.prefix[-1],
@@ -203,32 +204,28 @@ class Glider:
         n = self.prefix_end
         if i <= n:
             return self.prefix[i]
-        k = i - n
+        # level(N + k) = S_k * level(N) for the tail's multiplier S_k
         t = self.tail
-        if isinstance(t, FiltrationTail):
-            base = self._base_field_filtration()
-            return level_scale_ideal(self.prefix[n], base.level(-k))
-        if isinstance(t, MultiplyBy):
-            return level_scale_ideal(self.prefix[n], t.ideal.pow(k))
-        if isinstance(t, Constant):
-            return self.prefix[n]
-        if isinstance(t, ZeroAfter):
-            return ZERO_MODULE
-        raise SpecValidationError(f"unknown tail {t!r}")
+        if t.kind == "filtration":
+            s = self._base_field_filtration().level(n - i)
+        elif t.kind == "multiply":
+            s = t.ideal.pow(i - n)
+        else:
+            return self.prefix[n] if t.kind == "constant" else ZERO_MODULE
+        return level_scale_ideal(self.prefix[n], s)
 
     @property
     def horizon(self):
-        base = self._base_field_filtration()
-        period = base.phi.minus_period if isinstance(self.tail,
-                                                     FiltrationTail) else 1
-        return self.prefix_end + 2 * max(period, base.phi.minus_period) + 2
+        # a tail period is 1 or the filtration's minus period
+        return self.prefix_end + 2 * \
+            self._base_field_filtration().phi.minus_period + 2
 
-    def action_level(self, i):
-        """The filtration level acting in degree i."""
-        f = self.filtration
-        if self.ambient == "algebra" and isinstance(f, AlgebraFiltration):
-            return f.level(i)
-        return f.level(i)
+    @property
+    def period(self):
+        """Number of tail steps after which the growth repeats."""
+        if self.tail.kind == "filtration":
+            return self._base_field_filtration().phi.minus_period
+        return 1
 
     def act(self, i, level):
         """F_i * level inside the ambient."""
@@ -244,25 +241,22 @@ class Glider:
 
     def growth_ideal(self, steps):
         """Scalar ideal S with level(i + steps) = S * level(i) for deep i,
-        or None for terminal (Constant / ZeroAfter) tails."""
-        t = self.tail
+        or None when the tail stabilizes."""
+        if self.tail.stabilizes:
+            return None
+        if self.tail.kind == "multiply":
+            return self.tail.ideal.pow(steps)
         base = self._base_field_filtration()
-        if isinstance(t, FiltrationTail):
-            ph = base.phi
-            if steps % ph.minus_period:
-                raise SpecValidationError("steps must be a period multiple")
-            k = steps // ph.minus_period
-            return FracIdeal(base.base_ring,
-                             tuple(c * k for c in ph.minus_inc))
-        if isinstance(t, MultiplyBy):
-            return t.ideal.pow(steps)
-        return None
+        ph = base.phi
+        if steps % ph.minus_period:
+            raise SpecValidationError("steps must be a period multiple")
+        k = steps // ph.minus_period
+        return FracIdeal(base.base_ring, tuple(c * k for c in ph.minus_inc))
 
     def deep_start(self):
         """Index from which the tail increments are exactly periodic."""
-        base = self._base_field_filtration()
-        ph = base.phi
-        if isinstance(self.tail, FiltrationTail):
+        if self.tail.kind == "filtration":
+            ph = self._base_field_filtration().phi
             return self.prefix_end + abs(ph.lo) + ph.minus_period
         return self.prefix_end
 
@@ -283,17 +277,10 @@ class Glider:
 
 
 def _same_growth(a, b):
-    ta, tb = a.tail, b.tail
-    terminal_a = isinstance(ta, (Constant, ZeroAfter))
-    terminal_b = isinstance(tb, (Constant, ZeroAfter))
-    if terminal_a or terminal_b:
+    if a.tail.stabilizes or b.tail.stabilizes:
         h = max(a.horizon, b.horizon) + 2
         return all(level_eq(a.level(i), b.level(i)) for i in range(h + 3))
-    base_a = a._base_field_filtration()
-    base_b = b._base_field_filtration()
-    la = base_a.phi.minus_period if isinstance(ta, FiltrationTail) else 1
-    lb = base_b.phi.minus_period if isinstance(tb, FiltrationTail) else 1
-    steps = la * lb
+    steps = a.period * b.period
     return a.growth_ideal(steps).exps == b.growth_ideal(steps).exps
 
 
@@ -333,31 +320,18 @@ def _containment_witness(inner, outer):
 
 
 def body(m):
-    """Intersection of all levels, decided from the tail rule."""
-    t = m.tail
-    if isinstance(t, ZeroAfter):
-        return ZERO_MODULE
-    if isinstance(t, Constant):
-        return m.prefix[-1]
-    if isinstance(t, MultiplyBy) and t.ideal.is_unit_ideal():
-        return m.prefix[-1]
-    # strictly descending scalar tails pinch to zero: some exponent of the
-    # growth ideal is positive, so coordinates acquire unbounded valuation
+    """Intersection of all levels, decided from the tail rule: a tail that
+    does not stabilize has a growth exponent > 0, so coordinates acquire
+    unbounded valuation and the levels pinch to zero."""
+    if m.tail.stabilizes:
+        return m.level(m.prefix_end + 1)
     return ZERO_MODULE
 
 
 def essential_length(m):
     """Least d with M_d strictly above M_{d+1} and the chain constant from
     d+1 on; INF marker when no such d exists."""
-    t = m.tail
-    stabilizes = isinstance(t, (Constant, ZeroAfter)) or (
-        isinstance(t, MultiplyBy) and t.ideal.is_unit_ideal())
-    if not stabilizes:
-        base = m._base_field_filtration()
-        if isinstance(t, FiltrationTail) and \
-                all(c == 0 for c in base.phi.minus_inc):  # pragma: no cover
-            stabilizes = True
-    if not stabilizes:
+    if not m.tail.stabilizes:
         return INF
     n = m.prefix_end
     drops = [d for d in range(n + 1)
@@ -376,31 +350,17 @@ def shift(m, gamma):
     if gamma <= n:
         return Glider(m.filtration, m.ambient, m.prefix[gamma:], m.tail,
                       alg=m.alg)
-    t = m.tail
-    if isinstance(t, (Constant, ZeroAfter)):
-        return Glider(m.filtration, m.ambient, (m.level(gamma),), t,
+    if m.tail.stabilizes:
+        return Glider(m.filtration, m.ambient, (m.level(gamma),), m.tail,
                       alg=m.alg)
-    base = m._base_field_filtration()
-    span = abs(base.phi.lo) + 2 * base.phi.minus_period + 2
-    prefix = [m.level(gamma + i) for i in range(span + 1)]
-    if isinstance(t, MultiplyBy):
-        return Glider(m.filtration, m.ambient, prefix, t, alg=m.alg)
-    # FiltrationTail: re-anchoring is exact only when the deep increments
-    # match the filtration's own; verify, else fall back to a geometric tail
-    cand = Glider(m.filtration, m.ambient, prefix, t, alg=m.alg)
-    check = span + 2 * base.phi.minus_period + 2
-    if all(level_eq(cand.level(i), m.level(gamma + i))
-           for i in range(check + 1)):
-        return cand
-    if base.phi.minus_period == 1:
-        ideal = FracIdeal(base.base_ring, base.phi.minus_inc)
-        cand = Glider(m.filtration, m.ambient, prefix, MultiplyBy(ideal),
-                      alg=m.alg)
-        if all(level_eq(cand.level(i), m.level(gamma + i))
-               for i in range(check + 1)):
-            return cand
-    raise UnsupportedError(
-        "deep shift of an aperiodic filtration tail is not presentable")
+    # re-anchoring a filtration tail is exact only when the deep increments
+    # match the filtration's own; a multiply tail always re-anchors
+    ph = m._base_field_filtration().phi
+    span = abs(ph.lo) + 2 * ph.minus_period + 2
+    check = span + 2 * ph.minus_period + 2
+    levels = [m.level(gamma + i) for i in range(check + 1)]
+    return fit_tail(m.filtration, m.ambient, levels, span + 1, alg=m.alg,
+                    own=m.tail)
 
 
 def scalar_shift(m, x):
@@ -500,19 +460,10 @@ def _containment_fails_eventually(n_gl, m_gl, h):
     holds on the horizon and the growth of N dominates the growth of M
     componentwise.  When it does not, a failing level is found by scan.
     """
-    gn_term = isinstance(n_gl.tail, (Constant, ZeroAfter)) or (
-        isinstance(n_gl.tail, MultiplyBy) and n_gl.tail.ideal.is_unit_ideal())
-    gm_term = isinstance(m_gl.tail, (Constant, ZeroAfter)) or (
-        isinstance(m_gl.tail, MultiplyBy) and m_gl.tail.ideal.is_unit_ideal())
-    if isinstance(m_gl.tail, Constant) or (
-            isinstance(m_gl.tail, MultiplyBy)
-            and m_gl.tail.ideal.is_unit_ideal()):
-        return None  # M eventually constant: containment at h settles it
-    if isinstance(m_gl.tail, ZeroAfter):
-        if isinstance(n_gl.tail, ZeroAfter) or _level_is_zero(n_gl.level(h)):
-            return None
-        return max(m_gl.prefix_end + 1, h)
-    if gn_term:
+    if m_gl.tail.stabilizes:
+        # M is constant (possibly zero) from before h on, and N descends
+        return None
+    if n_gl.tail.stabilizes:
         if _level_is_zero(n_gl.level(h)):
             return None
         # N constant nonzero inside strictly descending M: must fail; scan
@@ -522,9 +473,7 @@ def _containment_fails_eventually(n_gl, m_gl, h):
             if i > h + 64 * (m_gl.horizon + 2):  # pragma: no cover
                 raise UnsupportedError("containment scan exceeded bound")
         return i
-    la = _period(n_gl)
-    lb = _period(m_gl)
-    steps = la * lb
+    steps = n_gl.period * m_gl.period
     sn = n_gl.growth_ideal(steps)
     sm = m_gl.growth_ideal(steps)
     if all(a >= b for a, b in zip(sn.exps, sm.exps)):
@@ -535,12 +484,6 @@ def _containment_fails_eventually(n_gl, m_gl, h):
         if i > h + 64 * steps * (m_gl.horizon + 2):  # pragma: no cover
             raise UnsupportedError("containment scan exceeded bound")
     return i
-
-
-def _period(g):
-    if isinstance(g.tail, FiltrationTail):
-        return g._base_field_filtration().phi.minus_period
-    return 1
 
 
 def _next_distinct(m_gl, n, bound):
@@ -583,27 +526,22 @@ def _t3_search(n_gl, m_gl, h):
         prev = found
     # periodic continuation: beyond the horizon both chains repeat with
     # their growth ideals; require matching slopes
-    tn, tm = n_gl.tail, m_gl.tail
-    n_term = isinstance(tn, (Constant, ZeroAfter)) or (
-        isinstance(tn, MultiplyBy) and tn.ideal.is_unit_ideal())
-    m_term = isinstance(tm, (Constant, ZeroAfter)) or (
-        isinstance(tm, MultiplyBy) and tm.ideal.is_unit_ideal())
-    if n_term or m_term:
+    n_stab, m_stab = n_gl.tail.stabilizes, m_gl.tail.stabilizes
+    if n_stab or m_stab:
         # horizon extends beyond both stabilization points: matched values
         # continue verbatim (constant-to-constant or zero-to-zero)
         last_n = n_gl.level(h)
-        if _level_is_zero(last_n):
+        if _level_is_zero(last_n) or not n_stab:
             return alpha, 0
-        if isinstance(tn, Constant) or (isinstance(tn, MultiplyBy)
-                                        and tn.ideal.is_unit_ideal()):
-            # N is eventually constant: alpha can stay put only if M also
-            # stabilizes at the same level
-            if level_eq(m_gl.level(alpha[-1] + 1), last_n) or \
-                    _stabilizes_at(m_gl, alpha[-1], last_n):
-                return alpha, 0
-            return None
-        return alpha, 0
-    steps_n = _period(n_gl)
+        # N is eventually constant: alpha can stay put only if M also
+        # stabilizes at the same level
+        j = alpha[-1] + 1
+        if level_eq(m_gl.level(j), last_n) or (
+                m_stab and level_eq(m_gl.level(max(j, m_gl.prefix_end + 1)),
+                                    last_n)):
+            return alpha, 0
+        return None
+    steps_n = n_gl.period
     # slope: alpha advances s indices per steps_n levels, eventually
     s = alpha[-1] - alpha[-1 - steps_n]
     for back in range(1, steps_n + 1):
@@ -617,21 +555,12 @@ def _t3_search(n_gl, m_gl, h):
     return alpha, s
 
 
-def _stabilizes_at(m_gl, start, level):
-    t = m_gl.tail
-    if isinstance(t, Constant) or (isinstance(t, MultiplyBy)
-                                   and t.ideal.is_unit_ideal()):
-        return level_eq(m_gl.level(max(start, m_gl.prefix_end) + 1), level)
-    return False
-
-
 def _growth_between(m_gl, deep, s):
     """Scalar ideal taking level(deep) to level(deep + s), if defined."""
     if s == 0:
         return FracIdeal(m_gl._base_field_filtration().base_ring,
                          (0,) * m_gl._base_field_filtration().base_ring.nprimes)
-    period = _period(m_gl)
-    if s % period == 0:
+    if s % m_gl.period == 0:
         return m_gl.growth_ideal(s)
     # sub-period step: read the increment off explicit levels
     a, b = m_gl.level(deep), m_gl.level(deep + s)
@@ -667,6 +596,27 @@ def _sandwich_witness(n_gl, m_gl, h):
 # realization helpers
 # ---------------------------------------------------------------------------
 
+def fit_tail(filtration, ambient, levels, keep, alg=None, own=None):
+    """The glider with prefix levels[:keep] whose tail reproduces every
+    entry of `levels`.  Candidates in order: `own`, the filtration tail,
+    and multiplication by the filtration's minus increment when its minus
+    period is 1."""
+    base = filtration.base if isinstance(filtration, AlgebraFiltration) \
+        else filtration
+    ph = base.phi
+    candidates = [own, FiltrationTail()]
+    if ph.minus_period == 1:
+        candidates.append(MultiplyBy(FracIdeal(base.base_ring, ph.minus_inc)))
+    for j, tail in enumerate(candidates):
+        if tail is None or tail in candidates[:j]:
+            continue
+        cand = Glider(filtration, ambient, levels[:keep], tail, alg=alg)
+        if all(level_eq(cand.level(i), lvl) for i, lvl in enumerate(levels)):
+            return cand
+    raise UnsupportedError(
+        "computed levels are not presentable by the supported tail rules")
+
+
 def realize_field_chain(filt, n, depth=None):
     """The chain (F_n)_*: M_i = F_{n-i}.  Exact for every presentable
     filtration: the prefix absorbs the irregular window and the tail rule
@@ -675,20 +625,9 @@ def realize_field_chain(filt, n, depth=None):
     if depth is None:
         depth = 0
     depth = max(depth, n - ph.lo + 2 * ph.minus_period, 2 * ph.minus_period)
-    prefix = [filt.level(n - i) for i in range(depth + 1)]
-    for tail in (FiltrationTail(),
-                 MultiplyBy(FracIdeal(filt.base_ring, ph.minus_inc))
-                 if ph.minus_period == 1 else None):
-        if tail is None:
-            continue
-        cand = Glider(filt, "field", prefix, tail)
-        check = depth + 2 * ph.minus_period + 2
-        if all(cand.level(i) == filt.level(n - i)
-               for i in range(check + 1)):
-            return cand
-    raise UnsupportedError(
-        "the filtration's negative part is not realizable by the "
-        "supported tail rules")
+    check = depth + 2 * ph.minus_period + 2
+    levels = [filt.level(n - i) for i in range(check + 1)]
+    return fit_tail(filt, "field", levels, depth + 1)
 
 
 def negative_part(filt):

@@ -14,8 +14,7 @@ from .fields import field_from_name, gauss_prime, padic, poly_prime, \
     composite2, xadic, yadic
 from .filtration import AlgebraFiltration, FieldFiltration, StepFunction
 from .gbs import BsPoint
-from .glider import (Constant, FiltrationTail, Glider, MultiplyBy,
-                     ZeroAfter)
+from .glider import TAIL_KINDS, Glider, MultiplyBy, Tail
 from .lattice import (BaseRing, FracIdeal, ZERO_MODULE, canonicalize,
                       matrix_algebra, quaternion_algebra, span)
 from .rank2 import (Z2Filtration, Z2Glider, Z2Ideal, Z2MultiplyBy)
@@ -217,27 +216,21 @@ def loads_filtration(text_or_obj, where="filtration"):
 # ---------------------------------------------------------------------------
 
 def _encode_tail(tail):
-    if isinstance(tail, FiltrationTail):
-        return {"kind": "filtration"}
-    if isinstance(tail, MultiplyBy):
+    if tail.kind == "multiply":
         return {"kind": "multiply", "ideal": list(tail.ideal.exps)}
-    if isinstance(tail, Constant):
-        return {"kind": "constant"}
-    return {"kind": "zeroafter"}
+    return {"kind": tail.kind}
 
 
-def _decode_tail(obj, base, where="tail"):
-    _check_keys(obj, ["kind"], ["ideal"], where)
+def _decode_tail(obj, multiply, where, ideal_key="ideal"):
+    """`multiply` builds the multiply tail from the listed ideal."""
+    _check_keys(obj, ["kind"], [ideal_key], where)
     kind = obj["kind"]
-    if kind == "filtration":
-        return FiltrationTail()
-    if kind == "multiply":
-        return MultiplyBy(FracIdeal(base, tuple(obj["ideal"])))
-    if kind == "constant":
-        return Constant()
-    if kind == "zeroafter":
-        return ZeroAfter()
-    raise SchemaError(f"unknown tail kind {kind!r}", where)
+    if kind not in TAIL_KINDS:
+        raise SchemaError(f"unknown tail kind {kind!r}", where)
+    if kind != "multiply":
+        return Tail(kind)
+    _check_keys(obj, ["kind", ideal_key], (), where)
+    return multiply(obj[ideal_key])
 
 
 def _encode_level(lvl):
@@ -293,7 +286,9 @@ def loads_glider(text_or_obj, where="glider"):
         dim = alg.dim
     prefix = [_decode_level(l, base, dim, ambient, where + ".prefix")
               for l in obj["prefix"]]
-    tail = _decode_tail(obj["tail"], base, where + ".tail")
+    tail = _decode_tail(obj["tail"],
+                        lambda e: MultiplyBy(FracIdeal(base, tuple(e))),
+                        where + ".tail")
     return Glider(filt, ambient, prefix, tail, alg=alg)
 
 
@@ -321,27 +316,13 @@ def _decode_z2_cell(obj, where="cell"):
 
 
 def _encode_z2_tail(tail):
-    if isinstance(tail, FiltrationTail):
-        return {"kind": "filtration"}
-    if isinstance(tail, Z2MultiplyBy):
+    if tail.kind == "multiply":
         return {"kind": "multiply", "inc": list(tail.ideal)}
-    if isinstance(tail, Constant):
-        return {"kind": "constant"}
-    return {"kind": "zeroafter"}
+    return {"kind": tail.kind}
 
 
 def _decode_z2_tail(obj, where):
-    _check_keys(obj, ["kind"], ["inc"], where)
-    kind = obj["kind"]
-    if kind == "filtration":
-        return FiltrationTail()
-    if kind == "multiply":
-        return Z2MultiplyBy(*obj["inc"])
-    if kind == "constant":
-        return Constant()
-    if kind == "zeroafter":
-        return ZeroAfter()
-    raise SchemaError(f"unknown tail kind {kind!r}", where)
+    return _decode_tail(obj, lambda inc: Z2MultiplyBy(*inc), where, "inc")
 
 
 def encode_z2(g):

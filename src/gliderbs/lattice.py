@@ -260,12 +260,6 @@ class AlgebraDesc:
     def _validate(self):
         d = self.dim
 
-        def basis_mul(s, t):
-            out = [Fraction(0)] * d
-            for u, c in self._table.get((s, t), ()):
-                out[u] += c
-            return out
-
         def mul(u, w):
             out = [Fraction(0)] * d
             for s, cs in enumerate(u):
@@ -993,12 +987,6 @@ class FracIdeal:
             return True
         self._chk(other)
         return all(b >= a for a, b in zip(self.exps, other.exps))
-
-    def contains_elem(self, x):
-        if not x:
-            return True
-        return all(v >= e for v, e in
-                   zip(self.base.val_vector(x), self.exps))
 
     def is_unit_ideal(self):
         return all(e == 0 for e in self.exps)

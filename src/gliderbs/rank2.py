@@ -17,8 +17,7 @@ from __future__ import annotations
 from .errors import SpecValidationError, UnsupportedError
 from .fields import QXY_FIELD, QY_FIELD, composite2, xadic, yadic
 from .filtration import FieldFiltration, valuation_filtration
-from .glider import (FiltrationTail, Glider, MultiplyBy, Constant,
-                     ZeroAfter)
+from .glider import FiltrationTail, Glider, Tail, ZeroAfter, fit_tail
 from .lattice import FracIdeal, ZERO_MODULE
 
 __all__ = [
@@ -116,26 +115,20 @@ class Z2Filtration:
         return f"Z2Filtration({self.kind})"
 
 
-class Z2MultiplyBy:
+def Z2MultiplyBy(da, db):
     """Multiply-by tail for grids: value increment per step (lex <= 0,
     so the chain descends)."""
-
-    def __init__(self, da, db):
-        if (da, db) > (0, 0):  # tuple comparison is lexicographic
-            raise SpecValidationError("Z2 tails must descend")
-        self.ideal = (int(da), int(db))
-
-    def __repr__(self):
-        return f"Z2MultiplyBy{self.ideal}"
+    if (da, db) > (0, 0):  # tuple comparison is lexicographic
+        raise SpecValidationError("Z2 tails must descend")
+    return Tail("multiply", (int(da), int(db)))
 
 
 def _tail_step(tail, axis):
-    """Per-step value increment of a tail rule along the given axis."""
-    if isinstance(tail, FiltrationTail):
+    """Per-step value increment of a tail rule along the given axis; None
+    for the constant and zero tails."""
+    if tail.kind == "filtration":
         return (-1, 0) if axis == 0 else (0, -1)
-    if isinstance(tail, Z2MultiplyBy):
-        return tail.ideal
-    return None
+    return tail.ideal
 
 
 class Z2Glider:
@@ -154,6 +147,9 @@ class Z2Glider:
         if len(self.grid) != self.J + 1 or any(
                 len(r) != self.I + 1 for r in self.grid):
             raise SpecValidationError("grid does not match the window")
+        for t in (tail_j, tail_i):
+            if t.kind == "multiply" and not isinstance(t.ideal, tuple):
+                raise SpecValidationError(f"not a grid tail: {t!r}")
         self.tail_j = tail_j
         self.tail_i = tail_i
         self.validated = validate
@@ -173,15 +169,11 @@ class Z2Glider:
         return out
 
     def _apply_tail(self, cell, tail, axis, k):
-        if cell is ZERO_MODULE:
-            return ZERO_MODULE
-        if isinstance(tail, Constant):
-            return cell
-        if isinstance(tail, ZeroAfter):
+        if cell is ZERO_MODULE or tail.kind == "zeroafter":
             return ZERO_MODULE
         step = _tail_step(tail, axis)
         if step is None:
-            raise SpecValidationError(f"unsupported Z2 tail {tail!r}")
+            return cell
         return cell.mul_value((step[0] * k, step[1] * k))
 
     @property
@@ -354,11 +346,11 @@ class VerticalBodies:
         g = self.grid
         tail = g.tail_i
         col_deep = g.cell(j, g.I)
-        if col_deep is ZERO_MODULE or isinstance(tail, ZeroAfter):
+        if col_deep is ZERO_MODULE or tail.kind == "zeroafter":
             return ZERO_MODULE
-        if isinstance(tail, Constant):
-            return col_deep
         step = _tail_step(tail, 1)
+        if step is None:
+            return col_deep
         if step[0] < 0:
             return ZERO_MODULE  # first component drops: bodies pinch out
         if col_deep.kind == "horizontal":
@@ -389,14 +381,7 @@ class VerticalBodies:
             if cut == 0:
                 raise UnsupportedError("all bodies vanish")
             return Glider(f_h, "field", levels[:cut], ZeroAfter())
-        keep = len(levels) - 2
-        for tail in (FiltrationTail(),
-                     MultiplyBy(FracIdeal(ring, (1,)))):
-            cand = Glider(f_h, "field", levels[:keep], tail)
-            if all(cand.level(k) == levels[k] for k in range(len(levels))):
-                return cand
-        raise UnsupportedError(
-            "body chain is not presentable by the supported tails")
+        return fit_tail(f_h, "field", levels, len(levels) - 2)
 
 
 def vertical_body_glider(m):
@@ -428,10 +413,4 @@ def residue_glider(m, s):
         valuation_filtration(yadic(QY_FIELD)).phi)
     ring = g_res.base_ring
     levels = [FracIdeal(ring, (e,)) for e in exps]
-    keep = len(levels) - 2
-    for tail in (FiltrationTail(), MultiplyBy(FracIdeal(ring, (1,)))):
-        cand = Glider(g_res, "field", levels[:keep], tail)
-        if all(cand.level(k) == levels[k] for k in range(len(levels))):
-            return cand
-    raise UnsupportedError(
-        "residue chain is not presentable by the supported tails")
+    return fit_tail(g_res, "field", levels, len(levels) - 2)

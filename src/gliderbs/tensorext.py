@@ -25,7 +25,7 @@ from .filtration import (AlgebraFiltration, is_strong,
                          valuation_filtration)
 from .gbs import (BsPoint, GbsElement, classify_csa_glider,
                   realize_csa_element)
-from .glider import (FiltrationTail, Glider, MultiplyBy, level_eq)
+from .glider import fit_tail
 from .lattice import FracIdeal, add, canonicalize, span
 
 __all__ = [
@@ -188,11 +188,6 @@ class TensorFiltration:
         return span(lring, lat.dim,
                     [self._embed_vec(r) for r in lat.rows])
 
-    def embed_ideal(self, ideal):
-        lring = self.fl.base_ring
-        g = self.ext.embed(ideal.generator())
-        return FracIdeal(lring, (self.fl.base_ring.valuations[0](g),))
-
     def sum_level(self, q):
         """The convolution sum at degree q, truncated exactly: below the
         stabilization depth every further term is contained in the sum."""
@@ -288,18 +283,8 @@ def tensor_glider(m, ext, tf=None):
             acc = acc2
             i += 1
         levels.append(acc)
-    prefix = levels[:upto - 2 * ph_l.minus_period - 1]
-    for tail in (FiltrationTail(),
-                 MultiplyBy(FracIdeal(tf.fl.base_ring, ph_l.minus_inc))
-                 if ph_l.minus_period == 1 else None):
-        if tail is None:
-            continue
-        cand = Glider(tf.fa, tf.kind, prefix, tail, alg=tf.alg)
-        if all(level_eq(cand.level(i), levels[i])
-               for i in range(len(levels))):
-            return cand
-    raise UnsupportedError(  # pragma: no cover
-        "tensored chain is not presentable by the supported tail rules")
+    return fit_tail(tf.fa, tf.kind, levels, upto - 2 * ph_l.minus_period - 1,
+                    alg=tf.alg)
 
 
 def gbs_map(element, ext):

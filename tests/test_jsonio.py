@@ -72,6 +72,18 @@ def test_wrong_schema_rejected(f5):
         jsonio.loads_filtration(enc)
 
 
+def test_tail_schema_errors(f5):
+    enc = jsonio.encode_glider(negative_part(f5))
+    for tail in ({"kind": "geometric"}, {"kind": "multiply"}):
+        enc["tail"] = tail
+        with pytest.raises(SchemaError):
+            jsonio.loads_glider(enc)
+    grid = jsonio.encode_z2(realize_z2((0, 0)))
+    grid["tailI"] = {"kind": "multiply"}
+    with pytest.raises(SchemaError):
+        jsonio.loads_z2(grid)
+
+
 def test_truncated_json_has_position():
     with pytest.raises(SchemaError) as err:
         jsonio.detect_and_load('{"schema": "gbs/1", "phi": ')
