@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .errors import MaximalityError, RankError, SpecValidationError
 from .filtration import FieldFiltration
-from .glider import fit_tail, is_glider, level_eq
+from .glider import fit_tail, level_eq, require_glider
 from .lattice import add, colon_left, colon_right, intersect, mult, span
 from .orders import OrderData
 
@@ -37,9 +37,7 @@ class NormalGliderIdeal:
         if not isinstance(glider.filtration, FieldFiltration):
             raise SpecValidationError(
                 "normal glider ideals are chains over a field filtration")
-        ok, cert = is_glider(glider)
-        if not ok:
-            raise SpecValidationError(f"not a glider: witness {cert}")
+        require_glider(glider)
         for i in range(glider.prefix_end + 1):
             lvl = glider.level(i)
             if lvl is None or not getattr(lvl, "full", False):

@@ -3,20 +3,30 @@
 Supported fields: Q, Q(i), Q(x), F_p(x), Q(x,y), plus the residue fields
 they produce (prime fields F_p, the quadratic residue field F_p[i] of an
 inert Gaussian prime, Q(y), and Q[x]/(g)).  Elements are immutable wrappers
-around sympy's exact domain elements, so all arithmetic is exact and the
-values are safe to share between threads.
+around an exact representation (the "rep"), so values are safe to share
+between threads.
+
+Each field kind has one rep-level implementation, picked once when the
+`Field` is built: the conversion from `Fraction`, the generators, the four
+operations, the zero test and the printer.  Reps are sympy domain elements
+for Q, Q(i), Q(x), F_p(x) and Q(x,y); ints mod p for F_p; pairs of ints
+mod p for F_p[i]; tuples of `Fraction` coefficients for Q[x]/(g).  Reps
+never leave this module.
 
 Valuations: p-adic on Q, the three Gaussian prime splittings on Q(i),
 x-adic / y-adic and irreducible-polynomial valuations on function fields,
 and the lexicographic Z^2 composite (x-adic followed by y-adic on the
-residue field) on Q(x,y).
+residue field) on Q(x,y).  Each valuation kind likewise has one
+implementation, picked once when the `Valuation` is built.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import sympy
 from sympy.polys.domains import GF, QQ, QQ_I
@@ -30,7 +40,7 @@ __all__ = [
     "quot_field",
     "padic", "gauss_prime", "xadic", "yadic", "poly_prime", "composite2",
     "val", "uniformizer", "uniformizer_pair", "residue",
-    "field_from_name",
+    "field_from_name", "rational_value", "substitute",
 ]
 
 
@@ -109,138 +119,101 @@ class Field:
         k = self.kind
         if k == "Q":
             self.name = "Q"
-            self.domain = QQ
+            arith = _DomainArith(_qq_from_fraction, _qq_str, {},
+                                 to_fraction=_qq_fraction)
         elif k == "QI":
             self.name = "Q(i)"
-            self.domain = QQ_I
+            arith = _DomainArith(
+                lambda q: QQ_I.new(_qq_from_fraction(q), QQ(0)),
+                lambda z: _print_gauss(z.x, z.y),
+                {"i": QQ_I.new(QQ(0), QQ(1))})
         elif k == "FUNC":
             var = self.params["var"]
             p = self.params.get("char", 0)
             self.var = var
             self.char = p
-            coeff = QQ if p == 0 else GF(p)
-            self.domain = coeff.frac_field(sympy.Symbol(var))
+            dom = (QQ if p == 0 else GF(p)).frac_field(sympy.Symbol(var))
             base = "Q" if p == 0 else f"F{p}"
             self.name = f"{base}({var})"
+            arith = _DomainArith(
+                _func_from_fraction(dom, p),
+                lambda r: _print_func(r, (var,), p),
+                {var: dom(sympy.Symbol(var))},
+                coeff=(lambda c: Fraction(int(c))) if p else _qq_fraction)
         elif k == "FUNC2":
-            self.domain = QQ.frac_field(_X, _Y)
+            dom = QQ.frac_field(_X, _Y)
             self.name = "Q(x,y)"
+            arith = _DomainArith(_func_from_fraction(dom, 0),
+                                 lambda r: _print_func(r, ("x", "y"), 0),
+                                 {"x": dom(_X), "y": dom(_Y)},
+                                 coeff=_qq_fraction)
         elif k == "FP":
             p = self.params["p"]
             if not _is_prime(p):
                 raise UnsupportedError(f"{p} is not prime")
-            self.p = p
             self.name = f"F{p}"
-            self.domain = None
+            arith = _PrimeArith(p)
         elif k == "FP2":
             p = self.params["p"]
             if not _is_prime(p) or p % 4 != 3:
                 raise UnsupportedError(
                     f"F_p[i] residue field needs p = 3 mod 4, got {p}")
-            self.p = p
             self.name = f"F{p}[i]"
-            self.domain = None
+            arith = _GaussModArith(p)
         elif k == "QUOT":
             # Q[x]/(g), g as a tuple of Fraction coefficients, low to high,
             # monic.  Used only as a residue field of poly_prime valuations.
             self.modulus = self.params["modulus"]
             self.name = "Q[x]/(g)"
-            self.domain = None
+            arith = _QuotArith(self.modulus)
         else:
             raise UnsupportedError(f"unknown field kind {k!r}")
+        self._arith = arith
+        self._ops = {"add": arith.add, "sub": arith.sub, "mul": arith.mul,
+                     "div": arith.div}
+        self._nonzero = arith.nonzero
+        self._zero = FieldElem(self, arith.from_fraction(Fraction(0)))
+        self._one = FieldElem(self, arith.from_fraction(Fraction(1)))
 
     # -- construction of elements ------------------------------------------
 
     def zero(self):
-        return self.from_int(0)
+        return self._zero
 
     def one(self):
-        return self.from_int(1)
+        return self._one
 
     def from_int(self, n):
         return self.from_fraction(Fraction(n))
 
     def from_fraction(self, q):
-        q = Fraction(q)
-        k = self.kind
-        if k == "Q":
-            rep = QQ(q.numerator, q.denominator)
-        elif k == "QI":
-            rep = QQ_I.new(QQ(q.numerator, q.denominator), QQ(0))
-        elif k in ("FUNC", "FUNC2"):
-            dom = self.domain
-            if self.kind == "FUNC" and self.char:
-                if q.denominator % self.char == 0:
-                    raise FieldMismatchError(
-                        f"denominator of {q} is zero in characteristic {self.char}")
-                rep = dom(q.numerator) / dom(q.denominator)
-            else:
-                rep = dom(QQ(q.numerator, q.denominator))
-        elif k == "FP":
-            if q.denominator % self.p == 0:
-                raise FieldMismatchError(f"{q} has no image in F_{self.p}")
-            rep = (q.numerator * pow(q.denominator, -1, self.p)) % self.p
-        elif k == "FP2":
-            if q.denominator % self.p == 0:
-                raise FieldMismatchError(f"{q} has no image in F_{self.p}[i]")
-            rep = ((q.numerator * pow(q.denominator, -1, self.p)) % self.p, 0)
-        elif k == "QUOT":
-            rep = self._quot_normalize((q,))
-        else:  # pragma: no cover
-            raise UnsupportedError(k)
-        return FieldElem(self, rep)
+        return FieldElem(self, self._arith.from_fraction(Fraction(q)))
 
     def gen(self, name):
         """The named generator ('x', 'y', 'i', 't', ...) as an element."""
-        k = self.kind
-        if k == "QI" and name == "i":
-            return FieldElem(self, QQ_I.new(QQ(0), QQ(1)))
-        if k == "FP2" and name == "i":
-            return FieldElem(self, (0, 1))
-        if k == "FUNC" and name == self.var:
-            return FieldElem(self, self.domain(sympy.Symbol(name)))
-        if k == "FUNC2" and name in ("x", "y"):
-            return FieldElem(self, self.domain(sympy.Symbol(name)))
-        if k == "QUOT" and name == "x":
-            return FieldElem(self, self._quot_normalize((Fraction(0), Fraction(1))))
-        raise ParseError(f"field {self.name} has no generator {name!r}")
+        rep = self._arith.gens.get(name)
+        if rep is None:
+            raise ParseError(f"field {self.name} has no generator {name!r}")
+        return FieldElem(self, rep)
 
     def generator_names(self):
-        k = self.kind
-        if k == "QI" or k == "FP2":
-            return ("i",)
-        if k == "FUNC":
-            return (self.var,)
-        if k == "FUNC2":
-            return ("x", "y")
-        if k == "QUOT":
-            return ("x",)
-        return ()
+        return tuple(self._arith.gens)
 
-    def _quot_normalize(self, coeffs):
-        g = self.modulus
-        n = len(g) - 1
-        cs = list(coeffs)
-        while len(cs) > n:
-            lead = cs.pop()
-            if lead:
-                for i in range(n):
-                    cs[len(cs) - n + i] -= lead * g[i]
-        cs += [Fraction(0)] * (n - len(cs))
-        return tuple(cs)
+    @lru_cache(maxsize=None)
+    def elements(self):
+        """Every element of a finite field, in a fixed order (cached;
+        fields are interned, so the cache keeps nothing else alive)."""
+        reps = self._arith.reps()
+        if reps is None:
+            raise UnsupportedError(
+                f"cannot enumerate the infinite field {self.name}")
+        return tuple(FieldElem(self, r) for r in reps)
 
     def parse(self, text):
         return _parse_element(self, text)
 
     def __repr__(self):
         return f"Field({self.name})"
-
-
-QQ_FIELD = Field("Q")
-GAUSS_FIELD = Field("QI")
-QX_FIELD = Field("FUNC", var="x", char=0)
-QY_FIELD = Field("FUNC", var="y", char=0)
-QXY_FIELD = Field("FUNC2")
 
 
 def func_field(var, char=0):
@@ -268,15 +241,6 @@ def quot_field(modulus_coeffs):
     return Field("QUOT", modulus=mod)
 
 
-_FIELD_NAMES = {
-    "Q": QQ_FIELD,
-    "Q(i)": GAUSS_FIELD,
-    "Q(x)": QX_FIELD,
-    "Q(y)": QY_FIELD,
-    "Q(x,y)": QXY_FIELD,
-}
-
-
 def field_from_name(name):
     name = name.strip()
     if name in _FIELD_NAMES:
@@ -288,6 +252,35 @@ def field_from_name(name):
     if m:
         return prime_field(int(m.group(1)))
     raise ParseError(f"unknown field name {name!r}")
+
+
+def rational_value(x):
+    """The `Fraction` of an element of Q or F_p (for F_p, the least
+    nonnegative integer representing it)."""
+    to_fraction = x.field._arith.to_fraction
+    if to_fraction is None:
+        raise UnsupportedError(f"{x.field.name} elements are not rationals")
+    return to_fraction(x.rep)
+
+
+def substitute(x, target, images):
+    """The rational function x of a function field evaluated at `images`
+    (one element of `target` per generator of x's field), its rational
+    coefficients embedded in `target`."""
+    coeff = x.field._arith.coeff
+    return _poly_image(x.rep.numer, target, images, coeff) / \
+        _poly_image(x.rep.denom, target, images, coeff)
+
+
+def _poly_image(poly, target, images, coeff):
+    out = target.zero()
+    for mono, c in poly.terms():
+        term = target.from_fraction(coeff(c))
+        for img, e in zip(images, mono):
+            if e:
+                term = term * img ** e
+        out = out + term
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -325,81 +318,7 @@ class FieldElem:
         if other is NotImplemented:
             return NotImplemented
         f = self.field
-        k = f.kind
-        a, b = self.rep, other.rep
-        if k in ("Q", "QI", "FUNC", "FUNC2"):
-            if op == "add":
-                return FieldElem(f, a + b)
-            if op == "sub":
-                return FieldElem(f, a - b)
-            if op == "mul":
-                return FieldElem(f, a * b)
-            if op == "div":
-                if not b:
-                    raise ZeroDivisionError("division by zero field element")
-                if k == "QI":
-                    return FieldElem(f, QQ_I.quo(a, b))
-                if k == "Q":
-                    return FieldElem(f, QQ.quo(a, b))
-                return FieldElem(f, a / b)
-        if k == "FP":
-            p = f.p
-            if op == "add":
-                return FieldElem(f, (a + b) % p)
-            if op == "sub":
-                return FieldElem(f, (a - b) % p)
-            if op == "mul":
-                return FieldElem(f, (a * b) % p)
-            if op == "div":
-                if b % p == 0:
-                    raise ZeroDivisionError("division by zero in F_p")
-                return FieldElem(f, (a * pow(b, -1, p)) % p)
-        if k == "FP2":
-            p = f.p
-            a0, a1 = a
-            b0, b1 = b
-            if op == "add":
-                return FieldElem(f, ((a0 + b0) % p, (a1 + b1) % p))
-            if op == "sub":
-                return FieldElem(f, ((a0 - b0) % p, (a1 - b1) % p))
-            if op == "mul":
-                return FieldElem(f, ((a0 * b0 - a1 * b1) % p,
-                                     (a0 * b1 + a1 * b0) % p))
-            if op == "div":
-                n = (b0 * b0 + b1 * b1) % p
-                if n == 0:
-                    raise ZeroDivisionError("division by zero in F_p[i]")
-                ninv = pow(n, -1, p)
-                c0 = ((a0 * b0 + a1 * b1) * ninv) % p
-                c1 = ((a1 * b0 - a0 * b1) * ninv) % p
-                return FieldElem(f, (c0, c1))
-        if k == "QUOT":
-            if op == "add":
-                return FieldElem(f, tuple(u + v for u, v in zip(a, b)))
-            if op == "sub":
-                return FieldElem(f, tuple(u - v for u, v in zip(a, b)))
-            if op == "mul":
-                n = len(a)
-                prod = [Fraction(0)] * (2 * n - 1)
-                for i, u in enumerate(a):
-                    if u:
-                        for j, v in enumerate(b):
-                            prod[i + j] += u * v
-                return FieldElem(f, f._quot_normalize(prod))
-            if op == "div":
-                return self * other._quot_inverse()
-        raise UnsupportedError(f"operation {op} on {k}")  # pragma: no cover
-
-    def _quot_inverse(self):
-        f = self.field
-        g = sympy.Poly([sympy.Rational(c) for c in reversed(f.modulus)], _X)
-        a = sympy.Poly([sympy.Rational(c) for c in reversed(self.rep)], _X)
-        if a.is_zero:
-            raise ZeroDivisionError("division by zero in quotient field")
-        inv = sympy.invert(a, g)
-        cs = [Fraction(*sympy.Rational(c).as_numer_denom())
-              for c in reversed(sympy.Poly(inv, _X).all_coeffs())]
-        return FieldElem(f, f._quot_normalize(cs))
+        return FieldElem(f, f._ops[op](self.rep, other.rep))
 
     def __add__(self, other):
         return self._binop(other, "add")
@@ -442,14 +361,7 @@ class FieldElem:
         return out
 
     def __bool__(self):
-        k = self.field.kind
-        if k == "FP":
-            return self.rep % self.field.p != 0
-        if k == "FP2":
-            return any(c % self.field.p for c in self.rep)
-        if k == "QUOT":
-            return any(self.rep)
-        return bool(self.rep)
+        return self.field._nonzero(self.rep)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -462,16 +374,219 @@ class FieldElem:
         return self.field is other.field and self.rep == other.rep
 
     def __hash__(self):
-        rep = self.rep
-        if isinstance(rep, list):  # pragma: no cover - defensive
-            rep = tuple(rep)
-        return hash((self.field.name, rep))
+        return hash((self.field.name, self.rep))
 
     def __str__(self):
-        return _print_element(self)
+        return self.field._arith.show(self.rep)
 
     def __repr__(self):
         return f"<{self.field.name}: {self}>"
+
+
+# ---------------------------------------------------------------------------
+# one implementation per field kind, on reps
+# ---------------------------------------------------------------------------
+
+class _Arith:
+    """The rep-level implementation of one field kind: `from_fraction`,
+    `add`, `sub`, `mul`, `div`, `nonzero`, `show`, and the generators
+    `gens` (name -> rep, in print order).  Q and F_p also convert a rep
+    back (`to_fraction`); function fields convert a polynomial
+    coefficient (`coeff`)."""
+
+    gens = {}
+    to_fraction = None
+    coeff = None
+
+    def reps(self):
+        """Every rep of a finite field, or None for an infinite one."""
+        return None
+
+
+class _DomainArith(_Arith):
+    """Q, Q(i), Q(x), F_p(x), Q(x,y): sympy domain elements, whose own
+    operators are exact."""
+
+    add, sub, mul = operator.add, operator.sub, operator.mul
+    nonzero = bool
+
+    def __init__(self, from_fraction, show, gens, to_fraction=None,
+                 coeff=None):
+        self.from_fraction, self.show, self.gens = from_fraction, show, gens
+        self.to_fraction, self.coeff = to_fraction, coeff
+
+    @staticmethod
+    def div(a, b):
+        if not b:
+            raise ZeroDivisionError("division by zero field element")
+        return a / b
+
+
+def _qq_from_fraction(q):
+    return QQ(q.numerator, q.denominator)
+
+
+def _qq_fraction(c):
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _func_from_fraction(dom, char):
+    if not char:
+        return lambda q: dom(_qq_from_fraction(q))
+
+    def from_fraction(q):
+        if q.denominator % char == 0:
+            raise FieldMismatchError(
+                f"denominator of {q} is zero in characteristic {char}")
+        return dom(q.numerator) / dom(q.denominator)
+
+    return from_fraction
+
+
+class _PrimeArith(_Arith):
+    """F_p: ints reduced mod p."""
+
+    to_fraction = Fraction
+
+    def __init__(self, p):
+        self.p = p
+
+    def from_fraction(self, q):
+        p = self.p
+        if q.denominator % p == 0:
+            raise FieldMismatchError(f"{q} has no image in F_{p}")
+        return (q.numerator * pow(q.denominator, -1, p)) % p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def div(self, a, b):
+        p = self.p
+        if b % p == 0:
+            raise ZeroDivisionError("division by zero in F_p")
+        return (a * pow(b, -1, p)) % p
+
+    def nonzero(self, a):
+        return a % self.p != 0
+
+    def show(self, a):
+        return str(a % self.p)
+
+    def reps(self):
+        return range(self.p)
+
+
+class _GaussModArith(_Arith):
+    """F_p[i] for p = 3 mod 4: pairs (a, b) of ints mod p meaning a + b*i."""
+
+    def __init__(self, p):
+        self.p = p
+        self.gens = {"i": (0, 1)}
+
+    def from_fraction(self, q):
+        p = self.p
+        if q.denominator % p == 0:
+            raise FieldMismatchError(f"{q} has no image in F_{p}[i]")
+        return ((q.numerator * pow(q.denominator, -1, p)) % p, 0)
+
+    def add(self, a, b):
+        p = self.p
+        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
+
+    def sub(self, a, b):
+        p = self.p
+        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
+
+    def mul(self, a, b):
+        p = self.p
+        a0, a1 = a
+        b0, b1 = b
+        return ((a0 * b0 - a1 * b1) % p, (a0 * b1 + a1 * b0) % p)
+
+    def div(self, a, b):
+        p = self.p
+        a0, a1 = a
+        b0, b1 = b
+        n = (b0 * b0 + b1 * b1) % p
+        if n == 0:
+            raise ZeroDivisionError("division by zero in F_p[i]")
+        ninv = pow(n, -1, p)
+        return (((a0 * b0 + a1 * b1) * ninv) % p,
+                ((a1 * b0 - a0 * b1) * ninv) % p)
+
+    def nonzero(self, a):
+        return any(c % self.p for c in a)
+
+    def show(self, a):
+        p = self.p
+        return _print_gauss(Fraction(a[0] % p), Fraction(a[1] % p))
+
+    def reps(self):
+        p = self.p
+        return ((a, b) for a in range(p) for b in range(p))
+
+
+class _QuotArith(_Arith):
+    """Q[x]/(g) for monic g: tuples of `Fraction` coefficients, low to
+    high, reduced mod g."""
+
+    nonzero = any
+
+    def __init__(self, modulus):
+        self.modulus = modulus
+        self.gens = {"x": self.normalize((Fraction(0), Fraction(1)))}
+
+    def normalize(self, coeffs):
+        g = self.modulus
+        n = len(g) - 1
+        cs = list(coeffs)
+        while len(cs) > n:
+            lead = cs.pop()
+            if lead:
+                for i in range(n):
+                    cs[len(cs) - n + i] -= lead * g[i]
+        cs += [Fraction(0)] * (n - len(cs))
+        return tuple(cs)
+
+    def from_fraction(self, q):
+        return self.normalize((q,))
+
+    def add(self, a, b):
+        return tuple(u + v for u, v in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(u - v for u, v in zip(a, b))
+
+    def mul(self, a, b):
+        prod = [Fraction(0)] * (2 * len(a) - 1)
+        for i, u in enumerate(a):
+            if u:
+                for j, v in enumerate(b):
+                    prod[i + j] += u * v
+        return self.normalize(prod)
+
+    def div(self, a, b):
+        return self.mul(a, self._inverse(b))
+
+    def _inverse(self, a):
+        g = sympy.Poly([sympy.Rational(c) for c in reversed(self.modulus)], _X)
+        a = sympy.Poly([sympy.Rational(c) for c in reversed(a)], _X)
+        if a.is_zero:
+            raise ZeroDivisionError("division by zero in quotient field")
+        inv = sympy.invert(a, g)
+        return self.normalize(
+            [Fraction(*sympy.Rational(c).as_numer_denom())
+             for c in reversed(sympy.Poly(inv, _X).all_coeffs())])
+
+    def show(self, a):
+        return _print_terms([((e,), c) for e, c in enumerate(a) if c],
+                            ("x",), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,47 +621,10 @@ def _print_gauss(re_part, im_part):
     return _qq_str(re_part) + joiner + im
 
 
-def _coeff_str(c, char):
-    if char:
-        return str(int(c) % char)
-    return _print_rational(int(c.numerator), int(c.denominator))
-
-
-def _coeff_is_one(c, char):
-    if char:
-        return int(c) % char == 1
-    return c == 1
-
-
-def _coeff_is_neg(c, char):
-    if char:
-        return False
-    return c < 0
-
-
-def _print_poly(poly, gens, char):
-    """Canonical infix form of a PolyElement: monomials in descending
-    lexicographic exponent order, '^' for powers."""
-    terms = sorted(poly.terms(), key=lambda t: t[0], reverse=True)
-    if not terms:
+def _join_signed(parts):
+    """'a - b + c' from [(sign, body), ...]; '0' when empty."""
+    if not parts:
         return "0"
-    parts = []
-    for mono, coeff in terms:
-        factors = []
-        for g, e in zip(gens, mono):
-            if e == 1:
-                factors.append(g)
-            elif e > 1:
-                factors.append(f"{g}^{e}")
-        neg = _coeff_is_neg(coeff, char)
-        c = -coeff if neg else coeff
-        if not factors:
-            body = _coeff_str(c, char)
-        elif _coeff_is_one(c, char):
-            body = "*".join(factors)
-        else:
-            body = "*".join([_coeff_str(c, char)] + factors)
-        parts.append(("-" if neg else "+", body))
     sign0, body0 = parts[0]
     out = ("-" if sign0 == "-" else "") + body0
     for sign, body in parts[1:]:
@@ -554,11 +632,34 @@ def _print_poly(poly, gens, char):
     return out
 
 
-def _print_func(elem):
-    field = elem.field
-    rep = elem.rep
-    char = field.char if field.kind == "FUNC" else 0
-    gens = field.generator_names()
+def _coeff_text(c, char):
+    """(sign, text of |c|) of a polynomial coefficient."""
+    if char:
+        return "+", str(int(c) % char)
+    return "-" if c < 0 else "+", \
+        _print_rational(abs(int(c.numerator)), int(c.denominator))
+
+
+def _print_terms(terms, gens, char):
+    """Canonical infix form of a polynomial given as (exponents, coeff)
+    terms: monomials in descending lexicographic exponent order, '^' for
+    powers."""
+    parts = []
+    for mono, coeff in sorted(terms, key=lambda t: t[0], reverse=True):
+        factors = []
+        for g, e in zip(gens, mono):
+            if e == 1:
+                factors.append(g)
+            elif e > 1:
+                factors.append(f"{g}^{e}")
+        sign, c = _coeff_text(coeff, char)
+        if factors and c == "1":
+            c = None
+        parts.append((sign, "*".join(([c] if c else []) + factors)))
+    return _join_signed(parts)
+
+
+def _print_func(rep, gens, char):
     num, den = rep.numer, rep.denom
     # normalize to a monic denominator (scale num and den by 1/lc(den))
     lead = den.LC
@@ -567,48 +668,26 @@ def _print_func(elem):
         inv = dom.quo(dom.one, lead)
         num = num.mul_ground(inv)
         den = den.mul_ground(inv)
-    num_s = _print_poly(num, gens, char)
+    num_s = _print_terms(num.terms(), gens, char)
     if den == den.ring.one:
         return num_s
-    den_s = _print_poly(den, gens, char)
+    den_s = _print_terms(den.terms(), gens, char)
     return f"({num_s})/({den_s})"
 
 
-def _print_element(elem):
-    k = elem.field.kind
-    rep = elem.rep
-    if k == "Q":
-        return _qq_str(rep)
-    if k == "QI":
-        return _print_gauss(rep.x, rep.y)
-    if k in ("FUNC", "FUNC2"):
-        return _print_func(elem)
-    if k == "FP":
-        return str(rep % elem.field.p)
-    if k == "FP2":
-        p = elem.field.p
-        return _print_gauss(Fraction(rep[0] % p), Fraction(rep[1] % p))
-    if k == "QUOT":
-        parts = []
-        for e in range(len(rep) - 1, -1, -1):
-            c = rep[e]
-            if not c:
-                continue
-            if e == 0:
-                body = _print_rational(abs(c.numerator), c.denominator)
-            else:
-                xs = "x" if e == 1 else f"x^{e}"
-                body = xs if abs(c) == 1 else \
-                    _print_rational(abs(c.numerator), c.denominator) + "*" + xs
-            parts.append(("-" if c < 0 else "+", body))
-        if not parts:
-            return "0"
-        s0, b0 = parts[0]
-        out = ("-" if s0 == "-" else "") + b0
-        for s, b in parts[1:]:
-            out += f" {s} {b}"
-        return out
-    raise UnsupportedError(k)  # pragma: no cover
+QQ_FIELD = Field("Q")
+GAUSS_FIELD = Field("QI")
+QX_FIELD = Field("FUNC", var="x", char=0)
+QY_FIELD = Field("FUNC", var="y", char=0)
+QXY_FIELD = Field("FUNC2")
+
+_FIELD_NAMES = {
+    "Q": QQ_FIELD,
+    "Q(i)": GAUSS_FIELD,
+    "Q(x)": QX_FIELD,
+    "Q(y)": QY_FIELD,
+    "Q(x,y)": QXY_FIELD,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -762,51 +841,32 @@ def _int_val(n, p):
     return v
 
 
-def _qq_val(q, p):
-    return _int_val(q.numerator, p) - _int_val(q.denominator, p)
-
-
 def _poly_var_val(poly, axis):
     """Least exponent of the given generator among the monomials."""
     return min(t[0][axis] for t in poly.terms())
 
 
-def _poly_shift(poly, axis, k):
-    """Divide a PolyElement by gen^k (k <= trailing degree)."""
-    ring = poly.ring
-    d = {}
-    for mono, coeff in poly.terms():
-        m = list(mono)
-        m[axis] -= k
-        if m[axis] < 0:
-            raise ValueError("shift below zero")
-        d[tuple(m)] = coeff
-    return ring.from_dict(d)
+def _func_val(rep, axis):
+    return _poly_var_val(rep.numer, axis) - _poly_var_val(rep.denom, axis)
 
 
-def _poly_sub_zero(poly, axis):
-    """Substitute gen_axis = 0 (keep monomials with exponent 0 there)."""
-    ring = poly.ring
-    d = {}
-    for mono, coeff in poly.terms():
-        if mono[axis] == 0:
-            d[mono] = coeff
-    return ring.from_dict(d)
+def _at_zero(x, axis):
+    """Numerator and denominator of x / t^v(x) at t = 0, for t the axis
+    generator: the lowest t-terms of each, with t removed."""
+    def lowest(poly):
+        v = _poly_var_val(poly, axis)
+        return poly.ring.from_dict({m[:axis] + (0,) + m[axis + 1:]: c
+                                    for m, c in poly.terms() if m[axis] == v})
+
+    return lowest(x.rep.numer), lowest(x.rep.denom)
 
 
 def _gauss_int_parts(z):
     """z in QQ_I as (a_num, b_num, den) with integer a, b and positive den."""
-    ax, ay = Fraction(int(z.x.numerator), int(z.x.denominator)), \
-        Fraction(int(z.y.numerator), int(z.y.denominator))
-    den = ax.denominator * ay.denominator // _gcd(ax.denominator, ay.denominator)
+    ax, ay = _qq_fraction(z.x), _qq_fraction(z.y)
+    den = ax.denominator * ay.denominator // gcd(ax.denominator, ay.denominator)
     return ax.numerator * (den // ax.denominator), \
         ay.numerator * (den // ay.denominator), den
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +877,10 @@ class Valuation:
     """A discrete (rank-1) or lexicographic rank-2 valuation.
 
     kinds: 'padic', 'gauss', 'xadic', 'yadic', 'polyprime', 'composite2'.
+    Besides the value (call) and `residue`, each valuation has
+    `uniformizer()`, `uniformizer_pair()` (rank 2 only), `residue_field()`
+    and `lift(r)`, the canonical lift of a residue back into the field;
+    all are bound from the kind's implementation when it is built.
     """
 
     _cache = {}
@@ -836,41 +900,39 @@ class Valuation:
         return inst
 
     def _init(self):
-        k = self.kind
+        k, f = self.kind, self.field
         if k == "padic":
             p = self.params["p"]
             if not _is_prime(p):
                 raise UnsupportedError(f"{p} is not prime")
             self.p = p
             self.name = f"v_{p}"
+            impl = _PAdic(f, p)
         elif k == "gauss":
             self.pi = self.params["pi"]
             self.case = self.params["case"]
             self.name = f"v_({self.pi})"
-            if self.case == "split":
-                a, b, den = _gauss_int_parts(self.pi.rep)
-                assert den == 1
-                self.norm_p = a * a + b * b
-                self._split_root = (-a * pow(b, -1, self.norm_p)) % self.norm_p
-            elif self.case == "inert":
-                a, b, den = _gauss_int_parts(self.pi.rep)
-                self.norm_p = abs(a)
-            else:
-                self.norm_p = 2
+            impl = _GAUSS_CASES[self.case](f, self.pi)
         elif k in ("xadic", "yadic"):
             self.axis = self.params["axis"]
-            self.name = f"v_{self.field.generator_names()[self.axis]}"
+            self.name = f"v_{f.generator_names()[self.axis]}"
+            impl = (_LineAdic if f.kind == "FUNC" else _PlaneAdic)(
+                f, self.axis)
         elif k == "polyprime":
             self.g = self.params["g"]  # FieldElem, irreducible polynomial
             self.name = f"v_({self.g})"
+            impl = _PolyPrime(f, self.g)
         elif k == "composite2":
             self.name = "v_(x,y)-lex"
+            impl = _Composite2(f)
         else:  # pragma: no cover
             raise UnsupportedError(k)
-
-    @property
-    def rank(self):
-        return 2 if self.kind == "composite2" else 1
+        self._impl = impl
+        self.rank = impl.rank
+        self.uniformizer = impl.uniformizer
+        self.uniformizer_pair = impl.uniformizer_pair
+        self.residue_field = impl.residue_field
+        self.lift = impl.lift
 
     def _check_field(self, x):
         if not isinstance(x, FieldElem) or x.field is not self.field:
@@ -878,43 +940,96 @@ class Valuation:
             raise FieldMismatchError(
                 f"valuation {self.name} is defined on {self.field.name}, got {got}")
 
-    # -- valuation ----------------------------------------------------------
-
     def __call__(self, x):
         self._check_field(x)
         if not x:
             return INF
-        k = self.kind
-        if k == "padic":
-            return _qq_val(x.rep, self.p)
-        if k == "gauss":
-            return self._gauss_val(x.rep)
-        if k in ("xadic", "yadic"):
-            rep = x.rep
-            return (_poly_var_val(rep.numer, self.axis)
-                    - _poly_var_val(rep.denom, self.axis))
-        if k == "polyprime":
-            return self._poly_prime_val(x)
-        if k == "composite2":
-            ax = _poly_var_val(x.rep.numer, 0) - _poly_var_val(x.rep.denom, 0)
-            r = _stage_one_residue(x, ax)
-            ay = _poly_var_val(r.rep.numer, 0) - _poly_var_val(r.rep.denom, 0)
-            return (ax, ay)
-        raise UnsupportedError(k)  # pragma: no cover
+        return self._impl.value(x)
 
-    def _gauss_val(self, z):
-        a, b, den = _gauss_int_parts(z)
-        p = self.norm_p
-        if self.case == "ramified":
-            nrm = a * a + b * b
-            return _int_val(nrm, 2) - 2 * _int_val(den, 2)
-        if self.case == "inert":
-            nrm = a * a + b * b
-            v2 = _int_val(nrm, p)
-            assert v2 % 2 == 0
-            return v2 // 2 - _int_val(den, p)
-        # split: count exact divisions of a+bi by pi in Z[i];
-        # dividing by p = pi*conj(pi) removes exactly one factor of pi
+    def residue(self, x):
+        self._check_field(x)
+        v = self(x)
+        if v is INF:
+            return self.residue_field().zero()
+        unit = self._impl.unit_value
+        if v < unit:
+            raise UnsupportedError(
+                f"residue of element with negative valuation {v}")
+        if v != unit:
+            return self.residue_field().zero()
+        return self._impl.residue0(x)
+
+    def __repr__(self):
+        return f"Valuation({self.name} on {self.field.name})"
+
+
+# ---------------------------------------------------------------------------
+# one implementation per valuation kind
+# ---------------------------------------------------------------------------
+
+class _ValuationImpl:
+    """`value` of a nonzero element, `uniformizer`, `residue_field`,
+    `residue0` (the residue of an element of value `unit_value`) and
+    `lift` of one valuation kind."""
+
+    rank = 1
+    unit_value = 0
+
+    def uniformizer_pair(self):
+        raise UnsupportedError("uniformizer_pair needs a rank-2 valuation")
+
+    def lift(self, r):
+        """The lift of a residue in Q or F_p: the same rational."""
+        return self.field.from_fraction(rational_value(r))
+
+
+class _PAdic(_ValuationImpl):
+    def __init__(self, field, p):
+        self.field, self.p = field, p
+
+    def value(self, x):
+        q = x.rep
+        return _int_val(q.numerator, self.p) - _int_val(q.denominator, self.p)
+
+    def uniformizer(self):
+        return self.field.from_int(self.p)
+
+    def residue_field(self):
+        return prime_field(self.p)
+
+    def residue0(self, x):
+        return prime_field(self.p).from_fraction(rational_value(x))
+
+
+class _GaussPrime(_ValuationImpl):
+    """Shared by the three Gaussian cases: the uniformizer and the
+    residue field F_p."""
+
+    def __init__(self, field, pi):
+        self.field, self.pi = field, pi
+        self.pa, self.pb, _ = _gauss_int_parts(pi.rep)
+        self.p = self.pa * self.pa + self.pb * self.pb
+
+    def uniformizer(self):
+        return self.pi
+
+    def residue_field(self):
+        return prime_field(self.p)
+
+
+class _GaussSplit(_GaussPrime):
+    """a+bi of prime norm p = 1 mod 4: the residue field is F_p, where i
+    is the root -a/b."""
+
+    def __init__(self, field, pi):
+        super().__init__(field, pi)
+        self.root = (-self.pa * pow(self.pb, -1, self.p)) % self.p
+
+    def value(self, x):
+        # count exact divisions of a+bi by pi in Z[i]; dividing by
+        # p = pi*conj(pi) removes exactly one factor of pi
+        a, b, den = _gauss_int_parts(x.rep)
+        p, pa, pb = self.p, self.pa, self.pb
         v = 0
         while (a % p == 0 and b % p == 0):
             a //= p
@@ -922,7 +1037,6 @@ class Valuation:
             v += 1
         # now divide by pi while possible: (a+bi)/pi integral iff
         # (a+bi)*conj(pi) = 0 mod p
-        pa, pb, _ = _gauss_int_parts(self.pi.rep)
         while True:
             na = a * pa + b * pb
             nb = b * pa - a * pb
@@ -932,7 +1046,109 @@ class Valuation:
             v += 1
         return v - _int_val(den, p)
 
-    def _poly_prime_val(self, x):
+    def residue0(self, x):
+        a, b, den = _gauss_int_parts(x.rep)
+        return prime_field(self.p).from_fraction(
+            Fraction(a + b * self.root, den))
+
+
+class _GaussRamified(_GaussSplit):
+    """1+i over 2: the residue field is F_2, where i = 1 (the root of the
+    split case)."""
+
+    def value(self, x):
+        a, b, den = _gauss_int_parts(x.rep)
+        return _int_val(a * a + b * b, 2) - 2 * _int_val(den, 2)
+
+
+class _GaussInert(_GaussPrime):
+    """A rational prime p = 3 mod 4: the residue field is F_p[i]."""
+
+    def __init__(self, field, pi):
+        super().__init__(field, pi)
+        self.p = abs(self.pa)
+
+    def value(self, x):
+        a, b, den = _gauss_int_parts(x.rep)
+        v2 = _int_val(a * a + b * b, self.p)
+        assert v2 % 2 == 0
+        return v2 // 2 - _int_val(den, self.p)
+
+    def residue_field(self):
+        return inert_residue_field(self.p)
+
+    def residue0(self, x):
+        a, b, den = _gauss_int_parts(x.rep)
+        p = self.p
+        dinv = pow(den, -1, p)
+        return FieldElem(inert_residue_field(p),
+                         ((a * dinv) % p, (b * dinv) % p))
+
+    def lift(self, r):
+        a, b = r.rep
+        f = self.field
+        return f.from_int(a) + f.from_int(b) * f.gen("i")
+
+
+_GAUSS_CASES = {"ramified": _GaussRamified, "split": _GaussSplit,
+                "inert": _GaussInert}
+
+
+class _LineAdic(_ValuationImpl):
+    """The t-adic valuation of a one-variable function field K(t): the
+    residue field is the constant field K (Q or F_p)."""
+
+    def __init__(self, field, axis):
+        self.field, self.axis = field, axis
+        self.res_field = prime_field(field.char) if field.char else QQ_FIELD
+
+    def value(self, x):
+        return _func_val(x.rep, self.axis)
+
+    def uniformizer(self):
+        return self.field.gen(self.field.generator_names()[self.axis])
+
+    def residue_field(self):
+        return self.res_field
+
+    def residue0(self, x):
+        num0, den0 = _at_zero(x, self.axis)
+        coeff, k = self.field._arith.coeff, self.res_field
+        # one variable: the two polynomials are constants
+        return k.from_fraction(coeff(num0.LC)) / \
+            k.from_fraction(coeff(den0.LC))
+
+
+class _PlaneAdic(_LineAdic):
+    """The x- or y-adic valuation of Q(x,y): the residue field is the
+    function field of the other variable."""
+
+    def __init__(self, field, axis):
+        self.field, self.axis = field, axis
+        self.res_field = QY_FIELD if axis == 0 else QX_FIELD
+
+    def residue0(self, x):
+        k = self.res_field
+        images = [k.zero(), k.zero()]
+        images[1 - self.axis] = k.gen(k.generator_names()[0])
+        num0, den0 = _at_zero(x, self.axis)
+        coeff = self.field._arith.coeff
+        return _poly_image(num0, k, images, coeff) / \
+            _poly_image(den0, k, images, coeff)
+
+    def lift(self, r):
+        return substitute(r, self.field,
+                          [self.field.gen("y" if self.axis == 0 else "x")])
+
+
+class _PolyPrime(_ValuationImpl):
+    """The g-adic valuation of Q(x) for an irreducible polynomial g: the
+    residue field is Q[x]/(g)."""
+
+    def __init__(self, field, g):
+        self.field, self.g = field, g
+
+    def value(self, x):
         g = self.g.rep.numer
 
         def count(poly):
@@ -940,237 +1156,81 @@ class Valuation:
             while True:
                 q, r = poly.div(g)
                 if r:
-                    return v, poly
+                    return v
                 poly = q
                 v += 1
 
-        vn, _ = count(x.rep.numer)
-        vd, _ = count(x.rep.denom)
-        return vn - vd
-
-    # -- uniformizers ---------------------------------------------------------
+        return count(x.rep.numer) - count(x.rep.denom)
 
     def uniformizer(self):
-        k = self.kind
-        if k == "composite2":
-            raise UnsupportedError(
-                "rank-2 valuation has no single uniformizer; "
-                "use uniformizer_pair")
-        if k == "padic":
-            return self.field.from_int(self.p)
-        if k == "gauss":
-            return self.pi
-        if k in ("xadic", "yadic"):
-            return self.field.gen(self.field.generator_names()[self.axis])
-        if k == "polyprime":
-            return self.g
-        raise UnsupportedError(k)  # pragma: no cover
-
-    def uniformizer_pair(self):
-        if self.kind != "composite2":
-            raise UnsupportedError("uniformizer_pair needs a rank-2 valuation")
-        return (self.field.gen("x"), self.field.gen("y"))
-
-    # -- residues -------------------------------------------------------------
+        return self.g
 
     def residue_field(self):
-        k = self.kind
-        if k == "padic":
-            return prime_field(self.p)
-        if k == "gauss":
-            if self.case == "inert":
-                return inert_residue_field(self.norm_p)
-            return prime_field(self.norm_p)
-        if k in ("xadic", "yadic"):
-            f = self.field
-            if f.kind == "FUNC":
-                return prime_field(f.char) if f.char else QQ_FIELD
-            return QY_FIELD if self.axis == 0 else QX_FIELD
-        if k == "polyprime":
-            num = self.g.rep.numer
-            deg = max(t[0][0] for t in num.terms())
-            coeffs = [Fraction(0)] * (deg + 1)
-            for mono, c in num.terms():
-                coeffs[mono[0]] = Fraction(int(c.numerator), int(c.denominator))
-            lead = coeffs[-1]
-            coeffs = [c / lead for c in coeffs]
-            return quot_field(coeffs)
-        if k == "composite2":
-            return QQ_FIELD
-        raise UnsupportedError(k)  # pragma: no cover
-
-    def residue(self, x):
-        self._check_field(x)
-        v = self(x)
-        if v is INF:
-            return self.residue_field().zero()
-        if self.rank == 1:
-            if v < 0:
-                raise UnsupportedError(
-                    f"residue of element with negative valuation {v}")
-            if v > 0:
-                return self.residue_field().zero()
-            return self._residue0(x)
-        # composite2: lex value must be >= (0,0)
-        if v[0] < 0:
+        if self.field.char:
             raise UnsupportedError(
-                f"residue of element with negative valuation {v}")
-        if v[0] > 0:
-            return QQ_FIELD.zero()
-        r = _stage_one_residue(x, 0)
-        return yadic_on_qy().residue(r) if v[1] == 0 else (
-            QQ_FIELD.zero() if v[1] > 0 else _raise_neg(v))
+                "residues at a polynomial prime need characteristic 0")
+        g = self.g.rep.numer
+        coeffs = self._coeffs(g, g.degree() + 1)
+        lead = coeffs[-1]
+        return quot_field([c / lead for c in coeffs])
 
-    def _residue0(self, x):
-        k = self.kind
-        if k == "padic":
-            p = self.p
-            num, den = int(x.rep.numerator), int(x.rep.denominator)
-            return prime_field(p).from_fraction(Fraction(num, den))
-        if k == "gauss":
-            return self._gauss_residue(x)
-        if k in ("xadic", "yadic"):
-            return _func_residue(self.field, x, self.axis)
-        if k == "polyprime":
-            fld = self.residue_field()
-            g = self.g.rep.numer
+    def _coeffs(self, poly, n):
+        """Coefficients of a polynomial in x, low to high, padded to n."""
+        coeff = self.field._arith.coeff
+        out = [Fraction(0)] * n
+        for mono, c in poly.terms():
+            out[mono[0]] = coeff(c)
+        return out
 
-            def red(poly):
-                _, r = poly.div(g)
-                deg = len(fld.modulus) - 1
-                coeffs = [Fraction(0)] * deg
-                for mono, c in r.terms():
-                    coeffs[mono[0]] = Fraction(int(c.numerator),
-                                               int(c.denominator))
-                return coeffs
+    def residue0(self, x):
+        fld = self.residue_field()
+        g = self.g.rep.numer
+        deg = len(fld.modulus) - 1
 
-            num = FieldElem(fld, fld._quot_normalize(red(x.rep.numer)))
-            den = FieldElem(fld, fld._quot_normalize(red(x.rep.denom)))
-            return num / den
-        raise UnsupportedError(k)  # pragma: no cover
+        def red(poly):
+            _, r = poly.div(g)
+            return FieldElem(fld, fld._arith.normalize(self._coeffs(r, deg)))
 
-    def _gauss_residue(self, x):
-        z = x.rep
-        a, b, den = _gauss_int_parts(z)
-        p = self.norm_p
-        if self.case == "ramified":
-            # residue field F_2; i = 1 there, odd denominator
-            return prime_field(2).from_fraction(Fraction(a + b, den))
-        if self.case == "inert":
-            fld = inert_residue_field(p)
-            dinv = pow(den, -1, p)
-            return FieldElem(fld, ((a * dinv) % p, (b * dinv) % p))
-        r = self._split_root
-        return prime_field(p).from_fraction(Fraction(a + b * r, den))
+        return red(x.rep.numer) / red(x.rep.denom)
 
     def lift(self, r):
-        """Canonical lift of a residue-field element back into the field."""
-        rk = r.field.kind
         f = self.field
-        k = self.kind
-        if k == "padic":
-            return f.from_int(r.rep % r.field.p)
-        if k == "gauss":
-            if self.case == "inert":
-                a, b = r.rep
-                return f.from_int(a) + f.from_int(b) * f.gen("i")
-            return f.from_int(r.rep % r.field.p)
-        if k in ("xadic", "yadic"):
-            return _func_lift(f, r, self.axis)
-        if k == "polyprime":
-            x = f.gen(f.generator_names()[0])
-            out = f.zero()
-            for e, c in enumerate(r.rep):
-                if c:
-                    out = out + f.from_fraction(c) * x ** e
-            return out
-        if k == "composite2":
-            assert rk == "Q"
-            return f.from_fraction(Fraction(int(r.rep.numerator),
-                                            int(r.rep.denominator)))
-        raise UnsupportedError(k)  # pragma: no cover
-
-    def __repr__(self):
-        return f"Valuation({self.name} on {self.field.name})"
-
-
-def _raise_neg(v):
-    raise UnsupportedError(f"residue of element with negative valuation {v}")
-
-
-def _const_coeff(poly):
-    """Coefficient of the constant monomial of a PolyElement."""
-    for mono, c in poly.terms():
-        if all(e == 0 for e in mono):
-            return c
-    return poly.ring.domain.zero
-
-
-def _func_residue(field, x, axis):
-    """Residue of an axis-adic valuation-zero element of a function field."""
-    num, den = x.rep.numer, x.rep.denom
-    vn = _poly_var_val(num, axis)
-    vd = _poly_var_val(den, axis)
-    if vn != vd:  # pragma: no cover - guarded by caller
-        raise UnsupportedError("nonzero valuation")
-    if vn:
-        num = _poly_shift(num, axis, vn)
-        den = _poly_shift(den, axis, vn)
-    num0 = _poly_sub_zero(num, axis)
-    den0 = _poly_sub_zero(den, axis)
-    if field.kind == "FUNC":
-        # residue is a constant of the coefficient field
-        cn = _const_coeff(num0)
-        cd = _const_coeff(den0)
-        if field.char:
-            fp = prime_field(field.char)
-            return fp.from_int(int(cn)) / fp.from_int(int(cd))
-        return QQ_FIELD.from_fraction(
-            Fraction(int(cn.numerator), int(cn.denominator))) / \
-            QQ_FIELD.from_fraction(
-                Fraction(int(cd.numerator), int(cd.denominator)))
-    # FUNC2: residue lives in the function field of the other variable
-    other = QY_FIELD if axis == 0 else QX_FIELD
-    var = other.gen(other.var)
-
-    def to_other(poly):
-        out = other.zero()
-        oaxis = 1 - axis
-        for mono, c in poly.terms():
-            q = Fraction(int(c.numerator), int(c.denominator))
-            out = out + other.from_fraction(q) * var ** mono[oaxis]
+        x = f.gen(f.generator_names()[0])
+        out = f.zero()
+        for e, c in enumerate(r.rep):
+            if c:
+                out = out + f.from_fraction(c) * x ** e
         return out
 
-    return to_other(num0) / to_other(den0)
 
+class _Composite2(_ValuationImpl):
+    """The lexicographic rank-2 valuation on Q(x,y): x-adic first, then
+    y-adic on the residue field Q(y)."""
 
-def _func_lift(field, r, axis):
-    if field.kind == "FUNC":
-        if field.char:
-            return field.from_int(r.rep % r.field.p)
-        return field.from_fraction(
-            Fraction(int(r.rep.numerator), int(r.rep.denominator)))
-    # FUNC2 <- Q(y) or Q(x)
-    ovar = "y" if axis == 0 else "x"
-    gen = field.gen(ovar)
+    rank = 2
+    unit_value = (0, 0)
 
-    def embed(poly):
-        out = field.zero()
-        for mono, c in poly.terms():
-            q = Fraction(int(c.numerator), int(c.denominator))
-            out = out + field.from_fraction(q) * gen ** mono[0]
-        return out
+    def __init__(self, field):
+        self.field = field
+        # residue of x / x^v(x) at the x-adic valuation, in Q(y)
+        self.stage_one = _PlaneAdic(field, 0).residue0
 
-    return embed(r.rep.numer) / embed(r.rep.denom)
+    def value(self, x):
+        return (_func_val(x.rep, 0), _func_val(self.stage_one(x).rep, 0))
 
+    def uniformizer(self):
+        raise UnsupportedError(
+            "rank-2 valuation has no single uniformizer; "
+            "use uniformizer_pair")
 
-def _stage_one_residue(x, ax):
-    """x-adic residue of x * x^{-ax} on Q(x,y), as an element of Q(y)."""
-    f = x.field
-    if ax:
-        xg = f.gen("x")
-        x = x * xg ** (-ax)
-    return _func_residue(f, x, 0)
+    def uniformizer_pair(self):
+        return (self.field.gen("x"), self.field.gen("y"))
+
+    def residue_field(self):
+        return QQ_FIELD
+
+    def residue0(self, x):
+        return yadic_on_qy().residue(self.stage_one(x))
 
 
 # ---------------------------------------------------------------------------
@@ -1210,18 +1270,14 @@ def gauss_prime(pi):
 
 
 def xadic(field=QX_FIELD):
-    if field.kind == "FUNC":
-        return Valuation("xadic", field, axis=0)
-    if field.kind == "FUNC2":
+    if field.kind in ("FUNC", "FUNC2"):
         return Valuation("xadic", field, axis=0)
     raise FieldMismatchError(f"x-adic valuation undefined on {field.name}")
 
 
 def yadic(field=QXY_FIELD):
-    if field.kind == "FUNC2":
-        return Valuation("yadic", field, axis=1)
-    if field.kind == "FUNC":
-        return Valuation("yadic", field, axis=0)
+    if field.kind in ("FUNC", "FUNC2"):
+        return Valuation("yadic", field, axis=int(field.kind == "FUNC2"))
     raise FieldMismatchError(f"y-adic valuation undefined on {field.name}")
 
 

@@ -555,12 +555,11 @@ def associated_strong(filt, glider):
         raise SpecValidationError("glider belongs to a different filtration")
     if glider.ambient != "field":
         raise SpecValidationError("expected a field glider")
-    ok, cert = gl.is_glider(glider)
-    if not ok:
-        raise SpecValidationError(f"not a glider: witness {cert}")
+    gl.require_glider(glider)
     if glider.level(0) != filt.level(0):
         raise SpecValidationError(
             "the glider must start at the degree-0 part")
+    minus = _tail_of_glider(glider)
     ph = filt.phi
     h = ph.horizon + glider.prefix_end + 2 * ph.minus_period + 2
     lo, hi = -h, max(ph.hi, 1)
@@ -571,7 +570,6 @@ def associated_strong(filt, glider):
         else:
             lvl = glider.level(-n)
             table[n] = tuple(-c for c in lvl.exps)
-    minus = _tail_of_glider(glider)
     comp = StepFunction((lo, hi), table,
                         (ph.plus_period, ph.plus_inc), minus)
     out = FieldFiltration(filt.field, filt.valuations, comp)

@@ -17,8 +17,9 @@ from . import linalg
 from .errors import SpecValidationError, UnsupportedError
 from .filtration import (AlgebraFiltration, is_strong,
                          strong_completion)
-from .glider import (FiltrationTail, Glider, ZeroAfter, classify_subglider,
-                     fit_tail, is_glider, realize_field_chain)
+from .glider import (FiltrationTail, Glider, ZeroAfter,
+                     classify_subglider_unchecked, fit_tail,
+                     realize_field_chain, require_glider)
 from .lattice import (FracIdeal, ZERO_MODULE, intermediate_module,
                       is_simple_quotient, mult, span)
 
@@ -151,16 +152,11 @@ class Verdict:
         return f"OutOfClass({self.reason})"
 
 
-def _require_glider(m):
-    ok, cert = is_glider(m)
-    if not ok:
-        raise SpecValidationError(f"input chain is not a glider: {cert}")
-
-
 def _reducible(m, witness, shift_by, rule):
     from .glider import shift as index_shift
 
-    verdict = classify_subglider(witness, index_shift(m, shift_by))
+    verdict = classify_subglider_unchecked(witness,
+                                           index_shift(m, shift_by))
     if verdict.kind != "nontrivial":  # pragma: no cover - internal guard
         raise UnsupportedError(
             f"constructed witness re-classified as {verdict.kind}")
@@ -201,7 +197,7 @@ def _multiplier_witness(m, rule):
         prefix = [lvl.mul(ideal) if lvl is not ZERO_MODULE else ZERO_MODULE
                   for lvl in (m.level(i) for i in range(m.prefix_end + 1))]
         witness = Glider(m.filtration, m.ambient, prefix, m.tail, alg=m.alg)
-        verdict = classify_subglider(witness, m)
+        verdict = classify_subglider_unchecked(witness, m)
         if verdict.kind == "nontrivial":
             return Verdict("reducible", witness=witness, witness_shift=0,
                            triviality=verdict, rule=rule)
@@ -210,7 +206,7 @@ def _multiplier_witness(m, rule):
 
 def classify_field_glider(m):
     """Verdict for a chain of fractional ideals over a field filtration."""
-    _require_glider(m)
+    require_glider(m)
     filt = m.filtration
     if filt.is_dvr_valuation():
         return _classify_field_dvr(m, filt)
@@ -362,7 +358,7 @@ def _csa_preconditions(m):
 def classify_csa_glider(m):
     """Verdict for a lattice chain over an induced matrix-algebra
     filtration on a strong DVR base."""
-    _require_glider(m)
+    require_glider(m)
     reason = _csa_preconditions(m)
     if reason is not None:
         rule = ("csa.unsupported-algebra"

@@ -29,7 +29,7 @@ __all__ = [
     "Tail", "FiltrationTail", "MultiplyBy", "Constant", "ZeroAfter",
     "Glider", "TrivialityVerdict",
     "is_glider", "body", "essential_length", "shift", "scalar_shift",
-    "classify_subglider",
+    "classify_subglider", "classify_subglider_unchecked", "require_glider",
     "level_contains", "level_eq", "level_scale_ideal",
     "fit_tail", "realize_field_chain", "negative_part",
 ]
@@ -195,6 +195,12 @@ class Glider:
         return f.base if isinstance(f, AlgebraFiltration) else f
 
     @property
+    def stabilizes(self):
+        """The chain is constant (possibly zero) from the prefix end on:
+        the tail stabilizes, or the last prefix level is already zero."""
+        return self.tail.stabilizes or self.prefix[-1] is ZERO_MODULE
+
+    @property
     def prefix_end(self):
         return len(self.prefix) - 1
 
@@ -241,8 +247,8 @@ class Glider:
 
     def growth_ideal(self, steps):
         """Scalar ideal S with level(i + steps) = S * level(i) for deep i,
-        or None when the tail stabilizes."""
-        if self.tail.stabilizes:
+        or None when the chain stabilizes."""
+        if self.stabilizes:
             return None
         if self.tail.kind == "multiply":
             return self.tail.ideal.pow(steps)
@@ -277,7 +283,7 @@ class Glider:
 
 
 def _same_growth(a, b):
-    if a.tail.stabilizes or b.tail.stabilizes:
+    if a.stabilizes or b.stabilizes:
         h = max(a.horizon, b.horizon) + 2
         return all(level_eq(a.level(i), b.level(i)) for i in range(h + 3))
     steps = a.period * b.period
@@ -292,19 +298,26 @@ def is_glider(m):
     """Check the glider axiom F_i M_j inside M_{j-i} for 0 <= i <= j on the
     decision horizon.  Returns (ok, certificate); the certificate of a
     failure is (i, j, witness vector/element)."""
-    h = m.horizon
-    for i in range(h):
-        if not level_contains(m.level(i), m.level(i + 1)):
-            return False, (i, i + 1, _containment_witness(m.level(i + 1),
-                                                          m.level(i)))
-    for j in range(h + 1):
-        mj = m.level(j)
+    levels = m.levels(m.horizon)
+    for i in range(len(levels) - 1):
+        if not level_contains(levels[i], levels[i + 1]):
+            return False, (i, i + 1, _containment_witness(levels[i + 1],
+                                                          levels[i]))
+    for j, mj in enumerate(levels):
         for i in range(j + 1):
             prod = m.act(i, mj)
-            target = m.level(j - i)
+            target = levels[j - i]
             if not level_contains(target, prod):
                 return False, (i, j, _containment_witness(prod, target))
     return True, None
+
+
+def require_glider(m):
+    """Raise SpecValidationError, with the failure certificate, unless m
+    satisfies the glider axiom."""
+    ok, cert = is_glider(m)
+    if not ok:
+        raise SpecValidationError(f"not a glider: witness {cert}")
 
 
 def _containment_witness(inner, outer):
@@ -323,7 +336,7 @@ def body(m):
     """Intersection of all levels, decided from the tail rule: a tail that
     does not stabilize has a growth exponent > 0, so coordinates acquire
     unbounded valuation and the levels pinch to zero."""
-    if m.tail.stabilizes:
+    if m.stabilizes:
         return m.level(m.prefix_end + 1)
     return ZERO_MODULE
 
@@ -331,7 +344,7 @@ def body(m):
 def essential_length(m):
     """Least d with M_d strictly above M_{d+1} and the chain constant from
     d+1 on; INF marker when no such d exists."""
-    if not m.tail.stabilizes:
+    if not m.stabilizes:
         return INF
     n = m.prefix_end
     drops = [d for d in range(n + 1)
@@ -350,7 +363,7 @@ def shift(m, gamma):
     if gamma <= n:
         return Glider(m.filtration, m.ambient, m.prefix[gamma:], m.tail,
                       alg=m.alg)
-    if m.tail.stabilizes:
+    if m.stabilizes:
         return Glider(m.filtration, m.ambient, (m.level(gamma),), m.tail,
                       alg=m.alg)
     # re-anchoring a filtration tail is exact only when the deep increments
@@ -413,7 +426,15 @@ class TrivialityVerdict:
 
 def classify_subglider(n_gl, m_gl):
     """First matching verdict in order: not-subglider, T2, T1, T3,
-    nontrivial (with a strict sandwich witness)."""
+    nontrivial (with a strict sandwich witness).  The big chain m_gl must
+    be a glider (SpecValidationError otherwise)."""
+    require_glider(m_gl)
+    return classify_subglider_unchecked(n_gl, m_gl)
+
+
+def classify_subglider_unchecked(n_gl, m_gl):
+    """classify_subglider for a big chain the caller built from a checked
+    glider (an index shift, or the same levels over another filtration)."""
     if n_gl.ambient != m_gl.ambient:
         raise BaseMismatchError("gliders in different ambients")
     if n_gl.filtration is not m_gl.filtration \
@@ -460,10 +481,10 @@ def _containment_fails_eventually(n_gl, m_gl, h):
     holds on the horizon and the growth of N dominates the growth of M
     componentwise.  When it does not, a failing level is found by scan.
     """
-    if m_gl.tail.stabilizes:
+    if m_gl.stabilizes:
         # M is constant (possibly zero) from before h on, and N descends
         return None
-    if n_gl.tail.stabilizes:
+    if n_gl.stabilizes:
         if _level_is_zero(n_gl.level(h)):
             return None
         # N constant nonzero inside strictly descending M: must fail; scan
@@ -526,7 +547,7 @@ def _t3_search(n_gl, m_gl, h):
         prev = found
     # periodic continuation: beyond the horizon both chains repeat with
     # their growth ideals; require matching slopes
-    n_stab, m_stab = n_gl.tail.stabilizes, m_gl.tail.stabilizes
+    n_stab, m_stab = n_gl.stabilizes, m_gl.stabilizes
     if n_stab or m_stab:
         # horizon extends beyond both stabilization points: matched values
         # continue verbatim (constant-to-constant or zero-to-zero)

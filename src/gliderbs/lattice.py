@@ -21,11 +21,12 @@ ideal of the algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from . import linalg
 from .errors import (BaseMismatchError, ContainmentError, RankError,
                      SpecValidationError, UnsupportedError)
-from .fields import FieldElem, QQ_FIELD
+from .fields import QQ_FIELD
 
 __all__ = [
     "BaseRing", "AlgebraDesc", "matrix_algebra", "quaternion_algebra",
@@ -73,6 +74,7 @@ class BaseRing:
         inst.valuations = valuations
         inst._validate()
         inst.uniformizers = tuple(v.uniformizer() for v in valuations)
+        inst._check_uniformizers()
         inst._gen_cache = {}
         cls._cache[key] = inst
         return inst
@@ -91,6 +93,16 @@ class BaseRing:
                 raise BaseMismatchError(
                     f"valuation {v.name} lives on {v.field.name}, "
                     f"not {self.field.name}")
+
+    def _check_uniformizers(self):
+        """Each uniformizer is a unit at every other valuation: distinct
+        names of one prime (v_(1+i) and v_(1-i)) are rejected here."""
+        for j, pi in enumerate(self.uniformizers):
+            for k, v in enumerate(self.valuations):
+                if k != j and v(pi) != 0:
+                    raise SpecValidationError(
+                        f"{self.valuations[j].name} and {v.name} are one "
+                        "prime: its uniformizer is not a unit at the other")
 
     @property
     def nprimes(self):
@@ -142,37 +154,16 @@ class BaseRing:
 
     def mix_coefficient(self, a, b):
         """c in R with val_vector(a + c*b) equal to min(val(a), val(b))
-        componentwise.  Exists because R is semilocal; found by a verified
-        search over a structured candidate pool."""
+        componentwise: c is the product of the uniformizers of the primes
+        where a and b have equal value.  There c*b gains a factor, so a
+        dominates; elsewhere c is a unit and the values already differ."""
         va, vb = self.val_vector(a), self.val_vector(b)
-        target = tuple(min(s, t) for s, t in zip(va, vb))
-        for c in self._mix_candidates():
-            if not self.is_integral(c):
-                continue
-            s = a + c * b
-            if s and self.val_vector(s) == target:
-                return c
-        raise UnsupportedError(
-            "could not find a mixing coefficient; base ring residue "
-            "structure outside the supported search pool")
-
-    def _mix_candidates(self):
-        one = self.field.one()
-        for n in range(1, 24):
-            yield self.field.from_fraction(Fraction(n))
-        for pi in self.uniformizers:
-            yield pi
-            yield pi + one
-            for n in range(2, 6):
-                yield pi + self.field.from_fraction(Fraction(n))
-                yield self.field.from_fraction(Fraction(n)) * pi + one
-        if len(self.uniformizers) >= 2:
-            for i, pi in enumerate(self.uniformizers):
-                for j, pj in enumerate(self.uniformizers):
-                    if i == j:
-                        continue
-                    for n in range(1, 6):
-                        yield pi + self.field.from_fraction(Fraction(n)) * pj
+        c = self.from_exponents(tuple(int(s == t) for s, t in zip(va, vb)))
+        if self.val_vector(a + c * b) != tuple(map(min, va, vb)):
+            raise UnsupportedError(
+                "mixing coefficient missed the componentwise minimum "
+                "valuation")
+        return c
 
     def __eq__(self, other):
         return self is other
@@ -816,36 +807,16 @@ class _QuotientSpace:
     def enumerate_directions(self, cap=8192):
         """Projectively normalized nonzero vectors of the quotient."""
         fld = self.res_field
-        if fld.kind == "FP":
-            elems = [fld.from_int(n) for n in range(fld.p)]
-        elif fld.kind == "FP2":
-            elems = [FieldElem(fld, (a, bb))
-                     for a in range(fld.p) for bb in range(fld.p)]
-        else:
-            raise UnsupportedError(
-                f"cannot enumerate the infinite residue field {fld.name}")
+        elems = fld.elements()
         m = self.dim
         total = (len(elems) ** m - 1) // (len(elems) - 1)
         if total > cap:
             raise UnsupportedError(
                 f"quotient has {total} directions, over the bound {cap}")
-        one = fld.one()
-        zero = fld.zero()
-
-        def rec(prefix, started):
-            i = len(prefix)
-            if i == m:
-                if started:
-                    yield list(prefix)
-                return
-            if not started:
-                yield from rec(prefix + [zero], False)
-                yield from rec(prefix + [one], True)
-            else:
-                for e in elems:
-                    yield from rec(prefix + [e], True)
-
-        yield from rec([], False)
+        # the first nonzero coordinate is 1; more leading zeros come first
+        for lead in reversed(range(m)):
+            for rest in product(elems, repeat=m - lead - 1):
+                yield [fld.zero()] * lead + [fld.one()] + list(rest)
 
 
 def is_simple_quotient(x, y, b, alg):

@@ -12,6 +12,7 @@ computed identities (P^e = pB, simple quotient).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from . import linalg
 from .errors import (MaximalityError, SpecValidationError, UnsupportedError)
@@ -174,11 +175,8 @@ def _custom_radical(order, j):
     base = order.base
     v = base.valuations[j]
     fld = v.residue_field()
-    if fld.kind not in ("FP", "FP2"):
-        raise UnsupportedError(
-            "radical computation needs a finite residue field")
     d = alg.dim
-    size = (fld.p if fld.kind == "FP" else fld.p ** 2) ** d
+    size = len(fld.elements()) ** d
     if size > 4096:
         raise UnsupportedError(
             f"residue algebra has {size} elements, over the probing bound; "
@@ -234,7 +232,7 @@ def _custom_radical(order, j):
         return not current
 
     radical_rows = []
-    for x in _all_vectors(fld, d):
+    for x in map(list, product(fld.elements(), repeat=d)):
         if not any(x):
             continue
         if _in_span(radical_rows, x, fld):
@@ -273,24 +271,6 @@ def _in_span(rows, vec, fld):
         return not any(vec)
     test, _ = linalg.rref([list(r) for r in rows] + [list(vec)], fld)
     return len(test) == len(rows)
-
-
-def _all_vectors(fld, d):
-    if fld.kind == "FP":
-        elems = [fld.from_int(t) for t in range(fld.p)]
-    else:
-        from .fields import FieldElem
-        elems = [FieldElem(fld, (a, bb))
-                 for a in range(fld.p) for bb in range(fld.p)]
-
-    def rec(prefix):
-        if len(prefix) == d:
-            yield list(prefix)
-            return
-        for e in elems:
-            yield from rec(prefix + [e])
-
-    yield from rec([])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .errors import SpecValidationError, UnsupportedError
 from .fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, func_field,
-                     gauss_prime, padic, xadic)
+                     gauss_prime, padic, rational_value, substitute, xadic)
 from .filtration import (AlgebraFiltration, is_strong,
                          scaled_valuation_filtration,
                          valuation_filtration)
@@ -106,16 +106,9 @@ def gauss_extension(p, kind=None, factor=None):
         raise SpecValidationError(f"unknown kind {kind!r}")
 
     def embed(x):
-        return GAUSS_FIELD.from_fraction(_as_fraction(x))
+        return GAUSS_FIELD.from_fraction(rational_value(x))
 
     return ExtensionData(QQ_FIELD, GAUSS_FIELD, "t^2+1", embed, v, w, e, f)
-
-
-def _as_fraction(x):
-    from fractions import Fraction
-
-    rep = x.rep
-    return Fraction(int(rep.numerator), int(rep.denominator))
 
 
 def sqrt_x_extension():
@@ -127,17 +120,7 @@ def sqrt_x_extension():
     t = L.gen("t")
 
     def embed(elem):
-        num, den = elem.rep.numer, elem.rep.denom
-
-        def push(poly):
-            out = L.zero()
-            for mono, c in poly.terms():
-                from fractions import Fraction
-                q = Fraction(int(c.numerator), int(c.denominator))
-                out = out + L.from_fraction(q) * t ** (2 * mono[0])
-            return out
-
-        return push(num) / push(den)
+        return substitute(elem, L, [t * t])
 
     return ExtensionData(QX_FIELD, L, "t^2-x", embed, v, w, 2, 1)
 

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gliderbs.errors import FieldMismatchError, ParseError, UnsupportedError
 from gliderbs.fields import (GAUSS_FIELD, INF, QQ_FIELD, QX_FIELD,
                              QXY_FIELD, composite2, fp_func_field,
-                             gauss_prime, padic, poly_prime, residue,
+                             gauss_prime, inert_residue_field, padic,
+                             poly_prime, prime_field, quot_field, residue,
                              uniformizer, uniformizer_pair, val, xadic)
 
 
@@ -93,6 +94,9 @@ def test_poly_prime():
     assert str(r) == "-x"
     with pytest.raises(UnsupportedError):
         poly_prime("x^2-1", QX_FIELD)
+    # the residue field Q[x]/(g) needs characteristic 0
+    with pytest.raises(UnsupportedError):
+        poly_prime("x^2+1", fp_func_field(3)).residue_field()
 
 
 def test_parse_print_roundtrip_examples():
@@ -173,3 +177,139 @@ def test_composite_additive(a1, b1, a2, b2):
     w = F.parse("x") ** a2 * F.parse("y") ** b2 * F.parse("(2+y)/(3+x*y)")
     va, vb = val(c2, u), val(c2, w)
     assert val(c2, u * w) == (va[0] + vb[0], va[1] + vb[1])
+
+
+# ---------------------------------------------------------------------------
+# field laws on every field kind
+# ---------------------------------------------------------------------------
+
+F3X = fp_func_field(3)
+F5 = prime_field(5)
+F3I = inert_residue_field(3)
+QUOT = quot_field([1, 0, 1])  # Q[x]/(x^2+1)
+
+# (field, characteristic) for each of the seven field kinds; F_p(x) is the
+# one-variable kind in characteristic p
+LAW_FIELDS = {"Q": (QQ_FIELD, 0), "Q(i)": (GAUSS_FIELD, 0),
+              "Q(x)": (QX_FIELD, 0), "F3(x)": (F3X, 3),
+              "Q(x,y)": (QXY_FIELD, 0), "F5": (F5, 5), "F3[i]": (F3I, 3),
+              "Q[x]/(x^2+1)": (QUOT, 0)}
+
+
+def _coefficients(char):
+    if char:
+        return st.integers(-6, 6).map(Fraction)
+    return st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def _elements(draw, field, char):
+    """Sums of coefficient times a product of small generator powers."""
+    gens = [field.gen(name) for name in field.generator_names()]
+    out = field.zero()
+    for _ in range(draw(st.integers(0, 3))):
+        term = field.from_fraction(draw(_coefficients(char)))
+        for g in gens:
+            term = term * g ** draw(st.integers(0, 2))
+        out = out + term
+    return out
+
+
+def _same(x, y):
+    # `==` compares reps, which are not canonical on F_p(x)
+    return not (x - y)
+
+
+@pytest.mark.parametrize("name", sorted(LAW_FIELDS))
+def test_field_laws(name):
+    field, char = LAW_FIELDS[name]
+    elems = _elements(field, char)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(elems, elems, elems)
+    def laws(a, b, c):
+        zero, one = field.zero(), field.one()
+        assert _same((a + b) + c, a + (b + c)) and _same(a + b, b + a)
+        assert _same((a * b) * c, a * (b * c)) and _same(a * b, b * a)
+        assert _same(a * (b + c), a * b + a * c)
+        assert _same(-a + a, zero) and _same(a - b, a + (-b))
+        assert _same(a + zero, a) and _same(a * one, a)
+        assert not (a * zero) and bool(one) and not zero
+        if b:
+            assert _same((a / b) * b, a) and _same(b ** -2 * b * b, one)
+        with pytest.raises(ZeroDivisionError):
+            a / zero
+
+    laws()
+
+
+@pytest.mark.parametrize("name", sorted(LAW_FIELDS))
+def test_mixed_fields_raise(name):
+    field, _ = LAW_FIELDS[name]
+    other = GAUSS_FIELD if field is QQ_FIELD else QQ_FIELD
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        with pytest.raises(FieldMismatchError):
+            getattr(field.one(), op)(other.one())
+
+
+def test_zero_and_one_are_built_once():
+    for field, _ in LAW_FIELDS.values():
+        assert field.zero() is field.zero() and field.one() is field.one()
+        assert field.from_int(0) == field.zero()
+        assert field.from_int(1) == field.one()
+
+
+def test_finite_denominators_raise():
+    for field in (F5, F3I, F3X):
+        with pytest.raises(FieldMismatchError):
+            field.from_fraction(Fraction(1, 3 if field is not F5 else 5))
+
+
+def test_finite_fields_list_their_elements():
+    assert [str(e) for e in F5.elements()] == ["0", "1", "2", "3", "4"]
+    assert [str(e) for e in F3I.elements()] == [
+        "0", "i", "2i", "1", "1+i", "1+2i", "2", "2+i", "2+2i"]
+    assert F5.elements() is F5.elements()
+    for field in (QQ_FIELD, GAUSS_FIELD, F3X, QUOT):
+        with pytest.raises(UnsupportedError):
+            field.elements()
+
+
+# str() of fixed elements, recorded before each field kind got its own
+# implementation object
+PRINTED = {
+    "Q": (["0", "7/2", "-3", "1/3 - 1/2", "(2/3)^-2"],
+          ["0", "7/2", "-3", "-1/6", "9/4"]),
+    "Q(i)": (["0", "1+i", "-i", "2+3/4i", "1/2-5i", "(1+i)/(1-i)",
+              "(2+i)^-1", "-3/2-i"],
+             ["0", "1+i", "-i", "2+3/4i", "1/2-5i", "i", "2/5-1/5i",
+              "-3/2-i"]),
+    "Q(x)": (["0", "x^2+1", "(x^2+1)/(2*x+2)", "-x", "1/x - x",
+              "(3*x^2 - 1/2)/(-x+4)"],
+             ["0", "x^2 + 1", "(1/2*x^2 + 1/2)/(x + 1)", "-x",
+              "(-x^2 + 1)/(x)", "(-3*x^2 + 1/2)/(x - 4)"]),
+    "F3(x)": (["0", "x^3 + 5*x", "(2*x+1)/(x+2)", "1/x", "-x^2 - 1",
+               "(x+1)^3/(2*x)"],
+              ["0", "x^3 + 2*x", "2", "(1)/(x)", "2*x^2 + 2",
+               "(2*x^3 + 2)/(x)"]),
+    "Q(x,y)": (["0", "x^3 + x^2*y^3", "(x*y)/(y+1)", "(2*x - y)/(3*x*y)",
+                "-y^2 + x - 1/2"],
+               ["0", "x^3 + x^2*y^3", "(x*y)/(y + 1)",
+                "(2/3*x - 1/3*y)/(x*y)", "x - y^2 - 1/2"]),
+    "F5": (["0", "3", "7", "1/2", "-1", "3/4", "2^-1"],
+           ["0", "3", "2", "3", "4", "2", "3"]),
+    "F3[i]": (["0", "i", "1+i", "2+2i", "(1+i)^-1", "-i", "2",
+               "(2+i)*(1+2i)"],
+              ["0", "i", "1+i", "2+2i", "2+i", "2i", "2", "2i"]),
+    "Q[x]/(x^2+1)": (["0", "x", "x^2", "x^3 + 1/2", "1/(1+x)", "-x",
+                      "-3/2*x + 2", "(x+2)^3"],
+                     ["0", "x", "-1", "-x + 1/2", "-1/2*x + 1/2", "-x",
+                      "-3/2*x + 2", "11*x + 2"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED))
+def test_printed_forms(name):
+    field, _ = LAW_FIELDS[name]
+    texts, printed = PRINTED[name]
+    assert [str(field.parse(t)) for t in texts] == printed

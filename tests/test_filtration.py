@@ -10,7 +10,7 @@ from gliderbs.filtration import (AlgebraFiltration, FieldFiltration,
                                  member, product_law_witness,
                                  strong_completion, valuation_filtration)
 from gliderbs.glider import FiltrationTail, Glider, MultiplyBy
-from gliderbs.lattice import FracIdeal
+from gliderbs.lattice import ZERO_MODULE, FracIdeal
 from gliderbs.orders import builtin_hurwitz2, maxorder_filtration
 
 
@@ -73,6 +73,12 @@ def test_associated_strong_examples(f5, f_mod):
                 MultiplyBy(FracIdeal(f_mod.base_ring, (1,))))
     out = associated_strong(f_mod, m2)
     assert out == f5 and out.is_dvr_valuation()
+    # a chain that ends in zero defines no unbounded negative part
+    m3 = Glider(f5, "field", [FracIdeal(f5.base_ring, (0,)),
+                              FracIdeal(f5.base_ring, (1,)), ZERO_MODULE],
+                FiltrationTail())
+    with pytest.raises(SpecValidationError, match="unbounded"):
+        associated_strong(f5, m3)
 
 
 def test_associated_strong_two_step():

@@ -186,3 +186,26 @@ def test_randomized_self_T3_and_shift_validity(f5):
         assert classify_subglider(g, g).trivial()
         gamma = rnd.randint(0, len(exps) - 1)
         assert is_glider(shift(g, gamma))[0]
+
+
+def test_classify_subglider_rejects_a_big_chain_that_is_not_a_glider(f5):
+    # a constant nonzero tail breaks the axiom; the T3 search used to
+    # walk its whole bound on this input instead of rejecting it
+    big = Glider(f5, "field", [ideal(f5, 0), ideal(f5, 1)], Constant())
+    for sub in (negative_part(f5), shift(negative_part(f5), 2)):
+        with pytest.raises(SpecValidationError, match="not a glider"):
+            classify_subglider(sub, big)
+
+
+@pytest.mark.parametrize("tail", ["filtration", "zeroafter", "multiply"])
+def test_zero_last_level_stabilizes_under_every_tail(f5, tail):
+    tails = {"filtration": FiltrationTail(), "zeroafter": ZeroAfter(),
+             "multiply": MultiplyBy(ideal(f5, 1))}
+    m = Glider(f5, "field", [ideal(f5, 0), ideal(f5, 1), ZERO_MODULE],
+               tails[tail])
+    assert m.stabilizes and m.tail == tails[tail]
+    assert body(m) is ZERO_MODULE
+    assert essential_length(m) == 1
+    v = classify_subglider(m, m)
+    assert v.kind == "T3" and v.alpha_slope == 0
+    assert shift(m, 5).level(0) is ZERO_MODULE

@@ -152,3 +152,56 @@ def test_algebra_validation():
     assert k == [fe(0), fe(0), fe(0), fe(1)]
     assert alg.mul_coords(j, i, QQ_FIELD) == [fe(0), fe(0), fe(0), fe(-1)]
     assert alg.mul_coords(k, k, QQ_FIELD) == [fe(-1), fe(0), fe(0), fe(0)]
+
+
+def test_base_ring_rejects_one_prime_under_two_names():
+    from gliderbs.fields import (GAUSS_FIELD, QX_FIELD, gauss_prime,
+                                 poly_prime, xadic)
+
+    with pytest.raises(SpecValidationError):
+        BaseRing(GAUSS_FIELD, (gauss_prime("1+i"), gauss_prime("1-i")))
+    with pytest.raises(SpecValidationError):
+        BaseRing(QX_FIELD, (xadic(QX_FIELD), poly_prime("x", QX_FIELD)))
+    # distinct primes of equal norm are two primes
+    assert BaseRing(GAUSS_FIELD, (gauss_prime("2+i"),
+                                  gauss_prime("2-i"))).nprimes == 2
+
+
+def _mix_bases():
+    from gliderbs.fields import (GAUSS_FIELD, QX_FIELD, gauss_prime,
+                                 poly_prime, xadic)
+
+    return {
+        "Q at 2,3,5": BaseRing(QQ_FIELD, (padic(2), padic(3), padic(5))),
+        "Q(i) at 2+i,2-i,3": BaseRing(GAUSS_FIELD, (
+            gauss_prime("2+i"), gauss_prime("2-i"), gauss_prime("3"))),
+        "Q(x) at x,x^2+1": BaseRing(QX_FIELD, (
+            xadic(QX_FIELD), poly_prime("x^2+1", QX_FIELD))),
+    }
+
+
+@pytest.mark.parametrize("name", ["Q at 2,3,5", "Q(i) at 2+i,2-i,3",
+                                  "Q(x) at x,x^2+1"])
+def test_mix_coefficient_reaches_the_minimum(name):
+    from hypothesis import given, settings, strategies as st
+
+    base = _mix_bases()[name]
+    pis = base.uniformizers
+    exps = st.lists(st.integers(-2, 2), min_size=len(pis),
+                    max_size=len(pis))
+
+    def elem(es, unit):
+        return base.from_exponents(es) * base.field.from_int(unit)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(exps, exps, st.sampled_from([1, -1, 7, 11]),
+           st.sampled_from([1, 13, -17]))
+    def mixes(ea, eb, ua, ub):
+        a, b = elem(ea, ua), elem(eb, ub)
+        c = base.mix_coefficient(a, b)
+        assert base.is_integral(c)
+        assert base.val_vector(a + c * b) == tuple(
+            min(s, t) for s, t in zip(base.val_vector(a),
+                                      base.val_vector(b)))
+
+    mixes()

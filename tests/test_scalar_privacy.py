@@ -1,0 +1,59 @@
+"""Field element representations stay private to `gliderbs.fields`: no
+other library module builds a `FieldElem(...)`, reads `.rep`, or compares
+a field's `.kind` with a field kind name."""
+
+import ast
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LIBRARY = os.path.join(ROOT, "src", "gliderbs")
+FIELD_KINDS = {"Q", "QI", "FUNC", "FUNC2", "FP", "FP2", "QUOT"}
+
+
+def _names_field_kind(node):
+    if isinstance(node, ast.Constant):
+        return node.value in FIELD_KINDS
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_field_kind(e) for e in node.elts)
+    return False
+
+
+def rep_leaks(source):
+    """(line, what) for each use of a field element's representation."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "FieldElem"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "FieldElem"):
+            out.append((node.lineno, "FieldElem(...)"))
+        elif isinstance(node, ast.Attribute) and node.attr == "rep":
+            out.append((node.lineno, ".rep"))
+        elif isinstance(node, ast.Compare):
+            operands = [node.left] + node.comparators
+            if any(isinstance(o, ast.Attribute) and o.attr == "kind"
+                   for o in operands) and \
+                    any(_names_field_kind(o) for o in operands):
+                out.append((node.lineno, "field .kind test"))
+    return sorted(out)
+
+
+def test_checker_flags_each_pattern():
+    source = ("e = FieldElem(fld, (1, 0))\n"
+              "r = x.rep.numer\n"
+              "if fld.kind in ('FP', 'FP2'):\n"
+              "    pass\n"
+              "ok = v.kind == 'padic' and tail.kind != 'multiply'\n")
+    assert rep_leaks(source) == [(1, "FieldElem(...)"), (2, ".rep"),
+                                 (3, "field .kind test")]
+
+
+def test_no_module_but_fields_touches_reps():
+    leaks = []
+    for name in sorted(os.listdir(LIBRARY)):
+        if not name.endswith(".py") or name == "fields.py":
+            continue
+        with open(os.path.join(LIBRARY, name), encoding="utf-8") as fh:
+            leaks += [f"{name}:{line} {what}"
+                      for line, what in rep_leaks(fh.read())]
+    assert leaks == []

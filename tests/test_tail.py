@@ -111,8 +111,8 @@ def _partners(f5):
 
 
 def _verdict(n, m):
-    """Kind and level, or the error type: a constant big chain that is not
-    a glider can exhaust the T3 search bound."""
+    """Kind and level, or the error type: a big chain that is not a
+    glider is rejected."""
     try:
         v = classify_subglider(n, m)
     except GbsError as exc:
