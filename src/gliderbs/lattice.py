@@ -20,6 +20,8 @@ ideal of the algebra.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
@@ -33,7 +35,7 @@ __all__ = [
     "Lattice", "FracIdeal", "ZERO_MODULE",
     "span", "canonicalize", "add", "intersect", "mult",
     "colon_left", "colon_right", "quotient_length", "is_simple_quotient",
-    "intermediate_module", "solve_dual",
+    "intermediate_module", "solve_dual", "memo_scope",
 ]
 
 
@@ -359,23 +361,54 @@ def quaternion_algebra(a, b):
 # ---------------------------------------------------------------------------
 
 class Lattice:
-    """Canonical-form R-module in K^d.  Rows form the canonical basis."""
+    """Canonical-form R-module in K^d.  Rows form the canonical basis.
 
-    __slots__ = ("base", "dim", "rows")
+    A lattice also carries a scale presentation self = pi^exps * root.
+    `scale`, `scale_ideal` and the memo results of `mult` and `_colon`
+    record the root they multiply and the exponents; a lattice from `span`
+    is its own root with exponents 0.  Rows stay the authoritative
+    content: those of a scaled lattice are the root's rows times a product
+    of uniformizer powers (which keeps them canonical), computed on first
+    read.  Two lattices on one root compare by exponents: pi^b P lies in
+    pi^a P iff b >= a componentwise, their sum is pi^min(a,b) P and their
+    intersection pi^max(a,b) P.
+    """
 
-    def __init__(self, base, dim, rows, _canonical=False):
+    __slots__ = ("base", "dim", "_rows", "_root", "exps", "_hash",
+                 "_primitive")
+
+    def __init__(self, base, dim, rows, _canonical=False, _root=None,
+                 _exps=None):
         if not _canonical:
             raise RankError("use span()/canonicalize() to build lattices")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_root", _root)
+        object.__setattr__(self, "exps",
+                           (0,) * base.nprimes if _exps is None else _exps)
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_primitive", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Lattice is immutable")
 
     @property
+    def rows(self):
+        rows = self._rows
+        if rows is None:
+            t = self.base.from_exponents(self.exps)
+            rows = tuple(tuple(t * e for e in row) for row in self._root.rows)
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
+    @property
+    def root(self):
+        return self if self._root is None else self._root
+
+    @property
     def rank(self):
-        return len(self.rows)
+        return len(self.root.rows)
 
     @property
     def full(self):
@@ -416,7 +449,12 @@ class Lattice:
         if other is ZERO_MODULE:
             return True
         _check_compatible(self, other)
+        if self.root is other.root:
+            return not self.rank or all(
+                a <= b for a, b in zip(self.exps, other.exps))
         return all(self.contains_vector(r) for r in other.rows)
+
+    # -- scale presentation --------------------------------------------------
 
     def scale(self, x):
         """x * L for a nonzero field element x.
@@ -427,23 +465,52 @@ class Lattice:
         """
         if not x:
             raise SpecValidationError("scaling a lattice by zero")
-        t = self.base.from_exponents(self.base.val_vector(x))
-        rows = tuple(tuple(t * e for e in row) for row in self.rows)
-        return Lattice(self.base, self.dim, rows, _canonical=True)
+        return self.scale_exponents(self.base.val_vector(x))
 
     def scale_ideal(self, ideal):
-        t = self.base.from_exponents(ideal.exps)
-        rows = tuple(tuple(t * e for e in row) for row in self.rows)
-        return Lattice(self.base, self.dim, rows, _canonical=True)
+        return self.scale_exponents(ideal.exps)
+
+    def scale_exponents(self, exps):
+        """pi^exps * L, presented on the root of L."""
+        if not any(exps):
+            return self
+        return Lattice(self.base, self.dim, None, _canonical=True,
+                       _root=self.root,
+                       _exps=tuple(a + b for a, b in zip(self.exps, exps)))
+
+    def primitive(self):
+        """(Q, f) with self = pi^f * Q, where Q is the root divided by the
+        largest uniformizer power dividing all of its entries: lattices
+        that differ by a central scalar have equal Q.  One valuation pass
+        per root, cached on the root."""
+        root = self.root
+        q = root._primitive
+        if q is None:
+            mins = None
+            for row in root.rows:
+                for e in row:
+                    if e:
+                        v = root.base.val_vector(e)
+                        mins = v if mins is None else tuple(map(min, mins, v))
+            q = root if mins is None else \
+                root.scale_exponents(tuple(-m for m in mins))
+            object.__setattr__(root, "_primitive", q)
+        return q, tuple(a - b for a, b in zip(self.exps, q.exps))
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):
             return NotImplemented
+        if self.root is other.root:
+            return self.exps == other.exps or not self.rank
         return (self.base is other.base and self.dim == other.dim
                 and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.base, self.dim, self.rows))
+        h = self._hash
+        if h is None:
+            h = hash((self.base, self.dim, self.rows))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         rws = "; ".join(",".join(str(e) for e in row) for row in self.rows)
@@ -545,7 +612,19 @@ def add(x, y):
     if y is ZERO_MODULE:
         return x
     _check_compatible(x, y)
+    if x.root is y.root:
+        return _on_root(x, y, min)
     return span(x.base, x.dim, list(x.rows) + list(y.rows))
+
+
+def _on_root(x, y, pick):
+    """pi^pick(a,b) P for x = pi^a P and y = pi^b P."""
+    exps = tuple(map(pick, x.exps, y.exps))
+    if exps == x.exps:
+        return x
+    if exps == y.exps:
+        return y
+    return x.root.scale_exponents(exps)
 
 
 def solve_dual(base, dim, int_conditions, zero_conditions=()):
@@ -597,6 +676,8 @@ def intersect(x, y):
     if x is ZERO_MODULE or y is ZERO_MODULE:
         return ZERO_MODULE
     _check_compatible(x, y)
+    if x.root is y.root:
+        return _on_root(x, y, max)
     field = x.base.field
     if x.full and y.full:
         xi = linalg.mat_inv([list(r) for r in x.rows], field)
@@ -657,6 +738,51 @@ def _coords_matrix(vectors, lat):
     return Q, residual
 
 
+# ---------------------------------------------------------------------------
+# products and colons, with the memo of a scope
+# ---------------------------------------------------------------------------
+
+class _MemoState(threading.local):
+    memo = None
+
+
+_MEMO = _MemoState()
+
+
+@contextmanager
+def memo_scope():
+    """Inside the scope, `mult` and `_colon` reduce each operand to its
+    primitive part, look the pair up by content and rescale the result:
+    (pi^a X)(pi^b Y) = pi^(a+b) XY and (pi^a X : pi^b Y) = pi^(a-b) (X : Y).
+    Nested scopes share the memo of the outermost one, which is dropped
+    when it exits.  The state is per thread."""
+    if _MEMO.memo is not None:
+        yield
+        return
+    _MEMO.memo = {}
+    try:
+        yield
+    finally:
+        _MEMO.memo = None
+
+
+def _through_memo(compute, x, y, alg, side, sign):
+    """compute(x, y, alg, side); in a memo scope, its value on the
+    primitive parts (computed once per scope) times pi^(e_x + sign*e_y)."""
+    memo = _MEMO.memo
+    if memo is None:
+        return compute(x, y, alg, side)
+    px, ex = x.primitive()
+    py, ey = y.primitive()
+    key = (px, py, alg, side)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = compute(px, py, alg, side)
+    if out is ZERO_MODULE:
+        return out
+    return out.scale_exponents(tuple(a + sign * b for a, b in zip(ex, ey)))
+
+
 def mult(x, y, alg):
     """Lattice spanned by all products of basis elements under the algebra
     multiplication."""
@@ -665,6 +791,10 @@ def mult(x, y, alg):
     _check_compatible(x, y)
     if x.dim != alg.dim:
         raise BaseMismatchError("lattice ambient does not match the algebra")
+    return _through_memo(_span_products, x, y, alg, "mult", 1)
+
+
+def _span_products(x, y, alg, side):
     field = x.base.field
     prods = [alg.mul_coords(u, w, field) for u in x.rows for w in y.rows]
     out = span(x.base, x.dim, prods)
@@ -687,6 +817,10 @@ def _colon(x, y, alg, side):
     if x is ZERO_MODULE:
         x = zero_lattice(y.base, y.dim)
     _check_compatible(x, y)
+    return _through_memo(_solve_colon, x, y, alg, side, -1)
+
+
+def _solve_colon(x, y, alg, side):
     base, dim, field = x.base, x.dim, x.base.field
     int_conds = []
     zero_conds = []

@@ -1,10 +1,11 @@
 import pytest
 
+from gliderbs import brandt, lattice
 from gliderbs.brandt import (NormalGliderIdeal, inverse, left_glider_order,
                              modulizer_chain, product, right_glider_order,
                              two_sided_translate, unit_left, unit_right,
                              verify_groupoid)
-from gliderbs.errors import RankError
+from gliderbs.errors import MaximalityError, RankError
 from gliderbs.fields import QQ_FIELD
 from gliderbs.glider import FiltrationTail, Glider
 from gliderbs.lattice import add, mult, span
@@ -105,3 +106,97 @@ def test_groupoid_gate_blocks_improper_pairs(neg_part):
     assert rep.all_pass()
     gate = next(a for a in rep.axioms if a["axiom"] == 2)
     assert gate["detail"].startswith("2 blocked")
+
+
+def _translate(neg_part, g, h):
+    return two_sided_translate(neg_part, tuple(fe(t) for t in g),
+                               tuple(fe(t) for t in h))
+
+
+@pytest.fixture()
+def non_maximal(f5, r5, m2):
+    """A chain whose left glider order is not maximal: it has no inverse."""
+    rows = [[fe(t) for t in r]
+            for r in ([1, 0, 0, 3], [0, 1, 0, 3], [0, 0, 1, 3], [0, 0, 0, 5])]
+    return NormalGliderIdeal(Glider(f5, "algebra", [span(r5, 4, rows)],
+                                    FiltrationTail(), alg=m2))
+
+
+def test_failed_inverse_is_not_cached(non_maximal):
+    for _ in range(2):
+        with pytest.raises(MaximalityError):
+            inverse(non_maximal)
+    for _ in range(2):
+        with pytest.raises(MaximalityError):
+            unit_left(non_maximal)
+
+
+def test_groupoid_reports_missing_inverse(non_maximal):
+    rep = verify_groupoid([non_maximal])
+    ax4 = next(a for a in rep.axioms if a["axiom"] == 4)
+    assert ax4["status"] == "fail"
+    assert ax4["counterexample"]["element"] == 0
+    assert "not maximal" in ax4["counterexample"]["error"]
+
+
+def test_groupoid_gate_checks_units_of_products(neg_part, monkeypatch):
+    """Axiom 2 fails when unit_left answers with another element's unit."""
+    other = two_sided_translate(
+        neg_part, (fe(5), fe(0), fe(0), fe(1)),
+        (QQ_FIELD.parse("1/5"), fe(0), fe(0), fe(1)))
+    sample = [neg_part, other]
+    gate = next(a for a in verify_groupoid(sample).axioms if a["axiom"] == 2)
+    assert gate["status"] == "pass"
+    real = brandt.unit_left
+    swapped = {0: real(other), 1: real(neg_part)}
+
+    def wrong_unit(m):
+        for idx, el in enumerate(sample):
+            if m == el:
+                return swapped[idx]
+        return real(m)
+
+    monkeypatch.setattr(brandt, "unit_left", wrong_unit)
+    gate = next(a for a in verify_groupoid(sample).axioms if a["axiom"] == 2)
+    assert gate["status"] == "fail"
+    assert gate["counterexample"]["pair"] == (0, 1)
+    assert gate["detail"] == "2 blocked pairs out of 4"
+
+
+def test_groupoid_product_memo_is_keyed_on_content(neg_part, f5, b_m2, m2,
+                                                   monkeypatch):
+    """An equal ideal built separately adds only its own two unit
+    products (E^l and E^r, cached per instance); every product that
+    verify_groupoid takes of it is the memo entry of the first copy."""
+    twin = NormalGliderIdeal(Glider(f5, "algebra", [span(b_m2.base, 4,
+                                                         b_m2.rows)],
+                                    FiltrationTail(), alg=m2))
+    assert twin == neg_part and twin is not neg_part
+    calls = []
+    real = brandt.product
+    monkeypatch.setattr(brandt, "product",
+                        lambda m, n: calls.append(1) or real(m, n))
+
+    def products(sample):
+        calls.clear()
+        fresh = [NormalGliderIdeal(m.glider) for m in sample]
+        assert verify_groupoid(fresh).all_pass()
+        return len(calls)
+
+    assert products([neg_part, twin]) == products([neg_part]) + 2
+
+
+def test_translate_hnf_count(neg_part, monkeypatch):
+    """HNFs behind inverse, product and modulizer chain of one translate
+    g M_2(Z_(5)) h.  The memo scope computes each product and colon once
+    up to scaling: 11 HNFs, against 533 without the memo (8 + 1 + 2
+    against 52 + 81 + 400)."""
+    m = _translate(neg_part, (1, 1, 0, 1), (5, 0, 0, 1))
+    calls = []
+    real = lattice._hnf
+    monkeypatch.setattr(lattice, "_hnf",
+                        lambda *args: calls.append(1) or real(*args))
+    inv = inverse(m)
+    product(m, inv)
+    modulizer_chain(m)
+    assert len(calls) == 11
