@@ -18,9 +18,9 @@ import functools
 
 from .errors import MaximalityError, RankError, SpecValidationError
 from .filtration import FieldFiltration
-from .glider import fit_tail, level_eq, require_glider
-from .lattice import (add, colon_left, colon_right, intersect, memo_scope,
-                      mult, span)
+from .glider import Glider, fit_tail, require_glider
+from .lattice import (ZERO_MODULE, colon_left, colon_right, intersect,
+                      memo_scope, mult, span)
 from .orders import OrderData
 
 __all__ = [
@@ -124,18 +124,20 @@ def right_glider_order(m):
     return m._cache[key]
 
 
-def _repackage(filtration, alg, levels, own=None):
+def _repackage(filtration, alg, levels):
     """Build a glider from explicitly computed levels, fitting an exact
     tail rule; `levels` must extend far enough to verify the rule."""
     keep = len(levels) - 2 * filtration.phi.minus_period - 2
     if keep < 1:
         raise SpecValidationError("not enough levels to fit a tail")
-    return fit_tail(filtration, "algebra", levels, keep, alg=alg, own=own)
+    return fit_tail(filtration, "algebra", levels, keep, alg=alg)
 
 
 @_in_memo_scope
 def product(m, n):
-    """(M*N)_i = sum_{k <= i} M_k N_{i-k}, levelwise exact."""
+    """(M*N)_i = sum_{k <= i} M_k N_{i-k}, levelwise exact.  The result
+    is re-checked as a glider: when F_i F_j differs from F_{i+j} the
+    product chain can fail the axiom (SpecValidationError)."""
     m, n = _as_ideal(m), _as_ideal(n)
     if m.alg is not n.alg or m.filtration != n.filtration:
         raise SpecValidationError("product needs matching algebra and base")
@@ -143,10 +145,9 @@ def product(m, n):
     upto = m.window + n.window + 2 * ph.minus_period + 3
     levels = []
     for i in range(upto + 1):
-        acc = None
+        acc = ZERO_MODULE
         for k in range(i + 1):
-            term = mult(m.level(k), n.level(i - k), m.alg)
-            acc = term if acc is None else add(acc, term)
+            acc = acc.add(mult(m.level(k), n.level(i - k), m.alg))
         levels.append(acc)
     return NormalGliderIdeal(_repackage(m.filtration, m.alg, levels))
 
@@ -171,7 +172,7 @@ def inverse(m):
     # maximal-order hypothesis, checked through its consequence; only a
     # checked inverse is cached
     upto2 = m.window + 2 * ph.minus_period + 2
-    back = all(level_eq(_two_sided_colon(inv, i), m.level(i))
+    back = all(_two_sided_colon(inv, i) == m.level(i)
                for i in range(upto2 + 1))
     if not back:
         raise MaximalityError(
@@ -228,19 +229,19 @@ def modulizer_chain(m):
 
 @_in_memo_scope
 def two_sided_translate(m, g, h):
-    """The chain g * M_i * h for invertible algebra elements g, h."""
+    """The chain g * M_i * h for invertible algebra elements g, h: the
+    window is translated and the tail kept, since g (S M_N) h = S (g M_N h)
+    for every scalar ideal S."""
     m = _as_ideal(m)
     alg = m.alg
     field = m.filtration.base_ring.field
     levels = []
-    ph = m.filtration.phi
-    upto = m.window + 2 * ph.minus_period + 3
-    for i in range(upto + 1):
+    for lvl in m.glider.prefix:
         rows = [alg.mul_coords(alg.mul_coords(g, row, field), h, field)
-                for row in m.level(i).rows]
-        levels.append(span(m.level(i).base, alg.dim, rows))
-    return NormalGliderIdeal(_repackage(m.filtration, alg, levels,
-                                        own=m.glider.tail))
+                for row in lvl.rows]
+        levels.append(span(lvl.base, alg.dim, rows))
+    return NormalGliderIdeal(Glider(m.filtration, "algebra", levels,
+                                    m.glider.tail, alg=alg))
 
 
 # ---------------------------------------------------------------------------

@@ -194,9 +194,9 @@ def _multiplier_witness(m, rule):
         cands.append(tuple(2 if t == j else 0 for t in range(r)))
     for exps in cands:
         ideal = FracIdeal(ring, exps)
-        prefix = [lvl.mul(ideal) if lvl is not ZERO_MODULE else ZERO_MODULE
-                  for lvl in (m.level(i) for i in range(m.prefix_end + 1))]
-        witness = Glider(m.filtration, m.ambient, prefix, m.tail, alg=m.alg)
+        witness = Glider(m.filtration, m.ambient,
+                         [lvl.scale_ideal(ideal) for lvl in m.prefix],
+                         m.tail, alg=m.alg)
         verdict = classify_subglider_unchecked(witness, m)
         if verdict.kind == "nontrivial":
             return Verdict("reducible", witness=witness, witness_shift=0,
@@ -410,7 +410,7 @@ def classify_csa_glider(m):
                                reason="non-simple quotient without an "
                                       "intermediate module")
             rule = ("csa.ramification-one"
-                    if _is_scalar_step_gap(m, filt, i) else
+                    if _is_scalar_step_gap(filt) else
                     "csa.relative-product")
             witness = Glider(filt, "algebra", [w], FiltrationTail(),
                              alg=alg)
@@ -441,7 +441,7 @@ def classify_csa_glider(m):
                    rule="csa.relative-product")
 
 
-def _is_scalar_step_gap(m, filt, i):
+def _is_scalar_step_gap(filt):
     """A non-simple quotient caused by a scalar step deeper than the
     maximal ideal (the ramification obstruction)."""
     ph = filt.base.phi

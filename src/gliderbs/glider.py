@@ -19,18 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (BaseMismatchError, SpecValidationError,
-                     UnsupportedError)
+from .errors import BaseMismatchError, SpecValidationError, UnsupportedError
 from .fields import INF
 from .filtration import AlgebraFiltration, FieldFiltration
-from .lattice import FracIdeal, Lattice, ZERO_MODULE, add, mult
+from .lattice import FracIdeal, Lattice, ZERO_MODULE, mult
 
 __all__ = [
     "Tail", "FiltrationTail", "MultiplyBy", "Constant", "ZeroAfter",
     "Glider", "TrivialityVerdict",
     "is_glider", "body", "essential_length", "shift", "scalar_shift",
     "classify_subglider", "classify_subglider_unchecked", "require_glider",
-    "level_contains", "level_eq", "level_scale_ideal",
     "fit_tail", "realize_field_chain", "negative_part",
 ]
 
@@ -90,48 +88,6 @@ def ZeroAfter():
 
 
 # ---------------------------------------------------------------------------
-# level helpers (fractional ideals, lattices, the zero module)
-# ---------------------------------------------------------------------------
-
-def level_contains(big, small):
-    if small is ZERO_MODULE:
-        return True
-    if big is ZERO_MODULE:
-        return False
-    if type(big) is not type(small):
-        raise BaseMismatchError("mixed level kinds")
-    return big.contains(small)
-
-
-def level_eq(a, b):
-    if a is ZERO_MODULE or b is ZERO_MODULE:
-        return a is b
-    return a == b
-
-
-def level_add(a, b):
-    if a is ZERO_MODULE:
-        return b
-    if b is ZERO_MODULE:
-        return a
-    if isinstance(a, FracIdeal):
-        return a.add(b)
-    return add(a, b)
-
-
-def level_scale_ideal(level, ideal):
-    if level is ZERO_MODULE:
-        return ZERO_MODULE
-    if isinstance(level, FracIdeal):
-        return level.mul(ideal)
-    return level.scale_ideal(ideal)
-
-
-def _level_is_zero(level):
-    return level is ZERO_MODULE
-
-
-# ---------------------------------------------------------------------------
 # gliders
 # ---------------------------------------------------------------------------
 
@@ -141,7 +97,10 @@ class Glider:
     ambient is 'field' (levels are fractional ideals of the base ring) or
     'algebra' (levels are lattices in the algebra; the filtration may be a
     field filtration acting by scalars or an algebra filtration acting by
-    lattice multiplication).
+    lattice multiplication).  A vanished level is ZERO_MODULE in both; a
+    rank-0 lattice given as a level is stored as ZERO_MODULE, so zero has
+    one spelling.  Levels are used only through the level protocol of
+    `gliderbs.lattice` (`contains`, `==`, `add`, `scale_ideal`, `scale`).
     """
 
     def __init__(self, filtration, ambient, prefix, tail, alg=None):
@@ -168,10 +127,15 @@ class Glider:
                         "algebra gliders over a field filtration need the "
                         "algebra descriptor")
                 self.alg = alg
+            levels = []
             for lvl in prefix:
-                if lvl is not ZERO_MODULE and not isinstance(lvl, Lattice):
+                if isinstance(lvl, Lattice):
+                    lvl = lvl if lvl.rank else ZERO_MODULE
+                elif lvl is not ZERO_MODULE:
                     raise SpecValidationError(
                         "algebra glider levels are lattices")
+                levels.append(lvl)
+            prefix = levels
         self.filtration = filtration
         self.ambient = ambient
         self.prefix = tuple(prefix)
@@ -179,15 +143,14 @@ class Glider:
             raise SpecValidationError(f"not a glider tail: {tail!r}")
         self.tail = tail
         for i in range(len(self.prefix) - 1):
-            if not level_contains(self.prefix[i], self.prefix[i + 1]):
+            if not self.prefix[i].contains(self.prefix[i + 1]):
                 raise SpecValidationError(
                     f"prefix does not descend at level {i}")
         # the other tails descend by construction
         if tail.kind == "filtration":
-            base = self._base_field_filtration()
-            if level_contains(self.prefix[-1],
-                              level_scale_ideal(self.prefix[-1],
-                                                base.level(-1))) is False:
+            last = self.prefix[-1]
+            step = self._base_field_filtration().level(-1)
+            if not last.contains(last.scale_ideal(step)):
                 raise SpecValidationError("tail does not descend")
 
     def _base_field_filtration(self):
@@ -218,7 +181,7 @@ class Glider:
             s = t.ideal.pow(i - n)
         else:
             return self.prefix[n] if t.kind == "constant" else ZERO_MODULE
-        return level_scale_ideal(self.prefix[n], s)
+        return self.prefix[n].scale_ideal(s)
 
     @property
     def horizon(self):
@@ -234,13 +197,14 @@ class Glider:
         return 1
 
     def act(self, i, level):
-        """F_i * level inside the ambient."""
+        """F_i * level inside the ambient (F_i * 0 = 0 without building
+        F_i)."""
         if level is ZERO_MODULE:
-            return ZERO_MODULE
+            return level
         f = self.filtration
-        if self.ambient == "algebra" and isinstance(f, AlgebraFiltration):
+        if isinstance(f, AlgebraFiltration):
             return mult(f.level(i), level, self.alg)
-        return level_scale_ideal(level, f.level(i))
+        return level.scale_ideal(f.level(i))
 
     def levels(self, upto):
         return [self.level(i) for i in range(upto + 1)]
@@ -272,8 +236,7 @@ class Glider:
         if self.ambient != other.ambient:
             return False
         h = max(self.horizon, other.horizon)
-        if any(not level_eq(self.level(i), other.level(i))
-               for i in range(h + 1)):
+        if any(self.level(i) != other.level(i) for i in range(h + 1)):
             return False
         return _same_growth(self, other)
 
@@ -285,7 +248,7 @@ class Glider:
 def _same_growth(a, b):
     if a.stabilizes or b.stabilizes:
         h = max(a.horizon, b.horizon) + 2
-        return all(level_eq(a.level(i), b.level(i)) for i in range(h + 3))
+        return all(a.level(i) == b.level(i) for i in range(h + 3))
     steps = a.period * b.period
     return a.growth_ideal(steps).exps == b.growth_ideal(steps).exps
 
@@ -300,14 +263,14 @@ def is_glider(m):
     failure is (i, j, witness vector/element)."""
     levels = m.levels(m.horizon)
     for i in range(len(levels) - 1):
-        if not level_contains(levels[i], levels[i + 1]):
+        if not levels[i].contains(levels[i + 1]):
             return False, (i, i + 1, _containment_witness(levels[i + 1],
                                                           levels[i]))
     for j, mj in enumerate(levels):
         for i in range(j + 1):
             prod = m.act(i, mj)
             target = levels[j - i]
-            if not level_contains(target, prod):
+            if not target.contains(prod):
                 return False, (i, j, _containment_witness(prod, target))
     return True, None
 
@@ -348,7 +311,7 @@ def essential_length(m):
         return INF
     n = m.prefix_end
     drops = [d for d in range(n + 1)
-             if not level_contains(m.level(d + 1), m.level(d))]
+             if not m.level(d + 1).contains(m.level(d))]
     return drops[-1] if drops else INF
 
 
@@ -380,17 +343,8 @@ def scalar_shift(m, x):
     """Levelwise multiplication by a nonzero field element."""
     if not x:
         raise SpecValidationError("scalar shift by zero")
-    prefix = []
-    for lvl in m.prefix:
-        if lvl is ZERO_MODULE:
-            prefix.append(ZERO_MODULE)
-        elif isinstance(lvl, FracIdeal):
-            vec = lvl.base.val_vector(x)
-            prefix.append(FracIdeal(
-                lvl.base, tuple(e + v for e, v in zip(lvl.exps, vec))))
-        else:
-            prefix.append(lvl.scale(x))
-    return Glider(m.filtration, m.ambient, prefix, m.tail, alg=m.alg)
+    return Glider(m.filtration, m.ambient, [lvl.scale(x) for lvl in m.prefix],
+                  m.tail, alg=m.alg)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +401,7 @@ def classify_subglider_unchecked(n_gl, m_gl):
     h = max(n_gl.horizon, m_gl.horizon) + 2
     # containment levelwise on the horizon, then slope comparison
     for i in range(h + 1):
-        if not level_contains(m_gl.level(i), n_gl.level(i)):
+        if not m_gl.level(i).contains(n_gl.level(i)):
             return TrivialityVerdict(
                 "not-subglider", level=i,
                 witness=_containment_witness(n_gl.level(i), m_gl.level(i)))
@@ -458,12 +412,12 @@ def classify_subglider_unchecked(n_gl, m_gl):
             witness=_containment_witness(n_gl.level(bad), m_gl.level(bad)))
     # T2: N hits zero while M is nonzero
     for i in range(h + 1):
-        if _level_is_zero(n_gl.level(i)) and not _level_is_zero(m_gl.level(i)):
+        if n_gl.level(i) is ZERO_MODULE and m_gl.level(i) is not ZERO_MODULE:
             return TrivialityVerdict("T2", level=i, horizon=h)
     # T1: N hits its body while M is away from its own
     bn, bm = body(n_gl), body(m_gl)
     for i in range(h + 1):
-        if level_eq(n_gl.level(i), bn) and not level_eq(m_gl.level(i), bm):
+        if n_gl.level(i) == bn and m_gl.level(i) != bm:
             return TrivialityVerdict("T1", level=i, horizon=h)
     # T3: strictly increasing index reparametrization
     alpha = _t3_search(n_gl, m_gl, h)
@@ -485,11 +439,11 @@ def _containment_fails_eventually(n_gl, m_gl, h):
         # M is constant (possibly zero) from before h on, and N descends
         return None
     if n_gl.stabilizes:
-        if _level_is_zero(n_gl.level(h)):
+        if n_gl.level(h) is ZERO_MODULE:
             return None
         # N constant nonzero inside strictly descending M: must fail; scan
         i = h
-        while level_contains(m_gl.level(i), n_gl.level(i)):
+        while m_gl.level(i).contains(n_gl.level(i)):
             i += 1
             if i > h + 64 * (m_gl.horizon + 2):  # pragma: no cover
                 raise UnsupportedError("containment scan exceeded bound")
@@ -500,7 +454,7 @@ def _containment_fails_eventually(n_gl, m_gl, h):
     if all(a >= b for a, b in zip(sn.exps, sm.exps)):
         return None
     i = max(n_gl.deep_start(), m_gl.deep_start())
-    while level_contains(m_gl.level(i), n_gl.level(i)):
+    while m_gl.level(i).contains(n_gl.level(i)):
         i += steps
         if i > h + 64 * steps * (m_gl.horizon + 2):  # pragma: no cover
             raise UnsupportedError("containment scan exceeded bound")
@@ -509,7 +463,7 @@ def _containment_fails_eventually(n_gl, m_gl, h):
 
 def _next_distinct(m_gl, n, bound):
     j = n + 1
-    while j <= bound and level_eq(m_gl.level(j), m_gl.level(n)):
+    while j <= bound and m_gl.level(j) == m_gl.level(n):
         j += 1
     return j if j <= bound else None
 
@@ -530,13 +484,11 @@ def _t3_search(n_gl, m_gl, h):
         found = None
         while True:
             mj = m_gl.level(j)
-            if level_eq(mj, target):
+            if mj == target:
                 found = j
                 break
             # descending: once M_j drops strictly below N_i, no match left
-            if not level_contains(mj, target):
-                break
-            if _level_is_zero(mj):
+            if not mj.contains(target):
                 break
             j += 1
             if j > prev + 1 + 256 * (h + 2):  # pragma: no cover
@@ -552,14 +504,13 @@ def _t3_search(n_gl, m_gl, h):
         # horizon extends beyond both stabilization points: matched values
         # continue verbatim (constant-to-constant or zero-to-zero)
         last_n = n_gl.level(h)
-        if _level_is_zero(last_n) or not n_stab:
+        if last_n is ZERO_MODULE or not n_stab:
             return alpha, 0
         # N is eventually constant: alpha can stay put only if M also
         # stabilizes at the same level
         j = alpha[-1] + 1
-        if level_eq(m_gl.level(j), last_n) or (
-                m_stab and level_eq(m_gl.level(max(j, m_gl.prefix_end + 1)),
-                                    last_n)):
+        if m_gl.level(j) == last_n or (
+                m_stab and m_gl.level(max(j, m_gl.prefix_end + 1)) == last_n):
             return alpha, 0
         return None
     steps_n = n_gl.period
@@ -596,17 +547,15 @@ def _sandwich_witness(n_gl, m_gl, h):
     between, else N_n + M_next."""
     for i in range(h + 1):
         mi, ni = m_gl.level(i), n_gl.level(i)
-        if level_eq(mi, ni):
+        if mi == ni:
             continue
         nd = _next_distinct(m_gl, i, h + (h + 2) * 8)
         if nd is None:
             continue
         mnext = m_gl.level(nd)
-        for w in (ni, level_add(ni, mnext)):
-            if w is ZERO_MODULE:
-                continue
-            if level_contains(mi, w) and not level_eq(mi, w) \
-                    and level_contains(w, mnext) and not level_eq(w, mnext):
+        for w in (ni, ni.add(mnext)):
+            if mi.contains(w) and mi != w and w.contains(mnext) \
+                    and w != mnext:
                 return i, w
     raise UnsupportedError(
         "no sandwich witness found on the decision horizon; "
@@ -632,7 +581,7 @@ def fit_tail(filtration, ambient, levels, keep, alg=None, own=None):
         if tail is None or tail in candidates[:j]:
             continue
         cand = Glider(filtration, ambient, levels[:keep], tail, alg=alg)
-        if all(level_eq(cand.level(i), lvl) for i, lvl in enumerate(levels)):
+        if all(cand.level(i) == lvl for i, lvl in enumerate(levels)):
             return cand
     raise UnsupportedError(
         "computed levels are not presentable by the supported tail rules")

@@ -40,7 +40,13 @@ __all__ = [
 
 
 class _ZeroModule:
-    """The zero module; the shared marker for vanished glider levels."""
+    """The zero module, the null level of every glider chain.
+
+    Levels (`FracIdeal`, `Lattice` and this object) answer one protocol:
+    `contains`, `==`, `add`, `scale_ideal` and `scale`.  The zero module
+    contains only itself, adds as the identity and scales to itself; it
+    equals only itself (identity equality).
+    """
 
     _inst = None
 
@@ -48,6 +54,18 @@ class _ZeroModule:
         if cls._inst is None:
             cls._inst = super().__new__(cls)
         return cls._inst
+
+    def contains(self, other):
+        return other is self
+
+    def add(self, other):
+        return other
+
+    def scale_ideal(self, ideal):
+        return self
+
+    def scale(self, x):
+        return self
 
     def __repr__(self):
         return "ZERO_MODULE"
@@ -470,6 +488,14 @@ class Lattice:
     def scale_ideal(self, ideal):
         return self.scale_exponents(ideal.exps)
 
+    def add(self, other):
+        if other is ZERO_MODULE:
+            return self
+        _check_compatible(self, other)
+        if self.root is other.root:
+            return _on_root(self, other, min)
+        return span(self.base, self.dim, list(self.rows) + list(other.rows))
+
     def scale_exponents(self, exps):
         """pi^exps * L, presented on the root of L."""
         if not any(exps):
@@ -607,14 +633,8 @@ def zero_lattice(base, dim):
 
 
 def add(x, y):
-    if x is ZERO_MODULE:
-        return y
-    if y is ZERO_MODULE:
-        return x
-    _check_compatible(x, y)
-    if x.root is y.root:
-        return _on_root(x, y, min)
-    return span(x.base, x.dim, list(x.rows) + list(y.rows))
+    """x + y for lattices and the zero module."""
+    return x.add(y)
 
 
 def _on_root(x, y, pick):
@@ -963,9 +983,9 @@ def is_simple_quotient(x, y, b, alg):
     field; dimension-1 quotients are simple outright).
     """
     _module_checks(x, y, b, alg)
-    if y is ZERO_MODULE:
-        return False if x is ZERO_MODULE else _is_simple_vs_zero(x, b, alg)
-    if x == y:
+    # X/0 is never simple: X is zero or torsion-free of positive rank, and
+    # then p*X is a proper nonzero submodule
+    if y is ZERO_MODULE or x == y:
         return False
     j = _killing_prime(x, y)
     if j is None:
@@ -985,12 +1005,6 @@ def is_simple_quotient(x, y, b, alg):
         if not V.cyclic_span_is_all(qvec):
             return False
     return True
-
-
-def _is_simple_vs_zero(x, b, alg):
-    # X/0 is simple iff X is a simple B-module; X is torsion-free of
-    # positive rank, so p*X is always a proper nonzero submodule
-    return False
 
 
 def intermediate_module(x, y, b, alg):
@@ -1077,7 +1091,17 @@ class FracIdeal:
     def inverse(self):
         return self.pow(-1)
 
+    scale_ideal = mul
+
+    def scale(self, x):
+        """x * I for a nonzero field element x."""
+        if not x:
+            raise SpecValidationError("scaling an ideal by zero")
+        return self.mul(FracIdeal(self.base, self.base.val_vector(x)))
+
     def add(self, other):
+        if other is ZERO_MODULE:
+            return self
         self._chk(other)
         return FracIdeal(self.base,
                          tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
@@ -1100,6 +1124,8 @@ class FracIdeal:
         return span(self.base, 1, [[self.generator()]])
 
     def _chk(self, other):
+        if not isinstance(other, FracIdeal):
+            raise BaseMismatchError(f"a fractional ideal against {other!r}")
         if other.base is not self.base:
             raise BaseMismatchError("fractional ideals over different bases")
 

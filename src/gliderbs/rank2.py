@@ -136,7 +136,7 @@ class Z2Glider:
 
     `validate=False` skips the glider-axiom check; the structural
     operations (cells, bodies, residues) are still defined on such data,
-    but classification requires a validated grid.
+    and classification checks the axiom first.
     """
 
     def __init__(self, filtration, window, grid, tail_j, tail_i,
@@ -185,10 +185,10 @@ class Z2Glider:
         for j in range(hj + 1):
             for i in range(hi + 1):
                 c = self.cell(j, i)
-                if j < hj and not _z2_contains(c, self.cell(j + 1, i)):
+                if j < hj and not c.contains(self.cell(j + 1, i)):
                     raise SpecValidationError(
                         f"grid does not descend rightward at ({j},{i})")
-                if i < hi and not _z2_contains(c, self.cell(j, i + 1)):
+                if i < hi and not c.contains(self.cell(j, i + 1)):
                     raise SpecValidationError(
                         f"grid does not descend upward at ({j},{i})")
         if self.filtration.kind != "composite":
@@ -203,7 +203,7 @@ class Z2Glider:
                 if gamma < (0, 0) or (gamma[0] == 0 and gamma[1] < 0):
                     continue
                 moved = src.mul_value(gamma)
-                if not _z2_contains(self.cell(j1, i1), moved):
+                if not self.cell(j1, i1).contains(moved):
                     raise SpecValidationError(
                         f"glider axiom fails: F_{gamma} M_({j2},{i2}) is "
                         f"not inside M_({j1},{i1})")
@@ -218,14 +218,6 @@ class Z2Glider:
 
     def __repr__(self):
         return f"Z2Glider(J={self.J}, I={self.I})"
-
-
-def _z2_contains(big, small):
-    if small is ZERO_MODULE:
-        return True
-    if big is ZERO_MODULE:
-        return False
-    return big.contains(small)
 
 
 def realize_z2(shift, window=(2, 2)):
@@ -259,7 +251,11 @@ class Z2Verdict:
 def classify_z2_glider(m):
     """Irreducible with the shift (m, n) iff the grid is the pure shift
     grid; reducible with a strict sandwich witness at the first deviating
-    cell; out-of-class over degenerate (rank-1) presentations."""
+    cell; out-of-class over degenerate (rank-1) presentations.  A grid
+    built with `validate=False` is checked first (SpecValidationError when
+    it is not a glider)."""
+    if not m.validated:
+        m._validate()
     if m.filtration.kind != "composite":
         return Z2Verdict("out-of-class", rule="rank2.z-degenerate",
                          reason="vertical direction trivial: essentially a "

@@ -26,7 +26,7 @@ from .filtration import (AlgebraFiltration, is_strong,
 from .gbs import (BsPoint, GbsElement, classify_csa_glider,
                   realize_csa_element)
 from .glider import fit_tail
-from .lattice import FracIdeal, add, canonicalize, span
+from .lattice import FracIdeal, canonicalize, span
 
 __all__ = [
     "ExtensionData", "TensorFiltration",
@@ -183,8 +183,8 @@ class TensorFiltration:
         k = q
         while stable <= depth:
             term = self.term(k, q - k)
-            acc2 = term if acc is None else self._join(acc, term)
-            if acc is not None and self._eq(acc2, acc):
+            acc2 = term if acc is None else acc.add(term)
+            if acc is not None and acc2 == acc:
                 stable += 1
             else:
                 stable = 0
@@ -204,14 +204,6 @@ class TensorFiltration:
         w = lring.valuations[0]
         return FracIdeal(lring, (w(g) + w(gen),))
 
-    def _join(self, a, b):
-        if self.kind == "algebra":
-            return add(a, b)
-        return a.add(b)
-
-    def _eq(self, a, b):
-        return a == b
-
     def level(self, q):
         return self.fa.level(q)
 
@@ -221,7 +213,7 @@ class TensorFiltration:
 
     def _verify_collapse(self):
         for q in range(-2, 3):
-            if not self._eq(self.sum_level(q), self.level(q)):
+            if self.sum_level(q) != self.level(q):
                 raise UnsupportedError(  # pragma: no cover - strong bases
                     f"convolution sum at degree {q} differs from the "
                     "collapsed level")
@@ -251,14 +243,13 @@ def tensor_glider(m, ext, tf=None):
                 gen = tf.fl.base_ring.from_exponents(
                     tuple(-c for c in ph_l(i - p)))
                 term = term.scale(gen)
-                acc2 = term if acc is None else add(acc, term)
             else:
                 ideal = m.level(i)
                 g = ext.embed(ideal.generator())
                 w = tf.fl.base_ring.valuations[0]
                 term = FracIdeal(tf.fl.base_ring,
                                  (w(g) - ph_l(i - p)[0],))
-                acc2 = term if acc is None else acc.add(term)
+            acc2 = term if acc is None else acc.add(term)
             if acc is not None and acc2 == acc:
                 stable += 1
             else:

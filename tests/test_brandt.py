@@ -5,8 +5,9 @@ from gliderbs.brandt import (NormalGliderIdeal, inverse, left_glider_order,
                              modulizer_chain, product, right_glider_order,
                              two_sided_translate, unit_left, unit_right,
                              verify_groupoid)
-from gliderbs.errors import MaximalityError, RankError
-from gliderbs.fields import QQ_FIELD
+from gliderbs.errors import MaximalityError, RankError, SpecValidationError
+from gliderbs.fields import QQ_FIELD, padic
+from gliderbs.filtration import FieldFiltration, StepFunction
 from gliderbs.glider import FiltrationTail, Glider
 from gliderbs.lattice import add, mult, span
 
@@ -200,3 +201,47 @@ def test_translate_hnf_count(neg_part, monkeypatch):
     product(m, inv)
     modulizer_chain(m)
     assert len(calls) == 11
+
+
+def test_translate_keeps_the_tail(neg_part, monkeypatch):
+    """The translate spans its window once and keeps the chain's tail,
+    since g (S M_N) h = S (g M_N h) for a scalar ideal S: one HNF for
+    g M_2(Z_(5)) h, and the levels are g M_i h."""
+    g, h = (1, 1, 0, 1), (5, 0, 0, 1)
+    calls = []
+    real = lattice._hnf
+    monkeypatch.setattr(lattice, "_hnf",
+                        lambda *args: calls.append(1) or real(*args))
+    m = _translate(neg_part, g, h)
+    assert len(calls) == 1
+    assert m.glider.tail == neg_part.glider.tail
+    monkeypatch.setattr(lattice, "_hnf", real)
+    alg = neg_part.alg
+    for i in range(6):
+        rows = [alg.mul_coords(alg.mul_coords(tuple(map(fe, g)), row,
+                                              QQ_FIELD),
+                               tuple(map(fe, h)), QQ_FIELD)
+                for row in neg_part.level(i).rows]
+        assert m.level(i) == span(neg_part.level(i).base, 4, rows)
+
+
+def test_product_is_rechecked_as_a_glider(b_m2, m2):
+    """Over the filtration at 5 with F_n = 5^(-2n)R for n <= 0 and
+    5^(1-2n)R for n >= 1 (so F_1 F_1 is not F_2), the chain [O, 5O] is a
+    normal glider ideal with an inverse and a modulizer chain, but its
+    square fails the glider axiom at (2, 2): (MM)_2 = 25 O, and
+    F_2 (MM)_2 = 5^-1 O is not inside (MM)_0 = O.  The re-check of the
+    product is what rejects it."""
+    filt = FieldFiltration(
+        QQ_FIELD, (padic(5),),
+        StepFunction((-1, 1), {-1: (-2,), 0: (0,), 1: (1,)},
+                     (1, (2,)), (1, (2,))))
+    o = span(filt.base_ring, 4, b_m2.rows)
+    m = NormalGliderIdeal(Glider(filt, "algebra", [o, o.scale(fe(5))],
+                                 FiltrationTail(), alg=m2))
+    inverse(m)
+    modulizer_chain(m)
+    for op in (lambda: product(m, m), lambda: unit_left(m)):
+        with pytest.raises(SpecValidationError,
+                           match=r"not a glider: witness \(2, 2,"):
+            op()

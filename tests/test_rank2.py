@@ -95,6 +95,21 @@ def test_vertical_bodies_constant_tail():
         vb.as_glider()
 
 
+def test_classification_checks_an_unvalidated_grid():
+    filt = Z2Filtration()
+    grid = [[Z2Ideal.point(2 - j, -i) for i in range(2)]
+            for j in range(2)]
+    bad = Z2Glider(filt, (1, 1), grid, FiltrationTail(), Constant(),
+                   validate=False)
+    with pytest.raises(SpecValidationError, match="glider axiom fails"):
+        classify_z2_glider(bad)
+    good = realize_z2((1, 0))
+    unchecked = Z2Glider(filt, (good.J, good.I), good.grid, good.tail_j,
+                         good.tail_i, validate=False)
+    v = classify_z2_glider(unchecked)
+    assert v.status == "irreducible" and v.shift == (1, 0)
+
+
 def test_vertical_bodies_zero_tail():
     filt = Z2Filtration()
     grid = [[Z2Ideal.point(2 - j, -i) for i in range(2)]

@@ -5,7 +5,7 @@ from gliderbs.fields import GAUSS_FIELD, QQ_FIELD, QX_FIELD, padic, xadic
 from gliderbs.filtration import valuation_filtration
 from gliderbs.gbs import (BsPoint, GbsElement, classify_csa_glider,
                           realize_csa_element)
-from gliderbs.glider import is_glider, level_eq
+from gliderbs.glider import is_glider
 from gliderbs.tensorext import (gauss_extension, gbs_map, sqrt_x_extension,
                                 tensor_filtration, tensor_glider)
 
@@ -61,7 +61,7 @@ def test_tensor_glider_strong_collapse(fa_m2, ext_split):
     tg = tensor_glider(g, ext_split, tf=tf)
     assert is_glider(tg)[0]
     for i in range(5):
-        assert level_eq(tg.level(i), tf.embed_lattice(g.level(i)))
+        assert tg.level(i) == tf.embed_lattice(g.level(i))
 
 
 def test_tensor_glider_sum_contains_cross_terms(fa_m2, ext_split):
