@@ -124,13 +124,10 @@ def right_glider_order(m):
     return m._cache[key]
 
 
-def _repackage(filtration, alg, levels):
-    """Build a glider from explicitly computed levels, fitting an exact
-    tail rule; `levels` must extend far enough to verify the rule."""
-    keep = len(levels) - 2 * filtration.phi.minus_period - 2
-    if keep < 1:
-        raise SpecValidationError("not enough levels to fit a tail")
-    return fit_tail(filtration, "algebra", levels, keep, alg=alg)
+def _repackage(filtration, alg, level, keep):
+    """The glider with prefix level(0..keep-1) and an exact tail rule
+    fitted to the computed levels."""
+    return fit_tail(filtration, "algebra", level, keep, alg=alg)
 
 
 @_in_memo_scope
@@ -141,15 +138,15 @@ def product(m, n):
     m, n = _as_ideal(m), _as_ideal(n)
     if m.alg is not n.alg or m.filtration != n.filtration:
         raise SpecValidationError("product needs matching algebra and base")
-    ph = m.filtration.phi
-    upto = m.window + n.window + 2 * ph.minus_period + 3
-    levels = []
-    for i in range(upto + 1):
+
+    def level(i):
         acc = ZERO_MODULE
         for k in range(i + 1):
             acc = acc.add(mult(m.level(k), n.level(i - k), m.alg))
-        levels.append(acc)
-    return NormalGliderIdeal(_repackage(m.filtration, m.alg, levels))
+        return acc
+
+    return NormalGliderIdeal(_repackage(m.filtration, m.alg, level,
+                                        m.window + n.window + 2))
 
 
 @_in_memo_scope
@@ -161,19 +158,12 @@ def inverse(m):
     key = "inverse"
     if key in m._cache:
         return m._cache[key]
-    ph = m.filtration.phi
-    upto = m.window + 2 * ph.minus_period + 3
-    top = m.level(0)
-    levels = []
-    for i in range(upto + 1):
-        li = colon_right(m.level(i), top, m.alg)     # {y : M y inside M_i}
-        levels.append(colon_left(li, top, m.alg))    # {x : x M inside L_i}
-    inv = NormalGliderIdeal(_repackage(m.filtration, m.alg, levels))
+    inv = NormalGliderIdeal(_repackage(
+        m.filtration, m.alg, lambda i: _two_sided_colon(m, i), m.window + 2))
     # maximal-order hypothesis, checked through its consequence; only a
     # checked inverse is cached
-    upto2 = m.window + 2 * ph.minus_period + 2
     back = all(_two_sided_colon(inv, i) == m.level(i)
-               for i in range(upto2 + 1))
+               for i in range(m.glider.horizon + 1))
     if not back:
         raise MaximalityError(
             "double inverse differs from the chain: the left glider order "
@@ -185,8 +175,8 @@ def inverse(m):
 
 def _two_sided_colon(m, i):
     top = m.level(0)
-    li = colon_right(m.level(i), top, m.alg)
-    return colon_left(li, top, m.alg)
+    li = colon_right(m.level(i), top, m.alg)     # {y : M y inside M_i}
+    return colon_left(li, top, m.alg)            # {x : x M inside L_i}
 
 
 @_in_memo_scope
@@ -212,19 +202,21 @@ def unit_right(m):
 def modulizer_chain(m):
     """The independent computation of the left unit: the chain
     E_d = {x : x M_{n-d} inside M_n for all n >= d}, evaluated by colon
-    intersections over the window plus two tail periods."""
+    intersections over n up to 2h + 2p + 2 for the chain's horizon h and
+    minus period p (the modulizer's own horizon plus h)."""
     m = _as_ideal(m)
     ph = m.filtration.phi
-    upto = m.window + 4 * ph.minus_period + 4
-    reach = upto + m.window + 2 * ph.minus_period + 2
-    levels = []
-    for d in range(upto + 1):
+    reach = 2 * m.glider.horizon + 2 * ph.minus_period + 2
+
+    def level(d):
         acc = None
         for n in range(d, reach + 1):
             c = colon_left(m.level(n), m.level(n - d), m.alg)
             acc = c if acc is None else intersect(acc, c)
-        levels.append(acc)
-    return NormalGliderIdeal(_repackage(m.filtration, m.alg, levels))
+        return acc
+
+    return NormalGliderIdeal(_repackage(m.filtration, m.alg, level,
+                                        m.window + 2 * ph.minus_period + 3))
 
 
 @_in_memo_scope
@@ -277,10 +269,11 @@ def verify_groupoid(sample):
     """Check the five groupoid axioms on the sample (closed under unit and
     inverse): units are idempotent and absorb; a proper pair (E^r(M) =
     E^l(N)) has E^l(MN) = E^l(M) and E^r(MN) = E^r(N); associativity holds
-    levelwise for all composable-or-not triples of distinct elements; the
-    inverse identities hold; every pair of units is connected.  An element
-    without a verified inverse has no units: it fails axiom 4 and the
-    unit axioms run on the others.  Failures are reported, not raised."""
+    levelwise for all composable-or-not triples of distinct elements;
+    M M^-1 and M^-1 M equal the modulizer chains of M and M^-1; every pair
+    of units is connected.  An element without a verified inverse has no
+    units: it fails axiom 4 and the unit axioms run on the others.
+    Failures are reported, not raised."""
     sample = [_as_ideal(m) for m in sample]
     report = GroupoidReport()
     memo = {}
@@ -371,10 +364,12 @@ def verify_groupoid(sample):
         except MaximalityError as exc:
             ok4, ce4 = False, {"element": i, "error": str(exc)}
             break
-        if prod(m, inv) != unit_left(m):
+        # against the colon computation of the units, not the products
+        # that define unit_left and unit_right
+        if prod(m, inv) != modulizer_chain(m):
             ok4, ce4 = False, {"element": i, "identity": "M M^-1 = E^l"}
             break
-        if prod(inv, m) != unit_right(m):
+        if prod(inv, m) != modulizer_chain(inv):
             ok4, ce4 = False, {"element": i, "identity": "M^-1 M = E^r"}
             break
     report.record(4, ok4, counterexample=ce4)

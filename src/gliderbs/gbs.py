@@ -171,12 +171,11 @@ def _reducible(m, witness, shift_by, rule):
 def represent_over(m, filt):
     """The same levelwise chain as a glider over another filtration with an
     identical positive part; exactness verified."""
-    h = m.horizon + 2
-    levels = [m.level(i) for i in range(h + 2 * filt.phi.minus_period + 3)]
     # the chain's own tail is tried only when it multiplies by an ideal,
     # which means the same rule over any filtration
     own = m.tail if m.tail.kind == "multiply" else None
-    return fit_tail(filt, m.ambient, levels, h + 1, alg=m.alg, own=own)
+    return fit_tail(filt, m.ambient, m.level, m.horizon + 3, alg=m.alg,
+                    own=own)
 
 
 def _multiplier_witness(m, rule):
@@ -314,15 +313,11 @@ def enumerate_gbs_field(filt, window):
 # algebra classification
 # ---------------------------------------------------------------------------
 
-def _point_generator_vector(point, field):
-    """Coordinates in the matrix algebra of the matrix whose first row is
-    the point and whose other rows vanish."""
-    n = point.n
-    zero = field.zero()
-    vec = [zero] * (n * n)
-    for j in range(n):
-        vec[j] = point.coords[j]
-    return tuple(vec)
+def _column_module(filt, vec):
+    """B*v for the order B of the filtration and the algebra element with
+    coordinates vec."""
+    return mult(filt.order, span(filt.base_ring, filt.alg.dim, [vec]),
+                filt.alg)
 
 
 def _row_space_point(vectors, n, field):
@@ -416,9 +411,8 @@ def classify_csa_glider(m):
                              alg=alg)
             return _reducible(m, witness, i, rule)
     # normal form: M_i = F_{m-i} A v for the canonical generator of the point
-    vvec = _point_generator_vector(point, field)
-    bv = mult(order, span(filt.base_ring, alg.dim, [vvec]), alg)
-    shift_s = _scalar_shift_exponent(m.level(0), bv, filt)
+    bv = _column_module(filt, LeftIdeal(point).generator())
+    shift_s = _scalar_shift_exponent(m.level(0), bv)
     if shift_s is None:
         return Verdict("out-of-class", rule="csa.relative-product",
                        reason="top level is not a scalar multiple of the "
@@ -448,28 +442,11 @@ def _is_scalar_step_gap(filt):
     return ph(1)[0] >= 2
 
 
-def _scalar_shift_exponent(lvl, bv, filt):
-    """s with lvl = pi^{-s} * bv, or None."""
-    if lvl.rank != bv.rank:
-        return None
-    v = filt.base.valuations[0]
-    from . import linalg as la
-
-    qmat = []
-    for row in lvl.rows:
-        cs = bv.coords(row)
-        if cs is None:
-            return None
-        qmat.append(cs)
-    d = la.det(qmat, filt.base_ring.field)
-    if not d:
-        return None
-    t = v(d)
-    if t % lvl.rank:
-        return None
-    s = -t // lvl.rank
-    pi = filt.base_ring.uniformizers[0]
-    return s if lvl == bv.scale(pi ** (-s)) else None
+def _scalar_shift_exponent(lvl, bv):
+    """s with lvl = pi^{-s} * bv, or None: two lattices differ by a
+    scalar iff their primitive parts agree."""
+    (q, f), (qb, fb) = lvl.primitive(), bv.primitive()
+    return fb[0] - f[0] if q == qb else None
 
 
 def _column_subchain_witness(m):
@@ -488,24 +465,21 @@ def _column_subchain_witness(m):
             break
     if rank1 is None:
         return None
-    bv = mult(filt.order, span(filt.base_ring, alg.dim, [list(rank1)]), alg)
-    return Glider(filt, "algebra", [bv], FiltrationTail(), alg=alg)
+    return Glider(filt, "algebra", [_column_module(filt, rank1)],
+                  FiltrationTail(), alg=alg)
 
 
 def realize_csa_element(filt, point, m):
-    """The chain (F_m A v)_* for the canonical generator v of the point."""
+    """The chain (F_m A v)_* for the canonical generator v of the point:
+    the column module B*v times the field chain (F_m K)_*, with the field
+    chain's prefix and tail."""
     if not isinstance(filt, AlgebraFiltration) or filt.alg.kind != "matrix":
         raise UnsupportedError("realization needs a split matrix algebra")
-    field = filt.base_ring.field
-    vvec = _point_generator_vector(point, field)
-    bv = mult(filt.order, span(filt.base_ring, filt.alg.dim, [vvec]),
-              filt.alg)
-    base = filt.base
-    ph = base.phi
-    depth = max(m - ph.lo + 2 * ph.minus_period, 2 * ph.minus_period, 2)
-    check = depth + 2 * ph.minus_period + 2
-    levels = [bv.scale_ideal(base.level(m - i)) for i in range(check + 1)]
-    return fit_tail(filt, "algebra", levels, depth + 1, alg=filt.alg)
+    bv = _column_module(filt, LeftIdeal(point).generator())
+    chain = realize_field_chain(filt.base, m)
+    return Glider(filt, "algebra",
+                  [bv.scale_ideal(lvl) for lvl in chain.prefix], chain.tail,
+                  alg=filt.alg)
 
 
 def enumerate_gbs_csa(filt, window, points):

@@ -332,10 +332,8 @@ def shift(m, gamma):
     # re-anchoring a filtration tail is exact only when the deep increments
     # match the filtration's own; a multiply tail always re-anchors
     ph = m._base_field_filtration().phi
-    span = abs(ph.lo) + 2 * ph.minus_period + 2
-    check = span + 2 * ph.minus_period + 2
-    levels = [m.level(gamma + i) for i in range(check + 1)]
-    return fit_tail(m.filtration, m.ambient, levels, span + 1, alg=m.alg,
+    return fit_tail(m.filtration, m.ambient, lambda i: m.level(gamma + i),
+                    abs(ph.lo) + 2 * ph.minus_period + 3, alg=m.alg,
                     own=m.tail)
 
 
@@ -566,38 +564,44 @@ def _sandwich_witness(n_gl, m_gl, h):
 # realization helpers
 # ---------------------------------------------------------------------------
 
-def fit_tail(filtration, ambient, levels, keep, alg=None, own=None):
-    """The glider with prefix levels[:keep] whose tail reproduces every
-    entry of `levels`.  Candidates in order: `own`, the filtration tail,
-    and multiplication by the filtration's minus increment when its minus
+def fit_tail(filtration, ambient, level, keep, alg=None, own=None):
+    """The glider with prefix level(0..keep-1) whose tail reproduces
+    level(i) for every i up to its decision horizon; each level is
+    computed once.  Candidates in order: `own`, the filtration tail, and
+    multiplication by the filtration's minus increment when its minus
     period is 1."""
     base = filtration.base if isinstance(filtration, AlgebraFiltration) \
         else filtration
     ph = base.phi
+    known = []
+
+    def computed(i):
+        while len(known) <= i:
+            known.append(level(len(known)))
+        return known[i]
+
+    prefix = [computed(i) for i in range(keep)]
     candidates = [own, FiltrationTail()]
     if ph.minus_period == 1:
         candidates.append(MultiplyBy(FracIdeal(base.base_ring, ph.minus_inc)))
     for j, tail in enumerate(candidates):
         if tail is None or tail in candidates[:j]:
             continue
-        cand = Glider(filtration, ambient, levels[:keep], tail, alg=alg)
-        if all(cand.level(i) == lvl for i, lvl in enumerate(levels)):
+        cand = Glider(filtration, ambient, prefix, tail, alg=alg)
+        if all(cand.level(i) == computed(i)
+               for i in range(keep, cand.horizon + 1)):
             return cand
     raise UnsupportedError(
         "computed levels are not presentable by the supported tail rules")
 
 
-def realize_field_chain(filt, n, depth=None):
+def realize_field_chain(filt, n):
     """The chain (F_n)_*: M_i = F_{n-i}.  Exact for every presentable
     filtration: the prefix absorbs the irregular window and the tail rule
     is verified against true levels before being accepted."""
     ph = filt.phi
-    if depth is None:
-        depth = 0
-    depth = max(depth, n - ph.lo + 2 * ph.minus_period, 2 * ph.minus_period)
-    check = depth + 2 * ph.minus_period + 2
-    levels = [filt.level(n - i) for i in range(check + 1)]
-    return fit_tail(filt, "field", levels, depth + 1)
+    keep = max(n - ph.lo, 0) + 2 * ph.minus_period + 1
+    return fit_tail(filt, "field", lambda i: filt.level(n - i), keep)
 
 
 def negative_part(filt):

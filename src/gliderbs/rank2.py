@@ -359,25 +359,25 @@ class VerticalBodies:
         needs every body to be a horizontal (x-adic) level or zero."""
         f_h = horizontal_coarsening(self.grid.filtration)
         ring = f_h.base_ring
-        hj = self.grid.horizon[0]
-        bodies = [self.body(j) for j in range(hj + 1)]
-        levels = []
-        for b in bodies:
+
+        def level(j):
+            b = self.body(j)
             if b is ZERO_MODULE:
-                levels.append(ZERO_MODULE)
-            elif b.kind == "horizontal":
-                levels.append(FracIdeal(ring, (-b.value,)))
-            else:
+                return b
+            if b.kind != "horizontal":
                 raise UnsupportedError(
                     "column bodies are not x-adic levels (constant "
                     "vertical tails); not presentable over the coarsening")
-        if any(lvl is ZERO_MODULE for lvl in levels):
-            cut = next(k for k, lvl in enumerate(levels)
-                       if lvl is ZERO_MODULE)
+            return FracIdeal(ring, (-b.value,))
+
+        hj = self.grid.horizon[0]
+        levels = [level(j) for j in range(hj + 1)]
+        if ZERO_MODULE in levels:
+            cut = levels.index(ZERO_MODULE)
             if cut == 0:
                 raise UnsupportedError("all bodies vanish")
             return Glider(f_h, "field", levels[:cut], ZeroAfter())
-        return fit_tail(f_h, "field", levels, len(levels) - 2)
+        return fit_tail(f_h, "field", level, hj - 1)
 
 
 def vertical_body_glider(m):
@@ -390,9 +390,12 @@ def residue_glider(m, s):
     sits exactly one horizontal step below column s."""
     if not (0 <= s <= m.J):
         raise SpecValidationError("column index outside the window")
-    hi = m.horizon[1]
-    exps = []
-    for i in range(hi + 1):
+    g_res = FieldFiltration(
+        QY_FIELD, (yadic(QY_FIELD),),
+        valuation_filtration(yadic(QY_FIELD)).phi)
+    ring = g_res.base_ring
+
+    def level(i):
         top, bot = m.cell(s, i), m.cell(s + 1, i)
         if top is ZERO_MODULE or bot is ZERO_MODULE:
             raise UnsupportedError("zero column: residue chain vanishes")
@@ -403,10 +406,6 @@ def residue_glider(m, s):
             raise UnsupportedError(
                 f"column {s + 1} is not one horizontal step below column "
                 f"{s} at height {i}: quotient is not a residue ideal")
-        exps.append(-b)
-    g_res = FieldFiltration(
-        QY_FIELD, (yadic(QY_FIELD),),
-        valuation_filtration(yadic(QY_FIELD)).phi)
-    ring = g_res.base_ring
-    levels = [FracIdeal(ring, (e,)) for e in exps]
-    return fit_tail(g_res, "field", levels, len(levels) - 2)
+        return FracIdeal(ring, (-b,))
+
+    return fit_tail(g_res, "field", level, m.horizon[1] - 1)

@@ -17,6 +17,8 @@ split/inert bookkeeping recorded as such in the docs).
 
 from __future__ import annotations
 
+from itertools import count
+
 from .errors import SpecValidationError, UnsupportedError
 from .fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, func_field,
                      gauss_prime, padic, rational_value, substitute, xadic)
@@ -26,7 +28,7 @@ from .filtration import (AlgebraFiltration, is_strong,
 from .gbs import (BsPoint, GbsElement, classify_csa_glider,
                   realize_csa_element)
 from .glider import fit_tail
-from .lattice import FracIdeal, canonicalize, span
+from .lattice import ZERO_MODULE, FracIdeal, canonicalize, span
 
 __all__ = [
     "ExtensionData", "TensorFiltration",
@@ -178,29 +180,23 @@ class TensorFiltration:
         ph = (src.base if self.kind == "algebra" else src).phi
         depth = abs(ph.lo) + ph.hi + 2 * max(ph.minus_period,
                                              ph.plus_period) + 3
-        acc = None
-        stable = 0
-        k = q
-        while stable <= depth:
-            term = self.term(k, q - k)
-            acc2 = term if acc is None else acc.add(term)
-            if acc is not None and acc2 == acc:
-                stable += 1
-            else:
-                stable = 0
-            acc = acc2
-            k -= 1
-        return acc
+        return _stable_sum((self.term(k, q - k) for k in count(q, -1)),
+                           depth)
 
     def term(self, k, qk):
         """F_kA (x) F_{qk}L as a module over the extension base ring."""
+        return self.tensor(self.source.level(k), qk)
+
+    def tensor(self, module, j):
+        """module (x) F_jL over the extension base ring, for a level of the
+        source side (a lattice, an ideal or the zero module)."""
+        if module is ZERO_MODULE:
+            return module
         lring = self.fl.base_ring
-        gen = lring.from_exponents(tuple(-c for c in self.fl.phi(qk)))
+        gen = lring.from_exponents(tuple(-c for c in self.fl.phi(j)))
         if self.kind == "algebra":
-            lat = self.embed_lattice(self.source.level(k))
-            return lat.scale(gen)
-        ideal = self.source.level(k)
-        g = self.ext.embed(ideal.generator())
+            return self.embed_lattice(module).scale(gen)
+        g = self.ext.embed(module.generator())
         w = lring.valuations[0]
         return FracIdeal(lring, (w(g) + w(gen),))
 
@@ -228,37 +224,27 @@ def tensor_glider(m, ext, tf=None):
     result is a glider over the tensor filtration."""
     if tf is None:
         tf = TensorFiltration(m.filtration, ext)
-    ph_l = tf.fl.phi
-    src_ph = (m._base_field_filtration()).phi
+    src_ph = m._base_field_filtration().phi
     depth = m.prefix_end + abs(src_ph.lo) + 2 * src_ph.minus_period + 4
-    levels = []
-    upto = m.prefix_end + 2 * ph_l.minus_period + 3
-    for p in range(upto + 1):
-        acc = None
-        stable = 0
-        i = p
-        while stable <= depth:
-            if tf.kind == "algebra":
-                term = tf.embed_lattice(m.level(i))
-                gen = tf.fl.base_ring.from_exponents(
-                    tuple(-c for c in ph_l(i - p)))
-                term = term.scale(gen)
-            else:
-                ideal = m.level(i)
-                g = ext.embed(ideal.generator())
-                w = tf.fl.base_ring.valuations[0]
-                term = FracIdeal(tf.fl.base_ring,
-                                 (w(g) - ph_l(i - p)[0],))
-            acc2 = term if acc is None else acc.add(term)
-            if acc is not None and acc2 == acc:
-                stable += 1
-            else:
-                stable = 0
-            acc = acc2
-            i += 1
-        levels.append(acc)
-    return fit_tail(tf.fa, tf.kind, levels, upto - 2 * ph_l.minus_period - 1,
-                    alg=tf.alg)
+
+    def level(p):
+        return _stable_sum((tf.tensor(m.level(i), i - p) for i in count(p)),
+                           depth)
+
+    return fit_tail(tf.fa, tf.kind, level, m.prefix_end + 2, alg=tf.alg)
+
+
+def _stable_sum(terms, depth):
+    """The sum of the terms, stopped once more than `depth` consecutive
+    terms leave it unchanged (the glider axiom makes the terms eventually
+    nested, so the truncation is exact)."""
+    acc, stable = None, 0
+    for term in terms:
+        acc2 = term if acc is None else acc.add(term)
+        stable = stable + 1 if acc is not None and acc2 == acc else 0
+        acc = acc2
+        if stable > depth:
+            return acc
 
 
 def gbs_map(element, ext):

@@ -8,7 +8,7 @@ from gliderbs.brandt import (NormalGliderIdeal, inverse, left_glider_order,
 from gliderbs.errors import MaximalityError, RankError, SpecValidationError
 from gliderbs.fields import QQ_FIELD, padic
 from gliderbs.filtration import FieldFiltration, StepFunction
-from gliderbs.glider import FiltrationTail, Glider
+from gliderbs.glider import FiltrationTail, Glider, scalar_shift
 from gliderbs.lattice import add, mult, span
 
 
@@ -245,3 +245,20 @@ def test_product_is_rechecked_as_a_glider(b_m2, m2):
         with pytest.raises(SpecValidationError,
                            match=r"not a glider: witness \(2, 2,"):
             op()
+
+
+def test_groupoid_axiom4_rejects_a_wrong_inverse(neg_part, monkeypatch):
+    """An inverse that is wrong in a consistent way (5 M^-1) also changes
+    the units defined as M M^-1 and M^-1 M, so axiom 4 compares the
+    products with the modulizer chains, which only use colons."""
+    real = brandt.inverse
+
+    def wrong_inverse(m):
+        return NormalGliderIdeal(scalar_shift(real(m).glider, fe(5)))
+
+    monkeypatch.setattr(brandt, "inverse", wrong_inverse)
+    ax4 = next(a for a in verify_groupoid([neg_part]).axioms
+               if a["axiom"] == 4)
+    assert ax4["status"] == "fail"
+    assert ax4["counterexample"] == {"element": 0,
+                                     "identity": "M M^-1 = E^l"}

@@ -1,17 +1,22 @@
+import random
+
 import pytest
 
 from gliderbs.errors import SpecValidationError, UnsupportedError
 from gliderbs.fields import GAUSS_FIELD, QQ_FIELD, gauss_prime, padic
 from gliderbs.filtration import (AlgebraFiltration, valuation_filtration,
                                  scaled_valuation_filtration)
-from gliderbs.gbs import (BsPoint, bs_left_ideal, classify_csa_glider,
-                          classify_field_glider, enumerate_gbs_csa,
-                          enumerate_gbs_field, find_negative_part_witness,
-                          realize_csa_element, realize_field_element)
+from gliderbs.gbs import (BsPoint, LeftIdeal, _column_module,
+                          _scalar_shift_exponent, bs_left_ideal,
+                          classify_csa_glider, classify_field_glider,
+                          enumerate_gbs_csa, enumerate_gbs_field,
+                          find_negative_part_witness, realize_csa_element,
+                          realize_field_element)
 from gliderbs.glider import (FiltrationTail, Glider, classify_subglider,
                              negative_part, scalar_shift, shift)
 from gliderbs.lattice import (canonicalize, matrix_algebra,
-                              quaternion_algebra)
+                              quaternion_algebra, span)
+from gliderbs.orders import builtin_mnr
 
 
 def fe(n):
@@ -165,3 +170,37 @@ def test_round_trip_property(fa_m2):
         chain = realize_csa_element(fa_m2, el.point, el.shift)
         v = classify_csa_glider(chain)
         assert v.status == "irreducible" and v.element == el
+
+
+@pytest.mark.parametrize("p,n", [(5, 2), (13, 2), (2, 3), (3, 3)])
+def test_scalar_shift_exponent_reads_primitive_parts(p, n):
+    """Against the ground truth: the unique s in [-6, 6] with
+    lvl = pi^(-s) * B*v, or None.  The levels are re-spanned, so their
+    roots differ from that of B*v, as after JSON decoding."""
+    rng = random.Random(1000 * p + n)
+    f = valuation_filtration(padic(p))
+    order = builtin_mnr(n, f.base_ring)
+    fa = AlgebraFiltration(order.alg, f, order.lattice)
+    ring, pi = f.base_ring, fe(p)
+
+    def point():
+        coords = [fe(rng.randint(-6, 6)) for _ in range(n)]
+        return BsPoint(coords) if any(coords) else point()
+
+    def respan(lat):
+        rows = list(lat.rows)
+        rng.shuffle(rows)
+        return span(ring, lat.dim, rows + [[a + b for a, b in
+                                           zip(rows[0], rows[-1])]])
+
+    for _ in range(6):
+        bv = _column_module(fa, LeftIdeal(point()).generator())
+        s = rng.randint(-4, 4)
+        near = span(ring, bv.dim, [bv.rows[0]] + list(bv.scale(pi).rows))
+        other = _column_module(fa, LeftIdeal(point()).generator())
+        for lvl in (bv.scale(pi ** (-s)), near.scale(pi ** s),
+                    other.scale(pi ** s)):
+            lvl = respan(lvl)
+            truth = next((t for t in range(-6, 7)
+                          if lvl == bv.scale(pi ** (-t))), None)
+            assert _scalar_shift_exponent(lvl, bv) == truth

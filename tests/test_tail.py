@@ -47,25 +47,25 @@ def test_stabilizes(f5):
     assert not FiltrationTail().stabilizes
 
 
-def _valuation_levels(f5, upto):
-    return [f5.level(-i) for i in range(upto + 1)]
+def _valuation_level(f5):
+    return lambda i: f5.level(-i)
 
 
 def test_fit_tail_own_wins_when_it_fits(f5):
     # over a DVR, multiplying by (5) and the filtration tail agree
     own = MultiplyBy(ideal(f5, 1))
-    g = fit_tail(f5, "field", _valuation_levels(f5, 6), 2, own=own)
+    g = fit_tail(f5, "field", _valuation_level(f5), 2, own=own)
     assert g.tail == own and len(g.prefix) == 2
 
 
 def test_fit_tail_prefers_filtration_over_equal_multiply(f5):
-    g = fit_tail(f5, "field", _valuation_levels(f5, 6), 2)
+    g = fit_tail(f5, "field", _valuation_level(f5), 2)
     assert g.tail == FiltrationTail()
     assert g == negative_part(f5)
 
 
 def test_fit_tail_skips_an_own_tail_that_does_not_fit(f5):
-    g = fit_tail(f5, "field", _valuation_levels(f5, 6), 2,
+    g = fit_tail(f5, "field", _valuation_level(f5), 2,
                  own=MultiplyBy(ideal(f5, 2)))
     assert g.tail == FiltrationTail()
 
@@ -80,8 +80,60 @@ def test_fit_tail_falls_back_to_the_minus_increment(f_mod):
 def test_fit_tail_raises_a_typed_error(f5):
     levels = [ideal(f5, e) for e in (0, 1, 2, 3, 5, 6)]
     with pytest.raises(UnsupportedError) as info:
-        fit_tail(f5, "field", levels, 2)
+        fit_tail(f5, "field", levels.__getitem__, 2)
     assert isinstance(info.value, GbsError)
+
+
+def _recorded(level):
+    calls = []
+
+    def recording(i):
+        calls.append(i)
+        return level(i)
+
+    return recording, calls
+
+
+@pytest.mark.parametrize("name", ["f5", "f_mod"])
+def test_fit_tail_reads_each_level_once_up_to_the_horizon(name, request):
+    # over f_mod the filtration tail fails before the multiply tail fits
+    filt = request.getfixturevalue(name)
+    level, calls = _recorded(_valuation_level(filt))
+    g = fit_tail(filt, "field", level, 2)
+    assert calls == list(range(g.horizon + 1))
+
+
+def test_fit_tail_checks_the_level_at_the_horizon(f5):
+    h = fit_tail(f5, "field", _valuation_level(f5), 2).horizon
+
+    def departing_at(k):
+        return lambda i: ideal(f5, i + (i >= k))
+
+    with pytest.raises(UnsupportedError):
+        fit_tail(f5, "field", departing_at(h), 2)
+    # the window ends at the horizon
+    assert fit_tail(f5, "field", departing_at(h + 1), 2).horizon == h
+
+
+@pytest.mark.parametrize("chain", ["bodies", "residues"])
+def test_rank2_chains_are_fitted_on_their_horizon(chain, monkeypatch):
+    from gliderbs import rank2
+
+    grid = rank2.realize_z2((0, 0))
+    seen = []
+
+    def spy(filtration, ambient, level, keep, **kw):
+        level, calls = _recorded(level)
+        seen.append(calls)
+        return fit_tail(filtration, ambient, level, keep, **kw)
+
+    monkeypatch.setattr(rank2, "fit_tail", spy)
+    if chain == "bodies":
+        g, h = rank2.vertical_body_glider(grid).as_glider(), grid.horizon[0]
+    else:
+        g, h = rank2.residue_glider(grid, 0), grid.horizon[1]
+    assert seen[0] == list(range(g.horizon + 1))
+    assert g.horizon == h + 2
 
 
 # ---------------------------------------------------------------------------

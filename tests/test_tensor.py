@@ -5,7 +5,9 @@ from gliderbs.fields import GAUSS_FIELD, QQ_FIELD, QX_FIELD, padic, xadic
 from gliderbs.filtration import valuation_filtration
 from gliderbs.gbs import (BsPoint, GbsElement, classify_csa_glider,
                           realize_csa_element)
-from gliderbs.glider import is_glider
+from gliderbs.glider import (FiltrationTail, Glider, ZeroAfter,
+                             is_glider)
+from gliderbs.lattice import ZERO_MODULE, FracIdeal
 from gliderbs.tensorext import (gauss_extension, gbs_map, sqrt_x_extension,
                                 tensor_filtration, tensor_glider)
 
@@ -130,3 +132,17 @@ def test_inert_extension_map():
     el = GbsElement("csa", 1, point=BsPoint([fe(1), fe(2)]), filtration=fa)
     img = gbs_map(el, gauss_extension(3))
     assert img.shift == 1
+
+
+def test_tensor_glider_of_a_zero_level(f5, fa_m2, b_m2, m2):
+    """The term of a zero level is zero, in the field and the algebra
+    branch alike."""
+    ext = gauss_extension(5)
+    unit = FracIdeal(f5.base_ring, (0,))
+    chains = [Glider(f5, "field", [unit, ZERO_MODULE], ZeroAfter())]
+    chains += [Glider(fa_m2, "algebra", [b_m2, ZERO_MODULE], tail, alg=m2)
+               for tail in (ZeroAfter(), FiltrationTail())]
+    for chain in chains:
+        out = tensor_glider(chain, ext)
+        assert out.level(1) is ZERO_MODULE
+        assert is_glider(out)[0]
