@@ -1070,9 +1070,8 @@ class _GaussInert(_GaussPrime):
 
     def value(self, x):
         a, b, den = _gauss_int_parts(x.rep)
-        v2 = _int_val(a * a + b * b, self.p)
-        assert v2 % 2 == 0
-        return v2 // 2 - _int_val(den, self.p)
+        # p = 3 (mod 4) is inert in Z[i], so v_p(a^2 + b^2) is even
+        return _int_val(a * a + b * b, self.p) // 2 - _int_val(den, self.p)
 
     def residue_field(self):
         return inert_residue_field(self.p)

@@ -226,6 +226,11 @@ class FieldFiltration:
     def horizon(self):
         return self.phi.horizon
 
+    def plus_step(self):
+        """(hi, e, exps): F_{n+e} = P^exps * F_n for every n > hi - e."""
+        ph = self.phi
+        return ph.hi, ph.plus_period, tuple(-c for c in ph.plus_inc)
+
     def is_dvr_valuation(self):
         """True iff this is the plain valuation filtration of a DVR:
         one rank-1 valuation and phi(n) = n."""
@@ -319,6 +324,11 @@ class AlgebraFiltration:
             h = max(h, abs(self.lo), self.hi) + 2 * max(self.plus_period,
                                                         self.minus_period)
         return h
+
+    def plus_step(self):
+        if self.mode == "induced":
+            return self.base.plus_step()
+        return self.hi, self.plus_period, self.plus_mult.exps
 
     def _validate(self):
         one = self.alg.one_vector(self.base_ring.field)

@@ -229,12 +229,9 @@ def classify_field_glider(m):
         inner = _classify_field_dvr(m2, comp)
         inner.via = "field.associated-strong"
         return inner
-    if is_strong(comp):
-        out = _multiplier_witness(m2, "field.strong-requires-dvr")
-        if out is not None:
-            out.via = "field.associated-strong"
-            return out
-    out = _multiplier_witness(m2, "field.estep-unsupported")
+    rule = ("field.strong-requires-dvr" if is_strong(comp)
+            else "field.estep-unsupported")
+    out = _multiplier_witness(m2, rule)
     if out is not None:
         out.via = "field.associated-strong"
         return out
@@ -245,20 +242,15 @@ def classify_field_glider(m):
 def _negative_part_refines(filt, comp):
     """Every F_-n must be one of the completion's negative levels."""
     h = max(filt.horizon, comp.horizon)
-    alpha_prev = -1
+    j = 0
     for n in range(1, h + 1):
         target = filt.level(-n)
-        j = alpha_prev + 1
-        while True:
-            lvl = comp.level(-j)
-            if lvl == target:
-                alpha_prev = j
-                break
-            if not lvl.contains(target):
+        # the completion's negative levels pinch below the nonzero target
+        while comp.level(-j) != target:
+            if not comp.level(-j).contains(target):
                 return False
             j += 1
-            if j > alpha_prev + 8 * (h + 4):  # pragma: no cover
-                return False
+        j += 1
     return True
 
 
@@ -380,12 +372,9 @@ def classify_csa_glider(m):
             witness = Glider(filt, "algebra", [m.level(i).scale(pi)],
                              ZeroAfter(), alg=alg)
             return _reducible(m, witness, i, "csa.principal")
-    gen_vectors = []
-    for row in top.rows:
-        for s in range(alg.dim):
-            gen_vectors.append(alg.mul_coords(alg.basis_vector(s, field),
-                                              row, field))
-    point = _row_space_point(gen_vectors, n, field)
+    # matrix units only move rows, so the rows of the top level span the
+    # row space of the left ideal they generate
+    point = _row_space_point(top.rows, n, field)
     if point is None:
         wit = _column_subchain_witness(m)
         if wit is not None:

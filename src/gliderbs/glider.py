@@ -5,7 +5,8 @@ field case, lattices in the algebra case) compatible with a filtration:
 F_i * M_j inside M_{j-i} for 0 <= i <= j.  Chains are stored as a finite
 prefix plus a tail rule; all tail rules are eventually geometric, so every
 quantifier over levels is decided exactly on the prefix plus two tail
-periods (the decision horizon, recorded in verdicts).
+periods (the decision horizon, recorded in verdicts); the glider axiom
+also needs the filtration's positive window (see `is_glider`).
 
 Subglider triviality follows the three degenerate patterns: the chain of
 the smaller glider hits its own body while the big one moves (T1), hits
@@ -258,10 +259,20 @@ def _same_growth(a, b):
 # ---------------------------------------------------------------------------
 
 def is_glider(m):
-    """Check the glider axiom F_i M_j inside M_{j-i} for 0 <= i <= j on the
-    decision horizon.  Returns (ok, certificate); the certificate of a
-    failure is (i, j, witness vector/element)."""
-    levels = m.levels(m.horizon)
+    """Check the glider axiom F_i M_j inside M_{j-i} for 0 <= i <= j.
+    Returns (ok, certificate); the certificate of a failure is (i, j,
+    witness vector/element).
+
+    The window j <= D + p + q + hi decides the axiom, for D = deep_start(),
+    p = period, F_{n+e} = P^c F_n when n > hi - e, and q = e*p: a failure
+    further out recurs at (i, j - p), or at (i - q, j - q) when q steps
+    move F_i M_j by an integral ideal P^delta.  When delta has a negative
+    exponent and M does not end in zero, the axiom fails, and a scan past
+    the window finds where."""
+    hi, e, c = m.filtration.plus_step()
+    q = e * m.period
+    window = max(m.horizon, m.deep_start() + m.period + q + hi)
+    levels = m.levels(window)
     for i in range(len(levels) - 1):
         if not levels[i].contains(levels[i + 1]):
             return False, (i, i + 1, _containment_witness(levels[i + 1],
@@ -272,7 +283,19 @@ def is_glider(m):
             target = levels[j - i]
             if not target.contains(prod):
                 return False, (i, j, _containment_witness(prod, target))
-    return True, None
+    if levels[-1] is ZERO_MODULE:
+        return True, None
+    grow = m.growth_ideal(q)
+    grow = grow.exps if grow is not None else (0,) * len(c)
+    if all(g + x * m.period >= 0 for g, x in zip(grow, c)):
+        return True, None
+    # delta has a negative exponent, so F_j M_j leaves M_0 eventually
+    j = window
+    prod = levels[0]
+    while levels[0].contains(prod):
+        j += 1
+        prod = m.act(j, m.level(j))
+    return False, (j, j, _containment_witness(prod, levels[0]))
 
 
 def require_glider(m):
@@ -439,31 +462,29 @@ def _containment_fails_eventually(n_gl, m_gl, h):
     if n_gl.stabilizes:
         if n_gl.level(h) is ZERO_MODULE:
             return None
-        # N constant nonzero inside strictly descending M: must fail; scan
-        i = h
-        while m_gl.level(i).contains(n_gl.level(i)):
-            i += 1
-            if i > h + 64 * (m_gl.horizon + 2):  # pragma: no cover
-                raise UnsupportedError("containment scan exceeded bound")
-        return i
-    steps = n_gl.period * m_gl.period
-    sn = n_gl.growth_ideal(steps)
-    sm = m_gl.growth_ideal(steps)
-    if all(a >= b for a, b in zip(sn.exps, sm.exps)):
-        return None
-    i = max(n_gl.deep_start(), m_gl.deep_start())
+        i, steps = h, 1
+    else:
+        steps = n_gl.period * m_gl.period
+        sn = n_gl.growth_ideal(steps)
+        sm = m_gl.growth_ideal(steps)
+        if all(a >= b for a, b in zip(sn.exps, sm.exps)):
+            return None
+        i = max(n_gl.deep_start(), m_gl.deep_start())
+    # M pinches to zero faster than the nonzero N at some prime
     while m_gl.level(i).contains(n_gl.level(i)):
         i += steps
-        if i > h + 64 * steps * (m_gl.horizon + 2):  # pragma: no cover
-            raise UnsupportedError("containment scan exceeded bound")
     return i
 
 
-def _next_distinct(m_gl, n, bound):
-    j = n + 1
-    while j <= bound and m_gl.level(j) == m_gl.level(n):
+def _next_distinct(m_gl, n):
+    """Least j > n with M_j != M_n, or None when there is none."""
+    j, mn = n + 1, m_gl.level(n)
+    # a stable M is constant past prefix_end; else each deep period moves M
+    while m_gl.level(j) == mn:
+        if m_gl.stabilizes and j > m_gl.prefix_end:
+            return None
         j += 1
-    return j if j <= bound else None
+    return j
 
 
 def _t3_search(n_gl, m_gl, h):
@@ -475,26 +496,18 @@ def _t3_search(n_gl, m_gl, h):
     first available leaves maximal room later.
     """
     alpha = []
-    prev = -1
     for i in range(h + 1):
         target = n_gl.level(i)
-        j = prev + 1
-        found = None
-        while True:
-            mj = m_gl.level(j)
-            if mj == target:
-                found = j
-                break
-            # descending: once M_j drops strictly below N_i, no match left
-            if not mj.contains(target):
-                break
+        j = alpha[-1] + 1 if alpha else 0
+        mj = m_gl.level(j)
+        # ends where M_j drops below N_i (nonzero after T2) or M is constant
+        while mj != target and mj.contains(target) and not (
+                m_gl.stabilizes and j > m_gl.prefix_end):
             j += 1
-            if j > prev + 1 + 256 * (h + 2):  # pragma: no cover
-                raise UnsupportedError("T3 search exceeded bound")
-        if found is None:
+            mj = m_gl.level(j)
+        if mj != target:
             return None
-        alpha.append(found)
-        prev = found
+        alpha.append(j)
     # periodic continuation: beyond the horizon both chains repeat with
     # their growth ideals; require matching slopes
     n_stab, m_stab = n_gl.stabilizes, m_gl.stabilizes
@@ -547,7 +560,7 @@ def _sandwich_witness(n_gl, m_gl, h):
         mi, ni = m_gl.level(i), n_gl.level(i)
         if mi == ni:
             continue
-        nd = _next_distinct(m_gl, i, h + (h + 2) * 8)
+        nd = _next_distinct(m_gl, i)
         if nd is None:
             continue
         mnext = m_gl.level(nd)

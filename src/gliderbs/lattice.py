@@ -720,8 +720,8 @@ def intersect(x, y):
             return zero_lattice(x.base, x.dim)
         conds = []
         for lat in (x, y):
-            qmat, resid = _coords_matrix(sbasis, lat)
-            assert not resid, "intersection basis outside span"
+            # sbasis is cut from the common K-span, so nothing is left over
+            qmat, _ = _coords_matrix(sbasis, lat)
             for i in range(lat.rank):
                 conds.append([qmat[s][i] for s in range(len(sbasis))])
         z = solve_dual(x.base, len(sbasis), conds)
@@ -958,6 +958,21 @@ class _QuotientSpace:
             if any(any(r) for r in imgs) else ([], [])
         return len(rows) == self.dim
 
+    def non_generating_direction(self):
+        """The first direction whose cyclic span is not the whole quotient,
+        trying the basis vectors first; None when every direction
+        generates."""
+        fld = self.res_field
+        for c in range(self.dim):
+            qvec = [fld.one() if i == c else fld.zero()
+                    for i in range(self.dim)]
+            if not self.cyclic_span_is_all(qvec):
+                return qvec
+        for qvec in self.enumerate_directions():
+            if not self.cyclic_span_is_all(qvec):
+                return qvec
+        return None
+
     def enumerate_directions(self, cap=8192):
         """Projectively normalized nonzero vectors of the quotient."""
         fld = self.res_field
@@ -993,18 +1008,7 @@ def is_simple_quotient(x, y, b, alg):
     V = _QuotientSpace(x, y, b, alg, j)
     if V.dim == 0:
         return False
-    if V.dim == 1:
-        return True
-    # quick rejection on basis vectors, then exhaustive confirmation
-    fld = V.res_field
-    for c in range(V.dim):
-        qvec = [fld.one() if i == c else fld.zero() for i in range(V.dim)]
-        if not V.cyclic_span_is_all(qvec):
-            return False
-    for qvec in V.enumerate_directions():
-        if not V.cyclic_span_is_all(qvec):
-            return False
-    return True
+    return V.dim == 1 or V.non_generating_direction() is None
 
 
 def intermediate_module(x, y, b, alg):
@@ -1024,23 +1028,7 @@ def intermediate_module(x, y, b, alg):
                 return w
         return None  # pragma: no cover
     V = _QuotientSpace(x, y, b, alg, j)
-    if V.dim <= 1:
-        return None
-    fld = V.res_field
-    candidates = []
-    for c in range(V.dim):
-        candidates.append([fld.one() if i == c else fld.zero()
-                           for i in range(V.dim)])
-    gen = None
-    for qvec in candidates:
-        if not V.cyclic_span_is_all(qvec):
-            gen = qvec
-            break
-    if gen is None:
-        for qvec in V.enumerate_directions():
-            if not V.cyclic_span_is_all(qvec):
-                gen = qvec
-                break
+    gen = V.non_generating_direction() if V.dim > 1 else None
     if gen is None:
         return None
     # lift the failing direction to an element of X and take B*elt + Y

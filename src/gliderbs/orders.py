@@ -20,8 +20,7 @@ from .fields import QQ_FIELD, padic
 from .filtration import (AlgebraFiltration, FieldFiltration,
                          StepFunction)
 from .lattice import (BaseRing, FracIdeal, canonicalize,
-                      matrix_algebra, mult, quaternion_algebra,
-                      quotient_length, span)
+                      matrix_algebra, mult, quaternion_algebra, span)
 
 __all__ = [
     "OrderData", "PrimeData",
@@ -255,14 +254,11 @@ def _custom_radical(order, j):
     pb = b.scale(pi)
     power = ideal
     e = 1
-    while not pb.contains(power):
+    # the ideal is nilpotent in the d-dimensional B/pB, so its d-th power
+    # lies in pB
+    while e < d and not pb.contains(power):
         power = mult(power, ideal, alg)
         e += 1
-        if e > d * d:
-            raise UnsupportedError(
-                f"radical power search exceeded the bound {d * d}; "
-                f"reached length {quotient_length(b, power)} without "
-                "hitting pB")
     return PrimeData(order, ideal, j, e)
 
 

@@ -296,12 +296,9 @@ def _z2_sandwich(m, j, i):
     if cell is ZERO_MODULE or cell.kind != "point":
         return None
     for (dj, di) in ((0, 1), (1, 0)):
+        # the axiom puts each neighbour strictly below a point cell
         nxt = m.cell(j + dj, i + di)
-        k = 2
-        while nxt == cell and k < 8:
-            nxt = m.cell(j + dj * k, i + di * k)
-            k += 1
-        if nxt is ZERO_MODULE or nxt == cell or nxt.kind != "point":
+        if nxt is ZERO_MODULE or nxt.kind != "point":
             continue
         a, b = cell.value
         cand = Z2Ideal.point(a, b - 1)

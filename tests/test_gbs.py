@@ -4,8 +4,9 @@ import pytest
 
 from gliderbs.errors import SpecValidationError, UnsupportedError
 from gliderbs.fields import GAUSS_FIELD, QQ_FIELD, gauss_prime, padic
-from gliderbs.filtration import (AlgebraFiltration, valuation_filtration,
-                                 scaled_valuation_filtration)
+from gliderbs.filtration import (AlgebraFiltration, FieldFiltration,
+                                 StepFunction, scaled_valuation_filtration,
+                                 valuation_filtration)
 from gliderbs.gbs import (BsPoint, LeftIdeal, _column_module,
                           _scalar_shift_exponent, bs_left_ideal,
                           classify_csa_glider, classify_field_glider,
@@ -64,6 +65,21 @@ def test_classify_field_pq(f23):
     assert v.status == "reducible"
     assert [v.witness.level(n).exps for n in range(3)] == \
         [(1, 0), (2, 1), (3, 2)]
+
+
+def test_classify_field_through_a_strong_completion_that_is_not_dvr():
+    # deeper negatives at 2 and 3: the completion is strong but has two
+    # valuations, so the verdict is the multiplier witness 2*M
+    deep = FieldFiltration(
+        QQ_FIELD, (padic(2), padic(3)),
+        StepFunction((-1, 1), {-1: (-2, -2), 0: (0, 0), 1: (1, 1)},
+                     (1, (1, 1)), (1, (1, 1))))
+    v = classify_field_glider(negative_part(deep))
+    assert v.status == "reducible"
+    assert (v.rule, v.via) == ("field.strong-requires-dvr",
+                               "field.associated-strong")
+    assert [v.witness.level(n).exps for n in range(3)] == \
+        [(1, 0), (3, 2), (4, 3)]
 
 
 def test_enumerate_field(f5, f23, f_mod):

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from gliderbs.errors import SpecValidationError
-from gliderbs.fields import INF, QQ_FIELD
+from gliderbs.errors import GbsError, SpecValidationError
+from gliderbs.fields import INF, QQ_FIELD, padic
+from gliderbs.filtration import FieldFiltration, StepFunction
 from gliderbs.glider import (Constant, FiltrationTail, Glider, MultiplyBy,
                              ZeroAfter, body, classify_subglider,
-                             essential_length, is_glider, negative_part,
-                             realize_field_chain, scalar_shift, shift)
+                             classify_subglider_unchecked, essential_length,
+                             is_glider, negative_part, realize_field_chain,
+                             scalar_shift, shift)
 from gliderbs.lattice import FracIdeal, ZERO_MODULE
 
 
@@ -188,13 +190,72 @@ def test_randomized_self_T3_and_shift_validity(f5):
         assert is_glider(shift(g, gamma))[0]
 
 
+def flat_window():
+    """phi(n) = 0 on [0, 10], then slope 1: F_11 is the first level above
+    F_0, past the horizon of a one-level chain."""
+    return FieldFiltration(
+        QQ_FIELD, (padic(5),),
+        StepFunction((-1, 10), {-1: (-1,), **{n: (0,) for n in range(11)}},
+                     (1, (1,)), (1, (1,))))
+
+
 def test_classify_subglider_rejects_a_big_chain_that_is_not_a_glider(f5):
     # a constant nonzero tail breaks the axiom; the T3 search used to
-    # walk its whole bound on this input instead of rejecting it
-    big = Glider(f5, "field", [ideal(f5, 0), ideal(f5, 1)], Constant())
-    for sub in (negative_part(f5), shift(negative_part(f5), 2)):
-        with pytest.raises(SpecValidationError, match="not a glider"):
-            classify_subglider(sub, big)
+    # walk its whole bound on these inputs instead of rejecting them
+    flat = flat_window()
+    cases = [
+        (Glider(f5, "field", [ideal(f5, 0), ideal(f5, 1)], Constant()),
+         (negative_part(f5), shift(negative_part(f5), 2))),
+        (Glider(flat, "field", [flat.level(0)], Constant()),
+         (Glider(flat, "field", [flat.level(0), ideal(flat, 1)],
+                 FiltrationTail()),)),
+    ]
+    for big, subs in cases:
+        for sub in subs:
+            with pytest.raises(SpecValidationError, match="not a glider"):
+                classify_subglider(sub, big)
+
+
+def steep_after_flat():
+    """phi(n) = 0 on [0, 10], then slope 2."""
+    return FieldFiltration(
+        QQ_FIELD, (padic(5),),
+        StepFunction((0, 10), {n: (0,) for n in range(11)},
+                     (1, (2,)), (1, (2,))))
+
+
+@pytest.mark.parametrize("filt, growth, first", [
+    # a constant tail: F_11 M_11 = 5^-1 R is not inside M_0 = R
+    (flat_window, None, 11),
+    # phi(n) = 2(n - 10) outgrows M_j = 5^j R at n = 21, past the
+    # filtration's horizon 12 as well
+    (steep_after_flat, 1, 21),
+])
+def test_is_glider_finds_failures_past_the_chain_horizon(filt, growth, first):
+    f = filt()
+    tail = Constant() if growth is None else MultiplyBy(ideal(f, growth))
+    m = Glider(f, "field", [f.level(0)], tail)
+    assert m.horizon < first
+    ok, (i, j, witness) = is_glider(m)
+    assert not ok and (i, j) == (first, first)
+    assert witness == QQ_FIELD.parse("1/5")
+
+
+def test_is_glider_accepts_a_tail_as_steep_as_the_filtration():
+    f = steep_after_flat()
+    m = Glider(f, "field", [f.level(0)], MultiplyBy(ideal(f, 2)))
+    assert is_glider(m) == (True, None)
+
+
+def test_unchecked_classification_of_a_non_glider_ends():
+    # the T3 walk and the sandwich walk stop where the stable big chain
+    # is constant; the input is outside the class, so a typed error
+    flat = flat_window()
+    big = Glider(flat, "field", [flat.level(0)], Constant())
+    sub = Glider(flat, "field", [flat.level(0), ideal(flat, 1)],
+                 FiltrationTail())
+    with pytest.raises(GbsError):
+        classify_subglider_unchecked(sub, big)
 
 
 @pytest.mark.parametrize("tail", ["filtration", "zeroafter", "multiply"])

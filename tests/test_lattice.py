@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gliderbs.errors import (BaseMismatchError, ContainmentError, RankError,
-                             SpecValidationError)
+                             SpecValidationError, UnsupportedError)
 from gliderbs.fields import QQ_FIELD, padic, val
 from gliderbs.lattice import (BaseRing, FracIdeal, add, canonicalize,
                               colon_left, colon_right, intersect,
@@ -104,6 +104,22 @@ def test_simple_quotient_examples(r5, b_m2, m2):
     assert not is_simple_quotient(col, col.scale(fe(25)), b_m2, m2)
     w = intermediate_module(col, col.scale(fe(25)), b_m2, m2)
     assert w == col.scale(fe(5))
+
+
+def test_direction_cap_is_reached():
+    # the column module of M_2(Z_(p)) mod p has p + 1 directions; the
+    # enumeration takes 8192 of them and refuses 8210
+    for p, ok in ((8191, True), (8209, False)):
+        base = BaseRing(QQ_FIELD, (padic(p),))
+        order = canonicalize(base, 4, identity_rows(4))
+        col = span(base, 4, [identity_rows(4)[0], identity_rows(4)[2]])
+        if ok:
+            assert is_simple_quotient(col, col.scale(fe(p)), order,
+                                      matrix_algebra(2))
+        else:
+            with pytest.raises(UnsupportedError, match="8210 directions"):
+                is_simple_quotient(col, col.scale(fe(p)), order,
+                                   matrix_algebra(2))
 
 
 def test_unit_iff_zero_val_vector(r5):

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from gliderbs.errors import MaximalityError, SpecValidationError
+from gliderbs.errors import (MaximalityError, SpecValidationError,
+                             UnsupportedError)
 from gliderbs.fields import QQ_FIELD, padic
 from gliderbs.filtration import induced_on_K, is_strong
 from gliderbs.lattice import (BaseRing, canonicalize, mult,
@@ -56,6 +57,24 @@ def test_custom_radical_matches_builtin(hurwitz):
                        declared_maximal=True)
     p = radical(custom, 2)
     assert p.e == 2 and p.ideal == radical(hurwitz, 2).ideal
+
+
+def test_custom_radical_probing_cap():
+    # M_2(Z_(11)) mod 11 has 11^4 = 14641 elements, over the 4096 probed
+    base = BaseRing(QQ_FIELD, (padic(11),))
+    mnr = builtin_mnr(2, base)
+    custom = OrderData(mnr.lattice, mnr.alg, declared_maximal=True)
+    with pytest.raises(UnsupportedError, match="14641 elements"):
+        radical(custom, 11)
+
+
+def test_custom_radical_of_an_unramified_order():
+    # the radical is pB itself, so the power walk stops at e = 1
+    base = BaseRing(QQ_FIELD, (padic(2),))
+    mnr = builtin_mnr(2, base)
+    custom = OrderData(mnr.lattice, mnr.alg, declared_maximal=True)
+    p = radical(custom, 2)
+    assert p.e == 1 and p.ideal == radical(mnr, 2).ideal
 
 
 def test_custom_radical_requires_declaration(hurwitz):
