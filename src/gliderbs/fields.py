@@ -41,6 +41,7 @@ __all__ = [
     "padic", "gauss_prime", "xadic", "yadic", "poly_prime", "composite2",
     "val", "uniformizer", "uniformizer_pair", "residue",
     "field_from_name", "rational_value", "substitute",
+    "padic_primes", "integer_row", "rational_row",
 ]
 
 
@@ -283,6 +284,40 @@ def _poly_image(poly, target, images, coeff):
     return out
 
 
+def padic_primes(field, valuations):
+    """(p_1, ..., p_r) when `field` is Q and every valuation is p-adic,
+    else None: the semilocal rings Z_(S) whose lattices are computed on
+    integers."""
+    if field is not QQ_FIELD or not all(
+            isinstance(v._impl, _PAdic) for v in valuations):
+        return None
+    return tuple(v.p for v in valuations)
+
+
+def integer_row(row):
+    """(numerators, d) with row[k] = numerators[k] / d, for a row of
+    elements of Q and d their least common positive denominator.  A plain
+    integer zero counts as zero of Q."""
+    reps = []
+    den = 1
+    for e in row:
+        if e.__class__ is not FieldElem or e.field is not QQ_FIELD:
+            if isinstance(e, FieldElem) or e != 0:
+                raise FieldMismatchError(f"{e!r} is not an element of Q")
+            e = QQ_FIELD._zero
+        q = e.rep
+        reps.append(q)
+        d = q.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    return [q.numerator * (den // q.denominator) for q in reps], den
+
+
+def rational_row(nums, den):
+    """The elements nums[k] / den of Q, for ints nums and den > 0."""
+    return tuple(FieldElem(QQ_FIELD, _MPQ(n, den)) for n in nums)
+
+
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
@@ -420,6 +455,9 @@ class _DomainArith(_Arith):
         if not b:
             raise ZeroDivisionError("division by zero field element")
         return a / b
+
+
+_MPQ = QQ.dtype  # builds a reduced rational from two ints
 
 
 def _qq_from_fraction(q):
@@ -933,6 +971,8 @@ class Valuation:
         self.uniformizer_pair = impl.uniformizer_pair
         self.residue_field = impl.residue_field
         self.lift = impl.lift
+        if impl.strip_principal_part is not None:
+            self.strip_principal_part = impl.strip_principal_part
 
     def _check_field(self, x):
         if not isinstance(x, FieldElem) or x.field is not self.field:
@@ -959,6 +999,23 @@ class Valuation:
             return self.residue_field().zero()
         return self._impl.residue0(x)
 
+    def strip_principal_part(self, pp, h):
+        """(pp + P, h - P) for P the principal part of h here: the digit
+        terms d * pi^k, k < 0, with d the canonical lift of a residue, that
+        leave h - P integral.  A kind with a closed form binds its own."""
+        pi = None
+        while h:
+            k = self(h)
+            if k >= 0:
+                break
+            if pi is None:
+                pi = self.uniformizer()
+            digit = self.lift(self.residue(h * pi ** (-k)))
+            term = digit * pi ** k
+            pp = pp + term
+            h = h - term
+        return pp, h
+
     def __repr__(self):
         return f"Valuation({self.name} on {self.field.name})"
 
@@ -974,6 +1031,7 @@ class _ValuationImpl:
 
     rank = 1
     unit_value = 0
+    strip_principal_part = None
 
     def uniformizer_pair(self):
         raise UnsupportedError("uniformizer_pair needs a rank-2 valuation")
@@ -999,6 +1057,20 @@ class _PAdic(_ValuationImpl):
 
     def residue0(self, x):
         return prime_field(self.p).from_fraction(rational_value(x))
+
+    def strip_principal_part(self, pp, h):
+        """The digits of h = a / (b' p^k), p prime to b', in closed form:
+        the principal part is r / p^k with r = a b'^-1 mod p^k."""
+        q = h.rep
+        b, pk, p = q.denominator, 1, self.p
+        while b % p == 0:
+            b //= p
+            pk *= p
+        if pk == 1:
+            return pp, h
+        part = FieldElem(self.field, _MPQ(q.numerator * pow(b, -1, pk) % pk,
+                                          pk))
+        return pp + part, h - part
 
 
 class _GaussPrime(_ValuationImpl):

@@ -213,14 +213,20 @@ class FieldFiltration:
             if v.field is not field:
                 raise BaseMismatchError("valuation outside the field")
         self.phi = phi
+        self._levels = {}
 
     def level(self, n):
-        """F_n as a fractional ideal (rank-1 families only)."""
-        if self.composite:
-            raise UnsupportedError(
-                "rank-2 filtration levels are not fractional ideals; "
-                "use the rank-2 module")
-        return FracIdeal(self.base_ring, tuple(-c for c in self.phi(n)))
+        """F_n as a fractional ideal (rank-1 families only), built once per
+        n: glider chains past their prefix ask for it on every level."""
+        out = self._levels.get(n)
+        if out is None:
+            if self.composite:
+                raise UnsupportedError(
+                    "rank-2 filtration levels are not fractional ideals; "
+                    "use the rank-2 module")
+            out = self._levels[n] = FracIdeal(
+                self.base_ring, tuple(-c for c in self.phi(n)))
+        return out
 
     @property
     def horizon(self):

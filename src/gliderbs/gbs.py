@@ -224,11 +224,18 @@ def classify_field_glider(m):
         return Verdict("out-of-class", rule="field.associated-strong",
                        reason="negative part does not refine into the "
                               "strong completion")
-    m2 = represent_over(m, comp)
     if comp.is_dvr_valuation():
-        inner = _classify_field_dvr(m2, comp)
+        inner = _classify_field_dvr(represent_over(m, comp), comp)
         inner.via = "field.associated-strong"
         return inner
+    try:
+        m2 = represent_over(m, comp)
+    except UnsupportedError:
+        # the completion's minus period is e, and no supported tail rule
+        # presents the chain's growth over it
+        return Verdict("out-of-class", rule="field.estep-unsupported",
+                       reason=f"chain is not presentable over the strong "
+                              f"{e}-step completion")
     rule = ("field.strong-requires-dvr" if is_strong(comp)
             else "field.estep-unsupported")
     out = _multiplier_witness(m2, rule)

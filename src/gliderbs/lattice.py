@@ -24,8 +24,9 @@ import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
-from . import linalg
+from . import fields, linalg
 from .errors import (BaseMismatchError, ContainmentError, RankError,
                      SpecValidationError, UnsupportedError)
 from .fields import QQ_FIELD
@@ -96,6 +97,8 @@ class BaseRing:
         inst.uniformizers = tuple(v.uniformizer() for v in valuations)
         inst._check_uniformizers()
         inst._gen_cache = {}
+        # Z_(S) inside Q: lattices are reduced on integers (`_integer_hnf`)
+        inst.int_primes = fields.padic_primes(field, valuations)
         cls._cache[key] = inst
         return inst
 
@@ -161,15 +164,8 @@ class BaseRing:
             return u
         h = u / g
         pp = self.field.zero()
-        for v, pi in zip(self.valuations, self.uniformizers):
-            while h:
-                k = v(h)
-                if k >= 0:
-                    break
-                digit = v.lift(v.residue(h * pi ** (-k)))
-                term = digit * pi ** k
-                pp = pp + term
-                h = h - term
+        for v in self.valuations:
+            pp, h = v.strip_principal_part(pp, h)
         return g * pp
 
     def mix_coefficient(self, a, b):
@@ -551,7 +547,19 @@ def _check_compatible(x, y):
 
 
 def _hnf(base, dim, vectors):
-    """Canonical Hermite-style normal form; returns tuple of canonical rows."""
+    """Canonical Hermite-style normal form; returns tuple of canonical rows.
+
+    Over Z_(S) inside Q the rows are computed on integers
+    (`_integer_hnf`), over every other base ring on field elements
+    (`_field_hnf`).  The normal form is unique, so both give the same rows.
+    """
+    if base.int_primes is None:
+        return _field_hnf(base, dim, vectors)
+    return _integer_hnf(base, dim, vectors)
+
+
+def _field_hnf(base, dim, vectors):
+    """The normal form by field arithmetic, on any base ring."""
     work = []
     for v in vectors:
         row = list(v)
@@ -611,6 +619,145 @@ def _hnf(base, dim, vectors):
             if q:
                 result[rj] = [a - q * b for a, b in zip(result[rj], prow)]
     return tuple(tuple(r) for r in result)
+
+
+# The integer kernel.  A row over Q is a pair (nums, d): the vector nums/d
+# for ints nums and d > 0.  While rows are eliminated they only generate the
+# module, so a row may be multiplied by a unit of Z_(S), an integer prime to
+# every p; each working row is kept with d a product of the primes and no
+# unit dividing all of nums.
+
+def _split(primes, n):
+    """(s, u) with n = s * u for n != 0: s > 0 a product of the primes and
+    u prime to them."""
+    s = 1
+    for p in primes:
+        while n % p == 0:
+            n //= p
+            s *= p
+    return s, n
+
+
+def _int_vals(primes, n, d):
+    """The exponent vector of n/d at the primes, for n != 0 and d > 0."""
+    out = []
+    for p in primes:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        while d % p == 0:
+            d //= p
+            k -= 1
+        out.append(k)
+    return tuple(out)
+
+
+def _unit_free(primes, nums, d):
+    """The nonzero row nums/d times a unit of Z_(S): d a product of the
+    primes, and neither a unit nor a prime of d divides all of nums."""
+    d = _split(primes, d)[0]
+    s, u = _split(primes, gcd(*nums))
+    c = gcd(s, d)
+    u *= c
+    if u != 1:
+        nums = [a // u for a in nums]
+    return nums, d // c
+
+
+def _combine(x, y, cx, cy):
+    """cx*x + cy*y for rows x, y and ints cx, cy."""
+    (xs, dx), (ys, dy) = x, y
+    d = dx // gcd(dx, dy) * dy
+    fx, fy = cx * (d // dx), cy * (d // dy)
+    return [fx * a + fy * b for a, b in zip(xs, ys)], d
+
+
+def _integer_hnf(base, dim, vectors):
+    """`_field_hnf` on Python ints, for Z_(S) inside Q (Cohen, GTM 138,
+    section 2.4).  A pivot is made by a unit multiplier, u*row_i - t*row_piv
+    with u the unit part of the pivot entry, instead of a field division;
+    the mixing coefficient is the product of the primes where two values
+    tie.  Back-substitution calls `BaseRing.reduce_mod` on exact rows."""
+    primes = base.int_primes
+    work = []
+    for v in vectors:
+        row = list(v)
+        if len(row) != dim:
+            raise BaseMismatchError("generator of wrong length")
+        nums, d = fields.integer_row(row)
+        if any(nums):
+            work.append(_unit_free(primes, nums, d))
+    result = []
+    for col in range(dim):
+        cand = [i for i, r in enumerate(work) if r[0][col]]
+        if not cand:
+            continue
+        # mix until some candidate attains the componentwise-min valuation
+        while True:
+            vecs = {i: _int_vals(primes, work[i][0][col], work[i][1])
+                    for i in cand}
+            vmin = tuple(min(v[j] for v in vecs.values())
+                         for j in range(len(primes)))
+            attained = [i for i in cand if vecs[i] == vmin]
+            if attained:
+                piv = attained[0]
+                break
+            i0 = max(cand, key=lambda i: sum(
+                1 for a, b in zip(vecs[i], vmin) if a == b))
+            j = next(j for j, (a, b) in enumerate(zip(vecs[i0], vmin))
+                     if a > b)
+            i1 = next(i for i in cand if vecs[i][j] == vmin[j])
+            c = 1
+            for p, a, b in zip(primes, vecs[i0], vecs[i1]):
+                if a == b:
+                    c *= p
+            nums, d = _combine(work[i0], work[i1], 1, c)
+            if not nums[col] or _int_vals(primes, nums[col], d) != \
+                    tuple(map(min, vecs[i0], vecs[i1])):
+                raise UnsupportedError(
+                    "mixing coefficient missed the componentwise minimum "
+                    "valuation")
+            work[i0] = _unit_free(primes, nums, d)
+        prow = work[piv]
+        s, u = _split(primes, prow[0][col])
+        rest = []
+        for i, row in enumerate(work):
+            if i == piv:
+                continue
+            if row[0][col]:
+                # row_i's entry is t/u times the pivot entry, t an integer
+                t = row[0][col] * prow[1] // (row[1] * s)
+                row = _combine(row, prow, u, -t)
+                if not any(row[0]):
+                    continue
+                row = _unit_free(primes, *row)
+            rest.append(row)
+        work = rest
+        # divide by the unit u: the pivot becomes a product of prime powers
+        nums, d = prow
+        result.append((nums, d * u, vmin) if u > 0 else
+                      ([-a for a in nums], -d * u, vmin))
+    # reduce entries above each pivot to canonical coset representatives
+    for ri in range(len(result)):
+        pnums, pd, vmin = result[ri]
+        pcol = next(c for c, e in enumerate(pnums) if e)
+        g, gp = base.from_exponents(vmin), pnums[pcol]
+        for rj in range(ri):
+            nums, d, vj = result[rj]
+            a = nums[pcol]
+            if not a:
+                continue
+            (u,) = fields.rational_row((a,), d)
+            (rn,), rd = fields.integer_row((base.reduce_mod(u, g),))
+            # row_j - q*prow with q = (a/d - rn/rd) / g and g = gp/pd
+            c = a * rd - rn * d
+            if c:
+                nums = [x * rd * gp - c * y for x, y in zip(nums, pnums)]
+                d *= rd * gp
+                k = gcd(d, *nums)
+                result[rj] = ([x // k for x in nums], d // k, vj)
+    return tuple(fields.rational_row(nums, d) for nums, d, _ in result)
 
 
 def span(base, dim, vectors):

@@ -160,3 +160,27 @@ def test_explicit_equals_induced(f5, b_m2, m2):
     assert induced_on_K(fa) == f5
     assert is_strong(fa)
     assert estep(fa) == 1
+
+
+def test_field_filtration_builds_each_level_once():
+    phi = StepFunction((-1, 1), {-1: (-2,), 0: (0,), 1: (1,)},
+                       (1, (1,)), (1, (1,)))
+    filt = FieldFiltration(QQ_FIELD, (padic(5),), phi)
+    seen = []
+
+    class Counting:
+        def __call__(self, n):
+            seen.append(n)
+            return phi(n)
+
+        def __getattr__(self, name):
+            return getattr(phi, name)
+
+    filt.phi = Counting()
+    m = Glider(filt, "field", [FracIdeal(filt.base_ring, (0,))],
+               FiltrationTail())
+    first = [m.level(i) for i in range(12)]
+    assert [m.level(i) for i in range(12)] == first
+    assert sorted(seen) == sorted(set(seen))
+    assert filt.level(-5) is filt.level(-5)
+    assert filt.level(-5) == FracIdeal(filt.base_ring, (6,))

@@ -15,7 +15,7 @@ from gliderbs.gbs import (BsPoint, LeftIdeal, _column_module,
                           realize_field_element)
 from gliderbs.glider import (FiltrationTail, Glider, classify_subglider,
                              negative_part, scalar_shift, shift)
-from gliderbs.lattice import (canonicalize, matrix_algebra,
+from gliderbs.lattice import (FracIdeal, canonicalize, matrix_algebra,
                               quaternion_algebra, span)
 from gliderbs.orders import builtin_mnr
 
@@ -80,6 +80,24 @@ def test_classify_field_through_a_strong_completion_that_is_not_dvr():
                                "field.associated-strong")
     assert [v.witness.level(n).exps for n in range(3)] == \
         [(1, 0), (3, 2), (4, 3)]
+
+
+@pytest.mark.parametrize("prefix", [[0], [0, 1], [-1, 0], [0, 0, 1],
+                                    [1, 2], [0, 2]])
+def test_classify_field_through_a_two_step_completion_is_out_of_class(
+        prefix):
+    # the negative part grows by P^2 per step, the strong completion has
+    # minus period 2: no supported tail presents the chain over it
+    filt = FieldFiltration(
+        QQ_FIELD, (padic(5),),
+        StepFunction((-1, 2), {-1: (-2,), 0: (0,), 1: (0,), 2: (1,)},
+                     (2, (1,)), (1, (2,))))
+    m = Glider(filt, "field",
+               [FracIdeal(filt.base_ring, (e,)) for e in prefix],
+               FiltrationTail())
+    v = classify_field_glider(m)
+    assert (v.status, v.rule) == ("out-of-class", "field.estep-unsupported")
+    assert "2-step completion" in v.reason
 
 
 def test_enumerate_field(f5, f23, f_mod):

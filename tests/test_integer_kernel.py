@@ -1,0 +1,167 @@
+"""The integer kernel of `lattice._hnf` over Z_(S) inside Q against the
+field-arithmetic kernel, which stays the reference; the closed-form p-adic
+principal part against the digit loop; and which kernel each base ring
+takes."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gliderbs import lattice
+from gliderbs.errors import BaseMismatchError, FieldMismatchError
+from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, Valuation,
+                             fp_func_field, gauss_prime, padic, xadic)
+from gliderbs.lattice import BaseRing, span
+
+BASES = {
+    "Q at 5": BaseRing(QQ_FIELD, [padic(5)]),
+    "Q at 2,3": BaseRing(QQ_FIELD, [padic(2), padic(3)]),
+    "Q at 2,3,5": BaseRing(QQ_FIELD, [padic(2), padic(3), padic(5)]),
+}
+
+# denominators with parts inside S = {2, 3, 5}, outside it, and both
+DENOMINATORS = [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 25, 35, 49, 60, 77, 125]
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-300, 300),
+              st.sampled_from(DENOMINATORS)))
+# multipliers of a row: units of each Z_(S), prime powers and mixtures
+MULTIPLIERS = [Fraction(1), Fraction(-1), Fraction(7, 11), Fraction(5),
+               Fraction(1, 6), Fraction(-12, 49), Fraction(250, 3)]
+
+
+@st.composite
+def generators(draw):
+    """(dim, rows) with dims 1-9: random rows, then zero rows, duplicate
+    rows, combinations of rows and zero columns, so that many spans are
+    rank-deficient."""
+    dim = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.lists(entries, min_size=dim, max_size=dim),
+                         max_size=dim + 1))
+    for extra in draw(st.lists(st.sampled_from(
+            ["zero", "duplicate", "combination", "zero column"]),
+            max_size=3)):
+        if extra == "zero":
+            rows.append([Fraction(0)] * dim)
+        elif rows and extra == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif rows and extra == "combination":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = (draw(st.sampled_from(MULTIPLIERS)) for _ in range(2))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        elif extra == "zero column":
+            col = draw(st.integers(0, dim - 1))
+            for r in rows:
+                r[col] = Fraction(0)
+    draw(st.randoms()).shuffle(rows)
+    return dim, [[QQ_FIELD.from_fraction(q) for q in r] for r in rows]
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_integer_kernel_gives_the_rows_of_the_field_kernel(name):
+    base = BASES[name]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(generators())
+    def same_rows(gen):
+        dim, vecs = gen
+        rows = lattice._integer_hnf(base, dim, vecs)
+        assert rows == lattice._field_hnf(base, dim, vecs)
+        assert all(e.field is QQ_FIELD for r in rows for e in r)
+
+    same_rows()
+
+
+def _digit_loop_reduce(base, u, g):
+    """`BaseRing.reduce_mod` with every valuation on the digit loop."""
+    if not u:
+        return u
+    h = u / g
+    pp = base.field.zero()
+    for v in base.valuations:
+        pp, h = Valuation.strip_principal_part(v, pp, h)
+    return g * pp
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_closed_form_reduce_mod_matches_the_digit_loop(name):
+    base = BASES[name]
+    r = base.nprimes
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(entries, st.lists(st.integers(-4, 4), min_size=r, max_size=r),
+           st.sampled_from(MULTIPLIERS))
+    def same_coset(q, exps, unit):
+        u = QQ_FIELD.from_fraction(q)
+        g = base.from_exponents(exps)
+        assert base.reduce_mod(u, g) == _digit_loop_reduce(base, u, g)
+        # and per valuation, on an element with a principal part anywhere
+        h = u * QQ_FIELD.from_fraction(unit) / g
+        for v in base.valuations:
+            assert v.strip_principal_part(QQ_FIELD.zero(), h) == \
+                Valuation.strip_principal_part(v, QQ_FIELD.zero(), h)
+
+    same_coset()
+
+
+def _refuse(*args):
+    raise AssertionError("this base ring took the other HNF path")
+
+
+def _q(text):
+    return QQ_FIELD.parse(text)
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_padic_bases_take_the_integer_path(name, monkeypatch):
+    base = BASES[name]
+    assert base.int_primes == tuple(v.p for v in base.valuations)
+    monkeypatch.setattr(lattice, "_field_hnf", _refuse)
+    lat = span(base, 2, [[_q("1/10"), _q("3")], [_q("7"), _q("5/3")]])
+    assert lat.rank == 2
+    monkeypatch.setattr(lattice, "_integer_hnf", _refuse)
+    with pytest.raises(AssertionError, match="other HNF path"):
+        span(base, 2, [[_q("1"), _q("2")]])
+
+
+F3X = fp_func_field(3)
+OTHER_BASES = {
+    "Q(x) at x": (BaseRing(QX_FIELD, [xadic(QX_FIELD)]), QX_FIELD),
+    "F_3(x) at x": (BaseRing(F3X, [xadic(F3X)]), F3X),
+    "Q(i) at 3": (BaseRing(GAUSS_FIELD, [gauss_prime("3")]), GAUSS_FIELD),
+    "Q(i) at 1+i": (BaseRing(GAUSS_FIELD, [gauss_prime("1+i")]),
+                    GAUSS_FIELD),
+}
+
+
+@pytest.mark.parametrize("name", OTHER_BASES)
+def test_other_bases_take_the_field_path(name, monkeypatch):
+    base, field = OTHER_BASES[name]
+    assert base.int_primes is None
+    monkeypatch.setattr(lattice, "_integer_hnf", _refuse)
+    gen = field.gen(field.generator_names()[0])
+    one = field.one()
+    lat = span(base, 2, [[gen, one], [one, gen * gen + one]])
+    assert lat.rank == 2
+    monkeypatch.setattr(lattice, "_field_hnf", _refuse)
+    with pytest.raises(AssertionError, match="other HNF path"):
+        span(base, 2, [[one, gen]])
+
+
+def test_only_padic_valuations_bind_a_closed_form():
+    assert "strip_principal_part" in vars(padic(7))
+    for v in (xadic(QX_FIELD), xadic(F3X), gauss_prime("3"),
+              gauss_prime("2+i")):
+        assert "strip_principal_part" not in vars(v)
+
+
+def test_integer_kernel_failures_stay_typed():
+    base = BASES["Q at 5"]
+    with pytest.raises(BaseMismatchError):
+        span(base, 2, [[_q("1")]])
+    with pytest.raises(FieldMismatchError):
+        span(base, 2, [[_q("1"), GAUSS_FIELD.parse("i")]])
+    # a plain zero is the zero of Q, as on the field path
+    assert span(base, 2, [[0, _q("5")]]).rows == ((QQ_FIELD.zero(),
+                                                   _q("5")),)
