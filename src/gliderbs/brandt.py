@@ -41,9 +41,8 @@ class NormalGliderIdeal:
             raise SpecValidationError(
                 "normal glider ideals are chains over a field filtration")
         require_glider(glider)
-        for i in range(glider.prefix_end + 1):
-            lvl = glider.level(i)
-            if lvl is None or not getattr(lvl, "full", False):
+        for i, lvl in enumerate(glider.prefix):
+            if not getattr(lvl, "full", False):  # zero has no rank
                 raise RankError(
                     f"level {i} is not a full lattice: K M must be the "
                     "whole algebra")
@@ -94,31 +93,25 @@ def left_glider_order(m):
     """O_l over all levels: the intersection of the left colons of the
     window levels (the scalar tails stabilize nothing new, since the left
     order of a scalar multiple is the left order of the level itself)."""
-    m = _as_ideal(m)
-    key = "left_order"
-    if key not in m._cache:
-        out = None
-        for i in range(m.window + 1):
-            c = colon_left(m.level(i), m.level(i), m.alg)
-            out = c if out is None else intersect(out, c)
-        if not out.full:
-            raise RankError("left glider order is not a full lattice: "
-                            "not a normal glider ideal")
-        m._cache[key] = OrderData(out, m.alg)
-    return m._cache[key]
+    return _glider_order(m, "left", colon_left)
 
 
 @_in_memo_scope
 def right_glider_order(m):
+    """O_r over all levels, from the right colons likewise."""
+    return _glider_order(m, "right", colon_right)
+
+
+def _glider_order(m, side, colon):
     m = _as_ideal(m)
-    key = "right_order"
+    key = f"{side}_order"
     if key not in m._cache:
         out = None
         for i in range(m.window + 1):
-            c = colon_right(m.level(i), m.level(i), m.alg)
+            c = colon(m.level(i), m.level(i), m.alg)
             out = c if out is None else intersect(out, c)
         if not out.full:
-            raise RankError("right glider order is not a full lattice: "
+            raise RankError(f"{side} glider order is not a full lattice: "
                             "not a normal glider ideal")
         m._cache[key] = OrderData(out, m.alg)
     return m._cache[key]

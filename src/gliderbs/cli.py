@@ -27,7 +27,6 @@ from .orders import (OrderData, builtin_hurwitz2, builtin_mnr,
                      ceil_sum_compare, maxorder_strong_check)
 from .rank2 import (classify_z2_glider, residue_glider,
                     vertical_body_glider)
-from .rules import RULES
 from .tensorext import gbs_map, tensor_filtration
 
 

@@ -15,6 +15,8 @@ lattices with multiplicative ideal tails.
 
 from __future__ import annotations
 
+import math
+
 from .errors import (BaseMismatchError, SpecValidationError,
                      UnsupportedError)
 from .fields import INF
@@ -352,19 +354,15 @@ class AlgebraFiltration:
             if self.level(0) != self.order:
                 raise SpecValidationError("L_0 must equal the order")
             span_n = max(self.plus_period, self.minus_period)
-            lo, hi = self.lo, self.hi + span_n
-            for n in range(self.lo - span_n, hi):
+            for n in range(self.lo - span_n, self.hi + span_n):
                 if not self.level(n + 1).contains(self.level(n)):
                     raise SpecValidationError(
                         f"levels not ascending at degree {n}")
-            for n in range(self.lo - span_n, hi + 1):
-                for m in range(self.lo - span_n, hi + 1):
-                    if not (self.lo - span_n <= n + m <= hi):
-                        continue
-                    prod = mult(self.level(n), self.level(m), self.alg)
-                    if not self.level(n + m).contains(prod):
-                        raise SpecValidationError(
-                            f"L_{n} * L_{m} not inside L_{n + m}")
+            bad = product_law_witness(self)
+            if bad is not None:
+                n, m = bad
+                raise SpecValidationError(
+                    f"L_{n} * L_{m} not inside L_{n + m}")
             for n in range(self.lo, self.hi + 1):
                 if self._intersection_with_K(n) != self.base.level(n):
                     raise SpecValidationError(
@@ -490,15 +488,15 @@ def _estep_lattice(fa):
     return e
 
 
-def product_law_witness(fa, reach=None):
-    """First (n, m) in the checked range with L_n L_m not inside L_{n+m},
-    or None.  Explicit-mode only; used to exhibit when a candidate level
-    chain fails to be a filtration at all."""
+def product_law_witness(fa):
+    """First (n, m) with L_n L_m not inside L_{n+m}, for n, m and n + m
+    in the window widened by a tail period on each side, or None.
+    Explicit-mode only; the validator and the maximal-order cross-checks
+    use it."""
     if fa.mode != "explicit":
         return None
     span_n = max(fa.plus_period, fa.minus_period)
-    lo = fa.lo - (reach if reach is not None else span_n)
-    hi = fa.hi + (reach if reach is not None else span_n)
+    lo, hi = fa.lo - span_n, fa.hi + span_n
     for n in range(lo, hi + 1):
         for m in range(lo, hi + 1):
             if not (lo <= n + m <= hi):
@@ -530,17 +528,9 @@ def strong_completion(filt):
         raise UnsupportedError("completion implemented for rank-1 only")
     ph = filt.phi
     h = ph.horizon
-    e = next((k for k in range(1, h + 1) if ph(k) != ph(k - 1)), None)
-    if e is None:  # pragma: no cover - validator forbids flat positive part
-        raise SpecValidationError("positive part never jumps")
-
-    def lcm(a, b):
-        g, x, y = a, a, b
-        while y:
-            x, y = y, x % y
-        return a * b // x
-
-    period = lcm(e, ph.plus_period)
+    # StepFunction makes the plus increment >= 1, so phi jumps within h
+    e = next(k for k in range(1, h + 1) if ph(k) != ph(k - 1))
+    period = math.lcm(e, ph.plus_period)
     lo = -(max(h, ph.hi) + 2 * period)
     hi = max(ph.hi, 1)
     table = {}

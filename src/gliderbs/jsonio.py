@@ -8,6 +8,7 @@ deterministic (sorted keys, fixed separators).
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import SchemaError
 from .fields import field_from_name, gauss_prime, padic, poly_prime, \
@@ -51,6 +52,30 @@ def _schema_check(obj, where):
         raise SchemaError(f"schema must be {SCHEMA!r}", where)
 
 
+def _int(value, where):
+    """A JSON integer; floats, strings and booleans are rejected."""
+    if type(value) is not int:
+        raise SchemaError(f"expected an integer, got {value!r}", where)
+    return value
+
+
+def _ints(values, where, length=None):
+    """A JSON list of integers, of the given length if one is given."""
+    if not isinstance(values, list) or length not in (None, len(values)):
+        what = "integers" if length is None else f"{length} integers"
+        raise SchemaError(f"expected a list of {what}, got {values!r}", where)
+    return tuple(_int(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+
+def _int_text(text, where):
+    """A string (an object key, an extension's `over`) that spells an
+    integer as `str` prints it."""
+    if not isinstance(text, str) or \
+            not re.fullmatch(r"0|-?[1-9][0-9]*", text):
+        raise SchemaError(f"expected an integer string, got {text!r}", where)
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # valuations and base data
 # ---------------------------------------------------------------------------
@@ -69,7 +94,7 @@ def decode_valuation(obj, field, where="valuation"):
     _check_keys(obj, ["kind"], ["p", "pi", "g"], where)
     kind = obj["kind"]
     if kind == "padic":
-        return padic(int(obj["p"]))
+        return padic(_int(obj["p"], where + ".p"))
     if kind == "gauss":
         return gauss_prime(obj["pi"])
     if kind == "xadic":
@@ -87,16 +112,24 @@ def encode_phi(phi):
     return phi.as_dict()
 
 
+def _decode_period_tail(obj, where):
+    """(period, increments) of a tail block."""
+    _check_keys(obj, ["period", "inc"], (), where)
+    return (_int(obj["period"], where + ".period"),
+            _ints(obj["inc"], where + ".inc"))
+
+
 def decode_phi(obj, order="componentwise", where="phi"):
     _check_keys(obj, ["window", "table", "tailPlus", "tailMinus"], (), where)
-    _check_keys(obj["tailPlus"], ["period", "inc"], (), where + ".tailPlus")
-    _check_keys(obj["tailMinus"], ["period", "inc"], (), where + ".tailMinus")
-    table = {int(k): tuple(v) for k, v in obj["table"].items()}
-    return StepFunction(tuple(obj["window"]), table,
-                        (obj["tailPlus"]["period"],
-                         tuple(obj["tailPlus"]["inc"])),
-                        (obj["tailMinus"]["period"],
-                         tuple(obj["tailMinus"]["inc"])),
+    if not isinstance(obj["table"], dict):
+        raise SchemaError("expected an object", where + ".table")
+    table = {_int_text(k, where + ".table"): _ints(v, f"{where}.table.{k}")
+             for k, v in obj["table"].items()}
+    return StepFunction(_ints(obj["window"], where + ".window", 2), table,
+                        _decode_period_tail(obj["tailPlus"],
+                                            where + ".tailPlus"),
+                        _decode_period_tail(obj["tailMinus"],
+                                            where + ".tailMinus"),
                         order=order)
 
 
@@ -109,7 +142,7 @@ def encode_algebra(alg):
 def decode_algebra(obj, where="algebra"):
     _check_keys(obj, ["kind"], ["n", "a", "b"], where)
     if obj["kind"] == "matrix":
-        return matrix_algebra(int(obj["n"]))
+        return matrix_algebra(_int(obj["n"], where + ".n"))
     if obj["kind"] == "quaternion":
         from fractions import Fraction
         return quaternion_algebra(Fraction(obj["a"]), Fraction(obj["b"]))
@@ -134,13 +167,14 @@ def decode_lattice(obj, where="lattice", base=None, require_full=True):
             raise SchemaError("lattice needs a base", where)
         _check_keys(bobj, ["field", "valuations"], (), where + ".base")
         field = field_from_name(bobj["field"])
-        vals = [decode_valuation(v, field, where + ".base")
-                for v in bobj["valuations"]]
+        vals = [decode_valuation(v, field, f"{where}.base.valuations[{i}]")
+                for i, v in enumerate(bobj["valuations"])]
         base = BaseRing(field, vals)
     rows = [[base.field.parse(s) for s in row] for row in obj["rows"]]
+    dim = _int(obj["dim"], where + ".dim")
     if require_full:
-        return canonicalize(base, int(obj["dim"]), rows)
-    return span(base, int(obj["dim"]), rows)
+        return canonicalize(base, dim, rows)
+    return span(base, dim, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +211,8 @@ def loads_filtration(text_or_obj, where="filtration"):
                 ["algebra"], where)
     _schema_check(obj, where)
     field = field_from_name(obj["field"])
-    vals = [decode_valuation(v, field, where) for v in obj["valuations"]]
+    vals = [decode_valuation(v, field, f"{where}.valuations[{i}]")
+            for i, v in enumerate(obj["valuations"])]
     order = "lex" if (vals and vals[0].rank == 2) else "componentwise"
     phi = decode_phi(obj["phi"], order=order, where=where + ".phi")
     base = FieldFiltration(field, vals, phi)
@@ -192,17 +227,19 @@ def loads_filtration(text_or_obj, where="filtration"):
                                base=base.base_ring)
     if aobj["mode"] == "induced":
         return AlgebraFiltration(alg, base, order_lat, mode="induced")
-    lo, hi = aobj["window"]
+    window = _ints(aobj["window"], where + ".algebra.window", 2)
     levels = [decode_lattice(l, where + ".algebra.levels",
                              base=base.base_ring)
               for l in aobj["levels"]]
-    plus = (aobj["tailPlus"]["period"],
-            FracIdeal(base.base_ring, tuple(aobj["tailPlus"]["inc"])))
-    minus = (aobj["tailMinus"]["period"],
-             FracIdeal(base.base_ring, tuple(aobj["tailMinus"]["inc"])))
+
+    def ideal_tail(key):
+        period, inc = _decode_period_tail(aobj[key], f"{where}.algebra.{key}")
+        return period, FracIdeal(base.base_ring, inc)
+
     return AlgebraFiltration(alg, base, order_lat, mode="explicit",
-                             window=(lo, hi), levels=levels,
-                             plus=plus, minus=minus)
+                             window=window, levels=levels,
+                             plus=ideal_tail("tailPlus"),
+                             minus=ideal_tail("tailMinus"))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +277,7 @@ def _decode_level(obj, base, dim, ambient, where="level"):
         return ZERO_MODULE
     if ambient == "field":
         _check_keys(obj, ["exps"], (), where)
-        return FracIdeal(base, tuple(obj["exps"]))
+        return FracIdeal(base, _ints(obj["exps"], where + ".exps"))
     _check_keys(obj, ["rows"], (), where)
     rows = [[base.field.parse(s) for s in row] for row in obj["rows"]]
     return span(base, dim, rows)
@@ -265,8 +302,7 @@ def loads_glider(text_or_obj, where="glider"):
                 ["algebra"], where)
     _schema_check(obj, where)
     filt = loads_filtration(obj["filtration"], where + ".filtration")
-    base = filt.base_ring if isinstance(filt, FieldFiltration) \
-        else filt.base_ring
+    base = filt.base_ring
     ambient = obj["ambient"]
     alg = None
     dim = 1
@@ -278,11 +314,12 @@ def loads_glider(text_or_obj, where="glider"):
         else:
             raise SchemaError("algebra glider needs an algebra", where)
         dim = alg.dim
-    prefix = [_decode_level(l, base, dim, ambient, where + ".prefix")
-              for l in obj["prefix"]]
-    tail = _decode_tail(obj["tail"],
-                        lambda e: MultiplyBy(FracIdeal(base, tuple(e))),
-                        where + ".tail")
+    prefix = [_decode_level(l, base, dim, ambient, f"{where}.prefix[{i}]")
+              for i, l in enumerate(obj["prefix"])]
+    tail = _decode_tail(
+        obj["tail"],
+        lambda e: MultiplyBy(FracIdeal(base, _ints(e, where + ".tail.ideal"))),
+        where + ".tail")
     return Glider(filt, ambient, prefix, tail, alg=alg)
 
 
@@ -303,9 +340,10 @@ def _decode_z2_cell(obj, where="cell"):
         return ZERO_MODULE
     _check_keys(obj, [], ["point", "horizontal"], where)
     if "point" in obj:
-        return Z2Ideal.point(*obj["point"])
+        return Z2Ideal.point(*_ints(obj["point"], where + ".point", 2))
     if "horizontal" in obj:
-        return Z2Ideal.horizontal(obj["horizontal"])
+        return Z2Ideal.horizontal(_int(obj["horizontal"],
+                                       where + ".horizontal"))
     raise SchemaError("empty cell", where)
 
 
@@ -316,7 +354,9 @@ def _encode_z2_tail(tail):
 
 
 def _decode_z2_tail(obj, where):
-    return _decode_tail(obj, lambda inc: Z2MultiplyBy(*inc), where, "inc")
+    return _decode_tail(
+        obj, lambda inc: Z2MultiplyBy(*_ints(inc, where + ".inc", 2)),
+        where, "inc")
 
 
 def encode_z2(g):
@@ -337,9 +377,10 @@ def loads_z2(text_or_obj, where="z2-glider"):
                 (), where)
     _schema_check(obj, where)
     filt = Z2Filtration(obj["kind"])
-    grid = [[_decode_z2_cell(c, where + ".grid") for c in row]
-            for row in obj["grid"]]
-    return Z2Glider(filt, tuple(obj["window"]), grid,
+    grid = [[_decode_z2_cell(c, f"{where}.grid[{j}][{i}]")
+             for i, c in enumerate(row)]
+            for j, row in enumerate(obj["grid"])]
+    return Z2Glider(filt, _ints(obj["window"], where + ".window", 2), grid,
                     _decode_z2_tail(obj["tailJ"], where + ".tailJ"),
                     _decode_z2_tail(obj["tailI"], where + ".tailI"))
 
@@ -360,12 +401,12 @@ def loads_extension(text_or_obj, where="extension"):
     vobj = obj["valuation"]
     _check_keys(vobj, ["over"], ["kind", "factor", "e", "f"],
                 where + ".valuation")
-    p = int(vobj["over"])
+    p = _int_text(vobj["over"], where + ".valuation.over")
     ext = gauss_extension(p, vobj.get("kind"), vobj.get("factor"))
-    if "e" in vobj and int(vobj["e"]) != ext.e:
+    if "e" in vobj and _int(vobj["e"], where + ".valuation.e") != ext.e:
         raise SchemaError(f"declared e={vobj['e']} but the extension has "
                           f"e={ext.e}", where)
-    if "f" in vobj and int(vobj["f"]) != ext.f:
+    if "f" in vobj and _int(vobj["f"], where + ".valuation.f") != ext.f:
         raise SchemaError(f"declared f={vobj['f']} but the extension has "
                           f"f={ext.f}", where)
     return ext

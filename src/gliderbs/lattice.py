@@ -39,6 +39,12 @@ __all__ = [
     "intermediate_module", "solve_dual", "memo_scope",
 ]
 
+# searches over finite residue structures stop with UnsupportedError past
+# these sizes: directions of X/Y (`_QuotientSpace`), elements of B/pB
+# (`orders._custom_radical`)
+DIRECTION_BOUND = 8192
+RESIDUE_ALGEBRA_BOUND = 4096
+
 
 class _ZeroModule:
     """The zero module, the null level of every glider chain.
@@ -603,8 +609,8 @@ def _field_hnf(base, dim, vectors):
             work[i] = [a - q * b for a, b in zip(work[i], prow)]
         work = [r for k, r in enumerate(work) if k != piv and any(r)]
         result.append(prow)
-    if work:  # pragma: no cover - all rows consumed by construction
-        raise RankError("normal form failed to consume generators")
+    # work is empty: each column's pass zeroes it in the rows left, and
+    # zero rows are dropped
     # reduce entries above each pivot to canonical coset representatives
     for ri in range(len(result)):
         prow = result[ri]
@@ -1120,15 +1126,15 @@ class _QuotientSpace:
                 return qvec
         return None
 
-    def enumerate_directions(self, cap=8192):
+    def enumerate_directions(self):
         """Projectively normalized nonzero vectors of the quotient."""
         fld = self.res_field
         elems = fld.elements()
         m = self.dim
         total = (len(elems) ** m - 1) // (len(elems) - 1)
-        if total > cap:
-            raise UnsupportedError(
-                f"quotient has {total} directions, over the bound {cap}")
+        if total > DIRECTION_BOUND:
+            raise UnsupportedError(f"quotient has {total} directions, over "
+                                   f"the bound {DIRECTION_BOUND}")
         # the first nonzero coordinate is 1; more leading zeros come first
         for lead in reversed(range(m)):
             for rest in product(elems, repeat=m - lead - 1):

@@ -52,3 +52,63 @@ def test_no_dead_definitions():
     dead = sorted(place + " " + name for name, place in defs
                   if words[name] <= per_name[name])
     assert dead == []
+
+
+def unread_imports(source):
+    """(line, name) for each name a module imports and never reads; names
+    listed in `__all__` count as read, `__future__` imports are exempt."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0])
+                         for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read |= {e.value for e in node.value.elts}
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_checker_flags_an_unread_import():
+    source = ("from __future__ import annotations\n"
+              "import os, json\n"
+              "from .rules import RULES\n"
+              "from .lattice import span as sp\n"
+              "__all__ = ['json']\n"
+              "print(os.sep, sp)\n")
+    assert unread_imports(source) == [(3, "RULES")]
+
+
+def test_no_unread_imports():
+    unread = []
+    for path in _python_files(os.path.join("src", "gliderbs")):
+        with open(path, encoding="utf-8") as fh:
+            unread += [f"{os.path.relpath(path, ROOT)}:{line} {name}"
+                       for line, name in unread_imports(fh.read())]
+    assert unread == []
+
+
+# a criterion id is a string constant like "csa.relative-product"
+CRITERION_ID = re.compile(r"^[a-z][a-z0-9]*\.[a-z][a-z0-9-]*$")
+
+
+def test_every_cited_criterion_is_documented():
+    with open(os.path.join(ROOT, "docs", "RULES.md"), encoding="utf-8") as fh:
+        rows = set(re.findall(r"^\| `([^`]+)` \|", fh.read(), re.M))
+    cited = {}
+    for path in _python_files(os.path.join("src", "gliderbs")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and \
+                    isinstance(node.value, str) and \
+                    CRITERION_ID.match(node.value):
+                cited.setdefault(node.value, os.path.relpath(path, ROOT))
+    assert len(cited) >= 10
+    assert sorted(f"{place} {cid}" for cid, place in cited.items()
+                  if cid not in rows) == []

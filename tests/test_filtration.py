@@ -129,6 +129,19 @@ def test_product_law_dichotomy():
     assert product_law_witness(maxorder_filtration(hur, (1,))) is not None
 
 
+def test_validator_reports_the_product_law_witness():
+    # the Hurwitz chain with F_-1 A = P is no filtration; built with the
+    # validator, it fails at the pair that product_law_witness finds
+    fa = maxorder_filtration(builtin_hurwitz2(), (1,))
+    n, m = product_law_witness(fa)
+    with pytest.raises(SpecValidationError) as err:
+        AlgebraFiltration(fa.alg, fa.base, fa.order, mode="explicit",
+                          window=(fa.lo, fa.hi), levels=fa.levels,
+                          plus=(fa.plus_period, fa.plus_mult),
+                          minus=(fa.minus_period, fa.minus_mult))
+    assert str(err.value) == f"L_{n} * L_{m} not inside L_{n + m}"
+
+
 def test_levelwise_product_randomized(f23):
     # member-set products F_n F_m inside F_{n+m} on sampled elements
     rnd = random.Random(11)

@@ -104,3 +104,130 @@ def test_extension_declared_ef_checked():
         jsonio.loads_extension(obj)
     obj["valuation"]["e"] = 1
     assert jsonio.loads_extension(obj).e == 1
+
+
+def _glider_doc(r5):
+    from gliderbs.filtration import valuation_filtration
+
+    f5 = valuation_filtration(r5.valuations[0])
+    return jsonio.encode_glider(realize_field_element(f5, 0))
+
+
+def _multiply_glider_doc(r5):
+    enc = _glider_doc(r5)
+    enc["tail"] = {"kind": "multiply", "ideal": [1]}
+    return enc
+
+
+def _algebra_filtration_doc(r5):
+    from gliderbs.filtration import AlgebraFiltration, valuation_filtration
+    from gliderbs.orders import builtin_mnr
+
+    order = builtin_mnr(2, r5)
+    return jsonio.encode_filtration(AlgebraFiltration(
+        order.alg, valuation_filtration(r5.valuations[0]), order.lattice))
+
+
+def _explicit_filtration_doc(r5):
+    from gliderbs.orders import builtin_mnr, maxorder_filtration
+
+    return jsonio.encode_filtration(
+        maxorder_filtration(builtin_mnr(2, r5), (1,)))
+
+
+def _z2_doc(_):
+    return jsonio.encode_z2(realize_z2((0, 0)))
+
+
+def _z2_multiply_doc(r5):
+    enc = _z2_doc(r5)
+    enc["tailI"] = {"kind": "multiply", "inc": [0, -1]}
+    return enc
+
+
+def _z2_horizontal_doc(r5):
+    enc = _z2_doc(r5)
+    enc["grid"] = [[{"horizontal": 3 - j} for _ in range(3)]
+                   for j in range(3)]
+    enc["tailI"] = {"kind": "constant"}
+    return enc
+
+
+def _extension_doc(_):
+    return {"schema": "gbs/1", "minpoly": "t^2+1",
+            "valuation": {"over": "5", "kind": "split", "factor": "2+i",
+                          "e": 1, "f": 1}}
+
+
+def _table_key(doc):
+    table = doc["filtration"]["phi"]["table"]
+    table["zero"] = table.pop("0")
+
+
+# (valid document, key path to one of its integers or a function that
+# spoils the document, bad value, reported location)
+INTEGER_PROBES = [
+    (_glider_doc, ("prefix", 0, "exps", 0), 1.7, "glider.prefix[0].exps[0]"),
+    (_glider_doc, ("prefix", 0, "exps", 0), True, "glider.prefix[0].exps[0]"),
+    (_glider_doc, ("prefix", 0, "exps", 0), "1", "glider.prefix[0].exps[0]"),
+    (_glider_doc, ("filtration", "valuations", 0, "p"), 5.9,
+     "glider.filtration.valuations[0].p"),
+    (_glider_doc, ("filtration", "phi", "window", 0), 0.0,
+     "glider.filtration.phi.window[0]"),
+    (_glider_doc, ("filtration", "phi", "table", "0", 0), 0.5,
+     "glider.filtration.phi.table.0[0]"),
+    (_glider_doc, _table_key, "zero", "glider.filtration.phi.table"),
+    (_glider_doc, ("filtration", "phi", "tailPlus", "period"), 1.5,
+     "glider.filtration.phi.tailPlus.period"),
+    (_glider_doc, ("filtration", "phi", "tailMinus", "inc", 0), 1.5,
+     "glider.filtration.phi.tailMinus.inc[0]"),
+    (_multiply_glider_doc, ("tail", "ideal", 0), 1.0,
+     "glider.tail.ideal[0]"),
+    (_algebra_filtration_doc, ("algebra", "desc", "n"), 2.0,
+     "filtration.algebra.desc.n"),
+    (_algebra_filtration_doc, ("algebra", "order", "dim"), True,
+     "filtration.algebra.order.dim"),
+    (_explicit_filtration_doc, ("algebra", "window", 1), "1",
+     "filtration.algebra.window[1]"),
+    (_explicit_filtration_doc, ("algebra", "tailPlus", "period"), 1.0,
+     "filtration.algebra.tailPlus.period"),
+    (_explicit_filtration_doc, ("algebra", "tailMinus", "inc", 0), 1.5,
+     "filtration.algebra.tailMinus.inc[0]"),
+    (_z2_doc, ("window", 0), 2.0, "z2-glider.window[0]"),
+    (_z2_doc, ("grid", 1, 2, "point", 1), 0.5,
+     "z2-glider.grid[1][2].point[1]"),
+    (_z2_horizontal_doc, ("grid", 0, 0, "horizontal"), 3.0,
+     "z2-glider.grid[0][0].horizontal"),
+    (_z2_multiply_doc, ("tailI", "inc", 1), -1.0, "z2-glider.tailI.inc[1]"),
+    (_extension_doc, ("valuation", "e"), 1.0, "extension.valuation.e"),
+    (_extension_doc, ("valuation", "over"), 5.9, "extension.valuation.over"),
+    (_extension_doc, ("valuation", "over"), "5.0",
+     "extension.valuation.over"),
+]
+
+
+@pytest.mark.parametrize("make, path, bad, where", INTEGER_PROBES,
+                         ids=[w + " " + repr(b) for _, _, b, w in
+                              INTEGER_PROBES])
+def test_integers_are_checked_at_the_boundary(r5, tmp_path, capsys, make,
+                                               path, bad, where):
+    from gliderbs.cli import main
+
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(make(r5)))
+    assert main(["--output", "json", "roundtrip", str(good)]) == 0
+    doc = make(r5)
+    if callable(path):
+        path(doc)
+    else:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["--output", "json", "roundtrip", str(probe)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "SchemaError"
+    assert f"(at {where})" in report["error"]

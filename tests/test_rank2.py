@@ -83,31 +83,22 @@ def test_vertical_bodies_of_pure_shift():
     assert v.status == "irreducible" and v.element.shift == 1
 
 
-def test_vertical_bodies_constant_tail():
+def test_grid_with_a_constant_vertical_tail_is_rejected():
+    # F_(0,1) lifts a point cell above itself, so a nonzero column that
+    # stays constant upward breaks the axiom
     filt = Z2Filtration()
     grid = [[Z2Ideal.point(2 - j, -i) for i in range(2)]
             for j in range(2)]
-    g = Z2Glider(filt, (1, 1), grid, FiltrationTail(), Constant(),
-                 validate=False)
-    vb = vertical_body_glider(g)
-    assert vb.body(0) == g.cell(0, 1)
-    with pytest.raises(UnsupportedError):
-        vb.as_glider()
-
-
-def test_classification_checks_an_unvalidated_grid():
-    filt = Z2Filtration()
-    grid = [[Z2Ideal.point(2 - j, -i) for i in range(2)]
-            for j in range(2)]
-    bad = Z2Glider(filt, (1, 1), grid, FiltrationTail(), Constant(),
-                   validate=False)
     with pytest.raises(SpecValidationError, match="glider axiom fails"):
-        classify_z2_glider(bad)
-    good = realize_z2((1, 0))
-    unchecked = Z2Glider(filt, (good.J, good.I), good.grid, good.tail_j,
-                         good.tail_i, validate=False)
-    v = classify_z2_glider(unchecked)
-    assert v.status == "irreducible" and v.shift == (1, 0)
+        Z2Glider(filt, (1, 1), grid, FiltrationTail(), Constant())
+
+
+def test_horizontal_only_bodies_are_unsupported():
+    filt = Z2Filtration("horizontal-only")
+    grid = [[Z2Ideal.horizontal(-j) for _ in range(2)] for j in range(2)]
+    g = Z2Glider(filt, (1, 1), grid, FiltrationTail(), Constant())
+    with pytest.raises(UnsupportedError):
+        vertical_body_glider(g).as_glider()
 
 
 def test_vertical_bodies_zero_tail():

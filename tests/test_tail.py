@@ -28,6 +28,16 @@ def test_constructors_build_tail_values(f5):
         Tail("multiply")
 
 
+def test_multiply_tails_descend(f5):
+    # the check sits in the tail value, so no Glider can hold an ascending
+    # multiply tail, however the tail was built
+    with pytest.raises(SpecValidationError, match="ascends"):
+        Tail("multiply", ideal(f5, -1))
+    with pytest.raises(SpecValidationError, match="ascends"):
+        Tail("multiply", (1, -5))
+    assert Tail("multiply", (0, -1)) == Tail("multiply", (0, -1))
+
+
 def test_field_and_grid_tails_do_not_mix(f5):
     from gliderbs.rank2 import Z2Filtration, Z2Glider, Z2MultiplyBy, \
         realize_z2
