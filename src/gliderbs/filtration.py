@@ -20,7 +20,7 @@ import math
 from .errors import (BaseMismatchError, SpecValidationError,
                      UnsupportedError)
 from .fields import INF
-from .lattice import BaseRing, FracIdeal, mult
+from .lattice import BaseRing, FracIdeal, mult, require_int, require_order
 
 __all__ = [
     "StepFunction", "FieldFiltration", "AlgebraFiltration",
@@ -29,17 +29,6 @@ __all__ = [
     "valuation_filtration", "scaled_valuation_filtration",
     "product_law_witness",
 ]
-
-
-def _lex_le(a, b):
-    return a == b or _lex_lt(a, b)
-
-
-def _lex_lt(a, b):
-    for s, t in zip(a, b):
-        if s != t:
-            return s < t
-    return False
 
 
 def _vec_add(a, b):
@@ -54,17 +43,20 @@ class StepFunction:
     """Degree map of a filtration: explicit window, periodic tails.
 
     phi(n + e_plus) = phi(n) + c_plus above the window and
-    phi(n - e_minus) = phi(n) - c_minus below it.
+    phi(n - e_minus) = phi(n) - c_minus below it.  Degrees, values,
+    periods and increments must be ints; the lex order is Python's order
+    on the equal-length value tuples.
     """
 
     __slots__ = ("lo", "hi", "table", "plus_period", "plus_inc",
                  "minus_period", "minus_inc", "r", "order")
 
     def __init__(self, window, table, plus, minus, order="componentwise"):
-        lo, hi = window
+        lo, hi = map(require_int, window)
         if lo > 0 or hi < 0:
             raise SpecValidationError("window must contain degree 0")
-        tbl = {int(n): tuple(int(c) for c in v) for n, v in table.items()}
+        tbl = {require_int(n): tuple(map(require_int, v))
+               for n, v in table.items()}
         if set(tbl) != set(range(lo, hi + 1)):
             raise SpecValidationError("table must cover the window exactly")
         r = len(tbl[0])
@@ -75,7 +67,8 @@ class StepFunction:
             raise SpecValidationError("inconsistent vector lengths")
         ep, cp = plus
         em, cm = minus
-        cp, cm = tuple(int(c) for c in cp), tuple(int(c) for c in cm)
+        ep, em = require_int(ep), require_int(em)
+        cp, cm = tuple(map(require_int, cp)), tuple(map(require_int, cm))
         if ep < 1 or em < 1 or len(cp) != r or len(cm) != r:
             raise SpecValidationError("tail periods must be >= 1")
         object.__setattr__(self, "lo", lo)
@@ -93,7 +86,7 @@ class StepFunction:
         raise AttributeError("StepFunction is immutable")
 
     def __call__(self, n):
-        n = int(n)
+        require_int(n)
         if self.lo <= n <= self.hi:
             return self.table[n]
         if n > self.hi:
@@ -111,7 +104,7 @@ class StepFunction:
 
     def _le(self, a, b):
         if self.order == "lex":
-            return _lex_le(a, b)
+            return a <= b
         return all(s <= t for s, t in zip(a, b))
 
     def _validate(self):
@@ -148,7 +141,7 @@ class StepFunction:
         left = _vec_scale(cm, self.plus_period)
         right = _vec_scale(cp, self.minus_period)
         if self.order == "lex":
-            ok = _lex_le(right, left)
+            ok = right <= left
         else:
             ok = all(s >= t for s, t in zip(left, right))
         if not ok:
@@ -339,17 +332,9 @@ class AlgebraFiltration:
         return self.hi, self.plus_period, self.plus_mult.exps
 
     def _validate(self):
-        one = self.alg.one_vector(self.base_ring.field)
-        if not self.order.full:
-            raise SpecValidationError("the order must be a full lattice")
-        if not self.order.contains_vector(one):
-            raise SpecValidationError("the order must contain 1")
-        if mult(self.order, self.order, self.alg) != self.order:
-            raise SpecValidationError("the degree-0 part is not a ring")
-        if self._unit_intersection_exps(self.order) != (0,) * \
-                self.base_ring.nprimes:
-            raise SpecValidationError(
-                "order meets K in more than the base ring")
+        require_order(self.order, self.alg)
+        # B meet K = R needs no check: it is a ring and a finitely generated
+        # R-module, so integral over R, and R is integrally closed
         if self.mode == "explicit":
             if self.level(0) != self.order:
                 raise SpecValidationError("L_0 must equal the order")
@@ -363,25 +348,25 @@ class AlgebraFiltration:
                 n, m = bad
                 raise SpecValidationError(
                     f"L_{n} * L_{m} not inside L_{n + m}")
-            for n in range(self.lo, self.hi + 1):
-                if self._intersection_with_K(n) != self.base.level(n):
-                    raise SpecValidationError(
-                        f"extension condition fails at degree {n}: "
-                        "L_n meet K differs from F_nK")
+            self._check_extension()
 
-    def _unit_intersection_exps(self, lat):
-        one = self.alg.one_vector(self.base_ring.field)
-        cs = lat.coords(one)
-        if cs is None:
-            raise SpecValidationError("1 is outside the lattice span")
-        exps = []
-        for v in self.base_ring.valuations:
-            exps.append(max(-v(c) for c in cs if c))
-        return tuple(exps)
+    def _check_extension(self):
+        """The extension condition L_n meet K = F_nK on the window of an
+        explicit filtration; the tails carry it beyond."""
+        for n in range(self.lo, self.hi + 1):
+            if self._intersection_with_K(n) != self.base.level(n):
+                raise SpecValidationError(
+                    f"extension condition fails at degree {n}: "
+                    "L_n meet K differs from F_nK")
 
     def _intersection_with_K(self, n):
+        """L_n meet K = {x : x*1 in L_n}, a fractional ideal."""
+        cs = self.level(n).coords(self.alg.one_vector(self.base_ring.field))
+        if cs is None:
+            raise SpecValidationError("1 is outside the lattice span")
         return FracIdeal(self.base_ring,
-                         self._unit_intersection_exps(self.level(n)))
+                         tuple(max(-v(c) for c in cs if c)
+                               for v in self.base_ring.valuations))
 
     def __repr__(self):
         return f"AlgebraFiltration({self.alg!r}, {self.mode})"
@@ -400,7 +385,7 @@ def member(filt, n, x):
         if v is INF:
             return True
         bound = tuple(-c for c in filt.phi(n))
-        return _lex_le(bound, v)
+        return bound <= v
     phi = filt.phi(n)
     for v, c in zip(filt.valuations, phi):
         t = v(x)
@@ -516,7 +501,7 @@ def jacobson_check(filt):
         return jacobson_check(filt.base)
     phi1 = filt.phi(-1)
     if filt.composite:
-        return _lex_lt(phi1, (0, 0))
+        return phi1 < (0, 0)
     return all(c <= -1 for c in phi1)
 
 

@@ -46,6 +46,14 @@ DIRECTION_BOUND = 8192
 RESIDUE_ALGEBRA_BOUND = 4096
 
 
+def require_int(value):
+    """The value, whose type must be int, as in the gbs/1 decoder: a float
+    or a bool is rejected, not truncated."""
+    if type(value) is not int:
+        raise SpecValidationError(f"expected an integer, got {value!r}")
+    return value
+
+
 class _ZeroModule:
     """The zero module, the null level of every glider chain.
 
@@ -967,6 +975,19 @@ def mult(x, y, alg):
     return _through_memo(_span_products, x, y, alg, "mult", 1)
 
 
+def require_order(lattice, alg):
+    """The order facts, each checked here and only here, with one message
+    per fact: the lattice is full, contains 1 and is closed under
+    multiplication."""
+    if not lattice.full:
+        raise SpecValidationError("an order must be a full lattice")
+    if not lattice.contains_vector(alg.one_vector(lattice.base.field)):
+        raise SpecValidationError("an order must contain 1")
+    if mult(lattice, lattice, alg) != lattice:
+        raise SpecValidationError(
+            "an order must be closed under multiplication")
+
+
 def _span_products(x, y, alg, side):
     field = x.base.field
     prods = [alg.mul_coords(u, w, field) for u in x.rows for w in y.rows]
@@ -1142,49 +1163,40 @@ class _QuotientSpace:
 
 
 def is_simple_quotient(x, y, b, alg):
-    """True iff X/Y is a simple left module over the order B.
-
-    Decided exactly: X strictly contains Y, the quotient is killed by one
-    maximal ideal p (otherwise some p(X/Y) is a proper nonzero submodule),
-    and every nonzero vector of the residue quotient generates it under the
-    order action (full projective enumeration over the finite residue
-    field; dimension-1 quotients are simple outright).
-    """
-    _module_checks(x, y, b, alg)
-    # X/0 is never simple: X is zero or torsion-free of positive rank, and
-    # then p*X is a proper nonzero submodule
-    if y is ZERO_MODULE or x == y:
-        return False
-    j = _killing_prime(x, y)
-    if j is None:
-        return False
-    V = _QuotientSpace(x, y, b, alg, j)
-    if V.dim == 0:
-        return False
-    return V.dim == 1 or V.non_generating_direction() is None
+    """True iff X/Y is a simple left module over the order B: X differs
+    from Y and `intermediate_module` finds nothing strictly between them.
+    X/0 is never simple (p*X lies strictly between), and a quotient that
+    no maximal ideal kills is not either."""
+    return intermediate_module(x, y, b, alg) is None and x != y
 
 
 def intermediate_module(x, y, b, alg):
     """A B-submodule strictly between X and Y, or None when X/Y is simple
-    (or zero).  Used to manufacture reducibility witnesses."""
+    or zero.  Used to manufacture reducibility witnesses.
+
+    Decided exactly: a quotient killed by a maximal ideal p is a vector
+    space over the residue field, and it is simple iff it has dimension 1
+    or every nonzero direction generates it under the order action (full
+    projective enumeration over the finite residue field).
+    """
     _module_checks(x, y, b, alg)
-    if x == y or y is ZERO_MODULE:
-        if y is ZERO_MODULE and x is not ZERO_MODULE:
-            w = x.scale(x.base.uniformizers[0])
-            return w
+    if x == y:
         return None
+    if y is ZERO_MODULE:
+        # X is torsion-free of positive rank, so pi*X is strictly between
+        return x.scale(x.base.uniformizers[0])
     j = _killing_prime(x, y)
     if j is None:
-        for pi in x.base.uniformizers:
-            w = add(x.scale(pi), y)
-            if w != y and w != x:
-                return w
-        return None  # pragma: no cover
+        # no pi*X lies in Y, and pi*X + Y = X only where X/Y vanishes
+        # (Nakayama); X/Y is nonzero, so it lives at one of the primes
+        return next(w for w in (add(x.scale(pi), y)
+                                for pi in x.base.uniformizers) if w != x)
     V = _QuotientSpace(x, y, b, alg, j)
     gen = V.non_generating_direction() if V.dim > 1 else None
     if gen is None:
         return None
-    # lift the failing direction to an element of X and take B*elt + Y
+    # B*v + Y for a lift v of the direction lies strictly between: v is
+    # not in Y, and the image in X/Y is the cyclic span of v, not all of it
     w = V.lift_free(gen)
     field = x.base.field
     lift_vec = [field.zero()] * x.dim
@@ -1192,11 +1204,7 @@ def intermediate_module(x, y, b, alg):
         if r:
             coeff = V.v.lift(r)
             lift_vec = [a + coeff * e for a, e in zip(lift_vec, x.rows[s])]
-    cyc = mult(b, span(x.base, x.dim, [lift_vec]), alg)
-    w_mod = add(cyc, y)
-    if x.contains(w_mod) and w_mod != x and w_mod != y:
-        return w_mod
-    return None  # pragma: no cover - defensive
+    return add(mult(b, span(x.base, x.dim, [lift_vec]), alg), y)
 
 
 # ---------------------------------------------------------------------------
@@ -1209,7 +1217,7 @@ class FracIdeal:
     __slots__ = ("base", "exps")
 
     def __init__(self, base, exps):
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(map(require_int, exps))
         if len(exps) != base.nprimes:
             raise BaseMismatchError("exponent vector length mismatch")
         object.__setattr__(self, "base", base)

@@ -22,7 +22,7 @@ from .filtration import (AlgebraFiltration, FieldFiltration,
                          StepFunction)
 from .lattice import (RESIDUE_ALGEBRA_BOUND, BaseRing, FracIdeal,
                       canonicalize, matrix_algebra, mult, quaternion_algebra,
-                      span)
+                      require_order, span)
 
 __all__ = [
     "OrderData", "PrimeData",
@@ -36,13 +36,7 @@ class OrderData:
     """A verified order: a full lattice that is a ring containing 1."""
 
     def __init__(self, lattice, alg, builtin="custom", declared_maximal=False):
-        if not lattice.full:
-            raise SpecValidationError("an order must be a full lattice")
-        one = alg.one_vector(lattice.base.field)
-        if not lattice.contains_vector(one):
-            raise SpecValidationError("an order must contain 1")
-        if mult(lattice, lattice, alg) != lattice:
-            raise SpecValidationError("not closed under multiplication")
+        require_order(lattice, alg)
         self.lattice = lattice
         self.alg = alg
         self.builtin = builtin
@@ -137,15 +131,14 @@ def radical(order, p):
     index e (the least power landing in pB)."""
     j = _prime_index(order, p)
     if order.builtin == "mnr":
+        # P = pi*B needs no check: P^1 = pB, and B/P = M_n(R/p) is simple
         pi = order.base.uniformizers[j]
-        ideal = order.lattice.scale(pi)
-        prime = PrimeData(order, ideal, j, 1)
-    else:
-        # builtins are declared maximal; Hurwitz's e = 2 is pinned by tests
-        if not order.declared_maximal:
-            raise MaximalityError(
-                "radical of a custom order requires declared maximality")
-        prime = _custom_radical(order, j)
+        return PrimeData(order, order.lattice.scale(pi), j, 1)
+    # builtins are declared maximal; Hurwitz's e = 2 is pinned by tests
+    if not order.declared_maximal:
+        raise MaximalityError(
+            "radical of a custom order requires declared maximality")
+    prime = _custom_radical(order, j)
     _verify_prime(prime)
     return prime
 
@@ -325,7 +318,8 @@ def maxorder_filtration(order, ks):
     degree-1 strength test and `product_law_witness` are run on it by the
     cross-checks.  The levels ascend and L_0 = B by construction (prime
     powers inside B below degree 0, scaled copies of B above it); the
-    intersection with K is verified here."""
+    extension condition against the ceiling formula is verified here, by
+    the filtration's own check."""
     ks = _exponents(order, ks)
     base = order.base
     primes = [radical(order, _prime_value(order, j))
@@ -382,9 +376,5 @@ def maxorder_filtration(order, ks):
                            minus=(period, jminus), validate=False)
     # ascent and L_0 = B need no check: see the docstring
     if not degenerate:
-        for nn in range(-period, period + 1):
-            if fa._intersection_with_K(nn) != fk.level(nn):
-                raise SpecValidationError(
-                    f"intersection with K at degree {nn} deviates from the "
-                    "ceiling formula")
+        fa._check_extension()
     return fa

@@ -27,12 +27,6 @@ __all__ = [
 ]
 
 
-def lex_le(a, b):
-    if a[0] != b[0]:
-        return a[0] < b[0]
-    return a[1] <= b[1]
-
-
 class Z2Ideal:
     """A module over the composite valuation ring: either the principal
     level F_(a,b) = x^-a y^-b R' ('point' kind) or a horizontal x-adic
@@ -60,7 +54,7 @@ class Z2Ideal:
             return True
         if self.kind == "point":
             if other.kind == "point":
-                return lex_le(other.value, self.value)
+                return other.value <= self.value  # lex order of tuples
             return False  # a horizontal level is never inside a point level
         if other.kind == "point":
             return other.value[0] <= self.value

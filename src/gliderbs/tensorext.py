@@ -4,10 +4,11 @@ For a quadratic extension L/K carrying a valuation w over v (ramification
 e, residue degree f, ef <= 2), the filtration on L inducing the base
 filtration is the e-scaled w-filtration.  The tensor filtration on
 A (x) L is the convolution sum f_q = sum_k F_kA (x) F_{q-k}L; over a
-strong base it collapses to F_qA (x) F_0L, and the collapse is verified
-here by computing truncated sums exactly (the glider axiom makes the terms
-eventually nested, so the truncation is exact, not approximate).  Tensoring
-a glider chain uses the same convolution levelwise.
+strong base phi is linear, so every term is F_qA (x) F_0L and the sum
+collapses to it.  `TensorFiltration.sum_level` computes the truncated sums
+exactly (the glider axiom makes the terms eventually nested, so the
+truncation is exact, not approximate).  Tensoring a glider chain uses the
+same convolution levelwise.
 
 The induced map on classified elements keeps the shift and extends the
 point's coordinates; for fields the image is read off the top O_w-level
@@ -163,7 +164,8 @@ class TensorFiltration:
             self.kind = "field"
             self.alg = None
             self.fa = self.fl
-        self._verify_collapse()
+        # the convolution sums need no check against the levels: over a
+        # strong base each term F_kA (x) F_{q-k}L is F_qA (x) F_0L
 
     def _embed_vec(self, vec):
         return [self.ext.embed(c) for c in vec]
@@ -206,13 +208,6 @@ class TensorFiltration:
     @property
     def horizon(self):
         return self.fa.horizon if self.kind == "algebra" else self.fl.horizon
-
-    def _verify_collapse(self):
-        for q in range(-2, 3):
-            if self.sum_level(q) != self.level(q):
-                raise UnsupportedError(  # pragma: no cover - strong bases
-                    f"convolution sum at degree {q} differs from the "
-                    "collapsed level")
 
 
 def tensor_filtration(fa, ext):

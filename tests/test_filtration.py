@@ -9,6 +9,7 @@ from gliderbs.filtration import (AlgebraFiltration, FieldFiltration,
                                  induced_on_K, is_strong, jacobson_check,
                                  member, product_law_witness,
                                  strong_completion, valuation_filtration)
+from gliderbs.gbs import GbsElement
 from gliderbs.glider import FiltrationTail, Glider, MultiplyBy
 from gliderbs.lattice import ZERO_MODULE, FracIdeal
 from gliderbs.orders import builtin_hurwitz2, maxorder_filtration
@@ -197,3 +198,32 @@ def test_field_filtration_builds_each_level_once():
     assert sorted(seen) == sorted(set(seen))
     assert filt.level(-5) is filt.level(-5)
     assert filt.level(-5) == FracIdeal(filt.base_ring, (6,))
+
+
+def _step(window=(-1, 1), table=None, plus=(1, (1,)), minus=(1, (1,))):
+    table = {-1: (-1,), 0: (0,), 1: (1,)} if table is None else table
+    return StepFunction(window, table, plus, minus)
+
+
+NON_INTEGERS = {
+    "FracIdeal exps 1.7": lambda r5: FracIdeal(r5, (1.7,)),
+    "FracIdeal exps True": lambda r5: FracIdeal(r5, (True,)),
+    "window True": lambda r5: _step(window=(-1, True)),
+    "table key 0.4": lambda r5: _step(
+        table={-1: (-1,), 0.4: (0,), 1: (1,)}),
+    "table value 0.0": lambda r5: _step(
+        table={-1: (-1,), 0: (0.0,), 1: (1,)}),
+    "plus increment 1.9": lambda r5: _step(plus=(1, (1.9,))),
+    "minus increment True": lambda r5: _step(minus=(1, (True,))),
+    "plus period 1.5": lambda r5: _step(plus=(1.5, (1,))),
+    "degree 0.5": lambda r5: _step()(0.5),
+    "shift 1.7": lambda r5: GbsElement("field", 1.7),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(NON_INTEGERS))
+def test_non_integers_are_rejected(probe, r5):
+    """Exponents, degrees, periods, increments and shifts must be ints, as
+    in the gbs/1 decoder: a float or a bool is named, not truncated."""
+    with pytest.raises(SpecValidationError, match="expected an integer"):
+        NON_INTEGERS[probe](r5)

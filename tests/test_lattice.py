@@ -6,11 +6,12 @@ import pytest
 from gliderbs.errors import (BaseMismatchError, ContainmentError, RankError,
                              SpecValidationError, UnsupportedError)
 from gliderbs.fields import QQ_FIELD, padic, val
-from gliderbs.lattice import (BaseRing, FracIdeal, add, canonicalize,
-                              colon_left, colon_right, intersect,
-                              intermediate_module, is_simple_quotient,
-                              matrix_algebra, mult, quaternion_algebra,
-                              quotient_length, span)
+from gliderbs.lattice import (ZERO_MODULE, BaseRing, FracIdeal, add,
+                              canonicalize, colon_left, colon_right,
+                              intersect, intermediate_module,
+                              is_simple_quotient, matrix_algebra, mult,
+                              quaternion_algebra, quotient_length, span)
+from gliderbs.orders import builtin_hurwitz2, builtin_mnr
 from gliderbs import linalg
 
 
@@ -104,6 +105,91 @@ def test_simple_quotient_examples(r5, b_m2, m2):
     assert not is_simple_quotient(col, col.scale(fe(25)), b_m2, m2)
     w = intermediate_module(col, col.scale(fe(25)), b_m2, m2)
     assert w == col.scale(fe(5))
+
+
+def _quotient_orders():
+    def local(p):
+        return BaseRing(QQ_FIELD, (padic(p),))
+
+    return [("M_2(Z_(5))", builtin_mnr(2, local(5)), 5),
+            ("M_2(Z_(2))", builtin_mnr(2, local(2)), 2),
+            ("M_3(Z_(2))", builtin_mnr(3, local(2)), 2),
+            ("Hurwitz", builtin_hurwitz2(), 2)]
+
+
+def _stable_pairs(order, p, rnd, count):
+    """B-stable pairs pX <= Y <= X: X = B*(generators), half of the time
+    one rank-1 matrix over a matrix algebra, and Y = pX + B*(elements of
+    X with digits below p)."""
+    b, alg = order.lattice, order.alg
+    base, d = b.base, alg.dim
+    for _ in range(count):
+        n = alg.n if alg.kind == "matrix" else 0
+        if n and rnd.random() < 0.5:
+            col = [rnd.randint(-3, 3) for _ in range(n)]
+            row = [rnd.randint(-3, 3) for _ in range(n)]
+            gens = [[fe(c * r) for c in col for r in row]]
+        else:
+            gens = [[fe(rnd.randint(-3, 3)) for _ in range(d)]
+                    for _ in range(rnd.randint(1, 2))]
+        if not any(any(g) for g in gens):
+            gens = [[fe(1)] + [fe(0)] * (d - 1)]
+        x = mult(b, span(base, d, gens), alg)
+        elems = []
+        for _ in range(rnd.randint(0, 2)):
+            cs = [fe(rnd.randint(0, p - 1)) for _ in x.rows]
+            elems.append([sum((c * r[k] for c, r in zip(cs, x.rows)), fe(0))
+                          for k in range(d)])
+        y = x.scale(fe(p))
+        if any(any(e) for e in elems):
+            y = add(y, mult(b, span(base, d, [e for e in elems if any(e)]),
+                            alg))
+        yield x, y
+
+
+# verdicts of the seeded sample, one letter per pair: S simple, n not
+# simple, = X equals Y (not simple either)
+QUOTIENT_VERDICTS = {
+    "M_2(Z_(5))": "==S=SnnS=n=SSS==",
+    "M_2(Z_(2))": "SS==SS==nSSSS===",
+    "M_3(Z_(2))": "=S=nnn==S=S===SS",
+    "Hurwitz": "=nSnn==nnn==nn==",
+}
+
+
+def test_simple_quotient_verdicts_and_witnesses():
+    rnd = random.Random(11)
+    for name, order, p in _quotient_orders():
+        b, alg = order.lattice, order.alg
+        got = []
+        for x, y in _stable_pairs(order, p, rnd, 16):
+            simple = is_simple_quotient(x, y, b, alg)
+            got.append("=" if x == y else "S" if simple else "n")
+            if got[-1] == "n":
+                w = intermediate_module(x, y, b, alg)
+                assert w.contains(mult(b, w, alg))
+                assert x.contains(w) and w.contains(y)
+                assert w != x and w != y
+        assert "".join(got) == QUOTIENT_VERDICTS[name], name
+
+
+def test_quotient_no_prime_kills():
+    # over Z_(2,3), X/Y = B/9B lives only at 3: 2B + 9B = B, and 3B lies
+    # strictly between
+    base = BaseRing(QQ_FIELD, (padic(2), padic(3)))
+    b, m2 = canonicalize(base, 4, identity_rows(4)), matrix_algebra(2)
+    assert intermediate_module(b, b.scale(fe(9)), b, m2) == b.scale(fe(3))
+    assert intermediate_module(b, b.scale(fe(6)), b, m2) == b.scale(fe(2))
+    assert not is_simple_quotient(b, b.scale(fe(9)), b, m2)
+
+
+def test_quotient_of_a_non_module_raises(r5, b_m2, m2):
+    line = span(r5, 4, [identity_rows(4)[0]])
+    for y in (ZERO_MODULE, line):
+        with pytest.raises(ContainmentError, match="not a left module"):
+            is_simple_quotient(line, y, b_m2, m2)
+        with pytest.raises(ContainmentError, match="not a left module"):
+            intermediate_module(line, y, b_m2, m2)
 
 
 def test_direction_cap_is_reached():

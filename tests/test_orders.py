@@ -5,9 +5,9 @@ import pytest
 from gliderbs.errors import (MaximalityError, SpecValidationError,
                              UnsupportedError)
 from gliderbs.fields import QQ_FIELD, padic
-from gliderbs.filtration import induced_on_K, is_strong
-from gliderbs.lattice import (BaseRing, canonicalize, mult,
-                              quotient_length)
+from gliderbs.filtration import AlgebraFiltration, induced_on_K, is_strong
+from gliderbs.lattice import (BaseRing, add, canonicalize, mult,
+                              quotient_length, span)
 from gliderbs.orders import (OrderData, builtin_mnr,
                              ceil_sum_compare, induced_degree_minus_one,
                              maxorder_filtration, maxorder_strong_check,
@@ -150,3 +150,22 @@ def test_radical_powers_identity(hurwitz, m2_order):
             power = mult(power, p.ideal, order.alg)
         pi = order.base.uniformizers[p.prime_index]
         assert power == order.lattice.scale(pi)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda r5, b: span(r5, 4, b.rows[:2]),
+     "an order must be a full lattice"),
+    (lambda r5, b: b.scale(fe(5)), "an order must contain 1"),
+    (lambda r5, b: add(b, span(r5, 4, [[fe(Fraction(1, 5)), fe(1), fe(0),
+                                        fe(0)]])),
+     "an order must be closed under multiplication"),
+], ids=["rank 2", "5 M_2(Z_(5))", "row (1/5, 1, 0, 0)"])
+def test_order_facts_have_one_message(build, message, f5, r5, b_m2, m2):
+    """OrderData and AlgebraFiltration check the order facts with one
+    validator, so an invalid lattice gets one message from both."""
+    lat = build(r5, b_m2)
+    with pytest.raises(SpecValidationError) as from_order:
+        OrderData(lat, m2)
+    with pytest.raises(SpecValidationError) as from_filtration:
+        AlgebraFiltration(m2, f5, lat, mode="induced")
+    assert str(from_order.value) == str(from_filtration.value) == message
