@@ -11,6 +11,7 @@ across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -19,7 +20,7 @@ from . import acceptance, brandt, jsonio
 from .errors import GbsError
 from .fields import QQ_FIELD, padic
 from .filtration import (associated_strong, estep, is_strong)
-from .gbs import (classify_csa_glider, classify_field_glider,
+from .gbs import (GbsElement, classify_csa_glider, classify_field_glider,
                   enumerate_gbs_csa, enumerate_gbs_field)
 from .glider import classify_subglider
 from .lattice import BaseRing
@@ -46,7 +47,9 @@ def _ks(text):
         raise argparse.ArgumentTypeError(f"bad exponent list {text!r}")
 
 
+@functools.cache
 def build_parser():
+    """Built once per process: the defaults are immutable."""
     p = argparse.ArgumentParser(
         prog="gbs",
         description="exact glider-chain classification over filtered "
@@ -220,10 +223,9 @@ def _cmd_tensor_map(args):
     filt = jsonio.loads_filtration(_read(args.filtration))
     pts = jsonio.loads_points(_read(args.points))
     shift = args.shift[0]
-    tensor_filtration(filt, ext)  # validates the collapse
+    tensor_filtration(filt, ext)  # rejects a bad pair, even with no points
     out = []
     for p in pts:
-        from .gbs import GbsElement
         el = GbsElement("csa", shift, point=p, filtration=filt)
         img = gbs_map(el, ext)
         out.append({"source": jsonio.encode_element(el),

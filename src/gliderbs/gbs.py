@@ -85,10 +85,8 @@ class LeftIdeal:
         self.basis = tuple(basis)
 
     def contains(self, vec):
-        rows = [list(b) for b in self.basis]
-        reduced, _ = linalg.rref(rows + [list(vec)], self.field)
-        base_rank = len(linalg.rref(rows, self.field)[0])
-        return len(reduced) == base_rank
+        # echelon rows: row s has its pivot, the point's leading 1, in block s
+        return not any(linalg.reduce([vec], self.basis)[1][0])
 
     def generator(self):
         """The canonical generator: the matrix with first row the point."""
@@ -193,7 +191,8 @@ def _multiplier_witness(m, rule):
     cands.append(tuple(1 for _ in range(r)))
     for j in range(r):
         cands.append(tuple(2 if t == j else 0 for t in range(r)))
-    for exps in cands:
+    # over one prime the all-ones vector is e_1: try each candidate once
+    for exps in dict.fromkeys(cands):
         ideal = FracIdeal(ring, exps)
         witness = Glider(m.filtration, m.ambient,
                          [lvl.scale_ideal(ideal) for lvl in m.prefix],

@@ -442,28 +442,13 @@ class Lattice:
     def full(self):
         return self.rank == self.dim
 
-    def pivot_columns(self):
-        cols = []
-        for row in self.rows:
-            cols.append(next(c for c, e in enumerate(row) if e))
-        return cols
-
     # -- membership ----------------------------------------------------------
 
     def coords(self, vec):
         """Coordinates of vec in the canonical basis over K, or None if vec
         is outside the K-span."""
-        v = list(vec)
-        out = []
-        for row in self.rows:
-            c = next(i for i, e in enumerate(row) if e)
-            q = v[c] / row[c]
-            out.append(q)
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-        if any(v):
-            return None
-        return out
+        (q,), (rest,) = linalg.reduce([vec], self.rows)
+        return None if any(rest) else q
 
     def contains_vector(self, vec):
         if not any(vec):
@@ -876,7 +861,7 @@ def intersect(x, y):
         for u in null:
             vec = linalg.vec_mat(u[:x.rank], [list(r) for r in x.rows])
             span_vecs.append(vec)
-        sbasis, _ = linalg.rref(span_vecs, field) if span_vecs else ([], [])
+        sbasis, _ = linalg.rref(span_vecs, field)
         if not sbasis:
             return zero_lattice(x.base, x.dim)
         conds = []
@@ -900,20 +885,12 @@ def _coords_matrix(vectors, lat):
     lat's basis; residual_columns is a list of condition vectors t (length
     len(vectors)) that must vanish for the vectors to lie in lat's K-span,
     expressed as functionals on the coefficient vector of a generic
-    K-combination of `vectors`.
+    K-combination of `vectors`: the nonzero columns of the remainders.
     """
-    work = [list(v) for v in vectors]
-    Q = [[] for _ in vectors]
-    for row in lat.rows:
-        c = next(i for i, e in enumerate(row) if e)
-        for s, w in enumerate(work):
-            q = w[c] / row[c]
-            Q[s].append(q)
-            if q:
-                work[s] = [a - q * b for a, b in zip(w, row)]
+    Q, rest = linalg.reduce(vectors, lat.rows)
     residual = []
     for col in range(lat.dim):
-        t = [work[s][col] for s in range(len(vectors))]
+        t = [w[col] for w in rest]
         if any(t):
             residual.append(t)
     return Q, residual
@@ -1040,16 +1017,16 @@ def quotient_length(x, y):
     if x is ZERO_MODULE:
         raise ContainmentError("Y is not contained in X")
     _check_compatible(x, y)
-    field = x.base.field
-    Q, residual = _coords_matrix([list(r) for r in y.rows], x)
+    Q, residual = _coords_matrix(y.rows, x)
     if residual or x.rank != y.rank:
         raise ContainmentError("Y is not contained in X with equal span")
-    for row in Q:
-        for q in row:
-            if not x.base.is_integral(q):
-                raise ContainmentError("Y is not contained in X")
-    d = linalg.det(Q, field)
-    return sum(v(d) for v in x.base.valuations)
+    if not all(x.base.is_integral(q) for row in Q for q in row):
+        raise ContainmentError("Y is not contained in X")
+    # Y and X span one K-space, so their echelon rows share pivot columns
+    # and Q is triangular with diagonal pivot_Y / pivot_X: the length,
+    # sum_v v(det Q), is read off the pivots
+    return sum(v(next(filter(None, ry))) - v(next(filter(None, rx)))
+               for rx, ry in zip(x.rows, y.rows) for v in x.base.valuations)
 
 
 # ---------------------------------------------------------------------------
@@ -1088,12 +1065,12 @@ class _QuotientSpace:
         self.v = v
         field = base.field
         k = x.rank
-        Q, _ = _coords_matrix([list(r) for r in y.rows], x)
+        Q, _ = _coords_matrix(y.rows, x)
         tbar = [[v.residue(e) if e else self.res_field.zero() for e in row]
                 for row in Q]
-        self.img_rows, self.img_pivots = linalg.rref(tbar, self.res_field)
+        self.img_rows, pivots = linalg.rref(tbar, self.res_field)
         self.k = k
-        self.free = [c for c in range(k) if c not in self.img_pivots]
+        self.free = [c for c in range(k) if c not in pivots]
         self.dim = len(self.free)
         # action matrices of the order basis, in X-coordinates mod p
         self.actions = []
@@ -1108,11 +1085,7 @@ class _QuotientSpace:
 
     def project(self, vec):
         """Image of a length-k residue vector in the quotient coordinates."""
-        w = list(vec)
-        for row, p in zip(self.img_rows, self.img_pivots):
-            q = w[p]
-            if q:
-                w = [a - q * bb for a, bb in zip(w, row)]
+        _, (w,) = linalg.reduce([vec], self.img_rows)
         return [w[c] for c in self.free]
 
     def lift_free(self, qvec):

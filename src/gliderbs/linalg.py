@@ -1,32 +1,18 @@
 """Small dense exact linear algebra over any FieldElem field.
 
-Matrices are lists of lists (rows) of FieldElem.  Everything is Gaussian
-elimination with exact field arithmetic; sizes here are tiny (d <= 9 plus
-stacked condition systems), so no fraction-free tricks are needed.
+Matrices are lists of lists (rows) of FieldElem.  Sizes here are tiny
+(d <= 9 plus stacked condition systems).  Two eliminations do all the work:
+`reduce` reduces vectors against rows already in echelon form, and `rref`
+brings rows to reduced echelon form; the inverse and the null spaces are
+read off `rref`.
 """
 
 from __future__ import annotations
 
 from .errors import RankError
 
-__all__ = ["mat_mul", "mat_vec", "vec_mat", "mat_inv", "det",
-           "rref", "right_nullspace", "left_nullspace"]
-
-
-def mat_mul(A, B):
-    n, m, k = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(k):
-            s = None
-            for t in range(m):
-                term = Ai[t] * B[t][j]
-                s = term if s is None else s + term
-            row.append(s)
-        out.append(row)
-    return out
+__all__ = ["vec_mat", "reduce", "mat_inv", "rref", "right_nullspace",
+           "left_nullspace"]
 
 
 def vec_mat(v, A):
@@ -41,53 +27,36 @@ def vec_mat(v, A):
     return out
 
 
-def mat_vec(A, v):
-    out = []
-    for row in A:
-        s = None
-        for t, x in enumerate(v):
-            term = row[t] * x
-            s = term if s is None else s + term
-        out.append(s)
-    return out
+def reduce(vectors, rows):
+    """Reduce each vector against echelon rows, whose pivots (first nonzero
+    entries) lie in strictly increasing columns.
+
+    Returns (Q, rest) with vectors[s] = sum_r Q[s][r] * rows[r] + rest[s];
+    rest[s] is zero at every pivot column, and it is zero exactly when
+    vectors[s] lies in the span of the rows.  The rows are the outer loop,
+    so each pivot is found once.
+    """
+    rest = [list(v) for v in vectors]
+    Q = [[] for _ in rest]
+    for row in rows:
+        c = next(i for i, e in enumerate(row) if e)
+        for s, w in enumerate(rest):
+            q = w[c] / row[c]
+            Q[s].append(q)
+            if q:
+                rest[s] = [a - q * b for a, b in zip(w, row)]
+    return Q, rest
 
 
 def mat_inv(A, field):
+    """A^-1: the right half of the reduced row echelon form of [A | I]."""
     n = len(A)
-    M = [list(row) + [field.one() if i == j else field.zero()
-                      for j in range(n)] for i, row in enumerate(A)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c]), None)
-        if piv is None:
-            raise RankError("matrix is singular")
-        M[c], M[piv] = M[piv], M[c]
-        inv = field.one() / M[c][c]
-        M[c] = [e * inv for e in M[c]]
-        for r in range(n):
-            if r != c and M[r][c]:
-                q = M[r][c]
-                M[r] = [a - q * b for a, b in zip(M[r], M[c])]
-    return [row[n:] for row in M]
-
-
-def det(A, field):
-    n = len(A)
-    M = [list(row) for row in A]
-    out = field.one()
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c]), None)
-        if piv is None:
-            return field.zero()
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            out = -out
-        out = out * M[c][c]
-        inv = field.one() / M[c][c]
-        for r in range(c + 1, n):
-            if M[r][c]:
-                q = M[r][c] * inv
-                M[r] = [a - q * b for a, b in zip(M[r], M[c])]
-    return out
+    rows, pivots = rref([list(row) + [field.one() if i == j else field.zero()
+                                      for j in range(n)]
+                         for i, row in enumerate(A)], field)
+    if pivots != list(range(n)):
+        raise RankError("matrix is singular")
+    return [row[n:] for row in rows]
 
 
 def rref(A, field):

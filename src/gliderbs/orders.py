@@ -224,9 +224,8 @@ def _custom_radical(order, j):
 
     radical_rows = []
     for x in map(list, product(fld.elements(), repeat=d)):
-        if not any(x):
-            continue
-        if _in_span(radical_rows, x, fld):
+        # zero, or already in the radical found so far
+        if not any(linalg.reduce([x], radical_rows)[1][0]):
             continue
         ideal_rows = two_sided_ideal(x)
         if is_nilpotent_ideal(ideal_rows):
@@ -252,13 +251,6 @@ def _custom_radical(order, j):
         power = mult(power, ideal, alg)
         e += 1
     return PrimeData(order, ideal, j, e)
-
-
-def _in_span(rows, vec, fld):
-    if not rows:
-        return not any(vec)
-    test, _ = linalg.rref([list(r) for r in rows] + [list(vec)], fld)
-    return len(test) == len(rows)
 
 
 # ---------------------------------------------------------------------------

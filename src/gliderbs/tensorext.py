@@ -134,8 +134,9 @@ def sqrt_x_extension():
 
 class TensorFiltration:
     """The convolution filtration on A (x) L, materialized over the
-    extension's base ring.  `level(q)` is the exact sum; when the base is
-    strong it equals F_qA (x) F_0L (verified)."""
+    extension's base ring.  The base is strong, so the convolution sum at q
+    collapses to F_qA (x) F_0L, and `level(q)` returns that collapsed level
+    without forming the sum."""
 
     def __init__(self, fa, ext):
         base = fa.base if isinstance(fa, AlgebraFiltration) else fa
@@ -177,7 +178,9 @@ class TensorFiltration:
 
     def sum_level(self, q):
         """The convolution sum at degree q, truncated exactly: below the
-        stabilization depth every further term is contained in the sum."""
+        stabilization depth every further term is contained in the sum.
+        With `term`, the reference that the tests compare the collapsed
+        `level` against; the library itself reads `level`."""
         src = self.source
         ph = (src.base if self.kind == "algebra" else src).phi
         depth = abs(ph.lo) + ph.hi + 2 * max(ph.minus_period,

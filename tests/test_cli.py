@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,9 @@ from gliderbs.gbs import realize_field_element
 from gliderbs.lattice import matrix_algebra
 from gliderbs.orders import builtin_mnr
 from gliderbs.rank2 import realize_z2
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +173,28 @@ def test_usage_error_exit_code(files, capsys):
 def test_missing_file_is_domain_error(capsys):
     code, _ = run(capsys, "strong-check", "--filtration", "/nope.json")
     assert code == 1
+
+
+def test_commands_back_to_back_match_separate_runs(files, capsys):
+    """The parser is built once per process: one command's options and
+    defaults do not leak into the next command run in the same process."""
+    commands = [
+        ("--output", "json", "tensor-map", "--ext", files["ext.json"],
+         "--filtration", files["fa.json"], "--points", files["points.json"],
+         "--shift", "1"),
+        ("rank2", "classify", "--glider", files["z2.json"]),
+        ("tensor-map", "--ext", files["ext.json"], "--filtration",
+         files["fa.json"], "--points", files["points.json"]),
+    ]
+    in_process = [run(capsys, *argv) for argv in commands]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    separate = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "gliderbs.cli", *argv],
+                              cwd=ROOT, env=env, capture_output=True,
+                              text=True, timeout=300)
+        separate.append((proc.returncode, proc.stdout))
+    assert in_process == separate
+    assert json.loads(in_process[0][1])["results"][0]["image"]["shift"] == 1

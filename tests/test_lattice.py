@@ -12,7 +12,6 @@ from gliderbs.lattice import (ZERO_MODULE, BaseRing, FracIdeal, add,
                               is_simple_quotient, matrix_algebra, mult,
                               quaternion_algebra, quotient_length, span)
 from gliderbs.orders import builtin_hurwitz2, builtin_mnr
-from gliderbs import linalg
 
 
 def fe(n):
@@ -47,7 +46,11 @@ def test_canonicalize_rejects_rank_deficient(r5):
 
 def test_hurwitz_golden_values():
     lam, base = hurwitz_lattice()
-    d = linalg.det([list(r) for r in lam.rows], QQ_FIELD)
+    # the rows are in Hermite normal form: the determinant is the product
+    # of the diagonal
+    d = fe(1)
+    for i, row in enumerate(lam.rows):
+        d = d * row[i]
     assert val(padic(2), d) == -1
     alg = quaternion_algebra(-1, -1)
     assert mult(lam, lam, alg) == lam
@@ -87,6 +90,105 @@ def test_quotient_length_examples(r5, b_m2):
     assert quotient_length(b_m2, b_m2.scale(fe(5))) == 4
     with pytest.raises(ContainmentError):
         quotient_length(b_m2.scale(fe(5)), b_m2)
+
+
+def _length_bases():
+    from gliderbs.fields import (GAUSS_FIELD, QX_FIELD, fp_func_field,
+                                 gauss_prime, poly_prime, xadic)
+
+    f3 = fp_func_field(3)
+    return {
+        "Q at 5": BaseRing(QQ_FIELD, (padic(5),)),
+        "Q at 2,3": BaseRing(QQ_FIELD, (padic(2), padic(3))),
+        "Q(x) at x": BaseRing(QX_FIELD, (xadic(QX_FIELD),)),
+        "Q(x) at x^2+1": BaseRing(QX_FIELD, (poly_prime("x^2+1"),)),
+        "F_3(x) at x": BaseRing(f3, (xadic(f3),)),
+        "Q(i) at 3": BaseRing(GAUSS_FIELD, (gauss_prime("3"),)),
+        "Q(i) at 1+i": BaseRing(GAUSS_FIELD, (gauss_prime("1+i"),)),
+    }
+
+
+def _det(m, field):
+    """Laplace expansion along the first row: the reference determinant."""
+    if not m:
+        return field.one()
+    out = field.zero()
+    for j, a in enumerate(m[0]):
+        if a:
+            minor = [row[:j] + row[j + 1:] for row in m[1:]]
+            term = a * _det(minor, field)
+            out = out - term if j % 2 else out + term
+    return out
+
+
+def _length_pairs(base, rnd, count):
+    """(X, Y) with Y a random sublattice of X of the same K-span: X is
+    spanned by `rank` random vectors in K^dim, Y by integral combinations
+    of X's rows, each combination times a random uniformizer power."""
+    field = base.field
+    gens = [field.one()] + list(base.uniformizers) + \
+        [field.gen(n) for n in field.generator_names()]
+
+    def elem():
+        out = field.zero()
+        for g in gens:
+            out = out + field.from_int(rnd.randint(-2, 2)) * g
+        return out
+
+    out = []
+    while len(out) < count:
+        dim = rnd.randint(2, 4)
+        rank = rnd.choice([dim, dim, dim - 1])
+        pi = rnd.choice(base.uniformizers)
+        x = span(base, dim, [[elem() / pi if rnd.random() < 0.3 else elem()
+                              for _ in range(dim)] for _ in range(rank)])
+        t = []
+        for _ in range(x.rank):
+            scale = rnd.choice(base.uniformizers) ** rnd.randint(0, 2)
+            t.append([elem() * scale for _ in range(x.rank)])
+        y = span(base, dim, [[sum((c * r[k] for c, r in zip(trow, x.rows)),
+                                  field.zero()) for k in range(dim)]
+                             for trow in t])
+        if x.rank == rank and y.rank == rank:
+            out.append((x, y))
+    return out
+
+
+@pytest.mark.parametrize("name", list(_length_bases()))
+def test_quotient_length_is_the_valuation_of_the_determinant(name):
+    base = _length_bases()[name]
+    rnd = random.Random(name)
+    for x, y in _length_pairs(base, rnd, 6):
+        q = [x.coords(r) for r in y.rows]
+        d = _det(q, base.field)
+        assert quotient_length(x, y) == sum(v(d) for v in base.valuations)
+        for j, pi in enumerate(base.uniformizers):
+            e = rnd.randint(1, 3)
+            assert quotient_length(x, x.scale(pi ** e)) == e * x.rank
+            assert quotient_length(y, y.scale(pi ** e)) == e * y.rank
+        assert quotient_length(x, x) == 0
+
+
+@pytest.mark.parametrize("name", list(_length_bases()))
+def test_quotient_length_errors(name):
+    base = _length_bases()[name]
+    x, y = next(p for p in _length_pairs(base, random.Random(name), 5)
+                if p[0].rank > 1)
+    pi = base.uniformizers[0]
+    assert quotient_length(ZERO_MODULE, ZERO_MODULE) == 0
+    with pytest.raises(ContainmentError, match=r"^X/Y has infinite length: "
+                                               r"Y spans less than X$"):
+        quotient_length(x, ZERO_MODULE)
+    with pytest.raises(ContainmentError, match=r"^Y is not contained in X$"):
+        quotient_length(ZERO_MODULE, y)
+    with pytest.raises(ContainmentError, match=r"^Y is not contained in X$"):
+        quotient_length(x, x.scale(base.field.one() / pi))
+    line = span(base, x.dim, [x.rows[0]])
+    for a, b in ((line, x), (x, line)):
+        with pytest.raises(ContainmentError,
+                           match=r"^Y is not contained in X with equal "
+                                 r"span$"):
+            quotient_length(a, b)
 
 
 def test_base_mismatch(r5, b_m2):
