@@ -11,7 +11,8 @@ Each field kind has one rep-level implementation, picked once when the
 operations, the zero test and the printer.  Reps are sympy domain elements
 for Q, Q(i), Q(x), F_p(x) and Q(x,y); ints mod p for F_p; pairs of ints
 mod p for F_p[i]; tuples of `Fraction` coefficients for Q[x]/(g).  Reps
-never leave this module.
+are read and wrapped only here; the lattice kernel over Z_(S) inside Q
+computes on the reps of Q, through `RATIONALS`.
 
 Valuations: p-adic on Q, the three Gaussian prime splittings on Q(i),
 x-adic / y-adic and irreducible-polynomial valuations on function fields,
@@ -41,7 +42,7 @@ __all__ = [
     "padic", "gauss_prime", "xadic", "yadic", "poly_prime", "composite2",
     "val", "uniformizer", "uniformizer_pair", "residue",
     "field_from_name", "rational_value", "substitute",
-    "padic_primes", "integer_row", "rational_row",
+    "padic_primes", "RATIONALS",
 ]
 
 
@@ -173,8 +174,8 @@ class Field:
         self._ops = {"add": arith.add, "sub": arith.sub, "mul": arith.mul,
                      "div": arith.div}
         self._nonzero = arith.nonzero
-        self._zero = FieldElem(self, arith.from_fraction(Fraction(0)))
-        self._one = FieldElem(self, arith.from_fraction(Fraction(1)))
+        self._zero = _elem(self, arith.from_fraction(Fraction(0)))
+        self._one = _elem(self, arith.from_fraction(Fraction(1)))
 
     # -- construction of elements ------------------------------------------
 
@@ -188,14 +189,14 @@ class Field:
         return self.from_fraction(Fraction(n))
 
     def from_fraction(self, q):
-        return FieldElem(self, self._arith.from_fraction(Fraction(q)))
+        return _elem(self, self._arith.from_fraction(Fraction(q)))
 
     def gen(self, name):
         """The named generator ('x', 'y', 'i', 't', ...) as an element."""
         rep = self._arith.gens.get(name)
         if rep is None:
             raise ParseError(f"field {self.name} has no generator {name!r}")
-        return FieldElem(self, rep)
+        return _elem(self, rep)
 
     def generator_names(self):
         return tuple(self._arith.gens)
@@ -208,10 +209,17 @@ class Field:
         if reps is None:
             raise UnsupportedError(
                 f"cannot enumerate the infinite field {self.name}")
-        return tuple(FieldElem(self, r) for r in reps)
+        return tuple(_elem(self, r) for r in reps)
 
     def parse(self, text):
         return _parse_element(self, text)
+
+    # the lattice kernel computes on a field's own elements, except over
+    # Z_(S) inside Q (`RATIONALS`): elements and rows pass in and out as is
+    def wrap(self, x):
+        return x
+
+    unwrap = wrap_row = unwrap_row = wrap
 
     def __repr__(self):
         return f"Field({self.name})"
@@ -287,35 +295,11 @@ def _poly_image(poly, target, images, coeff):
 def padic_primes(field, valuations):
     """(p_1, ..., p_r) when `field` is Q and every valuation is p-adic,
     else None: the semilocal rings Z_(S) whose lattices are computed on
-    integers."""
+    the reps of Q (`RATIONALS`) and integers."""
     if field is not QQ_FIELD or not all(
             isinstance(v._impl, _PAdic) for v in valuations):
         return None
     return tuple(v.p for v in valuations)
-
-
-def integer_row(row):
-    """(numerators, d) with row[k] = numerators[k] / d, for a row of
-    elements of Q and d their least common positive denominator.  A plain
-    integer zero counts as zero of Q."""
-    reps = []
-    den = 1
-    for e in row:
-        if e.__class__ is not FieldElem or e.field is not QQ_FIELD:
-            if isinstance(e, FieldElem) or e != 0:
-                raise FieldMismatchError(f"{e!r} is not an element of Q")
-            e = QQ_FIELD._zero
-        q = e.rep
-        reps.append(q)
-        d = q.denominator
-        if den % d:
-            den = den // gcd(den, d) * d
-    return [q.numerator * (den // q.denominator) for q in reps], den
-
-
-def rational_row(nums, den):
-    """The elements nums[k] / den of Q, for ints nums and den > 0."""
-    return tuple(FieldElem(QQ_FIELD, _MPQ(n, den)) for n in nums)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +307,9 @@ def rational_row(nums, den):
 # ---------------------------------------------------------------------------
 
 class FieldElem:
-    """Immutable element of a supported field."""
+    """Immutable element of a supported field, built only by `_elem`."""
 
     __slots__ = ("field", "rep")
-
-    def __init__(self, field, rep):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rep", rep)
 
     def __setattr__(self, *args):
         raise AttributeError("FieldElem is immutable")
@@ -353,7 +333,7 @@ class FieldElem:
         if other is NotImplemented:
             return NotImplemented
         f = self.field
-        return FieldElem(f, f._ops[op](self.rep, other.rep))
+        return _elem(f, f._ops[op](self.rep, other.rep))
 
     def __add__(self, other):
         return self._binop(other, "add")
@@ -418,6 +398,19 @@ class FieldElem:
         return f"<{self.field.name}: {self}>"
 
 
+_new_object = object.__new__
+_set_field, _set_rep = FieldElem.field.__set__, FieldElem.rep.__set__
+
+
+def _elem(field, rep):
+    """The element of `field` with representation `rep`: the slot
+    descriptors write past the immutability guard of `__setattr__`."""
+    x = _new_object(FieldElem)
+    _set_field(x, field)
+    _set_rep(x, rep)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # one implementation per field kind, on reps
 # ---------------------------------------------------------------------------
@@ -458,6 +451,75 @@ class _DomainArith(_Arith):
 
 
 _MPQ = QQ.dtype  # builds a reduced rational from two ints
+_MPQ_ZERO, _MPQ_ONE = _MPQ(0), _MPQ(1)
+
+
+class _Rationals:
+    """The lattice kernel's scalars over Z_(S) inside Q: the reps of Q, with
+    `zero`, `one`, `from_fraction`, conversions to elements of Q and to
+    ints over a common denominator, and the principal parts at S."""
+
+    def zero(self):
+        return _MPQ_ZERO
+
+    def one(self):
+        return _MPQ_ONE
+
+    def from_fraction(self, q):
+        return _qq_from_fraction(Fraction(q))
+
+    def wrap(self, q):
+        return _elem(QQ_FIELD, q)
+
+    def unwrap(self, x):
+        return x.rep
+
+    def wrap_row(self, row):
+        return tuple(_elem(QQ_FIELD, q) for q in row)
+
+    def unwrap_row(self, row):
+        """The reps of a row of elements of Q.  A rep passes through, and
+        a plain zero counts as zero of Q."""
+        out = []
+        for e in row:
+            if e.__class__ is FieldElem and e.field is QQ_FIELD:
+                e = e.rep
+            elif e.__class__ is not _MPQ:
+                if isinstance(e, FieldElem) or e != 0:
+                    raise FieldMismatchError(f"{e!r} is not an element of Q")
+                e = _MPQ_ZERO
+            out.append(e)
+        return out
+
+    def int_row(self, row):
+        """(nums, d) with row[k] = nums[k] / d, for d the least common
+        positive denominator of the row."""
+        den = 1
+        for q in row:
+            d = q.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+        return [q.numerator * (den // q.denominator) for q in row], den
+
+    def rat_row(self, nums, den):
+        """The reps nums[k] / den, for ints nums and den > 0."""
+        return tuple(_MPQ(n, den) if n else _MPQ_ZERO for n in nums)
+
+    def principal_part(self, h, primes):
+        """The sum of the principal parts of h at the primes, in closed
+        form: for h = a / (b p^k), p prime to b, the part at p is r / p^k
+        with r = a b^-1 mod p^k.  A part at one prime is integral at the
+        others, so the parts do not depend on each other."""
+        a, m = h.numerator, h.denominator
+        out = _MPQ_ZERO
+        for p in primes:
+            b, pk = m, 1
+            while b % p == 0:
+                b //= p
+                pk *= p
+            if pk > 1:
+                out += _MPQ(a * pow(b, -1, pk) % pk, pk)
+        return out
 
 
 def _qq_from_fraction(q):
@@ -718,6 +780,7 @@ GAUSS_FIELD = Field("QI")
 QX_FIELD = Field("FUNC", var="x", char=0)
 QY_FIELD = Field("FUNC", var="y", char=0)
 QXY_FIELD = Field("FUNC2")
+RATIONALS = _Rationals()
 
 _FIELD_NAMES = {
     "Q": QQ_FIELD,
@@ -971,8 +1034,6 @@ class Valuation:
         self.uniformizer_pair = impl.uniformizer_pair
         self.residue_field = impl.residue_field
         self.lift = impl.lift
-        if impl.strip_principal_part is not None:
-            self.strip_principal_part = impl.strip_principal_part
 
     def _check_field(self, x):
         if not isinstance(x, FieldElem) or x.field is not self.field:
@@ -1002,7 +1063,7 @@ class Valuation:
     def strip_principal_part(self, pp, h):
         """(pp + P, h - P) for P the principal part of h here: the digit
         terms d * pi^k, k < 0, with d the canonical lift of a residue, that
-        leave h - P integral.  A kind with a closed form binds its own."""
+        leave h - P integral."""
         pi = None
         while h:
             k = self(h)
@@ -1031,7 +1092,6 @@ class _ValuationImpl:
 
     rank = 1
     unit_value = 0
-    strip_principal_part = None
 
     def uniformizer_pair(self):
         raise UnsupportedError("uniformizer_pair needs a rank-2 valuation")
@@ -1057,20 +1117,6 @@ class _PAdic(_ValuationImpl):
 
     def residue0(self, x):
         return prime_field(self.p).from_fraction(rational_value(x))
-
-    def strip_principal_part(self, pp, h):
-        """The digits of h = a / (b' p^k), p prime to b', in closed form:
-        the principal part is r / p^k with r = a b'^-1 mod p^k."""
-        q = h.rep
-        b, pk, p = q.denominator, 1, self.p
-        while b % p == 0:
-            b //= p
-            pk *= p
-        if pk == 1:
-            return pp, h
-        part = FieldElem(self.field, _MPQ(q.numerator * pow(b, -1, pk) % pk,
-                                          pk))
-        return pp + part, h - part
 
 
 class _GaussPrime(_ValuationImpl):
@@ -1152,8 +1198,7 @@ class _GaussInert(_GaussPrime):
         a, b, den = _gauss_int_parts(x.rep)
         p = self.p
         dinv = pow(den, -1, p)
-        return FieldElem(inert_residue_field(p),
-                         ((a * dinv) % p, (b * dinv) % p))
+        return _elem(inert_residue_field(p), ((a * dinv) % p, (b * dinv) % p))
 
     def lift(self, r):
         a, b = r.rep
@@ -1260,7 +1305,7 @@ class _PolyPrime(_ValuationImpl):
 
         def red(poly):
             _, r = poly.div(g)
-            return FieldElem(fld, fld._arith.normalize(self._coeffs(r, deg)))
+            return _elem(fld, fld._arith.normalize(self._coeffs(r, deg)))
 
         return red(x.rep.numer) / red(x.rep.denom)
 

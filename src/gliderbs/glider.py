@@ -146,6 +146,7 @@ class Glider:
         if tail.kind == "multiply" and not isinstance(tail.ideal, FracIdeal):
             raise SpecValidationError(f"not a glider tail: {tail!r}")
         self.tail = tail
+        self._levels = {}
         for i in range(len(self.prefix) - 1):
             if not self.prefix[i].contains(self.prefix[i + 1]):
                 raise SpecValidationError(
@@ -177,15 +178,16 @@ class Glider:
         n = self.prefix_end
         if i <= n:
             return self.prefix[i]
-        # level(N + k) = S_k * level(N) for the tail's multiplier S_k
         t = self.tail
-        if t.kind == "filtration":
-            s = self._base_field_filtration().level(n - i)
-        elif t.kind == "multiply":
-            s = t.ideal.pow(i - n)
-        else:
+        if t.kind not in ("filtration", "multiply"):
             return self.prefix[n] if t.kind == "constant" else ZERO_MODULE
-        return self.prefix[n].scale_ideal(s)
+        # level(N + k) = S_k * level(N), S_k the tail's multiplier; built once
+        out = self._levels.get(i)
+        if out is None:
+            s = self._base_field_filtration().level(n - i) \
+                if t.kind == "filtration" else t.ideal.pow(i - n)
+            out = self._levels[i] = self.prefix[n].scale_ideal(s)
+        return out
 
     @property
     def horizon(self):

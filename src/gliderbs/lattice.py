@@ -13,6 +13,12 @@ canonical representative of their coset modulo the pivot (principal-part
 digits at each maximal ideal).  Equal modules have identical canonical
 matrices, so equality is syntactic.
 
+The kernel computes on one scalar object per base ring,
+`BaseRing.scalars`: over Z_(S) inside Q the reps of Q (integers inside
+`_integer_hnf`), else field elements.  Lattices keep their rows in those
+scalars; `FieldElem` rows are built once, when code outside the kernel
+reads `Lattice.rows` or `coords`.
+
 Full (rank d) lattices model orders, two-sided ideals and filtration
 levels; lower-rank modules appear as levels of chains inside a proper left
 ideal of the algebra.
@@ -116,6 +122,13 @@ class BaseRing:
         cls._cache[key] = inst
         return inst
 
+    @property
+    def scalars(self):
+        """What the lattice kernel computes on, chosen here only: over
+        Z_(S) inside Q the reps of Q (`fields.RATIONALS`), else the
+        field's elements (the field itself)."""
+        return fields.RATIONALS if self.int_primes else self.field
+
     def _validate(self):
         if not self.valuations:
             raise SpecValidationError("a base ring needs at least one valuation")
@@ -169,14 +182,18 @@ class BaseRing:
         return out
 
     def reduce_mod(self, u, g):
-        """Canonical representative of the coset u + g*R.
+        """Canonical representative of the coset u + g*R, for u and g in
+        the kernel's scalars (`scalars`).
 
         Computed as g times the sum of the canonical principal parts of u/g
         at each maximal ideal; digits are the canonical residue lifts.
+        Over Z_(S) inside Q each part has a closed form on ints.
         """
         if not u:
             return u
         h = u / g
+        if self.int_primes:
+            return g * fields.RATIONALS.principal_part(h, self.int_primes)
         pp = self.field.zero()
         for v in self.valuations:
             pp, h = v.strip_principal_part(pp, h)
@@ -333,28 +350,31 @@ class AlgebraDesc:
         if cache is None:
             cache = {}
             self._ftables = cache
-        tbl = cache.get(field.name)
+        tbl = cache.get(field)
         if tbl is None:
-            tbl = {}
-            for key, entries in self._table.items():
-                tbl[key] = tuple(
+            # per left index s, the (t, entries) of the pairs with a product
+            tbl = [[] for _ in range(self.dim)]
+            for (s, t), entries in sorted(self._table.items()):
+                tbl[s].append((t, tuple(
                     (uu, None if c == 1 else field.from_fraction(c))
-                    for uu, c in entries)
-            cache[field.name] = tbl
+                    for uu, c in entries)))
+            cache[field] = tbl
         return tbl
 
     def mul_coords(self, u, w, field):
-        """Product of two coordinate vectors of FieldElems."""
+        """Product of two coordinate vectors of elements of `field`, or of
+        kernel scalars when `field` is a base ring's `scalars`."""
         tbl = self._field_table(field)
         out = [field.zero()] * self.dim
         for s, cs in enumerate(u):
             if not cs:
                 continue
-            for t, ct in enumerate(w):
+            for t, entries in tbl[s]:
+                ct = w[t]
                 if not ct:
                     continue
                 prod = cs * ct
-                for uu, c in tbl.get((s, t), ()):
+                for uu, c in entries:
                     out[uu] = out[uu] + (prod if c is None else prod * c)
         return out
 
@@ -391,6 +411,9 @@ def quaternion_algebra(a, b):
 class Lattice:
     """Canonical-form R-module in K^d.  Rows form the canonical basis.
 
+    The kernel keeps the rows in its scalars (`krows`); `rows` are the
+    same rows as field elements, built once on first read.
+
     A lattice also carries a scale presentation self = pi^exps * root.
     `scale`, `scale_ideal` and the memo results of `mult` and `_colon`
     record the root they multiply and the exponents; a lattice from `span`
@@ -403,7 +426,7 @@ class Lattice:
     """
 
     __slots__ = ("base", "dim", "_rows", "_root", "exps", "_hash",
-                 "_primitive")
+                 "_primitive", "_elems")
 
     def __init__(self, base, dim, rows, _canonical=False, _root=None,
                  _exps=None):
@@ -417,17 +440,28 @@ class Lattice:
                            (0,) * base.nprimes if _exps is None else _exps)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_primitive", None)
+        object.__setattr__(self, "_elems", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Lattice is immutable")
 
     @property
-    def rows(self):
+    def krows(self):
+        """The canonical rows in the kernel's scalars."""
         rows = self._rows
         if rows is None:
-            t = self.base.from_exponents(self.exps)
-            rows = tuple(tuple(t * e for e in row) for row in self._root.rows)
+            t = self.base.scalars.unwrap(self.base.from_exponents(self.exps))
+            rows = tuple(tuple(t * e for e in row) for row in self._root.krows)
             object.__setattr__(self, "_rows", rows)
+        return rows
+
+    @property
+    def rows(self):
+        """The canonical rows as field elements."""
+        rows = self._elems
+        if rows is None:
+            rows = tuple(map(self.base.scalars.wrap_row, self.krows))
+            object.__setattr__(self, "_elems", rows)
         return rows
 
     @property
@@ -436,7 +470,7 @@ class Lattice:
 
     @property
     def rank(self):
-        return len(self.root.rows)
+        return len(self.root.krows)
 
     @property
     def full(self):
@@ -447,16 +481,19 @@ class Lattice:
     def coords(self, vec):
         """Coordinates of vec in the canonical basis over K, or None if vec
         is outside the K-span."""
-        (q,), (rest,) = linalg.reduce([vec], self.rows)
-        return None if any(rest) else q
+        k = self.base.scalars
+        (q,), (rest,) = linalg.reduce([k.unwrap_row(vec)], self.krows)
+        return None if any(rest) else list(k.wrap_row(q))
 
     def contains_vector(self, vec):
+        return self._contains(self.base.scalars.unwrap_row(vec))
+
+    def _contains(self, vec):
+        """Whether the lattice holds a vector of kernel scalars."""
         if not any(vec):
             return True
-        cs = self.coords(vec)
-        if cs is None:
-            return False
-        return all(self.base.is_integral(q) for q in cs)
+        (q,), (rest,) = linalg.reduce([vec], self.krows)
+        return not any(rest) and _integral(self.base, q)
 
     def contains(self, other):
         if other is ZERO_MODULE:
@@ -465,7 +502,7 @@ class Lattice:
         if self.root is other.root:
             return not self.rank or all(
                 a <= b for a, b in zip(self.exps, other.exps))
-        return all(self.contains_vector(r) for r in other.rows)
+        return all(map(self._contains, other.krows))
 
     # -- scale presentation --------------------------------------------------
 
@@ -489,7 +526,7 @@ class Lattice:
         _check_compatible(self, other)
         if self.root is other.root:
             return _on_root(self, other, min)
-        return span(self.base, self.dim, list(self.rows) + list(other.rows))
+        return _kspan(self.base, self.dim, self.krows + other.krows)
 
     def scale_exponents(self, exps):
         """pi^exps * L, presented on the root of L."""
@@ -508,10 +545,10 @@ class Lattice:
         q = root._primitive
         if q is None:
             mins = None
-            for row in root.rows:
+            for row in root.krows:
                 for e in row:
                     if e:
-                        v = root.base.val_vector(e)
+                        v = _vals(root.base, e)
                         mins = v if mins is None else tuple(map(min, mins, v))
             q = root if mins is None else \
                 root.scale_exponents(tuple(-m for m in mins))
@@ -524,12 +561,12 @@ class Lattice:
         if self.root is other.root:
             return self.exps == other.exps or not self.rank
         return (self.base is other.base and self.dim == other.dim
-                and self.rows == other.rows)
+                and self.krows == other.krows)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.base, self.dim, self.rows))
+            h = hash((self.base, self.dim, self.krows))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -545,11 +582,22 @@ def _check_compatible(x, y):
         raise BaseMismatchError("lattices in different ambient dimensions")
 
 
-def _hnf(base, dim, vectors):
-    """Canonical Hermite-style normal form; returns tuple of canonical rows.
+def _vals(base, e):
+    """The value vector of a nonzero kernel scalar."""
+    return base.val_vector(base.scalars.wrap(e))
 
-    Over Z_(S) inside Q the rows are computed on integers
-    (`_integer_hnf`), over every other base ring on field elements
+
+def _integral(base, vec):
+    """Whether every entry of a vector of kernel scalars lies in R."""
+    return all(min(_vals(base, e)) >= 0 for e in vec if e)
+
+
+def _hnf(base, dim, vectors):
+    """Canonical Hermite-style normal form of vectors of kernel scalars
+    (`BaseRing.scalars`): the tuple of canonical rows, in those scalars.
+
+    Over Z_(S) inside Q the rows are reps of Q, computed on integers
+    (`_integer_hnf`); over every other base ring they are field elements
     (`_field_hnf`).  The normal form is unique, so both give the same rows.
     """
     if base.int_primes is None:
@@ -677,14 +725,13 @@ def _integer_hnf(base, dim, vectors):
     section 2.4).  A pivot is made by a unit multiplier, u*row_i - t*row_piv
     with u the unit part of the pivot entry, instead of a field division;
     the mixing coefficient is the product of the primes where two values
-    tie.  Back-substitution calls `BaseRing.reduce_mod` on exact rows."""
-    primes = base.int_primes
+    tie.  Back-substitution calls `BaseRing.reduce_mod` on reps."""
+    primes, rats = base.int_primes, fields.RATIONALS
     work = []
     for v in vectors:
-        row = list(v)
-        if len(row) != dim:
+        if len(v) != dim:
             raise BaseMismatchError("generator of wrong length")
-        nums, d = fields.integer_row(row)
+        nums, d = rats.int_row(v)
         if any(nums):
             work.append(_unit_free(primes, nums, d))
     result = []
@@ -735,34 +782,40 @@ def _integer_hnf(base, dim, vectors):
         work = rest
         # divide by the unit u: the pivot becomes a product of prime powers
         nums, d = prow
-        result.append((nums, d * u, vmin) if u > 0 else
-                      ([-a for a in nums], -d * u, vmin))
+        result.append((nums, d * u) if u > 0 else
+                      ([-a for a in nums], -d * u))
     # reduce entries above each pivot to canonical coset representatives
     for ri in range(len(result)):
-        pnums, pd, vmin = result[ri]
+        pnums, pd = result[ri]
         pcol = next(c for c, e in enumerate(pnums) if e)
-        g, gp = base.from_exponents(vmin), pnums[pcol]
+        gp = pnums[pcol]
+        (g,) = rats.rat_row((gp,), pd)
         for rj in range(ri):
-            nums, d, vj = result[rj]
+            nums, d = result[rj]
             a = nums[pcol]
             if not a:
                 continue
-            (u,) = fields.rational_row((a,), d)
-            (rn,), rd = fields.integer_row((base.reduce_mod(u, g),))
+            (u,) = rats.rat_row((a,), d)
+            (rn,), rd = rats.int_row((base.reduce_mod(u, g),))
             # row_j - q*prow with q = (a/d - rn/rd) / g and g = gp/pd
             c = a * rd - rn * d
             if c:
                 nums = [x * rd * gp - c * y for x, y in zip(nums, pnums)]
                 d *= rd * gp
                 k = gcd(d, *nums)
-                result[rj] = ([x // k for x in nums], d // k, vj)
-    return tuple(fields.rational_row(nums, d) for nums, d, _ in result)
+                result[rj] = ([x // k for x in nums], d // k)
+    return tuple(rats.rat_row(nums, d) for nums, d in result)
 
 
 def span(base, dim, vectors):
-    """The R-module generated by the vectors, in canonical form.  Any rank."""
-    rows = _hnf(base, dim, vectors)
-    return Lattice(base, dim, rows, _canonical=True)
+    """The R-module generated by the vectors (of field elements or kernel
+    scalars), in canonical form.  Any rank."""
+    return _kspan(base, dim, list(map(base.scalars.unwrap_row, vectors)))
+
+
+def _kspan(base, dim, vectors):
+    """`span` of vectors of kernel scalars."""
+    return Lattice(base, dim, _hnf(base, dim, vectors), _canonical=True)
 
 
 def canonicalize(base, dim, vectors):
@@ -798,13 +851,14 @@ def solve_dual(base, dim, int_conditions, zero_conditions=()):
     <a, t> = 0 for all t in zero_conditions}.
 
     Raises RankError when the solution set has a K-line (is not finitely
-    generated over R).
+    generated over R).  Conditions are vectors of field elements or of
+    kernel scalars.
     """
-    field = base.field
+    k = base.scalars
     amb_rows = None
     if zero_conditions:
         amb_rows = linalg.right_nullspace(
-            [list(t) for t in zero_conditions], field)
+            list(map(k.unwrap_row, zero_conditions)), k)
         if not amb_rows:
             return zero_lattice(base, dim)
     if amb_rows is None:
@@ -814,20 +868,19 @@ def solve_dual(base, dim, int_conditions, zero_conditions=()):
         space_dim = len(amb_rows)
         embed = amb_rows
     conds = []
-    for t in int_conditions:
+    for t in map(k.unwrap_row, int_conditions):
         if embed is None:
-            conds.append(list(t))
+            conds.append(t)
         else:
-            conds.append([sum_prod(row, t, field) for row in embed])
+            conds.append([sum_prod(row, t, k) for row in embed])
     rows = _hnf(base, space_dim, conds)
     if len(rows) < space_dim:
         raise RankError("solution set is not a lattice (free directions)")
-    emat = [list(r) for r in rows]
-    einv = linalg.mat_inv(emat, field)
+    einv = linalg.mat_inv(rows, k)
     basis = [[einv[r][c] for r in range(space_dim)] for c in range(space_dim)]
     if embed is not None:
         basis = [linalg.vec_mat(b, embed) for b in basis]
-    return span(base, dim, basis)
+    return _kspan(base, dim, basis)
 
 
 def sum_prod(u, v, field):
@@ -844,24 +897,22 @@ def intersect(x, y):
     _check_compatible(x, y)
     if x.root is y.root:
         return _on_root(x, y, max)
-    field = x.base.field
+    k = x.base.scalars
     if x.full and y.full:
-        xi = linalg.mat_inv([list(r) for r in x.rows], field)
-        yi = linalg.mat_inv([list(r) for r in y.rows], field)
+        xi = linalg.mat_inv(x.krows, k)
+        yi = linalg.mat_inv(y.krows, k)
         conds = []
         for mat in (xi, yi):
             for c in range(x.dim):
                 conds.append([mat[r][c] for r in range(x.dim)])
         out = solve_dual(x.base, x.dim, conds)
+    elif not (x.rank and y.rank):
+        return zero_lattice(x.base, x.dim)
     else:
         # common K-span first
-        stacked = [list(r) for r in x.rows] + [list(r) for r in y.rows]
-        null = linalg.left_nullspace(stacked, field)
-        span_vecs = []
-        for u in null:
-            vec = linalg.vec_mat(u[:x.rank], [list(r) for r in x.rows])
-            span_vecs.append(vec)
-        sbasis, _ = linalg.rref(span_vecs, field)
+        null = linalg.left_nullspace(x.krows + y.krows, k)
+        span_vecs = [linalg.vec_mat(u[:x.rank], x.krows) for u in null]
+        sbasis, _ = linalg.rref(span_vecs, k)
         if not sbasis:
             return zero_lattice(x.base, x.dim)
         conds = []
@@ -871,8 +922,8 @@ def intersect(x, y):
             for i in range(lat.rank):
                 conds.append([qmat[s][i] for s in range(len(sbasis))])
         z = solve_dual(x.base, len(sbasis), conds)
-        vecs = [linalg.vec_mat(r, sbasis) for r in z.rows]
-        out = span(x.base, x.dim, vecs)
+        vecs = [linalg.vec_mat(r, sbasis) for r in z.krows]
+        out = _kspan(x.base, x.dim, vecs)
     if out.rank == 0:
         return zero_lattice(x.base, x.dim)
     return out
@@ -887,7 +938,7 @@ def _coords_matrix(vectors, lat):
     expressed as functionals on the coefficient vector of a generic
     K-combination of `vectors`: the nonzero columns of the remainders.
     """
-    Q, rest = linalg.reduce(vectors, lat.rows)
+    Q, rest = linalg.reduce(vectors, lat.krows)
     residual = []
     for col in range(lat.dim):
         t = [w[col] for w in rest]
@@ -966,9 +1017,9 @@ def require_order(lattice, alg):
 
 
 def _span_products(x, y, alg, side):
-    field = x.base.field
-    prods = [alg.mul_coords(u, w, field) for u in x.rows for w in y.rows]
-    out = span(x.base, x.dim, prods)
+    k = x.base.scalars
+    prods = [alg.mul_coords(u, w, k) for u in x.krows for w in y.krows]
+    out = _kspan(x.base, x.dim, prods)
     return ZERO_MODULE if out.rank == 0 else out
 
 
@@ -992,15 +1043,15 @@ def _colon(x, y, alg, side):
 
 
 def _solve_colon(x, y, alg, side):
-    base, dim, field = x.base, x.dim, x.base.field
+    base, dim, k = x.base, x.dim, x.base.scalars
     int_conds = []
     zero_conds = []
-    for w in y.rows:
+    for w in y.krows:
         prods = []
         for s in range(dim):
-            e_s = alg.basis_vector(s, field)
-            prods.append(alg.mul_coords(e_s, w, field) if side == "left"
-                         else alg.mul_coords(w, e_s, field))
+            e_s = alg.basis_vector(s, k)
+            prods.append(alg.mul_coords(e_s, w, k) if side == "left"
+                         else alg.mul_coords(w, e_s, k))
         Q, residual = _coords_matrix(prods, x)
         for i in range(x.rank):
             int_conds.append([Q[s][i] for s in range(dim)])
@@ -1017,16 +1068,17 @@ def quotient_length(x, y):
     if x is ZERO_MODULE:
         raise ContainmentError("Y is not contained in X")
     _check_compatible(x, y)
-    Q, residual = _coords_matrix(y.rows, x)
+    Q, residual = _coords_matrix(y.krows, x)
     if residual or x.rank != y.rank:
         raise ContainmentError("Y is not contained in X with equal span")
-    if not all(x.base.is_integral(q) for row in Q for q in row):
+    if not all(_integral(x.base, row) for row in Q):
         raise ContainmentError("Y is not contained in X")
     # Y and X span one K-space, so their echelon rows share pivot columns
     # and Q is triangular with diagonal pivot_Y / pivot_X: the length,
     # sum_v v(det Q), is read off the pivots
-    return sum(v(next(filter(None, ry))) - v(next(filter(None, rx)))
-               for rx, ry in zip(x.rows, y.rows) for v in x.base.valuations)
+    return sum(sum(_vals(x.base, next(filter(None, ry))))
+               - sum(_vals(x.base, next(filter(None, rx))))
+               for rx, ry in zip(x.krows, y.krows))
 
 
 # ---------------------------------------------------------------------------
@@ -1059,29 +1111,28 @@ class _QuotientSpace:
     with the left action of an order."""
 
     def __init__(self, x, y, b, alg, j):
-        base = x.base
-        v = base.valuations[j]
+        v = x.base.valuations[j]
         self.res_field = v.residue_field()
         self.v = v
-        field = base.field
+        scalars = x.base.scalars
         k = x.rank
-        Q, _ = _coords_matrix(y.rows, x)
-        tbar = [[v.residue(e) if e else self.res_field.zero() for e in row]
-                for row in Q]
-        self.img_rows, pivots = linalg.rref(tbar, self.res_field)
+
+        def residues(row):
+            zero = self.res_field.zero()
+            return [v.residue(scalars.wrap(e)) if e else zero for e in row]
+
+        Q, _ = _coords_matrix(y.krows, x)
+        self.img_rows, pivots = linalg.rref(list(map(residues, Q)),
+                                            self.res_field)
         self.k = k
         self.free = [c for c in range(k) if c not in pivots]
         self.dim = len(self.free)
         # action matrices of the order basis, in X-coordinates mod p
         self.actions = []
-        for brow in b.rows:
-            mat = []
-            for xrow in x.rows:
-                prod = alg.mul_coords(brow, xrow, field)
-                cs = x.coords(prod)
-                mat.append([v.residue(e) if e else self.res_field.zero()
-                            for e in cs])
-            self.actions.append(mat)
+        for brow in b.krows:
+            prods = [alg.mul_coords(brow, xrow, scalars) for xrow in x.krows]
+            cs, _ = _coords_matrix(prods, x)
+            self.actions.append(list(map(residues, cs)))
 
     def project(self, vec):
         """Image of a length-k residue vector in the quotient coordinates."""

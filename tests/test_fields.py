@@ -313,3 +313,16 @@ def test_printed_forms(name):
     field, _ = LAW_FIELDS[name]
     texts, printed = PRINTED[name]
     assert [str(field.parse(t)) for t in texts] == printed
+
+
+@pytest.mark.parametrize("field", [
+    QQ_FIELD, GAUSS_FIELD, QX_FIELD, QXY_FIELD, fp_func_field(3),
+    prime_field(5), inert_residue_field(3), quot_field([1, 0, 1])],
+    ids=lambda f: f.name)
+def test_elements_are_immutable(field):
+    x = field.from_int(2)
+    assert x.field is field and not field.from_int(0)
+    for name in ("field", "rep"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(x, name, None)
+    assert x == field.from_int(2) and x - field.from_int(2) == field.zero()

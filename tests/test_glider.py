@@ -270,3 +270,14 @@ def test_zero_last_level_stabilizes_under_every_tail(f5, tail):
     v = classify_subglider(m, m)
     assert v.kind == "T3" and v.alpha_slope == 0
     assert shift(m, 5).level(0) is ZERO_MODULE
+
+
+@pytest.mark.parametrize("tail", ["filtration", "multiply"])
+def test_levels_past_the_prefix_are_built_once(f5, b_m2, m2, tail):
+    step = 1 if tail == "filtration" else 2
+    m = Glider(f5, "algebra", [b_m2],
+               FiltrationTail() if tail == "filtration"
+               else MultiplyBy(ideal(f5, step)), alg=m2)
+    first = [m.level(i) for i in range(8)]
+    assert all(m.level(i) is lvl for i, lvl in enumerate(first))
+    assert first == [b_m2.scale_exponents((step * i,)) for i in range(8)]

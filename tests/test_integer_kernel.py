@@ -1,6 +1,6 @@
 """The integer kernel of `lattice._hnf` over Z_(S) inside Q against the
 field-arithmetic kernel, which stays the reference; the closed-form p-adic
-principal part against the digit loop; and which kernel each base ring
+principal parts against the digit loop; and which kernel each base ring
 takes."""
 
 from fractions import Fraction
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gliderbs import lattice
 from gliderbs.errors import BaseMismatchError, FieldMismatchError
-from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, Valuation,
+from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, RATIONALS,
                              fp_func_field, gauss_prime, padic, xadic)
 from gliderbs.lattice import BaseRing, span
 
@@ -66,22 +66,24 @@ def test_integer_kernel_gives_the_rows_of_the_field_kernel(name):
     @given(generators())
     def same_rows(gen):
         dim, vecs = gen
-        rows = lattice._integer_hnf(base, dim, vecs)
-        assert rows == lattice._field_hnf(base, dim, vecs)
-        assert all(e.field is QQ_FIELD for r in rows for e in r)
+        rows = lattice._integer_hnf(
+            base, dim, [RATIONALS.unwrap_row(v) for v in vecs])
+        # the field kernel runs on field elements, as over a base ring
+        # without integer primes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(base, "int_primes", None)
+            reference = lattice._field_hnf(base, dim, vecs)
+        assert tuple(map(RATIONALS.wrap_row, rows)) == reference
 
     same_rows()
 
 
-def _digit_loop_reduce(base, u, g):
-    """`BaseRing.reduce_mod` with every valuation on the digit loop."""
-    if not u:
-        return u
-    h = u / g
+def _digit_parts(base, h):
+    """The principal parts of h at every valuation, by the digit loop."""
     pp = base.field.zero()
     for v in base.valuations:
-        pp, h = Valuation.strip_principal_part(v, pp, h)
-    return g * pp
+        pp, h = v.strip_principal_part(pp, h)
+    return pp
 
 
 @pytest.mark.parametrize("name", BASES)
@@ -95,12 +97,13 @@ def test_closed_form_reduce_mod_matches_the_digit_loop(name):
     def same_coset(q, exps, unit):
         u = QQ_FIELD.from_fraction(q)
         g = base.from_exponents(exps)
-        assert base.reduce_mod(u, g) == _digit_loop_reduce(base, u, g)
-        # and per valuation, on an element with a principal part anywhere
+        # reduce_mod takes and gives the kernel's scalars, reps of Q here
+        red = base.reduce_mod(RATIONALS.unwrap(u), RATIONALS.unwrap(g))
+        assert RATIONALS.wrap(red) == g * _digit_parts(base, u / g)
+        # and the parts alone, of an element with a principal part anywhere
         h = u * QQ_FIELD.from_fraction(unit) / g
-        for v in base.valuations:
-            assert v.strip_principal_part(QQ_FIELD.zero(), h) == \
-                Valuation.strip_principal_part(v, QQ_FIELD.zero(), h)
+        parts = RATIONALS.principal_part(RATIONALS.unwrap(h), base.int_primes)
+        assert RATIONALS.wrap(parts) == _digit_parts(base, h)
 
     same_coset()
 
@@ -147,13 +150,6 @@ def test_other_bases_take_the_field_path(name, monkeypatch):
     monkeypatch.setattr(lattice, "_field_hnf", _refuse)
     with pytest.raises(AssertionError, match="other HNF path"):
         span(base, 2, [[one, gen]])
-
-
-def test_only_padic_valuations_bind_a_closed_form():
-    assert "strip_principal_part" in vars(padic(7))
-    for v in (xadic(QX_FIELD), xadic(F3X), gauss_prime("3"),
-              gauss_prime("2+i")):
-        assert "strip_principal_part" not in vars(v)
 
 
 def test_integer_kernel_failures_stay_typed():

@@ -70,6 +70,12 @@ def test_add_intersect_examples(r5, b_m2, m2):
     assert intersect(b_m2, b_m2) == b_m2
 
 
+def test_intersect_with_rank_zero_lattices(r5, b_m2):
+    zero, other_zero = span(r5, 4, []), span(r5, 4, [[fe(0)] * 4])
+    assert intersect(zero, other_zero).rank == 0
+    assert intersect(zero, b_m2).rank == intersect(b_m2, zero).rank == 0
+
+
 def test_mult_examples(r5, b_m2, m2):
     assert mult(b_m2, b_m2, m2) == b_m2
     l5 = b_m2.scale(fe(5))
