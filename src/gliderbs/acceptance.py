@@ -319,7 +319,8 @@ def criterion_9_rank2():
 
 
 def _random_lattice(ring, rnd, dim=4):
-    q = ring.field
+    # entries are built once, as the kernel's own scalars
+    k = ring.scalars
     while True:
         rows = []
         for _ in range(dim):
@@ -327,7 +328,7 @@ def _random_lattice(ring, rnd, dim=4):
             for _ in range(dim):
                 num = rnd.randint(-9, 9)
                 den = rnd.choice([1, 1, 1, 2, 3, 5, 25])
-                row.append(q.from_fraction(Fraction(num, den)))
+                row.append(k.from_fraction(Fraction(num, den)))
             rows.append(row)
         lat = span(ring, dim, rows)
         if lat.rank == dim:

@@ -27,7 +27,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import sympy
 from sympy.polys.domains import GF, QQ, QQ_I
@@ -42,7 +42,7 @@ __all__ = [
     "padic", "gauss_prime", "xadic", "yadic", "poly_prime", "composite2",
     "val", "uniformizer", "uniformizer_pair", "residue",
     "field_from_name", "rational_value", "substitute",
-    "padic_primes", "RATIONALS",
+    "pid_ring", "RATIONALS",
 ]
 
 
@@ -141,7 +141,8 @@ class Field:
                 _func_from_fraction(dom, p),
                 lambda r: _print_func(r, (var,), p),
                 {var: dom(sympy.Symbol(var))},
-                coeff=(lambda c: Fraction(int(c))) if p else _qq_fraction)
+                coeff=(lambda c: Fraction(int(c))) if p else _qq_fraction,
+                canon=_monic_denominator if p else None)
         elif k == "FUNC2":
             dom = QQ.frac_field(_X, _Y)
             self.name = "Q(x,y)"
@@ -189,7 +190,9 @@ class Field:
         return self.from_fraction(Fraction(n))
 
     def from_fraction(self, q):
-        return _elem(self, self._arith.from_fraction(Fraction(q)))
+        if q.__class__ is not Fraction:
+            q = Fraction(q)
+        return _elem(self, self._arith.from_fraction(q))
 
     def gen(self, name):
         """The named generator ('x', 'y', 'i', 't', ...) as an element."""
@@ -292,14 +295,22 @@ def _poly_image(poly, target, images, coeff):
     return out
 
 
-def padic_primes(field, valuations):
-    """(p_1, ..., p_r) when `field` is Q and every valuation is p-adic,
-    else None: the semilocal rings Z_(S) whose lattices are computed on
-    the reps of Q (`RATIONALS`) and integers."""
-    if field is not QQ_FIELD or not all(
-            isinstance(v._impl, _PAdic) for v in valuations):
+def pid_ring(field, valuations):
+    """The PID whose elements the lattice kernel computes on, or None for
+    the field path: Z_(S) for Q at p-adic valuations; F_p[x]_(x) for F_p(x)
+    at x; Q[x]_(S) for Q(x) at x and polynomial primes, when each
+    uniformizer is an int polynomial with coprime coefficients and a
+    positive lead (pivots are products of uniformizer powers)."""
+    impls = [v._impl for v in valuations]
+    if field is QQ_FIELD and all(isinstance(i, _PAdic) for i in impls):
+        return _IntegersAt(tuple(i.p for i in impls))
+    if field.kind != "FUNC" or not all(isinstance(i, _LineAdic) or isinstance(
+            i, _PolyPrime) and not field.char for i in impls):
         return None
-    return tuple(v.p for v in valuations)
+    ring = _PolynomialsAt(field, ())
+    ring.primes = tuple([ring.int_row([v.uniformizer()])[0][0]
+                         for v in valuations])
+    return ring if all(p == p.primitive() for p in ring.primes) else None
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +450,14 @@ class _DomainArith(_Arith):
     nonzero = bool
 
     def __init__(self, from_fraction, show, gens, to_fraction=None,
-                 coeff=None):
+                 coeff=None, canon=None):
         self.from_fraction, self.show, self.gens = from_fraction, show, gens
         self.to_fraction, self.coeff = to_fraction, coeff
+        if canon:
+            # every result in the canonical rep, so that == compares values
+            for name in ("from_fraction", "add", "sub", "mul", "div"):
+                op = getattr(self, name)
+                setattr(self, name, lambda *a, op=op: canon(op(*a)))
 
     @staticmethod
     def div(a, b):
@@ -466,7 +482,8 @@ class _Rationals:
         return _MPQ_ONE
 
     def from_fraction(self, q):
-        return _qq_from_fraction(Fraction(q))
+        return _qq_from_fraction(q if q.__class__ is Fraction else
+                                 Fraction(q))
 
     def wrap(self, q):
         return _elem(QQ_FIELD, q)
@@ -502,24 +519,247 @@ class _Rationals:
         return [q.numerator * (den // q.denominator) for q in row], den
 
     def rat_row(self, nums, den):
-        """The reps nums[k] / den, for ints nums and den > 0."""
+        """The reps nums[k] / den, for ints nums and den != 0."""
         return tuple(_MPQ(n, den) if n else _MPQ_ZERO for n in nums)
 
-    def principal_part(self, h, primes):
-        """The sum of the principal parts of h at the primes, in closed
-        form: for h = a / (b p^k), p prime to b, the part at p is r / p^k
-        with r = a b^-1 mod p^k.  A part at one prime is integral at the
-        others, so the parts do not depend on each other."""
-        a, m = h.numerator, h.denominator
-        out = _MPQ_ZERO
-        for p in primes:
-            b, pk = m, 1
-            while b % p == 0:
-                b //= p
-                pk *= p
-            if pk > 1:
-                out += _MPQ(a * pow(b, -1, pk) % pk, pk)
-        return out
+
+class _Poly(tuple):
+    """A polynomial in one variable: coefficients low to high, no trailing
+    zero; ints mod p for p > 0 (classes from `_poly_class`), else ints, or
+    `Fraction`s where a division over Q needs one.  Star-arguments and
+    tuples are built from lists: a tuple from a generator is resized and
+    freed to the free list of its final size, where hundreds pile up
+    between full collections and raise the peak memory."""
+
+    __slots__ = ()
+    p = 0
+
+    def _new(self, cs):
+        p = self.p
+        if p:
+            cs = [c % p for c in cs]
+        while cs and not cs[-1]:
+            cs.pop()
+        return self.__class__(cs)
+
+    def __add__(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        cs = list(a)
+        for i, c in enumerate(b):
+            cs[i] += c
+        return a._new(cs)
+
+    def __neg__(a):
+        return a._new([-c for c in a])
+
+    __sub__ = lambda a, b: a + -b  # noqa: E731
+
+    def __mul__(a, b):
+        if not (a and b):
+            return a.__class__()
+        cs = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    cs[j] += x * y
+        return a._new(cs)
+
+    def __divmod__(a, b):
+        """(q, r) with a = q b + r and deg r < deg b: over F_p by the
+        inverse of b's leading coefficient, over Q with an int quotient
+        coefficient wherever it divides exactly."""
+        p, n, lc = a.p, len(b) - 1, b[-1]
+        inv = pow(lc, -1, p) if p else None
+        r, q = list(a), [0] * max(len(a) - n, 0)
+        for k in reversed(range(len(q))):
+            c = r[k + n]
+            c = c * inv % p if p else c // lc if c % lc == 0 else \
+                Fraction(c, lc)
+            if c:
+                q[k] = c
+                for j, y in enumerate(b, k):
+                    r[j] -= c * y
+        return a._new(q), a._new(r[:n])
+
+    __floordiv__ = lambda a, b: divmod(a, b)[0]  # noqa: E731
+    __mod__ = lambda a, b: divmod(a, b)[1]  # noqa: E731
+
+    def prem(a, b):
+        """A remainder of a by b up to a constant factor, on the
+        coefficients as they are: over F_p the remainder, over Z the
+        pseudo-remainder (a times a power of b's leading coefficient)."""
+        if a.p:
+            return a % b
+        n, lc, r = len(b) - 1, b[-1], list(a)
+        for k in reversed(range(len(r) - n)):
+            c = r[k + n]
+            if c:
+                r = [x * lc for x in r]
+                for j, y in enumerate(b, k):
+                    r[j] -= c * y
+        return a._new(r[:n])
+
+    def primitive(self):
+        """The canonical associate: monic over F_p; over Q the multiple with
+        coprime int coefficients and a positive leading coefficient."""
+        if not self:
+            return self
+        if self.p:
+            inv = pow(self[-1], -1, self.p)
+            return self._new([c * inv for c in self])
+        den = lcm(*[c.denominator for c in self])
+        cs = [int(c * den) for c in self]
+        g = gcd(*cs) if cs[-1] > 0 else -gcd(*cs)
+        return self.__class__([c // g for c in cs])
+
+
+@lru_cache(maxsize=None)
+def _poly_class(p):
+    return type(f"_Poly{p}", (_Poly,), {"__slots__": (), "p": p})
+
+
+class _IntegersAt:
+    """Z_(S) for a finite set S of primes, the PID of `_integer_hnf`: its
+    elements are ints, a fraction is a pair (n, d) of them, and the
+    kernel's scalars are the reps of Q.  The methods that use only the
+    operators * - // % == serve `_PolynomialsAt` too."""
+
+    zero, one = 0, 1
+    gcd = staticmethod(gcd)
+
+    def __init__(self, primes):
+        self.primes = primes
+        self.scalars = RATIONALS
+        self.int_row, self.rat_row = RATIONALS.int_row, RATIONALS.rat_row
+
+    def _strip(self, n, p):
+        """(k, p^k, n / p^k) for the largest k with p^k dividing n != 0."""
+        k, pk = 0, self.one
+        q, r = divmod(n, p)
+        while not r:
+            n, k, pk = q, k + 1, pk * p
+            q, r = divmod(n, p)
+        return k, pk, n
+
+    def split(self, n):
+        """(s, u) with n = s u for n != 0: s a product of the primes, in
+        canonical form (positive, monic or primitive), u prime to them."""
+        s = self.one
+        for p in self.primes:
+            _, pk, n = self._strip(n, p)
+            s = s * pk
+        return s, n
+
+    def vals(self, n, d):
+        """The exponent vector of n/d at the primes, for nonzero n and d."""
+        return tuple([self._strip(n, p)[0] - self._strip(d, p)[0]
+                      for p in self.primes])
+
+    inverse = staticmethod(lambda b, m: pow(b, -1, m))
+    clear = staticmethod(lambda n, d: (n, d))
+
+    def reduce_mod(self, u, g):
+        """The canonical representative of u + g R for fractions u = (a, d)
+        and g = (gp, pd) != 0: g times the principal parts of h = u/g.  For
+        h = A / (b p^k), p prime to b, the part at p is r / p^k with
+        r = A b^-1 mod p^k (least residue, or remainder of least degree);
+        it is integral at the other primes, so the parts are independent."""
+        (a, d), (gp, pd) = u, g
+        big_a, n, m = a * pd, self.zero, self.one
+        for p in self.primes:
+            _, pk, b = self._strip(d * gp, p)
+            if pk != self.one:
+                r = big_a * self.inverse(b, pk) % pk
+                n, m = n * pk + r * m, m * pk
+        return self.clear(gp * n, pd * m)
+
+
+class _PolynomialsAt(_IntegersAt):
+    """F_p[x]_(x) inside F_p(x), or Q[x]_(S) inside Q(x): elements are
+    `_Poly` (int polynomials over Q, as a nonzero rational is a unit), the
+    primes are the uniformizers, the scalars the field's elements."""
+
+    def __init__(self, field, primes):
+        self.field = self.scalars = field
+        self.primes, self.p = primes, field.char
+        cls = _poly_class(self.p)
+        self.zero, self.one = cls(), cls((1,))
+        self._frac = field.gen(field.var).rep.field
+        self._field_zero = field.zero()
+
+    def gcd(self, *xs):
+        """The gcd, monic over F_p, over Q with a positive lead."""
+        xs = [x for x in xs if x]
+        a = self.zero
+        for b in xs:
+            if a == self.one:
+                break
+            b = b.primitive()
+            while b:
+                a, b = b, a.prem(b).primitive()
+        if self.p or not a:
+            return a
+        return a * a.__class__((gcd(*[gcd(*x) for x in xs]),))
+
+    def inverse(self, b, m):
+        """b^-1 mod m for b prime to m, by extended Euclid."""
+        r0, r1, s0, s1 = m, b % m, self.zero, self.one
+        while r1:
+            q, r = divmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+        return s0 // r0 % m
+
+    def clear(self, n, d):
+        """n/d as a fraction of int polynomials."""
+        den = self.p or lcm(*[c.denominator for x in (n, d) for c in x])
+        return (n, d) if self.p else \
+            [x._new([int(c * den) for c in x]) for x in (n, d)]
+
+    def int_row(self, row):
+        """(nums, d) with row[k] = nums[k] / d (a plain 0 is zero)."""
+        pairs = []
+        for e in row:
+            if e.__class__ is FieldElem and e.field is self.field:
+                pairs.append(self.clear(self._dense(e.rep.numer),
+                                        self._dense(e.rep.denom)))
+            elif isinstance(e, FieldElem) or e != 0:
+                raise FieldMismatchError(
+                    f"{e!r} is not an element of {self.field.name}")
+            else:
+                pairs.append((self.zero, self.one))
+        den = self.one
+        for _, d in pairs:
+            if d != self.one and d != den:
+                den = den // self.gcd(den, d) * d
+        return [n if d == den else n * (den // d) for n, d in pairs], den
+
+    def _dense(self, poly):
+        cs = [0] * (poly.degree() + 1) if poly else []
+        for (e,), c in poly.items():
+            cs[e] = c.val if self.p else int(c.numerator) \
+                if c.denominator == 1 else _qq_fraction(c)
+        return self.zero.__class__(cs)
+
+    def rat_row(self, nums, den):
+        """The elements nums[k] / den in lowest terms, with the canonical
+        denominator: monic over F_p, a positive lead over Q."""
+        return tuple([self._element(n, den) if n else self._field_zero
+                      for n in nums])
+
+    def _element(self, n, d):
+        g = self.gcd(n, d)
+        if g != self.one:
+            n, d = n // g, d // g
+        if self.p and d[-1] != 1:
+            c = d.__class__((pow(d[-1], -1, self.p),))
+            n, d = n * c, d * c
+        elif d[-1] < 0:
+            n, d = -n, -d
+        ring, k = self._frac.ring, self._frac.domain
+        n, d = [ring.dtype({(e,): k(c) for e, c in enumerate(x) if c})
+                for x in (n, d)]
+        return _elem(self.field, self._frac.dtype(n, d))
 
 
 def _qq_from_fraction(q):
@@ -528,6 +768,16 @@ def _qq_from_fraction(q):
 
 def _qq_fraction(c):
     return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _monic_denominator(r):
+    """r in F_p(x) with a monic denominator: sympy over GF(p) keeps the
+    lead the arithmetic gave, so 2/(2x) and 1/x would be two reps."""
+    lead = r.denom.LC
+    if lead == 1:
+        return r
+    inv = r.field.domain.one / lead
+    return r.raw_new(r.numer.mul_ground(inv), r.denom.mul_ground(inv))
 
 
 def _func_from_fraction(dom, char):
@@ -1064,11 +1314,17 @@ class Valuation:
         """(pp + P, h - P) for P the principal part of h here: the digit
         terms d * pi^k, k < 0, with d the canonical lift of a residue, that
         leave h - P integral."""
-        pi = None
+        pi = last = None
         while h:
             k = self(h)
             if k >= 0:
                 break
+            if last is not None and k <= last:
+                # a wrong residue or lift; without a rise the loop would spin
+                raise UnsupportedError(
+                    f"a digit of the principal part at {self.name} did not "
+                    f"raise the value (still {k})")
+            last = k
             if pi is None:
                 pi = self.uniformizer()
             digit = self.lift(self.residue(h * pi ** (-k)))

@@ -14,10 +14,13 @@ digits at each maximal ideal).  Equal modules have identical canonical
 matrices, so equality is syntactic.
 
 The kernel computes on one scalar object per base ring,
-`BaseRing.scalars`: over Z_(S) inside Q the reps of Q (integers inside
-`_integer_hnf`), else field elements.  Lattices keep their rows in those
-scalars; `FieldElem` rows are built once, when code outside the kernel
-reads `Lattice.rows` or `coords`.
+`BaseRing.scalars`: over Z_(S) inside Q the reps of Q, else field
+elements.  Lattices keep their rows in those scalars; `FieldElem` rows are
+built once, when code outside the kernel reads `Lattice.rows` or
+`coords`.  The normal form has one body over a PID, `_integer_hnf`, with
+the ring as a parameter (`BaseRing.ring`): Z_(S) on ints, F_p[x]_(x) and
+Q[x]_(S) on polynomials; Q(i), Q(x,y) and the other function-field bases
+take the field kernel, `_field_hnf`.
 
 Full (rank d) lattices model orders, two-sided ideals and filtration
 levels; lower-rank modules appear as levels of chains inside a proper left
@@ -30,7 +33,6 @@ import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
-from math import gcd
 
 from . import fields, linalg
 from .errors import (BaseMismatchError, ContainmentError, RankError,
@@ -117,8 +119,9 @@ class BaseRing:
         inst.uniformizers = tuple(v.uniformizer() for v in valuations)
         inst._check_uniformizers()
         inst._gen_cache = {}
-        # Z_(S) inside Q: lattices are reduced on integers (`_integer_hnf`)
-        inst.int_primes = fields.padic_primes(field, valuations)
+        # Z_(S), F_p[x]_(x) or Q[x]_(S): lattices are reduced on the ring's
+        # elements (`_integer_hnf`); None: on field elements (`_field_hnf`)
+        inst.ring = fields.pid_ring(field, valuations)
         cls._cache[key] = inst
         return inst
 
@@ -127,7 +130,7 @@ class BaseRing:
         """What the lattice kernel computes on, chosen here only: over
         Z_(S) inside Q the reps of Q (`fields.RATIONALS`), else the
         field's elements (the field itself)."""
-        return fields.RATIONALS if self.int_primes else self.field
+        return self.field if self.ring is None else self.ring.scalars
 
     def _validate(self):
         if not self.valuations:
@@ -182,18 +185,17 @@ class BaseRing:
         return out
 
     def reduce_mod(self, u, g):
-        """Canonical representative of the coset u + g*R, for u and g in
-        the kernel's scalars (`scalars`).
-
-        Computed as g times the sum of the canonical principal parts of u/g
-        at each maximal ideal; digits are the canonical residue lifts.
-        Over Z_(S) inside Q each part has a closed form on ints.
+        """Canonical representative of the coset u + g*R: g times the sum
+        of the canonical principal parts of u/g at each maximal ideal.
+        With a PID (`ring`) u, g and the result are fractions (n, d) of its
+        elements and each part is a closed form; else they are field
+        elements and the digits of a part are the canonical residue lifts.
         """
+        if self.ring is not None:
+            return self.ring.reduce_mod(u, g)
         if not u:
             return u
         h = u / g
-        if self.int_primes:
-            return g * fields.RATIONALS.principal_part(h, self.int_primes)
         pp = self.field.zero()
         for v in self.valuations:
             pp, h = v.strip_principal_part(pp, h)
@@ -596,11 +598,11 @@ def _hnf(base, dim, vectors):
     """Canonical Hermite-style normal form of vectors of kernel scalars
     (`BaseRing.scalars`): the tuple of canonical rows, in those scalars.
 
-    Over Z_(S) inside Q the rows are reps of Q, computed on integers
-    (`_integer_hnf`); over every other base ring they are field elements
-    (`_field_hnf`).  The normal form is unique, so both give the same rows.
+    With a PID (`BaseRing.ring`: Z_(S), F_p[x]_(x), Q[x]_(S)) the rows are
+    reduced on its ints or polynomials (`_integer_hnf`), else on field
+    elements (`_field_hnf`).  The form is unique: both give the same rows.
     """
-    if base.int_primes is None:
+    if base.ring is None:
         return _field_hnf(base, dim, vectors)
     return _integer_hnf(base, dim, vectors)
 
@@ -668,72 +670,48 @@ def _field_hnf(base, dim, vectors):
     return tuple(tuple(r) for r in result)
 
 
-# The integer kernel.  A row over Q is a pair (nums, d): the vector nums/d
-# for ints nums and d > 0.  While rows are eliminated they only generate the
-# module, so a row may be multiplied by a unit of Z_(S), an integer prime to
-# every p; each working row is kept with d a product of the primes and no
-# unit dividing all of nums.
+# The kernel over a PID R (`BaseRing.ring`), whose elements (ints or
+# polynomials) answer * - // % ==.  A row is a pair (nums, d): the vector
+# nums/d.  While rows are eliminated they only generate the module, so a row
+# may be multiplied by a unit of R; each working row is kept with d a
+# product of the primes and no unit dividing all of nums.
 
-def _split(primes, n):
-    """(s, u) with n = s * u for n != 0: s > 0 a product of the primes and
-    u prime to them."""
-    s = 1
-    for p in primes:
-        while n % p == 0:
-            n //= p
-            s *= p
-    return s, n
-
-
-def _int_vals(primes, n, d):
-    """The exponent vector of n/d at the primes, for n != 0 and d > 0."""
-    out = []
-    for p in primes:
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        while d % p == 0:
-            d //= p
-            k -= 1
-        out.append(k)
-    return tuple(out)
-
-
-def _unit_free(primes, nums, d):
-    """The nonzero row nums/d times a unit of Z_(S): d a product of the
-    primes, and neither a unit nor a prime of d divides all of nums."""
-    d = _split(primes, d)[0]
-    s, u = _split(primes, gcd(*nums))
-    c = gcd(s, d)
-    u *= c
-    if u != 1:
+def _unit_free(ring, nums, d):
+    """The nonzero row nums/d times a unit: d a product of the primes, and
+    neither a unit nor a prime of d divides all of nums."""
+    d = ring.split(d)[0]
+    s, u = ring.split(ring.gcd(*nums))
+    c = ring.gcd(s, d)
+    u = u * c
+    if u != ring.one:
         nums = [a // u for a in nums]
     return nums, d // c
 
 
-def _combine(x, y, cx, cy):
-    """cx*x + cy*y for rows x, y and ints cx, cy."""
+def _combine(ring, x, y, cx, cy):
+    """cx*x + cy*y for rows x, y and elements cx, cy."""
     (xs, dx), (ys, dy) = x, y
-    d = dx // gcd(dx, dy) * dy
+    d = dx // ring.gcd(dx, dy) * dy
     fx, fy = cx * (d // dx), cy * (d // dy)
     return [fx * a + fy * b for a, b in zip(xs, ys)], d
 
 
 def _integer_hnf(base, dim, vectors):
-    """`_field_hnf` on Python ints, for Z_(S) inside Q (Cohen, GTM 138,
-    section 2.4).  A pivot is made by a unit multiplier, u*row_i - t*row_piv
-    with u the unit part of the pivot entry, instead of a field division;
-    the mixing coefficient is the product of the primes where two values
-    tie.  Back-substitution calls `BaseRing.reduce_mod` on reps."""
-    primes, rats = base.int_primes, fields.RATIONALS
+    """`_field_hnf` on the elements of the base's PID (Cohen, GTM 138,
+    section 2.4), one body for every ring.  A pivot is made by a unit
+    multiplier, u*row_i - t*row_piv with u the unit part of the pivot
+    entry, instead of a field division; the mixing coefficient is the
+    product of the primes where two values tie.  Rows come in and go out
+    through the ring's `int_row` and `rat_row`; back-substitution calls
+    `BaseRing.reduce_mod` on fractions of ring elements."""
+    ring = base.ring
     work = []
     for v in vectors:
         if len(v) != dim:
             raise BaseMismatchError("generator of wrong length")
-        nums, d = rats.int_row(v)
+        nums, d = ring.int_row(v)
         if any(nums):
-            work.append(_unit_free(primes, nums, d))
+            work.append(_unit_free(ring, nums, d))
     result = []
     for col in range(dim):
         cand = [i for i, r in enumerate(work) if r[0][col]]
@@ -741,10 +719,9 @@ def _integer_hnf(base, dim, vectors):
             continue
         # mix until some candidate attains the componentwise-min valuation
         while True:
-            vecs = {i: _int_vals(primes, work[i][0][col], work[i][1])
-                    for i in cand}
-            vmin = tuple(min(v[j] for v in vecs.values())
-                         for j in range(len(primes)))
+            vecs = {i: ring.vals(work[i][0][col], work[i][1]) for i in cand}
+            vmin = tuple([min(v[j] for v in vecs.values())
+                          for j in range(len(ring.primes))])
             attained = [i for i in cand if vecs[i] == vmin]
             if attained:
                 piv = attained[0]
@@ -754,57 +731,54 @@ def _integer_hnf(base, dim, vectors):
             j = next(j for j, (a, b) in enumerate(zip(vecs[i0], vmin))
                      if a > b)
             i1 = next(i for i in cand if vecs[i][j] == vmin[j])
-            c = 1
-            for p, a, b in zip(primes, vecs[i0], vecs[i1]):
+            c = ring.one
+            for p, a, b in zip(ring.primes, vecs[i0], vecs[i1]):
                 if a == b:
-                    c *= p
-            nums, d = _combine(work[i0], work[i1], 1, c)
-            if not nums[col] or _int_vals(primes, nums[col], d) != \
+                    c = c * p
+            nums, d = _combine(ring, work[i0], work[i1], ring.one, c)
+            if not nums[col] or ring.vals(nums[col], d) != \
                     tuple(map(min, vecs[i0], vecs[i1])):
                 raise UnsupportedError(
                     "mixing coefficient missed the componentwise minimum "
                     "valuation")
-            work[i0] = _unit_free(primes, nums, d)
+            work[i0] = _unit_free(ring, nums, d)
         prow = work[piv]
-        s, u = _split(primes, prow[0][col])
+        s, u = ring.split(prow[0][col])
         rest = []
         for i, row in enumerate(work):
             if i == piv:
                 continue
             if row[0][col]:
-                # row_i's entry is t/u times the pivot entry, t an integer
+                # row_i's entry is t/u times the pivot entry, t in R
                 t = row[0][col] * prow[1] // (row[1] * s)
-                row = _combine(row, prow, u, -t)
+                row = _combine(ring, row, prow, u, -t)
                 if not any(row[0]):
                     continue
-                row = _unit_free(primes, *row)
+                row = _unit_free(ring, *row)
             rest.append(row)
         work = rest
         # divide by the unit u: the pivot becomes a product of prime powers
         nums, d = prow
-        result.append((nums, d * u) if u > 0 else
-                      ([-a for a in nums], -d * u))
+        result.append((nums, d * u))
     # reduce entries above each pivot to canonical coset representatives
     for ri in range(len(result)):
         pnums, pd = result[ri]
         pcol = next(c for c, e in enumerate(pnums) if e)
         gp = pnums[pcol]
-        (g,) = rats.rat_row((gp,), pd)
         for rj in range(ri):
             nums, d = result[rj]
             a = nums[pcol]
             if not a:
                 continue
-            (u,) = rats.rat_row((a,), d)
-            (rn,), rd = rats.int_row((base.reduce_mod(u, g),))
+            rn, rd = base.reduce_mod((a, d), (gp, pd))
             # row_j - q*prow with q = (a/d - rn/rd) / g and g = gp/pd
             c = a * rd - rn * d
             if c:
                 nums = [x * rd * gp - c * y for x, y in zip(nums, pnums)]
-                d *= rd * gp
-                k = gcd(d, *nums)
+                d = d * rd * gp
+                k = ring.gcd(d, *nums)
                 result[rj] = ([x // k for x in nums], d // k)
-    return tuple(rats.rat_row(nums, d) for nums, d in result)
+    return tuple([ring.rat_row(nums, d) for nums, d in result])
 
 
 def span(base, dim, vectors):

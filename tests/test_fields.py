@@ -1,3 +1,5 @@
+import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -216,7 +218,8 @@ def _elements(draw, field, char):
 
 
 def _same(x, y):
-    # `==` compares reps, which are not canonical on F_p(x)
+    # the laws compare values; `==` agrees with them
+    # (test_equality_and_hash_follow_the_value)
     return not (x - y)
 
 
@@ -241,6 +244,57 @@ def test_field_laws(name):
             a / zero
 
     laws()
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(x)", "F3(x)", "Q(x,y)"])
+def test_equality_and_hash_follow_the_value(name):
+    """On every kind with sympy reps, `==` and `hash` agree with
+    `not (a - b)`: a value has one rep however it was computed (over F_3,
+    2/(2x) and 1/x)."""
+    field, char = LAW_FIELDS[name]
+    elems = _elements(field, char)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(elems, elems, elems)
+    def agree(a, b, c):
+        pairs = [(a, b), (a + b, b + a)]
+        if c:
+            pairs += [(a, a * c / c), ((a + b) / c, a / c + b / c)]
+            if b:
+                pairs.append((a / b, (a * c) / (b * c)))
+        for x, y in pairs:
+            assert (x == y) is (not (x - y))
+            if x == y:
+                assert hash(x) == hash(y)
+
+    agree()
+    names = field.generator_names()
+    two = field.from_int(2)
+    x = field.gen(names[0]) if names else field.from_int(3)
+    assert two / (two * x) == field.one() / x
+
+
+@pytest.mark.parametrize("v", [padic(5), xadic(F3X)],
+                         ids=lambda v: v.name)
+def test_a_wrong_lift_raises_instead_of_spinning(v, monkeypatch):
+    """Each digit of the principal part must raise the value of what is
+    left; a wrong residue lift raises UnsupportedError within a second."""
+    right_lift = v.lift
+    monkeypatch.setattr(v, "lift", lambda r: right_lift(r) + 1)
+
+    def spinning(*_):
+        raise TimeoutError("the digit loop did not stop")
+
+    field = v.field
+    h = field.one() / v.uniformizer() ** 2
+    old = signal.signal(signal.SIGALRM, spinning)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(UnsupportedError, match=re.escape(v.name)):
+            v.strip_principal_part(field.zero(), h)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.mark.parametrize("name", sorted(LAW_FIELDS))

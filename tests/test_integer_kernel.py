@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from gliderbs import lattice
 from gliderbs.errors import BaseMismatchError, FieldMismatchError
-from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, RATIONALS,
-                             fp_func_field, gauss_prime, padic, xadic)
+from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, QXY_FIELD,
+                             RATIONALS, gauss_prime, padic, poly_prime,
+                             rational_value, xadic)
 from gliderbs.lattice import BaseRing, span
 
 BASES = {
@@ -69,13 +70,22 @@ def test_integer_kernel_gives_the_rows_of_the_field_kernel(name):
         rows = lattice._integer_hnf(
             base, dim, [RATIONALS.unwrap_row(v) for v in vecs])
         # the field kernel runs on field elements, as over a base ring
-        # without integer primes
+        # without a PID
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(base, "int_primes", None)
+            mp.setattr(base, "ring", None)
             reference = lattice._field_hnf(base, dim, vecs)
         assert tuple(map(RATIONALS.wrap_row, rows)) == reference
 
     same_rows()
+
+
+def _pair(x):
+    q = rational_value(x)
+    return q.numerator, q.denominator
+
+
+def _value(pair):
+    return QQ_FIELD.from_fraction(Fraction(*pair))
 
 
 def _digit_parts(base, h):
@@ -97,13 +107,13 @@ def test_closed_form_reduce_mod_matches_the_digit_loop(name):
     def same_coset(q, exps, unit):
         u = QQ_FIELD.from_fraction(q)
         g = base.from_exponents(exps)
-        # reduce_mod takes and gives the kernel's scalars, reps of Q here
-        red = base.reduce_mod(RATIONALS.unwrap(u), RATIONALS.unwrap(g))
-        assert RATIONALS.wrap(red) == g * _digit_parts(base, u / g)
+        # reduce_mod takes and gives fractions (n, d) of ints here
+        red = base.reduce_mod(_pair(u), _pair(g))
+        assert _value(red) == g * _digit_parts(base, u / g)
         # and the parts alone, of an element with a principal part anywhere
         h = u * QQ_FIELD.from_fraction(unit) / g
-        parts = RATIONALS.principal_part(RATIONALS.unwrap(h), base.int_primes)
-        assert RATIONALS.wrap(parts) == _digit_parts(base, h)
+        assert _value(base.reduce_mod(_pair(h), (1, 1))) == \
+            _digit_parts(base, h)
 
     same_coset()
 
@@ -119,7 +129,7 @@ def _q(text):
 @pytest.mark.parametrize("name", BASES)
 def test_padic_bases_take_the_integer_path(name, monkeypatch):
     base = BASES[name]
-    assert base.int_primes == tuple(v.p for v in base.valuations)
+    assert base.ring.primes == tuple(v.p for v in base.valuations)
     monkeypatch.setattr(lattice, "_field_hnf", _refuse)
     lat = span(base, 2, [[_q("1/10"), _q("3")], [_q("7"), _q("5/3")]])
     assert lat.rank == 2
@@ -128,20 +138,22 @@ def test_padic_bases_take_the_integer_path(name, monkeypatch):
         span(base, 2, [[_q("1"), _q("2")]])
 
 
-F3X = fp_func_field(3)
+# the polynomial rings take the PID path too (tests/test_pid_kernel.py);
+# a uniformizer with a constant factor keeps Q(x) on the field path
 OTHER_BASES = {
-    "Q(x) at x": (BaseRing(QX_FIELD, [xadic(QX_FIELD)]), QX_FIELD),
-    "F_3(x) at x": (BaseRing(F3X, [xadic(F3X)]), F3X),
     "Q(i) at 3": (BaseRing(GAUSS_FIELD, [gauss_prime("3")]), GAUSS_FIELD),
     "Q(i) at 1+i": (BaseRing(GAUSS_FIELD, [gauss_prime("1+i")]),
                     GAUSS_FIELD),
+    "Q(x,y) at x": (BaseRing(QXY_FIELD, [xadic(QXY_FIELD)]), QXY_FIELD),
+    "Q(x) at 2x^2+2": (BaseRing(QX_FIELD, [poly_prime("2*x^2+2")]),
+                       QX_FIELD),
 }
 
 
 @pytest.mark.parametrize("name", OTHER_BASES)
 def test_other_bases_take_the_field_path(name, monkeypatch):
     base, field = OTHER_BASES[name]
-    assert base.int_primes is None
+    assert base.ring is None
     monkeypatch.setattr(lattice, "_integer_hnf", _refuse)
     gen = field.gen(field.generator_names()[0])
     one = field.one()

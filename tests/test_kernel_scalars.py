@@ -4,7 +4,7 @@ ring has no integer primes, it computes on field elements.  Each case
 below draws its inputs once (derandomized hypothesis, so the same seeds
 every run), runs the same operations on both paths, and asks for the same
 lattices, the same values and the same errors.  The plain path is reached
-by setting the base ring's `int_primes` to None."""
+by setting the base ring's `ring` to None."""
 
 from fractions import Fraction
 
@@ -109,7 +109,7 @@ def _both_paths(base, *inputs):
     """(kernel-scalar outcomes, field-element outcomes) on one input."""
     fast = _outcomes(base, *inputs)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(base, "int_primes", None)
+        mp.setattr(base, "ring", None)
         assert base.scalars is QQ_FIELD
         plain = _outcomes(base, *inputs)
     return fast, plain

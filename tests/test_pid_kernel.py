@@ -1,0 +1,194 @@
+"""The kernel of `lattice._hnf` over the polynomial rings F_p[x]_(x) and
+Q[x]_(S) against the field-arithmetic kernel, which stays the reference;
+the closed-form principal parts at polynomial primes against the digit
+loop; which kernel each polynomial base ring takes; and that the PID path
+does no field arithmetic between its input and output conversions."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gliderbs import lattice
+from gliderbs.fields import (QX_FIELD, FieldElem, fp_func_field, poly_prime,
+                             xadic)
+from gliderbs.lattice import BaseRing, span
+
+F3X, F5X = fp_func_field(3), fp_func_field(5)
+BASES = {
+    "F_3(x) at x": BaseRing(F3X, [xadic(F3X)]),
+    "F_5(x) at x": BaseRing(F5X, [xadic(F5X)]),
+    "Q(x) at x": BaseRing(QX_FIELD, [xadic(QX_FIELD)]),
+    "Q(x) at x^2+1": BaseRing(QX_FIELD, [poly_prime("x^2+1")]),
+    "Q(x) at x, x^2+1": BaseRing(QX_FIELD, [xadic(QX_FIELD),
+                                            poly_prime("x^2+1")]),
+}
+
+# denominators with factors inside S (x, x^2+1), outside it, and both;
+# over F_3 and F_5 x^2+1 is outside S
+DENOMINATORS = ["1", "x", "x^2", "x+1", "x^2+1", "(x^2+1)^2", "2*x+1",
+                "x*(x^2+1)", "3*x^2+3", "x^2+x+2"]
+# multipliers of a row: units, uniformizers and mixtures
+MULTIPLIERS = ["1", "-1", "x+1", "1/(x+2)", "x", "x^2+1", "x/(x^2+x+2)"]
+
+
+def entries(field):
+    numerators = st.lists(st.integers(-2, 2), min_size=1, max_size=3)
+
+    def build(cs, den):
+        num = sum((field.from_int(c) * field.gen("x") ** k
+                   for k, c in enumerate(cs)), field.zero())
+        den = field.parse(den)
+        # 3x^2+3 vanishes in characteristic 3
+        return num / den if den else num
+
+    return st.one_of(st.just(field.zero()),
+                     st.builds(build, numerators,
+                               st.sampled_from(DENOMINATORS)))
+
+
+@st.composite
+def generators(draw, field):
+    """(dim, rows) with dims 1-6: random rows, then zero rows, duplicate
+    rows, combinations of rows and zero columns, so that many spans are
+    rank-deficient."""
+    dim = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries(field), min_size=dim,
+                                  max_size=dim), max_size=min(dim + 1, 4)))
+    for extra in draw(st.lists(st.sampled_from(
+            ["zero", "duplicate", "combination", "zero column"]),
+            max_size=3)):
+        if extra == "zero":
+            rows.append([field.zero()] * dim)
+        elif rows and extra == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif rows and extra == "combination":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = (field.parse(draw(st.sampled_from(MULTIPLIERS)))
+                    for _ in range(2))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        elif extra == "zero column":
+            col = draw(st.integers(0, dim - 1))
+            for r in rows:
+                r[col] = field.zero()
+    draw(st.randoms()).shuffle(rows)
+    return dim, rows
+
+
+def _field_rows(base, dim, vecs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(base, "ring", None)
+        return lattice._field_hnf(base, dim, vecs)
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_pid_kernel_gives_the_rows_of_the_field_kernel(name):
+    base = BASES[name]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(generators(base.field))
+    def same_rows(gen):
+        dim, vecs = gen
+        # both kernels give field elements, compared as values
+        assert lattice._integer_hnf(base, dim, vecs) == \
+            _field_rows(base, dim, vecs)
+
+    same_rows()
+
+
+def _digit_parts(base, h):
+    """The principal parts of h at every valuation, by the digit loop."""
+    pp = base.field.zero()
+    for v in base.valuations:
+        pp, h = v.strip_principal_part(pp, h)
+    return pp
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_closed_form_reduce_mod_matches_the_digit_loop(name):
+    base = BASES[name]
+    ring, r = base.ring, base.nprimes
+
+    def pair(x):
+        (n,), d = ring.int_row([x])
+        return n, d
+
+    def value(fraction):
+        return ring.rat_row([fraction[0]], fraction[1])[0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(entries(base.field),
+           st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+           st.sampled_from(MULTIPLIERS))
+    def same_coset(u, exps, unit):
+        g = base.from_exponents(exps)
+        # reduce_mod takes and gives fractions of polynomials here
+        red = base.reduce_mod(pair(u), pair(g))
+        assert value(red) == g * _digit_parts(base, u / g)
+        h = u * base.field.parse(unit) / g
+        assert value(base.reduce_mod(pair(h), (ring.one, ring.one))) == \
+            _digit_parts(base, h)
+
+    same_coset()
+
+
+def _refuse(*args):
+    raise AssertionError("this base ring took the other HNF path")
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_polynomial_bases_take_the_pid_path(name, monkeypatch):
+    base = BASES[name]
+    field = base.field
+    assert base.ring is not None and base.scalars is field
+    monkeypatch.setattr(lattice, "_field_hnf", _refuse)
+    x, one = field.gen("x"), field.one()
+    lat = span(base, 2, [[x, one], [one, x * x + one]])
+    assert lat.rank == 2
+    monkeypatch.setattr(lattice, "_integer_hnf", _refuse)
+    with pytest.raises(AssertionError, match="other HNF path"):
+        span(base, 2, [[one, x]])
+
+
+@pytest.mark.parametrize("name", ["F_3(x) at x", "Q(x) at x^2+1"])
+def test_pid_path_does_no_field_arithmetic(name, monkeypatch):
+    """Between the input and the output conversion the PID path computes
+    on polynomials only, and it reaches `BaseRing.reduce_mod` (which the
+    benchmark's tracer times as a span of its own)."""
+    base = BASES[name]
+    field, ring = base.field, base.ring
+    state = {"inside": False, "binops": 0, "reduce_mod": 0}
+    int_row, rat_row = ring.int_row, ring.rat_row
+    binop, reduce_mod = FieldElem._binop, BaseRing.reduce_mod
+
+    def counted_int_row(row):
+        out = int_row(row)
+        state["inside"] = True
+        return out
+
+    def counted_rat_row(nums, den):
+        state["inside"] = False
+        return rat_row(nums, den)
+
+    def counted_binop(self, other, op):
+        state["binops"] += state["inside"]
+        return binop(self, other, op)
+
+    def counted_reduce_mod(self, u, g):
+        state["reduce_mod"] += 1
+        return reduce_mod(self, u, g)
+
+    monkeypatch.setattr(ring, "int_row", counted_int_row)
+    monkeypatch.setattr(ring, "rat_row", counted_rat_row)
+    monkeypatch.setattr(FieldElem, "_binop", counted_binop)
+    monkeypatch.setattr(BaseRing, "reduce_mod", counted_reduce_mod)
+    p = base.uniformizers[0]
+    x, one = field.gen("x"), field.one()
+    zero = field.zero()
+    # (p, 1 + x p^2, 0), (0, p^2, 0), (0, 0, p) up to units and mixing:
+    # back-substitution reduces the 1 + x p^2 above the pivot p^2 to 1
+    rows = [[p, one + x * p * p, zero], [p, one + (x + 1) * p * p, zero],
+            [zero, zero, p / (x + 2)]]
+    lat = span(base, 3, rows)
+    assert lat.rows == ((p, one, zero), (zero, p * p, zero),
+                        (zero, zero, p))
+    assert state["binops"] == 0
+    assert state["reduce_mod"] >= 1
