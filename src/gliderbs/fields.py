@@ -11,8 +11,9 @@ Each field kind has one rep-level implementation, picked once when the
 operations, the zero test and the printer.  Reps are sympy domain elements
 for Q, Q(i), Q(x), F_p(x) and Q(x,y); ints mod p for F_p; pairs of ints
 mod p for F_p[i]; tuples of `Fraction` coefficients for Q[x]/(g).  Reps
-are read and wrapped only here; the lattice kernel over Z_(S) inside Q
-computes on the reps of Q, through `RATIONALS`.
+are read and wrapped only here.  The fields with sympy reps give the
+lattice kernel its scalars, `Field.reps`: the reps themselves, converted
+to and from elements only at the kernel's boundary.
 
 Valuations: p-adic on Q, the three Gaussian prime splittings on Q(i),
 x-adic / y-adic and irreducible-polynomial valuations on function fields,
@@ -42,7 +43,7 @@ __all__ = [
     "padic", "gauss_prime", "xadic", "yadic", "poly_prime", "composite2",
     "val", "uniformizer", "uniformizer_pair", "residue",
     "field_from_name", "rational_value", "substitute",
-    "pid_ring", "RATIONALS",
+    "pid_ring",
 ]
 
 
@@ -172,6 +173,9 @@ class Field:
         else:
             raise UnsupportedError(f"unknown field kind {k!r}")
         self._arith = arith
+        # the lattice kernel's scalars, over the fields with sympy reps
+        self.reps = arith if isinstance(arith, _DomainArith) else None
+        arith.field = self
         self._ops = {"add": arith.add, "sub": arith.sub, "mul": arith.mul,
                      "div": arith.div}
         self._nonzero = arith.nonzero
@@ -216,13 +220,6 @@ class Field:
 
     def parse(self, text):
         return _parse_element(self, text)
-
-    # the lattice kernel computes on a field's own elements, except over
-    # Z_(S) inside Q (`RATIONALS`): elements and rows pass in and out as is
-    def wrap(self, x):
-        return x
-
-    unwrap = wrap_row = unwrap_row = wrap
 
     def __repr__(self):
         return f"Field({self.name})"
@@ -308,7 +305,7 @@ def pid_ring(field, valuations):
             i, _PolyPrime) and not field.char for i in impls):
         return None
     ring = _PolynomialsAt(field, ())
-    ring.primes = tuple([ring.int_row([v.uniformizer()])[0][0]
+    ring.primes = tuple([ring.int_row([v.uniformizer().rep])[0][0]
                          for v in valuations])
     return ring if all(p == p.primitive() for p in ring.primes) else None
 
@@ -444,7 +441,11 @@ class _Arith:
 
 class _DomainArith(_Arith):
     """Q, Q(i), Q(x), F_p(x), Q(x,y): sympy domain elements, whose own
-    operators are exact."""
+    operators are exact.  This is also the lattice kernel's scalars over
+    its field (`Field.reps`): the reps with `zero`, `one`,
+    `from_fraction`, and the conversions to and from elements at the
+    kernel's boundary.  F_p(x) arithmetic on reps can leave a denominator
+    that is not monic, so `wrap` makes it canonical."""
 
     add, sub, mul = operator.add, operator.sub, operator.mul
     nonzero = bool
@@ -452,12 +453,14 @@ class _DomainArith(_Arith):
     def __init__(self, from_fraction, show, gens, to_fraction=None,
                  coeff=None, canon=None):
         self.from_fraction, self.show, self.gens = from_fraction, show, gens
-        self.to_fraction, self.coeff = to_fraction, coeff
+        self.to_fraction, self.coeff, self.canon = to_fraction, coeff, canon
         if canon:
             # every result in the canonical rep, so that == compares values
             for name in ("from_fraction", "add", "sub", "mul", "div"):
                 op = getattr(self, name)
                 setattr(self, name, lambda *a, op=op: canon(op(*a)))
+        self._zero = self.from_fraction(Fraction(0))
+        self._one = self.from_fraction(Fraction(1))
 
     @staticmethod
     def div(a, b):
@@ -465,62 +468,39 @@ class _DomainArith(_Arith):
             raise ZeroDivisionError("division by zero field element")
         return a / b
 
-
-_MPQ = QQ.dtype  # builds a reduced rational from two ints
-_MPQ_ZERO, _MPQ_ONE = _MPQ(0), _MPQ(1)
-
-
-class _Rationals:
-    """The lattice kernel's scalars over Z_(S) inside Q: the reps of Q, with
-    `zero`, `one`, `from_fraction`, conversions to elements of Q and to
-    ints over a common denominator, and the principal parts at S."""
-
     def zero(self):
-        return _MPQ_ZERO
+        return self._zero
 
     def one(self):
-        return _MPQ_ONE
+        return self._one
 
-    def from_fraction(self, q):
-        return _qq_from_fraction(q if q.__class__ is Fraction else
-                                 Fraction(q))
-
-    def wrap(self, q):
-        return _elem(QQ_FIELD, q)
+    def wrap(self, r):
+        return _elem(self.field, self.canon(r) if self.canon else r)
 
     def unwrap(self, x):
         return x.rep
 
     def wrap_row(self, row):
-        return tuple(_elem(QQ_FIELD, q) for q in row)
+        return tuple([self.wrap(r) for r in row])
 
     def unwrap_row(self, row):
-        """The reps of a row of elements of Q.  A rep passes through, and
-        a plain zero counts as zero of Q."""
+        """The reps of a row of elements of the field.  A rep passes
+        through, and a plain zero counts as zero of the field."""
         out = []
         for e in row:
-            if e.__class__ is FieldElem and e.field is QQ_FIELD:
+            if e.__class__ is FieldElem and e.field is self.field:
                 e = e.rep
-            elif e.__class__ is not _MPQ:
+            elif e.__class__ is not self._zero.__class__:
                 if isinstance(e, FieldElem) or e != 0:
-                    raise FieldMismatchError(f"{e!r} is not an element of Q")
-                e = _MPQ_ZERO
+                    raise FieldMismatchError(
+                        f"{e!r} is not an element of {self.field.name}")
+                e = self._zero
             out.append(e)
         return out
 
-    def int_row(self, row):
-        """(nums, d) with row[k] = nums[k] / d, for d the least common
-        positive denominator of the row."""
-        den = 1
-        for q in row:
-            d = q.denominator
-            if den % d:
-                den = den // gcd(den, d) * d
-        return [q.numerator * (den // q.denominator) for q in row], den
 
-    def rat_row(self, nums, den):
-        """The reps nums[k] / den, for ints nums and den != 0."""
-        return tuple(_MPQ(n, den) if n else _MPQ_ZERO for n in nums)
+_MPQ = QQ.dtype  # builds a reduced rational from two ints
+_MPQ_ZERO = _MPQ(0)
 
 
 class _Poly(tuple):
@@ -621,17 +601,29 @@ def _poly_class(p):
 
 class _IntegersAt:
     """Z_(S) for a finite set S of primes, the PID of `_integer_hnf`: its
-    elements are ints, a fraction is a pair (n, d) of them, and the
-    kernel's scalars are the reps of Q.  The methods that use only the
-    operators * - // % == serve `_PolynomialsAt` too."""
+    elements are ints, a fraction is a pair (n, d) of them, and rows of
+    reps of Q pass in and out through `int_row` and `rat_row`.  The methods
+    that use only the operators * - // % == serve `_PolynomialsAt` too."""
 
     zero, one = 0, 1
     gcd = staticmethod(gcd)
 
     def __init__(self, primes):
         self.primes = primes
-        self.scalars = RATIONALS
-        self.int_row, self.rat_row = RATIONALS.int_row, RATIONALS.rat_row
+
+    def int_row(self, row):
+        """(nums, d) with row[k] = nums[k] / d, for d the least common
+        positive denominator of the row."""
+        den = 1
+        for q in row:
+            d = q.denominator
+            if den % d:
+                den = den // gcd(den, d) * d
+        return [q.numerator * (den // q.denominator) for q in row], den
+
+    def rat_row(self, nums, den):
+        """The reps nums[k] / den, for ints nums and den != 0."""
+        return tuple([_MPQ(n, den) if n else _MPQ_ZERO for n in nums])
 
     def _strip(self, n, p):
         """(k, p^k, n / p^k) for the largest k with p^k dividing n != 0."""
@@ -678,15 +670,15 @@ class _IntegersAt:
 class _PolynomialsAt(_IntegersAt):
     """F_p[x]_(x) inside F_p(x), or Q[x]_(S) inside Q(x): elements are
     `_Poly` (int polynomials over Q, as a nonzero rational is a unit), the
-    primes are the uniformizers, the scalars the field's elements."""
+    primes are the uniformizers, and rows of the field's reps pass in and
+    out through `int_row` and `rat_row`."""
 
     def __init__(self, field, primes):
-        self.field = self.scalars = field
         self.primes, self.p = primes, field.char
         cls = _poly_class(self.p)
         self.zero, self.one = cls(), cls((1,))
-        self._frac = field.gen(field.var).rep.field
-        self._field_zero = field.zero()
+        self._frac_zero = field.reps.zero()
+        self._frac = self._frac_zero.field
 
     def gcd(self, *xs):
         """The gcd, monic over F_p, over Q with a positive lead."""
@@ -717,17 +709,9 @@ class _PolynomialsAt(_IntegersAt):
             [x._new([int(c * den) for c in x]) for x in (n, d)]
 
     def int_row(self, row):
-        """(nums, d) with row[k] = nums[k] / d (a plain 0 is zero)."""
-        pairs = []
-        for e in row:
-            if e.__class__ is FieldElem and e.field is self.field:
-                pairs.append(self.clear(self._dense(e.rep.numer),
-                                        self._dense(e.rep.denom)))
-            elif isinstance(e, FieldElem) or e != 0:
-                raise FieldMismatchError(
-                    f"{e!r} is not an element of {self.field.name}")
-            else:
-                pairs.append((self.zero, self.one))
+        """(nums, d) with row[k] = nums[k] / d, for reps of the field."""
+        pairs = [self.clear(self._dense(e.numer), self._dense(e.denom))
+                 if e else (self.zero, self.one) for e in row]
         den = self.one
         for _, d in pairs:
             if d != self.one and d != den:
@@ -742,12 +726,12 @@ class _PolynomialsAt(_IntegersAt):
         return self.zero.__class__(cs)
 
     def rat_row(self, nums, den):
-        """The elements nums[k] / den in lowest terms, with the canonical
+        """The reps nums[k] / den in lowest terms, with the canonical
         denominator: monic over F_p, a positive lead over Q."""
-        return tuple([self._element(n, den) if n else self._field_zero
+        return tuple([self._rep(n, den) if n else self._frac_zero
                       for n in nums])
 
-    def _element(self, n, d):
+    def _rep(self, n, d):
         g = self.gcd(n, d)
         if g != self.one:
             n, d = n // g, d // g
@@ -759,7 +743,7 @@ class _PolynomialsAt(_IntegersAt):
         ring, k = self._frac.ring, self._frac.domain
         n, d = [ring.dtype({(e,): k(c) for e, c in enumerate(x) if c})
                 for x in (n, d)]
-        return _elem(self.field, self._frac.dtype(n, d))
+        return self._frac.dtype(n, d)
 
 
 def _qq_from_fraction(q):
@@ -1030,7 +1014,6 @@ GAUSS_FIELD = Field("QI")
 QX_FIELD = Field("FUNC", var="x", char=0)
 QY_FIELD = Field("FUNC", var="y", char=0)
 QXY_FIELD = Field("FUNC2")
-RATIONALS = _Rationals()
 
 _FIELD_NAMES = {
     "Q": QQ_FIELD,
@@ -1421,9 +1404,16 @@ class _GaussSplit(_GaussPrime):
         return v - _int_val(den, p)
 
     def residue0(self, x):
+        # x has value 0, so while p = pi*conj(pi) divides den, pi divides
+        # a+bi: x = ((a+bi)*conj(pi)/p) / ((den/p)*conj(pi)), exactly, and
+        # conj(pi), a unit here, has residue pa - pb*r
         a, b, den = _gauss_int_parts(x.rep)
-        return prime_field(self.p).from_fraction(
-            Fraction(a + b * self.root, den))
+        p, pa, pb, r = self.p, self.pa, self.pb, self.root
+        unit = 1
+        while den % p == 0:
+            a, b = (a * pa + b * pb) // p, (b * pa - a * pb) // p
+            den, unit = den // p, unit * (pa - pb * r) % p
+        return prime_field(p).from_fraction(Fraction(a + b * r, den * unit))
 
 
 class _GaussRamified(_GaussSplit):

@@ -17,11 +17,11 @@ from . import linalg
 from .errors import SpecValidationError, UnsupportedError
 from .filtration import (AlgebraFiltration, is_strong,
                          strong_completion)
-from .glider import (FiltrationTail, Glider, ZeroAfter,
-                     classify_subglider_unchecked, fit_tail,
-                     realize_field_chain, require_glider)
+from .glider import (Glider, ZeroAfter, classify_subglider_unchecked,
+                     fit_tail, realize_field_chain, require_glider)
 from .lattice import (FracIdeal, ZERO_MODULE, intermediate_module,
-                      is_simple_quotient, mult, require_int, span)
+                      intersect, is_simple_quotient, mult, require_int,
+                      span)
 
 __all__ = [
     "BsPoint", "LeftIdeal", "GbsElement", "Verdict",
@@ -155,8 +155,9 @@ def _reducible(m, witness, shift_by, rule):
 
     verdict = classify_subglider_unchecked(witness,
                                            index_shift(m, shift_by))
-    # reachable: the column subchain of a csa chain with a step of 2
-    # leaves M (`_column_subchain_witness`)
+    # the csa witnesses are subgliders by construction (`_csa_witness`),
+    # but nontrivial only through facts of M: a level of M whose K-span
+    # misses the minimal left ideal would make the witness zero there
     if verdict.kind != "nontrivial":
         raise UnsupportedError(
             f"constructed witness re-classified as {verdict.kind}")
@@ -320,19 +321,16 @@ def _column_module(filt, vec):
                 filt.alg)
 
 
-def _row_space_point(vectors, n, field):
-    """The common row space of a family of n x n matrices, as a point;
-    None when the space has dimension != 1."""
+def _row_space(vectors, n, field):
+    """The reduced echelon basis of the common row space of a family of
+    n x n matrices."""
     rows = []
     for vec in vectors:
         for s in range(n):
             row = list(vec[s * n:(s + 1) * n])
             if any(row):
                 rows.append(row)
-    basis, _ = linalg.rref(rows, field)
-    if len(basis) != 1:
-        return None
-    return BsPoint(basis[0])
+    return linalg.rref(rows, field)[0]
 
 
 def _csa_preconditions(m):
@@ -380,15 +378,21 @@ def classify_csa_glider(m):
             return _reducible(m, witness, i, "csa.principal")
     # matrix units only move rows, so the rows of the top level span the
     # row space of the left ideal they generate
-    point = _row_space_point(top.rows, n, field)
-    if point is None:
-        wit = _column_subchain_witness(m)
-        if wit is not None:
-            return _reducible(m, wit, 0, "csa.principal")
-        return Verdict("out-of-class", rule="csa.principal",
-                       reason="the generated left ideal has reduced "
-                              "dimension > 1 and no rank-1 element was "
-                              "found in the top level")
+    rows = _row_space(top.rows, n, field)
+    if len(rows) > 1:
+        # M_k cut with the minimal left ideal L of one row: rank n against
+        # at least 2n; a scalar tail commutes with the cut, so N keeps M's
+        # tail.  Every entry of M_0 has value >= -t, and an element of L
+        # with such entries lies in pi^-t times L's span, as the point
+        # has a leading 1
+        ideal = LeftIdeal(BsPoint(rows[0]))
+        t = max(0, -top.primitive()[1][0])
+        cut = span(filt.base_ring, alg.dim, ideal.basis).scale_exponents(
+            (-t,))
+        return _reducible(m, Glider(filt, "algebra", [
+            intersect(lvl, cut) for lvl in m.prefix], m.tail, alg=alg), 0,
+            "csa.principal")
+    point = BsPoint(rows[0])
     # level-quotient simplicity scan
     order = filt.order
     for i in range(h + 1):
@@ -399,9 +403,7 @@ def classify_csa_glider(m):
             rule = ("csa.ramification-one"
                     if _is_scalar_step_gap(filt) else
                     "csa.relative-product")
-            witness = Glider(filt, "algebra", [w], FiltrationTail(),
-                             alg=alg)
-            return _reducible(m, witness, i, rule)
+            return _reducible(m, _csa_witness(m, i, w), i, rule)
     # normal form: M_i = F_{m-i} A v for the canonical generator of the point
     bv = _column_module(filt, LeftIdeal(point).generator())
     shift_s = _scalar_shift_exponent(m.level(0), bv)
@@ -438,24 +440,29 @@ def _scalar_shift_exponent(lvl, bv):
     return fb[0] - f[0] if q == qb else None
 
 
-def _column_subchain_witness(m):
-    """A column subchain F_{-i} A v inside the chain, built from a rank-1
-    element of the top level; the negative-part witness for split A."""
-    filt = m.filtration
-    alg = filt.alg
-    n = alg.n
-    field = filt.base_ring.field
-    rank1 = None
-    for row in m.level(0).rows:
-        mat = [list(row[s * n:(s + 1) * n]) for s in range(n)]
-        basis, _ = linalg.rref(mat, field)
-        if len(basis) == 1:
-            rank1 = row
-            break
-    if rank1 is None:
-        return None
-    return Glider(filt, "algebra", [_column_module(filt, rank1)],
-                  FiltrationTail(), alg=alg)
+def _csa_witness(m, i, x):
+    """The subglider N_k = M_{i+k} ∩ F_{-k}X of the index shift
+    (M_{i+k})_k, for a B-module X inside M_i: F_j N_k lies in
+    M_{i+k-j} ∩ F_{j-k}X.  It is presented with the shortest prefix that
+    `fit_tail` accepts, trying the filtration tail first.  When M has a
+    filtration tail from N on, so does N from N - i on (the filtration is
+    strong); a multiply tail of M can need a longer prefix."""
+    step = m.filtration.base.level
+    known = {}
+
+    def level(k):
+        if k not in known:
+            known[k] = intersect(m.level(i + k), x.scale_ideal(step(-k)))
+        return known[k]
+
+    for keep in range(1, max(m.prefix_end - i, 0) + m.horizon + 2):
+        try:
+            return fit_tail(m.filtration, "algebra", level, keep, alg=m.alg,
+                            own=None if keep == 1 else m.tail)
+        except UnsupportedError:
+            pass
+    raise UnsupportedError(
+        "the witness levels are not presentable by the supported tail rules")
 
 
 def realize_csa_element(filt, point, m):

@@ -13,14 +13,17 @@ canonical representative of their coset modulo the pivot (principal-part
 digits at each maximal ideal).  Equal modules have identical canonical
 matrices, so equality is syntactic.
 
-The kernel computes on one scalar object per base ring,
-`BaseRing.scalars`: over Z_(S) inside Q the reps of Q, else field
-elements.  Lattices keep their rows in those scalars; `FieldElem` rows are
-built once, when code outside the kernel reads `Lattice.rows` or
-`coords`.  The normal form has one body over a PID, `_integer_hnf`, with
-the ring as a parameter (`BaseRing.ring`): Z_(S) on ints, F_p[x]_(x) and
-Q[x]_(S) on polynomials; Q(i), Q(x,y) and the other function-field bases
-take the field kernel, `_field_hnf`.
+The kernel computes on one scalar convention for every base ring: the
+reps of its field (`BaseRing.scalars`, the field's `reps`).  Lattices keep
+their rows as reps; `FieldElem` values are built only at the boundary,
+when code outside the kernel reads `Lattice.rows` or `coords`, and to read
+a value or a residue.  The normal form has one body over a PID,
+`_integer_hnf`, with the ring as a parameter (`BaseRing.ring`): Z_(S) on
+ints, F_p[x]_(x) and Q[x]_(S) on polynomials.  Q(i), Q(x,y) and the other
+function-field bases take the field kernel, `_field_hnf`, the one routine
+that computes on elements: valuations, mixing and the principal-part
+digits are element-level, so it wraps its rows on entry and unwraps them
+on exit.
 
 Full (rank d) lattices model orders, two-sided ideals and filtration
 levels; lower-rank modules appear as levels of chains inside a proper left
@@ -119,18 +122,13 @@ class BaseRing:
         inst.uniformizers = tuple(v.uniformizer() for v in valuations)
         inst._check_uniformizers()
         inst._gen_cache = {}
+        # what the lattice kernel computes on: the reps of the field
+        inst.scalars = field.reps
         # Z_(S), F_p[x]_(x) or Q[x]_(S): lattices are reduced on the ring's
         # elements (`_integer_hnf`); None: on field elements (`_field_hnf`)
         inst.ring = fields.pid_ring(field, valuations)
         cls._cache[key] = inst
         return inst
-
-    @property
-    def scalars(self):
-        """What the lattice kernel computes on, chosen here only: over
-        Z_(S) inside Q the reps of Q (`fields.RATIONALS`), else the
-        field's elements (the field itself)."""
-        return self.field if self.ring is None else self.ring.scalars
 
     def _validate(self):
         if not self.valuations:
@@ -298,49 +296,30 @@ class AlgebraDesc:
             raise UnsupportedError(f"unknown algebra kind {self.kind!r}")
 
     def _validate(self):
-        d = self.dim
+        d, k = self.dim, QQ_FIELD.reps
 
         def mul(u, w):
-            out = [Fraction(0)] * d
-            for s, cs in enumerate(u):
-                if cs:
-                    for t, ct in enumerate(w):
-                        if ct:
-                            for uu, c in self._table.get((s, t), ()):
-                                out[uu] += cs * ct * c
-            return out
+            return self.mul_coords(u, w, k)
 
-        unit = [Fraction(0)] * d
-        for s in range(d):
-            e_s = [Fraction(1) if i == s else Fraction(0) for i in range(d)]
-            for t in range(d):
-                e_t = [Fraction(1) if i == t else Fraction(0) for i in range(d)]
-                for u in range(d):
-                    e_u = [Fraction(1) if i == u else Fraction(0)
-                           for i in range(d)]
-                    left = mul(mul(e_s, e_t), e_u)
-                    right = mul(e_s, mul(e_t, e_u))
-                    if left != right:
+        basis = [list(self.basis_vector(s, k)) for s in range(d)]
+        for s, e_s in enumerate(basis):
+            for t, e_t in enumerate(basis):
+                for u, e_u in enumerate(basis):
+                    if mul(mul(e_s, e_t), e_u) != mul(e_s, mul(e_t, e_u)):
                         raise SpecValidationError(
                             f"structure constants not associative at "
                             f"({s},{t},{u})")
-        one = list(self.one_coords)
-        for s in range(d):
-            e_s = [Fraction(1) if i == s else Fraction(0) for i in range(d)]
+        one = self.one_vector(k)
+        for e_s in basis:
             if mul(one, e_s) != e_s or mul(e_s, one) != e_s:
                 raise SpecValidationError("unit coordinates are wrong")
         # centre = scalars: solve z*e_t = e_t*z for all t
         rows = []
-        for t in range(d):
-            for u in range(d):
-                row = []
-                for s in range(d):
-                    cl = dict(self._table.get((s, t), ()))
-                    cr = dict(self._table.get((t, s), ()))
-                    row.append(QQ_FIELD.from_fraction(
-                        cl.get(u, Fraction(0)) - cr.get(u, Fraction(0))))
-                rows.append(row)
-        null = linalg.right_nullspace(rows, QQ_FIELD)
+        for e_t in basis:
+            comm = [[a - b for a, b in zip(mul(e_s, e_t), mul(e_t, e_s))]
+                    for e_s in basis]
+            rows += [[c[u] for c in comm] for u in range(d)]
+        null = linalg.right_nullspace(rows, k)
         if len(null) != 1:
             raise SpecValidationError(
                 f"centre has dimension {len(null)}, not 1: not central simple")
@@ -601,6 +580,7 @@ def _hnf(base, dim, vectors):
     With a PID (`BaseRing.ring`: Z_(S), F_p[x]_(x), Q[x]_(S)) the rows are
     reduced on its ints or polynomials (`_integer_hnf`), else on field
     elements (`_field_hnf`).  The form is unique: both give the same rows.
+    `ring` picks the body only; the scalars are the same for both.
     """
     if base.ring is None:
         return _field_hnf(base, dim, vectors)
@@ -608,14 +588,15 @@ def _hnf(base, dim, vectors):
 
 
 def _field_hnf(base, dim, vectors):
-    """The normal form by field arithmetic, on any base ring."""
+    """The normal form by field arithmetic, on any base ring: the rows are
+    wrapped as elements on entry and unwrapped on exit."""
+    k = base.scalars
     work = []
     for v in vectors:
-        row = list(v)
-        if len(row) != dim:
+        if len(v) != dim:
             raise BaseMismatchError("generator of wrong length")
-        if any(row):
-            work.append(row)
+        if any(v):
+            work.append(list(k.wrap_row(v)))
     result = []
     for col in range(dim):
         cand = [i for i, r in enumerate(work) if r[col]]
@@ -667,7 +648,7 @@ def _field_hnf(base, dim, vectors):
             q = (u - u_red) / g
             if q:
                 result[rj] = [a - q * b for a, b in zip(result[rj], prow)]
-    return tuple(tuple(r) for r in result)
+    return tuple([tuple(map(k.unwrap, r)) for r in result])
 
 
 # The kernel over a PID R (`BaseRing.ring`), whose elements (ints or

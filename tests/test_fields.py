@@ -87,6 +87,36 @@ def test_gauss_residues():
     assert str(r) == "1+2i" and r.field.name == "F3[i]"
 
 
+@pytest.mark.parametrize("pi", ["2+i", "1+2i", "3+2i"])
+def test_split_gauss_residue_is_a_ring_map(pi):
+    """At a split prime pi | p the residue is additive and multiplicative
+    on elements of value >= 0, also when p divides the denominator (then
+    pi divides the numerator, and the factor p must be moved out)."""
+    v = gauss_prime(pi)
+    gen, i = v.uniformizer(), GAUSS_FIELD.gen("i")
+    norm = {"2+i": 5, "1+2i": 5, "3+2i": 13}[pi]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30),
+                              st.sampled_from([1, 2, 3, 7, norm, 3 * norm,
+                                               norm ** 2, norm ** 3]),
+                              st.integers(0, 2)), min_size=2, max_size=2))
+    def ring_map(pairs):
+        xs = []
+        for a, b, den, extra in pairs:
+            z = GAUSS_FIELD.from_fraction(Fraction(a, den)) + \
+                GAUSS_FIELD.from_fraction(Fraction(b, den)) * i
+            # pi^m z has value >= 0 and keeps p in its denominator
+            m = extra + max(0, -v(z)) if z else 0
+            xs.append(z * gen ** m)
+        x, y = xs
+        assert v(x) >= 0 and v(y) >= 0
+        assert v.residue(x + y) == v.residue(x) + v.residue(y)
+        assert v.residue(x * y) == v.residue(x) * v.residue(y)
+
+    ring_map()
+
+
 def test_poly_prime():
     g = poly_prime("x^2+1", QX_FIELD)
     e = QX_FIELD.parse("(x^2+1)^2/(x-1)")

@@ -238,3 +238,71 @@ def test_scalar_shift_exponent_reads_primitive_parts(p, n):
             truth = next((t for t in range(-6, 7)
                           if lvl == bv.scale(pi ** (-t))), None)
             assert _scalar_shift_exponent(lvl, bv) == truth
+
+
+def _csa_filtration(p, n):
+    f = valuation_filtration(padic(p))
+    return AlgebraFiltration(matrix_algebra(n), f,
+                             builtin_mnr(n, f.base_ring).lattice,
+                             mode="induced")
+
+
+def _random_csa_chain(fa, p, rnd, point):
+    """A seeded chain pi^e_k X with steps of 1 to 3 and a filtration tail:
+    X = B*v for the generator v of a random point, or B*v + B*w for two
+    random matrices (a top level with no point)."""
+    alg, d = fa.alg, fa.alg.dim
+    if point:
+        pt = BsPoint([fe(rnd.randint(-3, 3) or 1) for _ in range(alg.n)])
+        x = _column_module(fa, LeftIdeal(pt).generator())
+    else:
+        while True:
+            vecs = [[fe(rnd.randint(-4, 4)) for _ in range(d)]
+                    for _ in range(2)]
+            x = span(fa.base_ring, d, [alg.mul_coords(row, v, QQ_FIELD)
+                                       for v in vecs
+                                       for row in fa.order.rows])
+            if x.rank == d:
+                break
+    exps = [rnd.randint(-2, 2)]
+    for _ in range(rnd.randint(1, 3)):
+        exps.append(exps[-1] + rnd.randint(1, 3))
+    return Glider(fa, "algebra", [x.scale(fe(p) ** e) for e in exps],
+                  FiltrationTail(), alg=alg)
+
+
+@pytest.mark.parametrize("p, n, count", [(5, 2, 40), (13, 2, 40),
+                                         (2, 3, 20)])
+def test_csa_witnesses_reverify_on_random_chains(p, n, count):
+    """Every reducible verdict's witness N_k = M_{i+k} ∩ F_{-k}X is a
+    nontrivial subglider of the shifted chain, for X a module strictly
+    between two levels or the cut of M_0 with a minimal left ideal."""
+    fa = _csa_filtration(p, n)
+    rnd = random.Random(f"csa-witness-{p}-{n}")
+    rules = set()
+    for k in range(count):
+        m = _random_csa_chain(fa, p, rnd, point=k % 2 == 0)
+        verdict = classify_csa_glider(m)
+        assert verdict.status in ("reducible", "irreducible")
+        if verdict.status == "reducible":
+            rules.add(verdict.rule)
+            assert classify_subglider(
+                verdict.witness, shift(m, verdict.witness_shift)).kind == \
+                "nontrivial"
+    # both constructions ran: a non-simple quotient and no point
+    assert {"csa.relative-product", "csa.principal"} <= rules
+
+
+def test_csa_witness_stays_inside_a_chain_with_a_later_wide_step(fa_m2):
+    """M = [Bv, 5^2 Bv, 5^3 Bv, 5^5 Bv] with a filtration tail: the
+    non-simple quotient at level 0 has W = 5Bv, and W with a filtration
+    tail would leave M at level 3 (5^4 Bv is not in 5^5 Bv)."""
+    v = LeftIdeal(BsPoint([fe(1), fe(2)])).generator()
+    bv = _column_module(fa_m2, v)
+    m = Glider(fa_m2, "algebra", [bv.scale(fe(5) ** e) for e in (0, 2, 3, 5)],
+               FiltrationTail(), alg=fa_m2.alg)
+    verdict = classify_csa_glider(m)
+    assert verdict.status == "reducible" and verdict.witness_shift == 0
+    assert verdict.witness.prefix == tuple(
+        bv.scale(fe(5) ** e) for e in (1, 2, 3, 5))
+    assert classify_subglider(verdict.witness, m).kind == "nontrivial"

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from gliderbs import lattice
 from gliderbs.errors import BaseMismatchError, FieldMismatchError
 from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, QXY_FIELD,
-                             RATIONALS, gauss_prime, padic, poly_prime,
-                             rational_value, xadic)
+                             gauss_prime, padic, poly_prime, rational_value,
+                             xadic)
 from gliderbs.lattice import BaseRing, span
 
 BASES = {
@@ -67,14 +67,13 @@ def test_integer_kernel_gives_the_rows_of_the_field_kernel(name):
     @given(generators())
     def same_rows(gen):
         dim, vecs = gen
-        rows = lattice._integer_hnf(
-            base, dim, [RATIONALS.unwrap_row(v) for v in vecs])
-        # the field kernel runs on field elements, as over a base ring
-        # without a PID
+        reps = [base.scalars.unwrap_row(v) for v in vecs]
+        # both kernels take and give reps; the field kernel computes on
+        # field elements in between, as over a base ring without a PID
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(base, "ring", None)
-            reference = lattice._field_hnf(base, dim, vecs)
-        assert tuple(map(RATIONALS.wrap_row, rows)) == reference
+            reference = lattice._field_hnf(base, dim, reps)
+        assert lattice._integer_hnf(base, dim, reps) == reference
 
     same_rows()
 

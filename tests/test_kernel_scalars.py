@@ -1,10 +1,11 @@
-"""The lattice kernel over Z_(S) inside Q computes on the reps of Q
-(`BaseRing.scalars`); over every other base ring, and over Q when a base
-ring has no integer primes, it computes on field elements.  Each case
-below draws its inputs once (derandomized hypothesis, so the same seeds
-every run), runs the same operations on both paths, and asks for the same
-lattices, the same values and the same errors.  The plain path is reached
-by setting the base ring's `ring` to None."""
+"""The lattice kernel computes on the reps of its field (`BaseRing.scalars`
+is the field's `reps`) on every base-field kind.  Each case below draws
+its inputs once (derandomized hypothesis, so the same seeds every run),
+runs the same operations on the reps path and on a plain path, and asks
+for the same lattices, the same values and the same errors.  The plain
+path is a test fake: `ElementScalars` set as the base ring's `scalars`,
+so that the kernel computes on field elements, together with `ring` set
+to None, so that the normal form is the field kernel."""
 
 from fractions import Fraction
 
@@ -12,28 +13,96 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gliderbs import lattice as L
-from gliderbs.errors import GbsError
-from gliderbs.fields import QQ_FIELD, padic
+from gliderbs.errors import FieldMismatchError, GbsError
+from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, QXY_FIELD,
+                             FieldElem, fp_func_field, gauss_prime, padic,
+                             poly_prime, xadic)
 from gliderbs.lattice import BaseRing, matrix_algebra
 
-BASES = {
+F3X = fp_func_field(3)
+QQ_BASES = {
     "Q at 5": BaseRing(QQ_FIELD, [padic(5)]),
     "Q at 2,3": BaseRing(QQ_FIELD, [padic(2), padic(3)]),
     "Q at 2,3,5": BaseRing(QQ_FIELD, [padic(2), padic(3), padic(5)]),
 }
+# per base: the ring, the generator of the entries' numerators, their
+# denominators (with factors inside S, outside it, and both), and the
+# number of drawn cases, fewer where the plain path is slow
+OTHER_BASES = {
+    "Q(i) at 2+i": (BaseRing(GAUSS_FIELD, [gauss_prime("2+i")]), "i",
+                    ["1", "5", "2+i", "2-i", "3", "10", "(2+i)^2"], 6),
+    "Q(i) at 1+i": (BaseRing(GAUSS_FIELD, [gauss_prime("1+i")]), "i",
+                    ["1", "2", "1+i", "3", "4", "6"], 6),
+    "Q(i) at 3": (BaseRing(GAUSS_FIELD, [gauss_prime("3")]), "i",
+                  ["1", "3", "2", "9", "1+i", "6"], 6),
+    "Q(x) at x": (BaseRing(QX_FIELD, [xadic(QX_FIELD)]), "x",
+                  ["1", "x", "x^2", "x+1", "2*x", "x*(x-1)"], 3),
+    "Q(x) at x^2+1": (BaseRing(QX_FIELD, [poly_prime("x^2+1")]), "x",
+                      ["1", "x^2+1", "x", "2", "(x^2+1)^2", "x*(x^2+1)"], 2),
+    "F_3(x) at x": (BaseRing(F3X, [xadic(F3X)]), "x",
+                    ["1", "x", "2*x", "x^2", "x+1", "2*x+1", "x*(x+2)"], 3),
+    "Q(x,y) at x": (BaseRing(QXY_FIELD, [xadic(QXY_FIELD)]), "y",
+                    ["1", "x", "y", "x+y", "x^2", "2*x*y"], 1),
+}
 M2 = matrix_algebra(2)
 
-# denominators with parts inside S = {2, 3, 5}, outside it, and both
+
+class ElementScalars:
+    """Kernel scalars that are the field's own elements: the plain path
+    the reps are compared with (a test fake, not library code)."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def zero(self):
+        return self.field.zero()
+
+    def one(self):
+        return self.field.one()
+
+    def from_fraction(self, q):
+        return self.field.from_fraction(q)
+
+    def wrap(self, x):
+        return x
+
+    unwrap = wrap
+
+    def wrap_row(self, row):
+        return tuple(row)
+
+    def unwrap_row(self, row):
+        out = []
+        for e in row:
+            if not (isinstance(e, FieldElem) and e.field is self.field):
+                if isinstance(e, FieldElem) or e != 0:
+                    raise FieldMismatchError(
+                        f"{e!r} is not an element of {self.field.name}")
+                e = self.field.zero()
+            out.append(e)
+        return out
+
+
+PLAIN = {}
+
+# Q: denominators with parts inside S = {2, 3, 5}, outside it, and both
 DENOMINATORS = [1, 1, 2, 3, 4, 5, 6, 7, 9, 10, 25, 35, 60]
-entries = st.one_of(
+q_entries = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-60, 60), st.sampled_from(DENOMINATORS)))
-rows4 = st.lists(st.lists(entries, min_size=4, max_size=4),
-                 min_size=4, max_size=4)
 
 
-def _elems(rows):
-    return [[QQ_FIELD.from_fraction(q) for q in r] for r in rows]
+def _entries(field, gen, dens):
+    """Entries (a + b*gen) / den of a field other than Q."""
+    g = field.gen(gen)
+    dens = [field.parse(d) for d in dens]
+
+    def build(a, b, den):
+        return (field.from_int(a) + field.from_int(b) * g) / den
+
+    return st.one_of(st.just(field.zero()),
+                     st.builds(build, st.integers(-6, 6), st.integers(-3, 3),
+                               st.sampled_from(dens)))
 
 
 def _attempt(fn):
@@ -49,9 +118,18 @@ def _attempt(fn):
     return ("value", out)
 
 
+def _scaled(base, lat):
+    """A scaled lattice against the span of its own rows: equal lattices
+    on different roots compare and hash by `krows`, so this checks that
+    scaling keeps the kernel's scalars canonical."""
+    again = L.span(base, 4, list(lat.rows))
+    return lat.rows, lat == again, hash(lat) == hash(again)
+
+
 def _outcomes(base, x_rows, y_rows, vec, mix):
     """Every kernel operation on the drawn inputs, as plain data."""
     x, y = L.span(base, 4, x_rows), L.span(base, 4, y_rows)
+    pi = base.uniformizers[-1]
     # rank-deficient modules sharing the direction of x_rows[0] + y_rows[0]
     shared = [a + b for a, b in zip(x_rows[0], y_rows[0])]
     xd = L.span(base, 4, [x_rows[1], shared])
@@ -63,11 +141,17 @@ def _outcomes(base, x_rows, y_rows, vec, mix):
         again[i] = [a + c * b for a, b in zip(again[i], again[j])]
     x2 = L.span(base, 4, again)
     meet = L.intersect(x, y)
+
+    def memo_mult():
+        with L.memo_scope():
+            return L.mult(x.scale(pi), y.scale(pi ** 2), M2)
+
     out = {
         "span x": _attempt(lambda: x),
         "span y": _attempt(lambda: y),
         "span xd": _attempt(lambda: xd),
         "mult": _attempt(lambda: L.mult(x, y, M2)),
+        "mult memo": _attempt(memo_mult),
         "mult deficient": _attempt(lambda: L.mult(xd, yd, M2)),
         "colon_left": _attempt(lambda: L.colon_left(x, y, M2)),
         "colon_right": _attempt(lambda: L.colon_right(x, y, M2)),
@@ -87,11 +171,14 @@ def _outcomes(base, x_rows, y_rows, vec, mix):
         "quotient_length sum": _attempt(
             lambda: L.quotient_length(L.add(x, y), y)),
         "quotient_length scaled": _attempt(lambda: L.quotient_length(
-            L.add(x, y), meet.scale(base.uniformizers[-1] ** 2))),
+            L.add(x, y), meet.scale(pi ** 2))),
         "quotient_length deficient": _attempt(
             lambda: L.quotient_length(xd, L.intersect(xd, x))),
         "quotient_length fails": _attempt(
             lambda: L.quotient_length(meet, x)),
+        "scaled": _attempt(lambda: (_scaled(base, x.scale(pi ** 2)),
+                                    _scaled(base, meet.scale(pi ** -1)),
+                                    _scaled(base, xd.scale(pi)))),
         "==": _attempt(lambda: (x == x2, x == y, meet == L.intersect(y, x),
                                 xd == L.span(base, 4, list(xd.rows)))),
         "hash": _attempt(lambda: (hash(x) == hash(x2), hash(meet) == hash(
@@ -106,39 +193,108 @@ def _outcomes(base, x_rows, y_rows, vec, mix):
 
 
 def _both_paths(base, *inputs):
-    """(kernel-scalar outcomes, field-element outcomes) on one input."""
+    """(reps outcomes, field-element outcomes) on one input."""
+    assert base.scalars is base.field.reps
     fast = _outcomes(base, *inputs)
+    plain = PLAIN.setdefault(base, ElementScalars(base.field))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(base, "ring", None)
-        assert base.scalars is QQ_FIELD
-        plain = _outcomes(base, *inputs)
-    return fast, plain
+        # the ring picks the HNF body only, never the scalars
+        assert base.scalars is base.field.reps
+        mp.setattr(base, "scalars", plain)
+        slow = _outcomes(base, *inputs)
+    return fast, slow
 
 
-@pytest.mark.parametrize("name", BASES)
+@pytest.mark.parametrize("name", QQ_BASES)
 def test_kernel_scalars_match_field_elements(name):
-    base = BASES[name]
-    assert base.scalars is not QQ_FIELD
+    base = QQ_BASES[name]
+    rows4 = st.lists(st.lists(q_entries, min_size=4, max_size=4),
+                     min_size=4, max_size=4)
+
+    def elems(rows):
+        return [[QQ_FIELD.from_fraction(q) for q in r] for r in rows]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(rows4, rows4, st.lists(entries, min_size=4, max_size=4),
+    @given(rows4, rows4, st.lists(q_entries, min_size=4, max_size=4),
            st.tuples(st.integers(0, 3), st.integers(0, 3),
                      st.integers(-4, 4)))
     def same(x_rows, y_rows, vec, mix):
-        fast, plain = _both_paths(base, _elems(x_rows), _elems(y_rows),
-                                  _elems([vec])[0], mix)
+        fast, plain = _both_paths(base, elems(x_rows), elems(y_rows),
+                                  elems([vec])[0], mix)
+        assert fast == plain
+
+    same()
+
+
+@pytest.mark.parametrize("name", OTHER_BASES)
+def test_kernel_scalars_match_field_elements_on_every_field(name):
+    base, gen, dens, cases = OTHER_BASES[name]
+    entries = _entries(base.field, gen, dens)
+    row = st.lists(entries, min_size=4, max_size=4)
+    rows4 = st.lists(row, min_size=4, max_size=4)
+
+    @settings(max_examples=cases, deadline=None, derandomize=True)
+    @given(rows4, rows4, row, st.tuples(st.integers(0, 3),
+                                        st.integers(0, 3),
+                                        st.integers(-2, 2)))
+    def same(x_rows, y_rows, vec, mix):
+        fast, plain = _both_paths(base, x_rows, y_rows, vec, mix)
         assert fast == plain
 
     same()
 
 
 def test_both_paths_build_the_same_lattice_from_reps_and_elements():
-    base = BASES["Q at 2,3"]
-    rows = _elems([[1, Fraction(1, 6), 0, 7], [0, 4, Fraction(5, 9), 1],
-                   [3, 0, 0, Fraction(1, 12)], [0, 0, 2, 0]])
+    base = QQ_BASES["Q at 2,3"]
+    rows = [[QQ_FIELD.from_fraction(Fraction(q)) for q in r]
+            for r in [[1, Fraction(1, 6), 0, 7], [0, 4, Fraction(5, 9), 1],
+                      [3, 0, 0, Fraction(1, 12)], [0, 0, 2, 0]]]
     lat = L.span(base, 4, rows)
     # rows pass in as field elements or as the kernel's own scalars
     assert L.span(base, 4, lat.krows) == lat
     assert lat.rows == tuple(map(base.scalars.wrap_row, lat.krows))
     assert all(e.field is QQ_FIELD for r in lat.rows for e in r)
     assert lat.rows is lat.rows  # built once
+
+
+def _guard_inputs(field):
+    """Two sets of full rows and a vector of `field`."""
+    names = field.generator_names()
+    g = field.gen(names[0]) if names else field.from_fraction(Fraction(7, 3))
+    one, two = field.one(), field.from_int(2)
+    x_rows = [[g, one, two, one / (g + one)], [one, g * g, one, two],
+              [two / g, one, g, one], [one, one, one, g + two]]
+    y_rows = [[one, g, one, two], [g + one, one, two / (g + two), one],
+              [one, two, g * g, one], [two, one, one, one / g]]
+    return x_rows, y_rows, [one, g, two / g, one]
+
+
+@pytest.mark.parametrize("name", ["Q at 5", "F_3(x) at x", "Q(x) at x^2+1"])
+def test_kernel_does_no_base_field_arithmetic(name, monkeypatch):
+    """span, mult, the colons, intersect, solve_dual and coords compute on
+    reps: no element arithmetic of the base field runs inside them."""
+    base = QQ_BASES[name] if name in QQ_BASES else OTHER_BASES[name][0]
+    field = base.field
+    x_rows, y_rows, vec = _guard_inputs(field)
+    state = {"on": False, "binops": 0}
+    binop = FieldElem._binop
+
+    def counted_binop(self, other, op):
+        if state["on"] and self.field is field:
+            state["binops"] += 1
+        return binop(self, other, op)
+
+    monkeypatch.setattr(FieldElem, "_binop", counted_binop)
+    state["on"] = True
+    x, y = L.span(base, 4, x_rows), L.span(base, 4, y_rows)
+    L.mult(x, y, M2)
+    L.colon_left(x, y, M2)
+    L.colon_right(x, y, M2)
+    meet = L.intersect(x, y)
+    L.solve_dual(base, 4, x_rows, [vec])
+    coords = x.coords(vec)
+    assert x.contains(meet)
+    state["on"] = False
+    assert state["binops"] == 0
+    assert all(c.field is field for c in coords)
