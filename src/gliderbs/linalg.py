@@ -1,7 +1,7 @@
 """Small dense exact linear algebra over any field.
 
-Matrices are lists of lists (rows) of field elements, or of the reps of Q
-with `fields.RATIONALS` in the place of the field.  Sizes here are tiny
+Matrices are lists of lists (rows) of field elements, or of the reps of a
+field with its `reps` in the place of the field.  Sizes here are tiny
 (d <= 9 plus stacked condition systems).  Two eliminations do all the work:
 `reduce` reduces vectors against rows already in echelon form, and `rref`
 brings rows to reduced echelon form; the inverse and the null spaces are
