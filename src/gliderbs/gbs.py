@@ -448,7 +448,7 @@ def _csa_witness(m, i, x):
     filtration tail from N on, so does N from N - i on (the filtration is
     strong); a multiply tail of M can need a longer prefix."""
     step = m.filtration.base.level
-    known = {}
+    known = {0: x}
 
     def level(k):
         if k not in known:
