@@ -453,12 +453,13 @@ class _DomainArith(_Arith):
     def __init__(self, from_fraction, show, gens, to_fraction=None,
                  coeff=None, canon=None):
         self.from_fraction, self.show, self.gens = from_fraction, show, gens
-        self.to_fraction, self.coeff, self.canon = to_fraction, coeff, canon
+        self.to_fraction, self.coeff = to_fraction, coeff
         if canon:
             # every result in the canonical rep, so that == compares values
             for name in ("from_fraction", "add", "sub", "mul", "div"):
                 op = getattr(self, name)
                 setattr(self, name, lambda *a, op=op: canon(op(*a)))
+            self.wrap = lambda r: _elem(self.field, canon(r))
         self._zero = self.from_fraction(Fraction(0))
         self._one = self.from_fraction(Fraction(1))
 
@@ -475,7 +476,7 @@ class _DomainArith(_Arith):
         return self._one
 
     def wrap(self, r):
-        return _elem(self.field, self.canon(r) if self.canon else r)
+        return _elem(self.field, r)
 
     def unwrap(self, x):
         return x.rep
