@@ -32,17 +32,17 @@ QQ_BASES = {
 # number of drawn cases, fewer where the plain path is slow
 OTHER_BASES = {
     "Q(i) at 2+i": (BaseRing(GAUSS_FIELD, [gauss_prime("2+i")]), "i",
-                    ["1", "5", "2+i", "2-i", "3", "10", "(2+i)^2"], 3),
+                    ["1", "5", "2+i", "2-i", "3", "10", "(2+i)^2"], 2),
     "Q(i) at 1+i": (BaseRing(GAUSS_FIELD, [gauss_prime("1+i")]), "i",
-                    ["1", "2", "1+i", "3", "4", "6"], 3),
+                    ["1", "2", "1+i", "3", "4", "6"], 2),
     "Q(i) at 3": (BaseRing(GAUSS_FIELD, [gauss_prime("3")]), "i",
-                  ["1", "3", "2", "9", "1+i", "6"], 3),
+                  ["1", "3", "2", "9", "1+i", "6"], 2),
     "Q(x) at x": (BaseRing(QX_FIELD, [xadic(QX_FIELD)]), "x",
                   ["1", "x", "x^2", "x+1", "2*x", "x*(x-1)"], 1),
     "Q(x) at x^2+1": (BaseRing(QX_FIELD, [poly_prime("x^2+1")]), "x",
                       ["1", "x^2+1", "x", "2", "x*(x^2+1)"], 1),
     "F_3(x) at x": (BaseRing(F3X, [xadic(F3X)]), "x",
-                    ["1", "x", "2*x", "x^2", "x+1", "2*x+1", "x*(x+2)"], 2),
+                    ["1", "x", "2*x", "x^2", "x+1", "2*x+1", "x*(x+2)"], 1),
     "Q(x,y) at x": (BaseRing(QXY_FIELD, [xadic(QXY_FIELD)]), "y",
                     ["1", "x", "y", "x*y"], 1),
 }
