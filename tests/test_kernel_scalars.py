@@ -147,17 +147,11 @@ def _outcomes(base, x_rows, y_rows, vec, mix):
         again[i] = [a + c * b for a, b in zip(again[i], again[j])]
     x2 = L.span(base, 4, again)
     meet = L.intersect(x, y)
-
-    def memo_mult():
-        with L.memo_scope():
-            return L.mult(x.scale(pi), y.scale(pi ** 2), M2)
-
     out = {
         "span x": _attempt(lambda: x),
         "span y": _attempt(lambda: y),
         "span xd": _attempt(lambda: xd),
         "mult": _attempt(lambda: L.mult(x, y, M2)),
-        "mult memo": _attempt(memo_mult),
         "mult deficient": _attempt(lambda: L.mult(xd, yd, M2)),
         "colon_left": _attempt(lambda: L.colon_left(x, y, M2)),
         "colon_right": _attempt(lambda: L.colon_right(x, y, M2)),
