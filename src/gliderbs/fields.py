@@ -294,15 +294,16 @@ def _poly_image(poly, target, images, coeff):
 
 def pid_ring(field, valuations):
     """The PID whose elements the lattice kernel computes on, or None for
-    the field path: Z_(S) for Q at p-adic valuations; F_p[x]_(x) for F_p(x)
-    at x; Q[x]_(S) for Q(x) at x and polynomial primes, when each
-    uniformizer is an int polynomial with coprime coefficients and a
-    positive lead (pivots are products of uniformizer powers)."""
+    the field path: Z_(S) for Q at p-adic valuations; F_p[x]_(S) for F_p(x)
+    and Q[x]_(S) for Q(x), at x and at polynomial primes, when each
+    uniformizer is monic over F_p, over Q an int polynomial with coprime
+    coefficients and a positive lead (pivots are products of uniformizer
+    powers)."""
     impls = [v._impl for v in valuations]
     if field is QQ_FIELD and all(isinstance(i, _PAdic) for i in impls):
         return _IntegersAt(tuple(i.p for i in impls))
-    if field.kind != "FUNC" or not all(isinstance(i, _LineAdic) or isinstance(
-            i, _PolyPrime) and not field.char for i in impls):
+    if field.kind != "FUNC" or not all(
+            isinstance(i, (_LineAdic, _PolyPrime)) for i in impls):
         return None
     ring = _PolynomialsAt(field, ())
     ring.primes = tuple([ring.int_row([v.uniformizer().rep])[0][0]
@@ -669,7 +670,7 @@ class _IntegersAt:
 
 
 class _PolynomialsAt(_IntegersAt):
-    """F_p[x]_(x) inside F_p(x), or Q[x]_(S) inside Q(x): elements are
+    """F_p[x]_(S) inside F_p(x), or Q[x]_(S) inside Q(x): elements are
     `_Poly` (int polynomials over Q, as a nonzero rational is a unit), the
     primes are the uniformizers, and rows of the field's reps pass in and
     out through `int_row` and `rat_row`."""

@@ -57,7 +57,9 @@ class StepFunction:
             raise SpecValidationError("window must contain degree 0")
         tbl = {require_int(n): tuple(map(require_int, v))
                for n, v in table.items()}
-        if set(tbl) != set(range(lo, hi + 1)):
+        # the keys are distinct, so hi - lo + 1 of them inside the window
+        # cover it; the window is never enumerated
+        if len(tbl) != hi - lo + 1 or not all(lo <= n <= hi for n in tbl):
             raise SpecValidationError("table must cover the window exactly")
         r = len(tbl[0])
         if r == 0:

@@ -67,6 +67,20 @@ def _ints(values, where, length=None):
     return tuple(_int(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
+def _str(value, where):
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise SchemaError(f"expected a string, got {value!r}", where)
+    return value
+
+
+def _list(value, where):
+    """A JSON list."""
+    if not isinstance(value, list):
+        raise SchemaError(f"expected a list, got {value!r}", where)
+    return value
+
+
 def _int_text(text, where):
     """A string (an object key, an extension's `over`) that spells an
     integer as `str` prints it."""
@@ -90,22 +104,28 @@ def encode_valuation(v):
     return {"kind": v.kind}  # xadic, yadic, composite2: no parameters
 
 
+# the keys of each valuation kind besides "kind"
+_VALUATION_KEYS = {"padic": ["p"], "gauss": ["pi"], "polyprime": ["g"],
+                   "xadic": [], "yadic": [], "composite2": []}
+
+
 def decode_valuation(obj, field, where="valuation"):
     _check_keys(obj, ["kind"], ["p", "pi", "g"], where)
-    kind = obj["kind"]
+    kind = _str(obj["kind"], where + ".kind")
+    if kind not in _VALUATION_KEYS:
+        raise SchemaError(f"unknown valuation kind {kind!r}", where)
+    _check_keys(obj, ["kind", *_VALUATION_KEYS[kind]], (), where)
     if kind == "padic":
         return padic(_int(obj["p"], where + ".p"))
     if kind == "gauss":
-        return gauss_prime(obj["pi"])
+        return gauss_prime(_str(obj["pi"], where + ".pi"))
+    if kind == "polyprime":
+        return poly_prime(_str(obj["g"], where + ".g"), field)
     if kind == "xadic":
         return xadic(field)
     if kind == "yadic":
         return yadic(field)
-    if kind == "polyprime":
-        return poly_prime(obj["g"], field)
-    if kind == "composite2":
-        return composite2()
-    raise SchemaError(f"unknown valuation kind {kind!r}", where)
+    return composite2()
 
 
 def encode_phi(phi):
@@ -166,9 +186,10 @@ def decode_lattice(obj, where="lattice", base=None, require_full=True):
         if bobj is None:
             raise SchemaError("lattice needs a base", where)
         _check_keys(bobj, ["field", "valuations"], (), where + ".base")
-        field = field_from_name(bobj["field"])
+        field = field_from_name(_str(bobj["field"], where + ".base.field"))
         vals = [decode_valuation(v, field, f"{where}.base.valuations[{i}]")
-                for i, v in enumerate(bobj["valuations"])]
+                for i, v in enumerate(_list(bobj["valuations"],
+                                            where + ".base.valuations"))]
         base = BaseRing(field, vals)
     rows = [[base.field.parse(s) for s in row] for row in obj["rows"]]
     dim = _int(obj["dim"], where + ".dim")
@@ -210,9 +231,10 @@ def loads_filtration(text_or_obj, where="filtration"):
     _check_keys(obj, ["schema", "field", "valuations", "phi"],
                 ["algebra"], where)
     _schema_check(obj, where)
-    field = field_from_name(obj["field"])
+    field = field_from_name(_str(obj["field"], where + ".field"))
     vals = [decode_valuation(v, field, f"{where}.valuations[{i}]")
-            for i, v in enumerate(obj["valuations"])]
+            for i, v in enumerate(_list(obj["valuations"],
+                                        where + ".valuations"))]
     order = "lex" if (vals and vals[0].rank == 2) else "componentwise"
     phi = decode_phi(obj["phi"], order=order, where=where + ".phi")
     base = FieldFiltration(field, vals, phi)
@@ -314,8 +336,9 @@ def loads_glider(text_or_obj, where="glider"):
         else:
             raise SchemaError("algebra glider needs an algebra", where)
         dim = alg.dim
+    levels = _list(obj["prefix"], where + ".prefix")
     prefix = [_decode_level(l, base, dim, ambient, f"{where}.prefix[{i}]")
-              for i, l in enumerate(obj["prefix"])]
+              for i, l in enumerate(levels)]
     tail = _decode_tail(
         obj["tail"],
         lambda e: MultiplyBy(FracIdeal(base, _ints(e, where + ".tail.ideal"))),
@@ -416,7 +439,7 @@ def loads_points(text_or_obj, where="points"):
     obj = _as_obj(text_or_obj)
     _check_keys(obj, ["schema", "field", "points"], (), where)
     _schema_check(obj, where)
-    field = field_from_name(obj["field"])
+    field = field_from_name(_str(obj["field"], where + ".field"))
     return [BsPoint([field.parse(c) for c in coords])
             for coords in obj["points"]]
 

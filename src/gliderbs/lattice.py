@@ -19,7 +19,7 @@ their rows as reps; `FieldElem` values are built only at the boundary,
 when code outside the kernel reads `Lattice.rows` or `coords`, and to read
 a value or a residue.  The normal form has one body over a PID,
 `_integer_hnf`, with the ring as a parameter (`BaseRing.ring`): Z_(S) on
-ints, F_p[x]_(x) and Q[x]_(S) on polynomials.  Q(i), Q(x,y) and the other
+ints, F_p[x]_(S) and Q[x]_(S) on polynomials.  Q(i), Q(x,y) and the other
 function-field bases take the field kernel, `_field_hnf`, the one routine
 that computes on elements: valuations, mixing and the principal-part
 digits are element-level, so it wraps its rows on entry and unwraps them
@@ -124,7 +124,7 @@ class BaseRing:
         inst._gen_cache = {}
         # what the lattice kernel computes on: the reps of the field
         inst.scalars = field.reps
-        # Z_(S), F_p[x]_(x) or Q[x]_(S): lattices are reduced on the ring's
+        # Z_(S), F_p[x]_(S) or Q[x]_(S): lattices are reduced on the ring's
         # elements (`_integer_hnf`); None: on field elements (`_field_hnf`)
         inst.ring = fields.pid_ring(field, valuations)
         cls._cache[key] = inst
@@ -577,7 +577,7 @@ def _hnf(base, dim, vectors):
     """Canonical Hermite-style normal form of vectors of kernel scalars
     (`BaseRing.scalars`): the tuple of canonical rows, in those scalars.
 
-    With a PID (`BaseRing.ring`: Z_(S), F_p[x]_(x), Q[x]_(S)) the rows are
+    With a PID (`BaseRing.ring`: Z_(S), F_p[x]_(S), Q[x]_(S)) the rows are
     reduced on its ints or polynomials (`_integer_hnf`), else on field
     elements (`_field_hnf`).  The form is unique: both give the same rows.
     `ring` picks the body only; the scalars are the same for both.

@@ -5,10 +5,14 @@ e, residue degree f, ef <= 2), the filtration on L inducing the base
 filtration is the e-scaled w-filtration.  The tensor filtration on
 A (x) L is the convolution sum f_q = sum_k F_kA (x) F_{q-k}L; over a
 strong base phi is linear, so every term is F_qA (x) F_0L and the sum
-collapses to it.  `TensorFiltration.sum_level` computes the truncated sums
-exactly (the glider axiom makes the terms eventually nested, so the
-truncation is exact, not approximate).  Tensoring a glider chain uses the
-same convolution levelwise.
+collapses to it.
+
+A glider M tensors levelwise to (M (x) L)_p = sum_{i >= p} M_i (x)
+F_{i-p}L, and over the same strong base that sum collapses to its first
+term M_p (x) O_L: F_{i-p}L = F_{i-p}K O_L, and the glider axiom puts
+F_{i-p}K M_i inside M_p, so every term M_i (x) F_{i-p}L =
+(F_{i-p}K M_i) (x) O_L lies in M_p (x) O_L.  The collapse holds only for
+a glider, so `tensor_glider` checks the axiom first.
 
 The induced map on classified elements keeps the shift and extends the
 point's coordinates; for fields the image is read off the top O_w-level
@@ -18,8 +22,6 @@ split/inert bookkeeping recorded as such in the docs).
 
 from __future__ import annotations
 
-from itertools import count
-
 from .errors import SpecValidationError, UnsupportedError
 from .fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, func_field,
                      gauss_prime, padic, rational_value, substitute, xadic)
@@ -28,7 +30,7 @@ from .filtration import (AlgebraFiltration, is_strong,
                          valuation_filtration)
 from .gbs import (BsPoint, GbsElement, classify_csa_glider,
                   realize_csa_element)
-from .glider import fit_tail
+from .glider import MultiplyBy, fit_tail, require_glider
 from .lattice import ZERO_MODULE, FracIdeal, canonicalize, span
 
 __all__ = [
@@ -150,7 +152,6 @@ class TensorFiltration:
                 "tensor materialization implemented for strong bases "
                 "(the convolution sums stabilize exactly there)")
         self.ext = ext
-        self.source = fa
         c = base.phi(1)[0]
         self.fl = ext.induced_filtration(c)
         if isinstance(fa, AlgebraFiltration):
@@ -176,41 +177,19 @@ class TensorFiltration:
         return span(lring, lat.dim,
                     [self._embed_vec(r) for r in lat.rows])
 
-    def sum_level(self, q):
-        """The convolution sum at degree q, truncated exactly: below the
-        stabilization depth every further term is contained in the sum.
-        With `term`, the reference that the tests compare the collapsed
-        `level` against; the library itself reads `level`."""
-        src = self.source
-        ph = (src.base if self.kind == "algebra" else src).phi
-        depth = abs(ph.lo) + ph.hi + 2 * max(ph.minus_period,
-                                             ph.plus_period) + 3
-        return _stable_sum((self.term(k, q - k) for k in count(q, -1)),
-                           depth)
-
-    def term(self, k, qk):
-        """F_kA (x) F_{qk}L as a module over the extension base ring."""
-        return self.tensor(self.source.level(k), qk)
-
-    def tensor(self, module, j):
-        """module (x) F_jL over the extension base ring, for a level of the
+    def tensor(self, module):
+        """module (x) O_L over the extension base ring, for a level of the
         source side (a lattice, an ideal or the zero module)."""
         if module is ZERO_MODULE:
             return module
-        lring = self.fl.base_ring
-        gen = lring.from_exponents(tuple(-c for c in self.fl.phi(j)))
         if self.kind == "algebra":
-            return self.embed_lattice(module).scale(gen)
+            return self.embed_lattice(module)
+        lring = self.fl.base_ring
         g = self.ext.embed(module.generator())
-        w = lring.valuations[0]
-        return FracIdeal(lring, (w(g) + w(gen),))
+        return FracIdeal(lring, (lring.valuations[0](g),))
 
     def level(self, q):
         return self.fa.level(q)
-
-    @property
-    def horizon(self):
-        return self.fa.horizon if self.kind == "algebra" else self.fl.horizon
 
 
 def tensor_filtration(fa, ext):
@@ -218,31 +197,18 @@ def tensor_filtration(fa, ext):
 
 
 def tensor_glider(m, ext, tf=None):
-    """(M (x) L)_p = sum_{i >= p} M_i (x) F_{i-p}L, levelwise exact; the
-    result is a glider over the tensor filtration."""
+    """(M (x) L)_p = M_p (x) O_L for a glider M (the collapse of the module
+    docstring); a multiply tail by I carries over as multiplication by
+    I O_L = I^e over the extension base ring."""
+    require_glider(m)
     if tf is None:
         tf = TensorFiltration(m.filtration, ext)
-    src_ph = m._base_field_filtration().phi
-    depth = m.prefix_end + abs(src_ph.lo) + 2 * src_ph.minus_period + 4
-
-    def level(p):
-        return _stable_sum((tf.tensor(m.level(i), i - p) for i in count(p)),
-                           depth)
-
-    return fit_tail(tf.fa, tf.kind, level, m.prefix_end + 2, alg=tf.alg)
-
-
-def _stable_sum(terms, depth):
-    """The sum of the terms, stopped once more than `depth` consecutive
-    terms leave it unchanged (the glider axiom makes the terms eventually
-    nested, so the truncation is exact)."""
-    acc, stable = None, 0
-    for term in terms:
-        acc2 = term if acc is None else acc.add(term)
-        stable = stable + 1 if acc is not None and acc2 == acc else 0
-        acc = acc2
-        if stable > depth:
-            return acc
+    own = None
+    if m.tail.kind == "multiply":
+        exps = tuple(tf.ext.e * k for k in m.tail.ideal.exps)
+        own = MultiplyBy(FracIdeal(tf.fl.base_ring, exps))
+    return fit_tail(tf.fa, tf.kind, lambda p: tf.tensor(m.level(p)),
+                    m.prefix_end + 2, alg=tf.alg, own=own)
 
 
 def gbs_map(element, ext):

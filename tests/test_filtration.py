@@ -55,6 +55,15 @@ def test_validator_rejects_flat_negative_degree():
                          (1, (1,)), (1, (1,))))
 
 
+def test_a_table_short_of_its_window_is_rejected_by_size():
+    """The table's size is compared with the window's before anything is
+    built over the window: [0, 10^30] must not be enumerated."""
+    with pytest.raises(SpecValidationError, match="cover the window"):
+        StepFunction((0, 10 ** 30), {0: (0,)}, (1, (1,)), (1, (1,)))
+    with pytest.raises(SpecValidationError, match="cover the window"):
+        StepFunction((0, 1), {0: (0,), 2: (1,)}, (1, (1,)), (1, (1,)))
+
+
 def test_validator_rejects_degenerate():
     with pytest.raises(SpecValidationError):
         StepFunction((0, 0), {0: ()}, (1, ()), (1, ()))

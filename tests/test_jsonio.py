@@ -231,3 +231,82 @@ def test_integers_are_checked_at_the_boundary(r5, tmp_path, capsys, make,
     report = json.loads(capsys.readouterr().out)
     assert report["kind"] == "SchemaError"
     assert f"(at {where})" in report["error"]
+
+
+def _field_glider_doc(valuation):
+    from gliderbs.filtration import valuation_filtration
+
+    return lambda _: jsonio.encode_glider(
+        realize_field_element(valuation_filtration(valuation), 0))
+
+
+def _gauss_glider_doc(r5):
+    from gliderbs.fields import gauss_prime
+
+    return _field_glider_doc(gauss_prime("2+i"))(r5)
+
+
+def _polyprime_glider_doc(r5):
+    from gliderbs.fields import poly_prime
+
+    return _field_glider_doc(poly_prime("x^2+1"))(r5)
+
+
+def _lattice_doc(r5):
+    from gliderbs.orders import builtin_mnr
+
+    return jsonio.encode_lattice(builtin_mnr(2, r5).lattice)
+
+
+DELETE = object()
+
+# (valid document, key path, bad value or DELETE, reported location)
+SHAPE_PROBES = [
+    (_glider_doc, ("filtration", "field"), 7, "glider.filtration.field"),
+    (_glider_doc, ("filtration", "valuations"), 0,
+     "glider.filtration.valuations"),
+    (_glider_doc, ("prefix",), 3, "glider.prefix"),
+    (_glider_doc, ("filtration", "valuations", 0, "p"), DELETE,
+     "glider.filtration.valuations[0]"),
+    (_glider_doc, ("filtration", "valuations", 0, "kind"), ["padic"],
+     "glider.filtration.valuations[0].kind"),
+    (_gauss_glider_doc, ("filtration", "valuations", 0, "pi"), DELETE,
+     "glider.filtration.valuations[0]"),
+    (_gauss_glider_doc, ("filtration", "valuations", 0, "pi"), 5,
+     "glider.filtration.valuations[0].pi"),
+    (_polyprime_glider_doc, ("filtration", "valuations", 0, "g"), DELETE,
+     "glider.filtration.valuations[0]"),
+    (_polyprime_glider_doc, ("filtration", "valuations", 0, "g"), 5,
+     "glider.filtration.valuations[0].g"),
+    (_lattice_doc, ("base", "field"), 7, "lattice.base.field"),
+    (_lattice_doc, ("base", "valuations"), {"kind": "padic"},
+     "lattice.base.valuations"),
+]
+
+
+@pytest.mark.parametrize("make, path, bad, where", SHAPE_PROBES,
+                         ids=[w + (f" without {p[-1]}" if b is DELETE
+                                   else f" {b!r}")
+                              for _, p, b, w in SHAPE_PROBES])
+def test_malformed_nodes_are_schema_errors(r5, tmp_path, capsys, make,
+                                           path, bad, where):
+    """A node of the wrong type, or a valuation without its parameter, is
+    a SchemaError naming its location, never a Python traceback."""
+    from gliderbs.cli import main
+
+    doc = make(r5)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if bad is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = bad
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps(doc))
+    command = ["roundtrip"] if "rows" in doc else ["classify", "--glider"]
+    assert main(["--output", "json", *command, str(probe)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "SchemaError"
+    assert f"(at {where})" in report["error"]
+

@@ -1,8 +1,10 @@
-"""The kernel of `lattice._hnf` over the polynomial rings F_p[x]_(x) and
+"""The kernel of `lattice._hnf` over the polynomial rings F_p[x]_(S) and
 Q[x]_(S) against the field-arithmetic kernel, which stays the reference;
-the closed-form principal parts at polynomial primes against the digit
-loop; which kernel each polynomial base ring takes; and that the PID path
-does no field arithmetic between its input and output conversions."""
+at polynomial primes in characteristic p, where no second kernel exists,
+the laws of a normal form; the closed-form principal parts at polynomial
+primes against the digit loop; which kernel each polynomial base ring
+takes; and that the PID path does no field arithmetic between its input
+and output conversions."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,13 +23,24 @@ BASES = {
     "Q(x) at x, x^2+1": BaseRing(QX_FIELD, [xadic(QX_FIELD),
                                             poly_prime("x^2+1")]),
 }
+# the field kernel's digit loop needs residues, which `fields` computes at
+# a polynomial prime only in characteristic 0: here the PID path is the
+# only kernel
+CHAR_P_BASES = {
+    "F_3(x) at x^2+1": BaseRing(F3X, [poly_prime("x^2+1", F3X)]),
+    "F_5(x) at x^2+2": BaseRing(F5X, [poly_prime("x^2+2", F5X)]),
+    "F_3(x) at x, x^2+1": BaseRing(F3X, [xadic(F3X),
+                                         poly_prime("x^2+1", F3X)]),
+}
 
 # denominators with factors inside S (x, x^2+1), outside it, and both;
 # over F_3 and F_5 x^2+1 is outside S
 DENOMINATORS = ["1", "x", "x^2", "x+1", "x^2+1", "(x^2+1)^2", "2*x+1",
                 "x*(x^2+1)", "3*x^2+3", "x^2+x+2"]
-# multipliers of a row: units, uniformizers and mixtures
+# multipliers of a row: units, uniformizers and mixtures; each is
+# integral at every base here, and the first four are units
 MULTIPLIERS = ["1", "-1", "x+1", "1/(x+2)", "x", "x^2+1", "x/(x^2+x+2)"]
+UNITS = MULTIPLIERS[:4]
 
 
 def entries(field):
@@ -135,9 +148,47 @@ def _refuse(*args):
     raise AssertionError("this base ring took the other HNF path")
 
 
-@pytest.mark.parametrize("name", BASES)
+@pytest.mark.parametrize("name", CHAR_P_BASES)
+def test_char_p_rows_are_canonical(name):
+    """The rows of a span do not change when its generators are permuted,
+    mixed by elementary row operations over the ring and scaled by
+    units."""
+    base = CHAR_P_BASES[name]
+    field = base.field
+    parse = field.parse
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(generators(field), st.randoms(use_true_random=False))
+    def same_rows(gen, rnd):
+        dim, vecs = gen
+        rows = [list(v) for v in vecs]
+        rnd.shuffle(rows)
+        for _ in range(4 if len(rows) > 1 else 0):
+            a, b = rnd.sample(range(len(rows)), 2)
+            s = parse(rnd.choice(MULTIPLIERS))
+            rows[b] = [y + s * x for x, y in zip(rows[a], rows[b])]
+        for r in rows:
+            u = parse(rnd.choice(UNITS))
+            r[:] = [u * x for x in r]
+        assert span(base, dim, rows).rows == span(base, dim, vecs).rows
+
+    same_rows()
+
+
+def test_char_p_reduction_above_a_pivot():
+    """Over F_3(x) at g = x^2+1 the entry above the pivot g reduces to the
+    principal part of 1/g; the field kernel raised here, for want of
+    residues mod g in characteristic 3."""
+    base = CHAR_P_BASES["F_3(x) at x^2+1"]
+    field = base.field
+    g, x, zero = field.parse("x^2+1"), field.gen("x"), field.zero()
+    lat = span(base, 2, [[x / g, x / g], [zero, g]])
+    assert lat.rows == ((1 / g, 1 / g), (zero, g))
+
+
+@pytest.mark.parametrize("name", [*BASES, *CHAR_P_BASES])
 def test_polynomial_bases_take_the_pid_path(name, monkeypatch):
-    base = BASES[name]
+    base = {**BASES, **CHAR_P_BASES}[name]
     field = base.field
     assert base.ring is not None and base.scalars is field.reps
     monkeypatch.setattr(lattice, "_field_hnf", _refuse)

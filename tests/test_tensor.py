@@ -1,15 +1,80 @@
+"""Quadratic scalar extension: the extension data, the tensor filtration,
+tensored gliders and the induced map.  The convolution sums that the
+library no longer forms are kept here as the reference its collapsed
+levels are checked against."""
+
+import random
+from itertools import count
+
 import pytest
 
 from gliderbs.errors import SpecValidationError, UnsupportedError
 from gliderbs.fields import GAUSS_FIELD, QQ_FIELD, QX_FIELD, padic, xadic
-from gliderbs.filtration import valuation_filtration
+from gliderbs.filtration import (AlgebraFiltration,
+                                 scaled_valuation_filtration,
+                                 valuation_filtration)
 from gliderbs.gbs import (BsPoint, GbsElement, classify_csa_glider,
                           realize_csa_element)
-from gliderbs.glider import (FiltrationTail, Glider, ZeroAfter,
-                             is_glider)
-from gliderbs.lattice import ZERO_MODULE, FracIdeal
+from gliderbs.glider import (Constant, FiltrationTail, Glider, MultiplyBy,
+                             ZeroAfter, fit_tail, is_glider)
+from gliderbs.lattice import (ZERO_MODULE, FracIdeal, canonicalize,
+                              matrix_algebra, span)
 from gliderbs.tensorext import (gauss_extension, gbs_map, sqrt_x_extension,
                                 tensor_filtration, tensor_glider)
+
+
+# ---------------------------------------------------------------------------
+# the reference: convolution sums, truncated once `depth` consecutive terms
+# leave them unchanged (the glider axiom makes the terms eventually nested,
+# so the truncation is exact)
+# ---------------------------------------------------------------------------
+
+def _tensor(tf, module, j):
+    """module (x) F_jL over the extension base ring."""
+    if module is ZERO_MODULE:
+        return module
+    lring = tf.fl.base_ring
+    gen = lring.from_exponents(tuple(-c for c in tf.fl.phi(j)))
+    if tf.kind == "algebra":
+        return tf.embed_lattice(module).scale(gen)
+    g = tf.ext.embed(module.generator())
+    w = lring.valuations[0]
+    return FracIdeal(lring, (w(g) + w(gen),))
+
+
+def _term(tf, source, k, qk):
+    """F_kA (x) F_{qk}L for the source filtration of tf."""
+    return _tensor(tf, source.level(k), qk)
+
+
+def _sum_level(tf, source, q):
+    """The convolution sum of the tensor filtration at degree q."""
+    ph = (source.base if tf.kind == "algebra" else source).phi
+    depth = abs(ph.lo) + ph.hi + 2 * max(ph.minus_period,
+                                         ph.plus_period) + 3
+    return _stable_sum((_term(tf, source, k, q - k) for k in count(q, -1)),
+                       depth)
+
+
+def _glider_sum_level(m, tf, p):
+    """(M (x) L)_p = sum_{i >= p} M_i (x) F_{i-p}L."""
+    src_ph = m._base_field_filtration().phi
+    depth = m.prefix_end + abs(src_ph.lo) + 2 * src_ph.minus_period + 4
+    return _stable_sum((_tensor(tf, m.level(i), i - p) for i in count(p)),
+                       depth)
+
+
+def _stable_sum(terms, depth):
+    """The sum of the terms, stopped once more than `depth` consecutive
+    terms leave it unchanged (the glider axiom makes the terms eventually
+    nested, so the truncation is exact)."""
+    acc, stable = None, 0
+    for term in terms:
+        acc2 = term if acc is None else acc.add(term)
+        stable = stable + 1 if acc is not None and acc2 == acc else 0
+        acc = acc2
+        if stable > depth:
+            return acc
 
 
 def fe(n):
@@ -38,15 +103,15 @@ def test_extension_constructors():
 def test_tensor_filtration_collapse(fa_m2, ext_split):
     tf = tensor_filtration(fa_m2, ext_split)
     for q in range(-2, 3):
-        assert tf.sum_level(q) == tf.level(q)
+        assert _sum_level(tf, fa_m2, q) == tf.level(q)
 
 
 def test_tensor_table_containments(fa_m2, ext_split):
     tf = tensor_filtration(fa_m2, ext_split)
     f0 = tf.level(0)
-    assert f0.contains(tf.term(0, 0))
-    assert f0.contains(tf.term(-1, 1))
-    assert f0.contains(tf.term(-2, 2))
+    assert f0.contains(_term(tf, fa_m2, 0, 0))
+    assert f0.contains(_term(tf, fa_m2, -1, 1))
+    assert f0.contains(_term(tf, fa_m2, -2, 2))
 
 
 def test_field_factor_reproduces_scalar_filtration(f5, ext_split):
@@ -105,31 +170,18 @@ def test_gbs_map_field_cases(f5, ext_split):
     assert gbs_map(elx, sqrt_x_extension()).shift == 4
 
 
-def test_gbs_map_ramified_algebra_unsupported(fa_m2):
+def test_gbs_map_ramified_algebra_unsupported():
     # over the valuation base at 2, the ramified extension scales the
     # filtration; the algebra-level map has no irreducible image there
-    f2 = valuation_filtration(padic(2))
-    from gliderbs.lattice import canonicalize, matrix_algebra
-    from gliderbs.filtration import AlgebraFiltration
-
-    rows = [[fe(1 if i == j else 0) for j in range(4)] for i in range(4)]
-    b = canonicalize(f2.base_ring, 4, rows)
-    fa = AlgebraFiltration(matrix_algebra(2), f2, b, mode="induced")
     el = GbsElement("csa", 0, point=BsPoint([fe(1), fe(0)]),
-                    filtration=fa)
+                    filtration=_m2_filtration(2))
     with pytest.raises(UnsupportedError):
         gbs_map(el, gauss_extension(2))
 
 
 def test_inert_extension_map():
-    f3 = valuation_filtration(padic(3))
-    from gliderbs.lattice import canonicalize, matrix_algebra
-    from gliderbs.filtration import AlgebraFiltration
-
-    rows = [[fe(1 if i == j else 0) for j in range(4)] for i in range(4)]
-    b = canonicalize(f3.base_ring, 4, rows)
-    fa = AlgebraFiltration(matrix_algebra(2), f3, b, mode="induced")
-    el = GbsElement("csa", 1, point=BsPoint([fe(1), fe(2)]), filtration=fa)
+    el = GbsElement("csa", 1, point=BsPoint([fe(1), fe(2)]),
+                    filtration=_m2_filtration(3))
     img = gbs_map(el, gauss_extension(3))
     assert img.shift == 1
 
@@ -146,3 +198,134 @@ def test_tensor_glider_of_a_zero_level(f5, fa_m2, b_m2, m2):
         out = tensor_glider(chain, ext)
         assert out.level(1) is ZERO_MODULE
         assert is_glider(out)[0]
+
+
+# ---------------------------------------------------------------------------
+# the collapse against the convolution sums, on seeded gliders
+# ---------------------------------------------------------------------------
+
+def _steps(rnd, c, n):
+    """A start exponent and n steps of c to c + 2 after it."""
+    exps = [rnd.randint(-3, 3)]
+    for _ in range(n):
+        exps.append(exps[-1] + c + rnd.randint(0, 2))
+    return exps
+
+
+def _tail(rnd, ring, c, kind):
+    if kind == "multiply":
+        return MultiplyBy(FracIdeal(ring, (c + rnd.randint(0, 2),)))
+    return FiltrationTail()
+
+
+def _field_chain(filt, c, rnd, kind):
+    """A glider over phi = c n: every step, and a multiply tail's ideal,
+    descends by at least c."""
+    ring = filt.base_ring
+    exps = _steps(rnd, c, rnd.randint(0, 3))
+    prefix = [FracIdeal(ring, (e,)) for e in exps]
+    return Glider(filt, "field", prefix, _tail(rnd, ring, c, kind))
+
+
+def _m2_chain(fa, rnd, kind):
+    """pi^e_k X for X = B v + B w a full left ideal and steps of 1 to 3:
+    F_i M_j = pi^-i M_j lies in M_{j-i}."""
+    q, ring = QQ_FIELD, fa.base_ring
+    while True:
+        gens = [fa.alg.mul_coords(row, [q.from_int(rnd.randint(-4, 4))
+                                        for _ in range(4)], q)
+                for _ in range(2) for row in fa.order.rows]
+        x = span(ring, 4, gens)
+        if x.rank == 4:
+            break
+    exps = _steps(rnd, 1, rnd.randint(0, 1))
+    prefix = [x.scale_exponents((e,)) for e in exps]
+    return Glider(fa, "algebra", prefix, _tail(rnd, ring, 1, kind))
+
+
+def _m2_filtration(p):
+    f = valuation_filtration(padic(p))
+    rows = [[QQ_FIELD.from_int(int(i == j)) for j in range(4)]
+            for i in range(4)]
+    return AlgebraFiltration(matrix_algebra(2), f,
+                             canonicalize(f.base_ring, 4, rows),
+                             mode="induced")
+
+
+def _cases():
+    """(label, chain, extension): field chains over Q(i) at 1+2i, 2+3i, 3
+    and 1+i with phi = n and 2n, M_2 chains over Q(i) at 1+2i and 3, and
+    chains over Q(x) -> Q(t); filtration and multiply tails alike."""
+    rnd = random.Random("tensor-collapse")
+    exts = [gauss_extension(5, "split", "1+2i"),
+            gauss_extension(13, "split", "2+3i"),
+            gauss_extension(3), gauss_extension(2)]
+    out = []
+    for ext in exts:
+        for c in (1, 2):
+            filt = valuation_filtration(ext.v) if c == 1 else \
+                scaled_valuation_filtration(ext.v, c)
+            for kind in ("filtration", "multiply") * 3:
+                out.append((f"{ext.w.name} phi={c}n {kind}",
+                            _field_chain(filt, c, rnd, kind), ext))
+    for ext in exts[0], exts[2]:
+        fa = _m2_filtration(ext.v.p)
+        for kind in ("filtration", "multiply") * 2:
+            out.append((f"M_2 {ext.w.name} {kind}",
+                        _m2_chain(fa, rnd, kind), ext))
+    ext = sqrt_x_extension()
+    for c in (1, 2):
+        filt = valuation_filtration(ext.v) if c == 1 else \
+            scaled_valuation_filtration(ext.v, c)
+        for kind in ("filtration", "multiply"):
+            out.append((f"Q(x) phi={c}n {kind}",
+                        _field_chain(filt, c, rnd, kind), ext))
+    return out
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("label, chain, ext", CASES,
+                         ids=[c[0] for c in CASES])
+def test_tensor_glider_is_the_convolution_sum(label, chain, ext):
+    """M_p (x) O_L is the whole sum up to the horizon, and the result is
+    a glider.  A filtration tail is presented as a fit of the sums
+    presents it; a multiply tail by I is carried over as I^e."""
+    tf = tensor_filtration(chain.filtration, ext)
+    tg = tensor_glider(chain, ext, tf=tf)
+    sums = [_glider_sum_level(chain, tf, p) for p in range(tg.horizon + 1)]
+    assert [tg.level(p) for p in range(len(sums))] == sums
+    assert is_glider(tg)[0]
+    if chain.tail.kind == "multiply":
+        exps = tuple(ext.e * k for k in chain.tail.ideal.exps)
+        assert tg.tail == MultiplyBy(FracIdeal(tf.fl.base_ring, exps))
+    else:
+        ref = fit_tail(tf.fa, tf.kind, sums.__getitem__,
+                       chain.prefix_end + 2, alg=tf.alg)
+        assert (tg.prefix, tg.tail) == (ref.prefix, ref.tail)
+
+
+def test_a_multiply_tail_off_the_filtration_step_carries_over(f5, fa_m2):
+    """Tails P^2 and P^3 were not presentable from the tensored levels
+    before the tail itself was carried across."""
+    ext = gauss_extension(5, "split", "2+i")
+    r = f5.base_ring
+    for k in (2, 3):
+        field = Glider(f5, "field", [FracIdeal(r, (0,))],
+                       MultiplyBy(FracIdeal(r, (k,))))
+        out = tensor_glider(field, ext)
+        assert out.level(2).exps == (2 * k,)
+        algebra = realize_csa_element(fa_m2, BsPoint([fe(1), fe(0)]), 0)
+        algebra = Glider(fa_m2, "algebra", algebra.prefix,
+                         MultiplyBy(FracIdeal(r, (k,))), alg=fa_m2.alg)
+        assert is_glider(tensor_glider(algebra, ext))[0]
+
+
+def test_a_non_glider_is_rejected(f5):
+    """The collapse holds only for gliders: a constant nonzero chain over
+    the 5-adic filtration fails F_1 M_1 inside M_0, and the sums over it
+    would grow forever."""
+    chain = Glider(f5, "field", [FracIdeal(f5.base_ring, (0,))], Constant())
+    with pytest.raises(SpecValidationError, match=r"witness \(1, 1, .*1/5"):
+        tensor_glider(chain, gauss_extension(5, "split", "2+i"))
