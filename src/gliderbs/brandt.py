@@ -14,8 +14,6 @@ units, and the whole collection satisfies the five groupoid axioms, which
 
 from __future__ import annotations
 
-import functools
-
 from .errors import MaximalityError, RankError, SpecValidationError
 from .filtration import FieldFiltration
 from .glider import Glider, fit_tail, require_glider
@@ -70,25 +68,13 @@ class NormalGliderIdeal:
         return f"NormalGliderIdeal(N={self.window})"
 
 
-def _in_memo_scope(fn):
-    """Run fn inside a memo scope of lattice products and colons (see
-    `lattice.memo_scope`): the chains built here are scalar multiples of
-    few lattices, so most products and colons repeat up to scaling."""
-    @functools.wraps(fn)
-    def scoped(*args):
-        with memo_scope():
-            return fn(*args)
-
-    return scoped
-
-
 def _as_ideal(obj):
     if isinstance(obj, NormalGliderIdeal):
         return obj
     return NormalGliderIdeal(obj)
 
 
-@_in_memo_scope
+@memo_scope()
 def left_glider_order(m):
     """O_l over all levels: the intersection of the left colons of the
     window levels (the scalar tails stabilize nothing new, since the left
@@ -96,7 +82,7 @@ def left_glider_order(m):
     return _glider_order(m, "left", colon_left)
 
 
-@_in_memo_scope
+@memo_scope()
 def right_glider_order(m):
     """O_r over all levels, from the right colons likewise."""
     return _glider_order(m, "right", colon_right)
@@ -122,7 +108,7 @@ def _repackage(filtration, alg, level, keep):
     return fit_tail(filtration, "algebra", level, keep, alg=alg)
 
 
-@_in_memo_scope
+@memo_scope()
 def product(m, n):
     """(M*N)_i = sum_{k <= i} M_k N_{i-k}, levelwise exact.  The result
     is re-checked as a glider: when F_i F_j differs from F_{i+j} the
@@ -141,7 +127,7 @@ def product(m, n):
                                         m.window + n.window + 2))
 
 
-@_in_memo_scope
+@memo_scope()
 def inverse(m):
     """(M^-1)_i = {x : M x M inside M_i}, via two colon solves; requires
     the left glider order to be maximal, which is certified a posteriori
@@ -171,7 +157,7 @@ def _two_sided_colon(m, i):
     return colon_left(li, top, m.alg)            # {x : x M inside L_i}
 
 
-@_in_memo_scope
+@memo_scope()
 def unit_left(m):
     """E^l(M) = M * M^-1: the unique maximal idempotent with e*M = M."""
     m = _as_ideal(m)
@@ -181,7 +167,7 @@ def unit_left(m):
     return m._cache[key]
 
 
-@_in_memo_scope
+@memo_scope()
 def unit_right(m):
     m = _as_ideal(m)
     key = "unit_right"
@@ -190,7 +176,7 @@ def unit_right(m):
     return m._cache[key]
 
 
-@_in_memo_scope
+@memo_scope()
 def modulizer_chain(m):
     """The independent computation of the left unit: the chain
     E_d = {x : x M_{n-d} inside M_n for all n >= d}, evaluated by colon
@@ -211,7 +197,7 @@ def modulizer_chain(m):
                                         m.window + 2 * ph.minus_period + 3))
 
 
-@_in_memo_scope
+@memo_scope()
 def two_sided_translate(m, g, h):
     """The chain g * M_i * h for invertible algebra elements g, h: the
     window is translated and the tail kept, since g (S M_N) h = S (g M_N h)
@@ -256,7 +242,7 @@ def _proper(m, n):
     return unit_right(m) == unit_left(n)
 
 
-@_in_memo_scope
+@memo_scope()
 def verify_groupoid(sample):
     """Check the five groupoid axioms on the sample (closed under unit and
     inverse): units are idempotent and absorb; a proper pair (E^r(M) =

@@ -20,8 +20,8 @@ from .filtration import (AlgebraFiltration, is_strong,
 from .glider import (Glider, ZeroAfter, classify_subglider_unchecked,
                      fit_tail, realize_field_chain, require_glider)
 from .lattice import (FracIdeal, ZERO_MODULE, intermediate_module,
-                      intersect, is_simple_quotient, mult, require_int,
-                      span)
+                      intersect, is_simple_quotient, memo_scope, mult,
+                      require_int, span)
 
 __all__ = [
     "BsPoint", "LeftIdeal", "GbsElement", "Verdict",
@@ -348,6 +348,7 @@ def _csa_preconditions(m):
     return None
 
 
+@memo_scope()
 def classify_csa_glider(m):
     """Verdict for a lattice chain over an induced matrix-algebra
     filtration on a strong DVR base."""

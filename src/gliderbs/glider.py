@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import BaseMismatchError, SpecValidationError, UnsupportedError
 from .fields import INF
 from .filtration import AlgebraFiltration, FieldFiltration
-from .lattice import FracIdeal, Lattice, ZERO_MODULE, mult
+from .lattice import FracIdeal, Lattice, ZERO_MODULE, memo_scope, mult
 
 __all__ = [
     "Tail", "FiltrationTail", "MultiplyBy", "Constant", "ZeroAfter",
@@ -262,6 +262,7 @@ def _same_growth(a, b):
 # structural operations
 # ---------------------------------------------------------------------------
 
+@memo_scope()
 def is_glider(m):
     """Check the glider axiom F_i M_j inside M_{j-i} for 0 <= i <= j.
     Returns (ok, certificate); the certificate of a failure is (i, j,

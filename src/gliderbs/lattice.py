@@ -51,8 +51,8 @@ __all__ = [
 ]
 
 # searches over finite residue structures stop with UnsupportedError past
-# these sizes: directions of X/Y (`_QuotientSpace`), elements of B/pB
-# (`orders._custom_radical`)
+# these sizes: directions of X/Y that the rank test leaves open
+# (`_QuotientSpace`), elements of B/pB (`orders._custom_radical`)
 DIRECTION_BOUND = 8192
 RESIDUE_ALGEBRA_BOUND = 4096
 
@@ -919,7 +919,12 @@ def memo_scope():
     primitive part, look the pair up by content and rescale the result:
     (pi^a X)(pi^b Y) = pi^(a+b) XY and (pi^a X : pi^b Y) = pi^(a-b) (X : Y).
     Nested scopes share the memo of the outermost one, which is dropped
-    when it exits.  The state is per thread."""
+    when it exits.  The state is per thread.
+
+    Glider chains are scalar multiples of few lattices, so the products and
+    colons of one chain computation mostly repeat up to scaling; the
+    functions that compute on whole chains run inside a scope, as
+    `@memo_scope()` (a fresh scope per call)."""
     if _MEMO.memo is not None:
         yield
         return
@@ -1104,25 +1109,39 @@ class _QuotientSpace:
         """Action of order basis element s on a length-k residue vector."""
         return linalg.vec_mat(vec_k, self.actions[s])
 
-    def cyclic_span_is_all(self, qvec):
+    def images(self, qvec):
+        """b_s * qvec in the quotient, one vector per order basis element."""
         w = self.lift_free(qvec)
-        imgs = [self.project(self.act(s, w)) for s in range(len(self.actions))]
-        rows, _ = linalg.rref([r for r in imgs if any(r)], self.res_field) \
-            if any(any(r) for r in imgs) else ([], [])
-        return len(rows) == self.dim
+        return [self.project(self.act(s, w)) for s in range(len(self.actions))]
+
+    def spans_all(self, vectors):
+        return len(linalg.rref(vectors, self.res_field)[0]) == self.dim
 
     def non_generating_direction(self):
         """The first direction whose cyclic span is not the whole quotient,
         trying the basis vectors first; None when every direction
-        generates."""
-        fld = self.res_field
-        for c in range(self.dim):
-            qvec = [fld.one() if i == c else fld.zero()
-                    for i in range(self.dim)]
-            if not self.cyclic_span_is_all(qvec):
+        generates.
+
+        The images b_s * e_c of the basis vectors are the columns of the
+        matrices by which the order acts on V.  When these span a space of
+        dimension dim(V)^2, the image of B is End_k(V) (Burnside), so every
+        nonzero vector generates: one rank decides, over any residue field.
+        Only a quotient that this cannot settle, a reducible one or a
+        simple one that is not absolutely simple, enumerates directions."""
+        fld, d = self.res_field, self.dim
+        cols = []
+        for c in range(d):
+            qvec = [fld.one() if i == c else fld.zero() for i in range(d)]
+            imgs = self.images(qvec)
+            if not self.spans_all(imgs):
                 return qvec
+            cols.append(imgs)
+        actions = [[e for col in cols for e in col[s]]
+                   for s in range(len(self.actions))]
+        if len(linalg.rref(actions, fld)[0]) == d * d:
+            return None
         for qvec in self.enumerate_directions():
-            if not self.cyclic_span_is_all(qvec):
+            if not self.spans_all(self.images(qvec)):
                 return qvec
         return None
 
@@ -1155,8 +1174,9 @@ def intermediate_module(x, y, b, alg):
 
     Decided exactly: a quotient killed by a maximal ideal p is a vector
     space over the residue field, and it is simple iff it has dimension 1
-    or every nonzero direction generates it under the order action (full
-    projective enumeration over the finite residue field).
+    or every nonzero direction generates it under the order action (the
+    rank of the action matrices, else full projective enumeration over the
+    finite residue field; see `_QuotientSpace.non_generating_direction`).
     """
     _module_checks(x, y, b, alg)
     if x == y:

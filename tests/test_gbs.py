@@ -3,7 +3,9 @@ import random
 import pytest
 
 from gliderbs.errors import SpecValidationError, UnsupportedError
-from gliderbs.fields import GAUSS_FIELD, QQ_FIELD, gauss_prime, padic
+from gliderbs import lattice
+from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, gauss_prime,
+                             padic, poly_prime)
 from gliderbs.filtration import (AlgebraFiltration, FieldFiltration,
                                  StepFunction, scaled_valuation_filtration,
                                  valuation_filtration)
@@ -13,8 +15,9 @@ from gliderbs.gbs import (BsPoint, LeftIdeal, _column_module,
                           enumerate_gbs_csa, enumerate_gbs_field,
                           find_negative_part_witness, realize_csa_element,
                           realize_field_element)
-from gliderbs.glider import (FiltrationTail, Glider, classify_subglider,
-                             negative_part, scalar_shift, shift)
+from gliderbs.glider import (Constant, FiltrationTail, Glider,
+                             classify_subglider, negative_part, scalar_shift,
+                             shift)
 from gliderbs.lattice import (FracIdeal, canonicalize, matrix_algebra,
                               quaternion_algebra, span)
 from gliderbs.orders import builtin_mnr
@@ -306,3 +309,55 @@ def test_csa_witness_stays_inside_a_chain_with_a_later_wide_step(fa_m2):
     assert verdict.witness.prefix == tuple(
         bv.scale(fe(5) ** e) for e in (1, 2, 3, 5))
     assert classify_subglider(verdict.witness, m).kind == "nontrivial"
+
+
+@pytest.mark.parametrize("valuation, n", [
+    (padic(23), 4),             # 12,720 directions
+    (padic(8209), 2),           # 8,210 directions
+    (poly_prime("x"), 2),       # residue field Q
+    (poly_prime("x^2+1"), 2),   # residue field Q(i)
+], ids=["M4-Z23", "M2-Z8209", "M2-Qx-x", "M2-Qx-x2+1"])
+def test_split_quotients_past_the_direction_cap_are_decided(valuation, n):
+    """M_n acts on the column module mod p through all of End(V), so the
+    rank test decides the scan where enumerating directions cannot."""
+    f = valuation_filtration(valuation)
+    fa = AlgebraFiltration(matrix_algebra(n), f,
+                           builtin_mnr(n, f.base_ring).lattice,
+                           mode="induced")
+    field = f.base_ring.field
+    point = BsPoint([field.one()] * n)
+    v = classify_csa_glider(realize_csa_element(fa, point, 1))
+    assert v.status == "irreducible"
+    assert (v.element.point, v.element.shift) == (point, 1)
+
+
+def test_csa_classifier_computes_each_product_once(fa_m2, monkeypatch):
+    """The glider check and the scan share one memo scope, which is gone
+    once the classifier returns or raises; the rank test leaves no
+    direction to enumerate on a realized chain."""
+    m = realize_csa_element(fa_m2, BsPoint([fe(1), fe(2)]), 1)
+    calls = {}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(lattice, "_span_products")
+    counted(lattice, "_hnf")
+    counted(lattice._QuotientSpace, "enumerate_directions")
+    v = classify_csa_glider(m)
+    assert v.status == "irreducible"
+    assert calls.get("_span_products", 0) <= 2
+    assert calls.get("_hnf", 0) <= 4
+    assert calls.get("enumerate_directions", 0) == 0
+    assert lattice._MEMO.memo is None
+    const = Glider(fa_m2, "algebra", [fa_m2.level(0)], Constant(),
+                   alg=fa_m2.alg)
+    with pytest.raises(SpecValidationError, match="not a glider"):
+        classify_csa_glider(const)
+    assert lattice._MEMO.memo is None

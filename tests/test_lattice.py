@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 
+from gliderbs import linalg
 from gliderbs.errors import (BaseMismatchError, ContainmentError, RankError,
                              SpecValidationError, UnsupportedError)
 from gliderbs.fields import QQ_FIELD, padic, val
-from gliderbs.lattice import (ZERO_MODULE, BaseRing, FracIdeal, add,
-                              canonicalize, colon_left, colon_right,
-                              intersect, intermediate_module,
+from gliderbs.lattice import (ZERO_MODULE, BaseRing, FracIdeal, _killing_prime,
+                              _QuotientSpace, add, canonicalize, colon_left,
+                              colon_right, intersect, intermediate_module,
                               is_simple_quotient, matrix_algebra, mult,
                               quaternion_algebra, quotient_length, span)
 from gliderbs.orders import builtin_hurwitz2, builtin_mnr
@@ -281,6 +284,62 @@ def test_simple_quotient_verdicts_and_witnesses():
         assert "".join(got) == QUOTIENT_VERDICTS[name], name
 
 
+def _j_order(p):
+    """Z_(p)[J] for J = [[0, -1], [1, 0]] inside M_2: at p = 3 (mod 4) it
+    acts on a column mod p through the field F_p[i], simply but not
+    absolutely simply."""
+    base = BaseRing(QQ_FIELD, (padic(p),))
+    lat = span(base, 4, [[fe(1), fe(0), fe(0), fe(1)],
+                         [fe(0), fe(-1), fe(1), fe(0)]])
+    return SimpleNamespace(lattice=lat, alg=matrix_algebra(2))
+
+
+def _enumerated_direction(x, y, b, alg):
+    """The decision by enumeration alone, for Y < X with pX inside Y: the
+    first basis vector or direction of X/Y whose cyclic span is not all of
+    X/Y, or None."""
+    V = _QuotientSpace(x, y, b, alg, _killing_prime(x, y))
+    if V.dim <= 1:
+        return None
+    fld = V.res_field
+    basis = [[fld.one() if i == c else fld.zero() for i in range(V.dim)]
+             for c in range(V.dim)]
+    for qvec in chain(basis, V.enumerate_directions()):
+        w = V.lift_free(qvec)
+        imgs = [V.project(V.act(s, w)) for s in range(len(V.actions))]
+        if len(linalg.rref(imgs, fld)[0]) < V.dim:
+            return qvec
+    return None
+
+
+@pytest.mark.parametrize("name", ["M_2(Z_(2))", "M_2(Z_(3))", "M_2(Z_(5))",
+                                  "M_3(Z_(2))", "Hurwitz", "Z_(3)[J]",
+                                  "Z_(7)[J]"])
+def test_rank_test_agrees_with_enumeration(name):
+    """`intermediate_module`, which decides simple quotients by the rank
+    of the action where it can, against the enumeration alone."""
+    orders = {n: (o, p) for n, o, p in _quotient_orders()}
+    orders["M_2(Z_(3))"] = (builtin_mnr(2, BaseRing(QQ_FIELD, (padic(3),))),
+                            3)
+    for p in (3, 7):
+        orders[f"Z_({p})[J]"] = (_j_order(p), p)
+    order, p = orders[name]
+    b, alg = order.lattice, order.alg
+    rnd = random.Random(f"rank-{name}")
+    seen = set()
+    pairs = [q for x, y in _stable_pairs(order, p, rnd, 16)
+             for q in ((x, y), (x, x.scale(fe(p)))) if q[0] != q[1]]
+    for x, y in pairs:
+        w = intermediate_module(x, y, b, alg)
+        assert (w is None) == (_enumerated_direction(x, y, b, alg) is None)
+        if w is not None:
+            assert w.contains(mult(b, w, alg))
+            assert x.contains(w) and w.contains(y)
+            assert w != x and w != y
+        seen.add(w is None)
+    assert seen == {True, False}
+
+
 def test_quotient_no_prime_kills():
     # over Z_(2,3), X/Y = B/9B lives only at 3: 2B + 9B = B, and 3B lies
     # strictly between
@@ -301,19 +360,24 @@ def test_quotient_of_a_non_module_raises(r5, b_m2, m2):
 
 
 def test_direction_cap_is_reached():
-    # the column module of M_2(Z_(p)) mod p has p + 1 directions; the
-    # enumeration takes 8192 of them and refuses 8210
-    for p, ok in ((8191, True), (8209, False)):
+    # the column module of M_2(Z_(p)) mod p has p + 1 directions; M_2 acts
+    # on it through all of End, so the rank test decides it past the cap
+    for p in (8191, 8209):
         base = BaseRing(QQ_FIELD, (padic(p),))
         order = canonicalize(base, 4, identity_rows(4))
         col = span(base, 4, [identity_rows(4)[0], identity_rows(4)[2]])
-        if ok:
-            assert is_simple_quotient(col, col.scale(fe(p)), order,
-                                      matrix_algebra(2))
-        else:
-            with pytest.raises(UnsupportedError, match="8210 directions"):
-                is_simple_quotient(col, col.scale(fe(p)), order,
-                                   matrix_algebra(2))
+        assert is_simple_quotient(col, col.scale(fe(p)), order,
+                                  matrix_algebra(2))
+    # span{1, J}, J = [[0, -1], [1, 0]], acts through F_p[i], a field of
+    # dimension 2 < 4 at p = 3 (mod 4): the rank test cannot decide, and
+    # the enumeration refuses the 8220 directions
+    p = 8219
+    base = BaseRing(QQ_FIELD, (padic(p),))
+    b = span(base, 4, [[fe(1), fe(0), fe(0), fe(1)],
+                       [fe(0), fe(-1), fe(1), fe(0)]])
+    col = span(base, 4, [identity_rows(4)[0], identity_rows(4)[2]])
+    with pytest.raises(UnsupportedError, match="8220 directions"):
+        is_simple_quotient(col, col.scale(fe(p)), b, matrix_algebra(2))
 
 
 def test_unit_iff_zero_val_vector(r5):
