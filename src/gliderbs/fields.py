@@ -567,20 +567,30 @@ class _Poly(tuple):
     __floordiv__ = lambda a, b: divmod(a, b)[0]  # noqa: E731
     __mod__ = lambda a, b: divmod(a, b)[1]  # noqa: E731
 
-    def prem(a, b):
-        """A remainder of a by b up to a constant factor, on the
-        coefficients as they are: over F_p the remainder, over Z the
-        pseudo-remainder (a times a power of b's leading coefficient)."""
+    def pdivmod(a, b):
+        """(q, r, c) with c a = q b + r, deg r < deg b and c a nonzero
+        integer, on the coefficients as they are: over F_p divmod and
+        c = 1; over Z the pseudo-division, each step scaling by what b's
+        leading coefficient lacks to divide the coefficient it removes."""
         if a.p:
-            return a % b
-        n, lc, r = len(b) - 1, b[-1], list(a)
-        for k in reversed(range(len(r) - n)):
-            c = r[k + n]
-            if c:
-                r = [x * lc for x in r]
+            return (*divmod(a, b), 1)
+        n, lc, r, c = len(b) - 1, b[-1], list(a), 1
+        q = [0] * max(len(r) - n, 0)
+        for k in reversed(range(len(q))):
+            x = r[k + n]
+            if x:
+                f = lc // gcd(x, lc)
+                if f != 1:
+                    r, q, c, x = [y * f for y in r], [y * f for y in q], \
+                        c * f, x * f
+                q[k] = t = x // lc
                 for j, y in enumerate(b, k):
-                    r[j] -= c * y
-        return a._new(r[:n])
+                    r[j] -= t * y
+        return a._new(q), a._new(r[:n]), c
+
+    def prem(a, b):
+        """A remainder of a by b up to a constant factor (`pdivmod`)."""
+        return a.pdivmod(b)[1]
 
     def primitive(self):
         """The canonical associate: monic over F_p; over Q the multiple with
@@ -650,8 +660,11 @@ class _IntegersAt:
         return tuple([self._strip(n, p)[0] - self._strip(d, p)[0]
                       for p in self.primes])
 
-    inverse = staticmethod(lambda b, m: pow(b, -1, m))
-    clear = staticmethod(lambda n, d: (n, d))
+    @staticmethod
+    def residue(a, b, m):
+        """(r, c) with r / c = a b^-1 mod m for b prime to m: the least
+        residue, with c = 1."""
+        return a * pow(b, -1, m) % m, 1
 
     def reduce_mod(self, u, g):
         """The canonical representative of u + g R for fractions u = (a, d)
@@ -664,9 +677,9 @@ class _IntegersAt:
         for p in self.primes:
             _, pk, b = self._strip(d * gp, p)
             if pk != self.one:
-                r = big_a * self.inverse(b, pk) % pk
-                n, m = n * pk + r * m, m * pk
-        return self.clear(gp * n, pd * m)
+                r, c = self.residue(big_a, b, pk)
+                n, m = n * pk * c + r * m, m * pk * c
+        return gp * n, pd * m
 
 
 class _PolynomialsAt(_IntegersAt):
@@ -696,13 +709,25 @@ class _PolynomialsAt(_IntegersAt):
             return a
         return a * a.__class__((gcd(*[gcd(*x) for x in xs]),))
 
-    def inverse(self, b, m):
-        """b^-1 mod m for b prime to m, by extended Euclid."""
-        r0, r1, s0, s1 = m, b % m, self.zero, self.one
-        while r1:
-            q, r = divmod(r0, r1)
-            r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
-        return s0 // r0 % m
+    def residue(self, a, b, m):
+        """(r, c) with r / c = a b^-1 mod m, the remainder of least degree,
+        for b prime to m and c a constant.  Extended Euclid on
+        pseudo-remainders gives s b = k (mod m) with k a nonzero constant,
+        and one more pseudo-division reduces a s / k; over Q every
+        coefficient stays an integer."""
+        r0, r1, s0, s1 = m, b, self.zero, self.one
+        while len(r1) > 1:
+            # s_i b = r_i (mod m) for both pairs
+            q, r, c = r0.pdivmod(r1)
+            r0, r1, s0, s1 = r1, r, s1, s0 * r.__class__((c,)) - q * s1
+            if not self.p:
+                g = gcd(*r1, *s1)
+                r1, s1 = (r1.__class__([x // g for x in y])
+                          for y in (r1, s1))
+        if not r1:
+            raise ZeroDivisionError("residue of a non-unit")
+        _, r, c = (a * s1).pdivmod(m)
+        return r, r1 * r1.__class__((c,))
 
     def clear(self, n, d):
         """n/d as a fraction of int polynomials."""

@@ -36,6 +36,8 @@ import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import mul
 
 from . import fields, linalg
 from .errors import (BaseMismatchError, ContainmentError, RankError,
@@ -359,6 +361,46 @@ class AlgebraDesc:
                     out[uu] = out[uu] + (prod if c is None else prod * c)
         return out
 
+    def _ring_table(self, base):
+        """Per side and basis index s, the (t, u, c) of the products e_s e_t
+        (left) or e_t e_s (right) with coefficient c/den at u, for c and
+        den elements of the base's PID: den is the least common denominator
+        of the structure constants, and c is None where it equals 1."""
+        cache = self.__dict__.setdefault("_rtables", {})
+        tbl = cache.get(base)
+        if tbl is None:
+            ring, k = base.ring, base.scalars
+            den = lcm(*[c.denominator for entries in self._table.values()
+                        for _, c in entries])
+
+            def lift(c):
+                return ring.int_row([k.from_fraction(c * den)])[0][0]
+
+            sides = {side: [[] for _ in range(self.dim)]
+                     for side in ("left", "right")}
+            for (s, t), entries in sorted(self._table.items()):
+                for u, c in entries:
+                    c = None if c * den == 1 else lift(c)
+                    sides["left"][s].append((t, u, c))
+                    sides["right"][t].append((s, u, c))
+            tbl = cache[base] = (sides, lift(Fraction(1)))
+        return tbl
+
+    def basis_products(self, w, side, base):
+        """(prods, den): prods[s] / den is e_s * w (left) or w * e_s (right)
+        for a row w of elements of the base's PID, prods[s] a row of them."""
+        sides, den = self._ring_table(base)
+        zero = base.ring.zero
+        prods = []
+        for entries in sides[side]:
+            out = [zero] * self.dim
+            for t, u, c in entries:
+                a = w[t]
+                if a:
+                    out[u] = out[u] + (a if c is None else a * c)
+            prods.append(out)
+        return prods, den
+
     def one_vector(self, field):
         return tuple(field.from_fraction(c) for c in self.one_coords)
 
@@ -407,7 +449,7 @@ class Lattice:
     """
 
     __slots__ = ("base", "dim", "_rows", "_root", "exps", "_hash",
-                 "_primitive", "_elems")
+                 "_primitive", "_elems", "_ring")
 
     def __init__(self, base, dim, rows, _canonical=False, _root=None,
                  _exps=None):
@@ -422,6 +464,7 @@ class Lattice:
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_primitive", None)
         object.__setattr__(self, "_elems", None)
+        object.__setattr__(self, "_ring", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Lattice is immutable")
@@ -462,8 +505,14 @@ class Lattice:
     def coords(self, vec):
         """Coordinates of vec in the canonical basis over K, or None if vec
         is outside the K-span."""
-        k = self.base.scalars
-        (q,), (rest,) = linalg.reduce([k.unwrap_row(vec)], self.krows)
+        k, ring = self.base.scalars, self.base.ring
+        vec = k.unwrap_row(vec)
+        if ring is not None:
+            a, e = ring.int_row(vec)
+            (q,), d, null = _ring_coords(self, [a], e)
+            return None if any(t[0] for t in null) else \
+                list(k.wrap_row(ring.rat_row(q, d)))
+        (q,), (rest,) = linalg.reduce([vec], self.krows)
         return None if any(rest) else list(k.wrap_row(q))
 
     def contains_vector(self, vec):
@@ -473,6 +522,10 @@ class Lattice:
         """Whether the lattice holds a vector of kernel scalars."""
         if not any(vec):
             return True
+        ring = self.base.ring
+        if ring is not None:
+            a, e = ring.int_row(vec)
+            return _ring_holds(self, [a], e)
         (q,), (rest,) = linalg.reduce([vec], self.krows)
         return not any(rest) and _integral(self.base, q)
 
@@ -483,6 +536,8 @@ class Lattice:
         if self.root is other.root:
             return not self.rank or all(
                 a <= b for a, b in zip(self.exps, other.exps))
+        if self.base.ring is not None:
+            return _ring_holds(self, *_ring_rows(other))
         return all(map(self._contains, other.krows))
 
     # -- scale presentation --------------------------------------------------
@@ -677,20 +732,34 @@ def _combine(ring, x, y, cx, cy):
     return [fx * a + fy * b for a, b in zip(xs, ys)], d
 
 
+class _RingRow:
+    """The row nums/d of elements of the base's PID, which `_hnf` and
+    `solve_dual` take in place of a row of kernel scalars: conditions and
+    dual bases built on the ring reach `_integer_hnf` as they are.  The
+    marker is per row, so a list of rows stays a list of rows."""
+
+    __slots__ = ("nums", "d")
+
+    def __init__(self, nums, d):
+        self.nums, self.d = nums, d
+
+
 def _integer_hnf(base, dim, vectors):
     """`_field_hnf` on the elements of the base's PID (Cohen, GTM 138,
     section 2.4), one body for every ring.  A pivot is made by a unit
     multiplier, u*row_i - t*row_piv with u the unit part of the pivot
     entry, instead of a field division; the mixing coefficient is the
-    product of the primes where two values tie.  Rows come in and go out
-    through the ring's `int_row` and `rat_row`; back-substitution calls
+    product of the primes where two values tie.  Rows of kernel scalars
+    come in through the ring's `int_row` (a `_RingRow` is already on the
+    ring), and rows go out through `rat_row`; back-substitution calls
     `BaseRing.reduce_mod` on fractions of ring elements."""
     ring = base.ring
     work = []
     for v in vectors:
-        if len(v) != dim:
+        nums, d = (v.nums, v.d) if v.__class__ is _RingRow else \
+            ring.int_row(v)
+        if len(nums) != dim:
             raise BaseMismatchError("generator of wrong length")
-        nums, d = ring.int_row(v)
         if any(nums):
             work.append(_unit_free(ring, nums, d))
     result = []
@@ -807,8 +876,10 @@ def solve_dual(base, dim, int_conditions, zero_conditions=()):
 
     Raises RankError when the solution set has a K-line (is not finitely
     generated over R).  Conditions are vectors of field elements or of
-    kernel scalars.
+    kernel scalars, or `_RingRow`s over a PID.
     """
+    if base.ring is not None:
+        return _ring_dual(base, dim, int_conditions, zero_conditions)
     k = base.scalars
     amb_rows = None
     if zero_conditions:
@@ -852,8 +923,10 @@ def intersect(x, y):
     _check_compatible(x, y)
     if x.root is y.root:
         return _on_root(x, y, max)
-    k = x.base.scalars
-    if x.full and y.full:
+    if x.base.ring is not None:
+        out = _ring_meet(x, y)
+    elif x.full and y.full:
+        k = x.base.scalars
         xi = linalg.mat_inv(x.krows, k)
         yi = linalg.mat_inv(y.krows, k)
         conds = []
@@ -865,6 +938,7 @@ def intersect(x, y):
         return zero_lattice(x.base, x.dim)
     else:
         # common K-span first
+        k = x.base.scalars
         null = linalg.left_nullspace(x.krows + y.krows, k)
         span_vecs = [linalg.vec_mat(u[:x.rank], x.krows) for u in null]
         sbasis, _ = linalg.rref(span_vecs, k)
@@ -891,8 +965,15 @@ def _coords_matrix(vectors, lat):
     lat's basis; residual_columns is a list of condition vectors t (length
     len(vectors)) that must vanish for the vectors to lie in lat's K-span,
     expressed as functionals on the coefficient vector of a generic
-    K-combination of `vectors`: the nonzero columns of the remainders.
+    K-combination of `vectors`: the nonzero columns of the remainders, or
+    over a PID the nonzero values of lat's null forms, which are those
+    columns up to a factor each.  Vectors and results are kernel scalars.
     """
+    ring = lat.base.ring
+    if ring is not None:
+        Q, d, null = _ring_coords(lat, *_ring_matrix(ring, vectors, lat.dim))
+        return ([ring.rat_row(q, d) for q in Q],
+                [ring.rat_row(t, ring.one) for t in null if any(t)])
     Q, rest = linalg.reduce(vectors, lat.krows)
     residual = []
     for col in range(lat.dim):
@@ -900,6 +981,263 @@ def _coords_matrix(vectors, lat):
         if any(t):
             residual.append(t)
     return Q, residual
+
+
+# ---------------------------------------------------------------------------
+# the kernel on the elements of a PID
+# ---------------------------------------------------------------------------
+#
+# With a PID (`BaseRing.ring`), duals, colons, intersections, membership and
+# coordinates compute on its elements, as the normal form does.  A lattice
+# root caches its rows on the ring on first query (`_RingForm`, in the
+# root's `_ring` slot), and on first need the inverse of their pivot block:
+# canonical rows are echelon, so the block is triangular, and its pivots
+# are nonzero, so back-substitution inverts it with exact divisions.  A
+# scaled lattice pi^e P reads the form of its root P and the factor pi^e.
+
+class _RingForm:
+    """Echelon rows on a PID: `nums` / `den` with one denominator and the
+    pivot columns `pivots`.  `invert` adds the inverse of the pivot block,
+    whose column j is inv[j] / inv_den (rows 0..j; the rest are zero), and
+    for each free column a null form: a vector n of ring elements with
+    rows . n = 0, so that a vector lies in the K-span of the rows iff it
+    is orthogonal to every null form."""
+
+    __slots__ = ("dim", "nums", "den", "pivots", "inv", "inv_den", "null")
+
+    def __init__(self, ring, rows, dim):
+        self.dim = dim
+        self.nums, self.den = _ring_matrix(ring, rows, dim)
+        self.pivots = [next(c for c, e in enumerate(r) if e)
+                       for r in self.nums]
+        self.inv = None
+
+    def invert(self, ring):
+        if self.inv is not None:
+            return self
+        nums, cols, zero = self.nums, self.pivots, ring.zero
+        diag = [row[c] for row, c in zip(nums, cols)]
+        det = ring.one
+        for p in diag:
+            det = det * p
+        # the adjugate det * N^-1 of the upper triangular pivot block N,
+        # column by column from the diagonal up: N adj = det I gives
+        # adj[i][j] = -(sum_{i<k<=j} N[i][k] adj[k][j]) / N[i][i], a quotient
+        # in the ring, so the division is exact
+        adj = []
+        for j in range(len(cols)):
+            col = [zero] * j + [det // diag[j]]
+            for i in reversed(range(j)):
+                row = nums[i]
+                s = zero
+                for k in range(i + 1, j + 1):
+                    if row[cols[k]] and col[k]:
+                        s = s + row[cols[k]] * col[k]
+                col[i] = -s // diag[i]
+            adj.append(col)
+        # the pivot block of the rows is N / den, so its inverse is
+        # den * adj / det, here in lowest terms up to a unit
+        g = ring.gcd(det, *[a for col in adj for a in col])
+        h = ring.gcd(det // g, self.den)
+        f = self.den // h
+        inv = [[a // g * f for a in col] for col in adj]
+        inv_den = det // g // h
+        # per free column c: 1 at c and -P^-1 (rows' column c) at the
+        # pivots, times inv_den * den
+        null = []
+        for c in range(self.dim):
+            if c not in cols:
+                n = [zero] * self.dim
+                n[c] = inv_den * self.den
+                for j, col in enumerate(inv):
+                    t = nums[j][c]
+                    if t:
+                        for i in range(j + 1):
+                            n[cols[i]] = n[cols[i]] - col[i] * t
+                null.append(_content_free(ring, n))
+        # `inv` last: a form with it is complete, for any thread
+        self.inv_den, self.null, self.inv = inv_den, null, inv
+        return self
+
+
+def _ring_matrix(ring, rows, dim):
+    """Rows of kernel scalars on the PID: (numerator rows, one
+    denominator)."""
+    flat, den = ring.int_row([e for row in rows for e in row])
+    return [flat[i:i + dim] for i in range(0, len(flat), dim)], den
+
+
+def _form(lat):
+    """The `_RingForm` of lat's root, built on its first query."""
+    root = lat.root
+    form = root._ring
+    if form is None:
+        form = _RingForm(root.base.ring, root.krows, root.dim)
+        object.__setattr__(root, "_ring", form)
+    return form
+
+
+def _scale(lat):
+    """(tn, td), elements of the PID with lat = (tn / td) * root."""
+    base = lat.base
+    ring = base.ring
+    if not any(lat.exps):
+        return ring.one, ring.one
+    (tn,), td = ring.int_row(
+        [base.scalars.unwrap(base.from_exponents(lat.exps))])
+    return tn, td
+
+
+def _ring_rows(lat):
+    """lat's rows on its PID: (numerator rows, one denominator)."""
+    form = _form(lat)
+    tn, td = _scale(lat)
+    nums = form.nums
+    if tn != lat.base.ring.one:
+        nums = [[a * tn for a in row] for row in nums]
+    return nums, form.den * td
+
+
+def _ring_coords(lat, vecs, e):
+    """The coordinates of the vectors vecs / e (rows of ring elements) in
+    lat's basis, as (numerator rows, one denominator), and per null form
+    of lat its values on the vectors (all zero iff they lie in the K-span
+    of lat).  Over the pivot columns the coordinates are v_c P^-1 / t for
+    the pivot block P of the root and lat = t * root."""
+    ring = lat.base.ring
+    form = _form(lat).invert(ring)
+    tn, td = _scale(lat)
+    cols, zero = form.pivots, ring.zero
+    Q = []
+    for v in vecs:
+        a = [v[c] for c in cols]
+        q = [sum(map(mul, a, col), zero) for col in form.inv]
+        Q.append(q if td == ring.one else [x * td for x in q])
+    null = [[sum(map(mul, v, n), zero) for v in vecs] for n in form.null]
+    return Q, e * form.inv_den * tn, null
+
+
+def _ring_integral(ring, Q, d):
+    """Whether every entry of the rows Q / d lies in R: the part of d at
+    the primes divides each numerator."""
+    s = ring.split(d)[0]
+    return s == ring.one or not any(x % s for q in Q for x in q)
+
+
+def _ring_holds(lat, vecs, e):
+    """Whether lat holds every vector vecs / e."""
+    Q, d, null = _ring_coords(lat, vecs, e)
+    return not any(map(any, null)) and _ring_integral(lat.base.ring, Q, d)
+
+
+def _content_free(ring, v):
+    """The row v divided by the gcd of its entries."""
+    g = ring.gcd(*v)
+    return v if g == ring.one or not g else [a // g for a in v]
+
+
+def _ring_nullspace(ring, rows, n):
+    """A basis of {a in K^n : sum_k a_k t_k = 0 for each row t}, in rows of
+    ring elements: Gauss-Jordan elimination without division, each row
+    kept free of a common factor, then per free column f the solution with
+    a_f the product of the pivots."""
+    work, done = [r for r in rows if any(r)], []
+    for c in range(n):
+        i = next((i for i, r in enumerate(work) if r[c]), None)
+        if i is None:
+            continue
+        prow = work.pop(i)
+        work = [r for r in (_clear(ring, r, prow, c) for r in work) if any(r)]
+        done = [(d, _clear(ring, r, prow, c)) for d, r in done] + \
+            [(c, prow)]
+    prod = ring.one
+    for d, r in done:
+        prod = prod * r[d]
+    basis = []
+    for f in range(n):
+        if all(f != d for d, _ in done):
+            a = [ring.zero] * n
+            a[f] = prod
+            for d, r in done:
+                a[d] = -(r[f] * (prod // r[d]))
+            basis.append(_content_free(ring, a))
+    return basis
+
+
+def _clear(ring, r, prow, c):
+    """Row r with column c cleared by the pivot row prow, without division,
+    and free of a common factor."""
+    if not r[c]:
+        return r
+    return _content_free(ring, [prow[c] * a - r[c] * b
+                                for a, b in zip(r, prow)])
+
+
+def _ring_row(base, t):
+    """A condition as a `_RingRow`."""
+    if t.__class__ is _RingRow:
+        return t
+    return _RingRow(*base.ring.int_row(base.scalars.unwrap_row(t)))
+
+
+def _ring_dual(base, dim, int_conditions, zero_conditions):
+    """`solve_dual` on the PID: the dual basis is the columns of the
+    inverse of the conditions' normal form."""
+    ring = base.ring
+    conds = [_ring_row(base, t) for t in int_conditions]
+    embed = None
+    if zero_conditions:
+        embed = _ring_nullspace(
+            ring, [_ring_row(base, t).nums for t in zero_conditions], dim)
+        if not embed:
+            return zero_lattice(base, dim)
+        conds = [_RingRow([sum(map(mul, row, t.nums), ring.zero)
+                           for row in embed], t.d) for t in conds]
+    space_dim = dim if embed is None else len(embed)
+    form = _RingForm(ring, _hnf(base, space_dim, conds), space_dim)
+    if len(form.pivots) < space_dim:
+        raise RankError("solution set is not a lattice (free directions)")
+    form.invert(ring)
+    basis = [col + [ring.zero] * (space_dim - len(col)) for col in form.inv]
+    if embed is not None:
+        basis = [[sum(map(mul, b, col), ring.zero) for col in zip(*embed)]
+                 for b in basis]
+    return _kspan(base, dim, [_RingRow(b, form.inv_den) for b in basis])
+
+
+def _ring_meet(x, y):
+    """The body of `intersect` on the PID, for lattices on two roots."""
+    base, dim, ring = x.base, x.dim, x.base.ring
+    if x.full and y.full:
+        # X meet Y is dual to the columns of X^-1 and Y^-1
+        conds = []
+        for lat in (x, y):
+            form = _form(lat).invert(ring)
+            tn, td = _scale(lat)
+            d = form.inv_den * tn
+            for col in form.inv:
+                conds.append(_RingRow(
+                    [a * td for a in col] + [ring.zero] * (dim - len(col)), d))
+        return solve_dual(base, dim, conds)
+    if not (x.rank and y.rank):
+        return zero_lattice(base, dim)
+    # the common K-span first: u . [X; Y] = 0 gives u[:rank X] . X in both
+    xn, yn = _form(x).nums, _form(y).nums
+    null = _ring_nullspace(ring, [list(c) for c in zip(*(xn + yn))],
+                           len(xn) + len(yn))
+    sbasis = [_content_free(ring, [sum(map(mul, u, c), ring.zero)
+                                   for c in zip(*xn)]) for u in null]
+    if not sbasis:
+        return zero_lattice(base, dim)
+    conds = []
+    for lat in (x, y):
+        Q, d, _ = _ring_coords(lat, sbasis, ring.one)
+        conds += [_RingRow(list(c), d) for c in zip(*Q)]
+    z = solve_dual(base, len(sbasis), conds)
+    zn, zd = _ring_rows(z)
+    return _kspan(base, dim, [
+        _RingRow([sum(map(mul, r, c), ring.zero) for c in zip(*sbasis)], zd)
+        for r in zn])
 
 
 # ---------------------------------------------------------------------------
@@ -1003,6 +1341,8 @@ def _colon(x, y, alg, side):
 
 
 def _solve_colon(x, y, alg, side):
+    if x.base.ring is not None:
+        return _ring_colon(x, y, alg, side)
     base, dim, k = x.base, x.dim, x.base.scalars
     int_conds = []
     zero_conds = []
@@ -1019,6 +1359,20 @@ def _solve_colon(x, y, alg, side):
     return solve_dual(base, dim, int_conds, zero_conds)
 
 
+def _ring_colon(x, y, alg, side):
+    """`_solve_colon` on the PID: the conditions are the columns of the
+    coordinates in X of e_s * w (w * e_s), for the rows w of Y."""
+    ring = x.base.ring
+    ynums, yden = _ring_rows(y)
+    int_conds, zero_conds = [], []
+    for w in ynums:
+        prods, den = alg.basis_products(w, side, x.base)
+        Q, d, null = _ring_coords(x, prods, yden * den)
+        int_conds += [_RingRow(list(c), d) for c in zip(*Q)]
+        zero_conds += [_RingRow(t, ring.one) for t in null if any(t)]
+    return solve_dual(x.base, x.dim, int_conds, zero_conds)
+
+
 def quotient_length(x, y):
     """Length of X/Y as an R-module; requires Y subset X with equal K-span."""
     if y is ZERO_MODULE:
@@ -1028,6 +1382,14 @@ def quotient_length(x, y):
     if x is ZERO_MODULE:
         raise ContainmentError("Y is not contained in X")
     _check_compatible(x, y)
+    ring = x.base.ring
+    if ring is not None:
+        Q, d, null = _ring_coords(x, *_ring_rows(y))
+        if any(map(any, null)) or x.rank != y.rank:
+            raise ContainmentError("Y is not contained in X with equal span")
+        if not _ring_integral(ring, Q, d):
+            raise ContainmentError("Y is not contained in X")
+        return _pivot_values(y) - _pivot_values(x)
     Q, residual = _coords_matrix(y.krows, x)
     if residual or x.rank != y.rank:
         raise ContainmentError("Y is not contained in X with equal span")
@@ -1039,6 +1401,14 @@ def quotient_length(x, y):
     return sum(sum(_vals(x.base, next(filter(None, ry))))
                - sum(_vals(x.base, next(filter(None, rx))))
                for rx, ry in zip(x.krows, y.krows))
+
+
+def _pivot_values(lat):
+    """The sum of the values of lat's pivots, at every prime."""
+    form, ring = _form(lat), lat.base.ring
+    return sum(sum(ring.vals(row[c], form.den))
+               for row, c in zip(form.nums, form.pivots)) + \
+        lat.rank * sum(lat.exps)
 
 
 # ---------------------------------------------------------------------------
@@ -1114,6 +1484,11 @@ class _QuotientSpace:
         w = self.lift_free(qvec)
         return [self.project(self.act(s, w)) for s in range(len(self.actions))]
 
+    def basis_images(self, c):
+        """`images` of the c-th basis vector of the quotient: b_s * e_c is
+        row free[c] of the action matrix of b_s."""
+        return [self.project(a[self.free[c]]) for a in self.actions]
+
     def spans_all(self, vectors):
         return len(linalg.rref(vectors, self.res_field)[0]) == self.dim
 
@@ -1131,10 +1506,9 @@ class _QuotientSpace:
         fld, d = self.res_field, self.dim
         cols = []
         for c in range(d):
-            qvec = [fld.one() if i == c else fld.zero() for i in range(d)]
-            imgs = self.images(qvec)
+            imgs = self.basis_images(c)
             if not self.spans_all(imgs):
-                return qvec
+                return [fld.one() if i == c else fld.zero() for i in range(d)]
             cols.append(imgs)
         actions = [[e for col in cols for e in col[s]]
                    for s in range(len(self.actions))]
