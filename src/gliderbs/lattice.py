@@ -23,7 +23,10 @@ ints, F_p[x]_(S) and Q[x]_(S) on polynomials.  Q(i), Q(x,y) and the other
 function-field bases take the field kernel, `_field_hnf`, the one routine
 that computes on elements: valuations, mixing and the principal-part
 digits are element-level, so it wraps its rows on entry and unwraps them
-on exit.
+on exit.  With a PID, duals, colons, intersections, membership and
+coordinates compute on its elements too, from the rows and the inverse
+pivot block that each lattice root caches on the ring (`_RingForm`);
+without one they reduce reps with `linalg`.
 
 Full (rank d) lattices model orders, two-sided ideals and filtration
 levels; lower-rank modules appear as levels of chains inside a proper left
