@@ -1176,7 +1176,7 @@ def _clear(ring, r, prow, c):
                                 for a, b in zip(r, prow)])
 
 
-def _ring_row(base, t):
+def _as_ring_row(base, t):
     """A condition as a `_RingRow`."""
     if t.__class__ is _RingRow:
         return t
@@ -1187,11 +1187,11 @@ def _ring_dual(base, dim, int_conditions, zero_conditions):
     """`solve_dual` on the PID: the dual basis is the columns of the
     inverse of the conditions' normal form."""
     ring = base.ring
-    conds = [_ring_row(base, t) for t in int_conditions]
+    conds = [_as_ring_row(base, t) for t in int_conditions]
     embed = None
     if zero_conditions:
         embed = _ring_nullspace(
-            ring, [_ring_row(base, t).nums for t in zero_conditions], dim)
+            ring, [_as_ring_row(base, t).nums for t in zero_conditions], dim)
         if not embed:
             return zero_lattice(base, dim)
         conds = [_RingRow([sum(map(mul, row, t.nums), ring.zero)
