@@ -615,13 +615,23 @@ class _IntegersAt:
     """Z_(S) for a finite set S of primes, the PID of `_integer_hnf`: its
     elements are ints, a fraction is a pair (n, d) of them, and rows of
     reps of Q pass in and out through `int_row` and `rat_row`.  The methods
-    that use only the operators * - // % == serve `_PolynomialsAt` too."""
+    that use only the operators * - // == and `_part` serve
+    `_PolynomialsAt` too."""
 
     zero, one = 0, 1
     gcd = staticmethod(gcd)
 
     def __init__(self, primes):
         self.primes = primes
+        # per prime p the power p^K just below 2^64, and the exponent k of
+        # each p^k with k < K: the p-part of n below p^K is gcd(n, p^K)
+        self._top, self._exp = {}, {}
+        for p in primes:
+            pk, k = 1, 0
+            while pk * p < 1 << 64:
+                self._exp[pk] = k
+                pk, k = pk * p, k + 1
+            self._top[p] = pk
 
     def int_row(self, row):
         """(nums, d) with row[k] = nums[k] / d, for d the least common
@@ -637,8 +647,17 @@ class _IntegersAt:
         """The reps nums[k] / den, for ints nums and den != 0."""
         return tuple([_MPQ(n, den) if n else _MPQ_ZERO for n in nums])
 
+    def _part(self, n, p):
+        """(k, p^k, n / p^k) for the largest k with p^k dividing n != 0: k
+        read off the table by one gcd below p^K, from p^K on by `_strip`."""
+        top = self._top[p]
+        g = gcd(n, top)
+        if g == top:
+            return self._strip(n, p)
+        return self._exp[g], g, n // g
+
     def _strip(self, n, p):
-        """(k, p^k, n / p^k) for the largest k with p^k dividing n != 0."""
+        """`_part` by division: one divmod per power of p."""
         k, pk = 0, self.one
         q, r = divmod(n, p)
         while not r:
@@ -649,16 +668,23 @@ class _IntegersAt:
     def split(self, n):
         """(s, u) with n = s u for n != 0: s a product of the primes, in
         canonical form (positive, monic or primitive), u prime to them."""
-        s = self.one
+        s = 1
         for p in self.primes:
-            _, pk, n = self._strip(n, p)
-            s = s * pk
+            top = self._top[p]
+            g = gcd(n, top)
+            if g != 1:
+                if g == top:
+                    _, g, n = self._strip(n, p)
+                else:
+                    n //= g
+                s *= g
         return s, n
 
-    def vals(self, n, d):
-        """The exponent vector of n/d at the primes, for nonzero n and d."""
-        return tuple([self._strip(n, p)[0] - self._strip(d, p)[0]
-                      for p in self.primes])
+    def val(self, n):
+        """The exponent vector of n != 0 at the primes."""
+        exp, top = self._exp, self._top
+        return tuple([exp[g] if (g := gcd(n, top[p])) != top[p] else
+                      self._strip(n, p)[0] for p in self.primes])
 
     @staticmethod
     def residue(a, b, m):
@@ -675,7 +701,7 @@ class _IntegersAt:
         (a, d), (gp, pd) = u, g
         big_a, n, m = a * pd, self.zero, self.one
         for p in self.primes:
-            _, pk, b = self._strip(d * gp, p)
+            _, pk, b = self._part(d * gp, p)
             if pk != self.one:
                 r, c = self.residue(big_a, b, pk)
                 n, m = n * pk * c + r * m, m * pk * c
@@ -708,6 +734,31 @@ class _PolynomialsAt(_IntegersAt):
         if self.p or not a:
             return a
         return a * a.__class__((gcd(*[gcd(*x) for x in xs]),))
+
+    def split(self, n):
+        """`_IntegersAt.split`, prime by prime through `_part`."""
+        s = self.one
+        for p in self.primes:
+            k, pk, n = self._part(n, p)
+            if k:
+                s = s * pk
+        return s, n
+
+    def val(self, n):
+        """`_IntegersAt.val` through `_part`."""
+        return tuple([self._part(n, p)[0] for p in self.primes])
+
+    def _part(self, n, p):
+        """`_IntegersAt._part` by pseudo-division: c n = q p + r, p divides n
+        iff r = 0, and then n / p = q / c.  At a prime that is not monic
+        this builds no `Fraction`, where `divmod` would."""
+        k, pk = 0, self.one
+        q, r, c = n.pdivmod(p)
+        while not r:
+            n = q if c == 1 else q._new([x // c for x in q])
+            k, pk = k + 1, pk * p
+            q, r, c = n.pdivmod(p)
+        return k, pk, n
 
     def residue(self, a, b, m):
         """(r, c) with r / c = a b^-1 mod m, the remainder of least degree,

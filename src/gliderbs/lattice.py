@@ -19,14 +19,15 @@ their rows as reps; `FieldElem` values are built only at the boundary,
 when code outside the kernel reads `Lattice.rows` or `coords`, and to read
 a value or a residue.  The normal form has one body over a PID,
 `_integer_hnf`, with the ring as a parameter (`BaseRing.ring`): Z_(S) on
-ints, F_p[x]_(S) and Q[x]_(S) on polynomials.  Q(i), Q(x,y) and the other
-function-field bases take the field kernel, `_field_hnf`, the one routine
-that computes on elements: valuations, mixing and the principal-part
-digits are element-level, so it wraps its rows on entry and unwraps them
-on exit.  With a PID, duals, colons, intersections, membership and
-coordinates compute on its elements too, from the rows and the inverse
-pivot block that each lattice root caches on the ring (`_RingForm`);
-without one they reduce reps with `linalg`.
+ints, F_p[x]_(S) and Q[x]_(S) on polynomials, eliminated as integral rows
+over one denominator, with values read by the ring (`val`, `split`).
+Q(i), Q(x,y) and the other function-field bases take the field kernel,
+`_field_hnf`, the one routine that computes on elements: valuations,
+mixing and the principal-part digits are element-level, so it wraps its
+rows on entry and unwraps them on exit.  With a PID, duals, colons,
+intersections, membership and coordinates compute on its elements too,
+from the rows and the inverse pivot block that each lattice root caches on
+the ring (`_RingForm`); without one they reduce reps with `linalg`.
 
 Full (rank d) lattices model orders, two-sided ideals and filtration
 levels; lower-rank modules appear as levels of chains inside a proper left
@@ -710,29 +711,19 @@ def _field_hnf(base, dim, vectors):
 
 
 # The kernel over a PID R (`BaseRing.ring`), whose elements (ints or
-# polynomials) answer * - // % ==.  A row is a pair (nums, d): the vector
-# nums/d.  While rows are eliminated they only generate the module, so a row
-# may be multiplied by a unit of R; each working row is kept with d a
-# product of the primes and no unit dividing all of nums.
+# polynomials) answer * - // ==.  While rows are eliminated they only
+# generate the module, so a row may be multiplied by a unit of R: the
+# working rows are lists of elements over one denominator D, a product of
+# the primes.
 
-def _unit_free(ring, nums, d):
-    """The nonzero row nums/d times a unit: d a product of the primes, and
-    neither a unit nor a prime of d divides all of nums."""
-    d = ring.split(d)[0]
-    s, u = ring.split(ring.gcd(*nums))
-    c = ring.gcd(s, d)
-    u = u * c
-    if u != ring.one:
-        nums = [a // u for a in nums]
-    return nums, d // c
-
-
-def _combine(ring, x, y, cx, cy):
-    """cx*x + cy*y for rows x, y and elements cx, cy."""
-    (xs, dx), (ys, dy) = x, y
-    d = dx // ring.gcd(dx, dy) * dy
-    fx, fy = cx * (d // dx), cy * (d // dy)
-    return [fx * a + fy * b for a, b in zip(xs, ys)], d
+def _drop_unit(ring, nums):
+    """The nonzero row nums divided by the unit part of its content."""
+    g = ring.gcd(*nums)
+    if g != ring.one:
+        u = ring.split(g)[1]
+        if u != ring.one:
+            return [a // u for a in nums]
+    return nums
 
 
 class _RingRow:
@@ -749,77 +740,81 @@ class _RingRow:
 
 def _integer_hnf(base, dim, vectors):
     """`_field_hnf` on the elements of the base's PID (Cohen, GTM 138,
-    section 2.4), one body for every ring.  A pivot is made by a unit
-    multiplier, u*row_i - t*row_piv with u the unit part of the pivot
-    entry, instead of a field division; the mixing coefficient is the
-    product of the primes where two values tie.  Rows of kernel scalars
-    come in through the ring's `int_row` (a `_RingRow` is already on the
-    ring), and rows go out through `rat_row`; back-substitution calls
-    `BaseRing.reduce_mod` on fractions of ring elements."""
+    section 2.4), one body for every ring.  A row nums/d times the unit
+    part of d is nums/s, s the prime part of d, so the rows are cleared to
+    lists of elements over one denominator D, the lcm of the s.  A pivot is
+    made by a unit multiplier, u*row_i - t*row_piv with s*u the pivot
+    entry, s its prime part and t = a_i / s exact, instead of a field
+    division; the mixing coefficient is the product of the primes where two
+    values tie, and each candidate's values (`ring.val`) are read once per
+    column.  A row's content is divided out only where it has a unit part
+    (`_drop_unit`).  The pivot row divided by u is the pivot row over D u.
+    Rows of kernel scalars come in through the ring's `int_row` (a
+    `_RingRow` is already on the ring), and rows go out through `rat_row`;
+    back-substitution calls `BaseRing.reduce_mod` on fractions of ring
+    elements."""
     ring = base.ring
-    work = []
+    work, dens, den = [], [], ring.one
     for v in vectors:
         nums, d = (v.nums, v.d) if v.__class__ is _RingRow else \
             ring.int_row(v)
         if len(nums) != dim:
             raise BaseMismatchError("generator of wrong length")
         if any(nums):
-            work.append(_unit_free(ring, nums, d))
+            s = ring.split(d)[0]
+            if s != den:
+                den = den // ring.gcd(den, s) * s
+            work.append(nums)
+            dens.append(s)
+    work = [nums if s == den else [a * (den // s) for a in nums]
+            for nums, s in zip(work, dens)]
     result = []
     for col in range(dim):
-        cand = [i for i, r in enumerate(work) if r[0][col]]
+        cand = [r for r in work if r[col]]
         if not cand:
             continue
-        # mix until some candidate attains the componentwise-min valuation
-        while True:
-            vecs = {i: ring.vals(work[i][0][col], work[i][1]) for i in cand}
-            vmin = tuple([min(v[j] for v in vecs.values())
-                          for j in range(len(ring.primes))])
-            attained = [i for i in cand if vecs[i] == vmin]
-            if attained:
-                piv = attained[0]
+        # mix until some candidate attains the componentwise-min valuation;
+        # a lone candidate is the pivot
+        piv = 0
+        vecs = [ring.val(r[col]) for r in cand] if cand[1:] else None
+        while vecs:
+            vmin = tuple(map(min, *vecs))
+            if vmin in vecs:
+                piv = vecs.index(vmin)
                 break
-            i0 = max(cand, key=lambda i: sum(
+            i0 = max(range(len(cand)), key=lambda i: sum(
                 1 for a, b in zip(vecs[i], vmin) if a == b))
             j = next(j for j, (a, b) in enumerate(zip(vecs[i0], vmin))
                      if a > b)
-            i1 = next(i for i in cand if vecs[i][j] == vmin[j])
+            i1 = next(i for i, v in enumerate(vecs) if v[j] == vmin[j])
             c = ring.one
             for p, a, b in zip(ring.primes, vecs[i0], vecs[i1]):
                 if a == b:
                     c = c * p
-            nums, d = _combine(ring, work[i0], work[i1], ring.one, c)
-            if not nums[col] or ring.vals(nums[col], d) != \
-                    tuple(map(min, vecs[i0], vecs[i1])):
+            nums = [a + c * b for a, b in zip(cand[i0], cand[i1])]
+            vecs[i0] = tuple(map(min, vecs[i0], vecs[i1]))
+            if not nums[col] or ring.val(nums[col]) != vecs[i0]:
                 raise UnsupportedError(
                     "mixing coefficient missed the componentwise minimum "
                     "valuation")
-            work[i0] = _unit_free(ring, nums, d)
-        prow = work[piv]
-        s, u = ring.split(prow[0][col])
-        rest = []
-        for i, row in enumerate(work):
-            if i == piv:
-                continue
-            if row[0][col]:
-                # row_i's entry is t/u times the pivot entry, t in R
-                t = row[0][col] * prow[1] // (row[1] * s)
-                row = _combine(ring, row, prow, u, -t)
-                if not any(row[0]):
-                    continue
-                row = _unit_free(ring, *row)
-            rest.append(row)
-        work = rest
+            cand[i0] = _drop_unit(ring, nums)
+        prow = cand[piv]
+        s, u = ring.split(prow[col])
+        work = [r for r in work if not r[col]]
+        for i, row in enumerate(cand):
+            if i != piv:
+                # a = t s, and u*row_i - t*row_piv is 0 at col
+                t = row[col] // s
+                row = [u * x - t * y for x, y in zip(row, prow)]
+                if any(row):
+                    work.append(_drop_unit(ring, row))
         # divide by the unit u: the pivot becomes a product of prime powers
-        nums, d = prow
-        result.append((nums, d * u))
+        result.append((col, prow, den * u))
     # reduce entries above each pivot to canonical coset representatives
-    for ri in range(len(result)):
-        pnums, pd = result[ri]
-        pcol = next(c for c, e in enumerate(pnums) if e)
+    for ri, (pcol, pnums, pd) in enumerate(result):
         gp = pnums[pcol]
         for rj in range(ri):
-            nums, d = result[rj]
+            col, nums, d = result[rj]
             a = nums[pcol]
             if not a:
                 continue
@@ -830,8 +825,8 @@ def _integer_hnf(base, dim, vectors):
                 nums = [x * rd * gp - c * y for x, y in zip(nums, pnums)]
                 d = d * rd * gp
                 k = ring.gcd(d, *nums)
-                result[rj] = ([x // k for x in nums], d // k)
-    return tuple([ring.rat_row(nums, d) for nums, d in result])
+                result[rj] = (col, [x // k for x in nums], d // k)
+    return tuple([ring.rat_row(nums, d) for _, nums, d in result])
 
 
 def span(base, dim, vectors):
@@ -1409,7 +1404,7 @@ def quotient_length(x, y):
 def _pivot_values(lat):
     """The sum of the values of lat's pivots, at every prime."""
     form, ring = _form(lat), lat.base.ring
-    return sum(sum(ring.vals(row[c], form.den))
+    return sum(sum(ring.val(row[c])) - sum(ring.val(form.den))
                for row, c in zip(form.nums, form.pivots)) + \
         lat.rank * sum(lat.exps)
 

@@ -1,14 +1,18 @@
 """The integer kernel of `lattice._hnf` over Z_(S) inside Q against the
-field-arithmetic kernel, which stays the reference; the closed-form p-adic
-principal parts against the digit loop; and which kernel each base ring
-takes."""
+field-arithmetic kernel, which stays the reference, also where the values
+leave the gcd reading of `_IntegersAt` for its division loop; the
+closed-form p-adic principal parts against the digit loop; and which
+kernel each base ring takes."""
 
+import random
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gliderbs import lattice
+from gliderbs import fields, lattice
 from gliderbs.errors import BaseMismatchError, FieldMismatchError
 from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, QXY_FIELD,
                              gauss_prime, padic, poly_prime, rational_value,
@@ -76,6 +80,113 @@ def test_integer_kernel_gives_the_rows_of_the_field_kernel(name):
         assert lattice._integer_hnf(base, dim, reps) == reference
 
     same_rows()
+
+
+# Q at 2, at 5 and at {2, 3}: `_IntegersAt` reads v_p(n) off gcd(n, p^K)
+# for p^K the largest power of p below 2^64, and by its division loop
+# (`_strip`) from p^K on
+EDGE_BASES = {
+    "Q at 2": BaseRing(QQ_FIELD, [padic(2)]),
+    "Q at 5": BASES["Q at 5"],
+    "Q at 2,3": BASES["Q at 2,3"],
+}
+# units of every Z_(S) here, signs included
+EDGE_UNITS = [1, -1, 7, -11, 221, -49]
+# denominators with parts outside S: 7 * 5^k, and 11 * 2^70
+EDGE_DENOMINATORS = [1, 7, 35, 7 * 5 ** 3, 7 * 5 ** 30, 24, 11 * 2 ** 70]
+
+
+def _edge_exponents(ring, p):
+    """0, 1, K - 1, K, K + 1 and 2K for p^K where the table ends."""
+    k = ring._exp[ring._top[p] // p] + 1
+    return [0, 1, k - 1, k, k + 1, 2 * k]
+
+
+def _edge_entries(ring):
+    return st.one_of(
+        st.just(0),
+        st.builds(lambda m, es: m * prod(p ** e for p, e in
+                                         zip(ring.primes, es)),
+                  st.sampled_from(EDGE_UNITS),
+                  st.tuples(*[st.sampled_from(_edge_exponents(ring, p))
+                              for p in ring.primes])))
+
+
+@st.composite
+def edge_inputs(draw, ring):
+    """`_RingRow`s in dim 4 with entries m p^e at the edges of the table:
+    four rows as a span, or the sixteen products of two sets of four 2x2
+    matrices, as `mult` builds them (the conditions of a colon are such
+    products too)."""
+    def rows(n):
+        return [[draw(_edge_entries(ring)) for _ in range(4)]
+                for _ in range(n)]
+
+    if draw(st.booleans()):
+        nums = rows(4)
+    else:
+        xs, ys = rows(4), rows(4)
+        nums = [[a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+                 a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]]
+                for a in xs for b in ys]
+    return [lattice._RingRow(r, draw(st.sampled_from(EDGE_DENOMINATORS)))
+            for r in nums]
+
+
+@pytest.mark.parametrize("name", EDGE_BASES)
+def test_values_and_splits_at_the_edges_of_the_table(name):
+    ring = EDGE_BASES[name].ring
+    for exps in product(*[_edge_exponents(ring, p) for p in ring.primes]):
+        s = prod(p ** e for p, e in zip(ring.primes, exps))
+        for m in EDGE_UNITS:
+            assert ring.val(m * s) == exps
+            assert ring.split(m * s) == (s, m)
+            for p, e in zip(ring.primes, exps):
+                assert ring._part(m * s, p) == (e, p ** e, m * s // p ** e)
+
+
+@pytest.mark.parametrize("name", EDGE_BASES)
+def test_edge_values_give_the_rows_of_the_field_kernel(name, monkeypatch):
+    base = EDGE_BASES[name]
+    ring = base.ring
+    strips = []
+    strip = fields._IntegersAt._strip
+
+    def counted_strip(self, n, p):
+        strips.append(p)
+        return strip(self, n, p)
+
+    monkeypatch.setattr(fields._IntegersAt, "_strip", counted_strip)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(edge_inputs(ring))
+    def same_rows(rows):
+        reps = [ring.rat_row(r.nums, r.d) for r in rows]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(base, "ring", None)
+            reference = lattice._field_hnf(base, 4, reps)
+        assert lattice._integer_hnf(base, 4, rows) == reference
+        assert lattice._integer_hnf(base, 4, reps) == reference
+
+    same_rows()
+    # values from p^K on were read by the division loop
+    assert set(strips) == set(ring.primes)
+
+
+@pytest.mark.parametrize("name", ["Q at 5", "Q at 2,3"])
+def test_small_entries_take_no_division_loop(name, monkeypatch):
+    """Seeded 4x4 spans with entries far below p^K: every value is read by
+    one gcd, and `_IntegersAt._strip` is never called."""
+    base = BASES[name]
+    rnd = random.Random(f"gcd values {name}")
+    inputs = [[base.scalars.unwrap_row([QQ_FIELD.from_fraction(Fraction(
+        rnd.randint(-10 ** 6, 10 ** 6), rnd.choice(DENOMINATORS)))
+        for _ in range(4)]) for _ in range(4)] for _ in range(25)]
+    def no_strip(*args):
+        raise AssertionError("division loop called")
+
+    monkeypatch.setattr(fields._IntegersAt, "_strip", no_strip)
+    assert all(lattice._integer_hnf(base, 4, rows) for rows in inputs)
 
 
 def _pair(x):

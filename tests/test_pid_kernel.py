@@ -4,12 +4,15 @@ at polynomial primes in characteristic p, where no second kernel exists,
 the laws of a normal form; the closed-form principal parts at polynomial
 primes against the digit loop; which kernel each polynomial base ring
 takes; and that the PID path does no field arithmetic between its input
-and output conversions."""
+and output conversions, nor builds a `Fraction` at a prime that is not
+monic."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gliderbs import lattice
+from gliderbs import fields, lattice
 from gliderbs.fields import (QX_FIELD, FieldElem, fp_func_field, poly_prime,
                              xadic)
 from gliderbs.lattice import BaseRing, span
@@ -244,3 +247,30 @@ def test_pid_path_does_no_field_arithmetic(name, monkeypatch):
                         (zero, zero, p))
     assert state["binops"] == 0
     assert state["reduce_mod"] >= 1
+
+
+def test_no_fraction_at_a_prime_that_is_not_monic(monkeypatch):
+    """Q(x) at 3x+1: the ring reads divisibility by pseudo-division, so the
+    normal form of a seeded 4x4 span builds no `Fraction` between its input
+    and output conversions (`divmod` by 3x+1 would, to find a remainder),
+    and it gives the rows of the field kernel."""
+    base = BaseRing(QX_FIELD, [poly_prime("3*x+1")])
+    field, ring = base.field, base.ring
+    rnd = random.Random("no fraction at 3x+1")
+    x = field.gen("x")
+    dens = [field.parse(d) for d in ("1", "3*x+1", "(3*x+1)^2", "x+2")]
+    rows = [[(field.from_int(rnd.randint(-9, 9))
+              + field.from_int(rnd.randint(-3, 3)) * x
+              + field.from_int(rnd.randint(-2, 2)) * x * x)
+             / rnd.choice(dens) for _ in range(4)] for _ in range(4)]
+    reps = [base.scalars.unwrap_row(r) for r in rows]
+    ring_rows = [lattice._RingRow(*ring.int_row(r)) for r in reps]
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(fields, "Fraction", no_fraction)
+    out = lattice._integer_hnf(base, 4, ring_rows)
+    monkeypatch.undo()
+    assert out == _field_rows(base, 4, reps)
+    assert len(out) == 4
