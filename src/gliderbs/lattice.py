@@ -751,8 +751,8 @@ def _integer_hnf(base, dim, vectors):
     (`_drop_unit`).  The pivot row divided by u is the pivot row over D u.
     Rows of kernel scalars come in through the ring's `int_row` (a
     `_RingRow` is already on the ring), and rows go out through `rat_row`;
-    back-substitution calls `BaseRing.reduce_mod` on fractions of ring
-    elements."""
+    back-substitution reduces modulo each pivot s/D with
+    `BaseRing.reduce_mod` on fractions of ring elements."""
     ring = base.ring
     work, dens, den = [], [], ring.one
     for v in vectors:
@@ -808,25 +808,26 @@ def _integer_hnf(base, dim, vectors):
                 row = [u * x - t * y for x, y in zip(row, prow)]
                 if any(row):
                     work.append(_drop_unit(ring, row))
-        # divide by the unit u: the pivot becomes a product of prime powers
-        result.append((col, prow, den * u))
+        # divide by the unit u: the pivot becomes s, a product of prime
+        # powers, over D
+        result.append((col, prow, den * u, s))
     # reduce entries above each pivot to canonical coset representatives
-    for ri, (pcol, pnums, pd) in enumerate(result):
+    for ri, (pcol, pnums, pd, ps) in enumerate(result):
         gp = pnums[pcol]
         for rj in range(ri):
-            col, nums, d = result[rj]
+            col, nums, d, s = result[rj]
             a = nums[pcol]
             if not a:
                 continue
-            rn, rd = base.reduce_mod((a, d), (gp, pd))
-            # row_j - q*prow with q = (a/d - rn/rd) / g and g = gp/pd
+            rn, rd = base.reduce_mod((a, d), (ps, den))
+            # row_j - q*prow with q = (a/d - rn/rd) / g and g = gp/pd = ps/D
             c = a * rd - rn * d
             if c:
                 nums = [x * rd * gp - c * y for x, y in zip(nums, pnums)]
                 d = d * rd * gp
                 k = ring.gcd(d, *nums)
-                result[rj] = (col, [x // k for x in nums], d // k)
-    return tuple([ring.rat_row(nums, d) for _, nums, d in result])
+                result[rj] = (col, [x // k for x in nums], d // k, s)
+    return tuple([ring.rat_row(nums, d) for _, nums, d, _ in result])
 
 
 def span(base, dim, vectors):
