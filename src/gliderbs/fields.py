@@ -293,22 +293,23 @@ def _poly_image(poly, target, images, coeff):
 
 
 def pid_ring(field, valuations):
-    """The PID whose elements the lattice kernel computes on, or None for
-    the field path: Z_(S) for Q at p-adic valuations; F_p[x]_(S) for F_p(x)
-    and Q[x]_(S) for Q(x), at x and at polynomial primes, when each
-    uniformizer is monic over F_p, over Q an int polynomial with coprime
-    coefficients and a positive lead (pivots are products of uniformizer
-    powers)."""
+    """The ring whose elements the lattice kernel computes on: Z_(S) for Q
+    at p-adic valuations; F_p[x]_(S) for F_p(x) and Q[x]_(S) for Q(x), at
+    x and at polynomial primes, when each uniformizer is monic over F_p,
+    over Q an int polynomial with coprime coefficients and a positive lead
+    (pivots are products of uniformizer powers); for every other base, R
+    given by its valuations on the field's own elements (`_ValuedRing`)."""
     impls = [v._impl for v in valuations]
     if field is QQ_FIELD and all(isinstance(i, _PAdic) for i in impls):
         return _IntegersAt(tuple(i.p for i in impls))
-    if field.kind != "FUNC" or not all(
+    if field.kind == "FUNC" and all(
             isinstance(i, (_LineAdic, _PolyPrime)) for i in impls):
-        return None
-    ring = _PolynomialsAt(field, ())
-    ring.primes = tuple([ring.int_row([v.uniformizer().rep])[0][0]
-                         for v in valuations])
-    return ring if all(p == p.primitive() for p in ring.primes) else None
+        ring = _PolynomialsAt(field, ())
+        ring.primes = tuple([ring.int_row([v.uniformizer().rep])[0][0]
+                             for v in valuations])
+        if all(p == p.primitive() for p in ring.primes):
+            return ring
+    return _ValuedRing(field, valuations)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +363,9 @@ class FieldElem:
 
     def __truediv__(self, other):
         return self._binop(other, "div")
+
+    # exact in a field: the lattice kernel's `//` on `_ValuedRing` elements
+    __floordiv__ = __truediv__
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -612,7 +616,7 @@ def _poly_class(p):
 
 
 class _IntegersAt:
-    """Z_(S) for a finite set S of primes, the PID of `_integer_hnf`: its
+    """Z_(S) for a finite set S of primes, a ring of `lattice._hnf`: its
     elements are ints, a fraction is a pair (n, d) of them, and rows of
     reps of Q pass in and out through `int_row` and `rat_row`.  The methods
     that use only the operators * - // == and `_part` serve
@@ -687,6 +691,11 @@ class _IntegersAt:
                       self._strip(n, p)[0] for p in self.primes])
 
     @staticmethod
+    def divides(s, x):
+        """Whether x / s lies in R, for s a product of the primes."""
+        return not x % s
+
+    @staticmethod
     def residue(a, b, m):
         """(r, c) with r / c = a b^-1 mod m for b prime to m: the least
         residue, with c = 1."""
@@ -747,6 +756,11 @@ class _PolynomialsAt(_IntegersAt):
     def val(self, n):
         """`_IntegersAt.val` through `_part`."""
         return tuple([self._part(n, p)[0] for p in self.primes])
+
+    def divides(self, s, x):
+        """`_IntegersAt.divides` by pseudo-division, which builds no
+        `Fraction` where s is not monic."""
+        return s == self.one or not x.pdivmod(s)[1]
 
     def _part(self, n, p):
         """`_IntegersAt._part` by pseudo-division: c n = q p + r, p divides n
@@ -822,6 +836,70 @@ class _PolynomialsAt(_IntegersAt):
         n, d = [ring.dtype({(e,): k(c) for e, c in enumerate(x) if c})
                 for x in (n, d)]
         return self._frac.dtype(n, d)
+
+
+class _ValuedRing:
+    """R = {x : v(x) >= 0 for each valuation v}, for the bases that
+    `pid_ring` gives no PID of its own (Q(i), Q(x,y), a uniformizer with a
+    constant factor): its elements are the field's elements, where `//` is
+    exact division; a row of reps passes in wrapped, over the denominator
+    1, and goes out unwrapped.  Values, splits, divisibility and principal
+    parts are read off the valuations."""
+
+    def __init__(self, field, valuations):
+        self.valuations = valuations
+        self.primes = tuple([v.uniformizer() for v in valuations])
+        self.zero, self.one, self._k = field.zero(), field.one(), field.reps
+        # the products of uniformizer powers by their values, both ways
+        self._powers, self._values = {}, {self.one: (0,) * len(valuations)}
+
+    def gcd(self, *xs):
+        """A common divisor: in a field, any nonzero element divides the
+        others, and the first one keeps rows divided by it small."""
+        return next(filter(None, xs), self.zero)
+
+    def val(self, n):
+        """The value vector of n (INF entries for n = 0)."""
+        return tuple([v(n) for v in self.valuations])
+
+    def split(self, n):
+        """(s, u) with n = s u for n != 0: s the product of the uniformizer
+        powers of n's values, u a unit."""
+        exps = self.val(n)
+        if not any(exps):
+            return self.one, n
+        s = self._powers.get(exps)
+        if s is None:
+            s = self.one
+            for p, e in zip(self.primes, exps):
+                if e:
+                    s = s * p ** e
+            self._powers[exps], self._values[s] = s, exps
+        return s, n / s
+
+    def divides(self, s, x):
+        """Whether x / s lies in R: x has at least the values of s."""
+        vs = self._values.get(s) or self.val(s)
+        return not x or all([a >= b for a, b in zip(self.val(x), vs)])
+
+    def int_row(self, row):
+        return list(self._k.wrap_row(row)), self.one
+
+    def rat_row(self, nums, den):
+        if den != self.one:
+            nums = [n / den if n else n for n in nums]
+        return tuple([n.rep for n in nums])
+
+    def reduce_mod(self, u, g):
+        """`_IntegersAt.reduce_mod` by the digit loop: at each valuation
+        the digits of the principal part of u/g are the canonical lifts of
+        residues (`Valuation.strip_principal_part`)."""
+        (a, d), (gp, pd) = u, g
+        g = gp / pd
+        h, pp = a / d / g, self.zero
+        for v in self.valuations:
+            pp, h = v.strip_principal_part(pp, h)
+        return g * pp, self.one
 
 
 def _qq_from_fraction(q):

@@ -17,17 +17,15 @@ The kernel computes on one scalar convention for every base ring: the
 reps of its field (`BaseRing.scalars`, the field's `reps`).  Lattices keep
 their rows as reps; `FieldElem` values are built only at the boundary,
 when code outside the kernel reads `Lattice.rows` or `coords`, and to read
-a value or a residue.  The normal form has one body over a PID,
-`_integer_hnf`, with the ring as a parameter (`BaseRing.ring`): Z_(S) on
-ints, F_p[x]_(S) and Q[x]_(S) on polynomials, eliminated as integral rows
-over one denominator, with values read by the ring (`val`, `split`).
-Q(i), Q(x,y) and the other function-field bases take the field kernel,
-`_field_hnf`, the one routine that computes on elements: valuations,
-mixing and the principal-part digits are element-level, so it wraps its
-rows on entry and unwraps them on exit.  With a PID, duals, colons,
-intersections, membership and coordinates compute on its elements too,
-from the rows and the inverse pivot block that each lattice root caches on
-the ring (`_RingForm`); without one they reduce reps with `linalg`.
+a value or a residue.  The kernel has one body, with the ring as a
+parameter (`BaseRing.ring`, from `fields.pid_ring`): Z_(S) on ints,
+F_p[x]_(S) and Q[x]_(S) on polynomials, and on every other base (Q(i),
+Q(x,y), a uniformizer with a constant factor) R given by its valuations,
+on field elements.  The normal form `_hnf` eliminates rows of ring
+elements over one denominator, with values read by the ring (`val`,
+`split`); duals, colons, intersections, membership and coordinates
+compute on the ring's elements too, from the rows and the inverse pivot
+block that each lattice root caches on the ring (`_RingForm`).
 
 Full (rank d) lattices model orders, two-sided ideals and filtration
 levels; lower-rank modules appear as levels of chains inside a proper left
@@ -130,8 +128,8 @@ class BaseRing:
         inst._gen_cache = {}
         # what the lattice kernel computes on: the reps of the field
         inst.scalars = field.reps
-        # Z_(S), F_p[x]_(S) or Q[x]_(S): lattices are reduced on the ring's
-        # elements (`_integer_hnf`); None: on field elements (`_field_hnf`)
+        # Z_(S), F_p[x]_(S), Q[x]_(S) or R given by its valuations: the
+        # ring whose elements the kernel reduces lattices on
         inst.ring = fields.pid_ring(field, valuations)
         cls._cache[key] = inst
         return inst
@@ -190,32 +188,20 @@ class BaseRing:
 
     def reduce_mod(self, u, g):
         """Canonical representative of the coset u + g*R: g times the sum
-        of the canonical principal parts of u/g at each maximal ideal.
-        With a PID (`ring`) u, g and the result are fractions (n, d) of its
-        elements and each part is a closed form; else they are field
-        elements and the digits of a part are the canonical residue lifts.
-        """
-        if self.ring is not None:
-            return self.ring.reduce_mod(u, g)
-        if not u:
-            return u
-        h = u / g
-        pp = self.field.zero()
-        for v in self.valuations:
-            pp, h = v.strip_principal_part(pp, h)
-        return g * pp
+        of the canonical principal parts of u/g at each maximal ideal.  u,
+        g and the result are fractions (n, d) of elements of `ring`."""
+        return self.ring.reduce_mod(u, g)
 
-    def mix_coefficient(self, a, b):
-        """c in R with val_vector(a + c*b) equal to min(val(a), val(b))
-        componentwise: c is the product of the uniformizers of the primes
-        where a and b have equal value.  There c*b gains a factor, so a
-        dominates; elsewhere c is a unit and the values already differ."""
-        va, vb = self.val_vector(a), self.val_vector(b)
-        c = self.from_exponents(tuple(int(s == t) for s, t in zip(va, vb)))
-        if self.val_vector(a + c * b) != tuple(map(min, va, vb)):
-            raise UnsupportedError(
-                "mixing coefficient missed the componentwise minimum "
-                "valuation")
+    def mix_coefficient(self, va, vb):
+        """c in `ring` with the values of a + c*b the componentwise minimum
+        of va and vb, the values of a and b: c is the product of the primes
+        where they tie.  There c*b gains a factor, so a dominates;
+        elsewhere c is a unit and the values already differ."""
+        ring = self.ring
+        c = ring.one
+        for p, s, t in zip(ring.primes, va, vb):
+            if s == t:
+                c = c * p
         return c
 
     def __eq__(self, other):
@@ -368,7 +354,7 @@ class AlgebraDesc:
     def _ring_table(self, base):
         """Per side and basis index s, the (t, u, c) of the products e_s e_t
         (left) or e_t e_s (right) with coefficient c/den at u, for c and
-        den elements of the base's PID: den is the least common denominator
+        den elements of the base's ring: den is the least common denominator
         of the structure constants, and c is None where it equals 1."""
         cache = self.__dict__.setdefault("_rtables", {})
         tbl = cache.get(base)
@@ -392,7 +378,7 @@ class AlgebraDesc:
 
     def basis_products(self, w, side, base):
         """(prods, den): prods[s] / den is e_s * w (left) or w * e_s (right)
-        for a row w of elements of the base's PID, prods[s] a row of them."""
+        for a row w of elements of the base's ring, prods[s] a row of them."""
         sides, den = self._ring_table(base)
         zero = base.ring.zero
         prods = []
@@ -510,28 +496,17 @@ class Lattice:
         """Coordinates of vec in the canonical basis over K, or None if vec
         is outside the K-span."""
         k, ring = self.base.scalars, self.base.ring
-        vec = k.unwrap_row(vec)
-        if ring is not None:
-            a, e = ring.int_row(vec)
-            (q,), d, null = _ring_coords(self, [a], e)
-            return None if any(t[0] for t in null) else \
-                list(k.wrap_row(ring.rat_row(q, d)))
-        (q,), (rest,) = linalg.reduce([vec], self.krows)
-        return None if any(rest) else list(k.wrap_row(q))
+        a, e = ring.int_row(k.unwrap_row(vec))
+        (q,), d, null = _ring_coords(self, [a], e)
+        return None if any(t[0] for t in null) else \
+            list(k.wrap_row(ring.rat_row(q, d)))
 
     def contains_vector(self, vec):
-        return self._contains(self.base.scalars.unwrap_row(vec))
-
-    def _contains(self, vec):
-        """Whether the lattice holds a vector of kernel scalars."""
+        vec = self.base.scalars.unwrap_row(vec)
         if not any(vec):
             return True
-        ring = self.base.ring
-        if ring is not None:
-            a, e = ring.int_row(vec)
-            return _ring_holds(self, [a], e)
-        (q,), (rest,) = linalg.reduce([vec], self.krows)
-        return not any(rest) and _integral(self.base, q)
+        a, e = self.base.ring.int_row(vec)
+        return _ring_holds(self, [a], e)
 
     def contains(self, other):
         if other is ZERO_MODULE:
@@ -540,9 +515,7 @@ class Lattice:
         if self.root is other.root:
             return not self.rank or all(
                 a <= b for a, b in zip(self.exps, other.exps))
-        if self.base.ring is not None:
-            return _ring_holds(self, *_ring_rows(other))
-        return all(map(self._contains, other.krows))
+        return _ring_holds(self, *_ring_rows(other))
 
     # -- scale presentation --------------------------------------------------
 
@@ -627,91 +600,8 @@ def _vals(base, e):
     return base.val_vector(base.scalars.wrap(e))
 
 
-def _integral(base, vec):
-    """Whether every entry of a vector of kernel scalars lies in R."""
-    return all(min(_vals(base, e)) >= 0 for e in vec if e)
-
-
-def _hnf(base, dim, vectors):
-    """Canonical Hermite-style normal form of vectors of kernel scalars
-    (`BaseRing.scalars`): the tuple of canonical rows, in those scalars.
-
-    With a PID (`BaseRing.ring`: Z_(S), F_p[x]_(S), Q[x]_(S)) the rows are
-    reduced on its ints or polynomials (`_integer_hnf`), else on field
-    elements (`_field_hnf`).  The form is unique: both give the same rows.
-    `ring` picks the body only; the scalars are the same for both.
-    """
-    if base.ring is None:
-        return _field_hnf(base, dim, vectors)
-    return _integer_hnf(base, dim, vectors)
-
-
-def _field_hnf(base, dim, vectors):
-    """The normal form by field arithmetic, on any base ring: the rows are
-    wrapped as elements on entry and unwrapped on exit."""
-    k = base.scalars
-    work = []
-    for v in vectors:
-        if len(v) != dim:
-            raise BaseMismatchError("generator of wrong length")
-        if any(v):
-            work.append(list(k.wrap_row(v)))
-    result = []
-    for col in range(dim):
-        cand = [i for i, r in enumerate(work) if r[col]]
-        if not cand:
-            continue
-        # mix until some candidate attains the componentwise-min valuation
-        while True:
-            vecs = {i: base.val_vector(work[i][col]) for i in cand}
-            vmin = tuple(min(v[j] for v in vecs.values())
-                         for j in range(base.nprimes))
-            attained = [i for i in cand if vecs[i] == vmin]
-            if attained:
-                piv = attained[0]
-                break
-            # pick the row attaining vmin at the most primes, mix with one
-            # that covers a missing prime
-            def coverage(i):
-                return sum(1 for j in range(base.nprimes)
-                           if vecs[i][j] == vmin[j])
-            i0 = max(cand, key=coverage)
-            j_missing = next(j for j in range(base.nprimes)
-                             if vecs[i0][j] > vmin[j])
-            i1 = next(i for i in cand if vecs[i][j_missing] == vmin[j_missing])
-            c = base.mix_coefficient(work[i0][col], work[i1][col])
-            work[i0] = [a + c * b for a, b in zip(work[i0], work[i1])]
-        g = base.from_exponents(vmin)
-        u = work[piv][col] / g
-        uinv = base.field.one() / u
-        prow = [e * uinv for e in work[piv]]
-        for i in cand:
-            if i == piv:
-                continue
-            q = work[i][col] / g
-            work[i] = [a - q * b for a, b in zip(work[i], prow)]
-        work = [r for k, r in enumerate(work) if k != piv and any(r)]
-        result.append(prow)
-    # work is empty: each column's pass zeroes it in the rows left, and
-    # zero rows are dropped
-    # reduce entries above each pivot to canonical coset representatives
-    for ri in range(len(result)):
-        prow = result[ri]
-        pcol = next(c for c, e in enumerate(prow) if e)
-        g = prow[pcol]
-        for rj in range(ri):
-            u = result[rj][pcol]
-            if not u:
-                continue
-            u_red = base.reduce_mod(u, g)
-            q = (u - u_red) / g
-            if q:
-                result[rj] = [a - q * b for a, b in zip(result[rj], prow)]
-    return tuple([tuple(map(k.unwrap, r)) for r in result])
-
-
-# The kernel over a PID R (`BaseRing.ring`), whose elements (ints or
-# polynomials) answer * - // ==.  While rows are eliminated they only
+# The kernel over R (`BaseRing.ring`), whose elements (ints, polynomials
+# or field elements) answer * - // ==.  While rows are eliminated they only
 # generate the module, so a row may be multiplied by a unit of R: the
 # working rows are lists of elements over one denominator D, a product of
 # the primes.
@@ -727,10 +617,10 @@ def _drop_unit(ring, nums):
 
 
 class _RingRow:
-    """The row nums/d of elements of the base's PID, which `_hnf` and
+    """The row nums/d of elements of the base's ring, which `_hnf` and
     `solve_dual` take in place of a row of kernel scalars: conditions and
-    dual bases built on the ring reach `_integer_hnf` as they are.  The
-    marker is per row, so a list of rows stays a list of rows."""
+    dual bases built on the ring reach `_hnf` as they are.  The marker is
+    per row, so a list of rows stays a list of rows."""
 
     __slots__ = ("nums", "d")
 
@@ -738,21 +628,23 @@ class _RingRow:
         self.nums, self.d = nums, d
 
 
-def _integer_hnf(base, dim, vectors):
-    """`_field_hnf` on the elements of the base's PID (Cohen, GTM 138,
-    section 2.4), one body for every ring.  A row nums/d times the unit
-    part of d is nums/s, s the prime part of d, so the rows are cleared to
-    lists of elements over one denominator D, the lcm of the s.  A pivot is
-    made by a unit multiplier, u*row_i - t*row_piv with s*u the pivot
-    entry, s its prime part and t = a_i / s exact, instead of a field
-    division; the mixing coefficient is the product of the primes where two
-    values tie, and each candidate's values (`ring.val`) are read once per
-    column.  A row's content is divided out only where it has a unit part
-    (`_drop_unit`).  The pivot row divided by u is the pivot row over D u.
-    Rows of kernel scalars come in through the ring's `int_row` (a
-    `_RingRow` is already on the ring), and rows go out through `rat_row`;
-    back-substitution reduces modulo each pivot s/D with
-    `BaseRing.reduce_mod` on fractions of ring elements."""
+def _hnf(base, dim, vectors):
+    """Canonical Hermite-style normal form of vectors of kernel scalars
+    (`BaseRing.scalars`), or `_RingRow`s: the tuple of canonical rows, in
+    those scalars.  One body for every ring (Cohen, GTM 138, section 2.4).
+    A row nums/d times the unit part of d is nums/s, s the prime part of
+    d, so the rows are cleared to lists of ring elements over one
+    denominator D, the lcm of the s.  A pivot is made by a unit
+    multiplier, u*row_i - t*row_piv with s*u the pivot entry, s its prime
+    part and t = a_i / s exact, instead of a field division; rows are
+    mixed until a candidate attains the componentwise-minimum values
+    (`BaseRing.mix_coefficient`), and each candidate's values (`ring.val`)
+    are read once per column.  A row's content is divided out only where
+    it has a unit part (`_drop_unit`).  The pivot row divided by u is the
+    pivot row over D u.  Rows of kernel scalars come in through the ring's
+    `int_row`, and rows go out through `rat_row`; back-substitution
+    reduces modulo each pivot s/D with `BaseRing.reduce_mod` on fractions
+    of ring elements."""
     ring = base.ring
     work, dens, den = [], [], ring.one
     for v in vectors:
@@ -787,10 +679,7 @@ def _integer_hnf(base, dim, vectors):
             j = next(j for j, (a, b) in enumerate(zip(vecs[i0], vmin))
                      if a > b)
             i1 = next(i for i, v in enumerate(vecs) if v[j] == vmin[j])
-            c = ring.one
-            for p, a, b in zip(ring.primes, vecs[i0], vecs[i1]):
-                if a == b:
-                    c = c * p
+            c = base.mix_coefficient(vecs[i0], vecs[i1])
             nums = [a + c * b for a, b in zip(cand[i0], cand[i1])]
             vecs[i0] = tuple(map(min, vecs[i0], vecs[i1]))
             if not nums[col] or ring.val(nums[col]) != vecs[i0]:
@@ -826,7 +715,9 @@ def _integer_hnf(base, dim, vectors):
                 nums = [x * rd * gp - c * y for x, y in zip(nums, pnums)]
                 d = d * rd * gp
                 k = ring.gcd(d, *nums)
-                result[rj] = (col, [x // k for x in nums], d // k, s)
+                if k != ring.one:
+                    nums, d = [x // k for x in nums], d // k
+                result[rj] = (col, nums, d, s)
     return tuple([ring.rat_row(nums, d) for _, nums, d, _ in result])
 
 
@@ -869,125 +760,12 @@ def _on_root(x, y, pick):
     return x.root.scale_exponents(exps)
 
 
-def solve_dual(base, dim, int_conditions, zero_conditions=()):
-    """The module {a in K^dim : <a, t> in R for all t in int_conditions and
-    <a, t> = 0 for all t in zero_conditions}.
-
-    Raises RankError when the solution set has a K-line (is not finitely
-    generated over R).  Conditions are vectors of field elements or of
-    kernel scalars, or `_RingRow`s over a PID.
-    """
-    if base.ring is not None:
-        return _ring_dual(base, dim, int_conditions, zero_conditions)
-    k = base.scalars
-    amb_rows = None
-    if zero_conditions:
-        amb_rows = linalg.right_nullspace(
-            list(map(k.unwrap_row, zero_conditions)), k)
-        if not amb_rows:
-            return zero_lattice(base, dim)
-    if amb_rows is None:
-        space_dim = dim
-        embed = None
-    else:
-        space_dim = len(amb_rows)
-        embed = amb_rows
-    conds = []
-    for t in map(k.unwrap_row, int_conditions):
-        if embed is None:
-            conds.append(t)
-        else:
-            conds.append([sum_prod(row, t, k) for row in embed])
-    rows = _hnf(base, space_dim, conds)
-    if len(rows) < space_dim:
-        raise RankError("solution set is not a lattice (free directions)")
-    einv = linalg.mat_inv(rows, k)
-    basis = [[einv[r][c] for r in range(space_dim)] for c in range(space_dim)]
-    if embed is not None:
-        basis = [linalg.vec_mat(b, embed) for b in basis]
-    return _kspan(base, dim, basis)
-
-
-def sum_prod(u, v, field):
-    s = field.zero()
-    for a, b in zip(u, v):
-        if a and b:
-            s = s + a * b
-    return s
-
-
-def intersect(x, y):
-    if x is ZERO_MODULE or y is ZERO_MODULE:
-        return ZERO_MODULE
-    _check_compatible(x, y)
-    if x.root is y.root:
-        return _on_root(x, y, max)
-    if x.base.ring is not None:
-        out = _ring_meet(x, y)
-    elif x.full and y.full:
-        k = x.base.scalars
-        xi = linalg.mat_inv(x.krows, k)
-        yi = linalg.mat_inv(y.krows, k)
-        conds = []
-        for mat in (xi, yi):
-            for c in range(x.dim):
-                conds.append([mat[r][c] for r in range(x.dim)])
-        out = solve_dual(x.base, x.dim, conds)
-    elif not (x.rank and y.rank):
-        return zero_lattice(x.base, x.dim)
-    else:
-        # common K-span first
-        k = x.base.scalars
-        null = linalg.left_nullspace(x.krows + y.krows, k)
-        span_vecs = [linalg.vec_mat(u[:x.rank], x.krows) for u in null]
-        sbasis, _ = linalg.rref(span_vecs, k)
-        if not sbasis:
-            return zero_lattice(x.base, x.dim)
-        conds = []
-        for lat in (x, y):
-            # sbasis is cut from the common K-span, so nothing is left over
-            qmat, _ = _coords_matrix(sbasis, lat)
-            for i in range(lat.rank):
-                conds.append([qmat[s][i] for s in range(len(sbasis))])
-        z = solve_dual(x.base, len(sbasis), conds)
-        vecs = [linalg.vec_mat(r, sbasis) for r in z.krows]
-        out = _kspan(x.base, x.dim, vecs)
-    if out.rank == 0:
-        return zero_lattice(x.base, x.dim)
-    return out
-
-
-def _coords_matrix(vectors, lat):
-    """Reduce each vector against lat's echelon rows.
-
-    Returns (Q, residual_columns): Q[i] = coordinates of vectors[i] in
-    lat's basis; residual_columns is a list of condition vectors t (length
-    len(vectors)) that must vanish for the vectors to lie in lat's K-span,
-    expressed as functionals on the coefficient vector of a generic
-    K-combination of `vectors`: the nonzero columns of the remainders, or
-    over a PID the nonzero values of lat's null forms, which are those
-    columns up to a factor each.  Vectors and results are kernel scalars.
-    """
-    ring = lat.base.ring
-    if ring is not None:
-        Q, d, null = _ring_coords(lat, *_ring_matrix(ring, vectors, lat.dim))
-        return ([ring.rat_row(q, d) for q in Q],
-                [ring.rat_row(t, ring.one) for t in null if any(t)])
-    Q, rest = linalg.reduce(vectors, lat.krows)
-    residual = []
-    for col in range(lat.dim):
-        t = [w[col] for w in rest]
-        if any(t):
-            residual.append(t)
-    return Q, residual
-
-
 # ---------------------------------------------------------------------------
-# the kernel on the elements of a PID
+# the kernel on the elements of the ring
 # ---------------------------------------------------------------------------
 #
-# With a PID (`BaseRing.ring`), duals, colons, intersections, membership and
-# coordinates compute on its elements, as the normal form does.  A lattice
+# Duals, colons, intersections, membership and coordinates compute on the
+# elements of the ring (`BaseRing.ring`), as the normal form does.  A lattice
 # root caches its rows on the ring on first query (`_RingForm`, in the
 # root's `_ring` slot), and on first need the inverse of their pivot block:
 # canonical rows are echelon, so the block is triangular, and its pivots
@@ -995,7 +773,7 @@ def _coords_matrix(vectors, lat):
 # scaled lattice pi^e P reads the form of its root P and the factor pi^e.
 
 class _RingForm:
-    """Echelon rows on a PID: `nums` / `den` with one denominator and the
+    """Echelon rows on the ring: `nums` / `den` with one denominator and the
     pivot columns `pivots`.  `invert` adds the inverse of the pivot block,
     whose column j is inv[j] / inv_den (rows 0..j; the rest are zero), and
     for each free column a null form: a vector n of ring elements with
@@ -1060,7 +838,7 @@ class _RingForm:
 
 
 def _ring_matrix(ring, rows, dim):
-    """Rows of kernel scalars on the PID: (numerator rows, one
+    """Rows of kernel scalars on the ring: (numerator rows, one
     denominator)."""
     flat, den = ring.int_row([e for row in rows for e in row])
     return [flat[i:i + dim] for i in range(0, len(flat), dim)], den
@@ -1077,7 +855,7 @@ def _form(lat):
 
 
 def _scale(lat):
-    """(tn, td), elements of the PID with lat = (tn / td) * root."""
+    """(tn, td), elements of the ring with lat = (tn / td) * root."""
     base = lat.base
     ring = base.ring
     if not any(lat.exps):
@@ -1088,7 +866,7 @@ def _scale(lat):
 
 
 def _ring_rows(lat):
-    """lat's rows on its PID: (numerator rows, one denominator)."""
+    """lat's rows on its ring: (numerator rows, one denominator)."""
     form = _form(lat)
     tn, td = _scale(lat)
     nums = form.nums
@@ -1120,7 +898,7 @@ def _ring_integral(ring, Q, d):
     """Whether every entry of the rows Q / d lies in R: the part of d at
     the primes divides each numerator."""
     s = ring.split(d)[0]
-    return s == ring.one or not any(x % s for q in Q for x in q)
+    return all(ring.divides(s, x) for q in Q for x in q)
 
 
 def _ring_holds(lat, vecs, e):
@@ -1179,9 +957,15 @@ def _as_ring_row(base, t):
     return _RingRow(*base.ring.int_row(base.scalars.unwrap_row(t)))
 
 
-def _ring_dual(base, dim, int_conditions, zero_conditions):
-    """`solve_dual` on the PID: the dual basis is the columns of the
-    inverse of the conditions' normal form."""
+def solve_dual(base, dim, int_conditions, zero_conditions=()):
+    """The module {a in K^dim : <a, t> in R for all t in int_conditions and
+    <a, t> = 0 for all t in zero_conditions}: its basis is the columns of
+    the inverse of the conditions' normal form.
+
+    Raises RankError when the solution set has a K-line (is not finitely
+    generated over R).  Conditions are vectors of field elements or of
+    kernel scalars, or `_RingRow`s.
+    """
     ring = base.ring
     conds = [_as_ring_row(base, t) for t in int_conditions]
     embed = None
@@ -1204,8 +988,12 @@ def _ring_dual(base, dim, int_conditions, zero_conditions):
     return _kspan(base, dim, [_RingRow(b, form.inv_den) for b in basis])
 
 
-def _ring_meet(x, y):
-    """The body of `intersect` on the PID, for lattices on two roots."""
+def intersect(x, y):
+    if x is ZERO_MODULE or y is ZERO_MODULE:
+        return ZERO_MODULE
+    _check_compatible(x, y)
+    if x.root is y.root:
+        return _on_root(x, y, max)
     base, dim, ring = x.base, x.dim, x.base.ring
     if x.full and y.full:
         # X meet Y is dual to the columns of X^-1 and Y^-1
@@ -1237,6 +1025,14 @@ def _ring_meet(x, y):
     return _kspan(base, dim, [
         _RingRow([sum(map(mul, r, c), ring.zero) for c in zip(*sbasis)], zd)
         for r in zn])
+
+
+def _coords_matrix(vectors, lat):
+    """The coordinates in lat's basis of vectors of kernel scalars that lie
+    in its K-span, as rows of kernel scalars."""
+    ring = lat.base.ring
+    Q, d, _ = _ring_coords(lat, *_ring_matrix(ring, vectors, lat.dim))
+    return [ring.rat_row(q, d) for q in Q]
 
 
 # ---------------------------------------------------------------------------
@@ -1340,26 +1136,7 @@ def _colon(x, y, alg, side):
 
 
 def _solve_colon(x, y, alg, side):
-    if x.base.ring is not None:
-        return _ring_colon(x, y, alg, side)
-    base, dim, k = x.base, x.dim, x.base.scalars
-    int_conds = []
-    zero_conds = []
-    for w in y.krows:
-        prods = []
-        for s in range(dim):
-            e_s = alg.basis_vector(s, k)
-            prods.append(alg.mul_coords(e_s, w, k) if side == "left"
-                         else alg.mul_coords(w, e_s, k))
-        Q, residual = _coords_matrix(prods, x)
-        for i in range(x.rank):
-            int_conds.append([Q[s][i] for s in range(dim)])
-        zero_conds.extend(residual)
-    return solve_dual(base, dim, int_conds, zero_conds)
-
-
-def _ring_colon(x, y, alg, side):
-    """`_solve_colon` on the PID: the conditions are the columns of the
+    """The colon as a dual: the conditions are the columns of the
     coordinates in X of e_s * w (w * e_s), for the rows w of Y."""
     ring = x.base.ring
     ynums, yden = _ring_rows(y)
@@ -1381,25 +1158,15 @@ def quotient_length(x, y):
     if x is ZERO_MODULE:
         raise ContainmentError("Y is not contained in X")
     _check_compatible(x, y)
-    ring = x.base.ring
-    if ring is not None:
-        Q, d, null = _ring_coords(x, *_ring_rows(y))
-        if any(map(any, null)) or x.rank != y.rank:
-            raise ContainmentError("Y is not contained in X with equal span")
-        if not _ring_integral(ring, Q, d):
-            raise ContainmentError("Y is not contained in X")
-        return _pivot_values(y) - _pivot_values(x)
-    Q, residual = _coords_matrix(y.krows, x)
-    if residual or x.rank != y.rank:
+    Q, d, null = _ring_coords(x, *_ring_rows(y))
+    if any(map(any, null)) or x.rank != y.rank:
         raise ContainmentError("Y is not contained in X with equal span")
-    if not all(_integral(x.base, row) for row in Q):
+    if not _ring_integral(x.base.ring, Q, d):
         raise ContainmentError("Y is not contained in X")
     # Y and X span one K-space, so their echelon rows share pivot columns
-    # and Q is triangular with diagonal pivot_Y / pivot_X: the length,
-    # sum_v v(det Q), is read off the pivots
-    return sum(sum(_vals(x.base, next(filter(None, ry))))
-               - sum(_vals(x.base, next(filter(None, rx))))
-               for rx, ry in zip(x.krows, y.krows))
+    # and the coordinates are triangular with diagonal pivot_Y / pivot_X:
+    # the length, sum_v v(det), is read off the pivots
+    return _pivot_values(y) - _pivot_values(x)
 
 
 def _pivot_values(lat):
@@ -1450,7 +1217,7 @@ class _QuotientSpace:
             zero = self.res_field.zero()
             return [v.residue(scalars.wrap(e)) if e else zero for e in row]
 
-        Q, _ = _coords_matrix(y.krows, x)
+        Q = _coords_matrix(y.krows, x)
         self.img_rows, pivots = linalg.rref(list(map(residues, Q)),
                                             self.res_field)
         self.k = k
@@ -1460,7 +1227,7 @@ class _QuotientSpace:
         self.actions = []
         for brow in b.krows:
             prods = [alg.mul_coords(brow, xrow, scalars) for xrow in x.krows]
-            cs, _ = _coords_matrix(prods, x)
+            cs = _coords_matrix(prods, x)
             self.actions.append(list(map(residues, cs)))
 
     def project(self, vec):

@@ -2,18 +2,17 @@
 
 Matrices are lists of lists (rows) of field elements, or of the reps of a
 field with its `reps` in the place of the field.  Sizes here are tiny
-(d <= 9 plus stacked condition systems).  Two eliminations do all the work:
-`reduce` reduces vectors against rows already in echelon form, and `rref`
-brings rows to reduced echelon form; the inverse and the null spaces are
-read off `rref`.
+(d <= 9).  Two eliminations do all the work: `reduce` reduces vectors
+against rows already in echelon form, and `rref` brings rows to reduced
+echelon form; the null space is read off `rref`.  Lattices do not
+compute here, their kernel computes on the base ring's elements
+(`lattice`): this is linear algebra over fields, residue fields among
+them.
 """
 
 from __future__ import annotations
 
-from .errors import RankError
-
-__all__ = ["vec_mat", "reduce", "mat_inv", "rref", "right_nullspace",
-           "left_nullspace"]
+__all__ = ["vec_mat", "reduce", "rref", "right_nullspace"]
 
 
 def vec_mat(v, A):
@@ -47,17 +46,6 @@ def reduce(vectors, rows):
             if q:
                 rest[s] = [a - q * b for a, b in zip(w, row)]
     return Q, rest
-
-
-def mat_inv(A, field):
-    """A^-1: the right half of the reduced row echelon form of [A | I]."""
-    n = len(A)
-    rows, pivots = rref([list(row) + [field.one() if i == j else field.zero()
-                                      for j in range(n)]
-                         for i, row in enumerate(A)], field)
-    if pivots != list(range(n)):
-        raise RankError("matrix is singular")
-    return [row[n:] for row in rows]
 
 
 def rref(A, field):
@@ -99,8 +87,3 @@ def right_nullspace(A, field):
         basis.append(v)
     return basis
 
-
-def left_nullspace(A, field):
-    """Basis of row vectors u with u A = 0."""
-    t = [[A[r][c] for r in range(len(A))] for c in range(len(A[0]))]
-    return right_nullspace(t, field)

@@ -1,8 +1,8 @@
-"""The integer kernel of `lattice._hnf` over Z_(S) inside Q against the
-field-arithmetic kernel, which stays the reference, also where the values
-leave the gcd reading of `_IntegersAt` for its division loop; the
-closed-form p-adic principal parts against the digit loop; and which
-kernel each base ring takes."""
+"""The normal form `lattice._hnf` over Z_(S) inside Q against the
+field-arithmetic kernel of `plain_kernel`, which is the reference, also
+where the values leave the gcd reading of `_IntegersAt` for its division
+loop; the closed-form p-adic principal parts against the digit loop; and
+which ring each base ring takes."""
 
 import random
 from fractions import Fraction
@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 from gliderbs import fields, lattice
 from gliderbs.errors import BaseMismatchError, FieldMismatchError
 from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, QXY_FIELD,
-                             gauss_prime, padic, poly_prime, rational_value,
-                             xadic)
+                             FieldElem, gauss_prime, padic, poly_prime,
+                             rational_value, xadic)
 from gliderbs.lattice import BaseRing, span
+from plain_kernel import field_hnf, reduce_mod
 
 BASES = {
     "Q at 5": BaseRing(QQ_FIELD, [padic(5)]),
@@ -73,11 +74,8 @@ def test_integer_kernel_gives_the_rows_of_the_field_kernel(name):
         dim, vecs = gen
         reps = [base.scalars.unwrap_row(v) for v in vecs]
         # both kernels take and give reps; the field kernel computes on
-        # field elements in between, as over a base ring without a PID
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(base, "ring", None)
-            reference = lattice._field_hnf(base, dim, reps)
-        assert lattice._integer_hnf(base, dim, reps) == reference
+        # field elements in between
+        assert lattice._hnf(base, dim, reps) == field_hnf(base, dim, reps)
 
     same_rows()
 
@@ -162,11 +160,9 @@ def test_edge_values_give_the_rows_of_the_field_kernel(name, monkeypatch):
     @given(edge_inputs(ring))
     def same_rows(rows):
         reps = [ring.rat_row(r.nums, r.d) for r in rows]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(base, "ring", None)
-            reference = lattice._field_hnf(base, 4, reps)
-        assert lattice._integer_hnf(base, 4, rows) == reference
-        assert lattice._integer_hnf(base, 4, reps) == reference
+        reference = field_hnf(base, 4, reps)
+        assert lattice._hnf(base, 4, rows) == reference
+        assert lattice._hnf(base, 4, reps) == reference
 
     same_rows()
     # values from p^K on were read by the division loop
@@ -186,7 +182,7 @@ def test_small_entries_take_no_division_loop(name, monkeypatch):
         raise AssertionError("division loop called")
 
     monkeypatch.setattr(fields._IntegersAt, "_strip", no_strip)
-    assert all(lattice._integer_hnf(base, 4, rows) for rows in inputs)
+    assert all(lattice._hnf(base, 4, rows) for rows in inputs)
 
 
 def _pair(x):
@@ -196,14 +192,6 @@ def _pair(x):
 
 def _value(pair):
     return QQ_FIELD.from_fraction(Fraction(*pair))
-
-
-def _digit_parts(base, h):
-    """The principal parts of h at every valuation, by the digit loop."""
-    pp = base.field.zero()
-    for v in base.valuations:
-        pp, h = v.strip_principal_part(pp, h)
-    return pp
 
 
 @pytest.mark.parametrize("name", BASES)
@@ -219,17 +207,13 @@ def test_closed_form_reduce_mod_matches_the_digit_loop(name):
         g = base.from_exponents(exps)
         # reduce_mod takes and gives fractions (n, d) of ints here
         red = base.reduce_mod(_pair(u), _pair(g))
-        assert _value(red) == g * _digit_parts(base, u / g)
+        assert _value(red) == reduce_mod(base, u, g)
         # and the parts alone, of an element with a principal part anywhere
         h = u * QQ_FIELD.from_fraction(unit) / g
         assert _value(base.reduce_mod(_pair(h), (1, 1))) == \
-            _digit_parts(base, h)
+            reduce_mod(base, h, QQ_FIELD.one())
 
     same_coset()
-
-
-def _refuse(*args):
-    raise AssertionError("this base ring took the other HNF path")
 
 
 def _q(text):
@@ -237,19 +221,19 @@ def _q(text):
 
 
 @pytest.mark.parametrize("name", BASES)
-def test_padic_bases_take_the_integer_path(name, monkeypatch):
+def test_padic_bases_take_the_integer_path(name):
+    """Z_(S): the ring's elements are ints and its primes the p of S."""
     base = BASES[name]
+    assert isinstance(base.ring, fields._IntegersAt)
     assert base.ring.primes == tuple(v.p for v in base.valuations)
-    monkeypatch.setattr(lattice, "_field_hnf", _refuse)
-    lat = span(base, 2, [[_q("1/10"), _q("3")], [_q("7"), _q("5/3")]])
-    assert lat.rank == 2
-    monkeypatch.setattr(lattice, "_integer_hnf", _refuse)
-    with pytest.raises(AssertionError, match="other HNF path"):
-        span(base, 2, [[_q("1"), _q("2")]])
+    nums, den = base.ring.int_row(base.scalars.unwrap_row(
+        [_q("1/10"), _q("3")]))
+    assert (nums, den) == ([1, 30], 10)
 
 
-# the polynomial rings take the PID path too (tests/test_pid_kernel.py);
-# a uniformizer with a constant factor keeps Q(x) on the field path
+# the polynomial rings are rings of their own (tests/test_pid_kernel.py);
+# Q(i), Q(x,y) and a uniformizer with a constant factor take R given by
+# its valuations, on the field's elements
 OTHER_BASES = {
     "Q(i) at 3": (BaseRing(GAUSS_FIELD, [gauss_prime("3")]), GAUSS_FIELD),
     "Q(i) at 1+i": (BaseRing(GAUSS_FIELD, [gauss_prime("1+i")]),
@@ -261,17 +245,22 @@ OTHER_BASES = {
 
 
 @pytest.mark.parametrize("name", OTHER_BASES)
-def test_other_bases_take_the_field_path(name, monkeypatch):
+def test_other_bases_take_the_field_path(name):
+    """The ring given by the valuations computes on field elements: its
+    primes are the uniformizers, a row enters over the denominator 1, and
+    `split` takes out the uniformizer powers of the values."""
     base, field = OTHER_BASES[name]
-    assert base.ring is None
-    monkeypatch.setattr(lattice, "_integer_hnf", _refuse)
+    ring = base.ring
+    assert isinstance(ring, fields._ValuedRing)
+    assert ring.primes == base.uniformizers
     gen = field.gen(field.generator_names()[0])
-    one = field.one()
-    lat = span(base, 2, [[gen, one], [one, gen * gen + one]])
+    pi = base.uniformizers[0]
+    nums, den = ring.int_row(base.scalars.unwrap_row([gen / pi, gen]))
+    assert nums == [gen / pi, gen] and den == field.one()
+    assert all(isinstance(e, FieldElem) for e in nums)
+    assert ring.split(pi ** 2 * (gen + 2)) == (pi ** 2, gen + 2)
+    lat = span(base, 2, [[gen, field.one()], [field.one(), gen * gen]])
     assert lat.rank == 2
-    monkeypatch.setattr(lattice, "_field_hnf", _refuse)
-    with pytest.raises(AssertionError, match="other HNF path"):
-        span(base, 2, [[one, gen]])
 
 
 def test_integer_kernel_failures_stay_typed():

@@ -2,11 +2,11 @@
 is the field's `reps`) on every base-field kind.  Each case below draws
 its inputs once (derandomized hypothesis over Q, a seeded `random.Random`
 elsewhere, so the same inputs every run),
-runs the same operations on the reps path and on a plain path, and asks
-for the same lattices, the same values and the same errors.  The plain
-path is a test fake: `ElementScalars` set as the base ring's `scalars`,
-so that the kernel computes on field elements, together with `ring` set
-to None, so that the normal form is the field kernel."""
+runs the same operations in the library and in the plain kernel of
+`plain_kernel` on field elements, and asks for the same lattices, the
+same values and the same errors.  The plain kernel's scalars are a test
+fake, `ElementScalars`, so that it computes on field elements with the
+field kernel's normal form."""
 
 import random
 from fractions import Fraction
@@ -20,6 +20,7 @@ from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, QXY_FIELD,
                              FieldElem, fp_func_field, gauss_prime, padic,
                              poly_prime, xadic)
 from gliderbs.lattice import BaseRing, matrix_algebra
+from plain_kernel import Library, Plain, PlainKernel
 
 F3X = fp_func_field(3)
 QQ_BASES = {
@@ -50,8 +51,8 @@ M2 = matrix_algebra(2)
 
 
 class ElementScalars:
-    """Kernel scalars that are the field's own elements: the plain path
-    the reps are compared with (a test fake, not library code)."""
+    """Kernel scalars that are the field's own elements: the scalars of
+    the plain kernel the library is compared with."""
 
     def __init__(self, field):
         self.field = field
@@ -85,8 +86,8 @@ class ElementScalars:
         return out
 
 
-# one fake per base ring: `AlgebraDesc` keeps a product table per scalar
-# object
+# one plain kernel per base ring: `AlgebraDesc` keeps a product table per
+# scalar object
 PLAIN = {}
 
 # Q: denominators with parts inside S = {2, 3, 5}, outside it, and both
@@ -111,99 +112,105 @@ def _draw_rows(field, gen, dens, rnd, count):
     return [[entry() for _ in range(4)] for _ in range(count)]
 
 
-def _attempt(fn):
+def _attempt(ops, fn):
     """fn() as plain data: lattice rows as field elements, or the error."""
     try:
         out = fn()
     except GbsError as exc:
         return ("error", type(exc).__name__, str(exc))
-    if isinstance(out, L.Lattice):
-        return ("lattice", out.rows)
+    if isinstance(out, (L.Lattice, Plain)):
+        return ("lattice", ops.rows(out))
     if out is L.ZERO_MODULE:
         return ("zero module",)
     return ("value", out)
 
 
-def _scaled(base, lat):
+def _scaled(ops, lat):
     """A scaled lattice against the span of its own rows: equal lattices
     on different roots compare and hash by `krows`, so this checks that
     scaling keeps the kernel's scalars canonical."""
-    again = L.span(base, 4, list(lat.rows))
-    return lat.rows, lat == again, hash(lat) == hash(again)
+    again = ops.span(4, list(ops.rows(lat)))
+    return ops.rows(lat), ops.equal(lat, again), \
+        ops.hash(lat) == ops.hash(again)
 
 
-def _outcomes(base, x_rows, y_rows, vec, mix):
-    """Every kernel operation on the drawn inputs, as plain data."""
-    x, y = L.span(base, 4, x_rows), L.span(base, 4, y_rows)
+def _outcomes(ops, base, x_rows, y_rows, vec, mix):
+    """Every kernel operation on the drawn inputs, as plain data, computed
+    by `ops` (`Library` or `PlainKernel`)."""
+    x, y = ops.span(4, x_rows), ops.span(4, y_rows)
     pi = base.uniformizers[-1]
     # rank-deficient modules sharing the direction of x_rows[0] + y_rows[0]
     shared = [a + b for a, b in zip(x_rows[0], y_rows[0])]
-    xd = L.span(base, 4, [x_rows[1], shared])
-    yd = L.span(base, 4, [shared, y_rows[2], y_rows[3]])
+    xd = ops.span(4, [x_rows[1], shared])
+    yd = ops.span(4, [shared, y_rows[2], y_rows[3]])
     # x again from rows permuted and mixed by a unimodular step
     i, j, c = mix
     again = [list(r) for r in reversed(x_rows)]
     if i != j:
         again[i] = [a + c * b for a, b in zip(again[i], again[j])]
-    x2 = L.span(base, 4, again)
-    meet = L.intersect(x, y)
+    x2 = ops.span(4, again)
+    meet = ops.intersect(x, y)
+
+    def attempt(fn):
+        return _attempt(ops, fn)
+
     out = {
-        "span x": _attempt(lambda: x),
-        "span y": _attempt(lambda: y),
-        "span xd": _attempt(lambda: xd),
-        "mult": _attempt(lambda: L.mult(x, y, M2)),
-        "mult deficient": _attempt(lambda: L.mult(xd, yd, M2)),
-        "colon_left": _attempt(lambda: L.colon_left(x, y, M2)),
-        "colon_right": _attempt(lambda: L.colon_right(x, y, M2)),
-        "colon_right deficient": _attempt(
-            lambda: L.colon_right(xd, yd, M2)),
-        "intersect": _attempt(lambda: meet),
-        "intersect deficient": _attempt(lambda: L.intersect(xd, yd)),
-        "intersect mixed": _attempt(lambda: L.intersect(x, yd)),
-        "contains": _attempt(lambda: (x.contains(y), x.contains(meet),
-                                      meet.contains(x), xd.contains(yd))),
-        "contains_vector": _attempt(lambda: (
-            x.contains_vector(vec), xd.contains_vector(vec),
-            x.contains_vector(y_rows[0]), xd.contains_vector(shared))),
-        "coords": _attempt(lambda: (x.coords(vec), xd.coords(vec),
-                                    xd.coords(shared))),
-        "quotient_length": _attempt(lambda: L.quotient_length(x, meet)),
-        "quotient_length sum": _attempt(
-            lambda: L.quotient_length(L.add(x, y), y)),
-        "quotient_length scaled": _attempt(lambda: L.quotient_length(
-            L.add(x, y), meet.scale(pi ** 2))),
-        "quotient_length deficient": _attempt(
-            lambda: L.quotient_length(xd, L.intersect(xd, x))),
-        "quotient_length fails": _attempt(
-            lambda: L.quotient_length(meet, x)),
-        "scaled": _attempt(lambda: (_scaled(base, x.scale(pi ** 2)),
-                                    _scaled(base, meet.scale(pi ** -1)),
-                                    _scaled(base, xd.scale(pi)))),
-        "==": _attempt(lambda: (x == x2, x == y, meet == L.intersect(y, x),
-                                xd == L.span(base, 4, list(xd.rows)))),
-        "hash": _attempt(lambda: (hash(x) == hash(x2), hash(meet) == hash(
-            L.intersect(y, x)), hash(xd) == hash(L.span(base, 4,
-                                                       list(xd.rows))))),
+        "span x": attempt(lambda: x),
+        "span y": attempt(lambda: y),
+        "span xd": attempt(lambda: xd),
+        "mult": attempt(lambda: ops.mult(x, y, M2)),
+        "mult deficient": attempt(lambda: ops.mult(xd, yd, M2)),
+        "colon_left": attempt(lambda: ops.colon(x, y, M2, "left")),
+        "colon_right": attempt(lambda: ops.colon(x, y, M2, "right")),
+        "colon_right deficient": attempt(
+            lambda: ops.colon(xd, yd, M2, "right")),
+        "intersect": attempt(lambda: meet),
+        "intersect deficient": attempt(lambda: ops.intersect(xd, yd)),
+        "intersect mixed": attempt(lambda: ops.intersect(x, yd)),
+        "contains": attempt(lambda: (
+            ops.contains(x, y), ops.contains(x, meet),
+            ops.contains(meet, x), ops.contains(xd, yd))),
+        "contains_vector": attempt(lambda: (
+            ops.contains_vector(x, vec), ops.contains_vector(xd, vec),
+            ops.contains_vector(x, y_rows[0]),
+            ops.contains_vector(xd, shared))),
+        "coords": attempt(lambda: (ops.coords(x, vec), ops.coords(xd, vec),
+                                   ops.coords(xd, shared))),
+        "quotient_length": attempt(lambda: ops.quotient_length(x, meet)),
+        "quotient_length sum": attempt(
+            lambda: ops.quotient_length(ops.add(x, y), y)),
+        "quotient_length scaled": attempt(lambda: ops.quotient_length(
+            ops.add(x, y), ops.scale(meet, pi ** 2))),
+        "quotient_length deficient": attempt(
+            lambda: ops.quotient_length(xd, ops.intersect(xd, x))),
+        "quotient_length fails": attempt(
+            lambda: ops.quotient_length(meet, x)),
+        "scaled": attempt(lambda: (_scaled(ops, ops.scale(x, pi ** 2)),
+                                   _scaled(ops, ops.scale(meet, pi ** -1)),
+                                   _scaled(ops, ops.scale(xd, pi)))),
+        "==": attempt(lambda: (
+            ops.equal(x, x2), ops.equal(x, y),
+            ops.equal(meet, ops.intersect(y, x)),
+            ops.equal(xd, ops.span(4, list(ops.rows(xd)))))),
+        "hash": attempt(lambda: (
+            ops.hash(x) == ops.hash(x2),
+            ops.hash(meet) == ops.hash(ops.intersect(y, x)),
+            ops.hash(xd) == ops.hash(ops.span(4, list(ops.rows(xd)))))),
     }
     # equal lattices hash alike on each path
-    for a, b in ((x, x2), (meet, L.intersect(y, x))):
-        if a == b:
-            assert hash(a) == hash(b)
+    for a, b in ((x, x2), (meet, ops.intersect(y, x))):
+        if ops.equal(a, b):
+            assert ops.hash(a) == ops.hash(b)
     return out
 
 
 def _both_paths(base, *inputs):
-    """(reps outcomes, field-element outcomes) on one input."""
+    """(library outcomes, plain kernel outcomes) on one input."""
     assert base.scalars is base.field.reps
-    fast = _outcomes(base, *inputs)
-    plain = PLAIN.setdefault(base, ElementScalars(base.field))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(base, "ring", None)
-        # the ring picks the HNF body only, never the scalars
-        assert base.scalars is base.field.reps
-        mp.setattr(base, "scalars", plain)
-        slow = _outcomes(base, *inputs)
-    return fast, slow
+    plain = PLAIN.setdefault(base, PlainKernel(
+        base, k=ElementScalars(base.field)))
+    return (_outcomes(Library(base), base, *inputs),
+            _outcomes(plain, base, *inputs))
 
 
 @pytest.mark.parametrize("name", QQ_BASES)

@@ -472,7 +472,10 @@ def test_mix_coefficient_reaches_the_minimum(name):
            st.sampled_from([1, 13, -17]))
     def mixes(ea, eb, ua, ub):
         a, b = elem(ea, ua), elem(eb, ub)
-        c = base.mix_coefficient(a, b)
+        # the coefficient is an element of the base's ring
+        ring = base.ring
+        c = base.mix_coefficient(base.val_vector(a), base.val_vector(b))
+        c = base.scalars.wrap(ring.rat_row([c], ring.one)[0])
         assert base.is_integral(c)
         assert base.val_vector(a + c * b) == tuple(
             min(s, t) for s, t in zip(base.val_vector(a),

@@ -1,11 +1,11 @@
-"""The kernel of `lattice._hnf` over the polynomial rings F_p[x]_(S) and
-Q[x]_(S) against the field-arithmetic kernel, which stays the reference;
-at polynomial primes in characteristic p, where no second kernel exists,
-the laws of a normal form; the closed-form principal parts at polynomial
-primes against the digit loop; which kernel each polynomial base ring
-takes; and that the PID path does no field arithmetic between its input
-and output conversions, nor builds a `Fraction` at a prime that is not
-monic."""
+"""The normal form `lattice._hnf` over the polynomial rings F_p[x]_(S)
+and Q[x]_(S) against the field-arithmetic kernel of `plain_kernel`, which
+is the reference; at polynomial primes in characteristic p, where the
+reference has no residues, the laws of a normal form; the closed-form
+principal parts at polynomial primes against the digit loop; which ring
+each polynomial base ring takes; and that the PID path does no field
+arithmetic between its input and output conversions, nor builds a
+`Fraction` at a prime that is not monic."""
 
 import random
 
@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gliderbs import fields, lattice
+from gliderbs.errors import ContainmentError
 from gliderbs.fields import (QX_FIELD, FieldElem, fp_func_field, poly_prime,
                              xadic)
 from gliderbs.lattice import BaseRing, span
+from plain_kernel import field_hnf, reduce_mod
 
 F3X, F5X = fp_func_field(3), fp_func_field(5)
 BASES = {
@@ -27,8 +29,8 @@ BASES = {
                                             poly_prime("x^2+1")]),
 }
 # the field kernel's digit loop needs residues, which `fields` computes at
-# a polynomial prime only in characteristic 0: here the PID path is the
-# only kernel
+# a polynomial prime only in characteristic 0: here the reference has no
+# normal form
 CHAR_P_BASES = {
     "F_3(x) at x^2+1": BaseRing(F3X, [poly_prime("x^2+1", F3X)]),
     "F_5(x) at x^2+2": BaseRing(F5X, [poly_prime("x^2+2", F5X)]),
@@ -89,12 +91,6 @@ def generators(draw, field):
     return dim, rows
 
 
-def _field_rows(base, dim, vecs):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(base, "ring", None)
-        return lattice._field_hnf(base, dim, vecs)
-
-
 @pytest.mark.parametrize("name", BASES)
 def test_pid_kernel_gives_the_rows_of_the_field_kernel(name):
     base = BASES[name]
@@ -105,18 +101,9 @@ def test_pid_kernel_gives_the_rows_of_the_field_kernel(name):
         dim, vecs = gen
         # both kernels take and give reps; the canonical ones are equal
         reps = [base.scalars.unwrap_row(v) for v in vecs]
-        assert lattice._integer_hnf(base, dim, reps) == \
-            _field_rows(base, dim, reps)
+        assert lattice._hnf(base, dim, reps) == field_hnf(base, dim, reps)
 
     same_rows()
-
-
-def _digit_parts(base, h):
-    """The principal parts of h at every valuation, by the digit loop."""
-    pp = base.field.zero()
-    for v in base.valuations:
-        pp, h = v.strip_principal_part(pp, h)
-    return pp
 
 
 @pytest.mark.parametrize("name", BASES)
@@ -139,16 +126,12 @@ def test_closed_form_reduce_mod_matches_the_digit_loop(name):
         g = base.from_exponents(exps)
         # reduce_mod takes and gives fractions of polynomials here
         red = base.reduce_mod(pair(u), pair(g))
-        assert value(red) == g * _digit_parts(base, u / g)
+        assert value(red) == reduce_mod(base, u, g)
         h = u * base.field.parse(unit) / g
         assert value(base.reduce_mod(pair(h), (ring.one, ring.one))) == \
-            _digit_parts(base, h)
+            reduce_mod(base, h, base.field.one())
 
     same_coset()
-
-
-def _refuse(*args):
-    raise AssertionError("this base ring took the other HNF path")
 
 
 @pytest.mark.parametrize("name", CHAR_P_BASES)
@@ -190,17 +173,23 @@ def test_char_p_reduction_above_a_pivot():
 
 
 @pytest.mark.parametrize("name", [*BASES, *CHAR_P_BASES])
-def test_polynomial_bases_take_the_pid_path(name, monkeypatch):
+def test_polynomial_bases_take_the_pid_path(name):
+    """F_p[x]_(S) and Q[x]_(S): the ring's elements are polynomials, its
+    primes the uniformizers' numerators, and a row enters over one
+    polynomial denominator."""
     base = {**BASES, **CHAR_P_BASES}[name]
-    field = base.field
-    assert base.ring is not None and base.scalars is field.reps
-    monkeypatch.setattr(lattice, "_field_hnf", _refuse)
+    field, ring = base.field, base.ring
+    assert isinstance(ring, fields._PolynomialsAt)
+    assert base.scalars is field.reps
+    pis = [ring.int_row(base.scalars.unwrap_row([pi])) for pi in
+           base.uniformizers]
+    assert tuple(n for (n,), _ in pis) == ring.primes
     x, one = field.gen("x"), field.one()
+    nums, den = ring.int_row(base.scalars.unwrap_row([x / (x + 1), one]))
+    poly = ring.one.__class__
+    assert (nums, den) == ([poly((0, 1)), poly((1, 1))], poly((1, 1)))
     lat = span(base, 2, [[x, one], [one, x * x + one]])
     assert lat.rank == 2
-    monkeypatch.setattr(lattice, "_integer_hnf", _refuse)
-    with pytest.raises(AssertionError, match="other HNF path"):
-        span(base, 2, [[one, x]])
 
 
 @pytest.mark.parametrize("name", ["F_3(x) at x", "Q(x) at x^2+1"])
@@ -249,28 +238,64 @@ def test_pid_path_does_no_field_arithmetic(name, monkeypatch):
     assert state["reduce_mod"] >= 1
 
 
+AT_3X_PLUS_1 = BaseRing(QX_FIELD, [poly_prime("3*x+1")])
+
+
+def _rows_at_3x_plus_1(seed, count):
+    """Seeded rows of 4 entries of Q(x), with denominators at 3x+1."""
+    field = QX_FIELD
+    rnd = random.Random(seed)
+    x = field.gen("x")
+    dens = [field.parse(d) for d in ("1", "3*x+1", "(3*x+1)^2", "x+2")]
+    return [[(field.from_int(rnd.randint(-9, 9))
+              + field.from_int(rnd.randint(-3, 3)) * x
+              + field.from_int(rnd.randint(-2, 2)) * x * x)
+             / rnd.choice(dens) for _ in range(4)] for _ in range(count)]
+
+
+def _no_fraction(*args):
+    raise AssertionError("Fraction built")
+
+
 def test_no_fraction_at_a_prime_that_is_not_monic(monkeypatch):
     """Q(x) at 3x+1: the ring reads divisibility by pseudo-division, so the
     normal form of a seeded 4x4 span builds no `Fraction` between its input
     and output conversions (`divmod` by 3x+1 would, to find a remainder),
     and it gives the rows of the field kernel."""
-    base = BaseRing(QX_FIELD, [poly_prime("3*x+1")])
-    field, ring = base.field, base.ring
-    rnd = random.Random("no fraction at 3x+1")
-    x = field.gen("x")
-    dens = [field.parse(d) for d in ("1", "3*x+1", "(3*x+1)^2", "x+2")]
-    rows = [[(field.from_int(rnd.randint(-9, 9))
-              + field.from_int(rnd.randint(-3, 3)) * x
-              + field.from_int(rnd.randint(-2, 2)) * x * x)
-             / rnd.choice(dens) for _ in range(4)] for _ in range(4)]
-    reps = [base.scalars.unwrap_row(r) for r in rows]
-    ring_rows = [lattice._RingRow(*ring.int_row(r)) for r in reps]
-
-    def no_fraction(*args):
-        raise AssertionError("Fraction built")
-
-    monkeypatch.setattr(fields, "Fraction", no_fraction)
-    out = lattice._integer_hnf(base, 4, ring_rows)
+    base = AT_3X_PLUS_1
+    reps = [base.scalars.unwrap_row(r)
+            for r in _rows_at_3x_plus_1("no fraction at 3x+1", 4)]
+    ring_rows = [lattice._RingRow(*base.ring.int_row(r)) for r in reps]
+    monkeypatch.setattr(fields, "Fraction", _no_fraction)
+    out = lattice._hnf(base, 4, ring_rows)
     monkeypatch.undo()
-    assert out == _field_rows(base, 4, reps)
+    assert out == field_hnf(base, 4, reps)
     assert len(out) == 4
+
+
+def test_no_fraction_in_membership_at_a_prime_that_is_not_monic(
+        monkeypatch):
+    """Q(x) at 3x+1: `Lattice.contains` and `quotient_length` ask the
+    ring's `divides` whether coordinates are integral, which builds no
+    `Fraction` where `x % s` would (one per quotient coefficient that the
+    lead of s does not divide).  Two rank-3 lattices with one K-span,
+    neither inside the other: free columns give the coordinates
+    numerators of any degree.  The forms of the lattices are built first,
+    as their input conversion may build one."""
+    base = AT_3X_PLUS_1
+    g, x = QX_FIELD.parse("3*x+1"), QX_FIELD.gen("x")
+    rows = _rows_at_3x_plus_1("membership at 3x+1", 3)
+    a = span(base, 4, rows)
+    b = span(base, 4, [[e / g for e in rows[0]],
+                       [u + x / g * v for u, v in zip(rows[1], rows[2])],
+                       rows[2]])
+    for lat in (a, b):
+        lattice._form(lat).invert(base.ring)
+    monkeypatch.setattr(fields, "Fraction", _no_fraction)
+    got = [a.contains(b), b.contains(a)]
+    for big, small in ((a, b), (b, a)):
+        with pytest.raises(ContainmentError, match="not contained in X$"):
+            lattice.quotient_length(big, small)
+    monkeypatch.undo()
+    assert got == [False, False]
+    assert (a.rank, b.rank) == (3, 3)

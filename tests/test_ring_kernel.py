@@ -1,28 +1,32 @@
-"""Duals, colons, intersections, membership and coordinates over a PID
-(`BaseRing.ring` set) compute on the ring's own elements, from the rows and
-the inverse pivot block that each lattice root caches.  The plain path,
-`ring = None`, computes them on reps with `linalg`; it is the reference
-here.  Both sides take their normal forms from `_integer_hnf`, so that the
-two compare on bases whose field kernel lacks residues (F_5(x) at x^2+2):
-what differs between them is only the code under test."""
+"""Duals, colons, intersections, membership and coordinates compute on
+the elements of the base's ring (`BaseRing.ring`), from the rows and the
+inverse pivot block that each lattice root caches.  The plain kernel of
+`plain_kernel` computes them on reps with `linalg`; it is the reference
+here.  Over the PIDs both sides take their normal forms from `lattice._hnf`,
+so that they compare on bases whose field kernel lacks residues (F_5(x)
+at x^2+2) and what differs between them is only the code under test.
+Over the bases whose ring is given by its valuations (Q(i), Q(x,y), Q(x)
+at 2x^2+2) the reference takes the field kernel's normal form, so that
+the ring's values, divisibility and digits are under test too."""
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 from gliderbs import fields, linalg
 from gliderbs import lattice as L
 from gliderbs.errors import GbsError
-from gliderbs.fields import (QQ_FIELD, QX_FIELD, fp_func_field, padic,
-                             poly_prime, xadic)
+from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, QXY_FIELD,
+                             fp_func_field, gauss_prime, padic, poly_prime,
+                             xadic)
 from gliderbs.lattice import BaseRing, matrix_algebra
+from plain_kernel import Library, Plain, PlainKernel, reduce_mod
 
 F3X, F5X = fp_func_field(3), fp_func_field(5)
 M2 = matrix_algebra(2)
 # per base: the ring, the entries' generator (None over Q), their
-# denominators, and the number of cases
+# denominators, and the number of cases; Q(x,y) gets few, small cases
 BASES = {
     "Q at 5": (BaseRing(QQ_FIELD, [padic(5)]), None,
                ["1", "1", "5", "25", "3", "10", "7"], 40),
@@ -34,7 +38,20 @@ BASES = {
                         ["1", "x^2+2", "(x^2+2)^2", "x", "x+1"], 5),
     "Q(x) at x^2+1": (BaseRing(QX_FIELD, [poly_prime("x^2+1")]), "x",
                       ["1", "x^2+1", "(x^2+1)^2", "x", "2"], 5),
+    "Q(i) at 2+i": (BaseRing(GAUSS_FIELD, [gauss_prime("2+i")]), "i",
+                    ["1", "2+i", "(2+i)^2", "2-i", "3", "5"], 4),
+    "Q(i) at 1+i": (BaseRing(GAUSS_FIELD, [gauss_prime("1+i")]), "i",
+                    ["1", "1+i", "2", "4", "3", "2+i"], 4),
+    "Q(i) at 3": (BaseRing(GAUSS_FIELD, [gauss_prime("3")]), "i",
+                  ["1", "3", "9", "2", "1+i", "6"], 4),
+    "Q(x,y) at x": (BaseRing(QXY_FIELD, [xadic(QXY_FIELD)]), "y",
+                    ["1", "x", "x^2", "y", "x*y"], 1),
+    "Q(x) at 2x^2+2": (BaseRing(QX_FIELD, [poly_prime("2*x^2+2")]), "x",
+                       ["1", "x^2+1", "(x^2+1)^2", "x", "2"], 1),
 }
+# the bases whose ring is given by its valuations
+VALUED = ["Q(i) at 2+i", "Q(i) at 1+i", "Q(i) at 3", "Q(x,y) at x",
+          "Q(x) at 2x^2+2"]
 
 
 def _entries(base, gen, dens, rnd):
@@ -62,73 +79,80 @@ def _draw(name):
         yield rows, [rnd.choice([-2, -1, 1, 2]) for _ in range(3)]
 
 
-def _outcomes(base, rows, ks):
-    """Every operation under test on one input, as plain data."""
+def _outcomes(ops, base, rows, ks):
+    """Every operation under test on one input, as plain data, computed by
+    `ops` (`Library` or `PlainKernel`)."""
     pi = base.uniformizers[-1]
-    x, y = L.span(base, 4, rows[:4]), L.span(base, 4, rows[4:8])
+    x, y = ops.span(4, rows[:4]), ops.span(4, rows[4:8])
     # pi^k-scaled lattices, rank-deficient ones sharing a direction
-    xs, ys = x.scale(pi ** ks[0]), y.scale(pi ** ks[1])
+    xs, ys = ops.scale(x, pi ** ks[0]), ops.scale(y, pi ** ks[1])
     shared = [a + b for a, b in zip(rows[0], rows[4])]
-    xd = L.span(base, 4, [rows[1], shared])
-    yd = L.span(base, 4, [shared, rows[5], rows[6]]).scale(pi ** ks[2])
+    xd = ops.span(4, [rows[1], shared])
+    yd = ops.scale(ops.span(4, [shared, rows[5], rows[6]]), pi ** ks[2])
     vec, inside = rows[8], [a * pi ** ks[0] for a in shared]
-    ops = {
-        "dual": lambda: L.solve_dual(base, 4, rows[:4]),
-        "dual with zero conditions": lambda: L.solve_dual(
-            base, 4, rows[:3] + [vec], [rows[6]]),
-        "dual on a line": lambda: L.solve_dual(base, 4, rows[:2],
-                                               rows[4:6]),
-        "colon_left": lambda: L.colon_left(xs, y, M2),
-        "colon_right": lambda: L.colon_right(x, ys, M2),
-        "colon_left deficient": lambda: L.colon_left(xs, yd, M2),
-        "colon_right deficient": lambda: L.colon_right(xd, yd, M2),
-        "intersect": lambda: L.intersect(xs, ys),
-        "intersect deficient": lambda: L.intersect(xd, yd),
-        "intersect mixed": lambda: L.intersect(xs, yd),
-        "contains": lambda: (xs.contains(ys), xs.contains(x), x.contains(xs),
-                             xs.contains(L.intersect(xs, y)),
-                             ys.contains(yd), xd.contains(yd),
-                             xs.contains(xd)),
-        "contains_vector": lambda: (xs.contains_vector(vec),
-                                    ys.contains_vector(inside),
-                                    xd.contains_vector(vec),
-                                    xd.contains_vector(shared),
-                                    yd.contains_vector(inside)),
-        "coords": lambda: (xs.coords(vec), ys.coords(inside), xd.coords(vec),
-                           xd.coords(inside), yd.coords(shared)),
+    table = {
+        "span": lambda: (ops.rows(xs), ops.rows(y), ops.rows(xd),
+                         ops.rows(yd)),
+        "dual": lambda: ops.solve_dual(4, rows[:4]),
+        "dual with zero conditions": lambda: ops.solve_dual(
+            4, rows[:3] + [vec], [rows[6]]),
+        "dual on a line": lambda: ops.solve_dual(4, rows[:2], rows[4:6]),
+        "colon_left": lambda: ops.colon(xs, y, M2, "left"),
+        "colon_right": lambda: ops.colon(x, ys, M2, "right"),
+        "colon_left deficient": lambda: ops.colon(xs, yd, M2, "left"),
+        "colon_right deficient": lambda: ops.colon(xd, yd, M2, "right"),
+        "intersect": lambda: ops.intersect(xs, ys),
+        "intersect deficient": lambda: ops.intersect(xd, yd),
+        "intersect mixed": lambda: ops.intersect(xs, yd),
+        "contains": lambda: (ops.contains(xs, ys), ops.contains(xs, x),
+                             ops.contains(x, xs),
+                             ops.contains(xs, ops.intersect(xs, y)),
+                             ops.contains(ys, yd), ops.contains(xd, yd),
+                             ops.contains(xs, xd)),
+        "contains_vector": lambda: (ops.contains_vector(xs, vec),
+                                    ops.contains_vector(ys, inside),
+                                    ops.contains_vector(xd, vec),
+                                    ops.contains_vector(xd, shared),
+                                    ops.contains_vector(yd, inside)),
+        "coords": lambda: (ops.coords(xs, vec), ops.coords(ys, inside),
+                           ops.coords(xd, vec), ops.coords(xd, inside),
+                           ops.coords(yd, shared)),
+        "quotient_length": lambda: (
+            ops.quotient_length(xs, ops.intersect(xs, ys)),
+            ops.quotient_length(xd, ops.intersect(xd, yd))),
     }
     out = {}
-    for name, op in ops.items():
+    for name, op in table.items():
         try:
             got = op()
         except GbsError as exc:
             got = ("error", type(exc).__name__, str(exc))
-        out[name] = got.rows if isinstance(got, L.Lattice) else got
+        out[name] = ops.rows(got) if isinstance(got, (L.Lattice, Plain)) \
+            else got
     return out
 
 
-def _plain(base, monkeypatch):
-    """Switch base to the plain path, with normal forms from the PID."""
-    ring = base.ring
-    proxy = SimpleNamespace(ring=ring, reduce_mod=ring.reduce_mod)
-    monkeypatch.setattr(base, "ring", None)
-    monkeypatch.setattr(L, "_hnf", lambda base, dim, vectors:
-                        L._integer_hnf(proxy, dim, vectors))
+def _plain(name):
+    """The reference of one base: over a PID with the library's normal
+    form, else with the field kernel's."""
+    base = BASES[name][0]
+    if name in VALUED:
+        return PlainKernel(base)
+    return PlainKernel(base, hnf=lambda dim, vecs: L._hnf(base, dim, vecs))
 
 
 @pytest.mark.parametrize("name", BASES)
-def test_ring_path_matches_the_plain_path(name, monkeypatch):
+def test_ring_path_matches_the_plain_path(name):
     base = BASES[name][0]
-    inputs = list(_draw(name))
-    fast = [_outcomes(base, *case) for case in inputs]
-    _plain(base, monkeypatch)
-    for case, got in zip(inputs, fast):
-        assert got == _outcomes(base, *case)
+    library, plain = Library(base), _plain(name)
+    for case in _draw(name):
+        assert _outcomes(library, base, *case) == \
+            _outcomes(plain, base, *case)
 
 
 @pytest.mark.parametrize("name", BASES)
 def test_ring_path_takes_no_field_elimination(name, monkeypatch):
-    """With `linalg.mat_inv` and `linalg.reduce` refused, the operations
+    """With `linalg.rref` and `linalg.reduce` refused, the operations
     still succeed: none of them reduces on reps."""
     base = BASES[name][0]
     rows, ks = next(_draw(name))
@@ -136,9 +160,9 @@ def test_ring_path_takes_no_field_elimination(name, monkeypatch):
     def refuse(*args):
         raise AssertionError("computed on reps")
 
-    monkeypatch.setattr(linalg, "mat_inv", refuse)
+    monkeypatch.setattr(linalg, "rref", refuse)
     monkeypatch.setattr(linalg, "reduce", refuse)
-    out = _outcomes(base, rows, ks)
+    out = _outcomes(Library(base), base, rows, ks)
     assert all(out[op][0] != "error" for op in
                ("dual", "colon_left", "colon_right", "intersect",
                 "intersect deficient"))
@@ -163,11 +187,11 @@ def test_a_root_caches_one_form_for_its_scaled_lattices():
 
 def test_residues_mod_a_polynomial_prime_stay_on_int_polynomials(
         monkeypatch):
-    """Q(x) at x^2+1: `reduce_mod` builds no `Fraction`, and it gives g
-    times the principal part of u/g that the digit loop finds."""
+    """Q(x) at x^2+1: `reduce_mod` builds no `Fraction`, and it gives the
+    coset representative that the digit loop finds."""
     base = BASES["Q(x) at x^2+1"][0]
     ring, k, field = base.ring, base.scalars, base.field
-    v, g = base.valuations[0], field.parse("x^2+1")
+    g = field.parse("x^2+1")
     cases = [(field.parse(u), g ** e) for u in
              ("1/(x+2)", "(3*x^3-x+5)/(2*x-7)", "x/(3*x^2+3)", "7")
              for e in (1, 2, 3)]
@@ -177,8 +201,7 @@ def test_residues_mod_a_polynomial_prime_stay_on_int_polynomials(
         return n, d
 
     pairs = [(pair(u), pair(gk)) for u, gk in cases]
-    digits = [gk * v.strip_principal_part(field.zero(), u / gk)[0]
-              for u, gk in cases]
+    digits = [reduce_mod(base, u, gk) for u, gk in cases]
 
     def no_fraction(*args):
         raise AssertionError("Fraction built")
@@ -210,11 +233,9 @@ def test_fractions_in_structure_constants_enter_the_ring_table():
     alg = L.quaternion_algebra(Fraction(-1, 3), -1)
     rows, _ = next(_draw("Q at 2,3"))
 
-    def colons():
-        x, y = L.span(base, 4, rows[:4]), L.span(base, 4, rows[4:8])
-        return L.colon_left(x, y, alg).rows, L.colon_right(y, x, alg).rows
+    def colons(ops):
+        x, y = ops.span(4, rows[:4]), ops.span(4, rows[4:8])
+        return (ops.rows(ops.colon(x, y, alg, "left")),
+                ops.rows(ops.colon(y, x, alg, "right")))
 
-    fast = colons()
-    with pytest.MonkeyPatch.context() as mp:
-        _plain(base, mp)
-        assert colons() == fast
+    assert colons(Library(base)) == colons(_plain("Q at 2,3"))
