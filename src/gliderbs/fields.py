@@ -11,9 +11,11 @@ Each field kind has one rep-level implementation, picked once when the
 operations, the zero test and the printer.  Reps are sympy domain elements
 for Q, Q(i), Q(x), F_p(x) and Q(x,y); ints mod p for F_p; pairs of ints
 mod p for F_p[i]; tuples of `Fraction` coefficients for Q[x]/(g).  Reps
-are read and wrapped only here.  The fields with sympy reps give the
-lattice kernel its scalars, `Field.reps`: the reps themselves, converted
-to and from elements only at the kernel's boundary.
+are read and wrapped only here.  Every field has `Field.reps`, the
+arithmetic on its reps, with the conversions to and from elements: the
+fields with sympy reps give the lattice kernel its scalars, and the
+residue fields the vectors of quotient spaces.  The kernel's rings read
+the residues of their own elements into those reps (`residue_rows`).
 
 Valuations: p-adic on Q, the three Gaussian prime splittings on Q(i),
 x-adic / y-adic and irreducible-polynomial valuations on function fields,
@@ -173,9 +175,12 @@ class Field:
         else:
             raise UnsupportedError(f"unknown field kind {k!r}")
         self._arith = arith
-        # the lattice kernel's scalars, over the fields with sympy reps
-        self.reps = arith if isinstance(arith, _DomainArith) else None
+        # the reps with their arithmetic: the lattice kernel's scalars over
+        # a base field, the residue vectors of quotient spaces over F_p
+        self.reps = arith
         arith.field = self
+        arith._zero = arith.from_fraction(Fraction(0))
+        arith._one = arith.from_fraction(Fraction(1))
         self._ops = {"add": arith.add, "sub": arith.sub, "mul": arith.mul,
                      "div": arith.div}
         self._nonzero = arith.nonzero
@@ -212,7 +217,7 @@ class Field:
     def elements(self):
         """Every element of a finite field, in a fixed order (cached;
         fields are interned, so the cache keeps nothing else alive)."""
-        reps = self._arith.reps()
+        reps = self._arith.elements()
         if reps is None:
             raise UnsupportedError(
                 f"cannot enumerate the infinite field {self.name}")
@@ -304,12 +309,20 @@ def pid_ring(field, valuations):
         return _IntegersAt(tuple(i.p for i in impls))
     if field.kind == "FUNC" and all(
             isinstance(i, (_LineAdic, _PolyPrime)) for i in impls):
-        ring = _PolynomialsAt(field, ())
-        ring.primes = tuple([ring.int_row([v.uniformizer().rep])[0][0]
-                             for v in valuations])
+        ring = _PolynomialsAt(field, valuations)
         if all(p == p.primitive() for p in ring.primes):
             return ring
     return _ValuedRing(field, valuations)
+
+
+def _residues_by_valuation(ring, rows, d, j):
+    """`residue_rows` through the j-th valuation: each entry as an element
+    of the field, its residue, and that residue's rep."""
+    v = ring.valuations[j]
+    k, res = v.field.reps, v.residue_field().reps
+    zero = res.zero()
+    return [[res.unwrap(v.residue(k.wrap(e))) if e else zero
+             for e in ring.rat_row(row, d)] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -429,50 +442,21 @@ def _elem(field, rep):
 # ---------------------------------------------------------------------------
 
 class _Arith:
-    """The rep-level implementation of one field kind: `from_fraction`,
-    `add`, `sub`, `mul`, `div`, `nonzero`, `show`, and the generators
-    `gens` (name -> rep, in print order).  Q and F_p also convert a rep
-    back (`to_fraction`); function fields convert a polynomial
-    coefficient (`coeff`)."""
+    """The rep-level implementation of one field kind, which is also the
+    field's `reps`: `from_fraction`, `add`, `sub`, `mul`, `div`,
+    `nonzero`, `show`, `zero`, `one`, the conversions to and from elements
+    (`wrap`, `unwrap` and their row forms) and the generators `gens` (name
+    -> rep, in print order).  Q and F_p also convert a rep back
+    (`to_fraction`); function fields convert a polynomial coefficient
+    (`coeff`)."""
 
     gens = {}
     to_fraction = None
     coeff = None
 
-    def reps(self):
+    def elements(self):
         """Every rep of a finite field, or None for an infinite one."""
         return None
-
-
-class _DomainArith(_Arith):
-    """Q, Q(i), Q(x), F_p(x), Q(x,y): sympy domain elements, whose own
-    operators are exact.  This is also the lattice kernel's scalars over
-    its field (`Field.reps`): the reps with `zero`, `one`,
-    `from_fraction`, and the conversions to and from elements at the
-    kernel's boundary.  F_p(x) arithmetic on reps can leave a denominator
-    that is not monic, so `wrap` makes it canonical."""
-
-    add, sub, mul = operator.add, operator.sub, operator.mul
-    nonzero = bool
-
-    def __init__(self, from_fraction, show, gens, to_fraction=None,
-                 coeff=None, canon=None):
-        self.from_fraction, self.show, self.gens = from_fraction, show, gens
-        self.to_fraction, self.coeff = to_fraction, coeff
-        if canon:
-            # every result in the canonical rep, so that == compares values
-            for name in ("from_fraction", "add", "sub", "mul", "div"):
-                op = getattr(self, name)
-                setattr(self, name, lambda *a, op=op: canon(op(*a)))
-            self.wrap = lambda r: _elem(self.field, canon(r))
-        self._zero = self.from_fraction(Fraction(0))
-        self._one = self.from_fraction(Fraction(1))
-
-    @staticmethod
-    def div(a, b):
-        if not b:
-            raise ZeroDivisionError("division by zero field element")
-        return a / b
 
     def zero(self):
         return self._zero
@@ -503,6 +487,34 @@ class _DomainArith(_Arith):
                 e = self._zero
             out.append(e)
         return out
+
+
+class _DomainArith(_Arith):
+    """Q, Q(i), Q(x), F_p(x), Q(x,y): sympy domain elements, whose own
+    operators are exact.  Over these fields the reps are the lattice
+    kernel's scalars (`BaseRing.scalars`), converted to and from elements
+    only at the kernel's boundary.  F_p(x) arithmetic on reps can leave a
+    denominator that is not monic, so `wrap` makes it canonical."""
+
+    add, sub, mul = operator.add, operator.sub, operator.mul
+    nonzero = bool
+
+    def __init__(self, from_fraction, show, gens, to_fraction=None,
+                 coeff=None, canon=None):
+        self.from_fraction, self.show, self.gens = from_fraction, show, gens
+        self.to_fraction, self.coeff = to_fraction, coeff
+        if canon:
+            # every result in the canonical rep, so that == compares values
+            for name in ("from_fraction", "add", "sub", "mul", "div"):
+                op = getattr(self, name)
+                setattr(self, name, lambda *a, op=op: canon(op(*a)))
+            self.wrap = lambda r: _elem(self.field, canon(r))
+
+    @staticmethod
+    def div(a, b):
+        if not b:
+            raise ZeroDivisionError("division by zero field element")
+        return a / b
 
 
 _MPQ = QQ.dtype  # builds a reduced rational from two ints
@@ -701,6 +713,15 @@ class _IntegersAt:
         residue, with c = 1."""
         return a * pow(b, -1, m) % m, 1
 
+    def residue_rows(self, rows, d, j):
+        """The residues at the j-th prime p of the entries of rows / d, each
+        in R, as reps of the residue field F_p: the p-part p^k of d divides
+        every entry, and n / d has the residue (n / p^k) (d / p^k)^-1."""
+        p = self.primes[j]
+        _, pk, u = self._part(d, p)
+        inv = pow(u, -1, p)
+        return [[n // pk * inv % p for n in row] for row in rows]
+
     def reduce_mod(self, u, g):
         """The canonical representative of u + g R for fractions u = (a, d)
         and g = (gp, pd) != 0: g times the principal parts of h = u/g.  For
@@ -723,12 +744,34 @@ class _PolynomialsAt(_IntegersAt):
     primes are the uniformizers, and rows of the field's reps pass in and
     out through `int_row` and `rat_row`."""
 
-    def __init__(self, field, primes):
-        self.primes, self.p = primes, field.char
+    def __init__(self, field, valuations):
+        self.valuations, self.p = valuations, field.char
         cls = _poly_class(self.p)
         self.zero, self.one = cls(), cls((1,))
         self._frac_zero = field.reps.zero()
         self._frac = self._frac_zero.field
+        self.primes = tuple([self.int_row([v.uniformizer().rep])[0][0]
+                             for v in valuations])
+
+    def residue_rows(self, rows, d, j):
+        """`_IntegersAt.residue_rows`: over F_p at a prime x - a, the value
+        at a of (n / p^k) (d / p^k)^-1; at every other prime through the
+        valuation."""
+        p, char = self.primes[j], self.p
+        if not char or len(p) != 2:
+            return _residues_by_valuation(self, rows, d, j)
+        a = -p[0] % char
+
+        def at(n):
+            out = 0
+            for c in reversed(n):
+                out = (out * a + c) % char
+            return out
+
+        k, pk, u = self._part(d, p)
+        inv = pow(at(u), -1, char)
+        return [[at(n // pk if k else n) * inv % char for n in row]
+                for row in rows]
 
     def gcd(self, *xs):
         """The gcd, monic over F_p, over Q with a positive lead."""
@@ -890,6 +933,8 @@ class _ValuedRing:
             nums = [n / den if n else n for n in nums]
         return tuple([n.rep for n in nums])
 
+    residue_rows = _residues_by_valuation
+
     def reduce_mod(self, u, g):
         """`_IntegersAt.reduce_mod` by the digit loop: at each valuation
         the digits of the principal part of u/g are the canonical lifts of
@@ -934,7 +979,7 @@ def _func_from_fraction(dom, char):
 
 
 class _PrimeArith(_Arith):
-    """F_p: ints reduced mod p."""
+    """F_p: ints reduced mod p, so that 0 is the one false rep."""
 
     to_fraction = Fraction
 
@@ -968,8 +1013,8 @@ class _PrimeArith(_Arith):
     def show(self, a):
         return str(a % self.p)
 
-    def reps(self):
-        return range(self.p)
+    def elements(self):
+        return tuple(range(self.p))
 
 
 class _GaussModArith(_Arith):
@@ -1017,9 +1062,9 @@ class _GaussModArith(_Arith):
         p = self.p
         return _print_gauss(Fraction(a[0] % p), Fraction(a[1] % p))
 
-    def reps(self):
+    def elements(self):
         p = self.p
-        return ((a, b) for a in range(p) for b in range(p))
+        return tuple([(a, b) for a in range(p) for b in range(p)])
 
 
 class _QuotArith(_Arith):
@@ -1684,10 +1729,13 @@ class _PolyPrime(_ValuationImpl):
         return self.g
 
     def residue_field(self):
-        if self.field.char:
-            raise UnsupportedError(
-                "residues at a polynomial prime need characteristic 0")
         g = self.g.rep.numer
+        if self.field.char:
+            # g = x - a, monic (`poly_prime`): the residue field is F_p
+            if g.degree() == 1:
+                return prime_field(self.field.char)
+            raise UnsupportedError("residues at a polynomial prime of degree "
+                                   "above 1 need characteristic 0")
         coeffs = self._coeffs(g, g.degree() + 1)
         lead = coeffs[-1]
         return quot_field([c / lead for c in coeffs])
@@ -1703,16 +1751,20 @@ class _PolyPrime(_ValuationImpl):
     def residue0(self, x):
         fld = self.residue_field()
         g = self.g.rep.numer
-        deg = len(fld.modulus) - 1
 
         def red(poly):
             _, r = poly.div(g)
+            if self.field.char:
+                return fld.from_fraction(self._coeffs(r, 1)[0])
+            deg = len(fld.modulus) - 1
             return _elem(fld, fld._arith.normalize(self._coeffs(r, deg)))
 
         return red(x.rep.numer) / red(x.rep.denom)
 
     def lift(self, r):
         f = self.field
+        if f.char:
+            return super().lift(r)
         x = f.gen(f.generator_names()[0])
         out = f.zero()
         for e, c in enumerate(r.rep):
@@ -1813,6 +1865,11 @@ def poly_prime(g, field=QX_FIELD):
         raise UnsupportedError("poly_prime needs a one-variable function field")
     if g.rep.denom != g.rep.denom.ring.one:
         raise UnsupportedError("polynomial prime must be a polynomial")
+    if field.char and g:
+        # the monic associate names the valuation and is its uniformizer,
+        # so the base ring is F_p[x]_(S): its pivots, `scale` and
+        # `BaseRing.from_exponents` use this one element
+        g = g / field.from_int(int(g.rep.numer.LC))
     num = g.rep.numer
     sym = sympy.Symbol(field.var)
     if field.char:

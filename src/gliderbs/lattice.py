@@ -17,15 +17,19 @@ The kernel computes on one scalar convention for every base ring: the
 reps of its field (`BaseRing.scalars`, the field's `reps`).  Lattices keep
 their rows as reps; `FieldElem` values are built only at the boundary,
 when code outside the kernel reads `Lattice.rows` or `coords`, and to read
-a value or a residue.  The kernel has one body, with the ring as a
-parameter (`BaseRing.ring`, from `fields.pid_ring`): Z_(S) on ints,
-F_p[x]_(S) and Q[x]_(S) on polynomials, and on every other base (Q(i),
-Q(x,y), a uniformizer with a constant factor) R given by its valuations,
-on field elements.  The normal form `_hnf` eliminates rows of ring
-elements over one denominator, with values read by the ring (`val`,
-`split`); duals, colons, intersections, membership and coordinates
-compute on the ring's elements too, from the rows and the inverse pivot
-block that each lattice root caches on the ring (`_RingForm`).
+a value.  The kernel has one body, with the ring as a parameter
+(`BaseRing.ring`, from `fields.pid_ring`): Z_(S) on ints, F_p[x]_(S) and
+Q[x]_(S) on polynomials, and on every other base (Q(i), Q(x,y), a
+uniformizer with a constant factor) R given by its valuations, on field
+elements.  The normal form `_hnf` eliminates rows of ring elements over
+one denominator, with values read by the ring (`val`, `split`); duals,
+colons, intersections, membership and coordinates compute on the ring's
+elements too, from the rows and the inverse pivot block that each lattice
+root caches on the ring (`_RingForm`).  So do the quotient spaces of the
+simplicity test, up to the residues, which the ring reads off its
+elements into the residue field's reps (`_QuotientSpace`).  Inside a memo
+scope, containment between different roots is decided by a shift bound
+per pair of primitive parts (`Lattice.contains`, `_shift_bound`).
 
 Full (rank d) lattices model orders, two-sided ideals and filtration
 levels; lower-rank modules appear as levels of chains inside a proper left
@@ -509,13 +513,25 @@ class Lattice:
         return _ring_holds(self, [a], e)
 
     def contains(self, other):
+        """Whether other lies in self.  On one root the exponents decide;
+        inside a memo scope, the shift bound of the primitive parts
+        (`_shift_bound`, once per pair and scope)."""
         if other is ZERO_MODULE:
             return True
         _check_compatible(self, other)
         if self.root is other.root:
             return not self.rank or all(
                 a <= b for a, b in zip(self.exps, other.exps))
-        return _ring_holds(self, *_ring_rows(other))
+        memo = _MEMO.memo
+        if memo is None:
+            return _ring_holds(self, *_ring_rows(other))
+        (p, a), (q, b) = self.primitive(), other.primitive()
+        key = ("contains", p, q)
+        mu = memo.get(key, key)
+        if mu is key:
+            mu = memo[key] = _shift_bound(p, q)
+        return mu is not None and all(
+            t - s >= m for s, t, m in zip(a, b, mu))
 
     # -- scale presentation --------------------------------------------------
 
@@ -907,6 +923,26 @@ def _ring_holds(lat, vecs, e):
     return not any(map(any, null)) and _ring_integral(lat.base.ring, Q, d)
 
 
+def _shift_bound(p, q):
+    """The least exponents mu with pi^mu Q inside P, or None when Q leaves
+    the K-span of P: mu_j is the largest v_j(den) - v_j(num) over the
+    nonzero coordinates num/den of Q's rows in P, so pi^a P holds pi^b Q
+    iff b - a >= mu componentwise.  A Q of rank 0 has no coordinates: its
+    bound () holds at every shift."""
+    ring = p.base.ring
+    Q, d, null = _ring_coords(p, *_ring_rows(q))
+    if any(map(any, null)):
+        return None
+    top = ring.val(d)
+    mu = None
+    for row in Q:
+        for n in row:
+            if n:
+                gap = tuple([s - t for s, t in zip(top, ring.val(n))])
+                mu = gap if mu is None else tuple(map(max, mu, gap))
+    return () if mu is None else mu
+
+
 def _content_free(ring, v):
     """The row v divided by the gcd of its entries."""
     g = ring.gcd(*v)
@@ -1025,14 +1061,6 @@ def intersect(x, y):
     return _kspan(base, dim, [
         _RingRow([sum(map(mul, r, c), ring.zero) for c in zip(*sbasis)], zd)
         for r in zn])
-
-
-def _coords_matrix(vectors, lat):
-    """The coordinates in lat's basis of vectors of kernel scalars that lie
-    in its K-span, as rows of kernel scalars."""
-    ring = lat.base.ring
-    Q, d, _ = _ring_coords(lat, *_ring_matrix(ring, vectors, lat.dim))
-    return [ring.rat_row(q, d) for q in Q]
 
 
 # ---------------------------------------------------------------------------
@@ -1204,46 +1232,59 @@ def _killing_prime(x, y):
 
 class _QuotientSpace:
     """X/Y as a vector space over the residue field of one maximal ideal,
-    with the left action of an order."""
+    with the left action of an order.  Vectors are rows of the residue
+    field's reps (`reps`: ints mod p over F_p), and `linalg` computes on
+    them.  Everything before the residues is computed on the ring: Y's
+    coordinates in X come from one `_ring_coords` call, the order's action
+    matrices from one more, on the products b_s x_r of
+    `AlgebraDesc.basis_products`, and the ring maps each entry to its
+    residue (`residue_rows`)."""
 
     def __init__(self, x, y, b, alg, j):
-        v = x.base.valuations[j]
-        self.res_field = v.residue_field()
-        self.v = v
-        scalars = x.base.scalars
-        k = x.rank
-
-        def residues(row):
-            zero = self.res_field.zero()
-            return [v.residue(scalars.wrap(e)) if e else zero for e in row]
-
-        Q = _coords_matrix(y.krows, x)
-        self.img_rows, pivots = linalg.rref(list(map(residues, Q)),
-                                            self.res_field)
-        self.k = k
-        self.free = [c for c in range(k) if c not in pivots]
+        base = x.base
+        ring = base.ring
+        self.v = base.valuations[j]
+        self.res_field = self.v.residue_field()
+        self.reps = k = self.res_field.reps
+        self.rank = r = x.rank
+        Q, d, _ = _ring_coords(x, *_ring_rows(y))
+        self.img_rows, pivots = linalg.rref(ring.residue_rows(Q, d, j), k)
+        self.free = [c for c in range(r) if c not in pivots]
         self.dim = len(self.free)
-        # action matrices of the order basis, in X-coordinates mod p
-        self.actions = []
-        for brow in b.krows:
-            prods = [alg.mul_coords(brow, xrow, scalars) for xrow in x.krows]
-            cs = _coords_matrix(prods, x)
-            self.actions.append(list(map(residues, cs)))
+        # b_s x_r = sum_t b_s[t] (e_t x_r), over the denominator of the
+        # rows and of the structure constants: row r of the action matrix
+        # of b_s, in X-coordinates
+        xnums, xden = _ring_rows(x)
+        bnums, bden = _ring_rows(b)
+        prods = [alg.basis_products(w, "left", base) for w in xnums]
+        vecs = []
+        for brow in bnums:
+            for ps, den in prods:
+                out = [ring.zero] * x.dim
+                for c, p in zip(brow, ps):
+                    if c:
+                        out = [a + c * e for a, e in zip(out, p)]
+                vecs.append(out)
+        A, d, _ = _ring_coords(x, vecs, xden * bden * den)
+        A = ring.residue_rows(A, d, j)
+        self.actions = [A[i:i + r] for i in range(0, len(A), r)]
 
     def project(self, vec):
-        """Image of a length-k residue vector in the quotient coordinates."""
-        _, (w,) = linalg.reduce([vec], self.img_rows)
+        """Image of a length-rank residue vector in the quotient
+        coordinates."""
+        _, (w,) = linalg.reduce([vec], self.img_rows, self.reps)
         return [w[c] for c in self.free]
 
     def lift_free(self, qvec):
-        w = [self.res_field.zero()] * self.k
+        w = [self.reps.zero()] * self.rank
         for c, val in zip(self.free, qvec):
             w[c] = val
         return w
 
-    def act(self, s, vec_k):
-        """Action of order basis element s on a length-k residue vector."""
-        return linalg.vec_mat(vec_k, self.actions[s])
+    def act(self, s, vec):
+        """Action of order basis element s on a length-rank residue
+        vector."""
+        return linalg.vec_mat(vec, self.actions[s], self.reps)
 
     def images(self, qvec):
         """b_s * qvec in the quotient, one vector per order basis element."""
@@ -1256,7 +1297,7 @@ class _QuotientSpace:
         return [self.project(a[self.free[c]]) for a in self.actions]
 
     def spans_all(self, vectors):
-        return len(linalg.rref(vectors, self.res_field)[0]) == self.dim
+        return len(linalg.rref(vectors, self.reps)[0]) == self.dim
 
     def non_generating_direction(self):
         """The first direction whose cyclic span is not the whole quotient,
@@ -1269,16 +1310,16 @@ class _QuotientSpace:
         nonzero vector generates: one rank decides, over any residue field.
         Only a quotient that this cannot settle, a reducible one or a
         simple one that is not absolutely simple, enumerates directions."""
-        fld, d = self.res_field, self.dim
+        k, d = self.reps, self.dim
         cols = []
         for c in range(d):
             imgs = self.basis_images(c)
             if not self.spans_all(imgs):
-                return [fld.one() if i == c else fld.zero() for i in range(d)]
+                return [k.one() if i == c else k.zero() for i in range(d)]
             cols.append(imgs)
         actions = [[e for col in cols for e in col[s]]
                    for s in range(len(self.actions))]
-        if len(linalg.rref(actions, fld)[0]) == d * d:
+        if len(linalg.rref(actions, k)[0]) == d * d:
             return None
         for qvec in self.enumerate_directions():
             if not self.spans_all(self.images(qvec)):
@@ -1287,8 +1328,9 @@ class _QuotientSpace:
 
     def enumerate_directions(self):
         """Projectively normalized nonzero vectors of the quotient."""
-        fld = self.res_field
-        elems = fld.elements()
+        k = self.reps
+        # the field's own list raises a typed error for an infinite field
+        elems = k.unwrap_row(self.res_field.elements())
         m = self.dim
         total = (len(elems) ** m - 1) // (len(elems) - 1)
         if total > DIRECTION_BOUND:
@@ -1297,7 +1339,7 @@ class _QuotientSpace:
         # the first nonzero coordinate is 1; more leading zeros come first
         for lead in reversed(range(m)):
             for rest in product(elems, repeat=m - lead - 1):
-                yield [fld.zero()] * lead + [fld.one()] + list(rest)
+                yield [k.zero()] * lead + [k.one()] + list(rest)
 
 
 def is_simple_quotient(x, y, b, alg):
@@ -1317,7 +1359,19 @@ def intermediate_module(x, y, b, alg):
     or every nonzero direction generates it under the order action (the
     rank of the action matrices, else full projective enumeration over the
     finite residue field; see `_QuotientSpace.non_generating_direction`).
+    Inside a memo scope the answer is kept, so asking again about one
+    quotient (`is_simple_quotient`, then the witness) is a lookup.
     """
+    memo = _MEMO.memo
+    if memo is None:
+        return _intermediate(x, y, b, alg)
+    key = ("intermediate", x, y, b, alg)
+    if key not in memo:
+        memo[key] = _intermediate(x, y, b, alg)
+    return memo[key]
+
+
+def _intermediate(x, y, b, alg):
     _module_checks(x, y, b, alg)
     if x == y:
         return None
@@ -1337,11 +1391,11 @@ def intermediate_module(x, y, b, alg):
     # B*v + Y for a lift v of the direction lies strictly between: v is
     # not in Y, and the image in X/Y is the cyclic span of v, not all of it
     w = V.lift_free(gen)
-    field = x.base.field
+    field, k = x.base.field, V.reps
     lift_vec = [field.zero()] * x.dim
     for s, r in enumerate(w):
-        if r:
-            coeff = V.v.lift(r)
+        if k.nonzero(r):
+            coeff = V.v.lift(k.wrap(r))
             lift_vec = [a + coeff * e for a, e in zip(lift_vec, x.rows[s])]
     return add(mult(b, span(x.base, x.dim, [lift_vec]), alg), y)
 

@@ -154,9 +154,19 @@ def test_negative_part_witness_errors(f5):
         find_negative_part_witness(fa1)
 
 
-def test_ramified_scalar_step_reducible():
+def test_ramified_scalar_step_reducible(monkeypatch):
     """The golden case over Q(i): M_2 over the (1+i)-adic base with the
-    doubled scalar step; column chains have non-simple level quotients."""
+    doubled scalar step; column chains have non-simple level quotients.
+    The scan analyses its first non-simple quotient once: the witness call
+    after `is_simple_quotient` reads the classifier's memo scope."""
+    searches = []
+    killing_prime = lattice._killing_prime
+
+    def counted(x, y):
+        searches.append((x, y))
+        return killing_prime(x, y)
+
+    monkeypatch.setattr(lattice, "_killing_prime", counted)
     w = gauss_prime("1+i")
     fr = scaled_valuation_filtration(w, 2)
     ring = fr.base_ring
@@ -172,6 +182,7 @@ def test_ramified_scalar_step_reducible():
     # witness top level is (1+i) B v
     pi = g.parse("1+i")
     assert v.witness.level(0).rows[0][0] == pi
+    assert len(searches) == 1
 
 
 def test_quaternion_out_of_class(f5):

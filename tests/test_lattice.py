@@ -301,7 +301,7 @@ def _enumerated_direction(x, y, b, alg):
     V = _QuotientSpace(x, y, b, alg, _killing_prime(x, y))
     if V.dim <= 1:
         return None
-    fld = V.res_field
+    fld = V.reps
     basis = [[fld.one() if i == c else fld.zero() for i in range(V.dim)]
              for c in range(V.dim)]
     for qvec in chain(basis, V.enumerate_directions()):

@@ -220,7 +220,7 @@ def test_basis_images_are_rows_of_the_action_matrices():
     order = L.span(base, 4, unit)
     col = L.span(base, 4, [unit[0], unit[2]])
     V = L._QuotientSpace(col, col.scale(QQ_FIELD.from_int(5)), order, M2, 0)
-    fld = V.res_field
+    fld = V.reps
     for c in range(V.dim):
         e_c = [fld.one() if i == c else fld.zero() for i in range(V.dim)]
         assert V.basis_images(c) == V.images(e_c)
