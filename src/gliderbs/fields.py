@@ -174,7 +174,6 @@ class Field:
             arith = _QuotArith(self.modulus)
         else:
             raise UnsupportedError(f"unknown field kind {k!r}")
-        self._arith = arith
         # the reps with their arithmetic: the lattice kernel's scalars over
         # a base field, the residue vectors of quotient spaces over F_p
         self.reps = arith
@@ -201,23 +200,23 @@ class Field:
     def from_fraction(self, q):
         if q.__class__ is not Fraction:
             q = Fraction(q)
-        return _elem(self, self._arith.from_fraction(q))
+        return _elem(self, self.reps.from_fraction(q))
 
     def gen(self, name):
         """The named generator ('x', 'y', 'i', 't', ...) as an element."""
-        rep = self._arith.gens.get(name)
+        rep = self.reps.gens.get(name)
         if rep is None:
             raise ParseError(f"field {self.name} has no generator {name!r}")
         return _elem(self, rep)
 
     def generator_names(self):
-        return tuple(self._arith.gens)
+        return tuple(self.reps.gens)
 
     @lru_cache(maxsize=None)
     def elements(self):
         """Every element of a finite field, in a fixed order (cached;
         fields are interned, so the cache keeps nothing else alive)."""
-        reps = self._arith.elements()
+        reps = self.reps.elements()
         if reps is None:
             raise UnsupportedError(
                 f"cannot enumerate the infinite field {self.name}")
@@ -271,7 +270,7 @@ def field_from_name(name):
 def rational_value(x):
     """The `Fraction` of an element of Q or F_p (for F_p, the least
     nonnegative integer representing it)."""
-    to_fraction = x.field._arith.to_fraction
+    to_fraction = x.field.reps.to_fraction
     if to_fraction is None:
         raise UnsupportedError(f"{x.field.name} elements are not rationals")
     return to_fraction(x.rep)
@@ -281,7 +280,7 @@ def substitute(x, target, images):
     """The rational function x of a function field evaluated at `images`
     (one element of `target` per generator of x's field), its rational
     coefficients embedded in `target`."""
-    coeff = x.field._arith.coeff
+    coeff = x.field.reps.coeff
     return _poly_image(x.rep.numer, target, images, coeff) / \
         _poly_image(x.rep.denom, target, images, coeff)
 
@@ -418,7 +417,7 @@ class FieldElem:
         return hash((self.field.name, self.rep))
 
     def __str__(self):
-        return self.field._arith.show(self.rep)
+        return self.field.reps.show(self.rep)
 
     def __repr__(self):
         return f"<{self.field.name}: {self}>"
@@ -753,25 +752,8 @@ class _PolynomialsAt(_IntegersAt):
         self.primes = tuple([self.int_row([v.uniformizer().rep])[0][0]
                              for v in valuations])
 
-    def residue_rows(self, rows, d, j):
-        """`_IntegersAt.residue_rows`: over F_p at a prime x - a, the value
-        at a of (n / p^k) (d / p^k)^-1; at every other prime through the
-        valuation."""
-        p, char = self.primes[j], self.p
-        if not char or len(p) != 2:
-            return _residues_by_valuation(self, rows, d, j)
-        a = -p[0] % char
-
-        def at(n):
-            out = 0
-            for c in reversed(n):
-                out = (out * a + c) % char
-            return out
-
-        k, pk, u = self._part(d, p)
-        inv = pow(at(u), -1, char)
-        return [[at(n // pk if k else n) * inv % char for n in row]
-                for row in rows]
+    # the residues through the valuation, not `_IntegersAt`'s ints mod p
+    residue_rows = _residues_by_valuation
 
     def gcd(self, *xs):
         """The gcd, monic over F_p, over Q with a positive lead."""
@@ -1676,7 +1658,7 @@ class _LineAdic(_ValuationImpl):
 
     def residue0(self, x):
         num0, den0 = _at_zero(x, self.axis)
-        coeff, k = self.field._arith.coeff, self.res_field
+        coeff, k = self.field.reps.coeff, self.res_field
         # one variable: the two polynomials are constants
         return k.from_fraction(coeff(num0.LC)) / \
             k.from_fraction(coeff(den0.LC))
@@ -1695,7 +1677,7 @@ class _PlaneAdic(_LineAdic):
         images = [k.zero(), k.zero()]
         images[1 - self.axis] = k.gen(k.generator_names()[0])
         num0, den0 = _at_zero(x, self.axis)
-        coeff = self.field._arith.coeff
+        coeff = self.field.reps.coeff
         return _poly_image(num0, k, images, coeff) / \
             _poly_image(den0, k, images, coeff)
 
@@ -1742,7 +1724,7 @@ class _PolyPrime(_ValuationImpl):
 
     def _coeffs(self, poly, n):
         """Coefficients of a polynomial in x, low to high, padded to n."""
-        coeff = self.field._arith.coeff
+        coeff = self.field.reps.coeff
         out = [Fraction(0)] * n
         for mono, c in poly.terms():
             out[mono[0]] = coeff(c)
@@ -1757,7 +1739,7 @@ class _PolyPrime(_ValuationImpl):
             if self.field.char:
                 return fld.from_fraction(self._coeffs(r, 1)[0])
             deg = len(fld.modulus) - 1
-            return _elem(fld, fld._arith.normalize(self._coeffs(r, deg)))
+            return _elem(fld, fld.reps.normalize(self._coeffs(r, deg)))
 
         return red(x.rep.numer) / red(x.rep.denom)
 

@@ -1256,10 +1256,11 @@ class _QuotientSpace:
         # of b_s, in X-coordinates
         xnums, xden = _ring_rows(x)
         bnums, bden = _ring_rows(b)
-        prods = [alg.basis_products(w, "left", base) for w in xnums]
+        den = alg._ring_table(base)[1]
+        prods = [alg.basis_products(w, "left", base)[0] for w in xnums]
         vecs = []
         for brow in bnums:
-            for ps, den in prods:
+            for ps in prods:
                 out = [ring.zero] * x.dim
                 for c, p in zip(brow, ps):
                     if c:

@@ -21,8 +21,8 @@ from gliderbs.orders import builtin_mnr
 
 F3X = fp_func_field(3)
 # per base: elements with value >= 0 at every prime, whose residues the
-# ring reads off its rows: at the primes x and x+2 of F_3[x] values at 0
-# and at 1, in Z_(S) after the p-part of the denominator is stripped
+# ring reads off its rows: in Z_(S) after the p-part of the denominator is
+# stripped, over F_3[x] at x and at x+2 through the valuation
 INTEGRAL = {
     "Q at 5": (BaseRing(QQ_FIELD, [padic(5)]),
                ["1", "5", "2/3", "7/2", "25/4", "-3"]),
