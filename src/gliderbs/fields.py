@@ -522,62 +522,86 @@ _MPQ_ZERO = _MPQ(0)
 
 class _Poly(tuple):
     """A polynomial in one variable: coefficients low to high, no trailing
-    zero; ints mod p for p > 0 (classes from `_poly_class`), else ints, or
-    `Fraction`s where a division over Q needs one.  Star-arguments and
-    tuples are built from lists: a tuple from a generator is resized and
-    freed to the free list of its final size, where hundreds pile up
-    between full collections and raise the peak memory."""
+    zero; ints reduced mod p for p > 0 (classes from `_poly_class`), else
+    ints, or `Fraction`s where a division over Q needs one.  F_p and Z have
+    no zero divisors, so a product's lead is nonzero and only a sum or a
+    remainder is stripped.  A sum or a product builds one list, then the
+    tuple from it: a tuple from a generator is resized and freed to the
+    free list of its final size, where hundreds pile up between full
+    collections and raise the peak memory."""
 
     __slots__ = ()
     p = 0
 
-    def _new(self, cs):
+    def _new(self, cs, tail=()):
+        """The polynomial cs + tail, cs reduced mod p here: a nonempty tail
+        (the rest of a sum's longer operand) keeps the lead, so only an
+        empty one leaves trailing zeros to strip."""
         p = self.p
         if p:
             cs = [c % p for c in cs]
+        if tail:
+            cs += tail
         while cs and not cs[-1]:
             cs.pop()
         return self.__class__(cs)
 
     def __add__(a, b):
+        if not (a and b):
+            return a or b
         if len(a) < len(b):
             a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] += c
-        return a._new(cs)
+        return a._new([x + y for x, y in zip(a, b)], a[len(b):])
+
+    def __sub__(a, b):
+        if not (a and b):
+            return a if a else -b
+        m = len(a)
+        return a._new([x - y for x, y in zip(a, b)],
+                      a[len(b):] if m >= len(b) else (-b)[m:])
 
     def __neg__(a):
-        return a._new([-c for c in a])
-
-    __sub__ = lambda a, b: a + -b  # noqa: E731
+        p = a.p
+        return a.__class__([-c % p for c in a] if p else [-c for c in a])
 
     def __mul__(a, b):
         if not (a and b):
             return a.__class__()
+        if len(a) < len(b):
+            a, b = b, a
+        p = a.p
+        if len(b) == 1:
+            c = b[0]
+            return a.__class__([x * c % p for x in a] if p else
+                               [x * c for x in a])
         cs = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
+        for i, x in enumerate(b):
             if x:
-                for j, y in enumerate(b, i):
+                for j, y in enumerate(a, i):
                     cs[j] += x * y
-        return a._new(cs)
+        return a.__class__([c % p for c in cs] if p else cs)
 
     def __divmod__(a, b):
         """(q, r) with a = q b + r and deg r < deg b: over F_p by the
         inverse of b's leading coefficient, over Q with an int quotient
-        coefficient wherever it divides exactly."""
+        coefficient wherever it divides exactly; a monic b needs neither."""
         p, n, lc = a.p, len(b) - 1, b[-1]
-        inv = pow(lc, -1, p) if p else None
-        r, q = list(a), [0] * max(len(a) - n, 0)
+        if len(a) <= n:
+            return a.__class__(), a
+        inv = pow(lc, -1, p) if p and lc != 1 else None
+        r, q, low = list(a), [0] * (len(a) - n), b[:n]
         for k in reversed(range(len(q))):
             c = r[k + n]
-            c = c * inv % p if p else c // lc if c % lc == 0 else \
-                Fraction(c, lc)
+            if lc != 1:
+                c = c * inv % p if p else c // lc if c % lc == 0 else \
+                    Fraction(c, lc)
+            elif p:
+                c %= p
             if c:
                 q[k] = c
-                for j, y in enumerate(b, k):
+                for j, y in enumerate(low, k):
                     r[j] -= c * y
-        return a._new(q), a._new(r[:n])
+        return a.__class__(q), a._new(r[:n])
 
     __floordiv__ = lambda a, b: divmod(a, b)[0]  # noqa: E731
     __mod__ = lambda a, b: divmod(a, b)[1]  # noqa: E731
@@ -590,35 +614,36 @@ class _Poly(tuple):
         if a.p:
             return (*divmod(a, b), 1)
         n, lc, r, c = len(b) - 1, b[-1], list(a), 1
-        q = [0] * max(len(r) - n, 0)
+        q, low = [0] * max(len(r) - n, 0), b[:n]
         for k in reversed(range(len(q))):
             x = r[k + n]
             if x:
-                f = lc // gcd(x, lc)
+                f = lc // gcd(x, lc) if lc != 1 else 1
                 if f != 1:
                     r, q, c, x = [y * f for y in r], [y * f for y in q], \
                         c * f, x * f
                 q[k] = t = x // lc
-                for j, y in enumerate(b, k):
+                for j, y in enumerate(low, k):
                     r[j] -= t * y
-        return a._new(q), a._new(r[:n]), c
-
-    def prem(a, b):
-        """A remainder of a by b up to a constant factor (`pdivmod`)."""
-        return a.pdivmod(b)[1]
+        return a.__class__(q), a._new(r[:n]), c
 
     def primitive(self):
         """The canonical associate: monic over F_p; over Q the multiple with
         coprime int coefficients and a positive leading coefficient."""
         if not self:
             return self
-        if self.p:
-            inv = pow(self[-1], -1, self.p)
-            return self._new([c * inv for c in self])
-        den = lcm(*[c.denominator for c in self])
-        cs = [int(c * den) for c in self]
+        p = self.p
+        if p:
+            inv = pow(self[-1], -1, p)
+            return self.__class__([c * inv % p for c in self]) \
+                if inv != 1 else self
+        cs = self
+        if not all([c.__class__ is int for c in self]):
+            den = lcm(*[c.denominator for c in self])
+            cs = [int(c * den) for c in self]
         g = gcd(*cs) if cs[-1] > 0 else -gcd(*cs)
-        return self.__class__([c // g for c in cs])
+        return self if g == 1 and cs is self else \
+            self.__class__([c // g for c in cs])
 
 
 @lru_cache(maxsize=None)
@@ -746,7 +771,7 @@ class _PolynomialsAt(_IntegersAt):
     def __init__(self, field, valuations):
         self.valuations, self.p = valuations, field.char
         cls = _poly_class(self.p)
-        self.zero, self.one = cls(), cls((1,))
+        self.zero, self.one, self._x = cls(), cls((1,)), cls((0, 1))
         self._frac_zero = field.reps.zero()
         self._frac = self._frac_zero.field
         self.primes = tuple([self.int_row([v.uniformizer().rep])[0][0]
@@ -756,16 +781,25 @@ class _PolynomialsAt(_IntegersAt):
     residue_rows = _residues_by_valuation
 
     def gcd(self, *xs):
-        """The gcd, monic over F_p, over Q with a positive lead."""
-        xs = [x for x in xs if x]
+        """The canonical associate of the gcd: over F_p monic, by Euclid on
+        remainders and one division by the lead at the end; over Q with a
+        positive lead, by primitive pseudo-remainders times the content."""
         a = self.zero
+        if self.p:
+            for b in xs:
+                while b:
+                    a, b = b, a % b
+                if len(a) == 1:
+                    return self.one
+            return a.primitive()
+        xs = [x for x in xs if x]
         for b in xs:
             if a == self.one:
                 break
             b = b.primitive()
             while b:
-                a, b = b, a.prem(b).primitive()
-        if self.p or not a:
+                a, b = b, a.pdivmod(b)[1].primitive()
+        if not a:
             return a
         return a * a.__class__((gcd(*[gcd(*x) for x in xs]),))
 
@@ -790,7 +824,12 @@ class _PolynomialsAt(_IntegersAt):
     def _part(self, n, p):
         """`_IntegersAt._part` by pseudo-division: c n = q p + r, p divides n
         iff r = 0, and then n / p = q / c.  At a prime that is not monic
-        this builds no `Fraction`, where `divmod` would."""
+        this builds no `Fraction`, where `divmod` would.  At x the part is
+        a shift: k is the number of zero low coefficients."""
+        if p == self._x:
+            k = next(i for i, c in enumerate(n) if c)
+            return (k, n.__class__([0] * k + [1]), n.__class__(n[k:])) \
+                if k else (0, self.one, n)
         k, pk = 0, self.one
         q, r, c = n.pdivmod(p)
         while not r:
@@ -804,7 +843,16 @@ class _PolynomialsAt(_IntegersAt):
         for b prime to m and c a constant.  Extended Euclid on
         pseudo-remainders gives s b = k (mod m) with k a nonzero constant,
         and one more pseudo-division reduces a s / k; over Q every
-        coefficient stays an integer."""
+        coefficient stays an integer.  At m = x^k, power-series division:
+        b_0 r_i = a_i - sum b_j r_(i-j), scaled by c = b_0^k over Q."""
+        if not m[0]:
+            p, b0, r = self.p, b[0], []
+            c, inv = (1, pow(b0, -1, p)) if p else (b0 ** (len(m) - 1), 0)
+            for i in range(len(m) - 1):
+                t = (a[i] * c if i < len(a) else 0) - sum(
+                    [b[j] * r[i - j] for j in range(1, min(i + 1, len(b)))])
+                r.append(t * inv % p if p else t // b0)
+            return m._new(r), m.__class__((c,))
         r0, r1, s0, s1 = m, b, self.zero, self.one
         while len(r1) > 1:
             # s_i b = r_i (mod m) for both pairs
@@ -836,7 +884,7 @@ class _PolynomialsAt(_IntegersAt):
         return [n if d == den else n * (den // d) for n, d in pairs], den
 
     def _dense(self, poly):
-        cs = [0] * (poly.degree() + 1) if poly else []
+        cs = [0] * (max(poly)[0] + 1) if poly else []
         for (e,), c in poly.items():
             cs[e] = c.val if self.p else int(c.numerator) \
                 if c.denominator == 1 else _qq_fraction(c)
