@@ -7,9 +7,12 @@ respective side) are orders.  Chains multiply levelwise by the convolution
 (M*N)_i = sum_k M_k N_{i-k}, invert by the two-sided colon
 (M^-1)_i = {x : M x M inside M_i}, and the maximal idempotent acting on a
 chain (its unit) equals both the product with the inverse and the
-modulizer chain computed from colons; multiplication is gated by matching
-units, and the whole collection satisfies the five groupoid axioms, which
-`verify_groupoid` checks levelwise on a sample.
+modulizer chain computed from colons.  `product` convolves any pair over
+one algebra and filtration, with no gate on their units: the units are
+products themselves (`unit_left` is `product(m, inverse(m))`), so a gate
+inside `product` would recurse.  `verify_groupoid` checks the five
+groupoid axioms levelwise on a sample, the units of a product on proper
+pairs only (`_proper`: E^r(M) = E^l(N)).
 """
 
 from __future__ import annotations

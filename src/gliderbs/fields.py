@@ -687,6 +687,26 @@ class _IntegersAt:
         """The reps nums[k] / den, for ints nums and den != 0."""
         return tuple([_MPQ(n, den) if n else _MPQ_ZERO for n in nums])
 
+    def lowest_terms(self, rows):
+        """(tuple of row tuples, den): the fractions nums / d of the pairs
+        (nums, d), d != 0, over one denominator in lowest terms, with the
+        unit `_unit_gcd` fixes, so equal fractions give identical pairs."""
+        den = self.one
+        for _, d in rows:
+            if d != den:
+                den = den // self.gcd(den, d) * d
+        nums = [n if d == den else [a * (den // d) for a in n]
+                for n, d in rows]
+        g = self._unit_gcd(den, [a for n in nums for a in n])
+        if g != self.one:
+            nums, den = [[a // g for a in n] for n in nums], den // g
+        return tuple([tuple(n) for n in nums]), den
+
+    @staticmethod
+    def _unit_gcd(d, xs):
+        """gcd(d, *xs), negated where d < 0: d divided by it is positive."""
+        return gcd(d, *xs) if d > 0 else -gcd(d, *xs)
+
     def _part(self, n, p):
         """(k, p^k, n / p^k) for the largest k with p^k dividing n != 0: k
         read off the table by one gcd below p^K, from p^K on by `_strip`."""
@@ -890,6 +910,15 @@ class _PolynomialsAt(_IntegersAt):
                 if c.denominator == 1 else _qq_fraction(c)
         return self.zero.__class__(cs)
 
+    def _unit_gcd(self, d, xs):
+        """gcd(d, *xs) times the unit that makes d divided by it canonical:
+        monic over F_p; over Q with a positive lead, the content of the
+        quotients then being 1 (the gcd carries the common content)."""
+        g, lead = self.gcd(d, *xs), d[-1]
+        if self.p:
+            return g if lead == 1 else g * g.__class__((lead,))
+        return g if lead > 0 else -g
+
     def rat_row(self, nums, den):
         """The reps nums[k] / den in lowest terms, with the canonical
         denominator: monic over F_p, a positive lead over Q."""
@@ -897,14 +926,9 @@ class _PolynomialsAt(_IntegersAt):
                       for n in nums])
 
     def _rep(self, n, d):
-        g = self.gcd(n, d)
+        g = self._unit_gcd(d, [n])
         if g != self.one:
             n, d = n // g, d // g
-        if self.p and d[-1] != 1:
-            c = d.__class__((pow(d[-1], -1, self.p),))
-            n, d = n * c, d * c
-        elif d[-1] < 0:
-            n, d = -n, -d
         ring, k = self._frac.ring, self._frac.domain
         n, d = [ring.dtype({(e,): k(c) for e, c in enumerate(x) if c})
                 for x in (n, d)]
@@ -962,6 +986,12 @@ class _ValuedRing:
         if den != self.one:
             nums = [n / den if n else n for n in nums]
         return tuple([n.rep for n in nums])
+
+    def lowest_terms(self, rows):
+        """`_IntegersAt.lowest_terms`: in a field, over the denominator 1."""
+        return tuple([tuple(n) if d == self.one else
+                      tuple([a / d if a else a for a in n])
+                      for n, d in rows]), self.one
 
     residue_rows = _residues_by_valuation
 

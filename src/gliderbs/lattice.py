@@ -10,26 +10,25 @@ A Lattice is the R-span of finitely many vectors in K^d, stored as the
 canonical matrix of a Hermite-style normal form: echelon rows, each pivot a
 product of uniformizer powers, entries above a pivot reduced to the
 canonical representative of their coset modulo the pivot (principal-part
-digits at each maximal ideal).  Equal modules have identical canonical
-matrices, so equality is syntactic.
+digits at each maximal ideal).
 
-The kernel computes on one scalar convention for every base ring: the
-reps of its field (`BaseRing.scalars`, the field's `reps`).  Lattices keep
-their rows as reps; `FieldElem` values are built only at the boundary,
-when code outside the kernel reads `Lattice.rows` or `coords`, and to read
-a value.  The kernel has one body, with the ring as a parameter
-(`BaseRing.ring`, from `fields.pid_ring`): Z_(S) on ints, F_p[x]_(S) and
-Q[x]_(S) on polynomials, and on every other base (Q(i), Q(x,y), a
-uniformizer with a constant factor) R given by its valuations, on field
-elements.  The normal form `_hnf` eliminates rows of ring elements over
-one denominator, with values read by the ring (`val`, `split`); duals,
-colons, intersections, membership and coordinates compute on the ring's
-elements too, from the rows and the inverse pivot block that each lattice
-root caches on the ring (`_RingForm`).  So do the quotient spaces of the
-simplicity test, up to the residues, which the ring reads off its
-elements into the residue field's reps (`_QuotientSpace`).  Inside a memo
-scope, containment between different roots is decided by a shift bound
-per pair of primitive parts (`Lattice.contains`, `_shift_bound`).
+The kernel has one body, with the ring as a parameter (`BaseRing.ring`,
+from `fields.pid_ring`): Z_(S) on ints, F_p[x]_(S) and Q[x]_(S) on
+polynomials, and on every other base (Q(i), Q(x,y), a uniformizer with a
+constant factor) R given by its valuations, on field elements.  A lattice
+keeps one store, on the ring: its canonical rows as numerators over one
+denominator in lowest terms with the ring's canonical unit, and the pivot
+columns (`Lattice.store`).  Equal modules have identical stores, so
+equality is syntactic.  Vectors from outside enter the ring once, through
+its `int_row` (`span`, `solve_dual`, `coords`, `contains_vector`), and
+field elements are built only at the boundary (`Lattice.rows`, `coords`).
+The normal form `_hnf`, products, duals, colons, intersections and
+membership compute on the ring's elements, from the stores and the inverse
+pivot block each root caches (`_inverse`); so do the quotient spaces of the
+simplicity test up to the residues, which the ring reads off into the
+residue field's reps (`_QuotientSpace`).  Inside a memo scope, containment
+between different roots is decided by a shift bound per pair of primitive
+parts (`Lattice.contains`, `_shift_bound`).
 
 Full (rank d) lattices model orders, two-sided ideals and filtration
 levels; lower-rank modules appear as levels of chains inside a proper left
@@ -129,8 +128,8 @@ class BaseRing:
         inst._validate()
         inst.uniformizers = tuple(v.uniformizer() for v in valuations)
         inst._check_uniformizers()
-        inst._gen_cache = {}
-        # what the lattice kernel computes on: the reps of the field
+        inst._gen_cache, inst._ring_powers = {}, {}
+        # the reps of the field, through which vectors enter the ring
         inst.scalars = field.reps
         # Z_(S), F_p[x]_(S), Q[x]_(S) or R given by its valuations: the
         # ring whose elements the kernel reduces lattices on
@@ -188,6 +187,18 @@ class BaseRing:
                 if e:
                     out = out * pi ** e
             cache[exps] = out
+        return out
+
+    def prime_powers(self, exps):
+        """(tn, td) with p^exps = tn / td for the ring's primes p: the
+        products of the powers p^e over e > 0 and of p^-e over e < 0."""
+        out = self._ring_powers.get(exps)
+        if out is None:
+            out = [self.ring.one] * 2
+            for p, e in zip(self.ring.primes, exps):
+                for _ in range(abs(e)):
+                    out[e < 0] = out[e < 0] * p
+            out = self._ring_powers[exps] = tuple(out)
         return out
 
     def reduce_mod(self, u, g):
@@ -340,7 +351,8 @@ class AlgebraDesc:
 
     def mul_coords(self, u, w, field):
         """Product of two coordinate vectors of elements of `field`, or of
-        kernel scalars when `field` is a base ring's `scalars`."""
+        its reps when `field` is a field's `reps`; the kernel's products
+        run on the ring (`ring_products`)."""
         tbl = self._field_table(field)
         out = [field.zero()] * self.dim
         for s, cs in enumerate(u):
@@ -356,10 +368,10 @@ class AlgebraDesc:
         return out
 
     def _ring_table(self, base):
-        """Per side and basis index s, the (t, u, c) of the products e_s e_t
-        (left) or e_t e_s (right) with coefficient c/den at u, for c and
-        den elements of the base's ring: den is the least common denominator
-        of the structure constants, and c is None where it equals 1."""
+        """(table, den): per basis index s, the (t, u, c) of the products
+        e_s e_t with coefficient c/den at u, for c and den elements of the
+        base's ring: den is the least common denominator of the structure
+        constants, and c is None where it equals 1."""
         cache = self.__dict__.setdefault("_rtables", {})
         tbl = cache.get(base)
         if tbl is None:
@@ -370,29 +382,33 @@ class AlgebraDesc:
             def lift(c):
                 return ring.int_row([k.from_fraction(c * den)])[0][0]
 
-            sides = {side: [[] for _ in range(self.dim)]
-                     for side in ("left", "right")}
+            table = [[] for _ in range(self.dim)]
             for (s, t), entries in sorted(self._table.items()):
-                for u, c in entries:
-                    c = None if c * den == 1 else lift(c)
-                    sides["left"][s].append((t, u, c))
-                    sides["right"][t].append((s, u, c))
-            tbl = cache[base] = (sides, lift(Fraction(1)))
+                table[s] += [(t, u, None if c * den == 1 else lift(c))
+                             for u, c in entries]
+            tbl = cache[base] = (table, lift(Fraction(1)))
         return tbl
 
-    def basis_products(self, w, side, base):
-        """(prods, den): prods[s] / den is e_s * w (left) or w * e_s (right)
-        for a row w of elements of the base's ring, prods[s] a row of them."""
-        sides, den = self._ring_table(base)
+    def ring_products(self, us, ws, base):
+        """(prods, den): the products u w of the rows u in us and w in ws,
+        rows of elements of the base's ring, u-major, are prods[i] / den,
+        by the structure constants of `_ring_table`.  One body for every
+        algebra."""
+        table, den = self._ring_table(base)
         zero = base.ring.zero
         prods = []
-        for entries in sides[side]:
-            out = [zero] * self.dim
-            for t, u, c in entries:
-                a = w[t]
-                if a:
-                    out[u] = out[u] + (a if c is None else a * c)
-            prods.append(out)
+        for u in us:
+            for w in ws:
+                out = [zero] * self.dim
+                for s, a in enumerate(u):
+                    if a:
+                        for t, i, c in table[s]:
+                            b = w[t]
+                            if b:
+                                ab = a * b
+                                out[i] = out[i] + (ab if c is None
+                                                   else ab * c)
+                prods.append(out)
         return prods, den
 
     def one_vector(self, field):
@@ -426,60 +442,67 @@ def quaternion_algebra(a, b):
 # ---------------------------------------------------------------------------
 
 class Lattice:
-    """Canonical-form R-module in K^d.  Rows form the canonical basis.
+    """Canonical-form R-module in K^d, stored once, on the base's ring.
 
-    The kernel keeps the rows in its scalars (`krows`); `rows` are the
-    same rows as field elements, built once on first read.
+    The store is (nums, den, pivots): the canonical rows are nums[i] / den,
+    rows of elements of `base.ring` over one denominator in lowest terms,
+    with the ring's canonical unit (`lowest_terms`), and pivots are their
+    pivot columns.  Equal modules have identical stores, so `==` and the
+    hash compare stores.  `rows` is the view for code outside the kernel:
+    the same rows as field elements, built on first read.
 
     A lattice also carries a scale presentation self = pi^exps * root.
     `scale`, `scale_ideal` and the memo results of `mult` and `_colon`
     record the root they multiply and the exponents; a lattice from `span`
-    is its own root with exponents 0.  Rows stay the authoritative
-    content: those of a scaled lattice are the root's rows times a product
-    of uniformizer powers (which keeps them canonical), computed on first
-    read.  Two lattices on one root compare by exponents: pi^b P lies in
-    pi^a P iff b >= a componentwise, their sum is pi^min(a,b) P and their
-    intersection pi^max(a,b) P.
+    is its own root with exponents 0.  The store stays the authoritative
+    content: that of a scaled lattice is the root's store times a product
+    of the ring's prime powers (which keeps the rows canonical), brought to
+    lowest terms on first read.  Two lattices on one root compare by
+    exponents: pi^b P lies in pi^a P iff b >= a componentwise, their sum is
+    pi^min(a,b) P and their intersection pi^max(a,b) P.
     """
 
-    __slots__ = ("base", "dim", "_rows", "_root", "exps", "_hash",
-                 "_primitive", "_elems", "_ring")
+    __slots__ = ("base", "dim", "_store", "_root", "exps", "_hash",
+                 "_primitive", "_rows", "_inv")
 
-    def __init__(self, base, dim, rows, _canonical=False, _root=None,
+    def __init__(self, base, dim, store, _canonical=False, _root=None,
                  _exps=None):
         if not _canonical:
             raise RankError("use span()/canonicalize() to build lattices")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_store", store)
         object.__setattr__(self, "_root", _root)
         object.__setattr__(self, "exps",
                            (0,) * base.nprimes if _exps is None else _exps)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_primitive", None)
-        object.__setattr__(self, "_elems", None)
-        object.__setattr__(self, "_ring", None)
+        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_inv", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Lattice is immutable")
 
     @property
-    def krows(self):
-        """The canonical rows in the kernel's scalars."""
-        rows = self._rows
-        if rows is None:
-            t = self.base.scalars.unwrap(self.base.from_exponents(self.exps))
-            rows = tuple(tuple(t * e for e in row) for row in self._root.krows)
-            object.__setattr__(self, "_rows", rows)
-        return rows
+    def store(self):
+        """(nums, den, pivots), the canonical rows on the ring."""
+        store = self._store
+        if store is None:
+            nums, den = _ring_rows(self)
+            store = (*self.base.ring.lowest_terms([(r, den) for r in nums]),
+                     self._root.store[2])
+            object.__setattr__(self, "_store", store)
+        return store
 
     @property
     def rows(self):
         """The canonical rows as field elements."""
-        rows = self._elems
+        rows = self._rows
         if rows is None:
-            rows = tuple(map(self.base.scalars.wrap_row, self.krows))
-            object.__setattr__(self, "_elems", rows)
+            nums, den, _ = self.store
+            ring, k = self.base.ring, self.base.scalars
+            rows = tuple([k.wrap_row(ring.rat_row(r, den)) for r in nums])
+            object.__setattr__(self, "_rows", rows)
         return rows
 
     @property
@@ -488,7 +511,7 @@ class Lattice:
 
     @property
     def rank(self):
-        return len(self.root.krows)
+        return len(self.root.store[2])
 
     @property
     def full(self):
@@ -506,10 +529,7 @@ class Lattice:
             list(k.wrap_row(ring.rat_row(q, d)))
 
     def contains_vector(self, vec):
-        vec = self.base.scalars.unwrap_row(vec)
-        if not any(vec):
-            return True
-        a, e = self.base.ring.int_row(vec)
+        a, e = self.base.ring.int_row(self.base.scalars.unwrap_row(vec))
         return _ring_holds(self, [a], e)
 
     def contains(self, other):
@@ -536,12 +556,8 @@ class Lattice:
     # -- scale presentation --------------------------------------------------
 
     def scale(self, x):
-        """x * L for a nonzero field element x.
-
-        Fast path: x = (unit) * t with t a product of uniformizer powers;
-        the unit is absorbed by the module and multiplying the canonical
-        matrix by t keeps pivots canonical and coset digits unchanged.
-        """
+        """x * L = pi^v(x) * L for a nonzero field element x with values
+        v(x): the module absorbs the unit part of x."""
         if not x:
             raise SpecValidationError("scaling a lattice by zero")
         return self.scale_exponents(self.base.val_vector(x))
@@ -555,7 +571,11 @@ class Lattice:
         _check_compatible(self, other)
         if self.root is other.root:
             return _on_root(self, other, min)
-        return _kspan(self.base, self.dim, self.krows + other.krows)
+        rows = []
+        for lat in (self, other):
+            nums, den = _ring_rows(lat)
+            rows += [(r, den) for r in nums]
+        return _ring_span(self.base, self.dim, rows)
 
     def scale_exponents(self, exps):
         """pi^exps * L, presented on the root of L."""
@@ -568,19 +588,16 @@ class Lattice:
     def primitive(self):
         """(Q, f) with self = pi^f * Q, where Q is the root divided by the
         largest uniformizer power dividing all of its entries: lattices
-        that differ by a central scalar have equal Q.  One valuation pass
-        per root, cached on the root."""
+        that differ by a central scalar have equal Q.  One pass over the
+        values of the root's numerators, cached on the root."""
         root = self.root
         q = root._primitive
         if q is None:
-            mins = None
-            for row in root.krows:
-                for e in row:
-                    if e:
-                        v = _vals(root.base, e)
-                        mins = v if mins is None else tuple(map(min, mins, v))
-            q = root if mins is None else \
-                root.scale_exponents(tuple(-m for m in mins))
+            ring, (nums, den, _) = root.base.ring, root.store
+            vals = [ring.val(e) for row in nums for e in row if e]
+            q = root.scale_exponents(tuple(
+                t - min(v) for v, t in zip(zip(*vals), ring.val(den)))) \
+                if vals else root
             object.__setattr__(root, "_primitive", q)
         return q, tuple(a - b for a, b in zip(self.exps, q.exps))
 
@@ -590,12 +607,12 @@ class Lattice:
         if self.root is other.root:
             return self.exps == other.exps or not self.rank
         return (self.base is other.base and self.dim == other.dim
-                and self.krows == other.krows)
+                and self.store == other.store)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.base, self.dim, self.krows))
+            h = hash((self.base, self.dim, self.store))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -609,11 +626,6 @@ def _check_compatible(x, y):
         raise BaseMismatchError("lattices over different base rings")
     if x.dim != y.dim:
         raise BaseMismatchError("lattices in different ambient dimensions")
-
-
-def _vals(base, e):
-    """The value vector of a nonzero kernel scalar."""
-    return base.val_vector(base.scalars.wrap(e))
 
 
 # The kernel over R (`BaseRing.ring`), whose elements (ints, polynomials
@@ -632,44 +644,31 @@ def _drop_unit(ring, nums):
     return nums
 
 
-class _RingRow:
-    """The row nums/d of elements of the base's ring, which `_hnf` and
-    `solve_dual` take in place of a row of kernel scalars: conditions and
-    dual bases built on the ring reach `_hnf` as they are.  The marker is
-    per row, so a list of rows stays a list of rows."""
-
-    __slots__ = ("nums", "d")
-
-    def __init__(self, nums, d):
-        self.nums, self.d = nums, d
-
-
 def _hnf(base, dim, vectors):
-    """Canonical Hermite-style normal form of vectors of kernel scalars
-    (`BaseRing.scalars`), or `_RingRow`s: the tuple of canonical rows, in
-    those scalars.  One body for every ring (Cohen, GTM 138, section 2.4).
-    A row nums/d times the unit part of d is nums/s, s the prime part of
-    d, so the rows are cleared to lists of ring elements over one
-    denominator D, the lcm of the s.  A pivot is made by a unit
+    """Canonical Hermite-style normal form of the rows (nums, d), each the
+    vector nums / d of elements of the base's ring: the store (nums, den,
+    pivots) of `Lattice`.  One body for every ring (Cohen, GTM 138,
+    section 2.4).  A row nums/d times the unit part of d is nums/s, s the
+    prime part of d, so the rows are cleared to lists of ring elements over
+    one denominator D, the lcm of the s.  A pivot is made by a unit
     multiplier, u*row_i - t*row_piv with s*u the pivot entry, s its prime
     part and t = a_i / s exact, instead of a field division; rows are
     mixed until a candidate attains the componentwise-minimum values
     (`BaseRing.mix_coefficient`), and each candidate's values (`ring.val`)
     are read once per column.  A row's content is divided out only where
     it has a unit part (`_drop_unit`).  The pivot row divided by u is the
-    pivot row over D u.  Rows of kernel scalars come in through the ring's
-    `int_row`, and rows go out through `rat_row`; back-substitution
-    reduces modulo each pivot s/D with `BaseRing.reduce_mod` on fractions
-    of ring elements."""
+    pivot row over D u.  Back-substitution reduces modulo each pivot s/D
+    with `BaseRing.reduce_mod` on fractions of ring elements, and the
+    ring's `lowest_terms` puts the rows over their canonical denominator."""
     ring = base.ring
-    work, dens, den = [], [], ring.one
-    for v in vectors:
-        nums, d = (v.nums, v.d) if v.__class__ is _RingRow else \
-            ring.int_row(v)
+    work, dens, den, last = [], [], ring.one, None
+    for nums, d in vectors:
         if len(nums) != dim:
             raise BaseMismatchError("generator of wrong length")
         if any(nums):
-            s = ring.split(d)[0]
+            # rows built together (products, conditions) share one d
+            if d is not last:
+                last, s = d, ring.split(d)[0]
             if s != den:
                 den = den // ring.gcd(den, s) * s
             work.append(nums)
@@ -734,18 +733,22 @@ def _hnf(base, dim, vectors):
                 if k != ring.one:
                     nums, d = [x // k for x in nums], d // k
                 result[rj] = (col, nums, d, s)
-    return tuple([ring.rat_row(nums, d) for _, nums, d, _ in result])
+    nums, den = ring.lowest_terms([(nums, d) for _, nums, d, _ in result])
+    return nums, den, tuple([col for col, _, _, _ in result])
 
 
 def span(base, dim, vectors):
     """The R-module generated by the vectors (of field elements or kernel
-    scalars), in canonical form.  Any rank."""
-    return _kspan(base, dim, list(map(base.scalars.unwrap_row, vectors)))
+    scalars), in canonical form.  Any rank.  Each vector enters the ring
+    through `int_row`."""
+    k, ring = base.scalars, base.ring
+    return _ring_span(base, dim,
+                      [ring.int_row(k.unwrap_row(v)) for v in vectors])
 
 
-def _kspan(base, dim, vectors):
-    """`span` of vectors of kernel scalars."""
-    return Lattice(base, dim, _hnf(base, dim, vectors), _canonical=True)
+def _ring_span(base, dim, rows):
+    """`span` of rows (nums, d) on the ring."""
+    return Lattice(base, dim, _hnf(base, dim, rows), _canonical=True)
 
 
 def canonicalize(base, dim, vectors):
@@ -758,7 +761,7 @@ def canonicalize(base, dim, vectors):
 
 
 def zero_lattice(base, dim):
-    return Lattice(base, dim, (), _canonical=True)
+    return Lattice(base, dim, ((), base.ring.one, ()), _canonical=True)
 
 
 def add(x, y):
@@ -781,114 +784,80 @@ def _on_root(x, y, pick):
 # ---------------------------------------------------------------------------
 #
 # Duals, colons, intersections, membership and coordinates compute on the
-# elements of the ring (`BaseRing.ring`), as the normal form does.  A lattice
-# root caches its rows on the ring on first query (`_RingForm`, in the
-# root's `_ring` slot), and on first need the inverse of their pivot block:
-# canonical rows are echelon, so the block is triangular, and its pivots
-# are nonzero, so back-substitution inverts it with exact divisions.  A
-# scaled lattice pi^e P reads the form of its root P and the factor pi^e.
+# elements of the ring (`BaseRing.ring`), from the stores, as the normal
+# form does.  A lattice root caches one derived value on first need, the
+# inverse of its pivot block (`_inverse`): canonical rows are echelon, so
+# the block is triangular, and its pivots are nonzero, so
+# back-substitution inverts it with exact divisions.  A scaled lattice
+# pi^e P reads the store and the inverse of its root P and the factor
+# pi^e.
 
-class _RingForm:
-    """Echelon rows on the ring: `nums` / `den` with one denominator and the
-    pivot columns `pivots`.  `invert` adds the inverse of the pivot block,
-    whose column j is inv[j] / inv_den (rows 0..j; the rest are zero), and
-    for each free column a null form: a vector n of ring elements with
-    rows . n = 0, so that a vector lies in the K-span of the rows iff it
-    is orthogonal to every null form."""
-
-    __slots__ = ("dim", "nums", "den", "pivots", "inv", "inv_den", "null")
-
-    def __init__(self, ring, rows, dim):
-        self.dim = dim
-        self.nums, self.den = _ring_matrix(ring, rows, dim)
-        self.pivots = [next(c for c, e in enumerate(r) if e)
-                       for r in self.nums]
-        self.inv = None
-
-    def invert(self, ring):
-        if self.inv is not None:
-            return self
-        nums, cols, zero = self.nums, self.pivots, ring.zero
-        diag = [row[c] for row, c in zip(nums, cols)]
-        det = ring.one
-        for p in diag:
-            det = det * p
-        # the adjugate det * N^-1 of the upper triangular pivot block N,
-        # column by column from the diagonal up: N adj = det I gives
-        # adj[i][j] = -(sum_{i<k<=j} N[i][k] adj[k][j]) / N[i][i], a quotient
-        # in the ring, so the division is exact
-        adj = []
-        for j in range(len(cols)):
-            col = [zero] * j + [det // diag[j]]
-            for i in reversed(range(j)):
-                row = nums[i]
-                s = zero
-                for k in range(i + 1, j + 1):
-                    if row[cols[k]] and col[k]:
-                        s = s + row[cols[k]] * col[k]
-                col[i] = -s // diag[i]
-            adj.append(col)
-        # the pivot block of the rows is N / den, so its inverse is
-        # den * adj / det, here in lowest terms up to a unit
-        g = ring.gcd(det, *[a for col in adj for a in col])
-        h = ring.gcd(det // g, self.den)
-        f = self.den // h
-        inv = [[a // g * f for a in col] for col in adj]
-        inv_den = det // g // h
-        # per free column c: 1 at c and -P^-1 (rows' column c) at the
-        # pivots, times inv_den * den
-        null = []
-        for c in range(self.dim):
-            if c not in cols:
-                n = [zero] * self.dim
-                n[c] = inv_den * self.den
-                for j, col in enumerate(inv):
-                    t = nums[j][c]
-                    if t:
-                        for i in range(j + 1):
-                            n[cols[i]] = n[cols[i]] - col[i] * t
-                null.append(_content_free(ring, n))
-        # `inv` last: a form with it is complete, for any thread
-        self.inv_den, self.null, self.inv = inv_den, null, inv
-        return self
-
-
-def _ring_matrix(ring, rows, dim):
-    """Rows of kernel scalars on the ring: (numerator rows, one
-    denominator)."""
-    flat, den = ring.int_row([e for row in rows for e in row])
-    return [flat[i:i + dim] for i in range(0, len(flat), dim)], den
-
-
-def _form(lat):
-    """The `_RingForm` of lat's root, built on its first query."""
+def _inverse(lat):
+    """(inv, inv_den, null) of lat's root, computed on first need and
+    cached there: column j of the inverse of the pivot block is
+    inv[j] / inv_den (rows 0..j; the rest are zero), and per free column a
+    null form, a vector n of ring elements with rows . n = 0, so that a
+    vector lies in the K-span of the rows iff it is orthogonal to every
+    null form."""
     root = lat.root
-    form = root._ring
-    if form is None:
-        form = _RingForm(root.base.ring, root.krows, root.dim)
-        object.__setattr__(root, "_ring", form)
-    return form
-
-
-def _scale(lat):
-    """(tn, td), elements of the ring with lat = (tn / td) * root."""
-    base = lat.base
-    ring = base.ring
-    if not any(lat.exps):
-        return ring.one, ring.one
-    (tn,), td = ring.int_row(
-        [base.scalars.unwrap(base.from_exponents(lat.exps))])
-    return tn, td
+    if root._inv is not None:
+        return root._inv
+    ring, dim, (nums, den, cols) = root.base.ring, root.dim, root.store
+    zero = ring.zero
+    diag = [row[c] for row, c in zip(nums, cols)]
+    det = ring.one
+    for p in diag:
+        det = det * p
+    # the adjugate det * N^-1 of the upper triangular pivot block N,
+    # column by column from the diagonal up: N adj = det I gives
+    # adj[i][j] = -(sum_{i<k<=j} N[i][k] adj[k][j]) / N[i][i], a quotient
+    # in the ring, so the division is exact
+    adj = []
+    for j in range(len(cols)):
+        col = [zero] * j + [det // diag[j]]
+        for i in reversed(range(j)):
+            row = nums[i]
+            s = zero
+            for k in range(i + 1, j + 1):
+                if row[cols[k]] and col[k]:
+                    s = s + row[cols[k]] * col[k]
+            col[i] = -s // diag[i]
+        adj.append(col)
+    # the pivot block of the rows is N / den, so its inverse is
+    # den * adj / det, here in lowest terms up to a unit
+    g = ring.gcd(det, *[a for col in adj for a in col])
+    h = ring.gcd(det // g, den)
+    f = den // h
+    inv = [[a // g * f for a in col] for col in adj]
+    inv_den = det // g // h
+    # per free column c: 1 at c and -P^-1 (rows' column c) at the pivots,
+    # times inv_den * den
+    null = []
+    for c in range(dim):
+        if c not in cols:
+            n = [zero] * dim
+            n[c] = inv_den * den
+            for j, col in enumerate(inv):
+                t = nums[j][c]
+                if t:
+                    for i in range(j + 1):
+                        n[cols[i]] = n[cols[i]] - col[i] * t
+            null.append(_content_free(ring, n))
+    object.__setattr__(root, "_inv", (inv, inv_den, null))
+    return root._inv
 
 
 def _ring_rows(lat):
-    """lat's rows on its ring: (numerator rows, one denominator)."""
-    form = _form(lat)
-    tn, td = _scale(lat)
-    nums = form.nums
+    """lat's rows on its ring: (numerator rows, one denominator), its
+    store's once that is built."""
+    store = lat._store
+    if store is not None:
+        return store[0], store[1]
+    nums, den, _ = lat._root.store
+    tn, td = lat.base.prime_powers(lat.exps)
     if tn != lat.base.ring.one:
         nums = [[a * tn for a in row] for row in nums]
-    return nums, form.den * td
+    return nums, den * td
 
 
 def _ring_coords(lat, vecs, e):
@@ -898,16 +867,16 @@ def _ring_coords(lat, vecs, e):
     of lat).  Over the pivot columns the coordinates are v_c P^-1 / t for
     the pivot block P of the root and lat = t * root."""
     ring = lat.base.ring
-    form = _form(lat).invert(ring)
-    tn, td = _scale(lat)
-    cols, zero = form.pivots, ring.zero
+    inv, inv_den, nulls = _inverse(lat)
+    cols, zero = lat.root.store[2], ring.zero
+    tn, td = lat.base.prime_powers(lat.exps)
     Q = []
     for v in vecs:
         a = [v[c] for c in cols]
-        q = [sum(map(mul, a, col), zero) for col in form.inv]
+        q = [sum(map(mul, a, col), zero) for col in inv]
         Q.append(q if td == ring.one else [x * td for x in q])
-    null = [[sum(map(mul, v, n), zero) for v in vecs] for n in form.null]
-    return Q, e * form.inv_den * tn, null
+    null = [[sum(map(mul, v, n), zero) for v in vecs] for n in nulls]
+    return Q, e * inv_den * tn, null
 
 
 def _ring_integral(ring, Q, d):
@@ -986,13 +955,6 @@ def _clear(ring, r, prow, c):
                                 for a, b in zip(r, prow)])
 
 
-def _as_ring_row(base, t):
-    """A condition as a `_RingRow`."""
-    if t.__class__ is _RingRow:
-        return t
-    return _RingRow(*base.ring.int_row(base.scalars.unwrap_row(t)))
-
-
 def solve_dual(base, dim, int_conditions, zero_conditions=()):
     """The module {a in K^dim : <a, t> in R for all t in int_conditions and
     <a, t> = 0 for all t in zero_conditions}: its basis is the columns of
@@ -1000,28 +962,34 @@ def solve_dual(base, dim, int_conditions, zero_conditions=()):
 
     Raises RankError when the solution set has a K-line (is not finitely
     generated over R).  Conditions are vectors of field elements or of
-    kernel scalars, or `_RingRow`s.
+    kernel scalars, which enter the ring once, through `int_row`, or the
+    kernel's own rows (nums, d) on the ring, nums a list.
     """
     ring = base.ring
-    conds = [_as_ring_row(base, t) for t in int_conditions]
+
+    def on_ring(t):
+        return t if len(t) == 2 and t[0].__class__ is list else \
+            ring.int_row(base.scalars.unwrap_row(t))
+
+    conds = [on_ring(t) for t in int_conditions]
     embed = None
     if zero_conditions:
         embed = _ring_nullspace(
-            ring, [_as_ring_row(base, t).nums for t in zero_conditions], dim)
+            ring, [on_ring(t)[0] for t in zero_conditions], dim)
         if not embed:
             return zero_lattice(base, dim)
-        conds = [_RingRow([sum(map(mul, row, t.nums), ring.zero)
-                           for row in embed], t.d) for t in conds]
+        conds = [([sum(map(mul, row, nums), ring.zero) for row in embed], d)
+                 for nums, d in conds]
     space_dim = dim if embed is None else len(embed)
-    form = _RingForm(ring, _hnf(base, space_dim, conds), space_dim)
-    if len(form.pivots) < space_dim:
+    lat = _ring_span(base, space_dim, conds)
+    if lat.rank < space_dim:
         raise RankError("solution set is not a lattice (free directions)")
-    form.invert(ring)
-    basis = [col + [ring.zero] * (space_dim - len(col)) for col in form.inv]
+    inv, inv_den, _ = _inverse(lat)
+    basis = [col + [ring.zero] * (space_dim - len(col)) for col in inv]
     if embed is not None:
         basis = [[sum(map(mul, b, col), ring.zero) for col in zip(*embed)]
                  for b in basis]
-    return _kspan(base, dim, [_RingRow(b, form.inv_den) for b in basis])
+    return _ring_span(base, dim, [(b, inv_den) for b in basis])
 
 
 def intersect(x, y):
@@ -1035,17 +1003,18 @@ def intersect(x, y):
         # X meet Y is dual to the columns of X^-1 and Y^-1
         conds = []
         for lat in (x, y):
-            form = _form(lat).invert(ring)
-            tn, td = _scale(lat)
-            d = form.inv_den * tn
-            for col in form.inv:
-                conds.append(_RingRow(
-                    [a * td for a in col] + [ring.zero] * (dim - len(col)), d))
+            inv, inv_den, _ = _inverse(lat)
+            tn, td = lat.base.prime_powers(lat.exps)
+            d = inv_den * tn
+            for col in inv:
+                conds.append(
+                    ([a * td for a in col] + [ring.zero] * (dim - len(col)),
+                     d))
         return solve_dual(base, dim, conds)
     if not (x.rank and y.rank):
         return zero_lattice(base, dim)
     # the common K-span first: u . [X; Y] = 0 gives u[:rank X] . X in both
-    xn, yn = _form(x).nums, _form(y).nums
+    xn, yn = x.root.store[0], y.root.store[0]
     null = _ring_nullspace(ring, [list(c) for c in zip(*(xn + yn))],
                            len(xn) + len(yn))
     sbasis = [_content_free(ring, [sum(map(mul, u, c), ring.zero)
@@ -1055,11 +1024,11 @@ def intersect(x, y):
     conds = []
     for lat in (x, y):
         Q, d, _ = _ring_coords(lat, sbasis, ring.one)
-        conds += [_RingRow(list(c), d) for c in zip(*Q)]
+        conds += [(list(c), d) for c in zip(*Q)]
     z = solve_dual(base, len(sbasis), conds)
     zn, zd = _ring_rows(z)
-    return _kspan(base, dim, [
-        _RingRow([sum(map(mul, r, c), ring.zero) for c in zip(*sbasis)], zd)
+    return _ring_span(base, dim, [
+        ([sum(map(mul, r, c), ring.zero) for c in zip(*sbasis)], zd)
         for r in zn])
 
 
@@ -1138,9 +1107,11 @@ def require_order(lattice, alg):
 
 
 def _span_products(x, y, alg, side):
-    k = x.base.scalars
-    prods = [alg.mul_coords(u, w, k) for u in x.krows for w in y.krows]
-    out = _kspan(x.base, x.dim, prods)
+    """The span of the products u w of the rows u of x and w of y."""
+    (xn, xd), (yn, yd) = _ring_rows(x), _ring_rows(y)
+    prods, den = alg.ring_products(xn, yn, x.base)
+    d = xd * yd * den
+    out = _ring_span(x.base, x.dim, [(r, d) for r in prods])
     return ZERO_MODULE if out.rank == 0 else out
 
 
@@ -1166,14 +1137,17 @@ def _colon(x, y, alg, side):
 def _solve_colon(x, y, alg, side):
     """The colon as a dual: the conditions are the columns of the
     coordinates in X of e_s * w (w * e_s), for the rows w of Y."""
-    ring = x.base.ring
+    ring, dim = x.base.ring, x.dim
     ynums, yden = _ring_rows(y)
+    units = [[ring.one if i == s else ring.zero for i in range(dim)]
+             for s in range(dim)]
     int_conds, zero_conds = [], []
     for w in ynums:
-        prods, den = alg.basis_products(w, side, x.base)
+        us, ws = (units, [w]) if side == "left" else ([w], units)
+        prods, den = alg.ring_products(us, ws, x.base)
         Q, d, null = _ring_coords(x, prods, yden * den)
-        int_conds += [_RingRow(list(c), d) for c in zip(*Q)]
-        zero_conds += [_RingRow(t, ring.one) for t in null if any(t)]
+        int_conds += [(list(c), d) for c in zip(*Q)]
+        zero_conds += [(t, ring.one) for t in null if any(t)]
     return solve_dual(x.base, x.dim, int_conds, zero_conds)
 
 
@@ -1199,10 +1173,10 @@ def quotient_length(x, y):
 
 def _pivot_values(lat):
     """The sum of the values of lat's pivots, at every prime."""
-    form, ring = _form(lat), lat.base.ring
-    return sum(sum(ring.val(row[c])) - sum(ring.val(form.den))
-               for row, c in zip(form.nums, form.pivots)) + \
-        lat.rank * sum(lat.exps)
+    nums, den, cols = lat.root.store
+    ring = lat.base.ring
+    return sum(sum(ring.val(row[c])) - sum(ring.val(den))
+               for row, c in zip(nums, cols)) + lat.rank * sum(lat.exps)
 
 
 # ---------------------------------------------------------------------------
@@ -1237,7 +1211,7 @@ class _QuotientSpace:
     them.  Everything before the residues is computed on the ring: Y's
     coordinates in X come from one `_ring_coords` call, the order's action
     matrices from one more, on the products b_s x_r of
-    `AlgebraDesc.basis_products`, and the ring maps each entry to its
+    `AlgebraDesc.ring_products`, and the ring maps each entry to its
     residue (`residue_rows`)."""
 
     def __init__(self, x, y, b, alg, j):
@@ -1256,16 +1230,7 @@ class _QuotientSpace:
         # of b_s, in X-coordinates
         xnums, xden = _ring_rows(x)
         bnums, bden = _ring_rows(b)
-        den = alg._ring_table(base)[1]
-        prods = [alg.basis_products(w, "left", base)[0] for w in xnums]
-        vecs = []
-        for brow in bnums:
-            for ps in prods:
-                out = [ring.zero] * x.dim
-                for c, p in zip(brow, ps):
-                    if c:
-                        out = [a + c * e for a, e in zip(out, p)]
-                vecs.append(out)
+        vecs, den = alg.ring_products(bnums, xnums, base)
         A, d, _ = _ring_coords(x, vecs, xden * bden * den)
         A = ring.residue_rows(A, d, j)
         self.actions = [A[i:i + r] for i in range(0, len(A), r)]

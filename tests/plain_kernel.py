@@ -8,7 +8,9 @@ and `left_nullspace` here), and one normal form, `field_hnf`, on field
 elements, whose mixing, values and principal-part digits are read off the
 valuations.  A plain lattice is a `Plain`: its dimension and canonical
 rows, in the kernel's scalars.  `Library` gives the library's operations
-the same names, so that one test body runs on either.
+the same names, so that one test body runs on either.  A lattice's store
+(`Lattice.store`, what `lattice._hnf` returns) is read here only, by
+`store_rows`.
 """
 
 from collections import namedtuple
@@ -131,6 +133,21 @@ def field_hnf(base, dim, vectors, k=None):
             if q:
                 result[rj] = [a - q * b for a, b in zip(result[rj], prow)]
     return tuple([tuple(map(k.unwrap, r)) for r in result])
+
+
+def store_rows(base, store):
+    """The rows of a store (nums, den, pivots) on the base's ring, as
+    kernel scalars."""
+    nums, den, _ = store
+    return tuple([base.ring.rat_row(r, den) for r in nums])
+
+
+def ring_hnf(base, dim, vectors):
+    """`lattice._hnf` on vectors of kernel scalars: each enters the ring
+    through `int_row`, and the store leaves as rows of kernel scalars."""
+    ring = base.ring
+    return store_rows(base, L._hnf(base, dim, [ring.int_row(v)
+                                               for v in vectors]))
 
 
 Plain = namedtuple("Plain", "dim rows")

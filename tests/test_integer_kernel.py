@@ -18,7 +18,7 @@ from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, QXY_FIELD,
                              FieldElem, gauss_prime, padic, poly_prime,
                              rational_value, xadic)
 from gliderbs.lattice import BaseRing, span
-from plain_kernel import field_hnf, reduce_mod
+from plain_kernel import field_hnf, reduce_mod, ring_hnf, store_rows
 
 BASES = {
     "Q at 5": BaseRing(QQ_FIELD, [padic(5)]),
@@ -73,9 +73,9 @@ def test_integer_kernel_gives_the_rows_of_the_field_kernel(name):
     def same_rows(gen):
         dim, vecs = gen
         reps = [base.scalars.unwrap_row(v) for v in vecs]
-        # both kernels take and give reps; the field kernel computes on
-        # field elements in between
-        assert lattice._hnf(base, dim, reps) == field_hnf(base, dim, reps)
+        # both kernels take and give reps (the library's through its
+        # ring); the field kernel computes on field elements in between
+        assert ring_hnf(base, dim, reps) == field_hnf(base, dim, reps)
 
     same_rows()
 
@@ -112,10 +112,10 @@ def _edge_entries(ring):
 
 @st.composite
 def edge_inputs(draw, ring):
-    """`_RingRow`s in dim 4 with entries m p^e at the edges of the table:
-    four rows as a span, or the sixteen products of two sets of four 2x2
-    matrices, as `mult` builds them (the conditions of a colon are such
-    products too)."""
+    """Rows (nums, d) on the ring in dim 4 with entries m p^e at the edges
+    of the table: four rows as a span, or the sixteen products of two sets
+    of four 2x2 matrices, as `mult` builds them (the conditions of a colon
+    are such products too)."""
     def rows(n):
         return [[draw(_edge_entries(ring)) for _ in range(4)]
                 for _ in range(n)]
@@ -127,8 +127,7 @@ def edge_inputs(draw, ring):
         nums = [[a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
                  a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]]
                 for a in xs for b in ys]
-    return [lattice._RingRow(r, draw(st.sampled_from(EDGE_DENOMINATORS)))
-            for r in nums]
+    return [(r, draw(st.sampled_from(EDGE_DENOMINATORS))) for r in nums]
 
 
 @pytest.mark.parametrize("name", EDGE_BASES)
@@ -159,10 +158,10 @@ def test_edge_values_give_the_rows_of_the_field_kernel(name, monkeypatch):
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(edge_inputs(ring))
     def same_rows(rows):
-        reps = [ring.rat_row(r.nums, r.d) for r in rows]
+        reps = [ring.rat_row(*r) for r in rows]
         reference = field_hnf(base, 4, reps)
-        assert lattice._hnf(base, 4, rows) == reference
-        assert lattice._hnf(base, 4, reps) == reference
+        assert store_rows(base, lattice._hnf(base, 4, rows)) == reference
+        assert ring_hnf(base, 4, reps) == reference
 
     same_rows()
     # values from p^K on were read by the division loop
@@ -182,7 +181,7 @@ def test_small_entries_take_no_division_loop(name, monkeypatch):
         raise AssertionError("division loop called")
 
     monkeypatch.setattr(fields._IntegersAt, "_strip", no_strip)
-    assert all(lattice._hnf(base, 4, rows) for rows in inputs)
+    assert all(ring_hnf(base, 4, rows) for rows in inputs)
 
 
 def _pair(x):

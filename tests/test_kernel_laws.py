@@ -1,114 +1,147 @@
-"""Laws of the lattice kernel that need no second path, on the polynomial
-rings F_3[x]_(x), F_3[x]_(x+2), Q[x]_(x^2+1) and Q[x]_(3x+1) (the last
-at a prime that is not monic): the normal form is canonical under row
-permutation, unimodular mixing and unit scaling; `mult` is associative;
+"""Laws of the lattice kernel that need no second path, on every kind of
+base ring: Z_(S) (Q at 5, Q at {2,3}), R given by its valuations (Q(i)
+at 2+i), F_3[x]_(x), F_3[x]_(x+2), Q[x]_(x^2+1) and Q[x]_(3x+1) (the last
+at a prime that is not monic).  The normal form is canonical under row
+permutation, unimodular mixing and unit scaling: equal modules have
+identical stores and hashes, not only `==`; `mult` is associative;
 `quotient_length` is additive along a chain."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gliderbs.fields import QX_FIELD, fp_func_field, poly_prime, xadic
+from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, fp_func_field,
+                             gauss_prime, padic, poly_prime, xadic)
 from gliderbs.lattice import (BaseRing, matrix_algebra, mult,
                               quotient_length, span)
 
 F3X = fp_func_field(3)
-BASES = {
-    "F_3(x) at x": BaseRing(F3X, [xadic(F3X)]),
-    "F_3(x) at x+2": BaseRing(F3X, [poly_prime("x+2", F3X)]),
-    "Q(x) at x^2+1": BaseRing(QX_FIELD, [poly_prime("x^2+1")]),
-    "Q(x) at 3x+1": BaseRing(QX_FIELD, [poly_prime("3*x+1")]),
-}
 DIM = 4
 M2 = matrix_algebra(2)
-# denominators inside and outside each prime
-DENOMINATORS = ["1", "x", "x+2", "x^2+1", "3*x+1", "x+1", "x^2+x+2"]
-UNITS = ["1", "-1", "x+1", "1/(x+1)"]
-# integral multipliers: the units, and elements with a positive value at
-# some base's prime
-MULTIPLIERS = UNITS + ["x", "x+2", "x^2+1", "3*x+1"]
+# polynomial bases: denominators inside and outside each prime
+POLY_DENOMINATORS = ["1", "x", "x+2", "x^2+1", "3*x+1", "x+1", "x^2+x+2"]
+POLY_UNITS = ["1", "-1", "x+1", "1/(x+1)"]
+# Q(i) at 2+i: 2-i, 3 and 1+i are units there
+GAUSS_DENOMINATORS = ["1", "2+i", "2-i", "3", "5", "1+i"]
+GAUSS_UNITS = ["1", "-1", "i", "2-i", "1/(1+i)"]
+# per base: the ring, the entries' generator (None over Q), their
+# denominators, the units, and the integral multipliers (the units, and
+# elements with a positive value at some prime)
+BASES = {
+    "Q at 5": (BaseRing(QQ_FIELD, [padic(5)]), None,
+               ["1", "2", "3", "5", "7", "25", "10"],
+               ["1", "-1", "2/3", "-7/11"], ["5", "10", "25/3"]),
+    "Q at 2,3": (BaseRing(QQ_FIELD, [padic(2), padic(3)]), None,
+                 ["1", "2", "3", "4", "6", "9", "5", "7"],
+                 ["1", "-1", "5", "-1/7"], ["2", "3", "6", "4/5"]),
+    "Q(i) at 2+i": (BaseRing(GAUSS_FIELD, [gauss_prime("2+i")]), "i",
+                    GAUSS_DENOMINATORS, GAUSS_UNITS, ["2+i", "5", "3+4*i"]),
+    "F_3(x) at x": (BaseRing(F3X, [xadic(F3X)]), "x", POLY_DENOMINATORS,
+                    POLY_UNITS, ["x", "x+2", "x^2+1", "3*x+1"]),
+    "F_3(x) at x+2": (BaseRing(F3X, [poly_prime("x+2", F3X)]), "x",
+                      POLY_DENOMINATORS, POLY_UNITS,
+                      ["x", "x+2", "x^2+1", "3*x+1"]),
+    "Q(x) at x^2+1": (BaseRing(QX_FIELD, [poly_prime("x^2+1")]), "x",
+                      POLY_DENOMINATORS, POLY_UNITS,
+                      ["x", "x+2", "x^2+1", "3*x+1"]),
+    "Q(x) at 3x+1": (BaseRing(QX_FIELD, [poly_prime("3*x+1")]), "x",
+                     POLY_DENOMINATORS, POLY_UNITS,
+                     ["x", "x+2", "x^2+1", "3*x+1"]),
+}
 
 
-def entries(field):
+def entries(name):
+    base, gen, dens = BASES[name][:3]
+    field = base.field
+
     def build(cs, den):
-        x, den = field.gen("x"), field.parse(den)
-        num = sum((field.from_int(c) * x ** k for k, c in enumerate(cs)),
+        g = field.gen(gen) if gen else field.from_int(7)
+        den = field.parse(den)
+        num = sum((field.from_int(c) * g ** k for k, c in enumerate(cs)),
                   field.zero())
         # 3x+1 is a unit of F_3
         return num / den if den else num
 
     return st.builds(build, st.lists(st.integers(-2, 2), max_size=3),
-                     st.sampled_from(DENOMINATORS))
+                     st.sampled_from(dens))
 
 
-def full_rows(field):
-    return st.lists(st.lists(entries(field), min_size=DIM, max_size=DIM),
+def full_rows(name):
+    return st.lists(st.lists(entries(name), min_size=DIM, max_size=DIM),
                     min_size=DIM, max_size=DIM)
 
 
-def _mixed(base, rows, rnd, steps):
+def _mixed(name, rows, rnd, steps):
     """The rows shuffled, mixed by elementary operations over the ring and
     scaled by units: generators of the same module."""
+    base, _, _, units, multipliers = BASES[name]
     parse = base.field.parse
     rows = [list(r) for r in rows]
     rnd.shuffle(rows)
     for _ in range(steps):
         a, b = rnd.sample(range(len(rows)), 2)
-        s = parse(rnd.choice(MULTIPLIERS))
+        s = parse(rnd.choice(units + multipliers))
         rows[b] = [y + s * x for x, y in zip(rows[a], rows[b])]
     for r in rows:
-        u = parse(rnd.choice(UNITS))
+        u = parse(rnd.choice(units))
         r[:] = [u * x for x in r]
     return rows
 
 
-def _sublattice(base, lat, rnd):
+def _sublattice(name, lat, rnd):
     """A sublattice of lat with the same span: its rows times integral
     multipliers (the uniformizer at odds 1 in 3), mixed."""
-    ms = [*map(base.field.parse, MULTIPLIERS), *base.uniformizers * 4]
+    base, _, _, units, multipliers = BASES[name]
+    ms = [*map(base.field.parse, units + multipliers),
+          *base.uniformizers * 4]
     rows = [[s * x for x in r] for r in lat.rows for s in [rnd.choice(ms)]]
-    return span(base, DIM, _mixed(base, rows, rnd, 2))
+    return span(base, DIM, _mixed(name, rows, rnd, 2))
 
 
 @pytest.mark.parametrize("name", BASES)
 def test_normal_form_is_canonical(name):
-    base = BASES[name]
+    base = BASES[name][0]
 
     @settings(max_examples=15, deadline=None, derandomize=True)
-    @given(full_rows(base.field), st.randoms(use_true_random=False))
-    def same_rows(rows, rnd):
+    @given(full_rows(name), st.randoms(use_true_random=False))
+    def same_store(rows, rnd):
         lat = span(base, DIM, rows)
-        assert span(base, DIM, _mixed(base, rows, rnd, 4)).rows == lat.rows
-        assert span(base, DIM, lat.rows[::-1]) == lat
+        for again in (span(base, DIM, _mixed(name, rows, rnd, 4)),
+                      span(base, DIM, lat.rows[::-1])):
+            assert again == lat
+            assert again.store == lat.store and again.rows == lat.rows
+            assert hash(again) == hash(lat)
 
-    same_rows()
+    same_store()
 
 
 @pytest.mark.parametrize("name", BASES)
 def test_mult_is_associative(name):
-    base = BASES[name]
+    base = BASES[name][0]
 
     @settings(max_examples=5, deadline=None, derandomize=True)
-    @given(full_rows(base.field), full_rows(base.field),
-           full_rows(base.field))
+    @given(full_rows(name), full_rows(name), full_rows(name))
     def associative(x, y, z):
         a, b, c = (span(base, DIM, r) for r in (x, y, z))
         assume(a.full and b.full and c.full)
-        assert mult(mult(a, b, M2), c, M2) == mult(a, mult(b, c, M2), M2)
+        left = mult(mult(a, b, M2), c, M2)
+        right = mult(a, mult(b, c, M2), M2)
+        assert left == right and left.store == right.store
+        assert hash(left) == hash(right)
 
     associative()
 
 
 @pytest.mark.parametrize("name", BASES)
 def test_quotient_length_is_additive(name):
-    base = BASES[name]
+    base = BASES[name][0]
 
     @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(full_rows(base.field), st.randoms(use_true_random=False))
+    @given(full_rows(name), st.randoms(use_true_random=False))
     def additive(rows, rnd):
         a = span(base, DIM, rows)
         assume(a.full)
-        b = _sublattice(base, a, rnd)
-        c = _sublattice(base, b, rnd)
+        b = _sublattice(name, a, rnd)
+        c = _sublattice(name, b, rnd)
         ab, bc = quotient_length(a, b), quotient_length(b, c)
         assert quotient_length(a, a) == 0 and ab >= 0 and bc >= 0
         assert quotient_length(a, c) == ab + bc

@@ -20,7 +20,7 @@ from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, QXY_FIELD,
                              FieldElem, fp_func_field, gauss_prime, padic,
                              poly_prime, xadic)
 from gliderbs.lattice import BaseRing, matrix_algebra
-from plain_kernel import Library, Plain, PlainKernel
+from plain_kernel import Library, Plain, PlainKernel, store_rows
 
 F3X = fp_func_field(3)
 QQ_BASES = {
@@ -127,8 +127,8 @@ def _attempt(ops, fn):
 
 def _scaled(ops, lat):
     """A scaled lattice against the span of its own rows: equal lattices
-    on different roots compare and hash by `krows`, so this checks that
-    scaling keeps the kernel's scalars canonical."""
+    on different roots compare and hash by their stores, so this checks
+    that scaling keeps the store canonical."""
     again = ops.span(4, list(ops.rows(lat)))
     return ops.rows(lat), ops.equal(lat, again), \
         ops.hash(lat) == ops.hash(again)
@@ -253,8 +253,9 @@ def test_both_paths_build_the_same_lattice_from_reps_and_elements():
                       [3, 0, 0, Fraction(1, 12)], [0, 0, 2, 0]]]
     lat = L.span(base, 4, rows)
     # rows pass in as field elements or as the kernel's own scalars
-    assert L.span(base, 4, lat.krows) == lat
-    assert lat.rows == tuple(map(base.scalars.wrap_row, lat.krows))
+    assert L.span(base, 4, store_rows(base, lat.store)) == lat
+    assert lat.rows == tuple(map(base.scalars.wrap_row,
+                                 store_rows(base, lat.store)))
     assert all(e.field is QQ_FIELD for r in lat.rows for e in r)
     assert lat.rows is lat.rows  # built once
 

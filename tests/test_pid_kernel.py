@@ -17,7 +17,7 @@ from gliderbs.errors import ContainmentError
 from gliderbs.fields import (QX_FIELD, FieldElem, fp_func_field, poly_prime,
                              xadic)
 from gliderbs.lattice import BaseRing, span
-from plain_kernel import field_hnf, reduce_mod
+from plain_kernel import field_hnf, reduce_mod, ring_hnf, store_rows
 
 F3X, F5X = fp_func_field(3), fp_func_field(5)
 BASES = {
@@ -99,9 +99,10 @@ def test_pid_kernel_gives_the_rows_of_the_field_kernel(name):
     @given(generators(base.field))
     def same_rows(gen):
         dim, vecs = gen
-        # both kernels take and give reps; the canonical ones are equal
+        # both kernels take and give reps (the library's through its
+        # ring); the canonical ones are equal
         reps = [base.scalars.unwrap_row(v) for v in vecs]
-        assert lattice._hnf(base, dim, reps) == field_hnf(base, dim, reps)
+        assert ring_hnf(base, dim, reps) == field_hnf(base, dim, reps)
 
     same_rows()
 
@@ -265,10 +266,11 @@ def test_no_fraction_at_a_prime_that_is_not_monic(monkeypatch):
     base = AT_3X_PLUS_1
     reps = [base.scalars.unwrap_row(r)
             for r in _rows_at_3x_plus_1("no fraction at 3x+1", 4)]
-    ring_rows = [lattice._RingRow(*base.ring.int_row(r)) for r in reps]
+    ring_rows = [base.ring.int_row(r) for r in reps]
     monkeypatch.setattr(fields, "Fraction", _no_fraction)
-    out = lattice._hnf(base, 4, ring_rows)
+    store = lattice._hnf(base, 4, ring_rows)
     monkeypatch.undo()
+    out = store_rows(base, store)
     assert out == field_hnf(base, 4, reps)
     assert len(out) == 4
 
@@ -280,8 +282,8 @@ def test_no_fraction_in_membership_at_a_prime_that_is_not_monic(
     `Fraction` where `x % s` would (one per quotient coefficient that the
     lead of s does not divide).  Two rank-3 lattices with one K-span,
     neither inside the other: free columns give the coordinates
-    numerators of any degree.  The forms of the lattices are built first,
-    as their input conversion may build one."""
+    numerators of any degree.  The lattices' inverse pivot blocks are
+    built first, as `Lattice.contains` and `quotient_length` read them."""
     base = AT_3X_PLUS_1
     g, x = QX_FIELD.parse("3*x+1"), QX_FIELD.gen("x")
     rows = _rows_at_3x_plus_1("membership at 3x+1", 3)
@@ -290,7 +292,7 @@ def test_no_fraction_in_membership_at_a_prime_that_is_not_monic(
                        [u + x / g * v for u, v in zip(rows[1], rows[2])],
                        rows[2]])
     for lat in (a, b):
-        lattice._form(lat).invert(base.ring)
+        lattice._inverse(lat)
     monkeypatch.setattr(fields, "Fraction", _no_fraction)
     got = [a.contains(b), b.contains(a)]
     for big, small in ((a, b), (b, a)):

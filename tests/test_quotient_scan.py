@@ -44,8 +44,9 @@ def test_ring_residues_are_the_valuations_residues(name):
         rows = [[rnd.choice(atoms) * rnd.randint(-2, 2) for _ in range(3)]
                 for _ in range(2)]
         ring = base.ring
-        nums, d = lattice._ring_matrix(
-            ring, [base.scalars.unwrap_row(r) for r in rows], 3)
+        flat, d = ring.int_row([e for r in rows
+                                for e in base.scalars.unwrap_row(r)])
+        nums = [flat[i:i + 3] for i in range(0, len(flat), 3)]
         # the same fractions over a denominator with prime parts, as the
         # coordinates of one lattice in another come
         s = ring.one

@@ -21,7 +21,7 @@ from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, QXY_FIELD,
                              fp_func_field, gauss_prime, padic, poly_prime,
                              xadic)
 from gliderbs.lattice import BaseRing, matrix_algebra
-from plain_kernel import Library, Plain, PlainKernel, reduce_mod
+from plain_kernel import Library, Plain, PlainKernel, reduce_mod, ring_hnf
 
 F3X, F5X = fp_func_field(3), fp_func_field(5)
 M2 = matrix_algebra(2)
@@ -138,7 +138,7 @@ def _plain(name):
     base = BASES[name][0]
     if name in VALUED:
         return PlainKernel(base)
-    return PlainKernel(base, hnf=lambda dim, vecs: L._hnf(base, dim, vecs))
+    return PlainKernel(base, hnf=lambda dim, vecs: ring_hnf(base, dim, vecs))
 
 
 @pytest.mark.parametrize("name", BASES)
@@ -169,20 +169,21 @@ def test_ring_path_takes_no_field_elimination(name, monkeypatch):
 
 
 def test_a_root_caches_one_form_for_its_scaled_lattices():
-    """The form lives on the root; pi^e P reads it with the factor pi^-e."""
+    """The inverse pivot block lives on the root; pi^e P reads it with the
+    factor pi^-e."""
     base = BASES["Q at 5"][0]
     rows, _ = next(_draw("Q at 5"))
     x = L.span(base, 4, rows[:4])
-    assert x._ring is None
+    assert x._inv is None
     five = QQ_FIELD.from_int(5)
     scaled = x.scale(five ** 3)
     assert scaled.contains_vector([e * five ** 3 for e in rows[0]])
-    form = x._ring
-    assert form is not None and form.inv is not None
-    assert scaled._ring is None
+    inv = x._inv
+    assert inv is not None and inv[0] is not None
+    assert scaled._inv is None
     assert scaled.coords([e * five ** 3 for e in rows[0]]) == \
         x.coords(rows[0])
-    assert x._ring is form
+    assert x._inv is inv
 
 
 def test_residues_mod_a_polynomial_prime_stay_on_int_polynomials(

@@ -1,6 +1,8 @@
 """Field element representations stay private to `gliderbs.fields`: no
 other library module builds a `FieldElem(...)`, reads `.rep`, or compares
-a field's `.kind` with a field kind name."""
+a field's `.kind` with a field kind name.  The row format of a lattice's
+store stays in `lattice.py`: no other library module but `fields.py`
+calls a ring's `int_row` or `rat_row`."""
 
 import ast
 import os
@@ -8,6 +10,9 @@ import os
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LIBRARY = os.path.join(ROOT, "src", "gliderbs")
 FIELD_KINDS = {"Q", "QI", "FUNC", "FUNC2", "FP", "FP2", "QUOT"}
+ROW_CONVERSIONS = {"int_row", "rat_row"}
+# the modules that know the store's row format
+ROW_FORMAT_MODULES = {"fields.py", "lattice.py"}
 
 
 def _names_field_kind(node):
@@ -38,6 +43,22 @@ def rep_leaks(source):
     return sorted(out)
 
 
+def row_conversions(source):
+    """(line, name) for each call of `int_row` or `rat_row`."""
+    return sorted((node.lineno, node.func.attr)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ROW_CONVERSIONS)
+
+
+def _library_sources():
+    for name in sorted(os.listdir(LIBRARY)):
+        if name.endswith(".py"):
+            with open(os.path.join(LIBRARY, name), encoding="utf-8") as fh:
+                yield name, fh.read()
+
+
 def test_checker_flags_each_pattern():
     source = ("e = FieldElem(fld, (1, 0))\n"
               "r = x.rep.numer\n"
@@ -50,10 +71,24 @@ def test_checker_flags_each_pattern():
 
 def test_no_module_but_fields_touches_reps():
     leaks = []
-    for name in sorted(os.listdir(LIBRARY)):
-        if not name.endswith(".py") or name == "fields.py":
-            continue
-        with open(os.path.join(LIBRARY, name), encoding="utf-8") as fh:
+    for name, source in _library_sources():
+        if name != "fields.py":
             leaks += [f"{name}:{line} {what}"
-                      for line, what in rep_leaks(fh.read())]
+                      for line, what in rep_leaks(source)]
     assert leaks == []
+
+
+def test_row_checker_flags_calls_only():
+    source = ("nums, d = ring.int_row(row)\n"
+              "f = ring.rat_row\n"
+              "reps = base.ring.rat_row(nums, d)\n")
+    assert row_conversions(source) == [(1, "int_row"), (3, "rat_row")]
+
+
+def test_no_module_but_lattice_and_fields_converts_rows():
+    calls = []
+    for name, source in _library_sources():
+        if name not in ROW_FORMAT_MODULES:
+            calls += [f"{name}:{line} {what}"
+                      for line, what in row_conversions(source)]
+    assert calls == []
