@@ -129,7 +129,7 @@ class Field:
         elif k == "QI":
             self.name = "Q(i)"
             arith = _DomainArith(
-                lambda q: QQ_I.new(_qq_from_fraction(q), QQ(0)),
+                lambda q: QQ_I.new(_qq_from_fraction(q), _MPQ_ZERO),
                 lambda z: _print_gauss(z.x, z.y),
                 {"i": QQ_I.new(QQ(0), QQ(1))})
         elif k == "FUNC":
@@ -1008,7 +1008,7 @@ class _ValuedRing:
 
 
 def _qq_from_fraction(q):
-    return QQ(q.numerator, q.denominator)
+    return _MPQ(q.numerator, q.denominator)
 
 
 def _qq_fraction(c):

@@ -657,9 +657,15 @@ def _hnf(base, dim, vectors):
     (`BaseRing.mix_coefficient`), and each candidate's values (`ring.val`)
     are read once per column.  A row's content is divided out only where
     it has a unit part (`_drop_unit`).  The pivot row divided by u is the
-    pivot row over D u.  Back-substitution reduces modulo each pivot s/D
-    with `BaseRing.reduce_mod` on fractions of ring elements, and the
-    ring's `lowest_terms` puts the rows over their canonical denominator."""
+    pivot row over D u.  Back-substitution runs bottom-up with
+    `BaseRing.reduce_mod` on fractions of ring elements: each row is
+    reduced modulo the pivots s/D below it, in column order, by rows
+    already reduced and gcd-normalised, so no row takes on the unit of a
+    later pivot.  The order leaves the store unchanged: two rows reduced
+    at the later pivots differ by a combination of the later rows, whose
+    first nonzero coefficient would make them two unequal canonical
+    representatives of one coset.  The ring's `lowest_terms` puts the rows
+    over their canonical denominator."""
     ring = base.ring
     work, dens, den, last = [], [], ring.one, None
     for nums, d in vectors:
@@ -715,11 +721,11 @@ def _hnf(base, dim, vectors):
         # divide by the unit u: the pivot becomes s, a product of prime
         # powers, over D
         result.append((col, prow, den * u, s))
-    # reduce entries above each pivot to canonical coset representatives
-    for ri, (pcol, pnums, pd, ps) in enumerate(result):
-        gp = pnums[pcol]
-        for rj in range(ri):
-            col, nums, d, s = result[rj]
+    # reduce entries above each pivot to canonical coset representatives,
+    # bottom-up: row j by the canonical rows below it, in column order
+    for rj in range(len(result) - 2, -1, -1):
+        col, nums, d, s = result[rj]
+        for pcol, pnums, pd, ps in result[rj + 1:]:
             a = nums[pcol]
             if not a:
                 continue
@@ -727,12 +733,13 @@ def _hnf(base, dim, vectors):
             # row_j - q*prow with q = (a/d - rn/rd) / g and g = gp/pd = ps/D
             c = a * rd - rn * d
             if c:
+                gp = pnums[pcol]
                 nums = [x * rd * gp - c * y for x, y in zip(nums, pnums)]
                 d = d * rd * gp
                 k = ring.gcd(d, *nums)
                 if k != ring.one:
                     nums, d = [x // k for x in nums], d // k
-                result[rj] = (col, nums, d, s)
+        result[rj] = (col, nums, d, s)
     nums, den = ring.lowest_terms([(nums, d) for _, nums, d, _ in result])
     return nums, den, tuple([col for col, _, _, _ in result])
 

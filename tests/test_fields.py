@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ, QQ_I
 
 from gliderbs.errors import FieldMismatchError, ParseError, UnsupportedError
 from gliderbs.fields import (GAUSS_FIELD, INF, QQ_FIELD, QX_FIELD,
@@ -341,6 +342,24 @@ def test_zero_and_one_are_built_once():
         assert field.zero() is field.zero() and field.one() is field.one()
         assert field.from_int(0) == field.zero()
         assert field.from_int(1) == field.one()
+
+
+@pytest.mark.parametrize("n, d", [(-6, 4), (6, -4), (-10, -14), (12, 8),
+                                  (0, 7), (-1, 1)])
+def test_from_fraction_matches_the_domain(n, d):
+    """A rational's rep on Q, Q(i) and F_p(x), negative or given in
+    non-reduced form, equals the sympy domain's own and has its type."""
+    q = Fraction(n, d)
+    dom3 = F3X.reps.gens["x"].field
+    expected = {QQ_FIELD: QQ(n, d),
+                GAUSS_FIELD: QQ_I.new(QQ(n, d), QQ(0)),
+                F3X: dom3(n) / dom3(d)}
+    for field, want in expected.items():
+        got = field.from_fraction(q).rep
+        assert got == want and type(got) is type(want)
+        if field is GAUSS_FIELD:
+            assert type(got.x) is type(want.x)
+            assert type(got.y) is type(want.y)
 
 
 def test_finite_denominators_raise():

@@ -7,7 +7,7 @@ identical stores and hashes, not only `==`; `mult` is associative;
 `quotient_length` is additive along a chain."""
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from gliderbs.fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, fp_func_field,
                              gauss_prime, padic, poly_prime, xadic)
@@ -15,6 +15,9 @@ from gliderbs.lattice import (BaseRing, matrix_algebra, mult,
                               quotient_length, span)
 
 F3X = fp_func_field(3)
+# a failing example is reported as drawn: shrinking one over F_3(x) can
+# take many minutes
+NO_SHRINK = [Phase.explicit, Phase.generate]
 DIM = 4
 M2 = matrix_algebra(2)
 # polynomial bases: denominators inside and outside each prime
@@ -101,7 +104,8 @@ def _sublattice(name, lat, rnd):
 def test_normal_form_is_canonical(name):
     base = BASES[name][0]
 
-    @settings(max_examples=15, deadline=None, derandomize=True)
+    @settings(max_examples=15, deadline=None, derandomize=True,
+              phases=NO_SHRINK)
     @given(full_rows(name), st.randoms(use_true_random=False))
     def same_store(rows, rnd):
         lat = span(base, DIM, rows)
@@ -118,7 +122,8 @@ def test_normal_form_is_canonical(name):
 def test_mult_is_associative(name):
     base = BASES[name][0]
 
-    @settings(max_examples=5, deadline=None, derandomize=True)
+    @settings(max_examples=5, deadline=None, derandomize=True,
+              phases=NO_SHRINK)
     @given(full_rows(name), full_rows(name), full_rows(name))
     def associative(x, y, z):
         a, b, c = (span(base, DIM, r) for r in (x, y, z))
@@ -135,7 +140,8 @@ def test_mult_is_associative(name):
 def test_quotient_length_is_additive(name):
     base = BASES[name][0]
 
-    @settings(max_examples=10, deadline=None, derandomize=True)
+    @settings(max_examples=10, deadline=None, derandomize=True,
+              phases=NO_SHRINK)
     @given(full_rows(name), st.randoms(use_true_random=False))
     def additive(rows, rnd):
         a = span(base, DIM, rows)

@@ -10,6 +10,8 @@ at 2x^2+2) the reference takes the field kernel's normal form, so that
 the ring's values, divisibility and digits are under test too."""
 
 import random
+import statistics
+import sys
 from fractions import Fraction
 
 import pytest
@@ -240,3 +242,66 @@ def test_fractions_in_structure_constants_enter_the_ring_table():
                 ops.rows(ops.colon(y, x, alg, "right")))
 
     assert colons(Library(base)) == colons(_plain("Q at 2,3"))
+
+
+def _deficient(field, rows):
+    """Two rank-deficient generating sets of one module per kind: zero
+    columns, duplicate rows, combinations of rows, multiples of one row."""
+    zero, two, g = field.zero(), field.from_int(2), rows[3][1] or field.one()
+    cols = [[zero if c in (1, 3) else e for c, e in enumerate(r)]
+            for r in rows[:3]]
+    r0, r1, r2 = rows[:3]
+    combo = [a + g * b for a, b in zip(r0, r1)]
+    return {
+        "zero columns": (cols, [cols[2], cols[0], cols[1], cols[0]]),
+        "duplicate rows": ([r0, r1, r0, r1], [r1, r0]),
+        "combinations": ([r0, r1, combo, [two * e for e in combo]],
+                         [combo, [g * e for e in r1], r1, [zero] * 4]),
+        "a line": ([r2, [g * e for e in r2]],
+                   [[two * e for e in r2], [g * two * e for e in r2]]),
+    }
+
+
+@pytest.mark.parametrize("name", ["Q(i) at 2+i", "Q(x,y) at x"])
+def test_deficient_spans_match_the_plain_path(name):
+    """Over the rings that compute on field elements, a rank-deficient
+    span has the field kernel's rows, and two generating sets of the same
+    module give identical stores and hashes."""
+    base = BASES[name][0]
+    plain = _plain(name)
+    for rows, _ in _draw(name):
+        for kind, (gens, other) in _deficient(base.field, rows).items():
+            lat, again = L.span(base, 4, gens), L.span(base, 4, other)
+            assert lat.rank < 4, kind
+            assert lat.rows == plain.rows(plain.span(4, gens)), kind
+            assert again.store == lat.store, kind
+            assert hash(again) == hash(lat), kind
+
+
+def test_back_substitution_keeps_denominators_low(monkeypatch):
+    """Q(x) at x^2+1: back-substitution reduces each row against rows
+    already canonical, so the denominators it hands the content gcd carry
+    no unit of a later pivot.  Over 30 seeded 4x4 spans their median
+    degree is at most 10 (reducing by the unreduced pivot rows top-down,
+    over D u, reaches 15)."""
+    base = BASES["Q(x) at x^2+1"][0]
+    ring, field = base.ring, base.field
+    x = field.gen("x")
+    nums = [field.from_int(a) + field.from_int(b) * x
+            for a in range(-2, 3) for b in range(-2, 3)]
+    dens = [field.parse(d) for d in ("1", "1", "x", "x+1", "x^2+1")]
+    rnd = random.Random("back-substitution degrees")
+    degrees, gcd = [], ring.gcd
+
+    def traced(*xs):
+        # the gcd(d, *nums) of a reduced row; _hnf's other call has 2 args
+        if len(xs) > 2 and sys._getframe(1).f_code is L._hnf.__code__:
+            degrees.append(len(xs[0]) - 1)
+        return gcd(*xs)
+
+    monkeypatch.setattr(ring, "gcd", traced)
+    for _ in range(30):
+        L.span(base, 4, [[rnd.choice(nums) / rnd.choice(dens)
+                          for _ in range(4)] for _ in range(4)])
+    assert len(degrees) > 100
+    assert statistics.median(degrees) <= 10
