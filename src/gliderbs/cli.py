@@ -24,8 +24,8 @@ from .gbs import (GbsElement, classify_csa_glider, classify_field_glider,
                   enumerate_gbs_csa, enumerate_gbs_field)
 from .glider import classify_subglider
 from .lattice import BaseRing
-from .orders import (OrderData, builtin_hurwitz2, builtin_mnr,
-                     ceil_sum_compare, maxorder_strong_check)
+from .orders import (builtin_hurwitz2, builtin_mnr, ceil_sum_compare,
+                     maxorder_strong_check)
 from .rank2 import (classify_z2_glider, residue_glider,
                     vertical_body_glider)
 from .tensorext import gbs_map, tensor_filtration
@@ -133,13 +133,7 @@ def _load_order(spec):
         return builtin_mnr(2, BaseRing(QQ_FIELD, (padic(5),)))
     if spec == "hurwitz2":
         return builtin_hurwitz2()
-    obj = json.loads(_read(spec))
-    jsonio._check_keys(obj, ["schema", "algebra", "lattice"],
-                       ["maximal"], "order")
-    alg = jsonio.decode_algebra(obj["algebra"])
-    lat = jsonio.decode_lattice(obj["lattice"])
-    return OrderData(lat, alg,
-                     declared_maximal=bool(obj.get("maximal", False)))
+    return jsonio.loads_order(_read(spec))
 
 
 # ---------------------------------------------------------------------------

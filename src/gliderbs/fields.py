@@ -105,9 +105,11 @@ class Field:
     `kind` is one of 'Q', 'QI', 'FUNC' (one variable), 'FUNC2' (x,y over Q),
     'FP' (prime field), 'FP2' (F_p[i], p = 3 mod 4), 'QUOT' (Q[x]/(g)).
     Instances are interned, so identity comparison works for equal fields.
+    `char` is the characteristic.
     """
 
     _cache = {}
+    char = 0
 
     def __new__(cls, kind, **params):
         key = (kind, tuple(sorted(params.items())))
@@ -157,14 +159,14 @@ class Field:
             p = self.params["p"]
             if not _is_prime(p):
                 raise UnsupportedError(f"{p} is not prime")
-            self.name = f"F{p}"
+            self.name, self.char = f"F{p}", p
             arith = _PrimeArith(p)
         elif k == "FP2":
             p = self.params["p"]
             if not _is_prime(p) or p % 4 != 3:
                 raise UnsupportedError(
                     f"F_p[i] residue field needs p = 3 mod 4, got {p}")
-            self.name = f"F{p}[i]"
+            self.name, self.char = f"F{p}[i]", p
             arith = _GaussModArith(p)
         elif k == "QUOT":
             # Q[x]/(g), g as a tuple of Fraction coefficients, low to high,

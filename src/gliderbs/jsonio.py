@@ -18,6 +18,7 @@ from .gbs import BsPoint
 from .glider import TAIL_KINDS, Glider, MultiplyBy, Tail
 from .lattice import (BaseRing, FracIdeal, ZERO_MODULE, canonicalize,
                       matrix_algebra, quaternion_algebra, span)
+from .orders import OrderData
 from .rank2 import (Z2Filtration, Z2Glider, Z2Ideal, Z2MultiplyBy)
 from .tensorext import gauss_extension, sqrt_x_extension
 
@@ -25,7 +26,7 @@ SCHEMA = "gbs/1"
 
 __all__ = [
     "SCHEMA", "dumps", "loads_filtration", "loads_glider", "loads_z2",
-    "loads_extension", "loads_points", "loads_sample",
+    "loads_extension", "loads_points", "loads_sample", "loads_order",
     "encode_filtration", "encode_glider", "encode_z2", "encode_lattice",
     "encode_verdict", "encode_z2_verdict", "roundtrip", "detect_and_load",
 ]
@@ -461,6 +462,20 @@ def loads_sample(text_or_obj, where="sample"):
             inner["algebra"] = obj["algebra"]
         out.append(loads_glider(inner, f"{where}.elements[{i}]"))
     return filt, out
+
+
+def loads_order(text_or_obj, where="order"):
+    """An order in an algebra, declared maximal only by a JSON `true`."""
+    obj = _as_obj(text_or_obj)
+    _check_keys(obj, ["schema", "algebra", "lattice"], ["maximal"], where)
+    _schema_check(obj, where)
+    maximal = obj.get("maximal", False)
+    if type(maximal) is not bool:
+        raise SchemaError(f"expected a boolean, got {maximal!r}",
+                          where + ".maximal")
+    return OrderData(decode_lattice(obj["lattice"], where + ".lattice"),
+                     decode_algebra(obj["algebra"], where + ".algebra"),
+                     declared_maximal=maximal)
 
 
 # ---------------------------------------------------------------------------

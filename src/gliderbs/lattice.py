@@ -57,11 +57,9 @@ __all__ = [
     "intermediate_module", "solve_dual", "memo_scope",
 ]
 
-# searches over finite residue structures stop with UnsupportedError past
-# these sizes: directions of X/Y that the rank test leaves open
-# (`_QuotientSpace`), elements of B/pB (`orders._custom_radical`)
+# the direction search of a quotient X/Y that the rank test leaves open
+# (`_QuotientSpace`) stops with UnsupportedError past this many directions
 DIRECTION_BOUND = 8192
-RESIDUE_ALGEBRA_BOUND = 4096
 
 
 def require_int(value):
@@ -1219,9 +1217,11 @@ class _QuotientSpace:
     coordinates in X come from one `_ring_coords` call, the order's action
     matrices from one more, on the products b_s x_r of
     `AlgebraDesc.ring_products`, and the ring maps each entry to its
-    residue (`residue_rows`)."""
+    residue (`residue_rows`).  The residue algebra B/pB of an order is
+    the case X = B, Y = pB (`orders._custom_radical`)."""
 
     def __init__(self, x, y, b, alg, j):
+        self.x = x
         base = x.base
         ring = base.ring
         self.v = base.valuations[j]
@@ -1253,6 +1253,17 @@ class _QuotientSpace:
         for c, val in zip(self.free, qvec):
             w[c] = val
         return w
+
+    def lift(self, vec):
+        """An element of X, as a vector over the field, whose residue
+        coordinates are the length-rank vector vec."""
+        k, x = self.reps, self.x
+        out = [x.base.field.zero()] * x.dim
+        for s, r in enumerate(vec):
+            if k.nonzero(r):
+                coeff = self.v.lift(k.wrap(r))
+                out = [a + coeff * e for a, e in zip(out, x.rows[s])]
+        return out
 
     def act(self, s, vec):
         """Action of order basis element s on a length-rank residue
@@ -1363,13 +1374,7 @@ def _intermediate(x, y, b, alg):
         return None
     # B*v + Y for a lift v of the direction lies strictly between: v is
     # not in Y, and the image in X/Y is the cyclic span of v, not all of it
-    w = V.lift_free(gen)
-    field, k = x.base.field, V.reps
-    lift_vec = [field.zero()] * x.dim
-    for s, r in enumerate(w):
-        if k.nonzero(r):
-            coeff = V.v.lift(k.wrap(r))
-            lift_vec = [a + coeff * e for a, e in zip(lift_vec, x.rows[s])]
+    lift_vec = V.lift(V.lift_free(gen))
     return add(mult(b, span(x.base, x.dim, [lift_vec]), alg), y)
 
 

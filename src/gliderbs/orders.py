@@ -3,26 +3,26 @@ and the divisibility criterion for strongness over a maximal order.
 
 Builtins: the full matrix order M_n(R) over any semilocal base (unramified,
 e = 1 at every prime) and the Hurwitz quaternion order at 2 (ramified,
-e = 2).  Custom orders get their radical from the quotient algebra over
-the residue field by nilpotency probing; that requires the caller to
-declare maximality, and the declared hypothesis is re-checked against the
-computed identities (P^e = pB, simple quotient).
+e = 2).  Custom orders get their radical from the trace conditions of
+the residue algebra B/pB (linear algebra over the residue field); that
+requires the caller to declare maximality, and the declared hypothesis is
+re-checked against the computed identities (P^e = pB, two-sidedness).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from itertools import product
 
 from . import linalg
 from .errors import (MaximalityError, SpecValidationError, UnsupportedError)
-from .fields import QQ_FIELD, padic
+from .fields import QQ_FIELD, padic, prime_field
 from .filtration import (AlgebraFiltration, FieldFiltration,
                          StepFunction)
-from .lattice import (RESIDUE_ALGEBRA_BOUND, BaseRing, FracIdeal,
-                      canonicalize, matrix_algebra, mult, quaternion_algebra,
-                      require_order, span)
+from .lattice import (BaseRing, FracIdeal, _QuotientSpace, canonicalize,
+                      matrix_algebra, mult, quaternion_algebra, require_order,
+                      span)
 
 __all__ = [
     "OrderData", "PrimeData",
@@ -117,11 +117,15 @@ def ceil_sum_compare(e, k, l):
 # ---------------------------------------------------------------------------
 
 def _prime_index(order, p):
+    """The index of the base prime p.  On a base with p-adic valuations an
+    int must be one of their primes; an index names a prime only on a
+    base with none."""
     vals = order.base.valuations
-    for j, v in enumerate(vals):
-        if v.kind == "padic" and v.p == p:
+    padics = [j for j, v in enumerate(vals) if v.kind == "padic"]
+    for j in padics:
+        if vals[j].p == p:
             return j
-    if isinstance(p, int) and 0 <= p < len(vals):
+    if not padics and type(p) is int and 0 <= p < len(vals):
         return p
     raise SpecValidationError(f"{p} is not a maximal ideal of the base")
 
@@ -129,7 +133,10 @@ def _prime_index(order, p):
 def radical(order, p):
     """The prime of the order over the base prime p, with its ramification
     index e (the least power landing in pB)."""
-    j = _prime_index(order, p)
+    return _radical(order, _prime_index(order, p))
+
+
+def _radical(order, j):
     if order.builtin == "mnr":
         # P = pi*B needs no check: P^1 = pB, and B/P = M_n(R/p) is simple
         pi = order.base.uniformizers[j]
@@ -160,97 +167,71 @@ def _verify_prime(prime):
 
 
 def _custom_radical(order, j):
-    """Radical via the quotient algebra over the residue field: probe
-    elements for generating a nilpotent two-sided ideal."""
+    """The preimage P of the radical J of A = B/pB at the j-th prime, with
+    the least e such that P^e lies in pB.
+
+    A is the residue quotient `_QuotientSpace(B, pB, B, alg, j)`: its
+    `actions[s]` are the matrices of left multiplication by b_s on A, in
+    the residue field's reps.  J comes from trace conditions (Cohen,
+    Ivanyos and Wales, "Finding the radical of an algebra of linear
+    transformations", J. Pure Appl. Algebra 117/118, 1997): from
+    I_-1 = A, I_i = {a in I_{i-1} : g_i(a b_t) = 0 for every t}, where
+    g_i(z) = Tr(M^(p^i)) / p^i mod p for the int lift M of the matrix of
+    z, and J = I_l for l = floor(log_p d).  Each g_i is linear on I_{i-1},
+    so each step is a null space.  In characteristic 0, or when p > d,
+    l = 0: Dickson's condition Tr(ab) = 0, on the reps of any residue
+    field."""
     b, alg = order.lattice, order.alg
     base = order.base
-    v = base.valuations[j]
-    fld = v.residue_field()
-    d = alg.dim
-    size = len(fld.elements()) ** d
-    if size > RESIDUE_ALGEBRA_BOUND:
+    pb = b.scale(base.uniformizers[j])
+    V = _QuotientSpace(b, pb, b, alg, j)
+    k, d, fld = V.reps, V.dim, V.res_field
+    p = fld.char
+    steps = 0
+    while p and p ** (steps + 1) <= d:
+        steps += 1
+    if steps and fld is not prime_field(p):
         raise UnsupportedError(
-            f"residue algebra has {size} elements, over the probing bound; "
-            "use a builtin order")
-    field = base.field
-
-    def red(vec):
-        cs = b.coords(vec)
-        return [v.residue(c) if c else fld.zero() for c in cs]
-
-    # multiplication table of the quotient algebra in the order basis
-    mul_table = []
-    for r1 in b.rows:
-        row = []
-        for r2 in b.rows:
-            row.append(red(alg.mul_coords(r1, r2, field)))
-        mul_table.append(row)
-
-    def q_mul(u, w):
-        out = [fld.zero()] * d
-        for s, cu in enumerate(u):
-            if not cu:
-                continue
-            for t, cw in enumerate(w):
-                if not cw:
-                    continue
-                prod = cu * cw
-                for idx, c in enumerate(mul_table[s][t]):
-                    if c:
-                        out[idx] = out[idx] + prod * c
-        return out
-
-    basis_elems = [[fld.one() if i == s else fld.zero() for i in range(d)]
-                   for s in range(d)]
-
-    def two_sided_ideal(x):
-        gens = []
-        for a in basis_elems:
-            ax = q_mul(a, x)
-            for c in basis_elems:
-                gens.append(q_mul(ax, c))
-        rows, _ = linalg.rref([g for g in gens if any(g)], fld)
-        return rows
-
-    def is_nilpotent_ideal(rows):
-        # powers strictly descend until zero, so dim+1 steps decide
-        current = rows
-        for _ in range(d + 1):
-            if not current:
-                return True
-            nxt = [q_mul(u, w) for u in current for w in rows]
-            current, _ = linalg.rref([g for g in nxt if any(g)], fld)
-        return not current
-
-    radical_rows = []
-    for x in map(list, product(fld.elements(), repeat=d)):
-        # zero, or already in the radical found so far
-        if not any(linalg.reduce([x], radical_rows)[1][0]):
-            continue
-        ideal_rows = two_sided_ideal(x)
-        if is_nilpotent_ideal(ideal_rows):
-            merged = radical_rows + ideal_rows
-            radical_rows, _ = linalg.rref(merged, fld)
-    # preimage lattice: lifts of the radical basis plus p*B
-    pi = base.uniformizers[j]
-    lifts = []
-    for row in radical_rows:
-        vec = [field.zero()] * d
-        for s, c in enumerate(row):
-            if c:
-                vec = [a + v.lift(c) * e2 for a, e2 in zip(vec, b.rows[s])]
-        lifts.append(vec)
-    gens = lifts + [[pi * e2 for e2 in row] for row in b.rows]
-    ideal = span(base, d, gens)
-    pb = b.scale(pi)
-    power = ideal
-    e = 1
+            f"the radical over the residue field {fld.name} in dimension "
+            f"{d} needs trace conditions over a Galois ring")
+    # row s of prods[t] is the matrix of b_s b_t flattened to a row: b_s b_t
+    # is row t of actions[s], and z's matrix is sum_w z_w actions[w]; so
+    # vec_mat(u, prods[t]) is the matrix of u b_t
+    flat = [[e for row in a for e in row] for a in V.actions]
+    prods = [[linalg.vec_mat(a[t], flat, k) for a in V.actions]
+             for t in range(d)]
+    rad = [[k.one() if c == s else k.zero() for c in range(d)]
+           for s in range(d)]
+    for i in range(steps + 1):
+        g = [[_trace_condition(linalg.vec_mat(u, pt, k), d, k, p, i)
+              for u in rad] for pt in prods]
+        rad = [linalg.vec_mat(c, rad, k) for c in linalg.right_nullspace(g, k)]
+        if not rad:
+            break
+    ideal = span(base, d, [V.lift(u) for u in rad] + list(pb.rows))
+    power, e = ideal, 1
     # the ideal is nilpotent in the d-dimensional B/pB, so its d-th power
     # lies in pB
     while e < d and not pb.contains(power):
         power = mult(power, ideal, alg)
         e += 1
     return PrimeData(order, ideal, j, e)
+
+
+def _trace_condition(m, d, k, p, i):
+    """g_i of a d x d matrix m flattened to a row: its trace in k's reps
+    for i = 0; for i > 0, over F_p, Tr(M^(p^i)) / p^i mod p, for M the int
+    lift of m, computed mod p^(i+1).  p^i <= d, so the power takes fewer
+    than d products."""
+    if i == 0:
+        return functools.reduce(k.add, m[::d + 1])
+    q = p ** (i + 1)
+    lift = [m[c:c + d] for c in range(0, d * d, d)]
+    power = lift
+    for _ in range(p ** i - 1):
+        power = [[sum(a * b for a, b in zip(row, col)) % q
+                  for col in zip(*lift)] for row in power]
+    return sum(power[c][c] for c in range(d)) % q // p ** i
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +261,7 @@ def induced_degree_minus_one(primes):
 def maxorder_strong_check(order, ks):
     """True iff e_i divides k_i at every base prime: the filtration with
     F_-1 A = prod P_i^{k_i} over the maximal order is then strong."""
-    return all(k % radical(order, _prime_value(order, j)).e == 0
+    return all(k % _radical(order, j).e == 0
                for j, k in enumerate(_exponents(order, ks)))
 
 
@@ -292,11 +273,6 @@ def _exponents(order, ks):
     if any(k < 0 for k in ks):
         raise SpecValidationError("exponents must be nonnegative")
     return ks
-
-
-def _prime_value(order, j):
-    v = order.base.valuations[j]
-    return v.p if v.kind == "padic" else j
 
 
 def maxorder_filtration(order, ks):
@@ -314,8 +290,7 @@ def maxorder_filtration(order, ks):
     the filtration's own check."""
     ks = _exponents(order, ks)
     base = order.base
-    primes = [radical(order, _prime_value(order, j))
-              for j in range(base.nprimes)]
+    primes = [_radical(order, j) for j in range(base.nprimes)]
     degenerate = all(k == 0 for k in ks)
     es = [p.e for p in primes]
     period = math.lcm(*es)

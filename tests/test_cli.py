@@ -7,10 +7,10 @@ import pytest
 
 from gliderbs import jsonio
 from gliderbs.cli import main
-from gliderbs.fields import padic
+from gliderbs.fields import QQ_FIELD, padic
 from gliderbs.filtration import AlgebraFiltration, valuation_filtration
 from gliderbs.gbs import realize_field_element
-from gliderbs.lattice import matrix_algebra
+from gliderbs.lattice import BaseRing, matrix_algebra
 from gliderbs.orders import builtin_mnr
 from gliderbs.rank2 import realize_z2
 
@@ -56,6 +56,18 @@ def files(tmp_path_factory):
              "tail": {"kind": "filtration"}},
         ]})
     put("bad.json", {"schema": "gbs/1", "phi": {}, "oops": True})
+    m2 = {"kind": "matrix", "n": 2}
+    r11 = BaseRing(QQ_FIELD, (padic(11),))
+    put("m2_11.json", {"schema": "gbs/1", "algebra": m2, "maximal": True,
+                       "lattice": jsonio.encode_lattice(
+                           builtin_mnr(2, r11).lattice)})
+    m2_5 = {"schema": "gbs/1", "algebra": m2,
+            "lattice": jsonio.encode_lattice(order.lattice)}
+    put("order_schema.json", dict(m2_5, schema="nonsense", maximal=True))
+    put("order_maximal_no.json", dict(m2_5, maximal="no"))
+    (tmp / "order_invalid.json").write_text(
+        jsonio.dumps(dict(m2_5, maximal=True))[:-3])
+    paths["order_invalid.json"] = str(tmp / "order_invalid.json")
     return paths
 
 
@@ -121,6 +133,27 @@ def test_maxorder_check(files, capsys):
     code, out = run(capsys, "maxorder-check", "--order", "hurwitz2",
                     "--k", "2")
     assert code == 0 and out.strip() == "strong"
+
+
+def test_maxorder_check_of_a_custom_order_at_11(files, capsys):
+    # B/11B has 14641 elements: the radical comes from trace conditions
+    code, out = run(capsys, "maxorder-check", "--order", files["m2_11.json"],
+                    "--k", "1")
+    assert code == 0 and out.strip() == "strong"
+
+
+@pytest.mark.parametrize("name, message", [
+    ("order_invalid.json", "invalid JSON"),
+    ("order_schema.json", "schema must be 'gbs/1'"),
+    ("order_maximal_no.json", "expected a boolean, got 'no'"),
+])
+def test_order_document_errors_are_schema_errors(files, capsys, name,
+                                                 message):
+    code, out = run(capsys, "--output", "json", "maxorder-check", "--order",
+                    files[name], "--k", "1")
+    report = json.loads(out)
+    assert code == 1 and report["kind"] == "SchemaError"
+    assert message in report["error"]
 
 
 def test_ceil_table(files, capsys):

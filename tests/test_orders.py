@@ -4,14 +4,17 @@ import pytest
 
 from gliderbs.errors import (MaximalityError, SpecValidationError,
                              UnsupportedError)
-from gliderbs.fields import QQ_FIELD, padic
+from gliderbs.fields import (QQ_FIELD, QX_FIELD, field_from_name,
+                             gauss_prime, padic, xadic)
 from gliderbs.filtration import AlgebraFiltration, induced_on_K, is_strong
 from gliderbs.lattice import (BaseRing, add, canonicalize, mult,
-                              quotient_length, span)
-from gliderbs.orders import (OrderData, builtin_mnr,
-                             ceil_sum_compare, induced_degree_minus_one,
-                             maxorder_filtration, maxorder_strong_check,
-                             radical)
+                              quaternion_algebra, quotient_length, span)
+from gliderbs.orders import (OrderData, _custom_radical, builtin_hurwitz2,
+                             builtin_mnr, ceil_sum_compare,
+                             induced_degree_minus_one, maxorder_filtration,
+                             maxorder_strong_check, radical)
+
+from radical_probe import probe_radical
 
 
 def fe(n):
@@ -59,13 +62,111 @@ def test_custom_radical_matches_builtin(hurwitz):
     assert p.e == 2 and p.ideal == radical(hurwitz, 2).ideal
 
 
-def test_custom_radical_probing_cap():
-    # M_2(Z_(11)) mod 11 has 11^4 = 14641 elements, over the 4096 probed
-    base = BaseRing(QQ_FIELD, (padic(11),))
+def _declared(order):
+    """The lattice of a builtin order as a custom order declared maximal."""
+    return OrderData(order.lattice, order.alg, declared_maximal=True)
+
+
+def test_custom_radical_has_no_probing_cap():
+    # M_2(Z_(11)) mod 11 has 11^4 = 14641 elements, more than a probe of
+    # the residue algebra can enumerate; the trace condition needs none
+    custom = _declared(builtin_mnr(2, BaseRing(QQ_FIELD, (padic(11),))))
+    p = radical(custom, 11)
+    assert p.e == 1 and p.ideal == custom.lattice.scale(fe(11))
+
+
+def test_custom_radical_of_m3_at_2():
+    # p = 2 < d = 9, so up to l = 3 conditions of the int lift are due;
+    # the regular trace is 3 tr, nondegenerate mod 2, so I_0 is already
+    # zero and the radical is 2B
+    custom = _declared(builtin_mnr(3, BaseRing(QQ_FIELD, (padic(2),))))
+    p = radical(custom, 2)
+    assert p.e == 1 and p.ideal == custom.lattice.scale(fe(2))
+
+
+def test_custom_radical_in_characteristic_zero():
+    # Q(x) at x: the residue field Q is infinite, and Dickson's trace
+    # condition finds the radical xB
+    custom = _declared(builtin_mnr(2, BaseRing(QX_FIELD, (xadic(),))))
+    p = radical(custom, 0)
+    assert p.e == 1 and p.ideal == custom.lattice.scale(QX_FIELD.gen("x"))
+
+
+def test_custom_radical_over_f3i_in_dimension_4_is_unsupported():
+    qi = field_from_name("Q(i)")
+    base = BaseRing(qi, (gauss_prime(qi.from_int(3)),))
+    custom = _declared(builtin_mnr(2, base))
+    with pytest.raises(UnsupportedError, match="F3\\[i\\] in dimension 4"):
+        radical(custom, 0)
+
+
+def test_radical_names_a_prime_of_the_base():
+    base = BaseRing(QQ_FIELD, (padic(3), padic(5), padic(7)))
     mnr = builtin_mnr(2, base)
-    custom = OrderData(mnr.lattice, mnr.alg, declared_maximal=True)
-    with pytest.raises(UnsupportedError, match="14641 elements"):
-        radical(custom, 11)
+    assert radical(mnr, 7).prime_index == 2
+    # 2 is neither a prime of the base nor, on a p-adic base, an index
+    for p in (2, 0):
+        with pytest.raises(SpecValidationError, match="not a maximal ideal"):
+            radical(mnr, p)
+
+
+def _order(base, alg, rows):
+    return OrderData(canonicalize(base, alg.dim, rows), alg)
+
+
+def _z_order(a, b, p):
+    """Z_(p)<1, i, j, k> in the quaternion algebra (a, b)."""
+    alg = quaternion_algebra(Fraction(a), Fraction(b))
+    return _order(BaseRing(QQ_FIELD, (padic(p),)), alg,
+                  [[fe(int(r == c)) for c in range(4)] for r in range(4)])
+
+
+def _eichler(p):
+    """The Eichler order of level p: M_2(Z_(p)) with its (2,1) entry in
+    pZ_(p)."""
+    mnr = _mnr_at(p)
+    return _order(mnr.base, mnr.alg,
+                  [[fe(p if r == c == 2 else int(r == c)) for c in range(4)]
+                   for r in range(4)])
+
+
+def _plus_p(order, p):
+    """Z_(p) + p*B."""
+    rows = [order.alg.one_vector(QQ_FIELD)] + \
+        [[fe(p) * e for e in row] for row in order.lattice.rows]
+    return _order(order.base, order.alg, rows)
+
+
+def _mnr_at(*primes):
+    return builtin_mnr(2, BaseRing(QQ_FIELD, tuple(map(padic, primes))))
+
+
+RADICAL_FAMILY = {
+    "Hurwitz at 2": (builtin_hurwitz2, 0),
+    "M_2 at 2": (lambda: _mnr_at(2), 0),
+    "M_2 at 3": (lambda: _mnr_at(3), 0),
+    "Z_(2) + 2 Hurwitz": (lambda: _plus_p(builtin_hurwitz2(), 2), 0),
+    "Eichler at 2": (lambda: _eichler(2), 0),
+    "Eichler at 3": (lambda: _eichler(3), 0),
+    "Z_(2) + 2 M_2": (lambda: _plus_p(_mnr_at(2), 2), 0),
+    "Z_(3) + 3 M_2": (lambda: _plus_p(_mnr_at(3), 3), 0),
+    "(-1,-1) at 3": (lambda: _z_order(-1, -1, 3), 0),
+    "(-1,-3) at 2": (lambda: _z_order(-1, -3, 2), 0),
+    "(-1,-3) at 3": (lambda: _z_order(-1, -3, 3), 0),
+    "(3,7) at 3": (lambda: _z_order(3, 7, 3), 0),
+    "M_2 over Z_(2,3) at 2": (lambda: _mnr_at(2, 3), 0),
+    "M_2 over Z_(2,3) at 3": (lambda: _mnr_at(2, 3), 1),
+}
+
+
+@pytest.mark.parametrize("name", RADICAL_FAMILY)
+def test_radical_matches_the_probe(name):
+    """The trace conditions and the probe of every element of B/pB find
+    one ideal with one e, maximal order or not."""
+    build, j = RADICAL_FAMILY[name]
+    order = build()
+    prime = _custom_radical(order, j)
+    assert (prime.ideal, prime.e) == probe_radical(order, j)
 
 
 def test_custom_radical_of_an_unramified_order():
