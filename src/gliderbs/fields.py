@@ -9,13 +9,15 @@ between threads.
 Each field kind has one rep-level implementation, picked once when the
 `Field` is built: the conversion from `Fraction`, the generators, the four
 operations, the zero test and the printer.  Reps are sympy domain elements
-for Q, Q(i), Q(x), F_p(x) and Q(x,y); ints mod p for F_p; pairs of ints
-mod p for F_p[i]; tuples of `Fraction` coefficients for Q[x]/(g).  Reps
+for Q, Q(i) and Q(x,y); for the one-variable function fields F_p(x) and
+Q(x) (also Q(y), Q(t)), pairs (num, den) of `_Poly`, in the one canonical
+form that the kernel's polynomial rings keep; ints mod p for F_p; pairs of
+ints mod p for F_p[i]; `_Poly` over Q reduced mod g for Q[x]/(g).  Reps
 are read and wrapped only here.  Every field has `Field.reps`, the
 arithmetic on its reps, with the conversions to and from elements: the
-fields with sympy reps give the lattice kernel its scalars, and the
-residue fields the vectors of quotient spaces.  The kernel's rings read
-the residues of their own elements into those reps (`residue_rows`).
+base fields' reps are the lattice kernel's scalars, and the residue
+fields' the vectors of quotient spaces.  The kernel's rings read the
+residues of their own elements into those reps (`residue_rows`).
 
 Valuations: p-adic on Q, the three Gaussian prime splittings on Q(i),
 x-adic / y-adic and irreducible-polynomial valuations on function fields,
@@ -33,7 +35,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 import sympy
-from sympy.polys.domains import GF, QQ, QQ_I
+from sympy.polys.domains import QQ, QQ_I
 
 from .errors import FieldMismatchError, ParseError, UnsupportedError
 
@@ -135,26 +137,15 @@ class Field:
                 lambda z: _print_gauss(z.x, z.y),
                 {"i": QQ_I.new(QQ(0), QQ(1))})
         elif k == "FUNC":
-            var = self.params["var"]
-            p = self.params.get("char", 0)
-            self.var = var
-            self.char = p
-            dom = (QQ if p == 0 else GF(p)).frac_field(sympy.Symbol(var))
-            base = "Q" if p == 0 else f"F{p}"
-            self.name = f"{base}({var})"
-            arith = _DomainArith(
-                _func_from_fraction(dom, p),
-                lambda r: _print_func(r, (var,), p),
-                {var: dom(sympy.Symbol(var))},
-                coeff=(lambda c: Fraction(int(c))) if p else _qq_fraction,
-                canon=_monic_denominator if p else None)
+            var, p = self.params["var"], self.params.get("char", 0)
+            self.var, self.char = var, p
+            self.name = f"{f'F{p}' if p else 'Q'}({var})"
+            arith = _FuncArith(var, p)
         elif k == "FUNC2":
             dom = QQ.frac_field(_X, _Y)
             self.name = "Q(x,y)"
-            arith = _DomainArith(_func_from_fraction(dom, 0),
-                                 lambda r: _print_func(r, ("x", "y"), 0),
-                                 {"x": dom(_X), "y": dom(_Y)},
-                                 coeff=_qq_fraction)
+            arith = _DomainArith(lambda q: dom(_qq_from_fraction(q)),
+                                 _print_func, {"x": dom(_X), "y": dom(_Y)})
         elif k == "FP":
             p = self.params["p"]
             if not _is_prime(p):
@@ -281,16 +272,19 @@ def rational_value(x):
 def substitute(x, target, images):
     """The rational function x of a function field evaluated at `images`
     (one element of `target` per generator of x's field), its rational
-    coefficients embedded in `target`."""
-    coeff = x.field.reps.coeff
-    return _poly_image(x.rep.numer, target, images, coeff) / \
-        _poly_image(x.rep.denom, target, images, coeff)
+    coefficients embedded in `target`; for x in Q[x]/(g), the polynomial
+    of least degree in its class."""
+    num, den = x.field.reps.terms(x.rep)
+    return _poly_image(num, target, images) / \
+        _poly_image(den, target, images)
 
 
-def _poly_image(poly, target, images, coeff):
+def _poly_image(terms, target, images):
+    """The polynomial of (exponents, rational coefficient) terms evaluated
+    at `images`, in `target`."""
     out = target.zero()
-    for mono, c in poly.terms():
-        term = target.from_fraction(coeff(c))
+    for mono, c in terms:
+        term = target.from_fraction(c)
         for img, e in zip(images, mono):
             if e:
                 term = term * img ** e
@@ -322,7 +316,7 @@ def _residues_by_valuation(ring, rows, d, j):
     v = ring.valuations[j]
     k, res = v.field.reps, v.residue_field().reps
     zero = res.zero()
-    return [[res.unwrap(v.residue(k.wrap(e))) if e else zero
+    return [[res.unwrap(v.residue(k.wrap(e))) if k.nonzero(e) else zero
              for e in ring.rat_row(row, d)] for row in rows]
 
 
@@ -448,12 +442,11 @@ class _Arith:
     `nonzero`, `show`, `zero`, `one`, the conversions to and from elements
     (`wrap`, `unwrap` and their row forms) and the generators `gens` (name
     -> rep, in print order).  Q and F_p also convert a rep back
-    (`to_fraction`); function fields convert a polynomial coefficient
-    (`coeff`)."""
+    (`to_fraction`); one-variable function fields give the terms of a rep
+    (`terms`)."""
 
     gens = {}
     to_fraction = None
-    coeff = None
 
     def elements(self):
         """Every rep of a finite field, or None for an infinite one."""
@@ -491,25 +484,17 @@ class _Arith:
 
 
 class _DomainArith(_Arith):
-    """Q, Q(i), Q(x), F_p(x), Q(x,y): sympy domain elements, whose own
-    operators are exact.  Over these fields the reps are the lattice
-    kernel's scalars (`BaseRing.scalars`), converted to and from elements
-    only at the kernel's boundary.  F_p(x) arithmetic on reps can leave a
-    denominator that is not monic, so `wrap` makes it canonical."""
+    """Q, Q(i), Q(x,y): sympy domain elements, whose own operators are
+    exact and keep one rep per value.  Over these fields the reps are the
+    lattice kernel's scalars (`BaseRing.scalars`), converted to and from
+    elements only at the kernel's boundary."""
 
     add, sub, mul = operator.add, operator.sub, operator.mul
     nonzero = bool
 
-    def __init__(self, from_fraction, show, gens, to_fraction=None,
-                 coeff=None, canon=None):
+    def __init__(self, from_fraction, show, gens, to_fraction=None):
         self.from_fraction, self.show, self.gens = from_fraction, show, gens
-        self.to_fraction, self.coeff = to_fraction, coeff
-        if canon:
-            # every result in the canonical rep, so that == compares values
-            for name in ("from_fraction", "add", "sub", "mul", "div"):
-                op = getattr(self, name)
-                setattr(self, name, lambda *a, op=op: canon(op(*a)))
-            self.wrap = lambda r: _elem(self.field, canon(r))
+        self.to_fraction = to_fraction
 
     @staticmethod
     def div(a, b):
@@ -647,10 +632,105 @@ class _Poly(tuple):
         return self if g == 1 and cs is self else \
             self.__class__([c // g for c in cs])
 
+    @classmethod
+    def gcd_of(cls, *xs):
+        """The canonical associate of the gcd (over Q, of int polynomials):
+        over F_p monic, by Euclid on remainders and one division by the
+        lead at the end; over Q with a positive lead, by primitive
+        pseudo-remainders (Cohen, GTM 138, ch. 3) times the content."""
+        a, one = cls(), cls((1,))
+        if cls.p:
+            for b in xs:
+                while b:
+                    a, b = b, a % b
+                if len(a) == 1:
+                    return one
+            return a.primitive()
+        xs = [x for x in xs if x]
+        for b in xs:
+            if a == one:
+                break
+            b = b.primitive()
+            while b:
+                a, b = b, a.pdivmod(b)[1].primitive()
+        if not a:
+            return a
+        return a * cls((gcd(*[gcd(*x) for x in xs]),))
+
+    @classmethod
+    def unit_gcd(cls, d, xs):
+        """gcd(d, *xs) times the unit that makes d divided by it canonical:
+        monic over F_p; over Q with a positive lead, the content of the
+        quotients then being 1 (the gcd carries the common content)."""
+        g, lead = cls.gcd_of(d, *xs), d[-1]
+        if cls.p:
+            return g if lead == 1 else g * cls((lead,))
+        return g if lead > 0 else -g
+
 
 @lru_cache(maxsize=None)
 def _poly_class(p):
     return type(f"_Poly{p}", (_Poly,), {"__slots__": (), "p": p})
+
+
+def _low(poly):
+    """The exponent of the lowest nonzero term of a nonzero `_Poly`."""
+    return next(i for i, c in enumerate(poly) if c)
+
+
+def _terms(poly):
+    """The (exponents, coefficient) terms of a `_Poly`."""
+    return [((e,), c) for e, c in enumerate(poly) if c]
+
+
+def _poly_part(n, p):
+    """`_IntegersAt._part` for a polynomial n != 0 and a primitive p, by
+    pseudo-division: c n = q p + r, p divides n iff r = 0, and then
+    n / p = q / c, an int polynomial (Gauss).  At a prime that is not
+    monic this builds no `Fraction`, where `divmod` would.  At x the part
+    is a shift: k is the number of zero low coefficients."""
+    cls = n.__class__
+    if p == (0, 1):
+        k = _low(n)
+        return (k, cls([0] * k + [1]), cls(n[k:])) if k else (0, cls((1,)), n)
+    k, pk = 0, cls((1,))
+    q, r, c = n.pdivmod(p)
+    while not r:
+        n = q if c == 1 else q._new([x // c for x in q])
+        k, pk = k + 1, pk * p
+        q, r, c = n.pdivmod(p)
+    return k, pk, n
+
+
+def _poly_residue(a, b, m):
+    """(r, c) with r / c = a b^-1 mod m, the remainder of least degree, for
+    int polynomials (over F_p: polynomials) a, b, m with b prime to m and
+    c a constant.  Extended Euclid on pseudo-remainders gives s b = k
+    (mod m) with k a nonzero constant, and one more pseudo-division
+    reduces a s / k; over Q every coefficient stays an integer.  At
+    m = x^k, power-series division: b_0 r_i = a_i - sum b_j r_(i-j),
+    scaled by c = b_0^k over Q."""
+    cls, p = m.__class__, m.p
+    if not m[0]:
+        b0, r = b[0], []
+        c, inv = (1, pow(b0, -1, p)) if p else (b0 ** (len(m) - 1), 0)
+        for i in range(len(m) - 1):
+            t = (a[i] * c if i < len(a) else 0) - sum(
+                [b[j] * r[i - j] for j in range(1, min(i + 1, len(b)))])
+            r.append(t * inv % p if p else t // b0)
+        return m._new(r), cls((c,))
+    r0, r1, s0, s1 = m, b, cls(), cls((1,))
+    while len(r1) > 1:
+        # s_i b = r_i (mod m) for both pairs
+        q, r, c = r0.pdivmod(r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 * cls((c,)) - q * s1
+        if not p:
+            g = gcd(*r1, *s1)
+            r1, s1 = (cls([x // g for x in y]) for y in (r1, s1))
+    if not r1:
+        raise ZeroDivisionError("residue of a non-unit")
+    _, r, c = (a * s1).pdivmod(m)
+    return r, r1 * cls((c,))
 
 
 class _IntegersAt:
@@ -787,43 +867,24 @@ class _IntegersAt:
 class _PolynomialsAt(_IntegersAt):
     """F_p[x]_(S) inside F_p(x), or Q[x]_(S) inside Q(x): elements are
     `_Poly` (int polynomials over Q, as a nonzero rational is a unit), the
-    primes are the uniformizers, and rows of the field's reps pass in and
-    out through `int_row` and `rat_row`."""
+    primes are the uniformizers, and rows of the field's reps, pairs of
+    `_Poly` in this ring's canonical form, pass in and out through
+    `int_row` and `rat_row`.  The gcd and its canonical unit are those of
+    the reps (`_Poly.gcd_of`, `_Poly.unit_gcd`)."""
+
+    residue = staticmethod(_poly_residue)
 
     def __init__(self, field, valuations):
-        self.valuations, self.p = valuations, field.char
-        cls = _poly_class(self.p)
-        self.zero, self.one, self._x = cls(), cls((1,)), cls((0, 1))
-        self._frac_zero = field.reps.zero()
-        self._frac = self._frac_zero.field
-        self.primes = tuple([self.int_row([v.uniformizer().rep])[0][0]
-                             for v in valuations])
+        self.valuations = valuations
+        cls = _poly_class(field.char)
+        self.zero, self.one = cls(), cls((1,))
+        self.gcd, self._unit_gcd = cls.gcd_of, cls.unit_gcd
+        self._fraction = field.reps.fraction
+        # a uniformizer is a polynomial: its rep is (g, 1)
+        self.primes = tuple([v.uniformizer().rep[0] for v in valuations])
 
     # the residues through the valuation, not `_IntegersAt`'s ints mod p
     residue_rows = _residues_by_valuation
-
-    def gcd(self, *xs):
-        """The canonical associate of the gcd: over F_p monic, by Euclid on
-        remainders and one division by the lead at the end; over Q with a
-        positive lead, by primitive pseudo-remainders times the content."""
-        a = self.zero
-        if self.p:
-            for b in xs:
-                while b:
-                    a, b = b, a % b
-                if len(a) == 1:
-                    return self.one
-            return a.primitive()
-        xs = [x for x in xs if x]
-        for b in xs:
-            if a == self.one:
-                break
-            b = b.primitive()
-            while b:
-                a, b = b, a.pdivmod(b)[1].primitive()
-        if not a:
-            return a
-        return a * a.__class__((gcd(*[gcd(*x) for x in xs]),))
 
     def split(self, n):
         """`_IntegersAt.split`, prime by prime through `_part`."""
@@ -843,98 +904,20 @@ class _PolynomialsAt(_IntegersAt):
         `Fraction` where s is not monic."""
         return s == self.one or not x.pdivmod(s)[1]
 
-    def _part(self, n, p):
-        """`_IntegersAt._part` by pseudo-division: c n = q p + r, p divides n
-        iff r = 0, and then n / p = q / c.  At a prime that is not monic
-        this builds no `Fraction`, where `divmod` would.  At x the part is
-        a shift: k is the number of zero low coefficients."""
-        if p == self._x:
-            k = next(i for i, c in enumerate(n) if c)
-            return (k, n.__class__([0] * k + [1]), n.__class__(n[k:])) \
-                if k else (0, self.one, n)
-        k, pk = 0, self.one
-        q, r, c = n.pdivmod(p)
-        while not r:
-            n = q if c == 1 else q._new([x // c for x in q])
-            k, pk = k + 1, pk * p
-            q, r, c = n.pdivmod(p)
-        return k, pk, n
-
-    def residue(self, a, b, m):
-        """(r, c) with r / c = a b^-1 mod m, the remainder of least degree,
-        for b prime to m and c a constant.  Extended Euclid on
-        pseudo-remainders gives s b = k (mod m) with k a nonzero constant,
-        and one more pseudo-division reduces a s / k; over Q every
-        coefficient stays an integer.  At m = x^k, power-series division:
-        b_0 r_i = a_i - sum b_j r_(i-j), scaled by c = b_0^k over Q."""
-        if not m[0]:
-            p, b0, r = self.p, b[0], []
-            c, inv = (1, pow(b0, -1, p)) if p else (b0 ** (len(m) - 1), 0)
-            for i in range(len(m) - 1):
-                t = (a[i] * c if i < len(a) else 0) - sum(
-                    [b[j] * r[i - j] for j in range(1, min(i + 1, len(b)))])
-                r.append(t * inv % p if p else t // b0)
-            return m._new(r), m.__class__((c,))
-        r0, r1, s0, s1 = m, b, self.zero, self.one
-        while len(r1) > 1:
-            # s_i b = r_i (mod m) for both pairs
-            q, r, c = r0.pdivmod(r1)
-            r0, r1, s0, s1 = r1, r, s1, s0 * r.__class__((c,)) - q * s1
-            if not self.p:
-                g = gcd(*r1, *s1)
-                r1, s1 = (r1.__class__([x // g for x in y])
-                          for y in (r1, s1))
-        if not r1:
-            raise ZeroDivisionError("residue of a non-unit")
-        _, r, c = (a * s1).pdivmod(m)
-        return r, r1 * r1.__class__((c,))
-
-    def clear(self, n, d):
-        """n/d as a fraction of int polynomials."""
-        den = self.p or lcm(*[c.denominator for x in (n, d) for c in x])
-        return (n, d) if self.p else \
-            [x._new([int(c * den) for c in x]) for x in (n, d)]
+    _part = staticmethod(_poly_part)
 
     def int_row(self, row):
         """(nums, d) with row[k] = nums[k] / d, for reps of the field."""
-        pairs = [self.clear(self._dense(e.numer), self._dense(e.denom))
-                 if e else (self.zero, self.one) for e in row]
-        den = self.one
-        for _, d in pairs:
-            if d != self.one and d != den:
+        den, one = self.one, self.one
+        for _, d in row:
+            if d != one and d != den:
                 den = den // self.gcd(den, d) * d
-        return [n if d == den else n * (den // d) for n, d in pairs], den
-
-    def _dense(self, poly):
-        cs = [0] * (max(poly)[0] + 1) if poly else []
-        for (e,), c in poly.items():
-            cs[e] = c.val if self.p else int(c.numerator) \
-                if c.denominator == 1 else _qq_fraction(c)
-        return self.zero.__class__(cs)
-
-    def _unit_gcd(self, d, xs):
-        """gcd(d, *xs) times the unit that makes d divided by it canonical:
-        monic over F_p; over Q with a positive lead, the content of the
-        quotients then being 1 (the gcd carries the common content)."""
-        g, lead = self.gcd(d, *xs), d[-1]
-        if self.p:
-            return g if lead == 1 else g * g.__class__((lead,))
-        return g if lead > 0 else -g
+        return [n if d == den else n * (den // d) for n, d in row], den
 
     def rat_row(self, nums, den):
-        """The reps nums[k] / den in lowest terms, with the canonical
-        denominator: monic over F_p, a positive lead over Q."""
-        return tuple([self._rep(n, den) if n else self._frac_zero
-                      for n in nums])
-
-    def _rep(self, n, d):
-        g = self._unit_gcd(d, [n])
-        if g != self.one:
-            n, d = n // g, d // g
-        ring, k = self._frac.ring, self._frac.domain
-        n, d = [ring.dtype({(e,): k(c) for e, c in enumerate(x) if c})
-                for x in (n, d)]
-        return self._frac.dtype(n, d)
+        """The reps nums[k] / den, in the field's canonical form."""
+        fraction = self._fraction
+        return tuple([fraction(n, den) for n in nums])
 
 
 class _ValuedRing:
@@ -1017,27 +1000,70 @@ def _qq_fraction(c):
     return Fraction(int(c.numerator), int(c.denominator))
 
 
-def _monic_denominator(r):
-    """r in F_p(x) with a monic denominator: sympy over GF(p) keeps the
-    lead the arithmetic gave, so 2/(2x) and 1/x would be two reps."""
-    lead = r.denom.LC
-    if lead == 1:
-        return r
-    inv = r.field.domain.one / lead
-    return r.raw_new(r.numer.mul_ground(inv), r.denom.mul_ground(inv))
+class _FuncArith(_Arith):
+    """F_p(x) and Q(x), in any one variable: pairs (num, den) of `_Poly`
+    in the canonical form of the polynomial rings' `lowest_terms`, so that
+    == compares values: coprime, with a monic den over F_p; over Q int
+    polynomials with joint content 1 and a positive lead on den."""
 
+    def __init__(self, var, p):
+        self.var, self.p = var, p
+        self.cls = cls = _poly_class(p)
+        self.gens = {var: (cls((0, 1)), cls((1,)))}
 
-def _func_from_fraction(dom, char):
-    if not char:
-        return lambda q: dom(_qq_from_fraction(q))
+    def fraction(self, n, d):
+        """The rep of n / d, for elements n and d != 0 of the polynomial
+        rings (over Q int polynomials)."""
+        if not n:
+            return self._zero
+        g = self.cls.unit_gcd(d, [n])
+        return (n, d) if g == (1,) else (n // g, d // g)
 
-    def from_fraction(q):
-        if q.denominator % char == 0:
+    def from_fraction(self, q):
+        p, cls = self.p, self.cls
+        if not p:
+            return cls((q.numerator,) if q else ()), cls((q.denominator,))
+        if q.denominator % p == 0:
             raise FieldMismatchError(
-                f"denominator of {q} is zero in characteristic {char}")
-        return dom(q.numerator) / dom(q.denominator)
+                f"denominator of {q} is zero in characteristic {p}")
+        return cls()._new([q.numerator * pow(q.denominator, -1, p)]), \
+            cls((1,))
 
-    return from_fraction
+    def add(self, a, b):
+        (n, d), (m, e) = a, b
+        if not n or not m:
+            return b if not n else a
+        return self.fraction(n + m, d) if d == e else \
+            self.fraction(n * e + m * d, d * e)
+
+    def sub(self, a, b):
+        return self.add(a, (-b[0], b[1]))
+
+    def mul(self, a, b):
+        return self.fraction(a[0] * b[0], a[1] * b[1])
+
+    def div(self, a, b):
+        if not b[0]:
+            raise ZeroDivisionError("division by zero field element")
+        return self.fraction(a[0] * b[1], a[1] * b[0])
+
+    @staticmethod
+    def nonzero(a):
+        return bool(a[0])
+
+    @staticmethod
+    def terms(a):
+        """The (exponents, coefficient) terms of num and of den."""
+        return [_terms(x) for x in a]
+
+    def show(self, a):
+        """num/den over a monic den, over Q with rational coefficients."""
+        lead = a[1][-1]
+        if lead != 1:
+            a = [[Fraction(c, lead) for c in x] for x in a]
+        num, den = [_print_terms(t, (self.var,), self.p)
+                    for t in self.terms(a)]
+        return num if len(a[1]) == 1 else f"({num})/({den})"
 
 
 class _PrimeArith(_Arith):
@@ -1130,60 +1156,42 @@ class _GaussModArith(_Arith):
 
 
 class _QuotArith(_Arith):
-    """Q[x]/(g) for monic g: tuples of `Fraction` coefficients, low to
-    high, reduced mod g."""
+    """Q[x]/(g) for monic g: `_Poly` over Q reduced mod g."""
 
-    nonzero = any
+    nonzero = bool
 
     def __init__(self, modulus):
-        self.modulus = modulus
-        self.gens = {"x": self.normalize((Fraction(0), Fraction(1)))}
-
-    def normalize(self, coeffs):
-        g = self.modulus
-        n = len(g) - 1
-        cs = list(coeffs)
-        while len(cs) > n:
-            lead = cs.pop()
-            if lead:
-                for i in range(n):
-                    cs[len(cs) - n + i] -= lead * g[i]
-        cs += [Fraction(0)] * (n - len(cs))
-        return tuple(cs)
+        cls = _poly_class(0)
+        self.modulus = cls(modulus)
+        self.gens = {"x": cls((0, 1)) % self.modulus}
 
     def from_fraction(self, q):
-        return self.normalize((q,))
+        return self.modulus.__class__((q,) if q else ())
 
-    def add(self, a, b):
-        return tuple(u + v for u, v in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(u - v for u, v in zip(a, b))
+    add, sub = operator.add, operator.sub
 
     def mul(self, a, b):
-        prod = [Fraction(0)] * (2 * len(a) - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    prod[i + j] += u * v
-        return self.normalize(prod)
+        return a * b % self.modulus
 
     def div(self, a, b):
-        return self.mul(a, self._inverse(b))
-
-    def _inverse(self, a):
-        g = sympy.Poly([sympy.Rational(c) for c in reversed(self.modulus)], _X)
-        a = sympy.Poly([sympy.Rational(c) for c in reversed(a)], _X)
-        if a.is_zero:
+        """a b^-1, b^-1 from the residue of its primitive associate B mod
+        the primitive associate of g: b = B b_n / B_n at the leads."""
+        if not b:
             raise ZeroDivisionError("division by zero in quotient field")
-        inv = sympy.invert(a, g)
-        return self.normalize(
-            [Fraction(*sympy.Rational(c).as_numer_denom())
-             for c in reversed(sympy.Poly(inv, _X).all_coeffs())])
+        big_b = b.primitive()
+        r, c = _poly_residue(b.__class__((1,)), big_b,
+                             self.modulus.primitive())
+        return self.mul(a, r * b.__class__(
+            (Fraction(big_b[-1]) / (c[0] * b[-1]),)))
+
+    @staticmethod
+    def terms(a):
+        """The terms of the polynomial of least degree in the class a, and
+        of the denominator 1, as `substitute` reads them."""
+        return _terms(a), [((0,), 1)]
 
     def show(self, a):
-        return _print_terms([((e,), c) for e, c in enumerate(a) if c],
-                            ("x",), 0)
+        return _print_terms(_terms(a), ("x",), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1256,7 +1264,8 @@ def _print_terms(terms, gens, char):
     return _join_signed(parts)
 
 
-def _print_func(rep, gens, char):
+def _print_func(rep):
+    """An element of Q(x,y), over a monic denominator."""
     num, den = rep.numer, rep.denom
     # normalize to a monic denominator (scale num and den by 1/lc(den))
     lead = den.LC
@@ -1265,10 +1274,11 @@ def _print_func(rep, gens, char):
         inv = dom.quo(dom.one, lead)
         num = num.mul_ground(inv)
         den = den.mul_ground(inv)
-    num_s = _print_terms(num.terms(), gens, char)
+    gens = ("x", "y")
+    num_s = _print_terms(num.terms(), gens, 0)
     if den == den.ring.one:
         return num_s
-    den_s = _print_terms(den.terms(), gens, char)
+    den_s = _print_terms(den.terms(), gens, 0)
     return f"({num_s})/({den_s})"
 
 
@@ -1444,16 +1454,18 @@ def _poly_var_val(poly, axis):
 
 
 def _func_val(rep, axis):
+    """The value of an element of Q(x,y) at the axis generator."""
     return _poly_var_val(rep.numer, axis) - _poly_var_val(rep.denom, axis)
 
 
 def _at_zero(x, axis):
-    """Numerator and denominator of x / t^v(x) at t = 0, for t the axis
-    generator: the lowest t-terms of each, with t removed."""
+    """Numerator and denominator of x / t^v(x) at t = 0, for x in Q(x,y)
+    and t the axis generator: the lowest t-terms of each, with t removed,
+    as (exponents, `Fraction`) terms."""
     def lowest(poly):
         v = _poly_var_val(poly, axis)
-        return poly.ring.from_dict({m[:axis] + (0,) + m[axis + 1:]: c
-                                    for m, c in poly.terms() if m[axis] == v})
+        return [(m[:axis] + (0,) + m[axis + 1:], _qq_fraction(c))
+                for m, c in poly.terms() if m[axis] == v]
 
     return lowest(x.rep.numer), lowest(x.rep.denom)
 
@@ -1728,7 +1740,8 @@ class _LineAdic(_ValuationImpl):
         self.res_field = prime_field(field.char) if field.char else QQ_FIELD
 
     def value(self, x):
-        return _func_val(x.rep, self.axis)
+        n, d = x.rep
+        return _low(n) - _low(d)
 
     def uniformizer(self):
         return self.field.gen(self.field.generator_names()[self.axis])
@@ -1737,11 +1750,9 @@ class _LineAdic(_ValuationImpl):
         return self.res_field
 
     def residue0(self, x):
-        num0, den0 = _at_zero(x, self.axis)
-        coeff, k = self.field.reps.coeff, self.res_field
-        # one variable: the two polynomials are constants
-        return k.from_fraction(coeff(num0.LC)) / \
-            k.from_fraction(coeff(den0.LC))
+        # the lowest coefficients, of the same degree at value 0
+        n, d = x.rep
+        return self.res_field.from_fraction(Fraction(n[_low(n)], d[_low(d)]))
 
 
 class _PlaneAdic(_LineAdic):
@@ -1752,14 +1763,15 @@ class _PlaneAdic(_LineAdic):
         self.field, self.axis = field, axis
         self.res_field = QY_FIELD if axis == 0 else QX_FIELD
 
+    def value(self, x):
+        return _func_val(x.rep, self.axis)
+
     def residue0(self, x):
         k = self.res_field
         images = [k.zero(), k.zero()]
         images[1 - self.axis] = k.gen(k.generator_names()[0])
         num0, den0 = _at_zero(x, self.axis)
-        coeff = self.field.reps.coeff
-        return _poly_image(num0, k, images, coeff) / \
-            _poly_image(den0, k, images, coeff)
+        return _poly_image(num0, k, images) / _poly_image(den0, k, images)
 
     def lift(self, r):
         return substitute(r, self.field,
@@ -1767,72 +1779,43 @@ class _PlaneAdic(_LineAdic):
 
 
 class _PolyPrime(_ValuationImpl):
-    """The g-adic valuation of Q(x) for an irreducible polynomial g: the
-    residue field is Q[x]/(g)."""
+    """The g-adic valuation of K(x) for an irreducible polynomial g: the
+    residue field is Q[x]/(g) over Q, F_p for g = x - a over F_p."""
 
     def __init__(self, field, g):
-        self.field, self.g = field, g
+        # g's primitive associate, which `_poly_part` needs, gives the same
+        # values (over F_p g is monic already, from `poly_prime`)
+        self.field, self.g, self.poly = field, g, g.rep[0].primitive()
 
     def value(self, x):
-        g = self.g.rep.numer
-
-        def count(poly):
-            v = 0
-            while True:
-                q, r = poly.div(g)
-                if r:
-                    return v
-                poly = q
-                v += 1
-
-        return count(x.rep.numer) - count(x.rep.denom)
+        n, d = x.rep
+        return _poly_part(n, self.poly)[0] - _poly_part(d, self.poly)[0]
 
     def uniformizer(self):
         return self.g
 
     def residue_field(self):
-        g = self.g.rep.numer
+        g = self.poly
         if self.field.char:
             # g = x - a, monic (`poly_prime`): the residue field is F_p
-            if g.degree() == 1:
+            if len(g) == 2:
                 return prime_field(self.field.char)
             raise UnsupportedError("residues at a polynomial prime of degree "
                                    "above 1 need characteristic 0")
-        coeffs = self._coeffs(g, g.degree() + 1)
-        lead = coeffs[-1]
-        return quot_field([c / lead for c in coeffs])
-
-    def _coeffs(self, poly, n):
-        """Coefficients of a polynomial in x, low to high, padded to n."""
-        coeff = self.field.reps.coeff
-        out = [Fraction(0)] * n
-        for mono, c in poly.terms():
-            out[mono[0]] = coeff(c)
-        return out
+        return quot_field([Fraction(c, g[-1]) for c in g])
 
     def residue0(self, x):
-        fld = self.residue_field()
-        g = self.g.rep.numer
-
-        def red(poly):
-            _, r = poly.div(g)
-            if self.field.char:
-                return fld.from_fraction(self._coeffs(r, 1)[0])
-            deg = len(fld.modulus) - 1
-            return _elem(fld, fld.reps.normalize(self._coeffs(r, deg)))
-
-        return red(x.rep.numer) / red(x.rep.denom)
+        k = self.residue_field()
+        if self.field.char:
+            # the values at the root a of g = x - a: remainders mod g
+            n, d = [(y % self.poly or (0,))[0] for y in x.rep]
+            return k.from_fraction(Fraction(n, d))
+        n, d = [_elem(k, y % k.reps.modulus) for y in x.rep]
+        return n / d
 
     def lift(self, r):
         f = self.field
-        if f.char:
-            return super().lift(r)
-        x = f.gen(f.generator_names()[0])
-        out = f.zero()
-        for e, c in enumerate(r.rep):
-            if c:
-                out = out + f.from_fraction(c) * x ** e
-        return out
+        return super().lift(r) if f.char else substitute(r, f, [f.gen(f.var)])
 
 
 class _Composite2(_ValuationImpl):
@@ -1848,7 +1831,7 @@ class _Composite2(_ValuationImpl):
         self.stage_one = _PlaneAdic(field, 0).residue0
 
     def value(self, x):
-        return (_func_val(x.rep, 0), _func_val(self.stage_one(x).rep, 0))
+        return (_func_val(x.rep, 0), yadic_on_qy()(self.stage_one(x)))
 
     def uniformizer(self):
         raise UnsupportedError(
@@ -1925,23 +1908,20 @@ def poly_prime(g, field=QX_FIELD):
         raise FieldMismatchError("polynomial prime outside its field")
     if field.kind != "FUNC":
         raise UnsupportedError("poly_prime needs a one-variable function field")
-    if g.rep.denom != g.rep.denom.ring.one:
+    num, den = g.rep
+    if den != (1,):
         raise UnsupportedError("polynomial prime must be a polynomial")
     if field.char and g:
         # the monic associate names the valuation and is its uniformizer,
         # so the base ring is F_p[x]_(S): its pivots, `scale` and
         # `BaseRing.from_exponents` use this one element
-        g = g / field.from_int(int(g.rep.numer.LC))
-    num = g.rep.numer
-    sym = sympy.Symbol(field.var)
-    if field.char:
-        poly = sympy.Poly({m[0]: int(c) for m, c in num.terms()}, sym,
-                          modulus=field.char)
-    else:
-        poly = sympy.Poly({m[0]: sympy.Rational(int(c.numerator),
-                                                int(c.denominator))
-                           for m, c in num.terms()}, sym)
-    if not poly.is_irreducible:
+        g = g / field.from_int(num[-1])
+        num = g.rep[0]
+    # a polynomial's rep has int coefficients, high to low for sympy, which
+    # calls a constant irreducible: its values would count without end
+    poly = sympy.Poly(num[::-1], sympy.Symbol(field.var),
+                      modulus=field.char or None)
+    if len(num) < 2 or not poly.is_irreducible:
         raise UnsupportedError(f"{g} is not irreducible")
     return Valuation("polyprime", field, g=g)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+from fractions import Fraction
 
 from .errors import SchemaError
 from .fields import field_from_name, gauss_prime, padic, poly_prime, \
@@ -58,6 +59,15 @@ def _int(value, where):
     if type(value) is not int:
         raise SchemaError(f"expected an integer, got {value!r}", where)
     return value
+
+
+def _rational(value, where):
+    """A JSON integer, or a string that spells a rational as a `Fraction`
+    prints, with a nonzero denominator (`"-1"`, `"3/2"`)."""
+    if type(value) is int or isinstance(value, str) and \
+            re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", value):
+        return Fraction(value)
+    raise SchemaError(f"expected a rational, got {value!r}", where)
 
 
 def _ints(values, where, length=None):
@@ -163,10 +173,12 @@ def encode_algebra(alg):
 def decode_algebra(obj, where="algebra"):
     _check_keys(obj, ["kind"], ["n", "a", "b"], where)
     if obj["kind"] == "matrix":
+        _check_keys(obj, ["kind", "n"], (), where)
         return matrix_algebra(_int(obj["n"], where + ".n"))
     if obj["kind"] == "quaternion":
-        from fractions import Fraction
-        return quaternion_algebra(Fraction(obj["a"]), Fraction(obj["b"]))
+        _check_keys(obj, ["kind", "a", "b"], (), where)
+        return quaternion_algebra(_rational(obj["a"], where + ".a"),
+                                  _rational(obj["b"], where + ".b"))
     raise SchemaError(f"unknown algebra kind {obj['kind']!r}", where)
 
 
@@ -552,6 +564,8 @@ def detect_and_load(text):
         return "sample", loads_sample(obj)
     if "rows" in obj:
         return "lattice", decode_lattice(obj, require_full=False)
+    if "lattice" in obj:
+        return "order", loads_order(obj)
     raise SchemaError("unrecognized document shape")
 
 
@@ -564,6 +578,10 @@ def _reencode(kind, value):
         return encode_filtration(value)
     if kind == "lattice":
         return encode_lattice(value)
+    if kind == "order":
+        return {"schema": SCHEMA, "algebra": encode_algebra(value.alg),
+                "lattice": encode_lattice(value.lattice),
+                "maximal": value.declared_maximal}
     return None
 
 

@@ -349,7 +349,7 @@ class AlgebraDesc:
 
     def mul_coords(self, u, w, field):
         """Product of two coordinate vectors of elements of `field`, or of
-        its reps when `field` is a field's `reps`; the kernel's products
+        Q's reps when `field` is `QQ_FIELD.reps`; the kernel's products
         run on the ring (`ring_products`)."""
         tbl = self._field_table(field)
         out = [field.zero()] * self.dim

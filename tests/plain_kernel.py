@@ -7,7 +7,8 @@ linear algebra over the field on kernel scalars (`linalg`, with `mat_inv`
 and `left_nullspace` here), and one normal form, `field_hnf`, on field
 elements, whose mixing, values and principal-part digits are read off the
 valuations.  A plain lattice is a `Plain`: its dimension and canonical
-rows, in the kernel's scalars.  `Library` gives the library's operations
+rows, in the kernel's scalars, on which it computes with the scalars'
+own arithmetic, as `linalg` does.  `Library` gives the library's operations
 the same names, so that one test body runs on either.  A lattice's store
 (`Lattice.store`, what `lattice._hnf` returns) is read here only, by
 `store_rows`.
@@ -39,11 +40,13 @@ def left_nullspace(A, field):
     return linalg.right_nullspace(t, field)
 
 
-def sum_prod(u, v, field):
-    s = field.zero()
+def sum_prod(u, v, k):
+    """sum u_i v_i, by the arithmetic of the scalars k."""
+    add, _, mul, _, nonzero = linalg._arith(k)
+    s = k.zero()
     for a, b in zip(u, v):
-        if a and b:
-            s = s + a * b
+        if nonzero(a) and nonzero(b):
+            s = add(s, mul(a, b))
     return s
 
 
@@ -76,11 +79,12 @@ def field_hnf(base, dim, vectors, k=None):
     base's `scalars` by default), by field arithmetic: the rows are
     wrapped as elements on entry and unwrapped on exit."""
     k = k or base.scalars
+    nonzero = linalg._arith(k)[4]
     work = []
     for v in vectors:
         if len(v) != dim:
             raise BaseMismatchError("generator of wrong length")
-        if any(v):
+        if any(map(nonzero, v)):
             work.append(list(k.wrap_row(v)))
     result = []
     for col in range(dim):
@@ -160,6 +164,7 @@ class PlainKernel:
 
     def __init__(self, base, k=None, hnf=None):
         self.base, self.k = base, k or base.scalars
+        self.mul, self.nonzero = (linalg._arith(self.k)[i] for i in (2, 4))
         self.hnf = hnf or (lambda dim, vecs: field_hnf(base, dim, vecs,
                                                        self.k))
 
@@ -180,14 +185,20 @@ class PlainKernel:
 
     def scale(self, lat, t):
         t = self.k.unwrap(t)
-        return self._span(lat.dim, [[t * e for e in r] for r in lat.rows])
+        return self._span(lat.dim, [[self.mul(t, e) for e in r]
+                                    for r in lat.rows])
 
     def add(self, x, y):
         return self._span(x.dim, x.rows + y.rows)
 
-    def mult(self, x, y, alg):
+    def _product(self, alg, u, w):
+        """u w in coordinates, multiplied as elements of the field."""
         k = self.k
-        out = self._span(x.dim, [alg.mul_coords(u, w, k)
+        return k.unwrap_row(alg.mul_coords(k.wrap_row(u), k.wrap_row(w),
+                                           self.base.field))
+
+    def mult(self, x, y, alg):
+        out = self._span(x.dim, [self._product(alg, u, w)
                                  for u in x.rows for w in y.rows])
         return out if out.rows else L.ZERO_MODULE
 
@@ -210,18 +221,18 @@ class PlainKernel:
         basis = [[einv[r][c] for r in range(space_dim)]
                  for c in range(space_dim)]
         if embed is not None:
-            basis = [linalg.vec_mat(b, embed) for b in basis]
+            basis = [linalg.vec_mat(b, embed, k) for b in basis]
         return self._span(dim, basis)
 
     def coords_matrix(self, vectors, lat):
         """(Q, residual): the coordinates of each vector in lat's basis, and
         the nonzero columns of the remainders, conditions that vanish iff
         the vectors lie in lat's K-span."""
-        Q, rest = linalg.reduce(vectors, lat.rows)
+        Q, rest = linalg.reduce(vectors, lat.rows, self.k)
         residual = []
         for col in range(lat.dim):
             t = [w[col] for w in rest]
-            if any(t):
+            if any(map(self.nonzero, t)):
                 residual.append(t)
         return Q, residual
 
@@ -238,7 +249,7 @@ class PlainKernel:
             return Plain(dim, ())
         # common K-span first
         null = left_nullspace(x.rows + y.rows, k)
-        span_vecs = [linalg.vec_mat(u[:rank_x], x.rows) for u in null]
+        span_vecs = [linalg.vec_mat(u[:rank_x], x.rows, k) for u in null]
         sbasis, _ = linalg.rref(span_vecs, k)
         if not sbasis:
             return Plain(dim, ())
@@ -248,7 +259,8 @@ class PlainKernel:
             for i in range(len(lat.rows)):
                 conds.append([qmat[s][i] for s in range(len(sbasis))])
         z = self.solve_dual(len(sbasis), conds)
-        return self._span(dim, [linalg.vec_mat(r, sbasis) for r in z.rows])
+        return self._span(dim, [linalg.vec_mat(r, sbasis, k)
+                                for r in z.rows])
 
     def colon(self, x, y, alg, side):
         k, dim = self.k, x.dim
@@ -257,8 +269,8 @@ class PlainKernel:
             prods = []
             for s in range(dim):
                 e_s = alg.basis_vector(s, k)
-                prods.append(alg.mul_coords(e_s, w, k) if side == "left"
-                             else alg.mul_coords(w, e_s, k))
+                prods.append(self._product(alg, e_s, w) if side == "left"
+                             else self._product(alg, w, e_s))
             Q, residual = self.coords_matrix(prods, x)
             for i in range(len(x.rows)):
                 int_conds.append([Q[s][i] for s in range(dim)])
@@ -271,15 +283,15 @@ class PlainKernel:
 
     def coords(self, lat, vec):
         k = self.k
-        (q,), (rest,) = linalg.reduce([k.unwrap_row(vec)], lat.rows)
-        return None if any(rest) else list(k.wrap_row(q))
+        (q,), (rest,) = linalg.reduce([k.unwrap_row(vec)], lat.rows, k)
+        return None if any(map(self.nonzero, rest)) else list(k.wrap_row(q))
 
     def contains_vector(self, lat, vec):
-        vec = self.k.unwrap_row(vec)
-        if not any(vec):
+        vec, nonzero = self.k.unwrap_row(vec), self.nonzero
+        if not any(map(nonzero, vec)):
             return True
-        (q,), (rest,) = linalg.reduce([vec], lat.rows)
-        return not any(rest) and self._integral(q)
+        (q,), (rest,) = linalg.reduce([vec], lat.rows, self.k)
+        return not any(map(nonzero, rest)) and self._integral(q)
 
     def contains(self, x, y):
         if y is L.ZERO_MODULE:
@@ -297,7 +309,8 @@ class PlainKernel:
         base, k = self.base, self.k
 
         def pivot_value(row):
-            return sum(base.val_vector(k.wrap(next(filter(None, row)))))
+            return sum(base.val_vector(k.wrap(next(filter(self.nonzero,
+                                                          row)))))
 
         return sum(pivot_value(ry) - pivot_value(rx)
                    for rx, ry in zip(x.rows, y.rows))

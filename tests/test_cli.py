@@ -65,10 +65,21 @@ def files(tmp_path_factory):
             "lattice": jsonio.encode_lattice(order.lattice)}
     put("order_schema.json", dict(m2_5, schema="nonsense", maximal=True))
     put("order_maximal_no.json", dict(m2_5, maximal="no"))
+    for name, alg in BAD_ALGEBRAS.items():
+        put(f"order_{name}.json", dict(m2_5, algebra=alg))
     (tmp / "order_invalid.json").write_text(
         jsonio.dumps(dict(m2_5, maximal=True))[:-3])
     paths["order_invalid.json"] = str(tmp / "order_invalid.json")
     return paths
+
+
+# algebra objects of order documents that are no algebra
+BAD_ALGEBRAS = {
+    "a_text": {"kind": "quaternion", "a": "abc", "b": "-1"},
+    "a_zero_den": {"kind": "quaternion", "a": "1/0", "b": "-1"},
+    "a_list": {"kind": "quaternion", "a": [1], "b": "-1"},
+    "no_n": {"kind": "matrix"},
+}
 
 
 def run(capsys, *argv):
@@ -154,6 +165,27 @@ def test_order_document_errors_are_schema_errors(files, capsys, name,
     report = json.loads(out)
     assert code == 1 and report["kind"] == "SchemaError"
     assert message in report["error"]
+
+
+@pytest.mark.parametrize("name, message", [
+    ("a_text", "expected a rational, got 'abc' (at order.algebra.a)"),
+    ("a_zero_den", "expected a rational, got '1/0' (at order.algebra.a)"),
+    ("a_list", "expected a rational, got [1] (at order.algebra.a)"),
+    ("no_n", "missing keys ['n'] (at order.algebra)"),
+])
+def test_order_algebra_errors_are_schema_errors(files, capsys, name,
+                                                message):
+    code, out = run(capsys, "--output", "json", "maxorder-check", "--order",
+                    files[f"order_{name}.json"], "--k", "1")
+    report = json.loads(out)
+    assert code == 1 and report["kind"] == "SchemaError"
+    assert message in report["error"]
+
+
+def test_roundtrip_of_an_order_document(files, capsys):
+    code, out = run(capsys, "--output", "json", "roundtrip",
+                    files["m2_11.json"])
+    assert code == 0 and json.loads(out)["results"] == {"roundtrip": True}
 
 
 def test_ceil_table(files, capsys):

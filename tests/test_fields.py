@@ -1,17 +1,22 @@
+import random
 import re
 import signal
+import sys
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
-from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.domains import GF, QQ, QQ_I
 
+from gliderbs import fields
 from gliderbs.errors import FieldMismatchError, ParseError, UnsupportedError
 from gliderbs.fields import (GAUSS_FIELD, INF, QQ_FIELD, QX_FIELD,
-                             QXY_FIELD, composite2, fp_func_field,
+                             QXY_FIELD, QY_FIELD, composite2, fp_func_field,
                              gauss_prime, inert_residue_field, padic,
-                             poly_prime, prime_field, quot_field, residue,
-                             uniformizer, uniformizer_pair, val, xadic)
+                             poly_prime, prime_field, quot_field,
+                             rational_value, residue, uniformizer,
+                             uniformizer_pair, val, xadic, yadic)
 
 
 def test_val_padic_examples():
@@ -127,6 +132,12 @@ def test_poly_prime():
     assert str(r) == "-x"
     with pytest.raises(UnsupportedError):
         poly_prime("x^2-1", QX_FIELD)
+    # a constant is no prime, and would never stop dividing
+    for text in ("3", "0", "1/2"):
+        with pytest.raises(UnsupportedError):
+            poly_prime(text, QX_FIELD)
+    with pytest.raises(UnsupportedError):
+        poly_prime("2", fp_func_field(3))
     # the residue field Q[x]/(g) needs characteristic 0
     with pytest.raises(UnsupportedError):
         poly_prime("x^2+1", fp_func_field(3)).residue_field()
@@ -279,9 +290,9 @@ def test_field_laws(name):
 
 @pytest.mark.parametrize("name", ["Q", "Q(i)", "Q(x)", "F3(x)", "Q(x,y)"])
 def test_equality_and_hash_follow_the_value(name):
-    """On every kind with sympy reps, `==` and `hash` agree with
-    `not (a - b)`: a value has one rep however it was computed (over F_3,
-    2/(2x) and 1/x)."""
+    """On Q, Q(i), the one-variable function fields and Q(x,y), `==` and
+    `hash` agree with `not (a - b)`: a value has one rep however it was
+    computed (over F_3, 2/(2x) and 1/x)."""
     field, char = LAW_FIELDS[name]
     elems = _elements(field, char)
 
@@ -348,18 +359,22 @@ def test_zero_and_one_are_built_once():
                                   (0, 7), (-1, 1)])
 def test_from_fraction_matches_the_domain(n, d):
     """A rational's rep on Q, Q(i) and F_p(x), negative or given in
-    non-reduced form, equals the sympy domain's own and has its type."""
+    non-reduced form, equals the domain's own and has its type: sympy's
+    over Q and Q(i); over F_3(x) the pair (n/d mod 3, 1) of `_Poly`."""
     q = Fraction(n, d)
-    dom3 = F3X.reps.gens["x"].field
+    f3 = fields._poly_class(3)
+    c = q.numerator * pow(q.denominator, -1, 3) % 3
     expected = {QQ_FIELD: QQ(n, d),
                 GAUSS_FIELD: QQ_I.new(QQ(n, d), QQ(0)),
-                F3X: dom3(n) / dom3(d)}
+                F3X: (f3((c,) if c else ()), f3((1,)))}
     for field, want in expected.items():
         got = field.from_fraction(q).rep
         assert got == want and type(got) is type(want)
         if field is GAUSS_FIELD:
             assert type(got.x) is type(want.x)
             assert type(got.y) is type(want.y)
+        if field is F3X:
+            assert [type(x) for x in got] == [f3, f3]
 
 
 def test_finite_denominators_raise():
@@ -429,3 +444,185 @@ def test_elements_are_immutable(field):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(x, name, None)
     assert x == field.from_int(2) and x - field.from_int(2) == field.zero()
+
+
+# ---------------------------------------------------------------------------
+# one-variable function fields against sympy's fraction field
+# ---------------------------------------------------------------------------
+
+# field -> its polynomial prime, as text, and as coefficients low to high
+FUNC_PRIMES = {fp_func_field(3): ("x+2", (2, 1)),
+               fp_func_field(5): ("x+2", (2, 1)),
+               QX_FIELD: ("x^2+1", (1, 0, 1)),
+               QY_FIELD: ("y^2+1", (1, 0, 1))}
+
+
+class _Reference:
+    """One field's elements twice: as library elements and as elements of
+    sympy's `frac_field` over QQ or GF(p), the reference."""
+
+    def __init__(self, field):
+        self.field, self.p = field, field.char
+        var = field.generator_names()[0]
+        self.dom = (GF(self.p) if self.p else QQ).frac_field(
+            sympy.Symbol(var))
+        self.gen, self.ref_gen = field.gen(var), self.dom(sympy.Symbol(var))
+
+    def coefficient(self, c):
+        return self.dom(int(c)) if self.p else \
+            self.dom(QQ(c.numerator, c.denominator))
+
+    def poly(self, cs):
+        """(library element, reference) of the polynomial sum cs[i] x^i."""
+        elem, ref = self.field.zero(), self.dom(0)
+        for i, c in enumerate(cs):
+            elem = elem + self.field.from_fraction(c) * self.gen ** i
+            ref = ref + self.coefficient(c) * self.ref_gen ** i
+        return elem, ref
+
+    def draw(self, rnd):
+        """A random quotient of polynomials of degree at most 2."""
+        def coeffs():
+            if self.p:
+                return [Fraction(rnd.randint(-4, 4)) for _ in range(3)]
+            return [Fraction(rnd.randint(-4, 4), rnd.choice([1, 2, 3]))
+                    for _ in range(3)]
+
+        num = self.poly(coeffs())
+        while True:
+            den = self.poly(coeffs())
+            if den[0]:
+                return num[0] / den[0], num[1] / den[1]
+
+    def fraction(self, c):
+        """A coefficient of a reference polynomial as a `Fraction` (over
+        GF(p) its least residue)."""
+        return Fraction(int(c) % self.p) if self.p else \
+            Fraction(int(c.numerator), int(c.denominator))
+
+    def coeffs(self, poly):
+        """{exponent: Fraction} of a reference polynomial."""
+        return {m[0]: self.fraction(c) for m, c in poly.terms()}
+
+    def show(self, ref):
+        """The printed form of the reference: over a monic denominator."""
+        num, den = self.coeffs(ref.numer), self.coeffs(ref.denom)
+        lead = den[max(den)]
+        if self.p:
+            inv = pow(int(lead), -1, self.p)
+            num, den = [{e: c * inv % self.p for e, c in x.items()}
+                        for x in (num, den)]
+        else:
+            num, den = [{e: c / lead for e, c in x.items()}
+                        for x in (num, den)]
+        var = (self.field.generator_names()[0],)
+        num_s, den_s = [fields._print_terms(
+            [((e,), c) for e, c in x.items() if c], var, self.p)
+            for x in (num, den)]
+        return num_s if list(den) == [0] else f"({num_s})/({den_s})"
+
+    def value_at_gen(self, ref):
+        return min(self.coeffs(ref.numer)) - min(self.coeffs(ref.denom))
+
+    def residue_at_gen(self, ref):
+        num, den = self.coeffs(ref.numer), self.coeffs(ref.denom)
+        n, d = num[min(num)], den[min(den)]
+        return n * pow(int(d), -1, self.p) % self.p if self.p else n / d
+
+    def value_at_prime(self, ref, g):
+        def count(poly):
+            v = 0
+            while True:
+                q, r = poly.div(g)
+                if r:
+                    return v
+                poly, v = q, v + 1
+
+        return count(ref.numer) - count(ref.denom)
+
+
+@pytest.mark.parametrize("field", list(FUNC_PRIMES), ids=lambda f: f.name)
+def test_function_fields_match_sympy(field):
+    """Seeded elements of F_3(x), F_5(x), Q(x) and Q(y) and their sums,
+    products and quotients agree with sympy's fraction field: printed
+    forms, == and hash, values and residues at the generator and at a
+    polynomial prime."""
+    ref = _Reference(field)
+    rnd = random.Random(f"func-{field.name}")
+    text, g_coeffs = FUNC_PRIMES[field]
+    at_gen = xadic(field) if field is not QY_FIELD else yadic(field)
+    at_g = poly_prime(text, field)
+    g_ref = ref.poly([Fraction(c) for c in g_coeffs])[1].numer
+    k_g = at_g.residue_field()
+    for _ in range(40):
+        (a, ra), (b, rb) = ref.draw(rnd), ref.draw(rnd)
+        results = [(a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb),
+                   (a * b, ra * rb)]
+        if b:
+            results.append((a / b, ra / rb))
+        for x, rx in results:
+            assert str(x) == ref.show(rx)
+            assert field.parse(str(x)) == x
+            if not x:
+                continue
+            assert at_gen(x) == ref.value_at_gen(rx)
+            if at_gen(x) == 0:
+                assert rational_value(at_gen.residue(x)) == \
+                    ref.residue_at_gen(rx)
+            assert at_g(x) == ref.value_at_prime(rx, g_ref)
+            if at_g(x) == 0:
+                # the residue r of num/den at g: r * [den] = [num] in the
+                # residue field, the classes read off sympy's remainders
+                num, den = [ref.coeffs(y.rem(g_ref))
+                            for y in (rx.numer, rx.denom)]
+                if field.char:
+                    num, den = [k_g.from_fraction(y.get(0, Fraction(0)))
+                                for y in (num, den)]
+                else:
+                    gen = k_g.gen("x")
+                    num, den = [sum((k_g.from_fraction(c) * gen ** e
+                                     for e, c in y.items()), k_g.zero())
+                                for y in (num, den)]
+                assert at_g.residue(x) * den == num
+        assert (a == b) is (not (ra - rb))
+        for x, y in ((a * b / b if b else a, a), (a + b - b, a)):
+            assert x == y and hash(x) == hash(y)
+
+
+def test_function_field_arithmetic_calls_no_sympy():
+    """Arithmetic, values, residues and printing on F_3(x) and Q(x)
+    elements run no function of a sympy module, once the fields and
+    valuations are built.  (The residues of Q(x) at x lie in Q, whose
+    reps are still sympy's, so Q(x) is checked at x^2+1 only.)"""
+    cases = []
+    for field, prime in ((F3X, "x+2"), (QX_FIELD, "x^2+1")):
+        vals = [xadic(field), poly_prime(prime, field)]
+        for v in vals:
+            v.residue_field()
+        residues = vals[1:] if field is QX_FIELD else vals
+        cases.append((field, vals, residues))
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and \
+                frame.f_globals.get("__name__", "").startswith("sympy"):
+            called.append(frame.f_code.co_name)
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for field, vals, residues in cases:
+            x, two = field.gen("x"), field.from_int(2)
+            a = (x * x + two) / (two * x + 1)
+            b = a - x / (x + 1) + field.parse("(x^3 - 1)/(x^2 + 1)")
+            for e in (a, b, a * b, a / b, -a, b ** -2):
+                str(e)
+                e == b and hash(e)
+                for v in vals:
+                    v(e)
+                for v in residues:
+                    if v(e) >= 0:
+                        str(v.residue(e))
+    finally:
+        sys.setprofile(old)
+    assert called == []

@@ -261,12 +261,12 @@ def test_both_paths_build_the_same_lattice_from_reps_and_elements():
 
 
 def test_wrap_makes_function_field_reps_canonical():
-    """F_p(x) arithmetic on reps can leave a denominator that is not
-    monic (1/(2x) over F_3); the element it becomes is the canonical one,
-    so == and hash follow the value."""
+    """F_p(x) arithmetic on reps gives the canonical rep, with a monic
+    denominator (1/(2x) over F_3), so the element it becomes is the
+    canonical one, and == and hash follow the value."""
     k = F3X.reps
     x = k.unwrap(F3X.gen("x"))
-    rep = k.one() / (k.from_fraction(Fraction(2)) * x)
+    rep = k.div(k.one(), k.mul(k.from_fraction(Fraction(2)), x))
     elem = F3X.one() / (F3X.from_int(2) * F3X.gen("x"))
     assert k.wrap(rep) == elem and hash(k.wrap(rep)) == hash(elem)
     assert k.wrap_row([rep, k.zero()]) == (elem, F3X.zero())
