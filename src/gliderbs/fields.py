@@ -8,16 +8,18 @@ between threads.
 
 Each field kind has one rep-level implementation, picked once when the
 `Field` is built: the conversion from `Fraction`, the generators, the four
-operations, the zero test and the printer.  Reps are sympy domain elements
-for Q, Q(i) and Q(x,y); for the one-variable function fields F_p(x) and
-Q(x) (also Q(y), Q(t)), pairs (num, den) of `_Poly`, in the one canonical
-form that the kernel's polynomial rings keep; ints mod p for F_p; pairs of
-ints mod p for F_p[i]; `_Poly` over Q reduced mod g for Q[x]/(g).  Reps
-are read and wrapped only here.  Every field has `Field.reps`, the
-arithmetic on its reps, with the conversions to and from elements: the
-base fields' reps are the lattice kernel's scalars, and the residue
-fields' the vectors of quotient spaces.  The kernel's rings read the
-residues of their own elements into those reps (`residue_rows`).
+operations, the zero test and the printer.  Reps are `Fraction` for Q;
+int triples (a, b, d) meaning (a + b*i)/d for Q(i); for the one-variable
+function fields F_p(x) and Q(x) (also Q(y), Q(t)), pairs (num, den) of
+`_Poly`, in the one canonical form that the kernel's polynomial rings
+keep; ints mod p for F_p; pairs of ints mod p for F_p[i]; `_Poly` over Q
+reduced mod g for Q[x]/(g); sympy's `frac_field` elements for Q(x,y),
+whose set-up alone, with `poly_prime`, imports sympy.  Reps are read and
+wrapped only here.  Every field has `Field.reps`, the arithmetic on its
+reps, with the conversions to and from elements: the base fields' reps
+are the lattice kernel's scalars, and the residue fields' the vectors of
+quotient spaces.  The kernel's rings read the residues of their own
+elements into those reps (`residue_rows`).
 
 Valuations: p-adic on Q, the three Gaussian prime splittings on Q(i),
 x-adic / y-adic and irreducible-polynomial valuations on function fields,
@@ -34,10 +36,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-import sympy
-from sympy.polys.domains import QQ, QQ_I
-
-from .errors import FieldMismatchError, ParseError, UnsupportedError
+from .errors import FieldMismatchError, ParseError, SpecValidationError, \
+    UnsupportedError
 
 __all__ = [
     "INF", "Field", "FieldElem", "Valuation",
@@ -78,8 +78,6 @@ class _Infinity:
 
 
 INF = _Infinity()
-
-_X, _Y = sympy.symbols("x y")
 
 
 def _is_prime(n):
@@ -128,24 +126,21 @@ class Field:
         k = self.kind
         if k == "Q":
             self.name = "Q"
-            arith = _DomainArith(_qq_from_fraction, _qq_str, {},
-                                 to_fraction=_qq_fraction)
+            arith = _DomainArith(_itself, str, {}, to_fraction=_itself)
         elif k == "QI":
             self.name = "Q(i)"
-            arith = _DomainArith(
-                lambda q: QQ_I.new(_qq_from_fraction(q), _MPQ_ZERO),
-                lambda z: _print_gauss(z.x, z.y),
-                {"i": QQ_I.new(QQ(0), QQ(1))})
+            arith = _GaussArith()
         elif k == "FUNC":
             var, p = self.params["var"], self.params.get("char", 0)
             self.var, self.char = var, p
             self.name = f"{f'F{p}' if p else 'Q'}({var})"
             arith = _FuncArith(var, p)
         elif k == "FUNC2":
-            dom = QQ.frac_field(_X, _Y)
+            from sympy import QQ, symbols
+            x, y = symbols("x y")
+            dom = QQ.frac_field(x, y)
             self.name = "Q(x,y)"
-            arith = _DomainArith(lambda q: dom(_qq_from_fraction(q)),
-                                 _print_func, {"x": dom(_X), "y": dom(_Y)})
+            arith = _DomainArith(dom, _print_func, {"x": dom(x), "y": dom(y)})
         elif k == "FP":
             p = self.params["p"]
             if not _is_prime(p):
@@ -188,11 +183,11 @@ class Field:
         return self._one
 
     def from_int(self, n):
-        return self.from_fraction(Fraction(n))
+        return self.from_fraction(n)
 
     def from_fraction(self, q):
         if q.__class__ is not Fraction:
-            q = Fraction(q)
+            q = require_rational(q)
         return _elem(self, self.reps.from_fraction(q))
 
     def gen(self, name):
@@ -220,6 +215,14 @@ class Field:
 
     def __repr__(self):
         return f"Field({self.name})"
+
+
+def require_rational(q):
+    """q, an int or a `Fraction`, as a `Fraction`: a float or a bool is
+    rejected, not rounded, as `lattice.require_int` rejects it."""
+    if q.__class__ not in (int, Fraction):
+        raise SpecValidationError(f"expected an int or a Fraction, got {q!r}")
+    return Fraction(q)
 
 
 def func_field(var, char=0):
@@ -251,6 +254,8 @@ def field_from_name(name):
     name = name.strip()
     if name in _FIELD_NAMES:
         return _FIELD_NAMES[name]
+    if name == "Q(x,y)":
+        return Field("FUNC2")
     m = re.fullmatch(r"F(\d+)\((\w)\)", name)
     if m:
         return fp_func_field(int(m.group(1)), m.group(2))
@@ -484,27 +489,68 @@ class _Arith:
 
 
 class _DomainArith(_Arith):
-    """Q, Q(i), Q(x,y): sympy domain elements, whose own operators are
-    exact and keep one rep per value.  Over these fields the reps are the
-    lattice kernel's scalars (`BaseRing.scalars`), converted to and from
-    elements only at the kernel's boundary."""
+    """Q and Q(x,y): reps whose own operators are exact and keep one rep
+    per value, `Fraction` over Q and sympy's `frac_field` elements over
+    Q(x,y).  Over these fields the reps are the lattice kernel's scalars
+    (`BaseRing.scalars`), converted to and from elements only at the
+    kernel's boundary."""
 
-    add, sub, mul = operator.add, operator.sub, operator.mul
+    add, sub, mul, div = operator.add, operator.sub, operator.mul, \
+        operator.truediv
     nonzero = bool
 
     def __init__(self, from_fraction, show, gens, to_fraction=None):
         self.from_fraction, self.show, self.gens = from_fraction, show, gens
         self.to_fraction = to_fraction
 
+
+def _itself(q):
+    return q
+
+
+class _GaussArith(_Arith):
+    """Q(i): int triples (a, b, d) meaning (a + b*i)/d, with d > 0 and
+    gcd(a, b, d) = 1, so that == compares values."""
+
+    gens = {"i": (0, 1, 1)}
+
     @staticmethod
-    def div(a, b):
-        if not b:
+    def from_fraction(q):
+        return q.numerator, 0, q.denominator
+
+    @staticmethod
+    def _canon(a, b, d):
+        g = gcd(a, b, d)
+        return (a, b, d) if g == 1 else (a // g, b // g, d // g)
+
+    def add(self, x, y):
+        (a, b, d), (c, e, f) = x, y
+        if d == f:
+            return self._canon(a + c, b + e, d)
+        return self._canon(a * f + c * d, b * f + e * d, d * f)
+
+    def sub(self, x, y):
+        return self.add(x, (-y[0], -y[1], y[2]))
+
+    def mul(self, x, y):
+        (a, b, d), (c, e, f) = x, y
+        return self._canon(a * c - b * e, a * e + b * c, d * f)
+
+    def div(self, x, y):
+        (a, b, d), (c, e, f) = x, y
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero field element")
-        return a / b
+        return self._canon((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
+    @staticmethod
+    def nonzero(x):
+        return bool(x[0] or x[1])
 
-_MPQ = QQ.dtype  # builds a reduced rational from two ints
-_MPQ_ZERO = _MPQ(0)
+    @staticmethod
+    def show(x):
+        a, b, d = x
+        return _print_gauss(Fraction(a, d), Fraction(b, d))
 
 
 class _Poly(tuple):
@@ -767,7 +813,7 @@ class _IntegersAt:
 
     def rat_row(self, nums, den):
         """The reps nums[k] / den, for ints nums and den != 0."""
-        return tuple([_MPQ(n, den) if n else _MPQ_ZERO for n in nums])
+        return tuple([Fraction(n, den) for n in nums])
 
     def lowest_terms(self, rows):
         """(tuple of row tuples, den): the fractions nums / d of the pairs
@@ -992,14 +1038,6 @@ class _ValuedRing:
         return g * pp, self.one
 
 
-def _qq_from_fraction(q):
-    return _MPQ(q.numerator, q.denominator)
-
-
-def _qq_fraction(c):
-    return Fraction(int(c.numerator), int(c.denominator))
-
-
 class _FuncArith(_Arith):
     """F_p(x) and Q(x), in any one variable: pairs (num, den) of `_Poly`
     in the canonical form of the polynomial rings' `lowest_terms`, so that
@@ -1198,32 +1236,15 @@ class _QuotArith(_Arith):
 # printing
 # ---------------------------------------------------------------------------
 
-def _print_rational(q_num, q_den=1):
-    if q_den == 1:
-        return str(q_num)
-    return f"{q_num}/{q_den}"
-
-
-def _qq_str(q):
-    return _print_rational(int(q.numerator), int(q.denominator))
-
-
 def _print_gauss(re_part, im_part):
-    def imag(b):
-        num, den = int(b.numerator), int(b.denominator)
-        sign = "-" if num < 0 else ""
-        num = abs(num)
-        if num == 1 and den == 1:
-            return sign + "i"
-        return sign + _print_rational(num, den) + "i"
-
+    """a+bi from the `Fraction`s a and b, with i for 1i."""
+    im = ("-" if im_part < 0 else "") + \
+        ("" if abs(im_part) == 1 else str(abs(im_part))) + "i"
     if not im_part:
-        return _qq_str(re_part)
+        return str(re_part)
     if not re_part:
-        return imag(im_part)
-    im = imag(im_part)
-    joiner = "" if im.startswith("-") else "+"
-    return _qq_str(re_part) + joiner + im
+        return im
+    return str(re_part) + ("" if im_part < 0 else "+") + im
 
 
 def _join_signed(parts):
@@ -1242,7 +1263,7 @@ def _coeff_text(c, char):
     if char:
         return "+", str(int(c) % char)
     return "-" if c < 0 else "+", \
-        _print_rational(abs(int(c.numerator)), int(c.denominator))
+        str(Fraction(abs(int(c.numerator)), int(c.denominator)))
 
 
 def _print_terms(terms, gens, char):
@@ -1286,15 +1307,20 @@ QQ_FIELD = Field("Q")
 GAUSS_FIELD = Field("QI")
 QX_FIELD = Field("FUNC", var="x", char=0)
 QY_FIELD = Field("FUNC", var="y", char=0)
-QXY_FIELD = Field("FUNC2")
 
 _FIELD_NAMES = {
     "Q": QQ_FIELD,
     "Q(i)": GAUSS_FIELD,
     "Q(x)": QX_FIELD,
     "Q(y)": QY_FIELD,
-    "Q(x,y)": QXY_FIELD,
 }
+
+
+def __getattr__(name):
+    """`QXY_FIELD`, built on first use, as its set-up imports sympy."""
+    if name == "QXY_FIELD":
+        return Field("FUNC2")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1464,18 +1490,11 @@ def _at_zero(x, axis):
     as (exponents, `Fraction`) terms."""
     def lowest(poly):
         v = _poly_var_val(poly, axis)
-        return [(m[:axis] + (0,) + m[axis + 1:], _qq_fraction(c))
+        return [(m[:axis] + (0,) + m[axis + 1:],
+                 Fraction(int(c.numerator), int(c.denominator)))
                 for m, c in poly.terms() if m[axis] == v]
 
     return lowest(x.rep.numer), lowest(x.rep.denom)
-
-
-def _gauss_int_parts(z):
-    """z in QQ_I as (a_num, b_num, den) with integer a, b and positive den."""
-    ax, ay = _qq_fraction(z.x), _qq_fraction(z.y)
-    den = ax.denominator * ay.denominator // gcd(ax.denominator, ay.denominator)
-    return ax.numerator * (den // ax.denominator), \
-        ay.numerator * (den // ay.denominator), den
 
 
 # ---------------------------------------------------------------------------
@@ -1639,7 +1658,7 @@ class _GaussPrime(_ValuationImpl):
 
     def __init__(self, field, pi):
         self.field, self.pi = field, pi
-        self.pa, self.pb, _ = _gauss_int_parts(pi.rep)
+        self.pa, self.pb, _ = pi.rep
         self.p = self.pa * self.pa + self.pb * self.pb
 
     def uniformizer(self):
@@ -1660,13 +1679,11 @@ class _GaussSplit(_GaussPrime):
     def value(self, x):
         # count exact divisions of a+bi by pi in Z[i]; dividing by
         # p = pi*conj(pi) removes exactly one factor of pi
-        a, b, den = _gauss_int_parts(x.rep)
+        a, b, den = x.rep
         p, pa, pb = self.p, self.pa, self.pb
         v = 0
-        while (a % p == 0 and b % p == 0):
-            a //= p
-            b //= p
-            v += 1
+        while a % p == 0 and b % p == 0:
+            a, b, v = a // p, b // p, v + 1
         # now divide by pi while possible: (a+bi)/pi integral iff
         # (a+bi)*conj(pi) = 0 mod p
         while True:
@@ -1682,7 +1699,7 @@ class _GaussSplit(_GaussPrime):
         # x has value 0, so while p = pi*conj(pi) divides den, pi divides
         # a+bi: x = ((a+bi)*conj(pi)/p) / ((den/p)*conj(pi)), exactly, and
         # conj(pi), a unit here, has residue pa - pb*r
-        a, b, den = _gauss_int_parts(x.rep)
+        a, b, den = x.rep
         p, pa, pb, r = self.p, self.pa, self.pb, self.root
         unit = 1
         while den % p == 0:
@@ -1696,7 +1713,7 @@ class _GaussRamified(_GaussSplit):
     split case)."""
 
     def value(self, x):
-        a, b, den = _gauss_int_parts(x.rep)
+        a, b, den = x.rep
         return _int_val(a * a + b * b, 2) - 2 * _int_val(den, 2)
 
 
@@ -1708,7 +1725,7 @@ class _GaussInert(_GaussPrime):
         self.p = abs(self.pa)
 
     def value(self, x):
-        a, b, den = _gauss_int_parts(x.rep)
+        a, b, den = x.rep
         # p = 3 (mod 4) is inert in Z[i], so v_p(a^2 + b^2) is even
         return _int_val(a * a + b * b, self.p) // 2 - _int_val(den, self.p)
 
@@ -1716,15 +1733,13 @@ class _GaussInert(_GaussPrime):
         return inert_residue_field(self.p)
 
     def residue0(self, x):
-        a, b, den = _gauss_int_parts(x.rep)
+        a, b, den = x.rep
         p = self.p
         dinv = pow(den, -1, p)
         return _elem(inert_residue_field(p), ((a * dinv) % p, (b * dinv) % p))
 
     def lift(self, r):
-        a, b = r.rep
-        f = self.field
-        return f.from_int(a) + f.from_int(b) * f.gen("i")
+        return _elem(self.field, (*r.rep, 1))
 
 
 _GAUSS_CASES = {"ramified": _GaussRamified, "split": _GaussSplit,
@@ -1867,7 +1882,7 @@ def gauss_prime(pi):
         pi = GAUSS_FIELD.parse(pi)
     if not isinstance(pi, FieldElem) or pi.field is not GAUSS_FIELD:
         raise FieldMismatchError("gauss_prime needs an element of Q(i)")
-    a, b, den = _gauss_int_parts(pi.rep)
+    a, b, den = pi.rep
     if den != 1:
         raise UnsupportedError(f"{pi} is not a Gaussian integer")
     nrm = a * a + b * b
@@ -1890,7 +1905,8 @@ def xadic(field=QX_FIELD):
     raise FieldMismatchError(f"x-adic valuation undefined on {field.name}")
 
 
-def yadic(field=QXY_FIELD):
+def yadic(field=None):
+    field = field or Field("FUNC2")
     if field.kind in ("FUNC", "FUNC2"):
         return Valuation("yadic", field, axis=int(field.kind == "FUNC2"))
     raise FieldMismatchError(f"y-adic valuation undefined on {field.name}")
@@ -1919,8 +1935,8 @@ def poly_prime(g, field=QX_FIELD):
         num = g.rep[0]
     # a polynomial's rep has int coefficients, high to low for sympy, which
     # calls a constant irreducible: its values would count without end
-    poly = sympy.Poly(num[::-1], sympy.Symbol(field.var),
-                      modulus=field.char or None)
+    from sympy import Poly, Symbol
+    poly = Poly(num[::-1], Symbol(field.var), modulus=field.char or None)
     if len(num) < 2 or not poly.is_irreducible:
         raise UnsupportedError(f"{g} is not irreducible")
     return Valuation("polyprime", field, g=g)
@@ -1929,7 +1945,7 @@ def poly_prime(g, field=QX_FIELD):
 def composite2():
     """The lexicographic rank-2 valuation on Q(x,y): x-adic first, then
     y-adic on the residue field Q(y)."""
-    return Valuation("composite2", QXY_FIELD)
+    return Valuation("composite2", Field("FUNC2"))
 
 
 def val(v, x):

@@ -429,23 +429,33 @@ def loads_extension(text_or_obj, where="extension"):
     obj = _as_obj(text_or_obj)
     _check_keys(obj, ["schema", "minpoly", "valuation"], ["base"], where)
     _schema_check(obj, where)
-    if obj["minpoly"] == "t^2-x":
-        return sqrt_x_extension()
-    if obj["minpoly"] != "t^2+1":
-        raise SchemaError("supported minimal polynomials: t^2+1, t^2-x",
-                          where)
     vobj = obj["valuation"]
     _check_keys(vobj, ["over"], ["kind", "factor", "e", "f"],
                 where + ".valuation")
     p = _int_text(vobj["over"], where + ".valuation.over")
-    ext = gauss_extension(p, vobj.get("kind"), vobj.get("factor"))
-    if "e" in vobj and _int(vobj["e"], where + ".valuation.e") != ext.e:
-        raise SchemaError(f"declared e={vobj['e']} but the extension has "
-                          f"e={ext.e}", where)
-    if "f" in vobj and _int(vobj["f"], where + ".valuation.f") != ext.f:
-        raise SchemaError(f"declared f={vobj['f']} but the extension has "
-                          f"f={ext.f}", where)
+    if obj["minpoly"] == "t^2-x":
+        ext = sqrt_x_extension()
+    elif obj["minpoly"] == "t^2+1":
+        ext = gauss_extension(p, vobj.get("kind"), vobj.get("factor"))
+    else:
+        raise SchemaError("supported minimal polynomials: t^2+1, t^2-x",
+                          where)
+    for key in ("e", "f"):
+        declared, got = vobj.get(key), getattr(ext, key)
+        if key in vobj and _int(declared, f"{where}.valuation.{key}") != got:
+            raise SchemaError(f"declared {key}={declared} but the extension "
+                              f"has {key}={got}", where)
     return ext
+
+
+def _encode_extension(ext):
+    """The valuation data of an extension that `loads_extension` reads."""
+    val = {"over": str(getattr(ext.v, "p", 0)), "e": ext.e, "f": ext.f}
+    if ext.w.kind == "gauss":
+        val["kind"] = ext.w.case
+        if ext.w.case == "split":
+            val["factor"] = str(ext.w.pi)
+    return {"schema": SCHEMA, "minpoly": ext.minpoly, "valuation": val}
 
 
 def loads_points(text_or_obj, where="points"):
@@ -474,6 +484,13 @@ def loads_sample(text_or_obj, where="sample"):
             inner["algebra"] = obj["algebra"]
         out.append(loads_glider(inner, f"{where}.elements[{i}]"))
     return filt, out
+
+
+def _encode_sample(value):
+    """A sample document, each element a whole glider document."""
+    filt, gliders = value
+    return {"schema": SCHEMA, "filtration": encode_filtration(filt),
+            "elements": [encode_glider(g) for g in gliders]}
 
 
 def loads_order(text_or_obj, where="order"):
@@ -559,7 +576,8 @@ def detect_and_load(text):
     if "minpoly" in obj:
         return "extension", loads_extension(obj)
     if "points" in obj:
-        return "points", loads_points(obj)
+        points = loads_points(obj)
+        return "points", (field_from_name(obj["field"]), points)
     if "elements" in obj:
         return "sample", loads_sample(obj)
     if "rows" in obj:
@@ -569,28 +587,24 @@ def detect_and_load(text):
     raise SchemaError("unrecognized document shape")
 
 
-def _reencode(kind, value):
-    if kind == "z2-glider":
-        return encode_z2(value)
-    if kind == "glider":
-        return encode_glider(value)
-    if kind == "filtration":
-        return encode_filtration(value)
-    if kind == "lattice":
-        return encode_lattice(value)
-    if kind == "order":
-        return {"schema": SCHEMA, "algebra": encode_algebra(value.alg),
-                "lattice": encode_lattice(value.lattice),
-                "maximal": value.declared_maximal}
-    return None
+# the encoder of each kind of document that `detect_and_load` returns
+_ENCODERS = {
+    "z2-glider": encode_z2, "glider": encode_glider,
+    "filtration": encode_filtration, "extension": _encode_extension,
+    "points": lambda fp: {"schema": SCHEMA, "field": fp[0].name, "points": [
+        [str(c) for c in pt.coords] for pt in fp[1]]},
+    "sample": _encode_sample, "lattice": encode_lattice,
+    "order": lambda o: {"schema": SCHEMA, "algebra": encode_algebra(o.alg),
+                        "lattice": encode_lattice(o.lattice),
+                        "maximal": o.declared_maximal}}
 
 
 def roundtrip(text):
     """parse -> print -> parse is a fixed point on the printed form."""
     kind, value = detect_and_load(text)
-    enc = _reencode(kind, value)
-    if enc is None:
-        return True
+    encode = _ENCODERS.get(kind)
+    if encode is None:
+        raise SchemaError(f"no encoder for {kind!r} documents")
+    enc = encode(value)
     kind2, value2 = detect_and_load(dumps(enc))
-    enc2 = _reencode(kind2, value2)
-    return enc == enc2
+    return kind2 == kind and encode(value2) == enc

@@ -429,7 +429,7 @@ def matrix_algebra(n):
 
 
 def quaternion_algebra(a, b):
-    a, b = Fraction(a), Fraction(b)
+    a, b = fields.require_rational(a), fields.require_rational(b)
     if a == 0 or b == 0:
         raise SpecValidationError("quaternion parameters must be nonzero")
     return AlgebraDesc("quaternion", a=a, b=b)

@@ -4,10 +4,9 @@ Matrices are lists of lists (rows) of entries.  `k` gives `zero()` and
 `one()`, and where its entries have no exact operators of their own, the
 arithmetic on them: `add`, `sub`, `mul`, `div` and `nonzero`.  A `Field`
 gives the first two, for its elements; a field's `reps` all seven, on
-reps: sympy domain elements over Q and the function fields, ints mod p
-over F_p, pairs of them over F_p[i].  So each routine has one body, and a
-residue field's vectors need no element wrappers.  Sizes here are tiny
-(d <= 9).  Two eliminations do all the work: `reduce` reduces vectors
+reps: `Fraction` over Q, ints mod p over F_p, pairs of them over F_p[i].
+So each routine has one body, and a residue field's vectors need no
+element wrappers.  Sizes here are tiny (d <= 9).  Two eliminations do all the work: `reduce` reduces vectors
 against rows already in echelon form, and `rref` brings rows to reduced
 echelon form; the null space is read off `rref`.  Lattices do not compute
 here, their kernel computes on the base ring's elements (`lattice`): this

@@ -15,7 +15,7 @@ indexed by the pair (m, n) read off the (1,0) cell.
 from __future__ import annotations
 
 from .errors import SpecValidationError, UnsupportedError
-from .fields import QXY_FIELD, QY_FIELD, composite2, xadic, yadic
+from .fields import QY_FIELD, composite2, field_from_name, xadic, yadic
 from .filtration import FieldFiltration, valuation_filtration
 from .glider import FiltrationTail, Glider, Tail, ZeroAfter, fit_tail
 from .lattice import FracIdeal, ZERO_MODULE
@@ -91,7 +91,7 @@ class Z2Filtration:
             raise SpecValidationError(f"unknown Z2 filtration kind {kind!r}")
         self.kind = kind
         self.valuation = composite2()
-        self.field = QXY_FIELD
+        self.field = field_from_name("Q(x,y)")
 
     def level(self, gamma):
         a, b = gamma
@@ -307,7 +307,7 @@ def horizontal_coarsening(filt):
     valuation filtration on Q(x,y)."""
     if filt.kind != "composite":
         raise UnsupportedError("coarsening defined for the pure composite")
-    return valuation_filtration(xadic(QXY_FIELD))
+    return valuation_filtration(xadic(field_from_name("Q(x,y)")))
 
 
 class VerticalBodies:

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import signal
@@ -7,10 +8,11 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from sympy.polys.domains import GF, QQ, QQ_I
+from sympy.polys.domains import GF, QQ, QQ_I, ZZ_I
 
 from gliderbs import fields
-from gliderbs.errors import FieldMismatchError, ParseError, UnsupportedError
+from gliderbs.errors import (FieldMismatchError, ParseError,
+                             SpecValidationError, UnsupportedError)
 from gliderbs.fields import (GAUSS_FIELD, INF, QQ_FIELD, QX_FIELD,
                              QXY_FIELD, QY_FIELD, composite2, fp_func_field,
                              gauss_prime, inert_residue_field, padic,
@@ -359,22 +361,45 @@ def test_zero_and_one_are_built_once():
                                   (0, 7), (-1, 1)])
 def test_from_fraction_matches_the_domain(n, d):
     """A rational's rep on Q, Q(i) and F_p(x), negative or given in
-    non-reduced form, equals the domain's own and has its type: sympy's
-    over Q and Q(i); over F_3(x) the pair (n/d mod 3, 1) of `_Poly`."""
-    q = Fraction(n, d)
+    non-reduced form, is the one canonical rep of its value, with sympy's
+    `QQ` as the reference: over Q the `Fraction` itself; over Q(i) the int
+    triple (n, 0, d) in lowest terms with d > 0; over F_3(x) the pair
+    (n/d mod 3, 1) of `_Poly`."""
+    q, ref = Fraction(n, d), QQ(n, d)
     f3 = fields._poly_class(3)
     c = q.numerator * pow(q.denominator, -1, 3) % 3
-    expected = {QQ_FIELD: QQ(n, d),
-                GAUSS_FIELD: QQ_I.new(QQ(n, d), QQ(0)),
+    num, den = int(ref.numerator), int(ref.denominator)
+    expected = {QQ_FIELD: Fraction(num, den),
+                GAUSS_FIELD: (num, 0, den),
                 F3X: (f3((c,) if c else ()), f3((1,)))}
     for field, want in expected.items():
         got = field.from_fraction(q).rep
         assert got == want and type(got) is type(want)
         if field is GAUSS_FIELD:
-            assert type(got.x) is type(want.x)
-            assert type(got.y) is type(want.y)
+            assert [type(x) for x in got] == [int, int, int]
         if field is F3X:
             assert [type(x) for x in got] == [f3, f3]
+
+
+# a float or a bool at the scalar boundary: each is rejected, not rounded
+NOT_RATIONAL = [(QQ_FIELD, 0.1), (GAUSS_FIELD, 0.5), (F3X, 0.5),
+                (QQ_FIELD, True), (GAUSS_FIELD, False), (F3X, 1.0)]
+NOT_RATIONAL_IDS = [f"{f.name}-{v!r}" for f, v in NOT_RATIONAL]
+
+
+@pytest.mark.parametrize("field, value", NOT_RATIONAL,
+                         ids=NOT_RATIONAL_IDS)
+def test_from_fraction_takes_only_ints_and_fractions(field, value):
+    with pytest.raises(SpecValidationError, match="int or a Fraction"):
+        field.from_fraction(value)
+
+
+@pytest.mark.parametrize("field, value", NOT_RATIONAL,
+                         ids=NOT_RATIONAL_IDS)
+def test_from_int_takes_only_ints_and_fractions(field, value):
+    with pytest.raises(SpecValidationError, match="int or a Fraction"):
+        field.from_int(value)
+    assert field.from_int(3) == field.from_fraction(Fraction(3))
 
 
 def test_finite_denominators_raise():
@@ -590,17 +615,21 @@ def test_function_fields_match_sympy(field):
 
 
 def test_function_field_arithmetic_calls_no_sympy():
-    """Arithmetic, values, residues and printing on F_3(x) and Q(x)
-    elements run no function of a sympy module, once the fields and
-    valuations are built.  (The residues of Q(x) at x lie in Q, whose
-    reps are still sympy's, so Q(x) is checked at x^2+1 only.)"""
-    cases = []
-    for field, prime in ((F3X, "x+2"), (QX_FIELD, "x^2+1")):
-        vals = [xadic(field), poly_prime(prime, field)]
+    """Arithmetic, values, residues, parsing and printing on Q, Q(i),
+    F_3(x) and Q(x) elements run no function of a sympy module, once the
+    fields and valuations are built: Q at 5, Q(i) at 1+i, 3 and 2+i, and
+    F_3(x) and Q(x) at x and at a polynomial prime."""
+    # field -> (x, a literal, valuations)
+    cases = {field: (field.gen("x"), "(x^3 - 1)/(x^2 + 1)",
+                     [xadic(field), poly_prime(prime, field)])
+             for field, prime in ((F3X, "x+2"), (QX_FIELD, "x^2+1"))}
+    cases[QQ_FIELD] = (QQ_FIELD.parse("-7/10"), "(7/3 - 1)/(5/2)",
+                       [padic(5)])
+    cases[GAUSS_FIELD] = (GAUSS_FIELD.gen("i"), "(2+i)^3/(1-3i)",
+                          [gauss_prime(pi) for pi in ("1+i", "3", "2+i")])
+    for _, _, vals in cases.values():
         for v in vals:
             v.residue_field()
-        residues = vals[1:] if field is QX_FIELD else vals
-        cases.append((field, vals, residues))
     called = []
 
     def profile(frame, event, arg):
@@ -611,18 +640,106 @@ def test_function_field_arithmetic_calls_no_sympy():
     old = sys.getprofile()
     sys.setprofile(profile)
     try:
-        for field, vals, residues in cases:
-            x, two = field.gen("x"), field.from_int(2)
+        for field, (x, text, vals) in cases.items():
+            two = field.from_int(2)
             a = (x * x + two) / (two * x + 1)
-            b = a - x / (x + 1) + field.parse("(x^3 - 1)/(x^2 + 1)")
+            b = a - x / (x + 1) + field.parse(text)
             for e in (a, b, a * b, a / b, -a, b ** -2):
                 str(e)
                 e == b and hash(e)
                 for v in vals:
-                    v(e)
-                for v in residues:
                     if v(e) >= 0:
                         str(v.residue(e))
     finally:
         sys.setprofile(old)
     assert called == []
+
+
+# ---------------------------------------------------------------------------
+# Q(i) against sympy's QQ_I
+# ---------------------------------------------------------------------------
+
+def _ref_fraction(c):
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _ref_show(z):
+    """The printed form of z in QQ_I: a+bi, with i for 1i."""
+    re_part, im_part = _ref_fraction(z.x), _ref_fraction(z.y)
+    im = {1: "i", -1: "-i"}.get(im_part, f"{im_part}i")
+    if not im_part:
+        return str(re_part)
+    return im if not re_part else \
+        f"{re_part}{'' if im_part < 0 else '+'}{im}"
+
+
+def _ref_value(z, pi):
+    """The value of z != 0 in QQ_I at the Gaussian prime pi in ZZ_I, by
+    exact division of its numerator and denominator in ZZ_I."""
+    def count(n):
+        k = 0
+        while not ZZ_I.rem(n, pi):
+            n, k = ZZ_I.quo(n, pi), k + 1
+        return k
+
+    return count(QQ_I.numer(z)) - count(ZZ_I(QQ_I.denom(z), 0))
+
+
+def _ref_residue(z, pi, k):
+    """The residue in k of z in QQ_I of value 0 at pi: numerator and
+    denominator rid of their factors pi, each a+bi read into k with i the
+    root of x^2+1 at which pi vanishes (over F_p[i], its generator)."""
+    def image(n, root):
+        return k.from_int(int(n.x)) + k.from_int(int(n.y)) * root
+
+    roots = [k.gen("i")] if k.generator_names() else k.elements()
+    root = next(r for r in roots if not r * r + 1 and not image(pi, r))
+
+    def part(n):
+        while not ZZ_I.rem(n, pi):
+            n = ZZ_I.quo(n, pi)
+        return image(n, root)
+
+    return part(QQ_I.numer(z)) / part(ZZ_I(QQ_I.denom(z), 0))
+
+
+def test_gauss_field_matches_sympy():
+    """Seeded elements of Q(i) and their sums, differences, products and
+    quotients agree with sympy's QQ_I: the canonical triple (a, b, d),
+    d > 0 and gcd(a, b, d) = 1, printed forms and their parse, == and
+    hash, and values and residues at 1+i, 3 and 2+i."""
+    rnd = random.Random("gauss-triples")
+    primes = [(gauss_prime(text), ZZ_I(a, b))
+              for text, a, b in (("1+i", 1, 1), ("3", 3, 0), ("2+i", 2, 1))]
+    i = GAUSS_FIELD.gen("i")
+
+    def draw():
+        a, b = rnd.randint(-30, 30), rnd.randint(-30, 30)
+        d = rnd.choice([1, 2, 3, 4, 5, 6, 9, 10, 12, 25])
+        x = GAUSS_FIELD.from_fraction(Fraction(a, d)) + \
+            GAUSS_FIELD.from_fraction(Fraction(b, d)) * i
+        return x, QQ_I(QQ(a, d), QQ(b, d))
+
+    for _ in range(60):
+        (x, rx), (y, ry) = draw(), draw()
+        results = [(x, rx), (y, ry), (x + y, rx + ry), (x - y, rx - ry),
+                   (x * y, rx * ry)]
+        if y:
+            results.append((x / y, rx / ry))
+        for z, rz in results:
+            a, b, d = z.rep
+            assert d > 0 and math.gcd(a, b, d) == 1
+            assert (Fraction(a, d), Fraction(b, d)) == \
+                (_ref_fraction(rz.x), _ref_fraction(rz.y))
+            assert str(z) == _ref_show(rz)
+            assert GAUSS_FIELD.parse(str(z)) == z
+            if not rz:
+                continue
+            for v, pi in primes:
+                assert v(z) == _ref_value(rz, pi)
+                if v(z) == 0:
+                    assert v.residue(z) == \
+                        _ref_residue(rz, pi, v.residue_field())
+        assert (x == y) is (rx == ry)
+        for z, w in ((x * y / y if y else x, x), (x + y - y, x)):
+            assert z == w and hash(z) == hash(w)

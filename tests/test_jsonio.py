@@ -104,6 +104,68 @@ def test_extension_declared_ef_checked():
         jsonio.loads_extension(obj)
     obj["valuation"]["e"] = 1
     assert jsonio.loads_extension(obj).e == 1
+    obj = {"schema": "gbs/1", "minpoly": "t^2-x",
+           "valuation": {"over": "0", "e": 1}}
+    with pytest.raises(SchemaError, match="declared e=1"):
+        jsonio.loads_extension(obj)
+    obj["valuation"]["e"] = 2
+    assert jsonio.loads_extension(obj).e == 2
+
+
+def _documents_of_each_kind(f5, fa_m2, b_m2):
+    """One document of each kind that `detect_and_load` tells apart."""
+    ident = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    m2 = {"kind": "matrix", "n": 2}
+    return {
+        "z2-glider": jsonio.encode_z2(realize_z2((1, -1))),
+        "glider": jsonio.encode_glider(negative_part(f5)),
+        "filtration": jsonio.encode_filtration(fa_m2),
+        "extension": {"schema": "gbs/1", "minpoly": "t^2+1",
+                      "valuation": {"over": "5", "kind": "split",
+                                    "factor": "2+i"}},
+        "points": {"schema": "gbs/1", "field": "Q",
+                   "points": [["1", "0"], ["2", "2"]]},
+        "sample": {"schema": "gbs/1", "algebra": m2,
+                   "filtration": jsonio.encode_filtration(f5),
+                   "elements": [{"prefix": [{"rows": ident}],
+                                 "tail": {"kind": "filtration"}}]},
+        "lattice": jsonio.encode_lattice(b_m2),
+        "order": {"schema": "gbs/1", "algebra": m2, "maximal": True,
+                  "lattice": jsonio.encode_lattice(b_m2)},
+    }
+
+
+def test_every_document_kind_goes_through_an_encoder(f5, fa_m2, b_m2):
+    """`roundtrip` re-encodes every kind `detect_and_load` returns: the
+    printed form reads back as the same kind and prints the same again."""
+    docs = _documents_of_each_kind(f5, fa_m2, b_m2)
+    assert set(docs) == set(jsonio._ENCODERS)
+    for kind, doc in docs.items():
+        got, value = jsonio.detect_and_load(json.dumps(doc))
+        enc = jsonio._ENCODERS[kind](value)
+        again, value2 = jsonio.detect_and_load(jsonio.dumps(enc))
+        assert got == again == kind
+        assert jsonio._ENCODERS[kind](value2) == enc
+        assert jsonio.roundtrip(json.dumps(doc))
+    _, value = jsonio.detect_and_load(json.dumps(docs["points"]))
+    assert jsonio._ENCODERS["points"](value) == {
+        "schema": "gbs/1", "field": "Q", "points": [["1", "0"], ["1", "1"]]}
+    _, value = jsonio.detect_and_load(json.dumps(docs["extension"]))
+    assert jsonio._ENCODERS["extension"](value)["valuation"] == {
+        "over": "5", "kind": "split", "factor": "2+i", "e": 1, "f": 1}
+
+
+def test_roundtrip_can_fail(f5, fa_m2, b_m2, monkeypatch):
+    """A printed form that is no fixed point gives false, and a kind
+    without an encoder a `SchemaError`, not true."""
+    text = json.dumps(_documents_of_each_kind(f5, fa_m2, b_m2)["points"])
+    encode = jsonio._ENCODERS["points"]
+    monkeypatch.setitem(jsonio._ENCODERS, "points", lambda value: {
+        **encode(value), "points": 2 * encode(value)["points"]})
+    assert jsonio.roundtrip(text) is False
+    monkeypatch.delitem(jsonio._ENCODERS, "points")
+    with pytest.raises(SchemaError, match="no encoder"):
+        jsonio.roundtrip(text)
 
 
 def _glider_doc(r5):

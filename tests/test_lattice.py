@@ -415,6 +415,15 @@ def test_colon_of_rank_deficient_column(r5, b_m2, m2):
     assert colon_left(col, col, m2) == b_m2
 
 
+@pytest.mark.parametrize("a, b", [(0.1, -1), (-1, 0.5), (True, -1),
+                                  ("-1", -1)])
+def test_quaternion_parameters_are_ints_or_fractions(a, b):
+    """A float, a bool or a string is rejected, not rounded or parsed."""
+    with pytest.raises(SpecValidationError, match="int or a Fraction"):
+        quaternion_algebra(a, b)
+    assert quaternion_algebra(Fraction(-2, 2), -1).a == -1
+
+
 def test_algebra_validation():
     with pytest.raises(SpecValidationError):
         quaternion_algebra(0, -1)
