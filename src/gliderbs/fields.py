@@ -1186,7 +1186,7 @@ class _GaussModArith(_Arith):
 
     def show(self, a):
         p = self.p
-        return _print_gauss(Fraction(a[0] % p), Fraction(a[1] % p))
+        return _print_gauss(a[0] % p, a[1] % p)
 
     def elements(self):
         p = self.p
@@ -1237,7 +1237,7 @@ class _QuotArith(_Arith):
 # ---------------------------------------------------------------------------
 
 def _print_gauss(re_part, im_part):
-    """a+bi from the `Fraction`s a and b, with i for 1i."""
+    """a+bi from rationals a and b (ints or `Fraction`s), i for 1i."""
     im = ("-" if im_part < 0 else "") + \
         ("" if abs(im_part) == 1 else str(abs(im_part))) + "i"
     if not im_part:

@@ -6,11 +6,12 @@ arithmetic on them: `add`, `sub`, `mul`, `div` and `nonzero`.  A `Field`
 gives the first two, for its elements; a field's `reps` all seven, on
 reps: `Fraction` over Q, ints mod p over F_p, pairs of them over F_p[i].
 So each routine has one body, and a residue field's vectors need no
-element wrappers.  Sizes here are tiny (d <= 9).  Two eliminations do all the work: `reduce` reduces vectors
-against rows already in echelon form, and `rref` brings rows to reduced
-echelon form; the null space is read off `rref`.  Lattices do not compute
-here, their kernel computes on the base ring's elements (`lattice`): this
-is linear algebra over fields, residue fields among them.
+element wrappers.  Sizes here are tiny (d <= 9).  Two eliminations do all
+the work: `reduce` reduces vectors against rows already in echelon form,
+and `rref` brings rows to reduced echelon form; the null space is read
+off `rref`.  Lattices do not compute here, their kernel computes on the
+base ring's elements (`lattice`): this is linear algebra over fields,
+residue fields among them.
 """
 
 from __future__ import annotations
