@@ -346,7 +346,7 @@ class FieldElem:
                     f"mixed fields {self.field.name} and {other.field.name}")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.field.from_fraction(Fraction(other))
+            return self.field.from_fraction(other)  # refuses a bool
         return NotImplemented
 
     # -- ring/field operations ----------------------------------------------
@@ -405,9 +405,10 @@ class FieldElem:
         return self.field._nonzero(self.rep)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # a bool is no scalar: it compares unequal, as a string does
+        if other.__class__ in (int, Fraction):
             try:
-                other = self.field.from_fraction(Fraction(other))
+                other = self.field.from_fraction(other)
             except FieldMismatchError:
                 return NotImplemented
         if not isinstance(other, FieldElem):

@@ -39,6 +39,15 @@ def _vec_scale(a, k):
     return tuple(s * k for s in a)
 
 
+def _require_period_window(lo, hi, *periods):
+    """A tail step lands in the window only when the window is at least
+    one period long; a shorter one would bounce between the tails."""
+    if hi - lo + 1 < max(periods):
+        raise SpecValidationError(
+            f"window [{lo},{hi}] is shorter than the tail period "
+            f"{max(periods)}")
+
+
 class StepFunction:
     """Degree map of a filtration: explicit window, periodic tails.
 
@@ -73,6 +82,7 @@ class StepFunction:
         cp, cm = tuple(map(require_int, cp)), tuple(map(require_int, cm))
         if ep < 1 or em < 1 or len(cp) != r or len(cm) != r:
             raise SpecValidationError("tail periods must be >= 1")
+        _require_period_window(lo, hi, ep, em)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "table", tbl)
@@ -235,14 +245,9 @@ class FieldFiltration:
         return ph.hi, ph.plus_period, tuple(-c for c in ph.plus_inc)
 
     def is_dvr_valuation(self):
-        """True iff this is the plain valuation filtration of a DVR:
-        one rank-1 valuation and phi(n) = n."""
-        if self.composite or len(self.valuations) != 1:
-            return False
-        ph = self.phi
-        if ph.plus_inc != (ph.plus_period,) or ph.minus_inc != (ph.minus_period,):
-            return False
-        return all(ph(n) == (n,) for n in range(-ph.horizon, ph.horizon + 1))
+        """True iff this is the plain valuation filtration of a DVR: one
+        rank-1 valuation, phi(1) = 1 and strong, so phi(n) = n."""
+        return self.phi(1) == (1,) and is_strong(self)
 
     def __eq__(self, other):
         if not isinstance(other, FieldFiltration):
@@ -301,6 +306,8 @@ class AlgebraFiltration:
                 raise SpecValidationError("level window size mismatch")
             self.plus_period, self.plus_mult = plus
             self.minus_period, self.minus_mult = minus
+            _require_period_window(self.lo, self.hi, self.plus_period,
+                                   self.minus_period)
         elif mode != "induced":
             raise SpecValidationError(f"unknown mode {mode!r}")
         if validate:
@@ -399,11 +406,12 @@ def member(filt, n, x):
 
 
 def is_strong(filt):
-    """Strength at every degree; by periodicity a finite check.
+    """Strength at every degree, decided in degree 1.
 
-    Field / induced mode: phi(n) + phi(-n) = 0 for all n (checked on the
-    horizon, plus matching tail slopes).  Explicit mode: the degree-1
-    criterion L_1 L_-1 = L_0 = L_-1 L_1.
+    Field filtration: phi(1) + phi(-1) = 0.  Superadditivity gives
+    phi(n + 1) >= phi(n) + phi(1) and phi(n + 1) <= phi(n) - phi(-1), so
+    then phi(n) = n * phi(1) for every n (either order on the values).
+    Explicit mode: L_1 L_-1 = L_0 = L_-1 L_1.  Induced mode asks its base.
     """
     if isinstance(filt, AlgebraFiltration):
         if filt.mode == "induced":
@@ -412,41 +420,25 @@ def is_strong(filt):
         return (mult(l1, lm1, filt.alg) == l0
                 and mult(lm1, l1, filt.alg) == l0)
     ph = filt.phi
-    zero = (0,) * ph.r
-    if any(_vec_add(ph(n), ph(-n)) != zero
-           for n in range(ph.horizon + 1)):
-        return False
-    return (_vec_scale(ph.plus_inc, ph.minus_period)
-            == _vec_scale(ph.minus_inc, ph.plus_period))
+    return _vec_add(ph(1), ph(-1)) == (0,) * ph.r
 
 
 def estep(filt):
     """The least e >= 1 with F_-e strictly above F_-e-1 when the filtration
-    is a strong e-step filtration; None otherwise."""
+    is a strong e-step filtration; None otherwise.
+
+    For a field filtration that is phi(e) + phi(-e) = 0, by the argument
+    of `is_strong` on n -> phi(n e); and phi(-1) = ... = phi(-e) holds each
+    block of e degrees constant, as phi(n e + t) + phi(-(n + 1) e) <=
+    phi(t - e) = phi(-e) for 0 <= t < e."""
     if isinstance(filt, AlgebraFiltration) and filt.mode == "explicit":
         return _estep_lattice(filt)
     if isinstance(filt, AlgebraFiltration):
         return estep(filt.base)
     ph = filt.phi
-    h = ph.horizon
-    e = next((k for k in range(1, h + 1) if ph(-k) != ph(-k - 1)), None)
-    if e is None:
-        return None
-    reach = 2 * h + 2 * e
-    for n in range(0, reach // e + 1):
-        if ph(-n * e) != _vec_scale(ph(-e), n):
-            return None
-        if _vec_add(ph(n * e), ph(-n * e)) != (0,) * ph.r:
-            return None
-        for k in range(e):
-            if ph(-n * e + k) != ph(-n * e) or ph(n * e + k) != ph(n * e):
-                return None
-    # eventual slopes must keep the pattern
-    if _vec_scale(ph.minus_inc, e) != _vec_scale(ph(-e), -ph.minus_period):
-        return None
-    if _vec_scale(ph.plus_inc, e) != _vec_scale(ph(e), ph.plus_period):
-        return None
-    return e
+    # the minus increment is nonzero, so phi falls within the horizon
+    e = next(k for k in range(1, ph.horizon + 1) if ph(-k) != ph(-k - 1))
+    return e if _vec_add(ph(e), ph(-e)) == (0,) * ph.r else None
 
 
 def _estep_lattice(fa):
@@ -508,9 +500,12 @@ def jacobson_check(filt):
 
 
 def strong_completion(filt):
-    """The strong e-step filtration with the same positive part: the
-    negative part is forced on multiples of e by strength (phi_s(-k) =
-    -phi(e*ceil(k/e))) and constant in between.  Returns (completion, e)."""
+    """The strong e-step filtration with the same positive part, for e
+    the first degree where phi jumps: phi_s(n) = (n // e) * phi(e), the
+    negative part forced by strength on multiples of e and constant in
+    between.  Returns (completion, e), or None when the positive part is
+    not e-step (phi(n) != phi_s(n) for some n >= 0): then no strong e-step
+    filtration has it."""
     if filt.composite:
         raise UnsupportedError("completion implemented for rank-1 only")
     ph = filt.phi
@@ -518,21 +513,19 @@ def strong_completion(filt):
     # StepFunction makes the plus increment >= 1, so phi jumps within h
     e = next(k for k in range(1, h + 1) if ph(k) != ph(k - 1))
     period = math.lcm(e, ph.plus_period)
-    lo = -(max(h, ph.hi) + 2 * period)
-    hi = max(ph.hi, 1)
-    table = {}
-    for n in range(lo, hi + 1):
-        if n >= 0:
-            table[n] = ph(n)
-        else:
-            m = e * ((-n + e - 1) // e)
-            table[n] = tuple(-c for c in ph(m))
-    minus_inc = _vec_scale(ph.plus_inc, period // ph.plus_period)
-    comp = StepFunction((lo, hi), table,
-                        (ph.plus_period, ph.plus_inc),
-                        (period, minus_inc))
-    out = FieldFiltration(filt.field, filt.valuations, comp)
-    return out, e
+    step = ph(e)
+    # past hi + period the plus slope, if it is phi(e) per e, carries the
+    # identity on from one period back
+    if _vec_scale(ph.plus_inc, e) != _vec_scale(step, ph.plus_period) or any(
+            ph(n) != _vec_scale(step, n // e)
+            for n in range(ph.hi + period + 1)):
+        return None
+    lo, hi = -(max(h, ph.hi) + 2 * period), max(ph.hi, 1)
+    comp = StepFunction(
+        (lo, hi), {n: _vec_scale(step, n // e) for n in range(lo, hi + 1)},
+        (ph.plus_period, ph.plus_inc),
+        (period, _vec_scale(ph.plus_inc, period // ph.plus_period)))
+    return FieldFiltration(filt.field, filt.valuations, comp), e
 
 
 def associated_strong(filt, glider):

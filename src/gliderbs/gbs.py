@@ -179,73 +179,80 @@ def represent_over(m, filt):
                     own=own)
 
 
+def _prime_multiple(m, j):
+    """pi_j * M for the j-th prime: a subglider, as pi_j is integral."""
+    ring = m._base_field_filtration().base_ring
+    ideal = FracIdeal(ring, tuple(int(t == j) for t in range(ring.nprimes)))
+    return Glider(m.filtration, m.ambient,
+                  [lvl.scale_ideal(ideal) for lvl in m.prefix], m.tail,
+                  alg=m.alg)
+
+
 def _multiplier_witness(m, rule):
-    """A reducibility witness of the form c*M for a maximal-ideal
-    multiplier c; always a subglider, nontrivial whenever the chain has a
-    level gap."""
-    base = m._base_field_filtration()
-    ring = base.base_ring
-    r = ring.nprimes
-    cands = []
-    for j in range(r):
-        cands.append(tuple(1 if t == j else 0 for t in range(r)))
-    cands.append(tuple(1 for _ in range(r)))
-    for j in range(r):
-        cands.append(tuple(2 if t == j else 0 for t in range(r)))
-    # over one prime the all-ones vector is e_1: try each candidate once
-    for exps in dict.fromkeys(cands):
-        ideal = FracIdeal(ring, exps)
-        witness = Glider(m.filtration, m.ambient,
-                         [lvl.scale_ideal(ideal) for lvl in m.prefix],
-                         m.tail, alg=m.alg)
-        verdict = classify_subglider_unchecked(witness, m)
+    """The first nontrivial pi_j * M as a reducible verdict, or None.
+    No integral multiplier c does better: pi_j * M is zero only where M
+    is, so it is T3 or nontrivial, and when every pi_j * M is an index
+    reparametrization of M, composing them makes c * M one.  A pi_j * M
+    that no sandwich certificate separates from M is passed over."""
+    for j in range(m._base_field_filtration().base_ring.nprimes):
+        witness = _prime_multiple(m, j)
+        try:
+            verdict = classify_subglider_unchecked(witness, m)
+        except UnsupportedError:
+            continue
         if verdict.kind == "nontrivial":
             return Verdict("reducible", witness=witness, witness_shift=0,
                            triviality=verdict, rule=rule)
     return None
 
 
-def classify_field_glider(m):
-    """Verdict for a chain of fractional ideals over a field filtration."""
-    require_glider(m)
-    filt = m.filtration
-    if filt.is_dvr_valuation():
-        return _classify_field_dvr(m, filt)
+def _completion(filt):
+    """The one decision of where chains over filt classify: (filt, 1) for
+    a strong filtration, its strong e-step completion (comp, e) when the
+    negative part refines into it, or the reason there is none."""
     if is_strong(filt):
-        out = _multiplier_witness(m, "field.strong-requires-dvr")
-        if out is not None:
-            return out
-        return Verdict("out-of-class", rule="field.strong-requires-dvr",
-                       reason="no witness extractable from the bounded "
-                              "multiplier search")
-    comp, e = strong_completion(filt)
-    if not _negative_part_refines(filt, comp):
-        out = _multiplier_witness(m, "field.associated-strong")
-        if out is not None:
-            return out
-        return Verdict("out-of-class", rule="field.associated-strong",
-                       reason="negative part does not refine into the "
-                              "strong completion")
-    if comp.is_dvr_valuation():
-        inner = _classify_field_dvr(represent_over(m, comp), comp)
-        inner.via = "field.associated-strong"
-        return inner
+        return filt, 1
+    out = strong_completion(filt)
+    if out is None:
+        return "positive part is not e-step: no strong completion has it"
+    if not _negative_part_refines(filt, out[0]):
+        return "negative part does not refine into the strong completion"
+    return out
+
+
+def classify_field_glider(m):
+    """Verdict for a chain of fractional ideals over a field filtration:
+    the zero chain is out of class, and every other chain is classified
+    over the strong filtration `_completion` names, if there is one."""
+    require_glider(m)
+    if m.level(0) is ZERO_MODULE:
+        return Verdict("out-of-class", reason="zero chain",
+                       rule="field.dvr-enumeration")
+    completion = _completion(m.filtration)
+    if isinstance(completion, str):
+        return _multiplier_witness(m, "field.associated-strong") or Verdict(
+            "out-of-class", rule="field.associated-strong", reason=completion)
+    comp, e = completion
+    if comp is m.filtration:
+        return _classify_strong(m, comp)
     try:
-        m2 = represent_over(m, comp)
+        m = represent_over(m, comp)
     except UnsupportedError:
-        # the completion's minus period is e, and no supported tail rule
-        # presents the chain's growth over it
+        # a strong comp presents each of its shifts by its filtration
+        # tail, so M is none and stays over its own filtration, which has
+        # comp's positive part; over an e-step comp no supported tail rule
+        # presents the chain's growth
+        if e > 1:
+            return Verdict("out-of-class", rule="field.estep-unsupported",
+                           reason=f"chain is not presentable over the strong "
+                                  f"{e}-step completion")
+    out = _classify_strong(m, comp) if e == 1 else _multiplier_witness(
+        m, "field.estep-unsupported")
+    if out is None:
         return Verdict("out-of-class", rule="field.estep-unsupported",
-                       reason=f"chain is not presentable over the strong "
-                              f"{e}-step completion")
-    rule = ("field.strong-requires-dvr" if is_strong(comp)
-            else "field.estep-unsupported")
-    out = _multiplier_witness(m2, rule)
-    if out is not None:
-        out.via = "field.associated-strong"
-        return out
-    return Verdict("out-of-class", rule="field.estep-unsupported",
-                   reason=f"strong {e}-step completion with e >= 2")
+                       reason=f"strong {e}-step completion with e >= 2")
+    out.via = "field.associated-strong"
+    return out
 
 
 def _negative_part_refines(filt, comp):
@@ -263,20 +270,21 @@ def _negative_part_refines(filt, comp):
     return True
 
 
-def _classify_field_dvr(m, filt):
-    e0 = m.level(0)
-    n = -e0.exps[0]
-    target = realize_field_chain(filt, n)
-    if m == target:
-        return Verdict("irreducible",
-                       element=GbsElement("field", n, filtration=filt),
-                       rule="field.dvr-enumeration")
-    out = _multiplier_witness(m, "field.dvr-enumeration")
-    if out is not None:
-        return out
-    return Verdict("out-of-class", rule="field.dvr-enumeration",
-                   reason="chain differs from the shifted valuation chain "
-                          "but no multiplier witness was found")
+def _classify_strong(m, filt):
+    """Verdict for a nonzero chain whose filtration has the positive part
+    of the strong filtration filt.  Over a DVR valuation filtration a
+    chain that is not a shift has a gap M_j < pi M_{j-1}, with pi M_{j-1}
+    strictly between; otherwise phi(1) >= 1 at every prime (>= 2 over
+    one), so M_1 lies strictly inside pi_1 M_0.  Either way pi_1 M is a
+    nontrivial witness, which `_reducible` re-checks."""
+    rule = "field.strong-requires-dvr"
+    if filt.is_dvr_valuation():
+        n, rule = -m.level(0).exps[0], "field.dvr-enumeration"
+        if m == realize_field_chain(filt, n):
+            return Verdict("irreducible",
+                           element=GbsElement("field", n, filtration=filt),
+                           rule=rule)
+    return _reducible(m, _prime_multiple(m, 0), 0, rule)
 
 
 def realize_field_element(filt, n):
@@ -287,22 +295,14 @@ def enumerate_gbs_field(filt, window):
     """All field elements with shifts in the inclusive window, when the
     filtration is (or completes to) a DVR valuation filtration; empty
     otherwise."""
-    a, b = window
-    target = None
-    if filt.is_dvr_valuation():
-        target = filt
-    elif not is_strong(filt):
-        comp, _ = strong_completion(filt)
-        if _negative_part_refines(filt, comp) and comp.is_dvr_valuation():
-            target = comp
-    if target is None:
+    completion = _completion(filt)
+    if isinstance(completion, str) or not completion[0].is_dvr_valuation():
         return []
+    a, b = window
     out = []
     for n in range(a, b + 1):
         g = GbsElement("field", n, filtration=filt)
-        chain = realize_field_chain(target, n)
-        verdict = classify_field_glider(
-            chain if target is filt else represent_over(chain, target))
+        verdict = classify_field_glider(realize_field_chain(completion[0], n))
         if verdict.status != "irreducible" or verdict.element != g:
             raise UnsupportedError(  # pragma: no cover - internal guard
                 f"round-trip failed at shift {n}")

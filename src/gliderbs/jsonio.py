@@ -434,6 +434,11 @@ def loads_extension(text_or_obj, where="extension"):
                 where + ".valuation")
     p = _int_text(vobj["over"], where + ".valuation.over")
     if obj["minpoly"] == "t^2-x":
+        # the x-adic valuation lies over no rational prime, and the keys
+        # of a Gaussian prime do not apply to it
+        if p != 0 or "kind" in vobj or "factor" in vobj:
+            raise SchemaError('t^2-x takes "over": "0" and no "kind" or '
+                              '"factor"', where + ".valuation")
         ext = sqrt_x_extension()
     elif obj["minpoly"] == "t^2+1":
         ext = gauss_extension(p, vobj.get("kind"), vobj.get("factor"))

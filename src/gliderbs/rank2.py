@@ -15,7 +15,7 @@ indexed by the pair (m, n) read off the (1,0) cell.
 from __future__ import annotations
 
 from .errors import SpecValidationError, UnsupportedError
-from .fields import QY_FIELD, composite2, field_from_name, xadic, yadic
+from .fields import QY_FIELD, field_from_name, xadic, yadic
 from .filtration import FieldFiltration, valuation_filtration
 from .glider import FiltrationTail, Glider, Tail, ZeroAfter, fit_tail
 from .lattice import FracIdeal, ZERO_MODULE
@@ -90,8 +90,6 @@ class Z2Filtration:
         if kind not in ("composite", "horizontal-only"):
             raise SpecValidationError(f"unknown Z2 filtration kind {kind!r}")
         self.kind = kind
-        self.valuation = composite2()
-        self.field = field_from_name("Q(x,y)")
 
     def level(self, gamma):
         a, b = gamma

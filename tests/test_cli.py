@@ -263,3 +263,49 @@ def test_commands_back_to_back_match_separate_runs(files, capsys):
         separate.append((proc.returncode, proc.stdout))
     assert in_process == separate
     assert json.loads(in_process[0][1])["results"][0]["image"]["shift"] == 1
+
+
+def _lex_filtration(table, plus, minus):
+    lo, hi = min(table), max(table)
+    return {"schema": "gbs/1", "field": "Q(x,y)",
+            "valuations": [{"kind": "composite2"}],
+            "phi": {"window": [lo, hi],
+                    "table": {str(n): v for n, v in table.items()},
+                    "tailPlus": {"period": 1, "inc": plus},
+                    "tailMinus": {"period": 1, "inc": minus}}}
+
+
+@pytest.mark.parametrize("doc, strong, step", [
+    # phi(n) = n * (1, -1): strong, a lex value that falls in y
+    (_lex_filtration({0: [0, 0]}, [1, -1], [1, -1]), True, 1),
+    # phi(-n) = -2n * (1, 0) below phi(n) = n * (1, 0)
+    (_lex_filtration({-1: [-2, 0], 0: [0, 0], 1: [1, 0]}, [1, 0], [2, 0]),
+     False, None),
+])
+def test_a_lex_composite_filtration_document(tmp_path, capsys, doc, strong,
+                                             step):
+    path = tmp_path / "lex.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "--output", "json", "strong-check",
+                    "--filtration", str(path))
+    assert code == 0 and json.loads(out)["results"]["strong"] is strong
+    code, out = run(capsys, "--output", "json", "estep", "--filtration",
+                    str(path))
+    assert code == 0 and json.loads(out)["results"]["estep"] == step
+    code, out = run(capsys, "--output", "json", "roundtrip", str(path))
+    assert code == 0 and json.loads(out)["results"]["roundtrip"] is True
+
+
+def test_a_window_shorter_than_a_tail_period_is_refused(tmp_path, capsys):
+    doc = {"schema": "gbs/1", "field": "Q",
+           "valuations": [{"kind": "padic", "p": 5}],
+           "phi": {"window": [0, 0], "table": {"0": [0]},
+                   "tailPlus": {"period": 2, "inc": [2]},
+                   "tailMinus": {"period": 2, "inc": [2]}}}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "--output", "json", "strong-check",
+                    "--filtration", str(path))
+    assert code == 1 and json.loads(out) == {
+        "error": "window [0,0] is shorter than the tail period 2",
+        "kind": "SpecValidationError", "schema": "gbs/1"}

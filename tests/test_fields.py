@@ -402,6 +402,18 @@ def test_from_int_takes_only_ints_and_fractions(field, value):
     assert field.from_int(3) == field.from_fraction(Fraction(3))
 
 
+@pytest.mark.parametrize("field, value", NOT_RATIONAL[3:5],
+                         ids=NOT_RATIONAL_IDS[3:5])
+def test_an_element_takes_no_bool(field, value):
+    one = field.one()
+    for op in (lambda: one + value, lambda: value * one,
+               lambda: one - value):
+        with pytest.raises(SpecValidationError, match="int or a Fraction"):
+            op()
+    assert one != value and not one == value
+    assert one + int(value) == field.from_int(1 + int(value))
+
+
 def test_finite_denominators_raise():
     for field in (F5, F3I, F3X):
         with pytest.raises(FieldMismatchError):

@@ -236,3 +236,36 @@ def test_non_integers_are_rejected(probe, r5):
     in the gbs/1 decoder: a float or a bool is named, not truncated."""
     with pytest.raises(SpecValidationError, match="expected an integer"):
         NON_INTEGERS[probe](r5)
+
+
+@pytest.mark.parametrize("plus, minus", [(2, 1), (1, 3)])
+def test_a_window_is_at_least_a_tail_period_long(plus, minus):
+    """Beyond a window shorter than a period, a tail step would land past
+    the other end of it, and the two tails would hand a degree back and
+    forth without end."""
+    period = max(plus, minus)
+
+    def phi(hi):
+        return StepFunction((0, hi), {n: (n,) for n in range(hi + 1)},
+                            (plus, (plus,)), (minus, (minus,)))
+
+    assert [phi(period - 1)(n) for n in (-7, 5)] == [(-7,), (5,)]
+    with pytest.raises(SpecValidationError, match=rf"window \[0,{period - 2}"
+                       rf"\] is shorter than the tail period {period}$"):
+        phi(period - 2)
+
+
+def test_an_explicit_window_is_at_least_a_tail_period_long(f5, b_m2, m2):
+    ring = f5.base_ring
+    tails = {"plus": (2, FracIdeal(ring, (-2,))),
+             "minus": (2, FracIdeal(ring, (2,)))}
+    levels = [b_m2, b_m2.scale(QQ_FIELD.parse("1/5"))]
+    fa = AlgebraFiltration(m2, f5, b_m2, mode="explicit", window=(0, 1),
+                           levels=levels, **tails)
+    assert fa.level(-3) == b_m2.scale(QQ_FIELD.from_int(125))
+    assert induced_on_K(fa) == f5
+    with pytest.raises(SpecValidationError,
+                       match=r"window \[0,0\] is shorter than the tail "
+                             r"period 2"):
+        AlgebraFiltration(m2, f5, b_m2, mode="explicit", window=(0, 0),
+                          levels=levels[:1], **tails)

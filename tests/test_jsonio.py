@@ -112,6 +112,19 @@ def test_extension_declared_ef_checked():
     assert jsonio.loads_extension(obj).e == 2
 
 
+@pytest.mark.parametrize("valuation", [
+    {"over": "7"}, {"over": "0", "kind": "split"},
+    {"over": "0", "factor": "2+i"},
+    {"over": "7", "kind": "split", "factor": "2+i"}])
+def test_sqrt_x_extension_takes_only_over_zero(valuation):
+    obj = {"schema": "gbs/1", "minpoly": "t^2-x", "valuation": valuation}
+    with pytest.raises(SchemaError, match=r'takes "over": "0"') as err:
+        jsonio.loads_extension(obj)
+    assert "(at extension.valuation)" in str(err.value)
+    obj["valuation"] = {"over": "0"}
+    assert jsonio.loads_extension(obj).minpoly == "t^2-x"
+
+
 def _documents_of_each_kind(f5, fa_m2, b_m2):
     """One document of each kind that `detect_and_load` tells apart."""
     ident = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
