@@ -3,7 +3,7 @@
 Run:  python3 demos/04_rank2_grids.py
 """
 
-from gliderbs.fields import QXY_FIELD, composite2, residue, val
+from gliderbs.fields import QXY_FIELD, composite2
 from gliderbs.gbs import classify_field_glider
 from gliderbs.rank2 import (classify_z2_glider, horizontal_coarsening,
                             realize_z2, residue_glider,
@@ -15,10 +15,10 @@ c2 = composite2()
 print("The composite valuation: x-adic first, then y-adic on the residue.")
 for text in ("x^2*y^3 + x^3", "x", "y", "1/y", "(y+x)/(1+x*y)"):
     e = f.parse(text)
-    print(f"  val({text}) = {val(c2, e)}")
+    print(f"  val({text}) = {c2(e)}")
 
 print("\nresidue of (y+x)/(1+x*y) lands in Q:",
-      str(residue(c2, f.parse("(y+x)/(1+x*y)") / f.parse("y"))))
+      str(c2.residue(f.parse("(y+x)/(1+x*y)") / f.parse("y"))))
 
 print("\nA pure shift grid for (m, n) = (1, -2): cells F_(2-j, -2-i).")
 g = realize_z2((1, -2))

@@ -45,7 +45,6 @@ __all__ = [
     "fp_func_field", "func_field", "prime_field", "inert_residue_field",
     "quot_field",
     "padic", "gauss_prime", "xadic", "yadic", "poly_prime", "composite2",
-    "val", "uniformizer", "uniformizer_pair", "residue",
     "field_from_name", "rational_value", "substitute",
     "pid_ring",
 ]
@@ -1947,20 +1946,3 @@ def composite2():
     """The lexicographic rank-2 valuation on Q(x,y): x-adic first, then
     y-adic on the residue field Q(y)."""
     return Valuation("composite2", Field("FUNC2"))
-
-
-def val(v, x):
-    """Value of x under v; INF exactly for x = 0."""
-    return v(x)
-
-
-def uniformizer(v):
-    return v.uniformizer()
-
-
-def uniformizer_pair(v):
-    return v.uniformizer_pair()
-
-
-def residue(v, x):
-    return v.residue(x)

@@ -144,8 +144,9 @@ class StepFunction:
         for n in range(-h, h):
             if not self._le(vals[n], vals[n + 1]):
                 raise SpecValidationError(f"phi not monotone at {n}")
+        # the condition is symmetric in (n, m): m >= n covers every pair
         for n in range(-h, h + 1):
-            for m in range(-h, h + 1):
+            for m in range(n, h + 1):
                 if not self._le(_vec_add(vals[n], vals[m]), vals[n + m]):
                     raise SpecValidationError(
                         f"phi not superadditive at ({n},{m})")

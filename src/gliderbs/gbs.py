@@ -4,9 +4,9 @@ Field case: over the valuation filtration of a DVR the irreducible chains
 are the integer shifts (F_n)_*; over any other strong filtration there are
 none, and a non-strong filtration classifies through its strong e-step
 completion.  Algebra case: over a split matrix algebra with an induced
-filtration on a DVR valuation base, the irreducible chains are the column
-chains (F_m A v)_* indexed by a projective point and a shift, and the set
-of irreducibles is the product of the point set with the integers.  Every
+filtration on a strong one-prime base, the irreducible chains are the
+column chains (F_m A v)_* indexed by a projective point and a shift when
+their level quotient is simple, and there are none when it is not.  Every
 Reducible verdict carries a witness subglider that re-verifies as
 nontrivial; every Irreducible verdict round-trips through realization.
 """
@@ -192,14 +192,10 @@ def _multiplier_witness(m, rule):
     """The first nontrivial pi_j * M as a reducible verdict, or None.
     No integral multiplier c does better: pi_j * M is zero only where M
     is, so it is T3 or nontrivial, and when every pi_j * M is an index
-    reparametrization of M, composing them makes c * M one.  A pi_j * M
-    that no sandwich certificate separates from M is passed over."""
+    reparametrization of M, composing them makes c * M one."""
     for j in range(m._base_field_filtration().base_ring.nprimes):
         witness = _prime_multiple(m, j)
-        try:
-            verdict = classify_subglider_unchecked(witness, m)
-        except UnsupportedError:
-            continue
+        verdict = classify_subglider_unchecked(witness, m)
         if verdict.kind == "nontrivial":
             return Verdict("reducible", witness=witness, witness_shift=0,
                            triviality=verdict, rule=rule)
@@ -333,30 +329,36 @@ def _row_space(vectors, n, field):
     return linalg.rref(rows, field)[0]
 
 
-def _csa_preconditions(m):
-    filt = m.filtration
+def _csa_class(filt):
+    """The one decision of whether chains over filt are in the csa class:
+    None for an induced filtration of a split matrix algebra over a strong
+    one-prime base, else the (rule, reason) that puts them out."""
     if not isinstance(filt, AlgebraFiltration):
-        return "chain is not over an algebra filtration"
+        return ("csa.relative-product",
+                "chain is not over an algebra filtration")
     if filt.alg.kind != "matrix":
-        return "point extraction needs a split matrix algebra"
+        return ("csa.unsupported-algebra",
+                "point extraction needs a split matrix algebra")
     if filt.mode != "induced":
-        return "classification implemented for induced filtrations"
+        return ("csa.relative-product",
+                "classification implemented for induced filtrations")
     if len(filt.base.valuations) != 1:
-        return "base must be a single discrete valuation"
+        return ("csa.relative-product",
+                "base must be a single discrete valuation")
     if not is_strong(filt.base):
-        return "base field filtration must be strong"
+        return "csa.relative-product", "base field filtration must be strong"
     return None
 
 
 @memo_scope()
 def classify_csa_glider(m):
     """Verdict for a lattice chain over an induced matrix-algebra
-    filtration on a strong DVR base."""
+    filtration on a strong one-prime base: every nonzero chain in the
+    class is a column chain (irreducible) or gets a witness."""
     require_glider(m)
-    reason = _csa_preconditions(m)
-    if reason is not None:
-        rule = ("csa.unsupported-algebra"
-                if "matrix" in reason else "csa.relative-product")
+    out_of_class = _csa_class(m.filtration)
+    if out_of_class is not None:
+        rule, reason = out_of_class
         return Verdict("out-of-class", reason=reason, rule=rule)
     filt = m.filtration
     alg = filt.alg
@@ -405,26 +407,20 @@ def classify_csa_glider(m):
                     if _is_scalar_step_gap(filt) else
                     "csa.relative-product")
             return _reducible(m, _csa_witness(m, i, w), i, rule)
-    # normal form: M_i = F_{m-i} A v for the canonical generator of the point
+    # Every quotient is simple, so M is the column chain of (point, s):
+    # phi(1) >= 2 would leave pi M_0 strictly between M_0 and M_1, so
+    # F_1 A = pi^-1 B and M_{i+1} = pi M_i; for the least k with pi^k v in
+    # M_0, B pi^k v + pi M_0 = M_0, so M_0 = pi^k B v by Nakayama.
     bv = _column_module(filt, LeftIdeal(point).generator())
-    shift_s = _scalar_shift_exponent(m.level(0), bv)
-    if shift_s is None:
-        return Verdict("out-of-class", rule="csa.relative-product",
-                       reason="top level is not a scalar multiple of the "
-                              "point's column module")
-    # phi(n) = n, so the scalar shift is the degree: phi(1) = c >= 2 puts
-    # M_1 inside pi^c M_0, and the scan above found pi M_0 in between
-    expected = realize_csa_element(filt, point, shift_s)
-    if m != expected:
-        out = _multiplier_witness(m, "csa.relative-product")
-        if out is not None:
-            return out
-        return Verdict("out-of-class", rule="csa.relative-product",
-                       reason="chain deviates from the column normal form")
-    return Verdict("irreducible",
-                   element=GbsElement("csa", shift_s, point=point,
-                                      filtration=filt),
-                   rule="csa.relative-product")
+    shift_s = _scalar_shift_exponent(top, bv)
+    if shift_s is not None and m == realize_csa_element(filt, point, shift_s):
+        return Verdict("irreducible",
+                       element=GbsElement("csa", shift_s, point=point,
+                                          filtration=filt),
+                       rule="csa.relative-product")
+    # unreachable by the argument above; `_reducible` raises if pi M is not
+    # a nontrivial witness
+    return _reducible(m, _prime_multiple(m, 0), 0, "csa.relative-product")
 
 
 def _is_scalar_step_gap(filt):
@@ -480,15 +476,26 @@ def realize_csa_element(filt, point, m):
 
 
 def enumerate_gbs_csa(filt, window, points):
-    """The product set {(point, shift)} over the inputs; every element is
+    """The product set {(point, shift)} over the inputs when the column
+    chains are irreducible, and [] when they are not; every element is
     verified by a classifier round-trip.  Deterministic output order:
     normalized point coordinates, then shift."""
-    reason = _csa_preconditions_from_filtration(filt)
-    if reason is not None:
-        raise UnsupportedError(reason)
+    out_of_class = _csa_class(filt)
+    if out_of_class is not None:
+        raise UnsupportedError(out_of_class[1])
     a, b = window
+    points = sorted(points, key=lambda p: p.sort_key())
+    if not points:
+        return []
+    # c -> c f^T (f the point's coordinates) maps B e_1 onto B v, so all
+    # column chains share one level quotient: all irreducible when it is
+    # simple; else none, as only column chains pass the classifier's scan
+    first = realize_csa_element(filt, points[0], a)
+    if not is_simple_quotient(first.level(0), first.level(1), filt.order,
+                              filt.alg):
+        return []
     out = []
-    for point in sorted(points, key=lambda p: p.sort_key()):
+    for point in points:
         for mshift in range(a, b + 1):
             chain = realize_csa_element(filt, point, mshift)
             verdict = classify_csa_glider(chain)
@@ -499,18 +506,6 @@ def enumerate_gbs_csa(filt, window, points):
                     f"round-trip failed at ({point!r}, {mshift})")
             out.append(verdict.element)
     return out
-
-
-def _csa_preconditions_from_filtration(filt):
-    if not isinstance(filt, AlgebraFiltration):
-        return "enumeration needs an algebra filtration"
-    if filt.alg.kind != "matrix":
-        return "enumeration needs a split matrix algebra"
-    if filt.mode != "induced":
-        return "enumeration implemented for induced filtrations"
-    if not filt.base.is_dvr_valuation():
-        return "enumeration needs a DVR valuation base"
-    return None
 
 
 def find_negative_part_witness(filt):

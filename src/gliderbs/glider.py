@@ -440,11 +440,12 @@ def classify_subglider_unchecked(n_gl, m_gl):
         if n_gl.level(i) == bn and m_gl.level(i) != bm:
             return TrivialityVerdict("T1", level=i, horizon=h)
     # T3: strictly increasing index reparametrization
-    alpha = _t3_search(n_gl, m_gl, h)
-    if alpha is not None:
-        return TrivialityVerdict("T3", alpha=alpha[0], alpha_slope=alpha[1],
+    alpha, slope = _t3_search(n_gl, m_gl, h)
+    if slope is not None:
+        return TrivialityVerdict("T3", alpha=alpha, alpha_slope=slope,
                                  horizon=h)
-    lvl, wit = _sandwich_witness(n_gl, m_gl, h)
+    # the level is that of a strict sandwich, or where the walk stopped
+    lvl, wit = _sandwich_witness(n_gl, m_gl, h) or (len(alpha), None)
     return TrivialityVerdict("nontrivial", level=lvl, witness=wit, horizon=h)
 
 
@@ -488,7 +489,10 @@ def _next_distinct(m_gl, n):
 
 def _t3_search(n_gl, m_gl, h):
     """Strictly increasing alpha with N_i = M_{alpha(i)} on the horizon and
-    compatible periodic continuation; returns (alpha values, slope) or None.
+    compatible periodic continuation: (alpha values, slope), or, when there
+    is none, (the values matched before the walk stopped, None), so that
+    len(alpha) is the first index without a match (h + 1 when only the
+    continuation fails).
 
     Greedy earliest-match is complete here: level chains descend, so
     matches for N_i form a consecutive block of indices, and choosing the
@@ -505,7 +509,7 @@ def _t3_search(n_gl, m_gl, h):
             j += 1
             mj = m_gl.level(j)
         if mj != target:
-            return None
+            return alpha, None
         alpha.append(j)
     # periodic continuation: beyond the horizon both chains repeat with
     # their growth ideals; require matching slopes
@@ -522,18 +526,18 @@ def _t3_search(n_gl, m_gl, h):
         if m_gl.level(j) == last_n or (
                 m_stab and m_gl.level(max(j, m_gl.prefix_end + 1)) == last_n):
             return alpha, 0
-        return None
+        return alpha, None
     steps_n = n_gl.period
     # slope: alpha advances s indices per steps_n levels, eventually
     s = alpha[-1] - alpha[-1 - steps_n]
     for back in range(1, steps_n + 1):
         if alpha[-back] - alpha[-back - steps_n] != s:
-            return None
+            return alpha, None
     gn = n_gl.growth_ideal(steps_n)
     deep = max(alpha[-1], m_gl.deep_start())
     sm = _growth_between(m_gl, deep, s)
     if sm is None or gn.exps != sm.exps:
-        return None
+        return alpha, None
     return alpha, s
 
 
@@ -553,8 +557,8 @@ def _growth_between(m_gl, deep, s):
 
 def _sandwich_witness(n_gl, m_gl, h):
     """Level n and module W with M_n strictly above W strictly above the
-    next distinct M-level; W is N_n when that already sits strictly
-    between, else N_n + M_next."""
+    next distinct M-level, or None; W is N_n when that already sits
+    strictly between, else N_n + M_next."""
     for i in range(h + 1):
         mi, ni = m_gl.level(i), n_gl.level(i)
         if mi == ni:
@@ -567,9 +571,7 @@ def _sandwich_witness(n_gl, m_gl, h):
             if mi.contains(w) and mi != w and w.contains(mnext) \
                     and w != mnext:
                 return i, w
-    raise UnsupportedError(
-        "no sandwich witness found on the decision horizon; "
-        "input outside the supported representation class")
+    return None
 
 
 # ---------------------------------------------------------------------------

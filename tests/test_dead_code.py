@@ -143,3 +143,66 @@ def test_every_cited_criterion_is_documented():
     assert len(cited) >= 10
     assert sorted(f"{place} {cid}" for cid, place in cited.items()
                   if cid not in rows) == []
+
+
+def _text(node):
+    """(text, is_prefix) for a string constant or the constant prefix of
+    an f-string, else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value, False
+    if isinstance(node, ast.JoinedStr) and node.values and \
+            isinstance(node.values[0], ast.Constant):
+        return node.values[0].value, True
+    return None
+
+
+def out_of_class_reasons(source):
+    """The reasons a classifier module can put in an out-of-class verdict:
+    each `reason=` argument, each string constant a function returns, and
+    the second member of each returned (criterion id, reason) pair."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        text = None
+        if isinstance(node, ast.keyword) and node.arg == "reason":
+            text = _text(node.value)
+        elif isinstance(node, ast.Return) and node.value is not None:
+            value = node.value
+            if isinstance(value, ast.Constant):
+                text = _text(value)
+            elif isinstance(value, ast.Tuple) and len(value.elts) == 2 \
+                    and isinstance(value.elts[0], ast.Constant) \
+                    and CRITERION_ID.match(str(value.elts[0].value)):
+                text = _text(value.elts[1])
+        if text is not None:
+            found.append(text)
+    return found
+
+
+def test_reason_checker_reads_each_form():
+    source = ("def f(e):\n"
+              "    if e:\n"
+              "        return 'csa.principal', f'step {e} is wrong'\n"
+              "    return 'no completion'\n"
+              "def g(r):\n"
+              "    return V('out-of-class', reason='zero chain', rule=r)\n"
+              "def h(x):\n"
+              "    return f'H({x})'\n")
+    assert sorted(out_of_class_reasons(source)) == [
+        ("no completion", False), ("step ", True), ("zero chain", False)]
+
+
+def test_every_out_of_class_reason_is_documented():
+    with open(os.path.join(ROOT, "docs", "RULES.md"), encoding="utf-8") as fh:
+        rows = set(re.findall(r"^\| `[^`]+` \| `([^`]+)` \|", fh.read(),
+                              re.M))
+    undocumented, count = [], 0
+    for name in ("gbs.py", "rank2.py"):
+        with open(os.path.join(LIBRARY, name), encoding="utf-8") as fh:
+            reasons = out_of_class_reasons(fh.read())
+        count += len(reasons)
+        undocumented += [
+            f"{name} {text!r}" for text, prefix in reasons
+            if not any(row == text or prefix and row.startswith(text)
+                       for row in rows)]
+    assert count >= 10
+    assert undocumented == []

@@ -198,3 +198,27 @@ def test_a_chain_not_presentable_over_a_strong_completion():
     assert (v.status, v.rule, v.via) == (
         "reducible", "field.strong-requires-dvr", "field.associated-strong")
     assert v.witness.filtration is filt and v.triviality.level == 0
+
+
+def test_a_subglider_without_a_sandwich_gets_a_verdict(tmp_path, capsys):
+    # over f7, M = (R, R, P, P^2, ...) and N = 5 M = (P, P, P^2, ...): N_0
+    # is M_2, N_1 is no later level, and no module sits strictly between
+    # two distinct levels of M; the verdict names where the T3 walk stopped
+    f7 = filtrations()["f7"]
+    ring = f7.base_ring
+    m = Glider(f7, "field", [FracIdeal(ring, (0,))] * 2, FiltrationTail())
+    n = Glider(f7, "field", [FracIdeal(ring, (1,))] * 2, FiltrationTail())
+    v = classify_subglider(n, m)
+    assert (v.kind, v.level, v.witness) == ("nontrivial", 1, None)
+    paths = []
+    for name, g in (("n", n), ("m", m)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(encode_glider(g)))
+    assert cli.main(["--output", "json", "subglider", "--sub", str(paths[0]),
+                     "--glider", str(paths[1])]) == 0
+    out = json.loads(capsys.readouterr().out)["results"]
+    assert (out["kind"], out["level"]) == ("nontrivial", 1)
+    # pi M is that N, so M is reducible with it as the witness
+    out = _classify(tmp_path, capsys, m)
+    assert (out["verdict"], out["trivialityLevel"]) == ("reducible", 1)
+    assert out["witness"] == encode_glider(n)

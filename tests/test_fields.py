@@ -17,48 +17,47 @@ from gliderbs.fields import (GAUSS_FIELD, INF, QQ_FIELD, QX_FIELD,
                              QXY_FIELD, QY_FIELD, composite2, fp_func_field,
                              gauss_prime, inert_residue_field, padic,
                              poly_prime, prime_field, quot_field,
-                             rational_value, residue, uniformizer,
-                             uniformizer_pair, val, xadic, yadic)
+                             rational_value, xadic, yadic)
 
 
 def test_val_padic_examples():
     v5 = padic(5)
-    assert val(v5, QQ_FIELD.from_int(50)) == 2
-    assert val(v5, QQ_FIELD.zero()) is INF
-    assert val(v5, QQ_FIELD.parse("1/5")) == -1
+    assert v5(QQ_FIELD.from_int(50)) == 2
+    assert v5(QQ_FIELD.zero()) is INF
+    assert v5(QQ_FIELD.parse("1/5")) == -1
 
 
 def test_uniformizers():
-    assert str(uniformizer(padic(5))) == "5"
-    assert str(uniformizer(xadic(QX_FIELD))) == "x"
-    assert str(uniformizer(gauss_prime("1+i"))) == "1+i"
+    assert str(padic(5).uniformizer()) == "5"
+    assert str(xadic(QX_FIELD).uniformizer()) == "x"
+    assert str(gauss_prime("1+i").uniformizer()) == "1+i"
     with pytest.raises(UnsupportedError):
-        uniformizer(composite2())
+        composite2().uniformizer()
 
 
 def test_uniformizer_pair():
-    x, y = uniformizer_pair(composite2())
+    x, y = composite2().uniformizer_pair()
     assert (str(x), str(y)) == ("x", "y")
     c2 = composite2()
-    assert val(c2, x) == (1, 0)
-    assert val(c2, y) == (0, 1)
+    assert c2(x) == (1, 0)
+    assert c2(y) == (0, 1)
 
 
 def test_composite_val_example():
     c2 = composite2()
     e = QXY_FIELD.parse("x^2*y^3 + x^3")
-    assert val(c2, e) == (2, 3)
+    assert c2(e) == (2, 3)
 
 
 def test_residue_examples():
     v5 = padic(5)
-    r = residue(v5, QQ_FIELD.parse("7/2"))
+    r = v5.residue(QQ_FIELD.parse("7/2"))
     assert str(r) == "1" and r.field.name == "F5"
-    assert str(residue(v5, QQ_FIELD.one())) == "1"
-    r2 = residue(xadic(QXY_FIELD), QXY_FIELD.parse("x+y"))
+    assert str(v5.residue(QQ_FIELD.one())) == "1"
+    r2 = xadic(QXY_FIELD).residue(QXY_FIELD.parse("x+y"))
     assert str(r2) == "y" and r2.field.name == "Q(y)"
     with pytest.raises(UnsupportedError):
-        residue(v5, QQ_FIELD.parse("1/5"))
+        v5.residue(QQ_FIELD.parse("1/5"))
 
 
 def test_gauss_prime_cases():
@@ -74,24 +73,24 @@ def test_gauss_prime_cases():
 def test_gauss_valuations():
     w = gauss_prime("2+i")
     G = GAUSS_FIELD
-    assert val(w, G.from_int(5)) == 1
-    assert val(w, G.parse("2-i")) == 0
-    assert val(w, G.parse("(2+i)^3")) == 3
+    assert w(G.from_int(5)) == 1
+    assert w(G.parse("2-i")) == 0
+    assert w(G.parse("(2+i)^3")) == 3
     vr = gauss_prime("1+i")
-    assert val(vr, G.from_int(2)) == 2
+    assert vr(G.from_int(2)) == 2
     vi = gauss_prime("3")
-    assert val(vi, G.from_int(9)) == 2
-    assert val(vi, G.parse("1+i")) == 0
+    assert vi(G.from_int(9)) == 2
+    assert vi(G.parse("1+i")) == 0
 
 
 def test_gauss_residues():
     vr = gauss_prime("1+i")
-    assert str(residue(vr, GAUSS_FIELD.parse("3+2i"))) == "1"
+    assert str(vr.residue(GAUSS_FIELD.parse("3+2i"))) == "1"
     vs = gauss_prime("2+i")
     # i = -2 = 3 mod (2+i)
-    assert str(residue(vs, GAUSS_FIELD.gen("i"))) == "3"
+    assert str(vs.residue(GAUSS_FIELD.gen("i"))) == "3"
     vi = gauss_prime("3")
-    r = residue(vi, GAUSS_FIELD.parse("4+5i"))
+    r = vi.residue(GAUSS_FIELD.parse("4+5i"))
     assert str(r) == "1+2i" and r.field.name == "F3[i]"
 
 
@@ -128,8 +127,8 @@ def test_split_gauss_residue_is_a_ring_map(pi):
 def test_poly_prime():
     g = poly_prime("x^2+1", QX_FIELD)
     e = QX_FIELD.parse("(x^2+1)^2/(x-1)")
-    assert val(g, e) == 2
-    r = residue(g, QX_FIELD.parse("x^3"))
+    assert g(e) == 2
+    r = g.residue(QX_FIELD.parse("x^3"))
     # x^3 = x*(x^2+1) - x, so the residue is -x
     assert str(r) == "-x"
     with pytest.raises(UnsupportedError):
@@ -172,14 +171,14 @@ def test_field_mismatch():
     with pytest.raises(FieldMismatchError):
         QQ_FIELD.one() + QX_FIELD.one()
     with pytest.raises(FieldMismatchError):
-        val(padic(5), QX_FIELD.one())
+        padic(5)(QX_FIELD.one())
 
 
 def test_fp_function_field():
     F = fp_func_field(5)
     e = F.parse("(x+7)/(x-1)")
     assert str(e) == "(x + 2)/(x + 4)"
-    assert val(xadic(F), F.parse("x^3")) == 3
+    assert xadic(F)(F.parse("x^3")) == 3
 
 
 nonzero_rationals = st.fractions(
@@ -191,7 +190,7 @@ nonzero_rationals = st.fractions(
 def test_val_multiplicative(a, b):
     v = padic(5)
     x, y = QQ_FIELD.from_fraction(a), QQ_FIELD.from_fraction(b)
-    assert val(v, x * y) == val(v, x) + val(v, y)
+    assert v(x * y) == v(x) + v(y)
 
 
 @given(nonzero_rationals, nonzero_rationals)
@@ -199,19 +198,19 @@ def test_ultrametric(a, b):
     v = padic(3)
     x, y = QQ_FIELD.from_fraction(a), QQ_FIELD.from_fraction(b)
     s = x + y
-    lo = min(val(v, x), val(v, y))
+    lo = min(v(x), v(y))
     if s:
-        assert val(v, s) >= lo
-        if val(v, x) != val(v, y):
-            assert val(v, s) == lo
+        assert v(s) >= lo
+        if v(x) != v(y):
+            assert v(s) == lo
 
 
 @given(nonzero_rationals, nonzero_rationals)
 def test_residue_multiplicative(a, b):
     v = padic(7)
     x, y = QQ_FIELD.from_fraction(a), QQ_FIELD.from_fraction(b)
-    if val(v, x) == 0 and val(v, y) == 0:
-        assert residue(v, x * y) == residue(v, x) * residue(v, y)
+    if v(x) == 0 and v(y) == 0:
+        assert v.residue(x * y) == v.residue(x) * v.residue(y)
 
 
 @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4),
@@ -221,8 +220,8 @@ def test_composite_additive(a1, b1, a2, b2):
     F = QXY_FIELD
     u = F.parse("x") ** a1 * F.parse("y") ** b1 * F.parse("1+x")
     w = F.parse("x") ** a2 * F.parse("y") ** b2 * F.parse("(2+y)/(3+x*y)")
-    va, vb = val(c2, u), val(c2, w)
-    assert val(c2, u * w) == (va[0] + vb[0], va[1] + vb[1])
+    va, vb = c2(u), c2(w)
+    assert c2(u * w) == (va[0] + vb[0], va[1] + vb[1])
 
 
 # ---------------------------------------------------------------------------

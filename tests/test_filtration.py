@@ -55,6 +55,15 @@ def test_validator_rejects_flat_negative_degree():
                          (1, (1,)), (1, (1,))))
 
 
+def test_validator_rejects_a_table_that_is_not_superadditive():
+    # phi(1) + phi(1) = 2 exceeds phi(2) = 1; the scan visits each
+    # unordered pair once, the smaller degree first
+    with pytest.raises(SpecValidationError,
+                       match=r"phi not superadditive at \(1,1\)"):
+        StepFunction((0, 2), {0: (0,), 1: (1,), 2: (1,)},
+                     (1, (1,)), (1, (1,)))
+
+
 def test_a_table_short_of_its_window_is_rejected_by_size():
     """The table's size is compared with the window's before anything is
     built over the window: [0, 10^30] must not be enumerated."""

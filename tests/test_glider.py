@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gliderbs.errors import GbsError, SpecValidationError
+from gliderbs.errors import SpecValidationError
 from gliderbs.fields import INF, QQ_FIELD, padic
 from gliderbs.filtration import FieldFiltration, StepFunction
 from gliderbs.glider import (Constant, FiltrationTail, Glider, MultiplyBy,
@@ -249,13 +249,15 @@ def test_is_glider_accepts_a_tail_as_steep_as_the_filtration():
 
 def test_unchecked_classification_of_a_non_glider_ends():
     # the T3 walk and the sandwich walk stop where the stable big chain
-    # is constant; the input is outside the class, so a typed error
+    # is constant: N_1 matches no later level of M, and no module sits
+    # strictly between two distinct levels, so the verdict is nontrivial
+    # at the index where the walk stopped, without a sandwich
     flat = flat_window()
     big = Glider(flat, "field", [flat.level(0)], Constant())
     sub = Glider(flat, "field", [flat.level(0), ideal(flat, 1)],
                  FiltrationTail())
-    with pytest.raises(GbsError):
-        classify_subglider_unchecked(sub, big)
+    v = classify_subglider_unchecked(sub, big)
+    assert (v.kind, v.level, v.witness) == ("nontrivial", 1, None)
 
 
 @pytest.mark.parametrize("tail", ["filtration", "zeroafter", "multiply"])
