@@ -106,9 +106,12 @@ def _glider_order(m, side, colon):
 
 
 def _repackage(filtration, alg, level, keep):
-    """The glider with prefix level(0..keep-1) and an exact tail rule
-    fitted to the computed levels."""
-    return fit_tail(filtration, "algebra", level, keep, alg=alg)
+    """The glider with prefix level(0..keep-1+d) and an exact tail rule
+    fitted to the computed levels, for d the degree from which the
+    filtration's negative side is periodic: past it a filtration tail or
+    a multiply tail can reproduce the levels."""
+    return fit_tail(filtration, "algebra", level,
+                    keep + filtration.phi.minus_start, alg=alg)
 
 
 @memo_scope()

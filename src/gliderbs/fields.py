@@ -24,8 +24,8 @@ elements into those reps (`residue_rows`).
 Valuations: p-adic on Q, the three Gaussian prime splittings on Q(i),
 x-adic / y-adic and irreducible-polynomial valuations on function fields,
 and the lexicographic Z^2 composite (x-adic followed by y-adic on the
-residue field) on Q(x,y).  Each valuation kind likewise has one
-implementation, picked once when the `Valuation` is built.
+residue field) on Q(x,y).  Each valuation kind is one subclass of
+`Valuation`.
 """
 
 from __future__ import annotations
@@ -224,8 +224,8 @@ def require_rational(q):
     return Fraction(q)
 
 
-def func_field(var, char=0):
-    return Field("FUNC", var=var, char=char)
+def func_field(var):
+    return Field("FUNC", var=var, char=0)
 
 
 def fp_func_field(p, var="x"):
@@ -303,11 +303,10 @@ def pid_ring(field, valuations):
     over Q an int polynomial with coprime coefficients and a positive lead
     (pivots are products of uniformizer powers); for every other base, R
     given by its valuations on the field's own elements (`_ValuedRing`)."""
-    impls = [v._impl for v in valuations]
-    if field is QQ_FIELD and all(isinstance(i, _PAdic) for i in impls):
-        return _IntegersAt(tuple(i.p for i in impls))
+    if field is QQ_FIELD and all(isinstance(v, _PAdic) for v in valuations):
+        return _IntegersAt(tuple(v.p for v in valuations))
     if field.kind == "FUNC" and all(
-            isinstance(i, (_LineAdic, _PolyPrime)) for i in impls):
+            isinstance(v, (_LineAdic, _PolyPrime)) for v in valuations):
         ring = _PolynomialsAt(field, valuations)
         if all(p == p.primitive() for p in ring.primes):
             return ring
@@ -1502,65 +1501,28 @@ def _at_zero(x, axis):
 # ---------------------------------------------------------------------------
 
 class Valuation:
-    """A discrete (rank-1) or lexicographic rank-2 valuation.
-
-    kinds: 'padic', 'gauss', 'xadic', 'yadic', 'polyprime', 'composite2'.
-    Besides the value (call) and `residue`, each valuation has
-    `uniformizer()`, `uniformizer_pair()` (rank 2 only), `residue_field()`
-    and `lift(r)`, the canonical lift of a residue back into the field;
-    all are bound from the kind's implementation when it is built.
+    """A discrete (rank-1) or lexicographic rank-2 valuation, one subclass
+    per kind: 'padic', 'gauss', 'xadic', 'yadic', 'polyprime',
+    'composite2'.  Instances are interned on (class, field, parameters).
+    Each subclass gives `value` of a nonzero element, `uniformizer()`,
+    `residue_field()`, `residue0` (the residue of an element of value
+    `unit_value`) and `lift(r)`, the canonical lift of a residue back
+    into the field; the value (call) and `residue` are read here.
     """
 
+    rank = 1
+    unit_value = 0
     _cache = {}
 
-    def __new__(cls, kind, field, **params):
-        key = (kind, field.name, tuple(sorted(
-            (k, v if not isinstance(v, FieldElem) else str(v))
-            for k, v in params.items())))
-        inst = cls._cache.get(key)
+    def __new__(cls, field, *params):
+        key = (cls, field.name, *map(str, params))
+        inst = Valuation._cache.get(key)
         if inst is None:
             inst = super().__new__(cls)
-            inst.kind = kind
             inst.field = field
-            inst.params = params
-            inst._init()
-            cls._cache[key] = inst
+            inst._setup(*params)
+            Valuation._cache[key] = inst
         return inst
-
-    def _init(self):
-        k, f = self.kind, self.field
-        if k == "padic":
-            p = self.params["p"]
-            if not _is_prime(p):
-                raise UnsupportedError(f"{p} is not prime")
-            self.p = p
-            self.name = f"v_{p}"
-            impl = _PAdic(f, p)
-        elif k == "gauss":
-            self.pi = self.params["pi"]
-            self.case = self.params["case"]
-            self.name = f"v_({self.pi})"
-            impl = _GAUSS_CASES[self.case](f, self.pi)
-        elif k in ("xadic", "yadic"):
-            self.axis = self.params["axis"]
-            self.name = f"v_{f.generator_names()[self.axis]}"
-            impl = (_LineAdic if f.kind == "FUNC" else _PlaneAdic)(
-                f, self.axis)
-        elif k == "polyprime":
-            self.g = self.params["g"]  # FieldElem, irreducible polynomial
-            self.name = f"v_({self.g})"
-            impl = _PolyPrime(f, self.g)
-        elif k == "composite2":
-            self.name = "v_(x,y)-lex"
-            impl = _Composite2(f)
-        else:  # pragma: no cover
-            raise UnsupportedError(k)
-        self._impl = impl
-        self.rank = impl.rank
-        self.uniformizer = impl.uniformizer
-        self.uniformizer_pair = impl.uniformizer_pair
-        self.residue_field = impl.residue_field
-        self.lift = impl.lift
 
     def _check_field(self, x):
         if not isinstance(x, FieldElem) or x.field is not self.field:
@@ -1572,20 +1534,26 @@ class Valuation:
         self._check_field(x)
         if not x:
             return INF
-        return self._impl.value(x)
+        return self.value(x)
 
     def residue(self, x):
         self._check_field(x)
         v = self(x)
         if v is INF:
             return self.residue_field().zero()
-        unit = self._impl.unit_value
-        if v < unit:
+        if v < self.unit_value:
             raise UnsupportedError(
                 f"residue of element with negative valuation {v}")
-        if v != unit:
+        if v != self.unit_value:
             return self.residue_field().zero()
-        return self._impl.residue0(x)
+        return self.residue0(x)
+
+    def uniformizer_pair(self):
+        raise UnsupportedError("uniformizer_pair needs a rank-2 valuation")
+
+    def lift(self, r):
+        """The lift of a residue in Q or F_p: the same rational."""
+        return self.field.from_fraction(rational_value(r))
 
     def strip_principal_part(self, pp, h):
         """(pp + P, h - P) for P the principal part of h here: the digit
@@ -1615,28 +1583,16 @@ class Valuation:
 
 
 # ---------------------------------------------------------------------------
-# one implementation per valuation kind
+# one class per valuation kind
 # ---------------------------------------------------------------------------
 
-class _ValuationImpl:
-    """`value` of a nonzero element, `uniformizer`, `residue_field`,
-    `residue0` (the residue of an element of value `unit_value`) and
-    `lift` of one valuation kind."""
+class _PAdic(Valuation):
+    kind = "padic"
 
-    rank = 1
-    unit_value = 0
-
-    def uniformizer_pair(self):
-        raise UnsupportedError("uniformizer_pair needs a rank-2 valuation")
-
-    def lift(self, r):
-        """The lift of a residue in Q or F_p: the same rational."""
-        return self.field.from_fraction(rational_value(r))
-
-
-class _PAdic(_ValuationImpl):
-    def __init__(self, field, p):
-        self.field, self.p = field, p
+    def _setup(self, p):
+        if not _is_prime(p):
+            raise UnsupportedError(f"{p} is not prime")
+        self.p, self.name = p, f"v_{p}"
 
     def value(self, x):
         q = x.rep
@@ -1652,12 +1608,14 @@ class _PAdic(_ValuationImpl):
         return prime_field(self.p).from_fraction(rational_value(x))
 
 
-class _GaussPrime(_ValuationImpl):
+class _GaussPrime(Valuation):
     """Shared by the three Gaussian cases: the uniformizer and the
     residue field F_p."""
 
-    def __init__(self, field, pi):
-        self.field, self.pi = field, pi
+    kind = "gauss"
+
+    def _setup(self, pi):
+        self.pi, self.name = pi, f"v_({pi})"
         self.pa, self.pb, _ = pi.rep
         self.p = self.pa * self.pa + self.pb * self.pb
 
@@ -1672,8 +1630,10 @@ class _GaussSplit(_GaussPrime):
     """a+bi of prime norm p = 1 mod 4: the residue field is F_p, where i
     is the root -a/b."""
 
-    def __init__(self, field, pi):
-        super().__init__(field, pi)
+    case = "split"
+
+    def _setup(self, pi):
+        super()._setup(pi)
         self.root = (-self.pa * pow(self.pb, -1, self.p)) % self.p
 
     def value(self, x):
@@ -1712,6 +1672,8 @@ class _GaussRamified(_GaussSplit):
     """1+i over 2: the residue field is F_2, where i = 1 (the root of the
     split case)."""
 
+    case = "ramified"
+
     def value(self, x):
         a, b, den = x.rep
         return _int_val(a * a + b * b, 2) - 2 * _int_val(den, 2)
@@ -1720,8 +1682,10 @@ class _GaussRamified(_GaussSplit):
 class _GaussInert(_GaussPrime):
     """A rational prime p = 3 mod 4: the residue field is F_p[i]."""
 
-    def __init__(self, field, pi):
-        super().__init__(field, pi)
+    case = "inert"
+
+    def _setup(self, pi):
+        super()._setup(pi)
         self.p = abs(self.pa)
 
     def value(self, x):
@@ -1742,17 +1706,17 @@ class _GaussInert(_GaussPrime):
         return _elem(self.field, (*r.rep, 1))
 
 
-_GAUSS_CASES = {"ramified": _GaussRamified, "split": _GaussSplit,
-                "inert": _GaussInert}
+class _LineAdic(Valuation):
+    """The t-adic valuation of a one-variable function field K(t), named
+    `kind` ('xadic' or 'yadic'): the residue field is the constant field
+    K (Q or F_p)."""
 
+    axis = 0
 
-class _LineAdic(_ValuationImpl):
-    """The t-adic valuation of a one-variable function field K(t): the
-    residue field is the constant field K (Q or F_p)."""
-
-    def __init__(self, field, axis):
-        self.field, self.axis = field, axis
-        self.res_field = prime_field(field.char) if field.char else QQ_FIELD
+    def _setup(self, kind):
+        self.kind, self.name = kind, f"v_{self.field.var}"
+        self.res_field = prime_field(self.field.char) if self.field.char \
+            else QQ_FIELD
 
     def value(self, x):
         n, d = x.rep
@@ -1774,8 +1738,9 @@ class _PlaneAdic(_LineAdic):
     """The x- or y-adic valuation of Q(x,y): the residue field is the
     function field of the other variable."""
 
-    def __init__(self, field, axis):
-        self.field, self.axis = field, axis
+    def _setup(self, axis):
+        self.axis, self.kind = axis, ("xadic", "yadic")[axis]
+        self.name = f"v_{'xy'[axis]}"
         self.res_field = QY_FIELD if axis == 0 else QX_FIELD
 
     def value(self, x):
@@ -1793,14 +1758,16 @@ class _PlaneAdic(_LineAdic):
                           [self.field.gen("y" if self.axis == 0 else "x")])
 
 
-class _PolyPrime(_ValuationImpl):
+class _PolyPrime(Valuation):
     """The g-adic valuation of K(x) for an irreducible polynomial g: the
     residue field is Q[x]/(g) over Q, F_p for g = x - a over F_p."""
 
-    def __init__(self, field, g):
+    kind = "polyprime"
+
+    def _setup(self, g):
         # g's primitive associate, which `_poly_part` needs, gives the same
         # values (over F_p g is monic already, from `poly_prime`)
-        self.field, self.g, self.poly = field, g, g.rep[0].primitive()
+        self.g, self.name, self.poly = g, f"v_({g})", g.rep[0].primitive()
 
     def value(self, x):
         n, d = x.rep
@@ -1833,20 +1800,21 @@ class _PolyPrime(_ValuationImpl):
         return super().lift(r) if f.char else substitute(r, f, [f.gen(f.var)])
 
 
-class _Composite2(_ValuationImpl):
+class _Composite2(Valuation):
     """The lexicographic rank-2 valuation on Q(x,y): x-adic first, then
     y-adic on the residue field Q(y)."""
 
+    kind, name = "composite2", "v_(x,y)-lex"
     rank = 2
     unit_value = (0, 0)
 
-    def __init__(self, field):
-        self.field = field
+    def _setup(self):
         # residue of x / x^v(x) at the x-adic valuation, in Q(y)
-        self.stage_one = _PlaneAdic(field, 0).residue0
+        self.stage_one = _PlaneAdic(self.field, 0).residue0
+        self.stage_two = yadic(QY_FIELD)
 
     def value(self, x):
-        return (_func_val(x.rep, 0), yadic_on_qy()(self.stage_one(x)))
+        return (_func_val(x.rep, 0), self.stage_two(self.stage_one(x)))
 
     def uniformizer(self):
         raise UnsupportedError(
@@ -1860,7 +1828,7 @@ class _Composite2(_ValuationImpl):
         return QQ_FIELD
 
     def residue0(self, x):
-        return yadic_on_qy().residue(self.stage_one(x))
+        return self.stage_two.residue(self.stage_one(x))
 
 
 # ---------------------------------------------------------------------------
@@ -1868,7 +1836,7 @@ class _Composite2(_ValuationImpl):
 # ---------------------------------------------------------------------------
 
 def padic(p):
-    return Valuation("padic", QQ_FIELD, p=p)
+    return _PAdic(QQ_FIELD, p)
 
 
 def gauss_prime(pi):
@@ -1887,34 +1855,33 @@ def gauss_prime(pi):
         raise UnsupportedError(f"{pi} is not a Gaussian integer")
     nrm = a * a + b * b
     if nrm == 2:
-        case = "ramified"
+        case = _GaussRamified
     elif b == 0 and _is_prime(abs(a)) and abs(a) % 4 == 3:
-        case = "inert"
+        case = _GaussInert
     elif _is_prime(nrm) and nrm % 4 == 1:
-        case = "split"
+        case = _GaussSplit
     else:
         raise UnsupportedError(
             f"{pi} is not a supported Gaussian prime (norm {nrm}); "
             "only 1+i, inert p = 3 mod 4, and split factors are supported")
-    return Valuation("gauss", GAUSS_FIELD, pi=pi, case=case)
+    return case(GAUSS_FIELD, pi)
 
 
 def xadic(field=QX_FIELD):
-    if field.kind in ("FUNC", "FUNC2"):
-        return Valuation("xadic", field, axis=0)
+    if field.kind == "FUNC":
+        return _LineAdic(field, "xadic")
+    if field.kind == "FUNC2":
+        return _PlaneAdic(field, 0)
     raise FieldMismatchError(f"x-adic valuation undefined on {field.name}")
 
 
 def yadic(field=None):
     field = field or Field("FUNC2")
-    if field.kind in ("FUNC", "FUNC2"):
-        return Valuation("yadic", field, axis=int(field.kind == "FUNC2"))
+    if field.kind == "FUNC":
+        return _LineAdic(field, "yadic")
+    if field.kind == "FUNC2":
+        return _PlaneAdic(field, 1)
     raise FieldMismatchError(f"y-adic valuation undefined on {field.name}")
-
-
-@lru_cache(maxsize=None)
-def yadic_on_qy():
-    return Valuation("yadic", QY_FIELD, axis=0)
 
 
 def poly_prime(g, field=QX_FIELD):
@@ -1939,10 +1906,10 @@ def poly_prime(g, field=QX_FIELD):
     poly = Poly(num[::-1], Symbol(field.var), modulus=field.char or None)
     if len(num) < 2 or not poly.is_irreducible:
         raise UnsupportedError(f"{g} is not irreducible")
-    return Valuation("polyprime", field, g=g)
+    return _PolyPrime(field, g)
 
 
 def composite2():
     """The lexicographic rank-2 valuation on Q(x,y): x-adic first, then
     y-adic on the residue field Q(y)."""
-    return Valuation("composite2", Field("FUNC2"))
+    return _Composite2(Field("FUNC2"))

@@ -54,11 +54,13 @@ class StepFunction:
     phi(n + e_plus) = phi(n) + c_plus above the window and
     phi(n - e_minus) = phi(n) - c_minus below it.  Degrees, values,
     periods and increments must be ints; the lex order is Python's order
-    on the equal-length value tuples.
+    on the equal-length value tuples.  `minus_start` is the least d >= 0
+    with phi(-n - e_minus) = phi(-n) - c_minus for every n >= d: the
+    degree from which the negative side is periodic.
     """
 
     __slots__ = ("lo", "hi", "table", "plus_period", "plus_inc",
-                 "minus_period", "minus_inc", "r", "order")
+                 "minus_period", "minus_inc", "r", "order", "minus_start")
 
     def __init__(self, window, table, plus, minus, order="componentwise"):
         lo, hi = map(require_int, window)
@@ -93,6 +95,12 @@ class StepFunction:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "order", order)
         self._validate()
+        # the tail rule makes every n >= -lo periodic; walk down from there
+        d = -lo
+        while d and self(1 - d - em) == _vec_add(self(1 - d),
+                                                 _vec_scale(cm, -1)):
+            d -= 1
+        object.__setattr__(self, "minus_start", d)
 
     def __setattr__(self, *a):
         raise AttributeError("StepFunction is immutable")

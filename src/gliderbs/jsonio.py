@@ -38,9 +38,7 @@ def dumps(obj):
 
 
 def _check_keys(obj, required, optional=(), where="object"):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"expected an object, got {type(obj).__name__}",
-                          where)
+    _object(obj, where)
     missing = [k for k in required if k not in obj]
     if missing:
         raise SchemaError(f"missing keys {missing}", where)
@@ -90,6 +88,21 @@ def _list(value, where):
     if not isinstance(value, list):
         raise SchemaError(f"expected a list, got {value!r}", where)
     return value
+
+
+def _object(value, where):
+    """A JSON object."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"expected an object, got {type(value).__name__}",
+                          where)
+    return value
+
+
+def _rows(obj, base, where):
+    """The `rows` of a lattice object: a list of lists of elements."""
+    rows = _list(obj["rows"], where + ".rows")
+    return [[base.field.parse(s) for s in _list(row, f"{where}.rows[{i}]")]
+            for i, row in enumerate(rows)]
 
 
 def _int_text(text, where):
@@ -204,7 +217,7 @@ def decode_lattice(obj, where="lattice", base=None, require_full=True):
                 for i, v in enumerate(_list(bobj["valuations"],
                                             where + ".base.valuations"))]
         base = BaseRing(field, vals)
-    rows = [[base.field.parse(s) for s in row] for row in obj["rows"]]
+    rows = _rows(obj, base, where)
     dim = _int(obj["dim"], where + ".dim")
     if require_full:
         return canonicalize(base, dim, rows)
@@ -262,10 +275,15 @@ def loads_filtration(text_or_obj, where="filtration"):
                                base=base.base_ring)
     if aobj["mode"] == "induced":
         return AlgebraFiltration(alg, base, order_lat, mode="induced")
+    if aobj["mode"] != "explicit":
+        raise SchemaError(f"unknown mode {aobj['mode']!r}",
+                          where + ".algebra.mode")
+    _check_keys(aobj, ["desc", "mode", "order", "window", "levels",
+                       "tailPlus", "tailMinus"], (), where + ".algebra")
     window = _ints(aobj["window"], where + ".algebra.window", 2)
     levels = [decode_lattice(l, where + ".algebra.levels",
                              base=base.base_ring)
-              for l in aobj["levels"]]
+              for l in _list(aobj["levels"], where + ".algebra.levels")]
 
     def ideal_tail(key):
         period, inc = _decode_period_tail(aobj[key], f"{where}.algebra.{key}")
@@ -314,8 +332,7 @@ def _decode_level(obj, base, dim, ambient, where="level"):
         _check_keys(obj, ["exps"], (), where)
         return FracIdeal(base, _ints(obj["exps"], where + ".exps"))
     _check_keys(obj, ["rows"], (), where)
-    rows = [[base.field.parse(s) for s in row] for row in obj["rows"]]
-    return span(base, dim, rows)
+    return span(base, dim, _rows(obj, base, where))
 
 
 def encode_glider(g):
@@ -414,8 +431,8 @@ def loads_z2(text_or_obj, where="z2-glider"):
     _schema_check(obj, where)
     filt = Z2Filtration(obj["kind"])
     grid = [[_decode_z2_cell(c, f"{where}.grid[{j}][{i}]")
-             for i, c in enumerate(row)]
-            for j, row in enumerate(obj["grid"])]
+             for i, c in enumerate(_list(row, f"{where}.grid[{j}]"))]
+            for j, row in enumerate(_list(obj["grid"], where + ".grid"))]
     return Z2Glider(filt, _ints(obj["window"], where + ".window", 2), grid,
                     _decode_z2_tail(obj["tailJ"], where + ".tailJ"),
                     _decode_z2_tail(obj["tailI"], where + ".tailI"))
@@ -468,8 +485,10 @@ def loads_points(text_or_obj, where="points"):
     _check_keys(obj, ["schema", "field", "points"], (), where)
     _schema_check(obj, where)
     field = field_from_name(_str(obj["field"], where + ".field"))
-    return [BsPoint([field.parse(c) for c in coords])
-            for coords in obj["points"]]
+    return [BsPoint([field.parse(c)
+                     for c in _list(coords, f"{where}.points[{i}]")])
+            for i, coords in enumerate(_list(obj["points"],
+                                             where + ".points"))]
 
 
 def loads_sample(text_or_obj, where="sample"):
@@ -480,8 +499,8 @@ def loads_sample(text_or_obj, where="sample"):
     _schema_check(obj, where)
     filt = loads_filtration(obj["filtration"], where + ".filtration")
     out = []
-    for i, el in enumerate(obj["elements"]):
-        inner = dict(el)
+    for i, el in enumerate(_list(obj["elements"], where + ".elements")):
+        inner = dict(_object(el, f"{where}.elements[{i}]"))
         inner.setdefault("schema", SCHEMA)
         inner.setdefault("filtration", obj["filtration"])
         inner.setdefault("ambient", "algebra")
@@ -559,8 +578,10 @@ def encode_z2_verdict(v):
 # detection and round-trip
 # ---------------------------------------------------------------------------
 
-def _as_obj(text_or_obj, where="input"):
-    if isinstance(text_or_obj, (dict, list)):
+def _as_obj(text_or_obj):
+    """JSON text decoded; any other value is a node of a decoded document,
+    whose type the caller checks."""
+    if not isinstance(text_or_obj, str):
         return text_or_obj
     try:
         return json.loads(text_or_obj)
@@ -571,7 +592,7 @@ def _as_obj(text_or_obj, where="input"):
 
 def detect_and_load(text):
     """Detect the schema family of a JSON document and decode it."""
-    obj = _as_obj(text)
+    obj = _object(_as_obj(text), "input")
     if "grid" in obj:
         return "z2-glider", loads_z2(obj)
     if "prefix" in obj:

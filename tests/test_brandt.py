@@ -262,3 +262,18 @@ def test_groupoid_axiom4_rejects_a_wrong_inverse(neg_part, monkeypatch):
     assert ax4["status"] == "fail"
     assert ax4["counterexample"] == {"element": 0,
                                      "identity": "M M^-1 = E^l"}
+
+
+def test_groupoid_chains_over_an_irregular_negative_side(b_m2, m2):
+    # phi(n) = -min(3|n|, 2|n| + 10) on [-10, 0]: the negative side is
+    # periodic from degree 10 on, so the fitted prefixes reach it
+    f = FieldFiltration(
+        QQ_FIELD, (padic(5),),
+        StepFunction((-10, 0), {n: (-min(-3 * n, -2 * n + 10),)
+                                for n in range(-10, 1)},
+                     (1, (2,)), (1, (2,))))
+    m = NormalGliderIdeal(Glider(f, "algebra", [b_m2], FiltrationTail(),
+                                 alg=m2))
+    for chain in (product(m, m), inverse(m), modulizer_chain(m)):
+        assert all(chain.level(i) == m.level(i) for i in range(31))
+        assert chain == m

@@ -309,3 +309,123 @@ def test_a_window_shorter_than_a_tail_period_is_refused(tmp_path, capsys):
     assert code == 1 and json.loads(out) == {
         "error": "window [0,0] is shorter than the tail period 2",
         "kind": "SpecValidationError", "schema": "gbs/1"}
+
+
+def _set(*keys_and_value):
+    """An edit that sets doc[k1]...[kn] to the value."""
+    *keys, value = keys_and_value
+
+    def edit(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        doc[keys[-1]] = value
+    return edit
+
+
+def _document(files, key):
+    """The fixture document `key`; 'glider' is an algebra glider over the
+    induced filtration of fa.json."""
+    with open(files["fa.json" if key == "glider" else f"{key}.json"]) as fh:
+        doc = json.load(fh)
+    if key != "glider":
+        return doc
+    return {"schema": "gbs/1", "filtration": doc, "ambient": "algebra",
+            "prefix": [{"rows": doc["algebra"]["order"]["rows"]}],
+            "tail": {"kind": "filtration"}}
+
+
+@pytest.mark.parametrize("doc_key, edit, command, where", [
+    ("glider", _set("filtration", 5), "classify", "glider.filtration"),
+    ("glider", _set("prefix", 0, "rows", 5), "classify",
+     "glider.prefix[0].rows"),
+    ("glider", _set("prefix", 0, "rows", [5]), "classify",
+     "glider.prefix[0].rows[0]"),
+    ("fa", _set("algebra", "order", "rows", 5), "strong-check",
+     "filtration.algebra.order.rows"),
+    ("fa", _set("algebra", "order", "rows", [5]), "strong-check",
+     "filtration.algebra.order.rows[0]"),
+    ("z2", _set("grid", 3), "rank2", "z2-glider.grid"),
+    ("z2", _set("grid", [3]), "rank2", "z2-glider.grid[0]"),
+    ("points", _set("points", 5), "tensor-map", "points.points"),
+    ("points", _set("points", [5]), "tensor-map", "points.points[0]"),
+    ("sample", _set("elements", 5), "brandt", "sample.elements"),
+    ("sample", _set("elements", [5]), "brandt", "sample.elements[0]"),
+    ("fa", _set("algebra", "mode", "explicit"), "strong-check",
+     "filtration.algebra"),
+    ("fa", _set("algebra", "mode", "weird"), "strong-check",
+     "filtration.algebra.mode"),
+])
+def test_malformed_documents_are_schema_errors(files, capsys, tmp_path,
+                                               doc_key, edit, command,
+                                               where):
+    doc = _document(files, doc_key)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "classify": ("classify", "--glider", str(path)),
+        "strong-check": ("strong-check", "--filtration", str(path)),
+        "rank2": ("rank2", "classify", "--glider", str(path)),
+        "tensor-map": ("tensor-map", "--ext", files["ext.json"],
+                       "--filtration", files["fa.json"], "--points",
+                       str(path)),
+        "brandt": ("brandt", "verify", "--sample", str(path)),
+    }[command]
+    code, out = run(capsys, "--output", "json", *argv)
+    report = json.loads(out)
+    assert code == 1 and report["kind"] == "SchemaError"
+    assert report["error"].endswith(f"(at {where})")
+
+
+def test_assoc_strong_completes_a_filtration_through_the_cli(tmp_path,
+                                                             capsys):
+    from gliderbs.fields import QQ_FIELD, padic
+    from gliderbs.filtration import (FieldFiltration, StepFunction,
+                                     associated_strong)
+    from gliderbs.glider import Glider, MultiplyBy
+    from gliderbs.lattice import FracIdeal
+
+    # R > P^2 > P^3 > ... completes to the valuation filtration
+    f = FieldFiltration(QQ_FIELD, (padic(5),), StepFunction(
+        (-1, 1), {-1: (-2,), 0: (0,), 1: (1,)}, (1, (1,)), (1, (1,))))
+    g = Glider(f, "field", [FracIdeal(f.base_ring, (i,)) for i in range(4)],
+               MultiplyBy(FracIdeal(f.base_ring, (1,))))
+    (tmp_path / "f.json").write_text(jsonio.dumps(
+        jsonio.encode_filtration(f)))
+    (tmp_path / "g.json").write_text(jsonio.dumps(jsonio.encode_glider(g)))
+    code, out = run(capsys, "--output", "json", "assoc-strong",
+                    "--filtration", str(tmp_path / "f.json"),
+                    "--glider", str(tmp_path / "g.json"))
+    report = json.loads(out)
+    assert code == 0 and report["citations"] == ["field.associated-strong"]
+    assert report["results"] == jsonio.encode_filtration(
+        associated_strong(f, g))
+    assert jsonio.loads_filtration(report["results"]).is_dvr_valuation()
+
+
+def test_maxorder_check_of_the_builtin_m2r(capsys):
+    # M_2(Z_(5)) at the 5-adic valuation
+    code, out = run(capsys, "--output", "json", "maxorder-check", "--order",
+                    "m2r", "--k", "1")
+    assert code == 0
+    assert json.loads(out)["results"] == {"strong": True, "k": [1]}
+
+
+def test_timing_adds_only_the_timing_key(files, capsys):
+    args = ("classify", "--glider", files["g0.json"])
+    code, plain = run(capsys, "--output", "json", *args)
+    code_t, timed = run(capsys, "--output", "json", "--timing", *args)
+    plain, timed = json.loads(plain), json.loads(timed)
+    assert code == code_t == 0
+    seconds = timed.pop("timing")["seconds"]
+    assert timed == plain and seconds >= 0
+
+
+def test_a_document_that_is_not_an_object_is_a_schema_error(tmp_path,
+                                                            capsys):
+    path = tmp_path / "five.json"
+    path.write_text("5")
+    code, out = run(capsys, "--output", "json", "roundtrip", str(path))
+    report = json.loads(out)
+    assert code == 1 and report["kind"] == "SchemaError"
+    assert report["error"] == "expected an object, got int (at input)"

@@ -278,3 +278,12 @@ def test_an_explicit_window_is_at_least_a_tail_period_long(f5, b_m2, m2):
                              r"period 2"):
         AlgebraFiltration(m2, f5, b_m2, mode="explicit", window=(0, 0),
                           levels=levels[:1], **tails)
+
+
+def test_minus_start_is_where_the_negative_side_turns_periodic(f5, f_mod):
+    # phi(-1) = -2 but phi(-n - 1) = phi(-n) - 1 from n = 1 on
+    assert (f5.phi.minus_start, f_mod.phi.minus_start) == (0, 1)
+    # phi(n) = n written with minus period 2 is periodic from degree 0
+    ph = StepFunction((-1, 1), {-1: (-1,), 0: (0,), 1: (1,)},
+                      (1, (1,)), (2, (2,)))
+    assert ph.minus_start == 0

@@ -283,3 +283,51 @@ def test_levels_past_the_prefix_are_built_once(f5, b_m2, m2, tail):
     first = [m.level(i) for i in range(8)]
     assert all(m.level(i) is lvl for i, lvl in enumerate(first))
     assert first == [b_m2.scale_exponents((step * i,)) for i in range(8)]
+
+
+def irregular_negative_side():
+    """phi(n) = -min(3|n|, 2|n| + 10) on [-10, 0], both tails (1, (2,)):
+    the negative side is periodic from degree 10 on."""
+    return FieldFiltration(
+        QQ_FIELD, (padic(5),),
+        StepFunction((-10, 0), {n: (-min(3 * -n, 2 * -n + 10),)
+                                for n in range(-10, 1)},
+                     (1, (2,)), (1, (2,))))
+
+
+def test_horizon_reaches_the_periodic_negative_side():
+    f = irregular_negative_side()
+    assert f.phi.minus_start == 10
+    a = Glider(f, "field", [ideal(f, 0)], FiltrationTail())
+    b = Glider(f, "field", [ideal(f, 3 * k) for k in range(6)],
+               FiltrationTail())
+    # the chains agree up to level 10 and have the same growth
+    assert a.level(11) == ideal(f, 32) and b.level(11) == ideal(f, 33)
+    assert a.horizon >= a.deep_start() and b.horizon >= b.deep_start()
+    assert a != b
+
+
+def test_lattice_sub_period_pair_is_T3_in_both_orders(b_m2, m2):
+    # phi(n) = n written with minus period 2: a filtration tail and a
+    # multiply-by-P tail give one chain, whose slope is half a period
+    f = FieldFiltration(
+        QQ_FIELD, (padic(5),),
+        StepFunction((-1, 1), {-1: (-1,), 0: (0,), 1: (1,)},
+                     (1, (1,)), (2, (2,))))
+    m = Glider(f, "algebra", [b_m2], FiltrationTail(), alg=m2)
+    n = Glider(f, "algebra", [b_m2], MultiplyBy(ideal(f, 1)), alg=m2)
+    assert m == n
+    for sub, big, slope in ((m, n, 2), (n, m, 1)):
+        v = classify_subglider(sub, big)
+        assert (v.kind, v.alpha_slope) == ("T3", slope)
+        assert v.alpha == list(range(v.horizon + 1))
+
+
+def test_containment_that_fails_past_the_horizon_is_found_by_scan(f5):
+    # N_i = P^(10+i) lies in M_i = P^(2i) up to i = 10 only
+    m = Glider(f5, "field", [ideal(f5, 0)], MultiplyBy(ideal(f5, 2)))
+    n = Glider(f5, "field", [ideal(f5, 10)], MultiplyBy(ideal(f5, 1)))
+    v = classify_subglider(n, m)
+    assert v.horizon is None and 11 > max(m.horizon, n.horizon) + 2
+    assert (v.kind, v.level, v.witness) == (
+        "not-subglider", 11, QQ_FIELD.from_int(5 ** 21))
