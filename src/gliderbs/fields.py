@@ -1,10 +1,11 @@
 """Exact arithmetic for the supported coefficient fields and their valuations.
 
 Supported fields: Q, Q(i), Q(x), F_p(x), Q(x,y), plus the residue fields
-they produce (prime fields F_p, the quadratic residue field F_p[i] of an
-inert Gaussian prime, Q(y), and Q[x]/(g)).  Elements are immutable wrappers
-around an exact representation (the "rep"), so values are safe to share
-between threads.
+they produce (prime fields F_p, Q(y), and K[t]/(g) for K = F_p or Q: the
+residue field F_p[i] of an inert Gaussian prime, and K[x]/(g) at a
+polynomial prime g other than x - a over F_p).  Elements are immutable
+wrappers around an exact representation (the "rep"), so values are safe
+to share between threads.
 
 Each field kind has one rep-level implementation, picked once when the
 `Field` is built: the conversion from `Fraction`, the generators, the four
@@ -12,9 +13,9 @@ operations, the zero test and the printer.  Reps are `Fraction` for Q;
 int triples (a, b, d) meaning (a + b*i)/d for Q(i); for the one-variable
 function fields F_p(x) and Q(x) (also Q(y), Q(t)), pairs (num, den) of
 `_Poly`, in the one canonical form that the kernel's polynomial rings
-keep; ints mod p for F_p; pairs of ints mod p for F_p[i]; `_Poly` over Q
-reduced mod g for Q[x]/(g); sympy's `frac_field` elements for Q(x,y),
-whose set-up alone, with `poly_prime`, imports sympy.  Reps are read and
+keep; ints mod p for F_p; `_Poly` over K reduced mod g for K[t]/(g),
+F_p[i] among them; sympy's `frac_field` elements for Q(x,y), whose
+set-up alone, with `poly_prime`, imports sympy.  Reps are read and
 wrapped only here.  Every field has `Field.reps`, the arithmetic on its
 reps, with the conversions to and from elements: the base fields' reps
 are the lattice kernel's scalars, and the residue fields' the vectors of
@@ -34,6 +35,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 
 from .errors import FieldMismatchError, ParseError, SpecValidationError, \
@@ -102,9 +104,9 @@ class Field:
     """A coefficient field descriptor.
 
     `kind` is one of 'Q', 'QI', 'FUNC' (one variable), 'FUNC2' (x,y over Q),
-    'FP' (prime field), 'FP2' (F_p[i], p = 3 mod 4), 'QUOT' (Q[x]/(g)).
-    Instances are interned, so identity comparison works for equal fields.
-    `char` is the characteristic.
+    'FP' (prime field), 'QUOT' (K[t]/(g), K = F_p or Q, g monic; F_p[i] is
+    t^2+1 with the generator named i).  Instances are interned, so identity
+    comparison works for equal fields.  `char` is the characteristic.
     """
 
     _cache = {}
@@ -146,23 +148,18 @@ class Field:
                 raise UnsupportedError(f"{p} is not prime")
             self.name, self.char = f"F{p}", p
             arith = _PrimeArith(p)
-        elif k == "FP2":
-            p = self.params["p"]
-            if not _is_prime(p) or p % 4 != 3:
-                raise UnsupportedError(
-                    f"F_p[i] residue field needs p = 3 mod 4, got {p}")
-            self.name, self.char = f"F{p}[i]", p
-            arith = _GaussModArith(p)
         elif k == "QUOT":
-            # Q[x]/(g), g as a tuple of Fraction coefficients, low to high,
-            # monic.  Used only as a residue field of poly_prime valuations.
-            self.modulus = self.params["modulus"]
-            self.name = "Q[x]/(g)"
-            arith = _QuotArith(self.modulus)
+            # K[t]/(g), K = F_p or Q (p = 0), g monic, its coefficients low
+            # to high: a residue field of a polynomial or Gaussian prime
+            p, var = self.params["p"], self.params["var"]
+            base, self.char = f"F{p}" if p else "Q", p
+            # i is the root of t^2+1, which names its field
+            self.name = f"{base}[i]" if var == "i" else f"{base}[{var}]/(g)"
+            arith = _QuotArith(self.params["modulus"], p, var)
         else:
             raise UnsupportedError(f"unknown field kind {k!r}")
         # the reps with their arithmetic: the lattice kernel's scalars over
-        # a base field, the residue vectors of quotient spaces over F_p
+        # a base field, the vectors of quotient spaces over a residue field
         self.reps = arith
         arith.field = self
         arith._zero = arith.from_fraction(Fraction(0))
@@ -239,14 +236,22 @@ def prime_field(p):
 
 
 def inert_residue_field(p):
-    return Field("FP2", p=p)
+    """F_p[i] = F_p[t]/(t^2+1), a field for p = 3 mod 4."""
+    if not _is_prime(p) or p % 4 != 3:
+        raise UnsupportedError(
+            f"F_p[i] residue field needs p = 3 mod 4, got {p}")
+    return quot_field((1, 0, 1), p, "i")
 
 
-def quot_field(modulus_coeffs):
+def quot_field(modulus_coeffs, p=0, var="x"):
+    """K[var]/(g), K = F_p for a prime p > 0 and Q for p = 0, for the monic
+    g with the given coefficients, low to high."""
     mod = tuple(Fraction(c) for c in modulus_coeffs)
+    if p:
+        mod = tuple(prime_field(p).reps.from_fraction(c) for c in mod)
     if not mod or mod[-1] != 1:
         raise UnsupportedError("quotient modulus must be monic")
-    return Field("QUOT", modulus=mod)
+    return Field("QUOT", modulus=mod, p=p, var=var)
 
 
 def field_from_name(name):
@@ -1142,68 +1147,22 @@ class _PrimeArith(_Arith):
         return tuple(range(self.p))
 
 
-class _GaussModArith(_Arith):
-    """F_p[i] for p = 3 mod 4: pairs (a, b) of ints mod p meaning a + b*i."""
-
-    def __init__(self, p):
-        self.p = p
-        self.gens = {"i": (0, 1)}
-
-    def from_fraction(self, q):
-        p = self.p
-        if q.denominator % p == 0:
-            raise FieldMismatchError(f"{q} has no image in F_{p}[i]")
-        return ((q.numerator * pow(q.denominator, -1, p)) % p, 0)
-
-    def add(self, a, b):
-        p = self.p
-        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
-
-    def sub(self, a, b):
-        p = self.p
-        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
-
-    def mul(self, a, b):
-        p = self.p
-        a0, a1 = a
-        b0, b1 = b
-        return ((a0 * b0 - a1 * b1) % p, (a0 * b1 + a1 * b0) % p)
-
-    def div(self, a, b):
-        p = self.p
-        a0, a1 = a
-        b0, b1 = b
-        n = (b0 * b0 + b1 * b1) % p
-        if n == 0:
-            raise ZeroDivisionError("division by zero in F_p[i]")
-        ninv = pow(n, -1, p)
-        return (((a0 * b0 + a1 * b1) * ninv) % p,
-                ((a1 * b0 - a0 * b1) * ninv) % p)
-
-    def nonzero(self, a):
-        return any(c % self.p for c in a)
-
-    def show(self, a):
-        p = self.p
-        return _print_gauss(a[0] % p, a[1] % p)
-
-    def elements(self):
-        p = self.p
-        return tuple([(a, b) for a in range(p) for b in range(p)])
-
-
 class _QuotArith(_Arith):
-    """Q[x]/(g) for monic g: `_Poly` over Q reduced mod g."""
+    """K[t]/(g) for K = F_p (p > 0) or Q (p = 0) and a monic g: `_Poly`
+    of `_poly_class(p)` reduced mod g, so that == compares values; the
+    generator t is named `var`."""
 
     nonzero = bool
 
-    def __init__(self, modulus):
-        cls = _poly_class(0)
-        self.modulus = cls(modulus)
-        self.gens = {"x": cls((0, 1)) % self.modulus}
+    def __init__(self, modulus, p, var):
+        cls = _poly_class(p)
+        self.p, self.var, self.modulus = p, var, cls(modulus)
+        self.gens = {var: cls((0, 1)) % self.modulus}
+        # a rational's image in K
+        self._scalar = prime_field(p).reps.from_fraction if p else _itself
 
     def from_fraction(self, q):
-        return self.modulus.__class__((q,) if q else ())
+        return self.modulus._new([self._scalar(q)])
 
     add, sub = operator.add, operator.sub
 
@@ -1218,8 +1177,17 @@ class _QuotArith(_Arith):
         big_b = b.primitive()
         r, c = _poly_residue(b.__class__((1,)), big_b,
                              self.modulus.primitive())
-        return self.mul(a, r * b.__class__(
-            (Fraction(big_b[-1]) / (c[0] * b[-1]),)))
+        return self.mul(a, r * self.from_fraction(
+            Fraction(big_b[-1], c[0] * b[-1])))
+
+    def elements(self):
+        """Over F_p the classes of the polynomials of degree < deg g, the
+        constant coefficient outermost."""
+        if not self.p:
+            return None
+        new = self.modulus._new
+        return tuple([new(list(cs)) for cs in
+                      product(range(self.p), repeat=len(self.modulus) - 1)])
 
     @staticmethod
     def terms(a):
@@ -1228,7 +1196,9 @@ class _QuotArith(_Arith):
         return _terms(a), [((0,), 1)]
 
     def show(self, a):
-        return _print_terms(_terms(a), ("x",), 0)
+        if self.var == "i":
+            return _print_gauss(*(list(a) + [0, 0])[:2])
+        return _print_terms(_terms(a), (self.var,), self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -1698,12 +1668,13 @@ class _GaussInert(_GaussPrime):
 
     def residue0(self, x):
         a, b, den = x.rep
-        p = self.p
-        dinv = pow(den, -1, p)
-        return _elem(inert_residue_field(p), ((a * dinv) % p, (b * dinv) % p))
+        k = inert_residue_field(self.p)
+        dinv = pow(den, -1, self.p)
+        return _elem(k, k.reps.modulus._new([a * dinv, b * dinv]))
 
     def lift(self, r):
-        return _elem(self.field, (*r.rep, 1))
+        a, b = (list(r.rep) + [0, 0])[:2]
+        return _elem(self.field, (a, b, 1))
 
 
 class _LineAdic(Valuation):
@@ -1759,8 +1730,9 @@ class _PlaneAdic(_LineAdic):
 
 
 class _PolyPrime(Valuation):
-    """The g-adic valuation of K(x) for an irreducible polynomial g: the
-    residue field is Q[x]/(g) over Q, F_p for g = x - a over F_p."""
+    """The g-adic valuation of K(x), K = F_p or Q, for an irreducible
+    polynomial g: the residue field is F_p, the values at a, for g = x - a
+    over F_p, and K[x]/(g) for every other g."""
 
     kind = "polyprime"
 
@@ -1777,18 +1749,15 @@ class _PolyPrime(Valuation):
         return self.g
 
     def residue_field(self):
-        g = self.poly
-        if self.field.char:
-            # g = x - a, monic (`poly_prime`): the residue field is F_p
-            if len(g) == 2:
-                return prime_field(self.field.char)
-            raise UnsupportedError("residues at a polynomial prime of degree "
-                                   "above 1 need characteristic 0")
-        return quot_field([Fraction(c, g[-1]) for c in g])
+        g, p = self.poly, self.field.char
+        # over F_p g is monic (`poly_prime`)
+        if p and len(g) == 2:
+            return prime_field(p)
+        return quot_field([Fraction(c, g[-1]) for c in g], p)
 
     def residue0(self, x):
         k = self.residue_field()
-        if self.field.char:
+        if k.kind == "FP":
             # the values at the root a of g = x - a: remainders mod g
             n, d = [(y % self.poly or (0,))[0] for y in x.rep]
             return k.from_fraction(Fraction(n, d))
@@ -1797,7 +1766,8 @@ class _PolyPrime(Valuation):
 
     def lift(self, r):
         f = self.field
-        return super().lift(r) if f.char else substitute(r, f, [f.gen(f.var)])
+        return substitute(r, f, [f.gen(f.var)]) if r.field.kind == "QUOT" \
+            else super().lift(r)
 
 
 class _Composite2(Valuation):

@@ -24,6 +24,10 @@ from .rank2 import (Z2Filtration, Z2Glider, Z2Ideal, Z2MultiplyBy)
 from .tensorext import gauss_extension, sqrt_x_extension
 
 SCHEMA = "gbs/1"
+# the largest absolute value of an exponent of a level, a tail ideal or a
+# degree map: a report may print pi^e, and Python prints no int of more
+# than 4,300 digits
+MAX_EXPONENT = 1000
 
 __all__ = [
     "SCHEMA", "dumps", "loads_filtration", "loads_glider", "loads_z2",
@@ -74,6 +78,17 @@ def _ints(values, where, length=None):
         what = "integers" if length is None else f"{length} integers"
         raise SchemaError(f"expected a list of {what}, got {values!r}", where)
     return tuple(_int(v, f"{where}[{i}]") for i, v in enumerate(values))
+
+
+def _exponents(values, where):
+    """A JSON list of ideal exponents, each at most `MAX_EXPONENT` in
+    absolute value."""
+    exps = _ints(values, where)
+    for i, e in enumerate(exps):
+        if abs(e) > MAX_EXPONENT:
+            raise SchemaError(f"exponent {e} is past the bound "
+                              f"{MAX_EXPONENT}", f"{where}[{i}]")
+    return exps
 
 
 def _str(value, where):
@@ -160,14 +175,15 @@ def _decode_period_tail(obj, where):
     """(period, increments) of a tail block."""
     _check_keys(obj, ["period", "inc"], (), where)
     return (_int(obj["period"], where + ".period"),
-            _ints(obj["inc"], where + ".inc"))
+            _exponents(obj["inc"], where + ".inc"))
 
 
 def decode_phi(obj, order="componentwise", where="phi"):
     _check_keys(obj, ["window", "table", "tailPlus", "tailMinus"], (), where)
     if not isinstance(obj["table"], dict):
         raise SchemaError("expected an object", where + ".table")
-    table = {_int_text(k, where + ".table"): _ints(v, f"{where}.table.{k}")
+    table = {_int_text(k, where + ".table"):
+             _exponents(v, f"{where}.table.{k}")
              for k, v in obj["table"].items()}
     return StepFunction(_ints(obj["window"], where + ".window", 2), table,
                         _decode_period_tail(obj["tailPlus"],
@@ -330,7 +346,7 @@ def _decode_level(obj, base, dim, ambient, where="level"):
         return ZERO_MODULE
     if ambient == "field":
         _check_keys(obj, ["exps"], (), where)
-        return FracIdeal(base, _ints(obj["exps"], where + ".exps"))
+        return FracIdeal(base, _exponents(obj["exps"], where + ".exps"))
     _check_keys(obj, ["rows"], (), where)
     return span(base, dim, _rows(obj, base, where))
 
@@ -371,7 +387,8 @@ def loads_glider(text_or_obj, where="glider"):
               for i, l in enumerate(levels)]
     tail = _decode_tail(
         obj["tail"],
-        lambda e: MultiplyBy(FracIdeal(base, _ints(e, where + ".tail.ideal"))),
+        lambda e: MultiplyBy(FracIdeal(base,
+                                       _exponents(e, where + ".tail.ideal"))),
         where + ".tail")
     return Glider(filt, ambient, prefix, tail, alg=alg)
 

@@ -4,7 +4,7 @@ Matrices are lists of lists (rows) of entries.  `k` gives `zero()` and
 `one()`, and where its entries have no exact operators of their own, the
 arithmetic on them: `add`, `sub`, `mul`, `div` and `nonzero`.  A `Field`
 gives the first two, for its elements; a field's `reps` all seven, on
-reps: `Fraction` over Q, ints mod p over F_p, pairs of them over F_p[i].
+reps: `Fraction` over Q, ints mod p over F_p, `_Poly` mod g over K[t]/(g).
 So each routine has one body, and a residue field's vectors need no
 element wrappers.  Sizes here are tiny (d <= 9).  Two eliminations do all
 the work: `reduce` reduces vectors against rows already in echelon form,

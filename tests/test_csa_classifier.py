@@ -1,6 +1,7 @@
 """The csa classifier decides every valid chain by construction: a seeded
 corpus over four orders of M_2(Z_(5)), each under the valuation filtration
-and under phi(n) = 2n, and the enumeration outcome over each of them."""
+and under phi(n) = 2n, and the enumeration outcome over each of them and
+over places of F_p(x) with residue field F_q, q = p^k, k >= 2."""
 
 import json
 import random
@@ -9,7 +10,7 @@ import pytest
 
 from gliderbs import cli
 from gliderbs.errors import UnsupportedError
-from gliderbs.fields import QQ_FIELD, padic
+from gliderbs.fields import QQ_FIELD, fp_func_field, padic, poly_prime
 from gliderbs.filtration import (AlgebraFiltration, FieldFiltration,
                                  StepFunction, scaled_valuation_filtration,
                                  valuation_filtration)
@@ -183,3 +184,63 @@ def test_out_of_class_bases_still_raise():
         fa, _points()[0], 0)).reason == \
         "base must be a single discrete valuation"
 
+
+# places of F_p(x) of degree >= 2, whose residue field is F_q, q = p^deg g
+FQ_PLACES = [(3, "x^2+1"), (3, "x^3+2*x+1"), (5, "x^2+2")]
+
+
+def _fq_filtrations(p, g):
+    """The maximal order of M_2 and the Eichler order [[a, b], [g c, d]]
+    over F_p(x) at g, each under the valuation filtration."""
+    field = fp_func_field(p)
+    v = poly_prime(g, field)
+    base = valuation_filtration(v)
+    pi, one, zero = v.uniformizer(), field.one(), field.zero()
+
+    def unit(i, c=one):
+        return [c if i == j else zero for j in range(4)]
+
+    rows = {"maximal": [unit(i) for i in range(4)],
+            "eichler": [unit(0), unit(1), unit(2, pi), unit(3)]}
+    return {name: AlgebraFiltration(
+        M2, base, canonicalize(base.base_ring, 4, r), mode="induced")
+        for name, r in rows.items()}
+
+
+def _fq_points(field):
+    one, zero = field.one(), field.zero()
+    return [BsPoint([one, zero]), BsPoint([zero, one]),
+            BsPoint([one, field.gen("x")])]
+
+
+@pytest.mark.parametrize("p, g", FQ_PLACES)
+def test_enumeration_over_a_place_of_higher_degree(p, g):
+    """Over F_p(x) at g the level quotient is a vector space over
+    F_p[x]/(g): the maximal order gives every (point, shift) of the window,
+    each one round-tripped by the classifier, and the Eichler order
+    none."""
+    fas = _fq_filtrations(p, g)
+    points = _fq_points(fp_func_field(p))
+    els = enumerate_gbs_csa(fas["maximal"], (-1, 1), points)
+    assert len(els) == len(points) * 3
+    for el in els:
+        verdict = classify_csa_glider(
+            realize_csa_element(fas["maximal"], el.point, el.shift))
+        assert verdict.status == "irreducible"
+        assert (verdict.element.point, verdict.element.shift) == \
+            (el.point, el.shift)
+    assert enumerate_gbs_csa(fas["eichler"], (-1, 1), points) == []
+
+
+def test_enumeration_over_f25_through_the_cli(tmp_path, capsys):
+    fa = _fq_filtrations(5, "x^2+2")["maximal"]
+    (tmp_path / "fa.json").write_text(json.dumps(encode_filtration(fa)))
+    (tmp_path / "p.json").write_text(json.dumps(
+        {"schema": "gbs/1", "field": "F5(x)",
+         "points": [["1", "0"], ["1", "x"]]}))
+    assert cli.main(["--output", "json", "csa-enum", "--filtration",
+                     str(tmp_path / "fa.json"), "--points",
+                     str(tmp_path / "p.json"), "--window", "0:1"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [(el["point"], el["shift"]) for el in results] == [
+        (["1", "0"], 0), (["1", "0"], 1), (["1", "x"], 0), (["1", "x"], 1)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -139,9 +140,13 @@ def test_poly_prime():
             poly_prime(text, QX_FIELD)
     with pytest.raises(UnsupportedError):
         poly_prime("2", fp_func_field(3))
-    # the residue field Q[x]/(g) needs characteristic 0
-    with pytest.raises(UnsupportedError):
-        poly_prime("x^2+1", fp_func_field(3)).residue_field()
+    # over F_3 the residue field is F_3[x]/(x^2+1), and x^3 = x*(x^2+1) - x
+    # has the residue -x = 2x, which lifts back to 2x
+    f3x = fp_func_field(3)
+    g3 = poly_prime("x^2+1", f3x)
+    r = g3.residue(f3x.parse("x^3"))
+    assert str(r) == "2*x" and r.field.name == "F3[x]/(g)"
+    assert g3.lift(r) == f3x.parse("2*x")
 
 
 def test_parse_print_roundtrip_examples():
@@ -427,6 +432,68 @@ def test_finite_fields_list_their_elements():
     for field in (QQ_FIELD, GAUSS_FIELD, F3X, QUOT):
         with pytest.raises(UnsupportedError):
             field.elements()
+
+
+# (p, monic g low to high) -> F_q = F_p[t]/(g), q = p^deg g
+FQ_MODULI = {4: (2, (1, 1, 1)), 8: (2, (1, 1, 0, 1)), 9: (3, (1, 0, 1)),
+             25: (5, (2, 0, 1)), 27: (3, (1, 2, 0, 1))}
+
+
+def _table_mul(a, b, p, g):
+    """a b mod (p, g) on coefficient tuples, low to high: the schoolbook
+    product, then the top coefficients cleared by the monic g."""
+    n = len(g) - 1
+    c = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    for k in reversed(range(n, len(c))):
+        top, c[k] = c[k], 0
+        for j in range(n):
+            c[k - n + j] -= top * g[j]
+    return tuple(x % p for x in c[:n])
+
+
+@pytest.mark.parametrize("q", sorted(FQ_MODULI))
+def test_finite_quotient_fields_match_tables(q):
+    """Every sum, product and inverse in F_p[t]/(g) agrees with int tuples
+    multiplied mod (p, g), and the field lists its q elements in the
+    order of the tuples, constant coefficient outermost."""
+    p, g = FQ_MODULI[q]
+    field = quot_field(g, p, "t")
+    assert field.name == f"F{p}[t]/(g)" and field.char == p
+    t = field.gen("t")
+    tuples = list(itertools.product(range(p), repeat=len(g) - 1))
+    elem = {cs: sum((field.from_int(c) * t ** k for k, c in enumerate(cs)),
+                    field.zero()) for cs in tuples}
+    assert list(field.elements()) == [elem[cs] for cs in tuples]
+    assert len(set(field.elements())) == q
+    unit = (1,) + (0,) * (len(g) - 2)
+    assert elem[unit] == field.one()
+    for a in tuples:
+        for b in tuples:
+            total = tuple((x + y) % p for x, y in zip(a, b))
+            assert elem[a] + elem[b] == elem[total]
+            assert elem[a] * elem[b] == elem[_table_mul(a, b, p, g)]
+        if any(a):
+            inv = [b for b in tuples if _table_mul(a, b, p, g) == unit]
+            assert len(inv) == 1 and elem[a] ** -1 == elem[inv[0]]
+    with pytest.raises(ZeroDivisionError):
+        field.one() / field.zero()
+
+
+def test_f3i_is_the_quotient_by_t2_plus_1():
+    """F_3[i] is F_3[t]/(t^2+1) under the generator name i: the same
+    element order, printed as a+bi."""
+    assert F3I.char == 3 and F3I.generator_names() == ("i",)
+    i = F3I.gen("i")
+    assert i * i == -F3I.one()
+    assert list(F3I.elements()) == [
+        F3I.from_int(a) + F3I.from_int(b) * i
+        for a, b in itertools.product(range(3), repeat=2)]
+    assert str(F3I.one() + 2 * i) == "1+2i"
+    with pytest.raises(UnsupportedError, match="p = 3 mod 4"):
+        inert_residue_field(5)
 
 
 # str() of fixed elements, recorded before each field kind got its own

@@ -385,3 +385,58 @@ def test_malformed_nodes_are_schema_errors(r5, tmp_path, capsys, make,
     assert report["kind"] == "SchemaError"
     assert f"(at {where})" in report["error"]
 
+
+
+def _recorded_document(name):
+    """An input document recorded in `golden_output.json`."""
+    import os
+
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "golden_output.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.loads(json.load(fh)[f"file {name}.json"])
+
+
+def _classify(doc, tmp_path, capsys):
+    from gliderbs.cli import main
+
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["--output", "json", "classify", "--glider", str(probe)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_level_exponents_past_the_bound_are_schema_errors(tmp_path, capsys):
+    """5^10000 has more digits than Python prints, so a level exponent of
+    10000 is refused by the decoder, as is one just past the bound, before
+    anything is built."""
+    assert jsonio.MAX_EXPONENT == 1000
+    for exp in (10000, 1001, -1001):
+        doc = _recorded_document("tail_constant")
+        doc["prefix"][1]["exps"] = [exp]
+        with pytest.raises(SchemaError, match=f"exponent {exp} is past"):
+            jsonio.loads_glider(doc)
+        code, report = _classify(doc, tmp_path, capsys)
+        assert code == 1 and report["kind"] == "SchemaError"
+        assert "(at glider.prefix[1].exps[0])" in report["error"]
+    doc = _recorded_document("tail_multiply")
+    doc["tail"]["ideal"] = [10000]
+    code, report = _classify(doc, tmp_path, capsys)
+    assert code == 1 and "(at glider.tail.ideal[0])" in report["error"]
+    # the degree map's values and increments are exponents too
+    doc = _recorded_document("tail_constant")
+    doc["filtration"]["phi"]["tailPlus"]["inc"] = [1001]
+    code, report = _classify(doc, tmp_path, capsys)
+    assert code == 1 and report["kind"] == "SchemaError"
+    assert "(at glider.filtration.phi.tailPlus.inc[0])" in report["error"]
+
+
+def test_a_chain_at_the_exponent_bound_gets_a_verdict(tmp_path, capsys):
+    # the realized chain of shift -999: M_0 = 5^999, M_1 = 5^1000
+    doc = _recorded_document("tail_filtration")
+    doc["prefix"] = [{"exps": [999]}, {"exps": [1000]}]
+    code, report = _classify(doc, tmp_path, capsys)
+    assert code == 0
+    assert report["results"]["verdict"] == "irreducible"
+    assert report["results"]["element"] == {"kind": "field", "shift": -999}

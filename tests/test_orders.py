@@ -5,7 +5,8 @@ import pytest
 from gliderbs.errors import (MaximalityError, SpecValidationError,
                              UnsupportedError)
 from gliderbs.fields import (QQ_FIELD, QX_FIELD, field_from_name,
-                             gauss_prime, padic, xadic)
+                             fp_func_field, gauss_prime, padic, poly_prime,
+                             xadic)
 from gliderbs.filtration import AlgebraFiltration, induced_on_K, is_strong
 from gliderbs.lattice import (BaseRing, add, canonicalize, mult,
                               quaternion_algebra, quotient_length, span)
@@ -98,6 +99,31 @@ def test_custom_radical_over_f3i_in_dimension_4_is_unsupported():
     custom = _declared(builtin_mnr(2, base))
     with pytest.raises(UnsupportedError, match="F3\\[i\\] in dimension 4"):
         radical(custom, 0)
+
+
+def _declared_m2_at(p, g):
+    """M_2 over F_p(x) at the polynomial prime g, declared maximal, with
+    the prime's uniformizer."""
+    v = poly_prime(g, fp_func_field(p))
+    return _declared(builtin_mnr(2, BaseRing(v.field, (v,)))), \
+        v.uniformizer()
+
+
+def test_custom_radical_over_f9_in_dimension_4_is_unsupported():
+    # the residue field F_3[x]/(x^2+1) = F_9 has p = 3 <= d = 4, as F_3[i]
+    custom, _ = _declared_m2_at(3, "x^2+1")
+    with pytest.raises(UnsupportedError,
+                       match="F3\\[x\\]/\\(g\\) in dimension 4 needs "
+                             "trace conditions over a Galois ring"):
+        radical(custom, 0)
+
+
+def test_custom_radical_over_f25():
+    # p = 5 > d = 4: Dickson's condition over F_25 = F_5[x]/(x^2+2) finds
+    # the radical pi B, with e = 1
+    custom, pi = _declared_m2_at(5, "x^2+2")
+    p = radical(custom, 0)
+    assert p.e == 1 and p.ideal == custom.lattice.scale(pi)
 
 
 def test_radical_names_a_prime_of_the_base():

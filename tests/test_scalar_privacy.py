@@ -7,9 +7,33 @@ calls a ring's `int_row` or `rat_row`."""
 import ast
 import os
 
+from gliderbs import fields
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LIBRARY = os.path.join(ROOT, "src", "gliderbs")
-FIELD_KINDS = {"Q", "QI", "FUNC", "FUNC2", "FP", "FP2", "QUOT"}
+
+
+def _field_kinds():
+    """The kind strings that `Field._init` compares its kind with, read
+    from its source, so that a kind added or dropped there is seen here."""
+    with open(os.path.join(LIBRARY, "fields.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    field = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "Field")
+    init = next(node for node in field.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_init")
+    # the local that `_init` binds to `self.kind`
+    kind = next(node.targets[0].id for node in ast.walk(init)
+                if isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "kind")
+    return {c.value for node in ast.walk(init)
+            if isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Name) and node.left.id == kind
+            for c in node.comparators if isinstance(c, ast.Constant)}
+
+
+FIELD_KINDS = _field_kinds()
 ROW_CONVERSIONS = {"int_row", "rat_row"}
 # the modules that know the store's row format
 ROW_FORMAT_MODULES = {"fields.py", "lattice.py"}
@@ -59,10 +83,17 @@ def _library_sources():
                 yield name, fh.read()
 
 
+def test_field_kinds_are_read_from_the_field_constructor():
+    built = [fields.QQ_FIELD, fields.GAUSS_FIELD, fields.QX_FIELD,
+             fields.prime_field(5), fields.inert_residue_field(3),
+             fields.quot_field([1, 0, 1])]
+    assert {f.kind for f in built} <= FIELD_KINDS
+
+
 def test_checker_flags_each_pattern():
     source = ("e = FieldElem(fld, (1, 0))\n"
               "r = x.rep.numer\n"
-              "if fld.kind in ('FP', 'FP2'):\n"
+              "if fld.kind in ('FP', 'QUOT'):\n"
               "    pass\n"
               "ok = v.kind == 'padic' and tail.kind != 'multiply'\n")
     assert rep_leaks(source) == [(1, "FieldElem(...)"), (2, ".rep"),
