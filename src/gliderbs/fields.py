@@ -3,7 +3,7 @@
 Supported fields: Q, Q(i), Q(x), F_p(x), Q(x,y), plus the residue fields
 they produce (prime fields F_p, Q(y), and K[t]/(g) for K = F_p or Q: the
 residue field F_p[i] of an inert Gaussian prime, and K[x]/(g) at a
-polynomial prime g other than x - a over F_p).  Elements are immutable
+polynomial prime g of degree 2 or more).  Elements are immutable
 wrappers around an exact representation (the "rep"), so values are safe
 to share between threads.
 
@@ -23,10 +23,12 @@ quotient spaces.  The kernel's rings read the residues of their own
 elements into those reps (`residue_rows`).
 
 Valuations: p-adic on Q, the three Gaussian prime splittings on Q(i),
-x-adic / y-adic and irreducible-polynomial valuations on function fields,
-and the lexicographic Z^2 composite (x-adic followed by y-adic on the
-residue field) on Q(x,y).  Each valuation kind is one subclass of
-`Valuation`.
+x-adic / y-adic on Q(x,y), and the lexicographic Z^2 composite (x-adic
+followed by y-adic on the residue field) on Q(x,y).  On a one-variable
+function field K(x) each place is one polynomial prime g, named by its
+canonical associate, and the x-adic valuation is the prime x.  Each
+valuation kind is one subclass of `Valuation`, and the field alone
+chooses the lattice kernel's ring (`pid_ring`).
 """
 
 from __future__ import annotations
@@ -47,9 +49,15 @@ __all__ = [
     "fp_func_field", "func_field", "prime_field", "inert_residue_field",
     "quot_field",
     "padic", "gauss_prime", "xadic", "yadic", "poly_prime", "composite2",
-    "field_from_name", "rational_value", "substitute",
-    "pid_ring",
+    "field_from_name", "rational_value", "substitute", "gauss_norm",
+    "pid_ring", "MAX_EXPONENT",
 ]
+
+# the largest absolute value of an exponent that the input spells: a `^`
+# in an element string, and in `jsonio` a level's, a tail ideal's or a
+# degree map's; a report may print pi^e, and Python prints no int of more
+# than 4,300 digits
+MAX_EXPONENT = 1000
 
 
 class _Infinity:
@@ -302,19 +310,17 @@ def _poly_image(terms, target, images):
 
 
 def pid_ring(field, valuations):
-    """The ring whose elements the lattice kernel computes on: Z_(S) for Q
-    at p-adic valuations; F_p[x]_(S) for F_p(x) and Q[x]_(S) for Q(x), at
-    x and at polynomial primes, when each uniformizer is monic over F_p,
-    over Q an int polynomial with coprime coefficients and a positive lead
-    (pivots are products of uniformizer powers); for every other base, R
-    given by its valuations on the field's own elements (`_ValuedRing`)."""
-    if field is QQ_FIELD and all(isinstance(v, _PAdic) for v in valuations):
+    """The ring whose elements the lattice kernel computes on, chosen by
+    the field alone, as each place has one valuation: Z_(S) for Q, whose
+    valuations are p-adic; F_p[x]_(S) for F_p(x) and Q[x]_(S) for Q(x),
+    whose valuations are polynomial primes named by their canonical
+    associates (pivots are products of uniformizer powers); for Q(i) and
+    Q(x,y), R given by its valuations on the field's own elements
+    (`_ValuedRing`)."""
+    if field is QQ_FIELD:
         return _IntegersAt(tuple(v.p for v in valuations))
-    if field.kind == "FUNC" and all(
-            isinstance(v, (_LineAdic, _PolyPrime)) for v in valuations):
-        ring = _PolynomialsAt(field, valuations)
-        if all(p == p.primitive() for p in ring.primes):
-            return ring
+    if field.kind == "FUNC":
+        return _PolynomialsAt(field, valuations)
     return _ValuedRing(field, valuations)
 
 
@@ -422,7 +428,12 @@ class FieldElem:
         return hash((self.field.name, self.rep))
 
     def __str__(self):
-        return self.field.reps.show(self.rep)
+        try:
+            return self.field.reps.show(self.rep)
+        except ValueError:
+            raise UnsupportedError(
+                f"an element of {self.field.name} has more digits than "
+                "Python prints (4,300)") from None
 
     def __repr__(self):
         return f"<{self.field.name}: {self}>"
@@ -972,11 +983,11 @@ class _PolynomialsAt(_IntegersAt):
 
 class _ValuedRing:
     """R = {x : v(x) >= 0 for each valuation v}, for the bases that
-    `pid_ring` gives no PID of its own (Q(i), Q(x,y), a uniformizer with a
-    constant factor): its elements are the field's elements, where `//` is
-    exact division; a row of reps passes in wrapped, over the denominator
-    1, and goes out unwrapped.  Values, splits, divisibility and principal
-    parts are read off the valuations."""
+    `pid_ring` gives no PID of its own, Q(i) and Q(x,y): its elements are
+    the field's elements, where `//` is exact division; a row of reps
+    passes in wrapped, over the denominator 1, and goes out unwrapped.
+    Values, splits, divisibility and principal parts are read off the
+    valuations."""
 
     def __init__(self, field, valuations):
         self.valuations = valuations
@@ -1403,16 +1414,20 @@ class _Parser:
                 k2, v2, p2 = self.next()
             if k2 != "int":
                 raise ParseError("exponent must be an integer", p2)
-            e = e ** (sign * int(v2))
+            k = int(_literal(v2, p2))
+            if k > MAX_EXPONENT:
+                raise ParseError(f"exponent {k} is past the bound "
+                                 f"{MAX_EXPONENT}", p2)
+            e = e ** (sign * k)
         return e
 
     def atom(self):
         kind, v, pos = self.next()
         if kind == "int":
-            return self.field.from_int(int(v))
+            return self.field.from_fraction(_literal(v, pos))
         if kind == "imag":
-            coeff = Fraction(v) if "/" not in v else Fraction(*map(int, v.split("/")))
-            return self.field.from_fraction(coeff) * self.field.gen("i")
+            return self.field.from_fraction(_literal(v, pos)) * \
+                self.field.gen("i")
         if kind == "name":
             return self.field.gen(v)
         if kind == "op" and v == "(":
@@ -1420,6 +1435,15 @@ class _Parser:
             self.expect_op(")")
             return e
         raise ParseError(f"unexpected token {v!r}", pos)
+
+
+def _literal(text, pos):
+    """The `Fraction` that a literal spells: Python reads no int of more
+    than 4,300 digits, and a denominator may be 0."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"unreadable number: {exc}", pos) from None
 
 
 def _parse_element(field, text):
@@ -1472,8 +1496,10 @@ def _at_zero(x, axis):
 
 class Valuation:
     """A discrete (rank-1) or lexicographic rank-2 valuation, one subclass
-    per kind: 'padic', 'gauss', 'xadic', 'yadic', 'polyprime',
-    'composite2'.  Instances are interned on (class, field, parameters).
+    per kind: 'padic', 'gauss', 'polyprime' (with 'xadic' and 'yadic' on
+    K(x), the polynomial prime of the generator, and on Q(x,y)),
+    'composite2'.  Instances are interned on (class, field, parameters),
+    a polynomial prime on its canonical associate.
     Each subclass gives `value` of a nonzero element, `uniformizer()`,
     `residue_field()`, `residue0` (the residue of an element of value
     `unit_value`) and `lift(r)`, the canonical lift of a residue back
@@ -1677,35 +1703,59 @@ class _GaussInert(_GaussPrime):
         return _elem(self.field, (a, b, 1))
 
 
-class _LineAdic(Valuation):
-    """The t-adic valuation of a one-variable function field K(t), named
-    `kind` ('xadic' or 'yadic'): the residue field is the constant field
-    K (Q or F_p)."""
+class _PolyPrime(Valuation):
+    """The g-adic valuation of K(x), K = F_p or Q, for an irreducible
+    polynomial g, its canonical associate (`poly_prime`): the residue
+    field is K, the values at the root of g, for deg g = 1, and K[x]/(g)
+    for deg g >= 2."""
 
-    axis = 0
+    kind = "polyprime"
 
-    def _setup(self, kind):
-        self.kind, self.name = kind, f"v_{self.field.var}"
-        self.res_field = prime_field(self.field.char) if self.field.char \
-            else QQ_FIELD
+    def _setup(self, g):
+        self.g, self.name, self.poly = g, f"v_({g})", g.rep[0]
+        p, poly = self.field.char, self.poly
+        if len(poly) == 2:
+            self.res_field = prime_field(p) if p else QQ_FIELD
+        else:
+            self.res_field = quot_field([Fraction(c, poly[-1])
+                                         for c in poly], p)
 
     def value(self, x):
         n, d = x.rep
-        return _low(n) - _low(d)
+        return _poly_part(n, self.poly)[0] - _poly_part(d, self.poly)[0]
 
     def uniformizer(self):
-        return self.field.gen(self.field.generator_names()[self.axis])
+        return self.g
 
     def residue_field(self):
         return self.res_field
 
     def residue0(self, x):
-        # the lowest coefficients, of the same degree at value 0
-        n, d = x.rep
-        return self.res_field.from_fraction(Fraction(n[_low(n)], d[_low(d)]))
+        # num and den mod g, then divided; at degree 1 the remainders are
+        # constants, the values at the root of g
+        k = self.res_field
+        n, d = [y % self.poly for y in x.rep]
+        if k.kind != "QUOT":
+            n, d = [k.reps.from_fraction(Fraction(r[0])) for r in (n, d)]
+        return _elem(k, n) / _elem(k, d)
+
+    def lift(self, r):
+        f = self.field
+        return substitute(r, f, [f.gen(f.var)]) if r.field.kind == "QUOT" \
+            else super().lift(r)
 
 
-class _PlaneAdic(_LineAdic):
+class _LineAdic(_PolyPrime):
+    """The t-adic valuation of a one-variable function field K(t): the
+    polynomial prime t, under the kind ('xadic' or 'yadic') and the name
+    v_t that JSON and reports print."""
+
+    def _setup(self, kind):
+        super()._setup(self.field.gen(self.field.var))
+        self.kind, self.name = kind, f"v_{self.field.var}"
+
+
+class _PlaneAdic(Valuation):
     """The x- or y-adic valuation of Q(x,y): the residue field is the
     function field of the other variable."""
 
@@ -1717,6 +1767,12 @@ class _PlaneAdic(_LineAdic):
     def value(self, x):
         return _func_val(x.rep, self.axis)
 
+    def uniformizer(self):
+        return self.field.gen("xy"[self.axis])
+
+    def residue_field(self):
+        return self.res_field
+
     def residue0(self, x):
         k = self.res_field
         images = [k.zero(), k.zero()]
@@ -1727,47 +1783,6 @@ class _PlaneAdic(_LineAdic):
     def lift(self, r):
         return substitute(r, self.field,
                           [self.field.gen("y" if self.axis == 0 else "x")])
-
-
-class _PolyPrime(Valuation):
-    """The g-adic valuation of K(x), K = F_p or Q, for an irreducible
-    polynomial g: the residue field is F_p, the values at a, for g = x - a
-    over F_p, and K[x]/(g) for every other g."""
-
-    kind = "polyprime"
-
-    def _setup(self, g):
-        # g's primitive associate, which `_poly_part` needs, gives the same
-        # values (over F_p g is monic already, from `poly_prime`)
-        self.g, self.name, self.poly = g, f"v_({g})", g.rep[0].primitive()
-
-    def value(self, x):
-        n, d = x.rep
-        return _poly_part(n, self.poly)[0] - _poly_part(d, self.poly)[0]
-
-    def uniformizer(self):
-        return self.g
-
-    def residue_field(self):
-        g, p = self.poly, self.field.char
-        # over F_p g is monic (`poly_prime`)
-        if p and len(g) == 2:
-            return prime_field(p)
-        return quot_field([Fraction(c, g[-1]) for c in g], p)
-
-    def residue0(self, x):
-        k = self.residue_field()
-        if k.kind == "FP":
-            # the values at the root a of g = x - a: remainders mod g
-            n, d = [(y % self.poly or (0,))[0] for y in x.rep]
-            return k.from_fraction(Fraction(n, d))
-        n, d = [_elem(k, y % k.reps.modulus) for y in x.rep]
-        return n / d
-
-    def lift(self, r):
-        f = self.field
-        return substitute(r, f, [f.gen(f.var)]) if r.field.kind == "QUOT" \
-            else super().lift(r)
 
 
 class _Composite2(Valuation):
@@ -1837,6 +1852,14 @@ def gauss_prime(pi):
     return case(GAUSS_FIELD, pi)
 
 
+def gauss_norm(x):
+    """The norm x * conj(x) of an element of Q(i), as a `Fraction`."""
+    if not isinstance(x, FieldElem) or x.field is not GAUSS_FIELD:
+        raise FieldMismatchError("gauss_norm needs an element of Q(i)")
+    a, b, den = x.rep
+    return Fraction(a * a + b * b, den * den)
+
+
 def xadic(field=QX_FIELD):
     if field.kind == "FUNC":
         return _LineAdic(field, "xadic")
@@ -1862,14 +1885,15 @@ def poly_prime(g, field=QX_FIELD):
     if field.kind != "FUNC":
         raise UnsupportedError("poly_prime needs a one-variable function field")
     num, den = g.rep
-    if den != (1,):
+    if len(den) != 1:
         raise UnsupportedError("polynomial prime must be a polynomial")
-    if field.char and g:
-        # the monic associate names the valuation and is its uniformizer,
-        # so the base ring is F_p[x]_(S): its pivots, `scale` and
-        # `BaseRing.from_exponents` use this one element
-        g = g / field.from_int(num[-1])
-        num = g.rep[0]
+    # the canonical associate (monic over F_p; over Q coprime int
+    # coefficients and a positive lead) names the place and is its
+    # uniformizer, so 2x^2+2, -x^2-1 and x^2+1 are one valuation, on the
+    # PID K[x]_(S): its pivots, `scale` and `BaseRing.from_exponents` use
+    # this one element
+    num = num.primitive()
+    g = _elem(field, (num, den.__class__((1,))))
     # a polynomial's rep has int coefficients, high to low for sympy, which
     # calls a constant irreducible: its values would count without end
     from sympy import Poly, Symbol

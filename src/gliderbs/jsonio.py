@@ -12,8 +12,8 @@ import re
 from fractions import Fraction
 
 from .errors import SchemaError
-from .fields import field_from_name, gauss_prime, padic, poly_prime, \
-    composite2, xadic, yadic
+from .fields import GAUSS_FIELD, MAX_EXPONENT, field_from_name, \
+    gauss_norm, gauss_prime, padic, poly_prime, composite2, xadic, yadic
 from .filtration import AlgebraFiltration, FieldFiltration, StepFunction
 from .gbs import BsPoint
 from .glider import TAIL_KINDS, Glider, MultiplyBy, Tail
@@ -24,10 +24,11 @@ from .rank2 import (Z2Filtration, Z2Glider, Z2Ideal, Z2MultiplyBy)
 from .tensorext import gauss_extension, sqrt_x_extension
 
 SCHEMA = "gbs/1"
-# the largest absolute value of an exponent of a level, a tail ideal or a
-# degree map: a report may print pi^e, and Python prints no int of more
-# than 4,300 digits
-MAX_EXPONENT = 1000
+# the largest prime a document names: a p-adic `p`, an extension's `over`
+# and the norm of a Gaussian prime; the trial division that tests one
+# takes under 0.1 s at the bound.  An exponent's bound is
+# `fields.MAX_EXPONENT`, which element strings obey too.
+MAX_PRIME = 10 ** 12
 
 __all__ = [
     "SCHEMA", "dumps", "loads_filtration", "loads_glider", "loads_z2",
@@ -89,6 +90,23 @@ def _exponents(values, where):
             raise SchemaError(f"exponent {e} is past the bound "
                               f"{MAX_EXPONENT}", f"{where}[{i}]")
     return exps
+
+
+def _prime_size(p, where):
+    """p, checked against `MAX_PRIME` in absolute value before anything
+    tests whether it is prime."""
+    if abs(p) > MAX_PRIME:
+        raise SchemaError(f"{p} is past the bound {MAX_PRIME} on primes",
+                          where)
+    return p
+
+
+def _gauss_prime_text(text, where):
+    """A Gaussian prime's string as an element of Q(i), its norm checked
+    against `MAX_PRIME`."""
+    pi = GAUSS_FIELD.parse(_str(text, where))
+    _prime_size(gauss_norm(pi), where)
+    return pi
 
 
 def _str(value, where):
@@ -155,9 +173,9 @@ def decode_valuation(obj, field, where="valuation"):
         raise SchemaError(f"unknown valuation kind {kind!r}", where)
     _check_keys(obj, ["kind", *_VALUATION_KEYS[kind]], (), where)
     if kind == "padic":
-        return padic(_int(obj["p"], where + ".p"))
+        return padic(_prime_size(_int(obj["p"], where + ".p"), where + ".p"))
     if kind == "gauss":
-        return gauss_prime(_str(obj["pi"], where + ".pi"))
+        return gauss_prime(_gauss_prime_text(obj["pi"], where + ".pi"))
     if kind == "polyprime":
         return poly_prime(_str(obj["g"], where + ".g"), field)
     if kind == "xadic":
@@ -466,7 +484,8 @@ def loads_extension(text_or_obj, where="extension"):
     vobj = obj["valuation"]
     _check_keys(vobj, ["over"], ["kind", "factor", "e", "f"],
                 where + ".valuation")
-    p = _int_text(vobj["over"], where + ".valuation.over")
+    p = _prime_size(_int_text(vobj["over"], where + ".valuation.over"),
+                    where + ".valuation.over")
     if obj["minpoly"] == "t^2-x":
         # the x-adic valuation lies over no rational prime, and the keys
         # of a Gaussian prime do not apply to it
@@ -475,7 +494,10 @@ def loads_extension(text_or_obj, where="extension"):
                               '"factor"', where + ".valuation")
         ext = sqrt_x_extension()
     elif obj["minpoly"] == "t^2+1":
-        ext = gauss_extension(p, vobj.get("kind"), vobj.get("factor"))
+        factor = vobj.get("factor")
+        if factor is not None:
+            factor = _gauss_prime_text(factor, where + ".valuation.factor")
+        ext = gauss_extension(p, vobj.get("kind"), factor)
     else:
         raise SchemaError("supported minimal polynomials: t^2+1, t^2-x",
                           where)
@@ -605,6 +627,8 @@ def _as_obj(text_or_obj):
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc.msg}",
                           f"line {exc.lineno} column {exc.colno}") from exc
+    except ValueError as exc:  # an int of more digits than Python reads
+        raise SchemaError(f"invalid JSON: {exc}") from None
 
 
 def detect_and_load(text):

@@ -13,9 +13,9 @@ canonical representative of their coset modulo the pivot (principal-part
 digits at each maximal ideal).
 
 The kernel has one body, with the ring as a parameter (`BaseRing.ring`,
-from `fields.pid_ring`): Z_(S) on ints, F_p[x]_(S) and Q[x]_(S) on
-polynomials, and on every other base (Q(i), Q(x,y), a uniformizer with a
-constant factor) R given by its valuations, on field elements.  A lattice
+from `fields.pid_ring`, which the field alone chooses): Z_(S) over Q on
+ints, F_p[x]_(S) and Q[x]_(S) over F_p(x) and Q(x) on polynomials, and
+over Q(i) and Q(x,y) R given by its valuations, on field elements.  A lattice
 keeps one store, on the ring: its canonical rows as numerators over one
 denominator in lowest terms with the ring's canonical unit, and the pivot
 columns (`Lattice.store`).  Equal modules have identical stores, so

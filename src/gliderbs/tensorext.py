@@ -22,6 +22,8 @@ split/inert bookkeeping recorded as such in the docs).
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import SpecValidationError, UnsupportedError
 from .fields import (GAUSS_FIELD, QQ_FIELD, QX_FIELD, func_field,
                      gauss_prime, padic, rational_value, substitute, xadic)
@@ -98,9 +100,7 @@ def gauss_extension(p, kind=None, factor=None):
         if p % 4 != 1:
             raise SpecValidationError(f"{p} does not split in Q(i)")
         if factor is None:
-            a = next(a for a in range(1, p)
-                     if any(a * a + b * b == p for b in range(1, p)))
-            b = next(b for b in range(1, p) if a * a + b * b == p)
+            a, b = _two_squares(p)
             factor = GAUSS_FIELD.from_int(a) + \
                 GAUSS_FIELD.from_int(b) * GAUSS_FIELD.gen("i")
         elif isinstance(factor, str):
@@ -114,6 +114,18 @@ def gauss_extension(p, kind=None, factor=None):
         return GAUSS_FIELD.from_fraction(rational_value(x))
 
     return ExtensionData(QQ_FIELD, GAUSS_FIELD, "t^2+1", embed, v, w, e, f)
+
+
+def _two_squares(p):
+    """(a, b) with a^2 + b^2 = p and 0 < a < b, for a prime p = 1 mod 4,
+    by Hermite-Serret: Euclid on p and a square root r of -1 mod p stops
+    at its first remainder below sqrt(p), which is a or b (Brillhart,
+    1972).  r is c^((p-1)/4) for the least non-residue c."""
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    x, y = p, pow(c, (p - 1) // 4, p)
+    while y * y > p:
+        x, y = y, x % y
+    return tuple(sorted((y, isqrt(p - y * y))))
 
 
 def sqrt_x_extension():

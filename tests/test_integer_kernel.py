@@ -231,15 +231,12 @@ def test_padic_bases_take_the_integer_path(name):
 
 
 # the polynomial rings are rings of their own (tests/test_pid_kernel.py);
-# Q(i), Q(x,y) and a uniformizer with a constant factor take R given by
-# its valuations, on the field's elements
+# Q(i) and Q(x,y) take R given by its valuations, on the field's elements
 OTHER_BASES = {
     "Q(i) at 3": (BaseRing(GAUSS_FIELD, [gauss_prime("3")]), GAUSS_FIELD),
     "Q(i) at 1+i": (BaseRing(GAUSS_FIELD, [gauss_prime("1+i")]),
                     GAUSS_FIELD),
     "Q(x,y) at x": (BaseRing(QXY_FIELD, [xadic(QXY_FIELD)]), QXY_FIELD),
-    "Q(x) at 2x^2+2": (BaseRing(QX_FIELD, [poly_prime("2*x^2+2")]),
-                       QX_FIELD),
 }
 
 
@@ -260,6 +257,16 @@ def test_other_bases_take_the_field_path(name):
     assert ring.split(pi ** 2 * (gen + 2)) == (pi ** 2, gen + 2)
     lat = span(base, 2, [[gen, field.one()], [field.one(), gen * gen]])
     assert lat.rank == 2
+
+
+def test_a_constant_factor_names_the_pid_at_its_associate():
+    """2x^2+2 names the place of x^2+1: one valuation, whose uniformizer
+    is the canonical associate, on the polynomial ring Q[x]_(x^2+1)."""
+    base = BaseRing(QX_FIELD, [poly_prime("2*x^2+2")])
+    assert base.valuations == (poly_prime("x^2+1"),)
+    assert isinstance(base.ring, fields._PolynomialsAt)
+    assert base.uniformizers == (QX_FIELD.parse("x^2+1"),)
+    assert base.ring.primes == ((1, 0, 1),)
 
 
 def test_integer_kernel_failures_stay_typed():

@@ -440,3 +440,106 @@ def test_a_chain_at_the_exponent_bound_gets_a_verdict(tmp_path, capsys):
     assert code == 0
     assert report["results"]["verdict"] == "irreducible"
     assert report["results"]["element"] == {"kind": "field", "shift": -999}
+
+
+def _cli_report(argv, capsys):
+    from gliderbs.cli import main
+
+    capsys.readouterr()
+    code = main(["--output", "json", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_primes_past_the_bound_are_schema_errors(tmp_path, capsys):
+    """A prime past `MAX_PRIME` is refused before trial division tests
+    it: 10^20 + 39 kept `classify` running past 10 s."""
+    assert jsonio.MAX_PRIME == 10 ** 12
+    for p in (10 ** 20 + 39, jsonio.MAX_PRIME + 1, -jsonio.MAX_PRIME - 1):
+        doc = _recorded_document("tail_constant")
+        doc["filtration"]["valuations"][0]["p"] = p
+        with pytest.raises(SchemaError, match=f"{p} is past the bound {jsonio.MAX_PRIME} on primes"):
+            jsonio.loads_glider(doc)
+        code, report = _classify(doc, tmp_path, capsys)
+        assert code == 1 and report["kind"] == "SchemaError"
+        assert "(at glider.filtration.valuations[0].p)" in report["error"]
+    # the norm of a Gaussian prime: 1000001^2 + 1000000^2 is past 10^12
+    filt = {"schema": "gbs/1", "field": "Q(i)",
+            "valuations": [{"kind": "gauss", "pi": "1000001+1000000i"}],
+            "phi": {"window": [0, 0], "table": {"0": [0]},
+                    "tailPlus": {"period": 1, "inc": [1]},
+                    "tailMinus": {"period": 1, "inc": [1]}}}
+    with pytest.raises(SchemaError, match=r"\(at filtration.valuations"
+                                          r"\[0\].pi\)"):
+        jsonio.loads_filtration(filt)
+    ext = {"schema": "gbs/1", "minpoly": "t^2+1",
+           "valuation": {"over": str(10 ** 20 + 39)}}
+    with pytest.raises(SchemaError, match=r"\(at extension.valuation.over"):
+        jsonio.loads_extension(ext)
+    ext["valuation"] = {"over": "5", "kind": "split",
+                        "factor": "1000001+1000000i"}
+    with pytest.raises(SchemaError, match=r"\(at extension.valuation.factor"):
+        jsonio.loads_extension(ext)
+    # within the bound the document loads
+    ext["valuation"] = {"over": "1000000009", "kind": "split"}
+    assert jsonio.roundtrip(jsonio.dumps(ext))
+
+
+def test_numbers_too_long_to_print_are_typed_errors(tmp_path, capsys):
+    """Exponents within `MAX_EXPONENT` still make numbers of more than
+    4,300 digits at a prime above 10^4: printing one is an
+    `UnsupportedError`, and the command exits 1 with a JSON report."""
+    doc = _recorded_document("tail_constant")
+    doc["filtration"]["valuations"][0]["p"] = 100003
+    doc["prefix"][1]["exps"] = [1000]
+    code, report = _classify(doc, tmp_path, capsys)
+    assert code == 1 and report["kind"] == "UnsupportedError"
+    # two primes, each exponent within the bound: 9973^1000 * 9967^1000
+    doc = _recorded_document("tail_constant")
+    filt = doc["filtration"]
+    filt["valuations"] = [{"kind": "padic", "p": 9973},
+                          {"kind": "padic", "p": 9967}]
+    filt["phi"]["table"] = {"0": [0, 0]}
+    for tail in ("tailPlus", "tailMinus"):
+        filt["phi"][tail]["inc"] = [1, 1]
+    doc["prefix"] = [{"exps": [0, 0]}, {"exps": [1000, 1000]}]
+    code, report = _classify(doc, tmp_path, capsys)
+    assert code == 1 and report["kind"] == "UnsupportedError"
+
+
+def test_element_strings_bound_their_exponents(tmp_path, capsys):
+    """A `^` past `MAX_EXPONENT` is refused by its value, before the power
+    is built; so is a number of more digits than Python reads."""
+    from gliderbs.errors import ParseError
+    from gliderbs.fields import MAX_EXPONENT, QQ_FIELD
+
+    assert QQ_FIELD.parse(f"5^-{MAX_EXPONENT}") * \
+        QQ_FIELD.parse(f"5^{MAX_EXPONENT}") == 1
+    for text in ("5^1001", "5^-10000", "5^" + "9" * 5000, "9" * 5000,
+                 "1/0"):
+        with pytest.raises(ParseError):
+            QQ_FIELD.parse(text)
+    lattice = {"base": {"field": "Q",
+                        "valuations": [{"kind": "padic", "p": 5}]},
+               "dim": 1, "rows": [["5^10000"]]}
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(lattice))
+    code, report = _cli_report(["roundtrip", str(path)], capsys)
+    assert code == 1 and report["kind"] == "ParseError"
+    assert "exponent 10000 is past the bound 1000" in report["error"]
+    # a JSON integer of more digits than Python reads
+    path.write_text('{"schema": "gbs/1", "field": "Q", "points": [["1", '
+                    + "9" * 5000 + ']]}')
+    code, report = _cli_report(["roundtrip", str(path)], capsys)
+    assert code == 1 and report["kind"] == "SchemaError"
+
+
+def test_an_element_too_long_to_print_raises_a_typed_error():
+    from fractions import Fraction
+
+    from gliderbs.errors import UnsupportedError
+    from gliderbs.fields import QQ_FIELD
+
+    big = QQ_FIELD.from_fraction(Fraction(10 ** 5000))
+    for show in (str, repr):
+        with pytest.raises(UnsupportedError, match="more digits"):
+            show(big)

@@ -1,10 +1,11 @@
 """Laws of the lattice kernel that need no second path, on every kind of
 base ring: Z_(S) (Q at 5, Q at {2,3}), R given by its valuations (Q(i)
-at 2+i), F_3[x]_(x), F_3[x]_(x+2), Q[x]_(x^2+1) and Q[x]_(3x+1) (the last
-at a prime that is not monic).  The normal form is canonical under row
-permutation, unimodular mixing and unit scaling: equal modules have
-identical stores and hashes, not only `==`; `mult` is associative;
-`quotient_length` is additive along a chain."""
+at 2+i, at 1+i and at 3), F_3[x]_(x), F_3[x]_(x+2), F_3[x] at {x, x^2+1},
+F_5[x]_(x^2+2) (residue field F_25), Q[x]_(x^2+1), Q[x]_(3x+1) (at a prime
+that is not monic) and Q(x) at 2x^2+2, the place of x^2+1.  The normal
+form is canonical under row permutation, unimodular mixing and unit
+scaling: equal modules have identical stores and hashes, not only `==`;
+`mult` is associative; `quotient_length` is additive along a chain."""
 
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
@@ -15,6 +16,7 @@ from gliderbs.lattice import (BaseRing, matrix_algebra, mult,
                               quotient_length, span)
 
 F3X = fp_func_field(3)
+F5X = fp_func_field(5)
 # a failing example is reported as drawn: shrinking one over F_3(x) can
 # take many minutes
 NO_SHRINK = [Phase.explicit, Phase.generate]
@@ -23,6 +25,7 @@ M2 = matrix_algebra(2)
 # polynomial bases: denominators inside and outside each prime
 POLY_DENOMINATORS = ["1", "x", "x+2", "x^2+1", "3*x+1", "x+1", "x^2+x+2"]
 POLY_UNITS = ["1", "-1", "x+1", "1/(x+1)"]
+POLY_MULTIPLIERS = ["x", "x+2", "x^2+1", "3*x+1"]
 # Q(i) at 2+i: 2-i, 3 and 1+i are units there
 GAUSS_DENOMINATORS = ["1", "2+i", "2-i", "3", "5", "1+i"]
 GAUSS_UNITS = ["1", "-1", "i", "2-i", "1/(1+i)"]
@@ -41,14 +44,27 @@ BASES = {
     "F_3(x) at x": (BaseRing(F3X, [xadic(F3X)]), "x", POLY_DENOMINATORS,
                     POLY_UNITS, ["x", "x+2", "x^2+1", "3*x+1"]),
     "F_3(x) at x+2": (BaseRing(F3X, [poly_prime("x+2", F3X)]), "x",
-                      POLY_DENOMINATORS, POLY_UNITS,
-                      ["x", "x+2", "x^2+1", "3*x+1"]),
+                      POLY_DENOMINATORS, POLY_UNITS, POLY_MULTIPLIERS),
+    "F_3(x) at x,x^2+1": (BaseRing(F3X, [xadic(F3X),
+                                         poly_prime("x^2+1", F3X)]), "x",
+                          POLY_DENOMINATORS, POLY_UNITS, POLY_MULTIPLIERS),
+    "F_5(x) at x^2+2": (BaseRing(F5X, [poly_prime("x^2+2", F5X)]), "x",
+                        [*POLY_DENOMINATORS, "x^2+2"], POLY_UNITS,
+                        [*POLY_MULTIPLIERS, "x^2+2"]),
     "Q(x) at x^2+1": (BaseRing(QX_FIELD, [poly_prime("x^2+1")]), "x",
-                      POLY_DENOMINATORS, POLY_UNITS,
-                      ["x", "x+2", "x^2+1", "3*x+1"]),
+                      POLY_DENOMINATORS, POLY_UNITS, POLY_MULTIPLIERS),
     "Q(x) at 3x+1": (BaseRing(QX_FIELD, [poly_prime("3*x+1")]), "x",
-                     POLY_DENOMINATORS, POLY_UNITS,
-                     ["x", "x+2", "x^2+1", "3*x+1"]),
+                     POLY_DENOMINATORS, POLY_UNITS, POLY_MULTIPLIERS),
+    "Q(x) at 2x^2+2": (BaseRing(QX_FIELD, [poly_prime("2*x^2+2")]), "x",
+                       [*POLY_DENOMINATORS, "2*x^2+2"], POLY_UNITS,
+                       [*POLY_MULTIPLIERS, "2*x^2+2"]),
+    # 2+i and 3 are units at 1+i, 1+i and 2+i at 3
+    "Q(i) at 1+i": (BaseRing(GAUSS_FIELD, [gauss_prime("1+i")]), "i",
+                    GAUSS_DENOMINATORS, ["1", "-1", "i", "2+i", "1/3"],
+                    ["1+i", "2", "3+i"]),
+    "Q(i) at 3": (BaseRing(GAUSS_FIELD, [gauss_prime("3")]), "i",
+                  [*GAUSS_DENOMINATORS, "9"], ["1", "-1", "i", "1/(1+i)"],
+                  ["3", "6", "3+3*i"]),
 }
 
 

@@ -5,9 +5,11 @@ inverse pivot block that each lattice root caches.  The plain kernel of
 here.  Over the PIDs both sides take their normal forms from `lattice._hnf`,
 so that they compare on bases whose field kernel lacks residues (F_5(x)
 at x^2+2) and what differs between them is only the code under test.
-Over the bases whose ring is given by its valuations (Q(i), Q(x,y), Q(x)
-at 2x^2+2) the reference takes the field kernel's normal form, so that
-the ring's values, divisibility and digits are under test too."""
+Over the bases whose ring is given by its valuations (Q(i), Q(x,y)), and
+over Q(x) at 2x^2+2 (the PID at x^2+1, whose residue field Q[x]/(x^2+1)
+the field kernel has), the reference takes the field kernel's normal
+form, so that the ring's values, divisibility and digits are under test
+too."""
 
 import random
 import statistics
@@ -51,7 +53,7 @@ BASES = {
     "Q(x) at 2x^2+2": (BaseRing(QX_FIELD, [poly_prime("2*x^2+2")]), "x",
                        ["1", "x^2+1", "(x^2+1)^2", "x", "2"], 1),
 }
-# the bases whose ring is given by its valuations
+# the bases whose reference takes the field kernel's normal form
 VALUED = ["Q(i) at 2+i", "Q(i) at 1+i", "Q(i) at 3", "Q(x,y) at x",
           "Q(x) at 2x^2+2"]
 

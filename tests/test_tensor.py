@@ -4,6 +4,7 @@ library no longer forms are kept here as the reference its collapsed
 levels are checked against."""
 
 import random
+import time
 from itertools import count
 
 import pytest
@@ -329,3 +330,28 @@ def test_a_non_glider_is_rejected(f5):
     chain = Glider(f5, "field", [FracIdeal(f5.base_ring, (0,))], Constant())
     with pytest.raises(SpecValidationError, match=r"witness \(1, 1, .*1/5"):
         tensor_glider(chain, gauss_extension(5, "split", "2+i"))
+
+
+def _searched_factor(p):
+    """The split factor a+bi of p, a <= b, by the search over every pair
+    that the construction replaced: the reference."""
+    a = next(a for a in range(1, p)
+             if any(a * a + b * b == p for b in range(1, p)))
+    b = next(b for b in range(1, p) if a * a + b * b == p)
+    return a, b
+
+
+def test_the_split_factor_is_constructed():
+    """Below 2,000 the factor is the one the search gives; at 10^9 + 9,
+    where the search did not end within 20 s, it takes well under 1 s."""
+    from math import isqrt
+
+    i = GAUSS_FIELD.gen("i")
+    for p in range(5, 2000, 4):
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            a, b = _searched_factor(p)
+            assert gauss_extension(p).w.pi == a + b * i, p
+    start = time.perf_counter()
+    ext = gauss_extension(1000000009)
+    assert time.perf_counter() - start < 1
+    assert ext.w.pi == 3747 + 31400 * i
