@@ -31,10 +31,19 @@ from .rank2 import (classify_z2_glider, residue_glider,
 from .tensorext import gbs_map, tensor_filtration
 
 
+def _degree(text):
+    """An int at most `jsonio.MAX_WINDOW` in absolute value."""
+    k = int(text)
+    if abs(k) > jsonio.MAX_WINDOW:
+        raise argparse.ArgumentTypeError(
+            f"{k} is past the bound {jsonio.MAX_WINDOW}")
+    return k
+
+
 def _window(text):
     try:
         a, b = text.split(":")
-        return int(a), int(b)
+        return _degree(a), _degree(b)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"window must be a:b, got {text!r}")
@@ -101,7 +110,7 @@ def build_parser():
     s.add_argument("--ext", required=True)
     s.add_argument("--filtration", required=True)
     s.add_argument("--points", required=True)
-    s.add_argument("--shift", type=_ks, default=(0,))
+    s.add_argument("--shift", type=_degree, default=0)
 
     s = sub.add_parser("brandt", help="normal glider ideal operations")
     s.add_argument("op", choices=("mul", "inv", "unit", "verify"))
@@ -216,11 +225,10 @@ def _cmd_tensor_map(args):
     ext = jsonio.loads_extension(_read(args.ext))
     filt = jsonio.loads_filtration(_read(args.filtration))
     pts = jsonio.loads_points(_read(args.points))
-    shift = args.shift[0]
     tensor_filtration(filt, ext)  # rejects a bad pair, even with no points
     out = []
     for p in pts:
-        el = GbsElement("csa", shift, point=p, filtration=filt)
+        el = GbsElement("csa", args.shift, point=p, filtration=filt)
         img = gbs_map(el, ext)
         out.append({"source": jsonio.encode_element(el),
                     "image": jsonio.encode_element(img)})

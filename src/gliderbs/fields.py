@@ -1337,10 +1337,17 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent over the tokens.  `nest` is the product of the
+    exponents of the chain of directly nested powers that ends in the last
+    expression parsed (each power's base, inside parentheses and signs, is
+    the power before it), or 1 when that expression is no power:
+    (5^1000)^1000 has nest 10^6 and is refused before it is built."""
+
     def __init__(self, field, tokens):
         self.field = field
         self.toks = tokens
         self.i = 0
+        self.nest = 1
 
     def peek(self):
         return self.toks[self.i]
@@ -1379,6 +1386,7 @@ class _Parser:
                 self.next()
                 rhs = self.term()
                 e = e - rhs if v == "-" else e + rhs
+                self.nest = 1
             else:
                 return e
 
@@ -1395,6 +1403,7 @@ class _Parser:
                     e = e / rhs
                 else:
                     e = e * rhs
+                self.nest = 1
             else:
                 return e
 
@@ -1418,11 +1427,16 @@ class _Parser:
             if k > MAX_EXPONENT:
                 raise ParseError(f"exponent {k} is past the bound "
                                  f"{MAX_EXPONENT}", p2)
-            e = e ** (sign * k)
+            if self.nest * k > MAX_EXPONENT:
+                raise ParseError(
+                    f"nested exponents multiply to {self.nest * k}, past "
+                    f"the bound {MAX_EXPONENT}", p2)
+            e, self.nest = e ** (sign * k), self.nest * k
         return e
 
     def atom(self):
         kind, v, pos = self.next()
+        self.nest = 1
         if kind == "int":
             return self.field.from_fraction(_literal(v, pos))
         if kind == "imag":

@@ -29,6 +29,15 @@ SCHEMA = "gbs/1"
 # takes under 0.1 s at the bound.  An exponent's bound is
 # `fields.MAX_EXPONENT`, which element strings obey too.
 MAX_PRIME = 10 ** 12
+# the largest absolute value of a degree that bounds a window (of `phi`
+# or of an explicit algebra filtration) and the largest tail period: the
+# step function's checks are quadratic in its horizon, the window plus two
+# periods per side, and take about 0.4 s at the bounds; the CLI's
+# `--window` and `tensor-map --shift` obey it too
+MAX_WINDOW = 100
+# the most levels a glider's prefix holds: `is_glider` is quadratic in
+# its window, which reaches past the prefix
+MAX_PREFIX = 100
 
 __all__ = [
     "SCHEMA", "dumps", "loads_filtration", "loads_glider", "loads_z2",
@@ -81,15 +90,25 @@ def _ints(values, where, length=None):
     return tuple(_int(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
+def _bounded(value, bound, what, where):
+    """value, at most `bound` in absolute value."""
+    if abs(value) > bound:
+        raise SchemaError(f"{what} {value} is past the bound {bound}", where)
+    return value
+
+
 def _exponents(values, where):
     """A JSON list of ideal exponents, each at most `MAX_EXPONENT` in
     absolute value."""
-    exps = _ints(values, where)
-    for i, e in enumerate(exps):
-        if abs(e) > MAX_EXPONENT:
-            raise SchemaError(f"exponent {e} is past the bound "
-                              f"{MAX_EXPONENT}", f"{where}[{i}]")
-    return exps
+    return tuple(_bounded(e, MAX_EXPONENT, "exponent", f"{where}[{i}]")
+                 for i, e in enumerate(_ints(values, where)))
+
+
+def _window(values, where):
+    """A window [lo, hi], each end at most `MAX_WINDOW` in absolute
+    value."""
+    return tuple(_bounded(e, MAX_WINDOW, "degree", f"{where}[{i}]")
+                 for i, e in enumerate(_ints(values, where, 2)))
 
 
 def _prime_size(p, where):
@@ -192,18 +211,20 @@ def encode_phi(phi):
 def _decode_period_tail(obj, where):
     """(period, increments) of a tail block."""
     _check_keys(obj, ["period", "inc"], (), where)
-    return (_int(obj["period"], where + ".period"),
+    return (_bounded(_int(obj["period"], where + ".period"), MAX_WINDOW,
+                     "period", where + ".period"),
             _exponents(obj["inc"], where + ".inc"))
 
 
 def decode_phi(obj, order="componentwise", where="phi"):
     _check_keys(obj, ["window", "table", "tailPlus", "tailMinus"], (), where)
+    window = _window(obj["window"], where + ".window")
     if not isinstance(obj["table"], dict):
         raise SchemaError("expected an object", where + ".table")
     table = {_int_text(k, where + ".table"):
              _exponents(v, f"{where}.table.{k}")
              for k, v in obj["table"].items()}
-    return StepFunction(_ints(obj["window"], where + ".window", 2), table,
+    return StepFunction(window, table,
                         _decode_period_tail(obj["tailPlus"],
                                             where + ".tailPlus"),
                         _decode_period_tail(obj["tailMinus"],
@@ -314,7 +335,7 @@ def loads_filtration(text_or_obj, where="filtration"):
                           where + ".algebra.mode")
     _check_keys(aobj, ["desc", "mode", "order", "window", "levels",
                        "tailPlus", "tailMinus"], (), where + ".algebra")
-    window = _ints(aobj["window"], where + ".algebra.window", 2)
+    window = _window(aobj["window"], where + ".algebra.window")
     levels = [decode_lattice(l, where + ".algebra.levels",
                              base=base.base_ring)
               for l in _list(aobj["levels"], where + ".algebra.levels")]
@@ -387,6 +408,10 @@ def loads_glider(text_or_obj, where="glider"):
     _check_keys(obj, ["schema", "filtration", "ambient", "prefix", "tail"],
                 ["algebra"], where)
     _schema_check(obj, where)
+    levels = _list(obj["prefix"], where + ".prefix")
+    if len(levels) > MAX_PREFIX:
+        raise SchemaError(f"a prefix of {len(levels)} levels is past the "
+                          f"bound {MAX_PREFIX}", where + ".prefix")
     filt = loads_filtration(obj["filtration"], where + ".filtration")
     base = filt.base_ring
     ambient = obj["ambient"]
@@ -400,7 +425,6 @@ def loads_glider(text_or_obj, where="glider"):
         else:
             raise SchemaError("algebra glider needs an algebra", where)
         dim = alg.dim
-    levels = _list(obj["prefix"], where + ".prefix")
     prefix = [_decode_level(l, base, dim, ambient, f"{where}.prefix[{i}]")
               for i, l in enumerate(levels)]
     tail = _decode_tail(

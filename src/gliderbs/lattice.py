@@ -24,11 +24,13 @@ its `int_row` (`span`, `solve_dual`, `coords`, `contains_vector`), and
 field elements are built only at the boundary (`Lattice.rows`, `coords`).
 The normal form `_hnf`, products, duals, colons, intersections and
 membership compute on the ring's elements, from the stores and the inverse
-pivot block each root caches (`_inverse`); so do the quotient spaces of the
-simplicity test up to the residues, which the ring reads off into the
-residue field's reps (`_QuotientSpace`).  Inside a memo scope, containment
-between different roots is decided by a shift bound per pair of primitive
-parts (`Lattice.contains`, `_shift_bound`).
+pivot block each root caches with its null forms (`_inverse`), which span
+the vectors orthogonal to the rows: every null space is read off a normal
+form, so `_hnf` is the one elimination on the ring.  So do the quotient
+spaces of the simplicity test up to the residues, which the ring reads off
+into the residue field's reps (`_QuotientSpace`).  Inside a memo scope,
+containment between different roots is decided by a shift bound per pair
+of primitive parts (`Lattice.contains`, `_shift_bound`).
 
 Full (rank d) lattices model orders, two-sided ideals and filtration
 levels; lower-rank modules appear as levels of chains inside a proper left
@@ -47,7 +49,6 @@ from operator import mul
 from . import fields, linalg
 from .errors import (BaseMismatchError, ContainmentError, RankError,
                      SpecValidationError, UnsupportedError)
-from .fields import QQ_FIELD
 
 __all__ = [
     "BaseRing", "AlgebraDesc", "matrix_algebra", "quaternion_algebra",
@@ -60,6 +61,9 @@ __all__ = [
 # the direction search of a quotient X/Y that the rank test leaves open
 # (`_QuotientSpace`) stops with UnsupportedError past this many directions
 DIRECTION_BOUND = 8192
+# the largest n of a matrix algebra M_n: lattices in K^(n^2), and M_6's
+# maximal order over Z_(5) takes about 1 s to build and check
+MAX_MATRIX_N = 6
 
 
 def require_int(value):
@@ -238,8 +242,11 @@ class AlgebraDesc:
 
     Either the full matrix algebra M_n (basis the matrix units, row-major)
     or the quaternion algebra (a, b) with basis 1, i, j, k.  Structure
-    constants are rational and validated once: associativity on all basis
-    triples, and the centre is exactly the scalars.
+    constants are rational and built, not checked: `matrix_algebra` and
+    `quaternion_algebra` check the only inputs (1 <= n <= MAX_MATRIX_N;
+    nonzero rational a and b), and the tables are associative with unit
+    `one_coords` and centre the scalars by construction
+    (`tests/test_structure_constants.py` proves it on samples).
     """
 
     _cache = {}
@@ -253,7 +260,6 @@ class AlgebraDesc:
         inst.kind = kind
         inst.params = params
         inst._init()
-        inst._validate()
         cls._cache[key] = inst
         return inst
 
@@ -299,35 +305,6 @@ class AlgebraDesc:
                                Fraction(0))
         else:
             raise UnsupportedError(f"unknown algebra kind {self.kind!r}")
-
-    def _validate(self):
-        d, k = self.dim, QQ_FIELD.reps
-
-        def mul(u, w):
-            return self.mul_coords(u, w, k)
-
-        basis = [list(self.basis_vector(s, k)) for s in range(d)]
-        for s, e_s in enumerate(basis):
-            for t, e_t in enumerate(basis):
-                for u, e_u in enumerate(basis):
-                    if mul(mul(e_s, e_t), e_u) != mul(e_s, mul(e_t, e_u)):
-                        raise SpecValidationError(
-                            f"structure constants not associative at "
-                            f"({s},{t},{u})")
-        one = self.one_vector(k)
-        for e_s in basis:
-            if mul(one, e_s) != e_s or mul(e_s, one) != e_s:
-                raise SpecValidationError("unit coordinates are wrong")
-        # centre = scalars: solve z*e_t = e_t*z for all t
-        rows = []
-        for e_t in basis:
-            comm = [[a - b for a, b in zip(mul(e_s, e_t), mul(e_t, e_s))]
-                    for e_s in basis]
-            rows += [[c[u] for c in comm] for u in range(d)]
-        null = linalg.right_nullspace(rows, k)
-        if len(null) != 1:
-            raise SpecValidationError(
-                f"centre has dimension {len(null)}, not 1: not central simple")
 
     # -- coordinate products -------------------------------------------------
 
@@ -423,8 +400,9 @@ class AlgebraDesc:
 
 
 def matrix_algebra(n):
-    if n < 1:
-        raise SpecValidationError("matrix algebra needs n >= 1")
+    if not 1 <= require_int(n) <= MAX_MATRIX_N:
+        raise SpecValidationError(
+            f"matrix algebra needs 1 <= n <= {MAX_MATRIX_N}, got {n}")
     return AlgebraDesc("matrix", n=n)
 
 
@@ -791,11 +769,13 @@ def _on_root(x, y, pick):
 # Duals, colons, intersections, membership and coordinates compute on the
 # elements of the ring (`BaseRing.ring`), from the stores, as the normal
 # form does.  A lattice root caches one derived value on first need, the
-# inverse of its pivot block (`_inverse`): canonical rows are echelon, so
-# the block is triangular, and its pivots are nonzero, so
-# back-substitution inverts it with exact divisions.  A scaled lattice
-# pi^e P reads the store and the inverse of its root P and the factor
-# pi^e.
+# inverse of its pivot block with its null forms (`_inverse`): canonical
+# rows are echelon, so the block is triangular, and its pivots are
+# nonzero, so back-substitution inverts it with exact divisions.  The null
+# forms are a K-basis of the vectors orthogonal to the rows, so a null
+# space is the normal form of the rows and its `_inverse`, and no second
+# elimination runs on the ring.  A scaled lattice pi^e P reads the store
+# and the inverse of its root P and the factor pi^e.
 
 def _inverse(lat):
     """(inv, inv_den, null) of lat's root, computed on first need and
@@ -847,7 +827,8 @@ def _inverse(lat):
                 if t:
                     for i in range(j + 1):
                         n[cols[i]] = n[cols[i]] - col[i] * t
-            null.append(_content_free(ring, n))
+            g = ring.gcd(*n)
+            null.append(n if g == ring.one else [a // g for a in n])
     object.__setattr__(root, "_inv", (inv, inv_den, null))
     return root._inv
 
@@ -917,49 +898,6 @@ def _shift_bound(p, q):
     return () if mu is None else mu
 
 
-def _content_free(ring, v):
-    """The row v divided by the gcd of its entries."""
-    g = ring.gcd(*v)
-    return v if g == ring.one or not g else [a // g for a in v]
-
-
-def _ring_nullspace(ring, rows, n):
-    """A basis of {a in K^n : sum_k a_k t_k = 0 for each row t}, in rows of
-    ring elements: Gauss-Jordan elimination without division, each row
-    kept free of a common factor, then per free column f the solution with
-    a_f the product of the pivots."""
-    work, done = [r for r in rows if any(r)], []
-    for c in range(n):
-        i = next((i for i, r in enumerate(work) if r[c]), None)
-        if i is None:
-            continue
-        prow = work.pop(i)
-        work = [r for r in (_clear(ring, r, prow, c) for r in work) if any(r)]
-        done = [(d, _clear(ring, r, prow, c)) for d, r in done] + \
-            [(c, prow)]
-    prod = ring.one
-    for d, r in done:
-        prod = prod * r[d]
-    basis = []
-    for f in range(n):
-        if all(f != d for d, _ in done):
-            a = [ring.zero] * n
-            a[f] = prod
-            for d, r in done:
-                a[d] = -(r[f] * (prod // r[d]))
-            basis.append(_content_free(ring, a))
-    return basis
-
-
-def _clear(ring, r, prow, c):
-    """Row r with column c cleared by the pivot row prow, without division,
-    and free of a common factor."""
-    if not r[c]:
-        return r
-    return _content_free(ring, [prow[c] * a - r[c] * b
-                                for a, b in zip(r, prow)])
-
-
 def solve_dual(base, dim, int_conditions, zero_conditions=()):
     """The module {a in K^dim : <a, t> in R for all t in int_conditions and
     <a, t> = 0 for all t in zero_conditions}: its basis is the columns of
@@ -979,8 +917,10 @@ def solve_dual(base, dim, int_conditions, zero_conditions=()):
     conds = [on_ring(t) for t in int_conditions]
     embed = None
     if zero_conditions:
-        embed = _ring_nullspace(
-            ring, [on_ring(t)[0] for t in zero_conditions], dim)
+        # the null forms of the zero conditions' span: a K-basis of the
+        # vectors orthogonal to every zero condition
+        embed = _inverse(_ring_span(
+            base, dim, [on_ring(t) for t in zero_conditions]))[2]
         if not embed:
             return zero_lattice(base, dim)
         conds = [([sum(map(mul, row, nums), ring.zero) for row in embed], d)
@@ -998,43 +938,29 @@ def solve_dual(base, dim, int_conditions, zero_conditions=()):
 
 
 def intersect(x, y):
+    """X meet Y.  On one root, pi^max(a,b) P; else one `solve_dual`: a
+    vector lies in X = t * P iff its coordinates a_c P^-1 / t, read at P's
+    pivot columns c, are integral and it is orthogonal to P's null forms,
+    at any rank."""
     if x is ZERO_MODULE or y is ZERO_MODULE:
         return ZERO_MODULE
     _check_compatible(x, y)
     if x.root is y.root:
         return _on_root(x, y, max)
-    base, dim, ring = x.base, x.dim, x.base.ring
-    if x.full and y.full:
-        # X meet Y is dual to the columns of X^-1 and Y^-1
-        conds = []
-        for lat in (x, y):
-            inv, inv_den, _ = _inverse(lat)
-            tn, td = lat.base.prime_powers(lat.exps)
-            d = inv_den * tn
-            for col in inv:
-                conds.append(
-                    ([a * td for a in col] + [ring.zero] * (dim - len(col)),
-                     d))
-        return solve_dual(base, dim, conds)
-    if not (x.rank and y.rank):
-        return zero_lattice(base, dim)
-    # the common K-span first: u . [X; Y] = 0 gives u[:rank X] . X in both
-    xn, yn = x.root.store[0], y.root.store[0]
-    null = _ring_nullspace(ring, [list(c) for c in zip(*(xn + yn))],
-                           len(xn) + len(yn))
-    sbasis = [_content_free(ring, [sum(map(mul, u, c), ring.zero)
-                                   for c in zip(*xn)]) for u in null]
-    if not sbasis:
-        return zero_lattice(base, dim)
-    conds = []
+    ring, dim = x.base.ring, x.dim
+    int_conds, zero_conds = [], []
     for lat in (x, y):
-        Q, d, _ = _ring_coords(lat, sbasis, ring.one)
-        conds += [(list(c), d) for c in zip(*Q)]
-    z = solve_dual(base, len(sbasis), conds)
-    zn, zd = _ring_rows(z)
-    return _ring_span(base, dim, [
-        ([sum(map(mul, r, c), ring.zero) for c in zip(*sbasis)], zd)
-        for r in zn])
+        inv, inv_den, null = _inverse(lat)
+        tn, td = lat.base.prime_powers(lat.exps)
+        # one denominator object per lattice: `_hnf` splits it once
+        d = inv_den * tn
+        for col in inv:
+            t = [ring.zero] * dim
+            for c, a in zip(lat.root.store[2], col):
+                t[c] = a * td
+            int_conds.append((t, d))
+        zero_conds += [(n, ring.one) for n in null]
+    return solve_dual(x.base, dim, int_conds, zero_conds)
 
 
 # ---------------------------------------------------------------------------

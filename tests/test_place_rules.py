@@ -8,7 +8,7 @@ import ast
 import os
 import re
 
-from gliderbs import fields, jsonio
+from gliderbs import fields, jsonio, lattice
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -72,3 +72,7 @@ def test_the_documented_bounds_are_the_codes():
     assert _stated_bound(text, "jsonio.MAX_EXPONENT") == jsonio.MAX_EXPONENT
     assert _stated_bound(text, "fields.MAX_EXPONENT") == fields.MAX_EXPONENT
     assert _stated_bound(text, "jsonio.MAX_PRIME") == jsonio.MAX_PRIME
+    assert _stated_bound(text, "jsonio.MAX_WINDOW") == jsonio.MAX_WINDOW
+    assert _stated_bound(text, "jsonio.MAX_PREFIX") == jsonio.MAX_PREFIX
+    assert _stated_bound(text, "lattice.MAX_MATRIX_N") == \
+        lattice.MAX_MATRIX_N
