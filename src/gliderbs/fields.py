@@ -50,7 +50,7 @@ __all__ = [
     "quot_field",
     "padic", "gauss_prime", "xadic", "yadic", "poly_prime", "composite2",
     "field_from_name", "rational_value", "substitute", "gauss_norm",
-    "pid_ring", "MAX_EXPONENT",
+    "pid_ring", "MAX_EXPONENT", "MAX_POWER_WEIGHT",
 ]
 
 # the largest absolute value of an exponent that the input spells: a `^`
@@ -58,6 +58,10 @@ __all__ = [
 # degree map's; a report may print pi^e, and Python prints no int of more
 # than 4,300 digits
 MAX_EXPONENT = 1000
+# the largest weight of a power in an element string (`_Parser`): the
+# weight bounds the bits of a number and the degree of a polynomial, and
+# (x^2+x+1)^1000, of weight 4000, takes about 1 s to build over Q(x)
+MAX_POWER_WEIGHT = 4000
 
 
 class _Infinity:
@@ -1341,13 +1345,19 @@ class _Parser:
     exponents of the chain of directly nested powers that ends in the last
     expression parsed (each power's base, inside parentheses and signs, is
     the power before it), or 1 when that expression is no power:
-    (5^1000)^1000 has nest 10^6 and is refused before it is built."""
+    (5^1000)^1000 has nest 10^6 and is refused before it is built.
+    `weight` is the last expression's weight: a number literal's bits, 1
+    for a generator, the larger operand's plus 1 for a sum, the sum of
+    both for a product or quotient, and k times the base's for a k-th
+    power, which is refused past `MAX_POWER_WEIGHT` before it is built:
+    (5^1000+1)^1000 has weight 3,001,000."""
 
     def __init__(self, field, tokens):
         self.field = field
         self.toks = tokens
         self.i = 0
         self.nest = 1
+        self.weight = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -1378,6 +1388,7 @@ class _Parser:
                 neg = not neg
             kind, v, _ = self.peek()
         e = self.term()
+        w = self.weight
         if neg:
             e = -e
         while True:
@@ -1386,12 +1397,14 @@ class _Parser:
                 self.next()
                 rhs = self.term()
                 e = e - rhs if v == "-" else e + rhs
-                self.nest = 1
+                self.nest, w = 1, max(w, self.weight) + 1
             else:
+                self.weight = w
                 return e
 
     def term(self):
         e = self.factor()
+        w = self.weight
         while True:
             kind, v, _ = self.peek()
             if kind == "op" and v in "*/":
@@ -1403,8 +1416,9 @@ class _Parser:
                     e = e / rhs
                 else:
                     e = e * rhs
-                self.nest = 1
+                self.nest, w = 1, w + self.weight
             else:
+                self.weight = w
                 return e
 
     def factor(self):
@@ -1431,17 +1445,24 @@ class _Parser:
                 raise ParseError(
                     f"nested exponents multiply to {self.nest * k}, past "
                     f"the bound {MAX_EXPONENT}", p2)
+            if k * self.weight > MAX_POWER_WEIGHT:
+                raise ParseError(
+                    f"a power of weight {k * self.weight} is past the "
+                    f"bound {MAX_POWER_WEIGHT}", p2)
             e, self.nest = e ** (sign * k), self.nest * k
+            self.weight *= k
         return e
 
     def atom(self):
         kind, v, pos = self.next()
-        self.nest = 1
-        if kind == "int":
-            return self.field.from_fraction(_literal(v, pos))
-        if kind == "imag":
-            return self.field.from_fraction(_literal(v, pos)) * \
-                self.field.gen("i")
+        self.nest, self.weight = 1, 1
+        if kind in ("int", "imag"):
+            q = _literal(v, pos)
+            self.weight = (q.numerator * q.denominator).bit_length()
+            if kind == "int":
+                return self.field.from_fraction(q)
+            self.weight += 1
+            return self.field.from_fraction(q) * self.field.gen("i")
         if kind == "name":
             return self.field.gen(v)
         if kind == "op" and v == "(":

@@ -11,6 +11,12 @@ two tail periods per side; the validator performs that check.
 Algebra filtrations extend a field filtration to a matrix or quaternion
 algebra, either induced (F_nA = F_nK * B) or by an explicit window of
 lattices with multiplicative ideal tails.
+
+Strength and the e-step property are decided in one degree each, for
+every kind of filtration (`_strong_in`): degree 1 and the first degree e
+where the negative part falls.  The product law carries strength in that
+degree to every multiple of it, as superadditivity does for phi, so no
+degree scan remains.
 """
 
 from __future__ import annotations
@@ -414,66 +420,53 @@ def member(filt, n, x):
     return True
 
 
-def is_strong(filt):
-    """Strength at every degree, decided in degree 1.
-
-    Field filtration: phi(1) + phi(-1) = 0.  Superadditivity gives
-    phi(n + 1) >= phi(n) + phi(1) and phi(n + 1) <= phi(n) - phi(-1), so
-    then phi(n) = n * phi(1) for every n (either order on the values).
-    Explicit mode: L_1 L_-1 = L_0 = L_-1 L_1.  Induced mode asks its base.
-    """
+def _strong_in(filt, d):
+    """Strength in degree d, the one test for every kind of filtration:
+    phi(d) + phi(-d) = 0 for a field filtration, L_d L_-d = L_0 =
+    L_-d L_d for an explicit algebra filtration, and its base's answer
+    for an induced one (F_nK B F_mK B = F_nK F_mK B)."""
     if isinstance(filt, AlgebraFiltration):
         if filt.mode == "induced":
-            return is_strong(filt.base)
-        l1, lm1, l0 = filt.level(1), filt.level(-1), filt.level(0)
-        return (mult(l1, lm1, filt.alg) == l0
-                and mult(lm1, l1, filt.alg) == l0)
+            return _strong_in(filt.base, d)
+        ld, lmd, l0 = filt.level(d), filt.level(-d), filt.level(0)
+        return (mult(ld, lmd, filt.alg) == l0
+                and mult(lmd, ld, filt.alg) == l0)
     ph = filt.phi
-    return _vec_add(ph(1), ph(-1)) == (0,) * ph.r
+    return _vec_add(ph(d), ph(-d)) == (0,) * ph.r
+
+
+def is_strong(filt):
+    """Strength at every degree, decided in degree 1 (`_strong_in`).
+
+    Field filtration: superadditivity gives phi(n + 1) >= phi(n) + phi(1)
+    and phi(n + 1) <= phi(n) - phi(-1), so phi(1) + phi(-1) = 0 makes
+    phi(n) = n * phi(1) for every n (either order on the values).
+    Explicit mode: L_0 is a ring with 1, so L_0 L_n = L_n = L_n L_0, and
+    the product law gives L_{n+1} = L_{n+1} L_{-1} L_1 <= L_n L_1 <=
+    L_{n+1}; so L_n = L_1^n and L_{-n} = L_{-1}^n, and L_1 L_{-1} = L_0 =
+    L_{-1} L_1 telescopes to L_n L_m = L_{n+m}.  Induced mode is its
+    base's."""
+    return _strong_in(filt, 1)
 
 
 def estep(filt):
-    """The least e >= 1 with F_-e strictly above F_-e-1 when the filtration
-    is a strong e-step filtration; None otherwise.
+    """The least e >= 1 with F_{-e} strictly above F_{-e-1} when the
+    filtration is a strong e-step filtration; None otherwise.  That is
+    strength in degree e (`_strong_in`), for every kind of filtration.
 
-    For a field filtration that is phi(e) + phi(-e) = 0, by the argument
-    of `is_strong` on n -> phi(n e); and phi(-1) = ... = phi(-e) holds each
-    block of e degrees constant, as phi(n e + t) + phi(-(n + 1) e) <=
-    phi(t - e) = phi(-e) for 0 <= t < e."""
-    if isinstance(filt, AlgebraFiltration) and filt.mode == "explicit":
-        return _estep_lattice(filt)
-    if isinstance(filt, AlgebraFiltration):
-        return estep(filt.base)
-    ph = filt.phi
-    # the minus increment is nonzero, so phi falls within the horizon
-    e = next(k for k in range(1, ph.horizon + 1) if ph(-k) != ph(-k - 1))
-    return e if _vec_add(ph(e), ph(-e)) == (0,) * ph.r else None
-
-
-def _estep_lattice(fa):
-    h = fa.horizon
-    e = next((k for k in range(1, h + 1)
-              if fa.level(-k) != fa.level(-k - 1)), None)
-    if e is None:
-        return None
-    power = fa.level(0)
-    reach = h + 2 * e
-    for n in range(0, reach // e + 1):
-        ln = fa.level(-n * e)
-        if n > 0:
-            power = mult(power, fa.level(-e), fa.alg)
-            if power != ln:
-                return None
-        if mult(fa.level(n * e), ln, fa.alg) != fa.level(0):
-            return None
-        if mult(ln, fa.level(n * e), fa.alg) != fa.level(0):
-            return None
-        for k in range(e):
-            if fa.level(-n * e + k) != ln:
-                return None
-            if fa.level(n * e + k) != fa.level(n * e):
-                return None
-    return e
+    The argument of `is_strong` on n -> F_{ne} gives F_{ne} = F_e^n,
+    F_{ne} F_{-ne} = F_0 = F_{-ne} F_{ne} and F_{-e} F_{(n+1)e} = F_{ne}
+    (phi(ne) = n phi(e) for a field).  Each block of e degrees is
+    constant, as F_{-1} = ... = F_{-e}: for 0 <= t < e,
+    phi(ne + t) + phi(-(n+1)e) <= phi(t - e) = phi(-e), and on lattices
+    L_{ne+t} = L_{ne+t} L_{-(n+1)e} L_{(n+1)e} <= L_{t-e} L_{(n+1)e} =
+    L_{-e} L_{(n+1)e} = L_{ne}.  The first fall lies within the horizon
+    when there is one: below the window the levels repeat by the minus
+    tail, which leaves them constant only when it is trivial."""
+    level = filt.level if isinstance(filt, AlgebraFiltration) else filt.phi
+    e = next((k for k in range(1, filt.horizon + 1)
+              if level(-k) != level(-k - 1)), None)
+    return e if e is not None and _strong_in(filt, e) else None
 
 
 def product_law_witness(fa):

@@ -6,7 +6,8 @@ none, and a non-strong filtration classifies through its strong e-step
 completion.  Algebra case: over a split matrix algebra with an induced
 filtration on a strong one-prime base, the irreducible chains are the
 column chains (F_m A v)_* indexed by a projective point and a shift when
-their level quotient is simple, and there are none when it is not.  Every
+their level quotient is simple, and there are none when it is not; the
+point and shift come off the top level, so one quotient decides.  Every
 Reducible verdict carries a witness subglider that re-verifies as
 nontrivial; every Irreducible verdict round-trips through realization.
 """
@@ -18,8 +19,9 @@ from .errors import SpecValidationError, UnsupportedError
 from .filtration import (AlgebraFiltration, is_strong,
                          strong_completion)
 from .glider import (Glider, ZeroAfter, classify_subglider_unchecked,
-                     fit_tail, realize_field_chain, require_glider)
-from .lattice import (FracIdeal, ZERO_MODULE, intermediate_module,
+                     fit_tail, realize_field_chain, require_glider,
+                     scalar_shift)
+from .lattice import (ZERO_MODULE, intermediate_module,
                       intersect, is_simple_quotient, memo_scope, mult,
                       require_int, span)
 
@@ -179,22 +181,13 @@ def represent_over(m, filt):
                     own=own)
 
 
-def _prime_multiple(m, j):
-    """pi_j * M for the j-th prime: a subglider, as pi_j is integral."""
-    ring = m._base_field_filtration().base_ring
-    ideal = FracIdeal(ring, tuple(int(t == j) for t in range(ring.nprimes)))
-    return Glider(m.filtration, m.ambient,
-                  [lvl.scale_ideal(ideal) for lvl in m.prefix], m.tail,
-                  alg=m.alg)
-
-
 def _multiplier_witness(m, rule):
     """The first nontrivial pi_j * M as a reducible verdict, or None.
     No integral multiplier c does better: pi_j * M is zero only where M
     is, so it is T3 or nontrivial, and when every pi_j * M is an index
     reparametrization of M, composing them makes c * M one."""
-    for j in range(m._base_field_filtration().base_ring.nprimes):
-        witness = _prime_multiple(m, j)
+    for pi in m.filtration.base_ring.uniformizers:
+        witness = scalar_shift(m, pi)
         verdict = classify_subglider_unchecked(witness, m)
         if verdict.kind == "nontrivial":
             return Verdict("reducible", witness=witness, witness_shift=0,
@@ -280,7 +273,8 @@ def _classify_strong(m, filt):
             return Verdict("irreducible",
                            element=GbsElement("field", n, filtration=filt),
                            rule=rule)
-    return _reducible(m, _prime_multiple(m, 0), 0, rule)
+    pi = m.filtration.base_ring.uniformizers[0]
+    return _reducible(m, scalar_shift(m, pi), 0, rule)
 
 
 def realize_field_element(filt, n):
@@ -354,7 +348,8 @@ def _csa_class(filt):
 def classify_csa_glider(m):
     """Verdict for a lattice chain over an induced matrix-algebra
     filtration on a strong one-prime base: every nonzero chain in the
-    class is a column chain (irreducible) or gets a witness."""
+    class is a column chain (irreducible) or gets a witness.  A column
+    chain takes one simplicity test, of its first quotient."""
     require_glider(m)
     out_of_class = _csa_class(m.filtration)
     if out_of_class is not None:
@@ -395,10 +390,17 @@ def classify_csa_glider(m):
         return _reducible(m, Glider(filt, "algebra", [
             intersect(lvl, cut) for lvl in m.prefix], m.tail, alg=alg), 0,
             "csa.principal")
+    # a column chain's quotients are scalar copies of M_0/M_1, so that one
+    # decides; any other chain has one that is not simple (were all
+    # simple, phi(1) = 1 and M_{i+1} = pi M_i, and Nakayama makes M_0 =
+    # pi^k B v: M is the column chain, see README)
     point = BsPoint(rows[0])
-    # level-quotient simplicity scan
+    bv = _column_module(filt, LeftIdeal(point).generator())
+    shift_s = _scalar_shift_exponent(top, bv)
+    column = shift_s is not None and \
+        m == realize_csa_element(filt, point, shift_s)
     order = filt.order
-    for i in range(h + 1):
+    for i in range(1 if column else h + 1):
         xi, yi = m.level(i), m.level(i + 1)
         if not is_simple_quotient(xi, yi, order, alg):
             # a quotient that is not simple has a module strictly inside
@@ -407,20 +409,12 @@ def classify_csa_glider(m):
                     if _is_scalar_step_gap(filt) else
                     "csa.relative-product")
             return _reducible(m, _csa_witness(m, i, w), i, rule)
-    # Every quotient is simple, so M is the column chain of (point, s):
-    # phi(1) >= 2 would leave pi M_0 strictly between M_0 and M_1, so
-    # F_1 A = pi^-1 B and M_{i+1} = pi M_i; for the least k with pi^k v in
-    # M_0, B pi^k v + pi M_0 = M_0, so M_0 = pi^k B v by Nakayama.
-    bv = _column_module(filt, LeftIdeal(point).generator())
-    shift_s = _scalar_shift_exponent(top, bv)
-    if shift_s is not None and m == realize_csa_element(filt, point, shift_s):
-        return Verdict("irreducible",
-                       element=GbsElement("csa", shift_s, point=point,
-                                          filtration=filt),
-                       rule="csa.relative-product")
-    # unreachable by the argument above; `_reducible` raises if pi M is not
-    # a nontrivial witness
-    return _reducible(m, _prime_multiple(m, 0), 0, "csa.relative-product")
+    if not column:  # pragma: no cover - unreachable by the argument above
+        raise UnsupportedError("simple quotients, but no column chain")
+    return Verdict("irreducible",
+                   element=GbsElement("csa", shift_s, point=point,
+                                      filtration=filt),
+                   rule="csa.relative-product")
 
 
 def _is_scalar_step_gap(filt):
@@ -489,7 +483,8 @@ def enumerate_gbs_csa(filt, window, points):
         return []
     # c -> c f^T (f the point's coordinates) maps B e_1 onto B v, so all
     # column chains share one level quotient: all irreducible when it is
-    # simple; else none, as only column chains pass the classifier's scan
+    # simple; else none, as the classifier finds a chain irreducible only
+    # when it is a column chain whose first quotient is simple
     first = realize_csa_element(filt, points[0], a)
     if not is_simple_quotient(first.level(0), first.level(1), filt.order,
                               filt.alg):

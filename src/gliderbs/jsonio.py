@@ -38,6 +38,10 @@ MAX_WINDOW = 100
 # the most levels a glider's prefix holds: `is_glider` is quadratic in
 # its window, which reaches past the prefix
 MAX_PREFIX = 100
+# the largest end of a rank-2 grid's window: `Z2Glider` compares every
+# pair of cells on its (J+3) x (I+3) horizon, a cost of the fourth power
+# of the side, and a 16 x 16 window validates in about 0.15 s
+MAX_GRID_WINDOW = 16
 
 __all__ = [
     "SCHEMA", "dumps", "loads_filtration", "loads_glider", "loads_z2",
@@ -489,10 +493,13 @@ def loads_z2(text_or_obj, where="z2-glider"):
                 (), where)
     _schema_check(obj, where)
     filt = Z2Filtration(obj["kind"])
+    window = tuple(
+        _bounded(e, MAX_GRID_WINDOW, "grid end", f"{where}.window[{i}]")
+        for i, e in enumerate(_ints(obj["window"], where + ".window", 2)))
     grid = [[_decode_z2_cell(c, f"{where}.grid[{j}][{i}]")
              for i, c in enumerate(_list(row, f"{where}.grid[{j}]"))]
             for j, row in enumerate(_list(obj["grid"], where + ".grid"))]
-    return Z2Glider(filt, _ints(obj["window"], where + ".window", 2), grid,
+    return Z2Glider(filt, window, grid,
                     _decode_z2_tail(obj["tailJ"], where + ".tailJ"),
                     _decode_z2_tail(obj["tailI"], where + ".tailI"))
 

@@ -308,73 +308,38 @@ class AlgebraDesc:
 
     # -- coordinate products -------------------------------------------------
 
-    def _field_table(self, field):
-        cache = getattr(self, "_ftables", None)
-        if cache is None:
-            cache = {}
-            self._ftables = cache
-        tbl = cache.get(field)
-        if tbl is None:
-            # per left index s, the (t, entries) of the pairs with a product
-            tbl = [[] for _ in range(self.dim)]
-            for (s, t), entries in sorted(self._table.items()):
-                tbl[s].append((t, tuple(
-                    (uu, None if c == 1 else field.from_fraction(c))
-                    for uu, c in entries)))
-            cache[field] = tbl
-        return tbl
-
-    def mul_coords(self, u, w, field):
-        """Product of two coordinate vectors of elements of `field`, or of
-        Q's reps when `field` is `QQ_FIELD.reps`; the kernel's products
-        run on the ring (`ring_products`)."""
-        tbl = self._field_table(field)
-        out = [field.zero()] * self.dim
-        for s, cs in enumerate(u):
-            if not cs:
-                continue
-            for t, entries in tbl[s]:
-                ct = w[t]
-                if not ct:
-                    continue
-                prod = cs * ct
-                for uu, c in entries:
-                    out[uu] = out[uu] + (prod if c is None else prod * c)
-        return out
-
-    def _ring_table(self, base):
+    def _lifted(self, domain):
         """(table, den): per basis index s, the (t, u, c) of the products
-        e_s e_t with coefficient c/den at u, for c and den elements of the
-        base's ring: den is the least common denominator of the structure
-        constants, and c is None where it equals 1."""
-        cache = self.__dict__.setdefault("_rtables", {})
-        tbl = cache.get(base)
+        e_s e_t with coefficient c/den at u, c None where it is 1.  Over a
+        field (or Q's reps) den is 1 and c an element; over a BaseRing,
+        c and den lie in its ring, den the least common denominator of
+        the structure constants.  One cache for both."""
+        cache = self.__dict__.setdefault("_lifted_tables", {})
+        tbl = cache.get(domain)
         if tbl is None:
-            ring, k = base.ring, base.scalars
-            den = lcm(*[c.denominator for entries in self._table.values()
-                        for _, c in entries])
+            if isinstance(domain, BaseRing):
+                ring, k = domain.ring, domain.scalars
+                den = lcm(*[c.denominator for entries in self._table.values()
+                            for _, c in entries])
 
-            def lift(c):
-                return ring.int_row([k.from_fraction(c * den)])[0][0]
-
+                def lift(c):
+                    return ring.int_row([k.from_fraction(c)])[0][0]
+            else:
+                den, lift = 1, domain.from_fraction
             table = [[] for _ in range(self.dim)]
             for (s, t), entries in sorted(self._table.items()):
-                table[s] += [(t, u, None if c * den == 1 else lift(c))
+                table[s] += [(t, u, None if c * den == 1 else lift(c * den))
                              for u, c in entries]
-            tbl = cache[base] = (table, lift(Fraction(1)))
+            tbl = cache[domain] = (table, lift(Fraction(den)))
         return tbl
 
-    def ring_products(self, us, ws, base):
-        """(prods, den): the products u w of the rows u in us and w in ws,
-        rows of elements of the base's ring, u-major, are prods[i] / den,
-        by the structure constants of `_ring_table`.  One body for every
-        algebra."""
-        table, den = self._ring_table(base)
-        zero = base.ring.zero
-        prods = []
+    def _products(self, us, ws, table, zero):
+        """The products u w of the rows u in us and w in ws, u-major, by a
+        table of `_lifted`: the one product loop."""
+        dim, prods = self.dim, []
         for u in us:
             for w in ws:
-                out = [zero] * self.dim
+                out = [zero] * dim
                 for s, a in enumerate(u):
                     if a:
                         for t, i, c in table[s]:
@@ -384,7 +349,22 @@ class AlgebraDesc:
                                 out[i] = out[i] + (ab if c is None
                                                    else ab * c)
                 prods.append(out)
-        return prods, den
+        return prods
+
+    def mul_coords(self, u, w, field):
+        """Product of two coordinate vectors of elements of `field`, or of
+        Q's reps when `field` is `QQ_FIELD.reps`; the kernel's products
+        run on the ring (`ring_products`)."""
+        return self._products([u], [w], self._lifted(field)[0],
+                              field.zero())[0]
+
+    def ring_products(self, us, ws, base):
+        """(prods, den): the products u w of the rows u in us and w in ws,
+        rows of elements of the base's ring, u-major, are prods[i] / den,
+        by the structure constants of `_lifted`.  One body for every
+        algebra and for `mul_coords`."""
+        table, den = self._lifted(base)
+        return self._products(us, ws, table, base.ring.zero), den
 
     def one_vector(self, field):
         return tuple(field.from_fraction(c) for c in self.one_coords)

@@ -20,7 +20,7 @@ from gliderbs.glider import (FiltrationTail, Glider, MultiplyBy, ZeroAfter,
                              classify_subglider, is_glider, shift)
 from gliderbs.jsonio import encode_filtration
 from gliderbs.lattice import (ZERO_MODULE, FracIdeal, canonicalize,
-                              matrix_algebra, mult, span)
+                              is_simple_quotient, matrix_algebra, mult, span)
 
 fe = QQ_FIELD.from_int
 M2 = matrix_algebra(2)
@@ -134,6 +134,50 @@ def test_every_valid_chain_gets_a_verified_verdict():
     assert len(seen) == 8 and all("reducible" in s for s in seen.values())
     assert "irreducible" in seen["maximal/dvr"]
     assert "irreducible" in seen["conjugate/dvr"]
+
+
+@pytest.mark.parametrize("name", sorted(filtrations()))
+def test_a_column_chain_takes_one_simplicity_test(name, monkeypatch):
+    """The point and the shift come off the top level, so a column chain,
+    irreducible or not, is decided by its first quotient alone."""
+    import gliderbs.gbs as gbs
+
+    fa = filtrations()[name]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return is_simple_quotient(*args)
+
+    monkeypatch.setattr(gbs, "is_simple_quotient", counted)
+    for point in _points():
+        for s in (-1, 0, 2):
+            del calls[:]
+            v = classify_csa_glider(realize_csa_element(fa, point, s))
+            assert len(calls) == 1, (name, point, s)
+            assert (v.status == "irreducible") == (
+                name in ("maximal/dvr", "conjugate/dvr"))
+            if v.status == "reducible":
+                assert v.witness_shift == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_quotient_witness_sits_at_the_first_quotient_not_simple(seed):
+    """Against a scan of every level quotient on the horizon: a witness
+    from a level quotient is placed at the first one that is not
+    simple."""
+    from_quotients = 0
+    for name, m in corpus(seed, 25):
+        v = classify_csa_glider(m)
+        if v.status != "reducible" or v.rule == "csa.principal":
+            continue
+        fa = m.filtration
+        first = next(i for i in range(m.horizon + 1) if not
+                     is_simple_quotient(m.level(i), m.level(i + 1),
+                                        fa.order, M2))
+        assert v.witness_shift == first, name
+        from_quotients += 1
+    assert from_quotients >= 20
 
 
 def _points():

@@ -10,10 +10,13 @@ import pytest
 from gliderbs import jsonio
 from gliderbs.cli import main
 from gliderbs.errors import ParseError, SchemaError, SpecValidationError
-from gliderbs.fields import MAX_EXPONENT, QQ_FIELD, QX_FIELD
+from gliderbs.fields import (MAX_EXPONENT, MAX_POWER_WEIGHT, QQ_FIELD,
+                             QX_FIELD)
 from gliderbs.lattice import MAX_MATRIX_N
+from gliderbs.rank2 import realize_z2
 
 W, P = jsonio.MAX_WINDOW, jsonio.MAX_PREFIX
+G = jsonio.MAX_GRID_WINDOW
 
 
 def phi_doc(lo, hi, period=1):
@@ -58,6 +61,32 @@ def test_powers_within_the_bound_parse(field, text):
 def test_nested_powers_past_the_bound_are_parse_errors(field, text, where):
     with pytest.raises(ParseError, match=f"past the bound {MAX_EXPONENT} "
                                          rf"\(at position {where}\)"):
+        field.parse(text)
+
+
+def test_a_power_at_the_weight_bound_parses():
+    # a literal of MAX_POWER_WEIGHT bits to the first power, and 10^1000,
+    # whose literal has 4 bits
+    n = 2 ** (MAX_POWER_WEIGHT - 1)
+    assert QQ_FIELD.parse(f"({n})^1") == n
+    QQ_FIELD.parse("10^1000")
+
+
+@pytest.mark.parametrize("field, text, where, weight", [
+    # one bit past the bound, to the first power
+    (QQ_FIELD, f"({2 ** MAX_POWER_WEIGHT})^1", 3 + len(
+        str(2 ** MAX_POWER_WEIGHT)), MAX_POWER_WEIGHT + 1),
+    (QQ_FIELD, "16^1000", 3, 5000),
+    # a power of a sum is not nested, but its weight is bounded: the
+    # largest power built here is (x^2+1)^1000
+    (QQ_FIELD, "(5^1000+1)^1000", 11, 3001000),
+    (QX_FIELD, "((x^2+1)^1000+1)^1000", 17, 3001000),
+    (QX_FIELD, "(x^4+x^3+x^2+x+1)^1000", 18, 8000),
+])
+def test_heavy_powers_are_parse_errors(field, text, where, weight):
+    with pytest.raises(ParseError, match=re.escape(
+            f"a power of weight {weight} is past the bound "
+            f"{MAX_POWER_WEIGHT} (at position {where})")):
         field.parse(text)
 
 
@@ -112,6 +141,23 @@ def test_a_prefix_past_the_bound_is_a_schema_error():
     with pytest.raises(SchemaError, match=rf"prefix of {P + 1} levels is "
                                           rf"past the bound {P}"):
         jsonio.loads_glider(glider_doc(P + 1))
+
+
+def test_a_grid_window_at_the_bound_decodes():
+    g = jsonio.loads_z2(jsonio.encode_z2(realize_z2((1, -1), (G, G))))
+    assert (g.J, g.I) == (G, G)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_a_grid_window_past_the_bound_is_a_schema_error(end):
+    # the cells of a window past the bound are never read
+    doc = jsonio.encode_z2(realize_z2((1, -1)))
+    doc["window"][end] = G + 1
+    doc["grid"] = "unread"
+    with pytest.raises(SchemaError, match=re.escape(
+            f"grid end {G + 1} is past the bound {G} "
+            f"(at z2-glider.window[{end}])")):
+        jsonio.loads_z2(doc)
 
 
 def test_a_matrix_algebra_past_the_bound_is_refused():

@@ -1,14 +1,20 @@
-"""Strength of a field filtration in degree 1, and the e-step test in
-degree e, against the horizon scans they replaced, on seeded step
-functions: componentwise over one and two valuations, and lex over the
-composite valuation."""
+"""Strength of a filtration in degree 1, and the e-step test in degree e,
+against the horizon scans they replaced: on seeded step functions,
+componentwise over one and two valuations and lex over the composite
+valuation, and on explicit algebra filtrations over the Hurwitz order at
+2 and over M_2(Z_(5)), against the block scan of the lattices."""
 
 import random
 
+import pytest
+
 from gliderbs.errors import SpecValidationError
 from gliderbs.fields import QQ_FIELD, QXY_FIELD, composite2, padic
-from gliderbs.filtration import (FieldFiltration, StepFunction, estep,
-                                 is_strong)
+from gliderbs.filtration import (AlgebraFiltration, FieldFiltration,
+                                 StepFunction, estep, induced_on_K,
+                                 is_strong, valuation_filtration)
+from gliderbs.lattice import BaseRing, FracIdeal, mult
+from gliderbs.orders import builtin_hurwitz2, builtin_mnr, radical
 
 KINDS = {
     "r1": (QQ_FIELD, (padic(5),), "componentwise"),
@@ -143,3 +149,105 @@ def test_strength_reads_degrees_one_and_minus_one():
     del seen[:]
     assert is_strong(filt) and filt.is_dvr_valuation()
     assert set(seen) == {1, -1}
+
+
+# -- explicit algebra filtrations ------------------------------------------
+
+def scan_estep_lattice(fa):
+    """The e-step pattern checked block by block on the horizon: L_-ne =
+    L_-e^n, L_ne L_-ne = L_0 = L_-ne L_ne, and constant blocks of e
+    degrees."""
+    h = fa.horizon
+    e = next((k for k in range(1, h + 1)
+              if fa.level(-k) != fa.level(-k - 1)), None)
+    if e is None:
+        return None
+    power = fa.level(0)
+    for n in range(0, (h + 2 * e) // e + 1):
+        ln = fa.level(-n * e)
+        if n > 0:
+            power = mult(power, fa.level(-e), fa.alg)
+            if power != ln:
+                return None
+        if mult(fa.level(n * e), ln, fa.alg) != fa.level(0):
+            return None
+        if mult(ln, fa.level(n * e), fa.alg) != fa.level(0):
+            return None
+        for k in range(e):
+            if fa.level(-n * e + k) != ln:
+                return None
+            if fa.level(n * e + k) != fa.level(n * e):
+                return None
+    return e
+
+
+def scan_is_strong_lattice(fa):
+    """L_n L_-n = L_0 = L_-n L_n on the horizon, and tails that undo each
+    other."""
+    l0 = fa.level(0)
+    if any(mult(fa.level(n), fa.level(-n), fa.alg) != l0
+           or mult(fa.level(-n), fa.level(n), fa.alg) != l0
+           for n in range(fa.horizon + 1)):
+        return False
+    return fa.plus_mult.pow(fa.minus_period).mul(
+        fa.minus_mult.pow(fa.plus_period)).is_unit_ideal()
+
+
+def _hurwitz():
+    """The Hurwitz order at 2, its ramification index r = 2 and P^j for its
+    prime P, P^2 = 2B: 2^(j/2) B for even j, 2^((j-1)/2) P for odd j."""
+    order = builtin_hurwitz2()
+    b, p = order.lattice, radical(order, 2).ideal
+    return order, 2, lambda j: (b if j % 2 == 0 else p).scale_exponents(
+        (j // 2,))
+
+
+def _m2():
+    """M_2(Z_(5)), r = 1 and P^j for its prime P = 5B."""
+    order = builtin_mnr(2, BaseRing(QQ_FIELD, (padic(5),)))
+    return order, 1, lambda j: order.lattice.scale_exponents((j,))
+
+
+# name -> (e, the exponent f(n, r) of L_n = P^f(n), plus period, minus
+# period); pi B = P^r for the ramification index r
+CHAINS = {
+    "P^-n": (1, lambda n, r: -n, 2, 2),
+    "P^-2[n/2]": (2, lambda n, r: -2 * (n // 2), 2, 2),
+    "P^-2[n/4]": (4, lambda n, r: -2 * (n // 4), 4, 4),
+    "pi^-[n/1]B": (1, lambda n, r: -r * n, 1, 1),
+    "pi^-[n/2]B": (2, lambda n, r: -r * (n // 2), 2, 2),
+    "pi^-[n/3]B": (3, lambda n, r: -r * (n // 3), 3, 3),
+    # P^-n above degree 0 and P^-2n below: a filtration, not strong
+    "asymmetric": (None, lambda n, r: -n if n >= 0 else -2 * n, 2, 1),
+}
+
+
+def _explicit(order, r, power, f, plus_period, minus_period):
+    """The explicit filtration L_n = P^f(n), built over its own
+    `induced_on_K` base with the validator on: past the window
+    [-w, w] each tail multiplies by the scalar its period steps P by."""
+    base_ring = order.base
+    w = max(plus_period, minus_period)
+    levels = [power(f(n, r)) for n in range(-w, w + 1)]
+    plus = (plus_period, FracIdeal(base_ring, (
+        (f(w, r) - f(w - plus_period, r)) // r,)))
+    minus = (minus_period, FracIdeal(base_ring, (
+        (f(-w, r) - f(minus_period - w, r)) // r,)))
+
+    def build(base, validate):
+        return AlgebraFiltration(order.alg, base, order.lattice,
+                                 mode="explicit", window=(-w, w),
+                                 levels=levels, plus=plus, minus=minus,
+                                 validate=validate)
+
+    rough = build(valuation_filtration(base_ring.valuations[0]), False)
+    return build(induced_on_K(rough), True)
+
+
+@pytest.mark.parametrize("make", [_hurwitz, _m2], ids=["hurwitz", "m2"])
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_explicit_strength_matches_the_block_scan(make, chain):
+    e, f, plus_period, minus_period = CHAINS[chain]
+    fa = _explicit(*make(), f, plus_period, minus_period)
+    assert estep(fa) == scan_estep_lattice(fa) == e
+    assert is_strong(fa) == scan_is_strong_lattice(fa) == (e == 1)
