@@ -50,7 +50,8 @@ __all__ = [
     "quot_field",
     "padic", "gauss_prime", "xadic", "yadic", "poly_prime", "composite2",
     "field_from_name", "rational_value", "substitute", "gauss_norm",
-    "pid_ring", "MAX_EXPONENT", "MAX_POWER_WEIGHT",
+    "pid_ring", "MAX_EXPONENT", "MAX_WEIGHT", "MAX_DEGREE", "MAX_TERMS",
+    "MAX_DEPTH",
 ]
 
 # the largest absolute value of an exponent that the input spells: a `^`
@@ -58,10 +59,21 @@ __all__ = [
 # degree map's; a report may print pi^e, and Python prints no int of more
 # than 4,300 digits
 MAX_EXPONENT = 1000
-# the largest weight of a power in an element string (`_Parser`): the
-# weight bounds the bits of a number and the degree of a polynomial, and
-# (x^2+x+1)^1000, of weight 4000, takes about 1 s to build over Q(x)
-MAX_POWER_WEIGHT = 4000
+# the largest weight of a sum, product, quotient or power in an element
+# string (`_Parser`): the weight bounds the bits of a number and the degree
+# of a polynomial in one variable, and (x^2+x+1)^1000, of weight 3000,
+# takes about 2 s to build over Q(x)
+MAX_WEIGHT = 4000
+# over Q(x,y), the largest total degree of such a node, which allows
+# (D+1)(D+2)/2 = 496 terms: (x+y+1)^30 builds in about 0.1 s and
+# (x+y+1)^40 in about 1 s
+MAX_DEGREE = 30
+# over Q(x,y), the most terms that the nodes of one string allow in all:
+# sympy cancels a gcd at each node, about 6 ms at 496 terms
+MAX_TERMS = 1000
+# the deepest nesting of parentheses in an element string: each level
+# takes four frames of the recursive descent, far below Python's limit
+MAX_DEPTH = 100
 
 
 class _Infinity:
@@ -1340,24 +1352,43 @@ def _tokenize(text):
     return out
 
 
+def _combine(op, a, b, carry):
+    """The (numerator, denominator) bound of a op b from the operands':
+    a/b + c/d = (ad + bc)/(bd), a sum carrying `carry` more."""
+    (n1, d1), (n2, d2) = a, b
+    if op in "+-":
+        return max(n1 + d2, n2 + d1) + carry, d1 + d2
+    if op == "*":
+        return n1 + n2, d1 + d2
+    return n1 + d2, d1 + n2
+
+
 class _Parser:
     """Recursive descent over the tokens.  `nest` is the product of the
     exponents of the chain of directly nested powers that ends in the last
     expression parsed (each power's base, inside parentheses and signs, is
     the power before it), or 1 when that expression is no power:
     (5^1000)^1000 has nest 10^6 and is refused before it is built.
-    `weight` is the last expression's weight: a number literal's bits, 1
-    for a generator, the larger operand's plus 1 for a sum, the sum of
-    both for a product or quotient, and k times the base's for a k-th
-    power, which is refused past `MAX_POWER_WEIGHT` before it is built:
-    (5^1000+1)^1000 has weight 3,001,000."""
+    `depth` counts the open parentheses, at most `MAX_DEPTH`.
+    `weight` and `degree` bound the last expression's numerator and
+    denominator, as (numerator, denominator) pairs: a number literal
+    weighs its bits and has degree 0, a generator weighs 1 and has degree
+    1; a sum's pair is `_combine`'s, its weight carrying 1 more, a product
+    adds the pairs, a quotient adds the divisor's swapped, and a k-th
+    power multiplies them by |k|, swapped for k < 0 (a 0-th power is the
+    literal 1).  Every sum, product, quotient and power is weighed
+    (`_weigh`) before it is built: (5^1000+1)^1000 has weight 3,001,000,
+    past `MAX_WEIGHT`.  Over Q(x,y), `terms` counts the terms that the
+    total degrees D of the nodes allow, (D+1)(D+2)/2 each."""
 
     def __init__(self, field, tokens):
         self.field = field
         self.toks = tokens
         self.i = 0
         self.nest = 1
-        self.weight = 0
+        self.weight = self.degree = (0, 0)
+        self.terms = 0 if field.kind == "FUNC2" else None
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -1379,6 +1410,23 @@ class _Parser:
             raise ParseError(f"trailing input {v!r}", pos)
         return e
 
+    def _weigh(self, what, weight, degree, pos):
+        """(weight, degree) of a node, refused before it is built past
+        `MAX_WEIGHT` and, over Q(x,y), past `MAX_DEGREE` or `MAX_TERMS`."""
+        if sum(weight) > MAX_WEIGHT:
+            raise ParseError(f"a {what} of weight {sum(weight)} is past the "
+                             f"bound {MAX_WEIGHT}", pos)
+        if self.terms is not None:
+            d = sum(degree)
+            if d > MAX_DEGREE:
+                raise ParseError(f"a {what} of degree {d} is past the bound "
+                                 f"{MAX_DEGREE}", pos)
+            self.terms += (d + 1) * (d + 2) // 2
+            if self.terms > MAX_TERMS:
+                raise ParseError(f"the string allows {self.terms} terms, "
+                                 f"past the bound {MAX_TERMS}", pos)
+        return weight, degree
+
     def expr(self):
         kind, v, _ = self.peek()
         neg = False
@@ -1388,44 +1436,46 @@ class _Parser:
                 neg = not neg
             kind, v, _ = self.peek()
         e = self.term()
-        w = self.weight
+        w, g = self.weight, self.degree
         if neg:
             e = -e
         while True:
-            kind, v, _ = self.peek()
+            kind, v, pos = self.peek()
             if kind == "op" and v in "+-":
                 self.next()
                 rhs = self.term()
+                w, g = self._weigh("sum", _combine(v, w, self.weight, 1),
+                                   _combine(v, g, self.degree, 0), pos)
                 e = e - rhs if v == "-" else e + rhs
-                self.nest, w = 1, max(w, self.weight) + 1
+                self.nest = 1
             else:
-                self.weight = w
+                self.weight, self.degree = w, g
                 return e
 
     def term(self):
         e = self.factor()
-        w = self.weight
+        w, g = self.weight, self.degree
         while True:
-            kind, v, _ = self.peek()
+            kind, v, pos = self.peek()
             if kind == "op" and v in "*/":
                 self.next()
                 rhs = self.factor()
-                if v == "/":
-                    if not rhs:
-                        raise ParseError("division by zero in literal")
-                    e = e / rhs
-                else:
-                    e = e * rhs
-                self.nest, w = 1, w + self.weight
+                if v == "/" and not rhs:
+                    raise ParseError("division by zero in literal")
+                w, g = self._weigh("product" if v == "*" else "quotient",
+                                   _combine(v, w, self.weight, 0),
+                                   _combine(v, g, self.degree, 0), pos)
+                e = e / rhs if v == "/" else e * rhs
+                self.nest = 1
             else:
-                self.weight = w
+                self.weight, self.degree = w, g
                 return e
 
     def factor(self):
-        kind, v, pos = self.peek()
-        if kind == "op" and v == "-":
+        neg = False
+        while self.peek()[:2] == ("op", "-"):
             self.next()
-            return -self.factor()
+            neg = not neg
         e = self.atom()
         kind, v, _ = self.peek()
         if kind == "op" and v == "^":
@@ -1445,29 +1495,39 @@ class _Parser:
                 raise ParseError(
                     f"nested exponents multiply to {self.nest * k}, past "
                     f"the bound {MAX_EXPONENT}", p2)
-            if k * self.weight > MAX_POWER_WEIGHT:
-                raise ParseError(
-                    f"a power of weight {k * self.weight} is past the "
-                    f"bound {MAX_POWER_WEIGHT}", p2)
+            if sign < 0 and not e:
+                raise ParseError("division by zero in literal", p2)
+            (wn, wd), (gn, gd) = self.weight, self.degree
+            if sign < 0:
+                wn, wd, gn, gd = wd, wn, gd, gn
+            self.weight, self.degree = self._weigh(
+                "power", (wn * k, wd * k) if k else (1, 0),
+                (gn * k, gd * k), p2)
             e, self.nest = e ** (sign * k), self.nest * k
-            self.weight *= k
-        return e
+        return -e if neg else e
 
     def atom(self):
         kind, v, pos = self.next()
-        self.nest, self.weight = 1, 1
+        self.nest, self.weight, self.degree = 1, (1, 0), (0, 0)
         if kind in ("int", "imag"):
             q = _literal(v, pos)
-            self.weight = (q.numerator * q.denominator).bit_length()
+            bits = (q.numerator * q.denominator).bit_length()
             if kind == "int":
+                self.weight = (bits, 0)
                 return self.field.from_fraction(q)
-            self.weight += 1
+            self.weight = (bits + 1, 0)
             return self.field.from_fraction(q) * self.field.gen("i")
         if kind == "name":
+            self.degree = (1, 0)
             return self.field.gen(v)
         if kind == "op" and v == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nest past the bound "
+                                 f"{MAX_DEPTH}", pos)
+            self.depth += 1
             e = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return e
         raise ParseError(f"unexpected token {v!r}", pos)
 

@@ -245,8 +245,11 @@ class AlgebraDesc:
     constants are rational and built, not checked: `matrix_algebra` and
     `quaternion_algebra` check the only inputs (1 <= n <= MAX_MATRIX_N;
     nonzero rational a and b), and the tables are associative with unit
-    `one_coords` and centre the scalars by construction
-    (`tests/test_structure_constants.py` proves it on samples).
+    `one_coords` by construction (`tests/test_structure_constants.py`
+    proves it on samples).  M_n is central simple over every field; (a, b)
+    only where 2ab != 0, which `_lifted` checks when the tables first meet
+    a field or a base: over F_2(x), (-1, -1) is commutative, and over
+    F_3(x), (3, -1) has i^2 = 0.
     """
 
     _cache = {}
@@ -313,10 +316,18 @@ class AlgebraDesc:
         e_s e_t with coefficient c/den at u, c None where it is 1.  Over a
         field (or Q's reps) den is 1 and c an element; over a BaseRing,
         c and den lie in its ring, den the least common denominator of
-        the structure constants.  One cache for both."""
+        the structure constants.  One cache for both.  A quaternion
+        algebra that is not central simple over the domain's field is
+        refused here."""
         cache = self.__dict__.setdefault("_lifted_tables", {})
         tbl = cache.get(domain)
         if tbl is None:
+            field = getattr(domain, "field", domain)
+            if self.kind == "quaternion" and field.char and \
+                    (2 * self.a * self.b).numerator % field.char == 0:
+                raise SpecValidationError(
+                    f"the quaternion algebra ({self.a}, {self.b}) is not "
+                    f"central simple over {field.name}: 2ab = 0 there")
             if isinstance(domain, BaseRing):
                 ring, k = domain.ring, domain.scalars
                 den = lcm(*[c.denominator for entries in self._table.values()

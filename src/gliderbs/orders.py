@@ -3,9 +3,10 @@ and the divisibility criterion for strongness over a maximal order.
 
 Builtins: the full matrix order M_n(R) over any semilocal base (unramified,
 e = 1 at every prime) and the Hurwitz quaternion order at 2 (ramified,
-e = 2).  Custom orders get their radical from the trace conditions of
-the residue algebra B/pB (linear algebra over the residue field); that
-requires the caller to declare maximality, and the declared hypothesis is
+e = 2), both declared maximal.  Every order gets its radical from the
+trace conditions of the residue algebra B/pB, read over the prime field
+(linear algebra over F_p, or over the residue field in characteristic 0);
+that requires a declaration of maximality, and the declared hypothesis is
 re-checked against the computed identities (P^e = pB, two-sidedness).
 """
 
@@ -16,7 +17,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .errors import (MaximalityError, SpecValidationError, UnsupportedError)
+from .errors import MaximalityError, SpecValidationError
 from .fields import QQ_FIELD, padic, prime_field
 from .filtration import (AlgebraFiltration, FieldFiltration,
                          StepFunction)
@@ -35,20 +36,18 @@ __all__ = [
 class OrderData:
     """A verified order: a full lattice that is a ring containing 1."""
 
-    def __init__(self, lattice, alg, builtin="custom", declared_maximal=False):
+    def __init__(self, lattice, alg, declared_maximal=False):
         require_order(lattice, alg)
         self.lattice = lattice
         self.alg = alg
-        self.builtin = builtin
-        self.declared_maximal = declared_maximal or builtin in (
-            "mnr", "hurwitz2")
+        self.declared_maximal = declared_maximal
 
     @property
     def base(self):
         return self.lattice.base
 
     def __repr__(self):
-        return f"OrderData({self.builtin}, {self.alg!r})"
+        return f"OrderData({self.alg!r})"
 
 
 class PrimeData:
@@ -72,7 +71,7 @@ def builtin_mnr(n, base):
     d = alg.dim
     rows = [[field.one() if i == j else field.zero() for j in range(d)]
             for i in range(d)]
-    return OrderData(canonicalize(base, d, rows), alg, builtin="mnr")
+    return OrderData(canonicalize(base, d, rows), alg, declared_maximal=True)
 
 
 def builtin_hurwitz2():
@@ -88,7 +87,7 @@ def builtin_hurwitz2():
         [zero, zero, one, zero],
         [half, half, half, half],
     ]
-    return OrderData(canonicalize(base, 4, rows), alg, builtin="hurwitz2")
+    return OrderData(canonicalize(base, 4, rows), alg, declared_maximal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +136,9 @@ def radical(order, p):
 
 
 def _radical(order, j):
-    if order.builtin == "mnr":
-        # P = pi*B needs no check: P^1 = pB, and B/P = M_n(R/p) is simple
-        pi = order.base.uniformizers[j]
-        return PrimeData(order, order.lattice.scale(pi), j, 1)
-    # builtins are declared maximal; Hurwitz's e = 2 is pinned by tests
     if not order.declared_maximal:
         raise MaximalityError(
-            "radical of a custom order requires declared maximality")
+            "the radical of an order requires declared maximality")
     prime = _custom_radical(order, j)
     _verify_prime(prime)
     return prime
@@ -174,41 +168,43 @@ def _custom_radical(order, j):
     `actions[s]` are the matrices of left multiplication by b_s on A, in
     the residue field's reps.  J comes from trace conditions (Cohen,
     Ivanyos and Wales, "Finding the radical of an algebra of linear
-    transformations", J. Pure Appl. Algebra 117/118, 1997): from
-    I_-1 = A, I_i = {a in I_{i-1} : g_i(a b_t) = 0 for every t}, where
-    g_i(z) = Tr(M^(p^i)) / p^i mod p for the int lift M of the matrix of
-    z, and J = I_l for l = floor(log_p d).  Each g_i is linear on I_{i-1},
-    so each step is a null space.  In characteristic 0, or when p > d,
-    l = 0: Dickson's condition Tr(ab) = 0, on the reps of any residue
-    field."""
+    transformations", J. Pure Appl. Algebra 117/118, 1997), stated over a
+    prime field: from I_-1 = A, I_i = {a in I_{i-1} : g_i(a b_t) = 0 for
+    every t}, where g_i(z) = Tr(M^(p^i)) / p^i mod p for the int lift M of
+    the matrix of z, and J = I_l for l = floor(log_p n), n = dim A over
+    F_p.  Each g_i is linear on I_{i-1}, so each step is a null space.
+    Over F_q = F_p[t]/(g), A is read over F_p (`_over_prime_field`): J
+    does not depend on the ground field, so no Galois ring is needed.  In
+    characteristic 0, or when p > n, l = 0: Dickson's condition
+    Tr(ab) = 0, on the reps of any residue field."""
     b, alg = order.lattice, order.alg
     base = order.base
     pb = b.scale(base.uniformizers[j])
     V = _QuotientSpace(b, pb, b, alg, j)
     k, d, fld = V.reps, V.dim, V.res_field
-    p = fld.char
+    actions, fold, p = V.actions, (lambda u: u), fld.char
+    if p and fld is not prime_field(p):
+        actions, fold = _over_prime_field(actions, k)
+        k = prime_field(p).reps
+    n = len(actions)
     steps = 0
-    while p and p ** (steps + 1) <= d:
+    while p and p ** (steps + 1) <= n:
         steps += 1
-    if steps and fld is not prime_field(p):
-        raise UnsupportedError(
-            f"the radical over the residue field {fld.name} in dimension "
-            f"{d} needs trace conditions over a Galois ring")
     # row s of prods[t] is the matrix of b_s b_t flattened to a row: b_s b_t
     # is row t of actions[s], and z's matrix is sum_w z_w actions[w]; so
     # vec_mat(u, prods[t]) is the matrix of u b_t
-    flat = [[e for row in a for e in row] for a in V.actions]
-    prods = [[linalg.vec_mat(a[t], flat, k) for a in V.actions]
-             for t in range(d)]
-    rad = [[k.one() if c == s else k.zero() for c in range(d)]
-           for s in range(d)]
+    flat = [[e for row in a for e in row] for a in actions]
+    prods = [[linalg.vec_mat(a[t], flat, k) for a in actions]
+             for t in range(n)]
+    rad = [[k.one() if c == s else k.zero() for c in range(n)]
+           for s in range(n)]
     for i in range(steps + 1):
-        g = [[_trace_condition(linalg.vec_mat(u, pt, k), d, k, p, i)
+        g = [[_trace_condition(linalg.vec_mat(u, pt, k), n, k, p, i)
               for u in rad] for pt in prods]
         rad = [linalg.vec_mat(c, rad, k) for c in linalg.right_nullspace(g, k)]
         if not rad:
             break
-    ideal = span(base, d, [V.lift(u) for u in rad] + list(pb.rows))
+    ideal = span(base, d, [V.lift(fold(u)) for u in rad] + list(pb.rows))
     power, e = ideal, 1
     # the ideal is nilpotent in the d-dimensional B/pB, so its d-th power
     # lies in pB
@@ -216,6 +212,30 @@ def _custom_radical(order, j):
         power = mult(power, ideal, alg)
         e += 1
     return PrimeData(order, ideal, j, e)
+
+
+def _over_prime_field(actions, k):
+    """The actions on A over F_q = F_p[t]/(g), m = deg g, read over F_p, on
+    the coordinate (s, i) that is the t^i coefficient of the s-th F_q one:
+    in the matrix of b_s t^r (r < m), entry c of b_s's becomes the m x m
+    block whose row i is c t^(r+i) in the basis 1, ..., t^(m-1).  Returns
+    them with the fold of an F_p row back to F_q."""
+    m = len(k.modulus) - 1
+    (t,) = k.gens.values()
+    tpow = [functools.reduce(k.mul, [t] * i, k.one()) for i in range(2 * m)]
+
+    def coords(c):
+        cs = {i: a for (i,), a in k.terms(c)[0]}
+        return [cs.get(i, 0) for i in range(m)]
+
+    def fold(u):
+        return [functools.reduce(k.add, [
+            k.mul(k.from_fraction(a), tp) for a, tp in zip(u[s:s + m], tpow)])
+            for s in range(0, len(u), m)]
+
+    return [[sum([coords(k.mul(c, tpow[r + i])) for c in row], [])
+             for row in a for i in range(m)]
+            for a in actions for r in range(m)], fold
 
 
 def _trace_condition(m, d, k, p, i):

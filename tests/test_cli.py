@@ -7,10 +7,11 @@ import pytest
 
 from gliderbs import jsonio
 from gliderbs.cli import main
-from gliderbs.fields import QQ_FIELD, padic
+from gliderbs.fields import (QQ_FIELD, fp_func_field, padic, poly_prime,
+                             xadic)
 from gliderbs.filtration import AlgebraFiltration, valuation_filtration
 from gliderbs.gbs import realize_field_element
-from gliderbs.lattice import BaseRing, matrix_algebra
+from gliderbs.lattice import BaseRing, canonicalize, matrix_algebra
 from gliderbs.orders import builtin_mnr
 from gliderbs.rank2 import realize_z2
 
@@ -379,7 +380,8 @@ def test_malformed_documents_are_schema_errors(files, capsys, tmp_path,
 
 def test_assoc_strong_completes_a_filtration_through_the_cli(tmp_path,
                                                              capsys):
-    from gliderbs.fields import QQ_FIELD, padic
+    from gliderbs.fields import (QQ_FIELD, fp_func_field, padic, poly_prime,
+                             xadic)
     from gliderbs.filtration import (FieldFiltration, StepFunction,
                                      associated_strong)
     from gliderbs.glider import Glider, MultiplyBy
@@ -409,6 +411,40 @@ def test_maxorder_check_of_the_builtin_m2r(capsys):
                     "m2r", "--k", "1")
     assert code == 0
     assert json.loads(out)["results"] == {"strong": True, "k": [1]}
+
+
+def test_maxorder_check_over_f9(tmp_path, capsys):
+    # M_2 over F_3(x) at x^2+1: the residue field F_9, with p = 3 <= d = 4
+    v = poly_prime("x^2+1", fp_func_field(3))
+    mnr = builtin_mnr(2, BaseRing(v.field, (v,)))
+    path = tmp_path / "m2_f9.json"
+    path.write_text(jsonio.dumps({
+        "schema": "gbs/1", "algebra": {"kind": "matrix", "n": 2},
+        "lattice": jsonio.encode_lattice(mnr.lattice), "maximal": True}))
+    code, out = run(capsys, "--output", "json", "maxorder-check", "--order",
+                    str(path), "--k", "1")
+    assert code == 0
+    assert json.loads(out)["results"] == {"strong": True, "k": [1]}
+
+
+def test_a_quaternion_algebra_with_2ab_zero_exits_1(tmp_path, capsys):
+    # (-1, -1) over F_2(x) is commutative: no central simple algebra
+    v = xadic(fp_func_field(2))
+    base = BaseRing(v.field, (v,))
+    rows = [[v.field.from_int(int(r == c)) for c in range(4)]
+            for r in range(4)]
+    f2 = valuation_filtration(v)
+    doc = dict(jsonio.encode_filtration(f2), algebra={
+        "desc": {"kind": "quaternion", "a": "-1", "b": "-1"},
+        "mode": "induced",
+        "order": jsonio.encode_lattice(canonicalize(base, 4, rows))})
+    path = tmp_path / "f2_quaternion.json"
+    path.write_text(jsonio.dumps(doc))
+    code, out = run(capsys, "--output", "json", "roundtrip", str(path))
+    report = json.loads(out)
+    assert code == 1 and report["kind"] == "SpecValidationError"
+    assert report["error"] == ("the quaternion algebra (-1, -1) is not "
+                               "central simple over F2(x): 2ab = 0 there")
 
 
 def test_timing_adds_only_the_timing_key(files, capsys):

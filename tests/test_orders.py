@@ -1,15 +1,17 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from gliderbs.errors import (MaximalityError, SpecValidationError,
-                             UnsupportedError)
+from gliderbs.errors import MaximalityError, SpecValidationError
 from gliderbs.fields import (QQ_FIELD, QX_FIELD, field_from_name,
                              fp_func_field, gauss_prime, padic, poly_prime,
                              xadic)
-from gliderbs.filtration import AlgebraFiltration, induced_on_K, is_strong
-from gliderbs.lattice import (BaseRing, add, canonicalize, mult,
-                              quaternion_algebra, quotient_length, span)
+from gliderbs.filtration import (AlgebraFiltration, induced_on_K, is_strong,
+                                 valuation_filtration)
+from gliderbs.lattice import (BaseRing, add, canonicalize, matrix_algebra,
+                              mult, quaternion_algebra, quotient_length,
+                              span)
 from gliderbs.orders import (OrderData, _custom_radical, builtin_hurwitz2,
                              builtin_mnr, ceil_sum_compare,
                              induced_degree_minus_one, maxorder_filtration,
@@ -61,6 +63,12 @@ def test_custom_radical_matches_builtin(hurwitz):
                        declared_maximal=True)
     p = radical(custom, 2)
     assert p.e == 2 and p.ideal == radical(hurwitz, 2).ideal
+    # every builtin takes the one path, P^e = pB checked: M_n has pi B
+    for n in (2, 3):
+        mnr = builtin_mnr(n, BaseRing(QQ_FIELD, (padic(3),)))
+        p = radical(_declared(mnr), 3)
+        assert p.e == 1 and p.ideal == radical(mnr, 3).ideal == \
+            mnr.lattice.scale(fe(3))
 
 
 def _declared(order):
@@ -93,12 +101,14 @@ def test_custom_radical_in_characteristic_zero():
     assert p.e == 1 and p.ideal == custom.lattice.scale(QX_FIELD.gen("x"))
 
 
-def test_custom_radical_over_f3i_in_dimension_4_is_unsupported():
+def test_custom_radical_over_f3i_in_dimension_4():
+    # p = 3 <= d = 4 over F_3[i]: B/3B is read over F_3 in dimension 8,
+    # with the trace conditions of floor(log_3 8) + 1 = 2 steps
     qi = field_from_name("Q(i)")
     base = BaseRing(qi, (gauss_prime(qi.from_int(3)),))
     custom = _declared(builtin_mnr(2, base))
-    with pytest.raises(UnsupportedError, match="F3\\[i\\] in dimension 4"):
-        radical(custom, 0)
+    p = radical(custom, 0)
+    assert p.e == 1 and p.ideal == custom.lattice.scale(qi.from_int(3))
 
 
 def _declared_m2_at(p, g):
@@ -109,13 +119,23 @@ def _declared_m2_at(p, g):
         v.uniformizer()
 
 
-def test_custom_radical_over_f9_in_dimension_4_is_unsupported():
+def test_custom_radical_over_f9_in_dimension_4():
     # the residue field F_3[x]/(x^2+1) = F_9 has p = 3 <= d = 4, as F_3[i]
-    custom, _ = _declared_m2_at(3, "x^2+1")
-    with pytest.raises(UnsupportedError,
-                       match="F3\\[x\\]/\\(g\\) in dimension 4 needs "
-                             "trace conditions over a Galois ring"):
-        radical(custom, 0)
+    custom, pi = _declared_m2_at(3, "x^2+1")
+    p = radical(custom, 0)
+    assert p.e == 1 and p.ideal == custom.lattice.scale(pi)
+
+
+@pytest.mark.parametrize("n, p, g", [(2, 3, "x^3+2*x+1"),
+                                     (3, 2, "x^2+x+1")],
+                         ids=["M_2 over F_27", "M_3 over F_4"])
+def test_custom_radical_over_f_q(n, p, g):
+    # dimension d deg g over F_p: 12 over F_3, and 18 over F_2, where
+    # floor(log_2 18) + 1 = 5 trace conditions are due
+    v = poly_prime(g, fp_func_field(p))
+    mnr = builtin_mnr(n, BaseRing(v.field, (v,)))
+    prime = radical(mnr, 0)
+    assert prime.e == 1 and prime.ideal == mnr.lattice.scale(v.uniformizer())
 
 
 def test_custom_radical_over_f25():
@@ -167,6 +187,19 @@ def _mnr_at(*primes):
     return builtin_mnr(2, BaseRing(QQ_FIELD, tuple(map(padic, primes))))
 
 
+def _over_f4(eichler):
+    """M_2, or its Eichler order, over F_2(x) at x^2+x+1: the residue
+    field F_4, in characteristic 2."""
+    v = poly_prime("x^2+x+1", fp_func_field(2))
+    mnr = builtin_mnr(2, BaseRing(v.field, (v,)))
+    if not eichler:
+        return mnr
+    one, zero, pi = v.field.one(), v.field.zero(), v.uniformizer()
+    return _order(mnr.base, mnr.alg,
+                  [[pi if r == c == 2 else one if r == c else zero
+                    for c in range(4)] for r in range(4)])
+
+
 RADICAL_FAMILY = {
     "Hurwitz at 2": (builtin_hurwitz2, 0),
     "M_2 at 2": (lambda: _mnr_at(2), 0),
@@ -182,6 +215,8 @@ RADICAL_FAMILY = {
     "(3,7) at 3": (lambda: _z_order(3, 7, 3), 0),
     "M_2 over Z_(2,3) at 2": (lambda: _mnr_at(2, 3), 0),
     "M_2 over Z_(2,3) at 3": (lambda: _mnr_at(2, 3), 1),
+    "M_2 over F_4": (lambda: _over_f4(False), 0),
+    "Eichler over F_4": (lambda: _over_f4(True), 0),
 }
 
 
@@ -296,3 +331,38 @@ def test_order_facts_have_one_message(build, message, f5, r5, b_m2, m2):
     with pytest.raises(SpecValidationError) as from_filtration:
         AlgebraFiltration(m2, f5, lat, mode="induced")
     assert str(from_order.value) == str(from_filtration.value) == message
+
+
+def _standard(v, alg):
+    """The lattice R<e_1, ..., e_d> of alg's basis at the valuation v."""
+    f = v.field
+    return canonicalize(BaseRing(f, (v,)), alg.dim,
+                        [[f.one() if r == c else f.zero()
+                          for c in range(alg.dim)] for r in range(alg.dim)])
+
+
+@pytest.mark.parametrize("p, a, b", [(2, -1, -1), (3, 3, -1), (5, 5, 2)])
+def test_a_quaternion_algebra_with_2ab_zero_is_refused(p, a, b):
+    # over F_2(x), (-1, -1) is commutative; over F_3(x) and F_5(x), i^2 = a
+    # is 0: no central simple algebra, so no order and no filtration
+    v = xadic(fp_func_field(p))
+    alg = quaternion_algebra(a, b)
+    lat = _standard(v, alg)
+    message = re.escape(f"the quaternion algebra ({a}, {b}) is not central "
+                        f"simple over F{p}(x): 2ab = 0 there")
+    with pytest.raises(SpecValidationError, match=message):
+        OrderData(lat, alg)
+    with pytest.raises(SpecValidationError, match=message):
+        AlgebraFiltration(alg, valuation_filtration(v), lat, mode="induced")
+
+
+def test_central_simple_algebras_stay_accepted():
+    qi = field_from_name("Q(i)")
+    for v in (padic(3), gauss_prime(qi.from_int(3)),
+              xadic(fp_func_field(3))):
+        OrderData(_standard(v, quaternion_algebra(-1, -1)),
+                  quaternion_algebra(-1, -1))
+    for p in (2, 3, 5):
+        for n in (1, 2):
+            OrderData(_standard(xadic(fp_func_field(p)), matrix_algebra(n)),
+                      matrix_algebra(n))

@@ -74,8 +74,10 @@ def test_the_documented_bounds_are_the_codes():
     assert _stated_bound(text, "jsonio.MAX_PRIME") == jsonio.MAX_PRIME
     assert _stated_bound(text, "jsonio.MAX_WINDOW") == jsonio.MAX_WINDOW
     assert _stated_bound(text, "jsonio.MAX_PREFIX") == jsonio.MAX_PREFIX
-    assert _stated_bound(text, "fields.MAX_POWER_WEIGHT") == \
-        fields.MAX_POWER_WEIGHT
+    assert _stated_bound(text, "fields.MAX_WEIGHT") == fields.MAX_WEIGHT
+    assert _stated_bound(text, "fields.MAX_DEGREE") == fields.MAX_DEGREE
+    assert _stated_bound(text, "fields.MAX_TERMS") == fields.MAX_TERMS
+    assert _stated_bound(text, "fields.MAX_DEPTH") == fields.MAX_DEPTH
     assert _stated_bound(text, "jsonio.MAX_GRID_WINDOW") == \
         jsonio.MAX_GRID_WINDOW
     assert _stated_bound(text, "lattice.MAX_MATRIX_N") == \

@@ -10,8 +10,8 @@ import pytest
 from gliderbs import jsonio
 from gliderbs.cli import main
 from gliderbs.errors import ParseError, SchemaError, SpecValidationError
-from gliderbs.fields import (MAX_EXPONENT, MAX_POWER_WEIGHT, QQ_FIELD,
-                             QX_FIELD)
+from gliderbs.fields import (MAX_DEGREE, MAX_DEPTH, MAX_EXPONENT, MAX_TERMS,
+                             MAX_WEIGHT, QQ_FIELD, QX_FIELD, field_from_name)
 from gliderbs.lattice import MAX_MATRIX_N
 from gliderbs.rank2 import realize_z2
 
@@ -65,17 +65,17 @@ def test_nested_powers_past_the_bound_are_parse_errors(field, text, where):
 
 
 def test_a_power_at_the_weight_bound_parses():
-    # a literal of MAX_POWER_WEIGHT bits to the first power, and 10^1000,
+    # a literal of MAX_WEIGHT bits to the first power, and 10^1000,
     # whose literal has 4 bits
-    n = 2 ** (MAX_POWER_WEIGHT - 1)
+    n = 2 ** (MAX_WEIGHT - 1)
     assert QQ_FIELD.parse(f"({n})^1") == n
     QQ_FIELD.parse("10^1000")
 
 
 @pytest.mark.parametrize("field, text, where, weight", [
     # one bit past the bound, to the first power
-    (QQ_FIELD, f"({2 ** MAX_POWER_WEIGHT})^1", 3 + len(
-        str(2 ** MAX_POWER_WEIGHT)), MAX_POWER_WEIGHT + 1),
+    (QQ_FIELD, f"({2 ** MAX_WEIGHT})^1", 3 + len(
+        str(2 ** MAX_WEIGHT)), MAX_WEIGHT + 1),
     (QQ_FIELD, "16^1000", 3, 5000),
     # a power of a sum is not nested, but its weight is bounded: the
     # largest power built here is (x^2+1)^1000
@@ -86,8 +86,64 @@ def test_a_power_at_the_weight_bound_parses():
 def test_heavy_powers_are_parse_errors(field, text, where, weight):
     with pytest.raises(ParseError, match=re.escape(
             f"a power of weight {weight} is past the bound "
-            f"{MAX_POWER_WEIGHT} (at position {where})")):
+            f"{MAX_WEIGHT} (at position {where})")):
         field.parse(text)
+
+
+@pytest.mark.parametrize("field, text, message", [
+    # a product, a quotient and a sum are weighed as a power is: the
+    # second factor of a long product of 5^1000 is refused at its "*"
+    (QQ_FIELD, "*".join(["5^1000"] * 400),
+     "a product of weight 6000 is past the bound 4000 (at position 6)"),
+    (QQ_FIELD, "5^1000/3^1000",
+     "a quotient of weight 5000 is past the bound 4000 (at position 6)"),
+    # a/b + c/d is (ad + bc)/(bd): the sum of two small fractions is as
+    # heavy as its denominator
+    (QQ_FIELD, "1/3^1000+1/5^1000",
+     "a sum of weight 8002 is past the bound 4000 (at position 8)"),
+    (field_from_name("F3(x)"), "1/x^1000+1/(x+1)^1000",
+     "a sum of weight 5002 is past the bound 4000 (at position 8)"),
+    # over Q(x,y) each node has a total degree: the first factor of the
+    # 43-character product of four (x+y+1)^60 is refused before it is
+    # built
+    (field_from_name("Q(x,y)"), "*".join(["(x+y+1)^60"] * 4),
+     f"a power of degree 60 is past the bound {MAX_DEGREE} (at position "
+     "8)"),
+    (field_from_name("Q(x,y)"), "x^20*y^11",
+     f"a product of degree 31 is past the bound {MAX_DEGREE} (at position "
+     "4)"),
+    (field_from_name("Q(x,y)"), "1/x^16+1/y^15",
+     f"a sum of degree 47 is past the bound {MAX_DEGREE} (at position 6)"),
+    # and the nodes of one string allow at most MAX_TERMS terms in all: each
+    # x^30 allows 496, and so does their sum
+    (field_from_name("Q(x,y)"), "x^30+x^30",
+     f"the string allows 1488 terms, past the bound {MAX_TERMS} (at "
+     "position 4)"),
+    (QQ_FIELD, "0^-1", "division by zero in literal (at position 3)"),
+])
+def test_heavy_nodes_are_parse_errors(field, text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        field.parse(text)
+
+
+def test_parentheses_nest_to_the_bound():
+    # one level more was a RecursionError at about 250 levels; signs do not
+    # nest at all
+    assert QQ_FIELD.parse("(" * MAX_DEPTH + "5" + ")" * MAX_DEPTH) == 5
+    assert QQ_FIELD.parse("1*" + "-" * 5001 + "1") == -1
+    with pytest.raises(ParseError, match=re.escape(
+            f"parentheses nest past the bound {MAX_DEPTH} (at position "
+            f"{MAX_DEPTH})")):
+        QQ_FIELD.parse("(" * 3000 + "5" + ")" * 3000)
+
+
+def test_nodes_at_the_bounds_parse():
+    qxy = field_from_name("Q(x,y)")
+    QQ_FIELD.parse("5^1000+5^1000")
+    # degree 30, with 31 terms, and two nodes of 496 allowed terms each
+    qxy.parse("(x+y)^30")
+    qxy.parse("x^30+y")
+    qxy.parse("(x+y+1)^13*(x-y+1)^13")
 
 
 # -- documents --------------------------------------------------------------
